@@ -29,8 +29,13 @@ from . import moment_algebra
 from .classify import Outcome, Tag, classify
 from .dynamics import ModelConfig, effective_potential, moment_labels
 from .integrator import IntegratorConfig, Termination, integrate
-from .packet import THIRD_MOMENT_CONVENTIONS, GaussianPacket, initial_moments
-from .potential import BarrierPotential
+from .packet import (
+    THIRD_MOMENT_CONVENTIONS,
+    GaussianPacket,
+    InvalidOrder,
+    initial_moments,
+)
+from .potential import BarrierPotential, InvalidEnergy, NoTurningPoint
 
 __all__ = [
     "ConfigError",
@@ -444,7 +449,9 @@ SWEEP_COLUMNS = [
 
 def _sweep_point(args) -> list:
     """Worker: run one sweep point from a resolved config dict. Module-level
-    for the process pool."""
+    for the process pool. A point whose config is invalid, or whose packet
+    the physics rejects (InvalidEnergy, NoTurningPoint, InvalidOrder), gives
+    an ``error:`` row; any other exception propagates."""
     raw, index, value = args
     cfg = build_config(raw)
     parameter = cfg.sweep["parameter"]
@@ -484,7 +491,7 @@ def _sweep_point(args) -> list:
             traj.termination is Termination.CONSTRAINT_VIOLATED,
             traj.termination.value,
         ]
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, InvalidEnergy, NoTurningPoint, InvalidOrder) as exc:
         reason = f"error: {exc}".replace(",", ";").replace("\n", " ")
         return [index, value, Tag.UNDETERMINED.value, None, None, None, 0,
                 None, None, None, False, reason]
@@ -547,8 +554,8 @@ def run_surface(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
     rows = []
     for i in sample_idx:
         state = traj.state(int(i))
-        for q in q_values:
-            rows.append([state.t, q, effective_potential(float(q), state, cfg.model)])
+        section = effective_potential(q_values, state, cfg.model)
+        rows.extend([state.t, q, v] for q, v in zip(q_values, section))
     columns = ["t", "q", "v_eff"]
     _atomic_write(Path(f"{out}.csv"), _csv(rows, columns))
     summary = {
@@ -561,6 +568,8 @@ def run_surface(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
         "termination": traj.termination.value,
         "reference_energy_drift": traj.energy_drift,
     }
+    if traj.termination is Termination.STEP_FAILURE:
+        summary["failure"] = traj.stats["failure"]
     _atomic_write(Path(f"{out}.summary.json"), _json_text(summary))
     return summary
 
@@ -717,7 +726,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     if summary.get("termination") == Termination.STEP_FAILURE.value:
-        print("integration failed: step size underflow (partial output written)",
+        # simulate summaries keep the cause in their stats, surfaces at top level
+        cause = summary["stats"]["failure"] if "stats" in summary else summary["failure"]
+        print(f"integration failed: step failure ({cause}); partial output written",
               file=sys.stderr)
         return 2
     return 0

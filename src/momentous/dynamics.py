@@ -35,6 +35,7 @@ __all__ = [
     "MomentState",
     "effective_hamiltonian",
     "effective_potential",
+    "effective_series",
     "eom_table",
     "make_rhs",
     "moment_labels",
@@ -209,6 +210,24 @@ def rhs(state: MomentState, cfg: ModelConfig) -> np.ndarray:
     return np.array(make_rhs(cfg)(state_to_vector(state)), dtype=float)
 
 
+def _hamiltonian_terms(cfg: ModelConfig, v, p, g20, g02, g30):
+    """``H_Q`` at orders 2 and 3 from the jet ``v`` of V at the mean
+    position; floats and arrays alike."""
+    value = p ** 2 / (2 * cfg.mass) + v[0] + g02 / (2 * cfg.mass) + 0.5 * v[2] * g20
+    if cfg.order >= 3:
+        value = value + v[3] * g30 / 6.0
+    return value
+
+
+def _potential_terms(cfg: ModelConfig, order: int, v, g20, g02, g30):
+    """``V_eff`` at orders 2 and 3 from the jet ``v`` of V at the evaluation
+    point; floats and arrays alike."""
+    value = v[0] + 0.5 * v[2] * g20 + g02 / (2 * cfg.mass)
+    if order >= 3 and cfg.veff_third_moment:
+        value = value + v[3] * g30 / 6.0
+    return value
+
+
 def effective_hamiltonian(state: MomentState, cfg: ModelConfig) -> float:
     """Moment-expanded energy; conserved exactly along the flow.
 
@@ -218,35 +237,49 @@ def effective_hamiltonian(state: MomentState, cfg: ModelConfig) -> float:
     pot = cfg.potential
     if cfg.order == 0:
         return state.p ** 2 / (2 * cfg.mass) + pot(state.q)
-    k = 2 if cfg.order == 2 else 3
-    v = pot.derivatives(state.q, k)
-    value = (
-        state.p ** 2 / (2 * cfg.mass)
-        + v[0]
-        + state.moment(0, 2) / (2 * cfg.mass)
-        + 0.5 * v[2] * state.moment(2, 0)
+    v = pot.derivatives(state.q, 2 if cfg.order == 2 else 3)
+    return _hamiltonian_terms(
+        cfg, v, state.p, state.moment(2, 0), state.moment(0, 2), state.moment(3, 0)
     )
-    if cfg.order >= 3:
-        value += v[3] * state.moment(3, 0) / 6.0
-    return value
 
 
 def effective_potential(q: float, state: MomentState, cfg: ModelConfig) -> float:
     """Potential felt at position ``q`` given the (frozen) moments of ``state``.
 
     ``V(q) + (1/2)V''(q)G20 + G02/2m``, plus ``(1/6)V'''(q)G30`` at order 3
-    when the model keeps that term. Sampling this over a q-grid per time
-    sample produces the time-dependent effective-potential surface.
+    when the model keeps that term. ``q`` may be an ndarray: one call then
+    gives a whole section of the time-dependent effective-potential surface.
     """
     pot = cfg.potential
     if state.order == 0:
         return pot(q)
     k = 3 if (state.order >= 3 and cfg.veff_third_moment) else 2
-    v = pot.derivatives(q, k)
-    value = v[0] + 0.5 * v[2] * state.moment(2, 0) + state.moment(0, 2) / (2 * cfg.mass)
-    if state.order >= 3 and cfg.veff_third_moment:
-        value += v[3] * state.moment(3, 0) / 6.0
-    return value
+    return _potential_terms(
+        cfg, state.order, pot.derivatives(q, k),
+        state.moment(2, 0), state.moment(0, 2), state.moment(3, 0),
+    )
+
+
+def effective_series(states: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``H_Q`` and ``V_eff`` at the mean position for every row of an
+    ``(n, d)`` state array, from one jet evaluation.
+
+    Row by row these are :func:`effective_hamiltonian` and
+    :func:`effective_potential` at the row's ``q``, up to the last bit:
+    numpy squares ``p`` exactly where Python's ``p ** 2`` may round, and at
+    order 0 numpy's ``q ** (2n)`` may differ from Python's by an ulp.
+    """
+    q, p = states[:, 0], states[:, 1]
+    if cfg.order == 0:
+        v = cfg.potential(q)
+        return p ** 2 / (2 * cfg.mass) + v, v
+    v = cfg.potential.derivatives(q, 2 if cfg.order == 2 else 3)
+    g20, g02 = states[:, 2], states[:, 4]
+    g30 = states[:, 5] if cfg.order >= 3 else None
+    return (
+        _hamiltonian_terms(cfg, v, p, g20, g02, g30),
+        _potential_terms(cfg, cfg.order, v, g20, g02, g30),
+    )
 
 
 def _third_order_table() -> dict[Union[str, Moment], MomentPolynomial]:

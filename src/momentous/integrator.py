@@ -9,14 +9,24 @@ An explicit pair is used deliberately: the moment system is not separable,
 and exact conservation of the effective Hamiltonian then serves as an
 independent accuracy diagnostic rather than a built-in property.
 
+The state has at most nine components, so the stepper works on plain lists
+of Python floats rather than numpy arrays, whose per-call overhead would
+dominate. Each stage, the 5th-order update, the error estimate and the dense
+output is one expression per component over the tableau constants; the error
+norm sums its squares in numpy's pairwise order. Step sizes, samples and
+events are therefore those of an array implementation, bit for bit.
+
 Recorded along the way:
 
 * samples on a fixed ``sample_dt`` grid (via dense output) plus event points;
 * events: momentum sign changes, crossings of caller-supplied position
   markers (classical return points), outbound escape, and violation of the
   uncertainty constraint beyond ``-10 * atol`` (terminal);
-* per-sample series: effective Hamiltonian, effective potential at the mean
-  position, and the uncertainty-product residual.
+* per-sample series, computed once per trajectory on the ``(n, d)`` sample
+  array: effective Hamiltonian, effective potential at the mean position,
+  and the uncertainty-product residual;
+* on a step failure, its cause: step-size underflow, the ``max_steps``
+  budget, or a state blowup.
 
 Runs are bit-reproducible: identical configuration yields identical output.
 """
@@ -33,8 +43,11 @@ import numpy as np
 from .dynamics import (
     ModelConfig,
     MomentState,
+    # Unused here: perfbench's tracer wraps these two names in this module,
+    # and its smoke tests require every traced name to exist.
     effective_hamiltonian,
     effective_potential,
+    effective_series,
     make_rhs,
     state_to_vector,
     vector_to_state,
@@ -164,21 +177,24 @@ def uncertainty_residual(state: MomentState, hbar: float) -> float:
     return g20 * g02 - g11 * g11 - hbar * hbar / 4
 
 
-# Dormand-Prince 5(4) tableau; row 6 doubles as the 5th-order weights (FSAL).
-_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# Dormand-Prince 5(4) tableau, one module float per nonzero entry. The stages
+# need no time nodes: the moment system is autonomous. The 5th-order weights B
+# double as row 7 of A (FSAL); b2, e2 and d2 are zero and left out.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
 )
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 # Difference between the 5th- and 4th-order weights.
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
+)
 # Dense-output weights for the quartic interpolant.
-_D = (
+_D1, _D3, _D4, _D5, _D6, _D7 = (
     -12715105075 / 11282082432,
-    0.0,
     87487479700 / 32700410799,
     -10690763975 / 1880347072,
     701980252875 / 199316789632,
@@ -193,19 +209,44 @@ _FAC_MIN = 0.2  # strongest allowed shrink per step
 _FAC_MAX = 10.0  # strongest allowed growth per step
 
 
-def _rms(v: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(v * v)))
+def _finite(v) -> bool:
+    return all(map(math.isfinite, v))
+
+
+def _rms(v) -> float:
+    """Root mean square of a float list.
+
+    The squares are summed in the order of numpy's pairwise sum (``np.mean``):
+    left to right below 8 terms, otherwise 8 interleaved partial sums (for up
+    to 128 terms) combined as a tree, then the remainder. Step sizes therefore
+    repeat those of an array implementation bit for bit.
+    """
+    n = len(v)
+    if n < 8:
+        total = 0.0
+        for x in v:
+            total = total + x * x
+    else:
+        sq = [x * x for x in v]
+        r = sq[:8]
+        end = n - n % 8
+        for i in range(8, end, 8):
+            r = [a + b for a, b in zip(r, sq[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in sq[end:]:
+            total = total + x
+    return math.sqrt(total / n)
 
 
 def _initial_step(f, y0, k1, rtol, atol, span, max_step):
     """Hairer's starting-step heuristic."""
-    sc = atol + rtol * np.abs(y0)
-    d0 = _rms(y0 / sc)
-    d1 = _rms(k1 / sc)
+    sc = [atol + rtol * abs(a) for a in y0]
+    d0 = _rms([a / s for a, s in zip(y0, sc)])
+    d1 = _rms([a / s for a, s in zip(k1, sc)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span, max_step)
-    f1 = np.asarray(f(y0 + h0 * k1), dtype=float)
-    d2 = _rms((f1 - k1) / sc) / h0
+    f1 = f([a + h0 * b for a, b in zip(y0, k1)])
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, k1, sc)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -213,28 +254,82 @@ def _initial_step(f, y0, k1, rtol, atol, span, max_step):
     return min(100 * h0, h1, span, max_step)
 
 
+def _stages(f, h, y, k1):
+    """The stages of one Dormand-Prince step of size ``h`` from ``y``, whose
+    derivative is ``k1``.
+
+    Returns ``(rhs_calls, result)``. ``result`` is ``(y1, k3, k4, k5, k6,
+    k7)`` with ``y1`` the 5th-order update and ``k7 = f(y1)``, or None when a
+    stage state or ``y1`` is not finite. ``k2`` is not returned: its weights
+    in the update, the error estimate and the dense output are zero.
+    """
+    ys = [a + h * (_A21 * b) for a, b in zip(y, k1)]
+    if not _finite(ys):
+        return 0, None
+    k2 = f(ys)
+    ys = [a + h * (_A31 * b + _A32 * c) for a, b, c in zip(y, k1, k2)]
+    if not _finite(ys):
+        return 1, None
+    k3 = f(ys)
+    ys = [
+        a + h * (_A41 * b + _A42 * c + _A43 * d)
+        for a, b, c, d in zip(y, k1, k2, k3)
+    ]
+    if not _finite(ys):
+        return 2, None
+    k4 = f(ys)
+    ys = [
+        a + h * (_A51 * b + _A52 * c + _A53 * d + _A54 * e)
+        for a, b, c, d, e in zip(y, k1, k2, k3, k4)
+    ]
+    if not _finite(ys):
+        return 3, None
+    k5 = f(ys)
+    ys = [
+        a + h * (_A61 * b + _A62 * c + _A63 * d + _A64 * e + _A65 * g)
+        for a, b, c, d, e, g in zip(y, k1, k2, k3, k4, k5)
+    ]
+    if not _finite(ys):
+        return 4, None
+    k6 = f(ys)
+    y1 = [
+        a + h * (_B1 * b + _B3 * d + _B4 * e + _B5 * g + _B6 * x)
+        for a, b, d, e, g, x in zip(y, k1, k3, k4, k5, k6)
+    ]
+    if not _finite(y1):
+        return 5, None
+    return 6, (y1, k3, k4, k5, k6, f(y1))
+
+
 class _DenseOutput:
-    """Quartic interpolant over one accepted step."""
+    """Quartic interpolant over one accepted step, one coefficient tuple per
+    state component."""
 
-    __slots__ = ("t0", "h", "cont")
+    __slots__ = ("t0", "h", "coeffs")
 
-    def __init__(self, t0, h, y0, y1, k1, k7, kstack):
-        ydiff = y1 - y0
-        bspl = h * k1 - ydiff
+    def __init__(self, t0, h, y0, y1, k1, k3, k4, k5, k6, k7):
         self.t0 = t0
         self.h = h
-        self.cont = (
-            y0,
-            ydiff,
-            bspl,
-            ydiff - h * k7 - bspl,
-            h * sum(d * k for d, k in zip(_D, kstack)),
-        )
+        coeffs = []
+        for a, b, c1, c3, c4, c5, c6, c7 in zip(y0, y1, k1, k3, k4, k5, k6, k7):
+            ydiff = b - a
+            bspl = h * c1 - ydiff
+            coeffs.append((
+                a,
+                ydiff,
+                bspl,
+                ydiff - h * c7 - bspl,
+                h * (_D1 * c1 + _D3 * c3 + _D4 * c4 + _D5 * c5 + _D6 * c6 + _D7 * c7),
+            ))
+        self.coeffs = coeffs
 
     def __call__(self, t):
         theta = (t - self.t0) / self.h
-        c0, c1, c2, c3, c4 = self.cont
-        return c0 + theta * (c1 + (1 - theta) * (c2 + theta * (c3 + (1 - theta) * c4)))
+        om = 1 - theta
+        return [
+            c0 + theta * (c1 + om * (c2 + theta * (c3 + om * c4)))
+            for c0, c1, c2, c3, c4 in self.coeffs
+        ]
 
 
 def _locate_zero(fn, t0, t1, g0, dense):
@@ -258,7 +353,7 @@ def _locate_zero(fn, t0, t1, g0, dense):
 def _integrate_core(
     f,
     t0: float,
-    y0: np.ndarray,
+    y0: Sequence[float],
     t_end: float,
     *,
     rtol: float,
@@ -269,11 +364,14 @@ def _integrate_core(
     specs: Sequence[_EventSpec] = (),
     max_steps: int = 2_000_000,
 ):
-    """Generic adaptive loop; returns (times, states, raw events, termination,
-    stats). Raw events are ``(t, spec, direction, y)`` tuples."""
+    """Generic adaptive loop over float lists; ``f`` maps a state list to its
+    derivative list. Returns (times, states, raw events, termination, stats),
+    with each state a list of floats. Raw events are ``(t, spec, direction,
+    y)`` tuples. On a step failure ``stats["failure"]`` names the guard that
+    stopped the run: "underflow", "budget" or "blowup"."""
     t = t0
-    y = np.array(y0, dtype=float)
-    k1 = np.asarray(f(y), dtype=float)
+    y = [float(a) for a in y0]
+    k1 = f(y)
     n_rhs = 1
     span = t_end - t0
     if first_step is not None:
@@ -283,8 +381,8 @@ def _integrate_core(
         n_rhs += 1
 
     times = [t]
-    states = [y.copy()]
-    raw_events: list[tuple[float, _EventSpec, int, np.ndarray]] = []
+    states = [y]
+    raw_events: list[tuple[float, _EventSpec, int, list]] = []
     g_prev = [spec.fn(t, y) for spec in specs]
     sample_index = 1
     facold = 1e-4
@@ -292,44 +390,39 @@ def _integrate_core(
     n_steps = 0
     n_rejected = 0
     termination = Termination.REACHED_TMAX
+    failure = None
 
     def record(tr, yr):
         if tr - times[-1] > 1e-12 * max(1.0, abs(tr)):
             times.append(tr)
-            states.append(np.array(yr, dtype=float))
+            states.append(yr)
 
     while t_end - t > 1e-12 * max(1.0, abs(t_end)):
         h = min(h, max_step, t_end - t)
-        hmin = 1e-14 * max(1.0, abs(t))
         # Underflow, iteration-budget and blowup guards: the truncated moment
         # hierarchy can develop finite-time blowups, which must surface as a
         # step failure with the partial trajectory intact.
-        if h < hmin or n_steps + n_rejected >= max_steps or np.max(np.abs(y)) > 1e12:
+        if h < 1e-14 * max(1.0, abs(t)):
+            failure = "underflow"
+        elif n_steps + n_rejected >= max_steps:
+            failure = "budget"
+        elif max(map(abs, y)) > 1e12:
+            failure = "blowup"
+        if failure is not None:
             termination = Termination.STEP_FAILURE
             break
 
         # Stages (FSAL: k1 carried over from the previous step).
-        k = [k1]
-        failed = False
-        for row in _A[:-1]:
-            yi = y + h * sum(a * ki for a, ki in zip(row, k))
-            if not np.all(np.isfinite(yi)):
-                failed = True
-                break
-            k.append(np.asarray(f(yi), dtype=float))
-            n_rhs += 1
-        if not failed:
-            y1 = y + h * sum(a * ki for a, ki in zip(_A[-1], k))
-            if np.all(np.isfinite(y1)):
-                k7 = np.asarray(f(y1), dtype=float)
-                n_rhs += 1
-                k.append(k7)
-                err_vec = h * sum(e * ki for e, ki in zip(_E, k))
-                sc = atol + rtol * np.maximum(np.abs(y), np.abs(y1))
-                err = _rms(err_vec / sc)
-            else:
-                failed = True
-        if failed or not math.isfinite(err):
+        calls, result = _stages(f, h, y, k1)
+        n_rhs += calls
+        if result is not None:
+            y1, k3, k4, k5, k6, k7 = result
+            err = _rms([
+                h * (_E1 * b + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * x)
+                / (atol + rtol * max(abs(a0), abs(a1)))
+                for a0, a1, b, c, d, e, g, x in zip(y, y1, k1, k3, k4, k5, k6, k7)
+            ])
+        if result is None or not math.isfinite(err):
             n_rejected += 1
             rejected = True
             h *= 0.1
@@ -345,7 +438,7 @@ def _integrate_core(
         # Accepted.
         n_steps += 1
         tnew = t + h
-        dense = _DenseOutput(t, h, y, y1, k1, k7, k)
+        dense = _DenseOutput(t, h, y, y1, k1, k3, k4, k5, k6, k7)
 
         # Events on (t, tnew].
         located: list[tuple[float, _EventSpec, int]] = []
@@ -386,7 +479,7 @@ def _integrate_core(
         for tr, yr, spec, direction in pending:
             record(tr, yr)
             if spec is not None:
-                raw_events.append((tr, spec, direction, np.array(yr, dtype=float)))
+                raw_events.append((tr, spec, direction, yr))
 
         if terminal_spec is not None:
             termination = (
@@ -394,7 +487,7 @@ def _integrate_core(
                 if terminal_spec.kind == "escape"
                 else Termination.CONSTRAINT_VIOLATED
             )
-            t, y = cut, np.array(dense(cut), dtype=float)
+            t, y = cut, dense(cut)
             break
 
         # PI controller update.
@@ -411,6 +504,8 @@ def _integrate_core(
 
     record(t, y)
     stats = {"n_steps": n_steps, "n_rejected": n_rejected, "n_rhs": n_rhs}
+    if failure is not None:
+        stats["failure"] = failure
     return times, states, raw_events, termination, stats
 
 
@@ -424,9 +519,11 @@ def integrate(
 
     Early stops: outbound escape through ``|q| = escape_radius`` (default
     ``10 *`` the potential half-width), uncertainty residual below
-    ``-10 * atol`` (orders >= 2), or step-size underflow. ``mark_positions``
-    adds recorded (non-terminal) crossing events, typically the classical
-    return points.
+    ``-10 * atol`` (orders >= 2), or a step failure, whose cause
+    ``stats["failure"]`` names: "underflow" (step size below ``1e-14 * |t|``),
+    "budget" (``max_steps`` attempts used) or "blowup" (a state component
+    beyond ``1e12``). ``mark_positions`` adds recorded (non-terminal) crossing
+    events, typically the classical return points.
     """
     if init.order != model.order:
         raise ValueError(
@@ -482,15 +579,10 @@ def integrate(
     )
 
     order = model.order
-    t_arr = np.array(times, dtype=float)
-    y_arr = np.vstack(states)
+    t_arr = np.array(times)
+    y_arr = np.array(states)
     n = len(t_arr)
-    h_q = np.empty(n)
-    v_eff = np.empty(n)
-    for i in range(n):
-        state = vector_to_state(t_arr[i], y_arr[i], order)
-        h_q[i] = effective_hamiltonian(state, model)
-        v_eff[i] = effective_potential(state.q, state, model)
+    h_q, v_eff = effective_series(y_arr, model)
     if order >= 2:
         quarter = model.hbar * model.hbar / 4
         uncertainty = y_arr[:, 2] * y_arr[:, 4] - y_arr[:, 3] ** 2 - quarter

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 
 __all__ = [
     "K_MAX",
@@ -26,6 +28,9 @@ __all__ = [
 # Highest derivative order served by the jet. The third-order moment system
 # needs V'''' (k=4); the rest is headroom.
 K_MAX = 8
+
+# k! as floats: they turn Taylor coefficients into derivatives.
+_FACTORIALS = tuple(float(math.factorial(k)) for k in range(K_MAX + 1))
 
 
 class UnsupportedOrder(ValueError):
@@ -65,6 +70,12 @@ class BarrierPotential:
             raise ValueError("barrier strength alpha must be nonzero")
         if self.n != int(self.n) or self.n < 1:
             raise ValueError("smoothness exponent n must be a positive integer")
+        # Constants of the jet, computed once: the binomials C(2n, j) and a**(2n).
+        two_n = 2 * self.n
+        object.__setattr__(
+            self, "_binomials", tuple(float(math.comb(two_n, j)) for j in range(two_n + 1))
+        )
+        object.__setattr__(self, "_a_2n", self.a ** two_n)
 
     @property
     def height(self) -> float:
@@ -75,8 +86,13 @@ class BarrierPotential:
         """Evaluate V(q); finite for every real q."""
         return self.alpha / (q ** (2 * self.n) + self.a ** (2 * self.n))
 
-    def derivatives(self, q: float, k_max: int = 4) -> list[float]:
-        """Return ``[V(q), V'(q), ..., V^(k_max)(q)]`` in one jet pass."""
+    def derivatives(self, q, k_max: int = 4) -> list:
+        """Return ``[V(q), V'(q), ..., V^(k_max)(q)]`` in one jet pass.
+
+        ``q`` may be a float or an ndarray. The recurrence is elementwise, so
+        an array gives, entry by entry, the bits of the scalar calls; the
+        caller's array is never modified.
+        """
         if k_max < 0:
             raise UnsupportedOrder("derivative order must be non-negative")
         if k_max > K_MAX:
@@ -86,29 +102,21 @@ class BarrierPotential:
         two_n = 2 * self.n
         top = min(two_n, k_max)
 
-        # Taylor coefficients of u(q + e) = (q + e)**two_n + a**two_n in e.
-        powers = [1.0]
-        for _ in range(two_n):
-            powers.append(powers[-1] * q)
-        u = [math.comb(two_n, j) * powers[two_n - j] for j in range(top + 1)]
-        u += [0.0] * (k_max - top)
-        u[0] += self.a ** two_n
+        # Taylor coefficients of u(q + e) = (q + e)**two_n + a**two_n in e:
+        # u[0] = q**two_n + a**two_n, u[j] = C(two_n, j) * q**(two_n - j) for
+        # j = 1..top, with the powers of q by repeated multiplication.
+        powers = [1.0, *accumulate(repeat(q, two_n), mul)]
+        u0 = powers[two_n] + self._a_2n
+        u = [u0] + list(map(mul, self._binomials[1:top + 1], powers[two_n - 1::-1]))
 
         # Reciprocal series w = alpha / u.
-        w = [0.0] * (k_max + 1)
-        w[0] = self.alpha / u[0]
+        w = [self.alpha / u0]
         for k in range(1, k_max + 1):
             acc = 0.0
-            for j in range(1, min(k, top) + 1):
-                acc += u[j] * w[k - j]
-            w[k] = -acc / u[0]
-
-        out = [w[0]]
-        fact = 1.0
-        for k in range(1, k_max + 1):
-            fact *= k
-            out.append(w[k] * fact)
-        return out
+            for j in range(1, (k if k < top else top) + 1):
+                acc = acc + u[j] * w[k - j]
+            w.append(-acc / u0)
+        return list(map(mul, w, _FACTORIALS))
 
     def derivative(self, q: float, k: int) -> float:
         """Exact k-th derivative of V at q (k <= K_MAX)."""

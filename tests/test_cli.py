@@ -274,15 +274,15 @@ def test_main_check_algebra_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["check-algebra"]) == 3
 
 
-def test_step_failure_exit_code(tmp_path, monkeypatch):
+def test_step_failure_exit_code(tmp_path, monkeypatch, capsys):
     # Force an immediate step failure through an absurd iteration budget.
     import momentous.cli as cli
 
-    raw = scenario_raw()
-    cfg = build_config(raw)
+    cfg = build_config(scenario_raw(output={"path": str(tmp_path / "g")}))
     object.__setattr__(cfg.integrator, "max_steps", 1)
     summary = run_simulate(cfg, str(tmp_path / "f"))
     assert summary["termination"] == "step_failure"
+    assert summary["stats"]["failure"] == "budget"
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(scenario_raw(output={"path": str(tmp_path / "g")})))
     monkeypatch.setattr(
@@ -290,4 +290,43 @@ def test_step_failure_exit_code(tmp_path, monkeypatch):
         "load_config",
         lambda p, o=None: cfg,
     )
+    capsys.readouterr()
     assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "integration failed: step failure (budget)" in err
+    assert "underflow" not in err
+    assert (tmp_path / "g.csv").exists()
+    # A surface summary has no stats; it names the cause at top level.
+    grid = {"start": -1.0, "stop": 1.0, "count": 3}
+    surface_cfg = build_config(
+        scenario_raw(surface={"q": grid, "t": grid}, output={"path": str(tmp_path / "h")})
+    )
+    object.__setattr__(surface_cfg.integrator, "max_steps", 1)
+    monkeypatch.setattr(cli, "load_config", lambda p, o=None: surface_cfg)
+    assert main(["surface", "--config", str(path)]) == 2
+    assert "integration failed: step failure (budget)" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "h.summary.json").read_text())
+    assert summary["failure"] == "budget"
+
+
+def test_sweep_point_errors_become_rows_but_bugs_propagate(tmp_path, monkeypatch):
+    import momentous.cli as cli
+
+    # An invalid point (sigma0 <= 0) is a configuration error: an error row.
+    raw = scenario_raw(
+        sweep={"parameter": "sigma0", "start": -0.1, "stop": 0.5, "count": 2},
+        integrator={"t_max": 1.0},
+    )
+    run_sweep(build_config(raw), str(tmp_path / "cfgerr"))
+    rows = [line.split(",") for line in (tmp_path / "cfgerr.csv").read_text().splitlines()[1:]]
+    assert rows[0][2] == "undetermined"
+    assert rows[0][11].startswith("error: packet.sigma0")
+    assert not rows[1][11].startswith("error:")
+
+    # A plain ValueError is a defect, not a sweep outcome: it must propagate.
+    def broken(*args, **kwargs):
+        raise ValueError("stepper defect")
+
+    monkeypatch.setattr(cli, "integrate", broken)
+    with pytest.raises(ValueError, match="stepper defect"):
+        run_sweep(build_config(raw), str(tmp_path / "bug"))

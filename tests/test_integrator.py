@@ -10,10 +10,13 @@ from momentous import (
     ModelConfig,
     MomentState,
     Termination,
+    effective_hamiltonian,
+    effective_potential,
     initial_moments,
     integrate,
     uncertainty_residual,
 )
+from momentous.dynamics import make_rhs, state_to_vector
 from momentous.integrator import _EventSpec, _integrate_core
 
 from conftest import scenario_packet, tight_integrator
@@ -168,6 +171,7 @@ def test_step_failure_on_blowup():
         sample_dt=0.05,
     )
     assert termination is Termination.STEP_FAILURE
+    assert stats["failure"] == "blowup"
     assert times[-1] < 1.0 + 1e-6
     assert states[-1][0] > 1e6
     assert all(b > a for a, b in zip(times, times[1:]))
@@ -213,6 +217,57 @@ def test_series_lengths_and_order0_nan_residual(barrier):
     assert np.all(np.isnan(traj.uncertainty))
     # With no moments the effective potential along the path is the bare one.
     assert traj.v_eff[0] == pytest.approx(barrier(-3.0), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "order,veff_third_moment", [(0, True), (2, True), (3, True), (3, False)]
+)
+def test_series_match_scalar_functions(barrier, order, veff_third_moment):
+    # The array post-processing agrees with the public scalar functions at
+    # every sample to 2 ulp: numpy's p**2 and q**(2n) may differ from
+    # Python's pow in the last bit.
+    model = ModelConfig(
+        potential=barrier, order=order, veff_third_moment=veff_third_moment
+    )
+    packet = scenario_packet(barrier, -1.62, sigma0=0.3)
+    if order == 0:
+        init = MomentState(t=0.0, q=packet.q0, p=packet.p0, moments=())
+    else:
+        init = initial_moments(packet, order, "zero")
+    if order == 3:
+        # A skewed packet, so that the G30 terms are nonzero.
+        init = MomentState(
+            t=0.0, q=init.q, p=init.p, moments=init.moments[:3] + (0.02, 0.0, 0.0, 0.0)
+        )
+    traj = integrate(
+        init, model, IntegratorConfig(rtol=1e-10, atol=1e-6, t_max=2.35),
+        barrier.turning_points(0.98),
+    )
+    assert len(traj.times) > 100
+    h_q = [effective_hamiltonian(traj.state(i), model) for i in range(len(traj.times))]
+    v_eff = [
+        effective_potential(traj.q[i], traj.state(i), model)
+        for i in range(len(traj.times))
+    ]
+    for series, scalar in ((traj.h_q, h_q), (traj.v_eff, v_eff)):
+        assert np.all(np.abs(series - scalar) <= 2 * np.spacing(np.abs(scalar)))
+
+
+def test_dop853_cross_check(barrier):
+    # An independent stepper (scipy's DOP853 at tighter tolerances) agrees
+    # with the Dormand-Prince 5(4) run on the standard scenario.
+    integrate_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    model = ModelConfig(potential=barrier, order=2)
+    init = initial_moments(scenario_packet(barrier, -2.5, sigma0=0.5), 2)
+    traj = integrate(init, model, tight_integrator(t_max=2.0))
+    assert traj.termination is Termination.REACHED_TMAX
+    f = make_rhs(model)
+    ref = integrate_ivp(
+        lambda t, y: f(list(y)), (0.0, traj.times[-1]), state_to_vector(init),
+        method="DOP853", rtol=1e-13, atol=1e-13,
+    )
+    assert ref.success
+    assert np.max(np.abs(traj.states[-1] - ref.y[:, -1])) <= 1e-8
 
 
 def test_integrator_config_validation():

@@ -77,6 +77,18 @@ def test_derivatives_prefix_consistency():
     assert full[0] == pot(0.37)
     for k in range(9):
         assert pot.derivative(0.37, k) == full[k]
+    # An ndarray q gives, entry by entry, the bits of the scalar calls and is
+    # left as it was.
+    for pot in (pot, BarrierPotential(alpha=-1.0, a=1.3, n=3), BarrierPotential()):
+        qs = np.concatenate([rng(7).uniform(-3.0, 3.0, size=40), [0.0, -0.0, 1.0]])
+        before = qs.copy()
+        for k in range(9):
+            columns = pot.derivatives(qs, k)
+            assert len(columns) == k + 1
+            for j, column in enumerate(columns):
+                expected = np.array([pot.derivatives(float(q), k)[j] for q in qs])
+                assert column.tobytes() == expected.tobytes()
+        assert qs.tobytes() == before.tobytes()
 
 
 def test_unsupported_order():
