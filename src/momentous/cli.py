@@ -324,11 +324,7 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (np.floating, float)):
-        return repr(float(value))
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _csv(rows, header: Sequence[str]) -> str:
@@ -403,13 +399,10 @@ def run_simulate(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
     outcome = classify(traj, cfg.model.potential, cfg.energy, cfg.margin)
 
     columns = _simulate_columns(cfg.model.order)
-    rows = []
-    for i in range(len(traj.times)):
-        row = [traj.times[i], traj.states[i, 0], traj.states[i, 1]]
-        if cfg.model.order >= 2:
-            row.extend(traj.states[i, 2:])
-            row.extend((traj.h_q[i], traj.v_eff[i], traj.uncertainty[i]))
-        rows.append(row)
+    series = [traj.times[:, None], traj.states]
+    if cfg.model.order >= 2:
+        series += [traj.h_q[:, None], traj.v_eff[:, None], traj.uncertainty[:, None]]
+    rows = np.hstack(series).tolist()
     _atomic_write(Path(f"{out}.csv"), _csv(rows, columns))
 
     summary = {
@@ -453,16 +446,12 @@ def _sweep_point(args) -> list:
     the physics rejects (InvalidEnergy, NoTurningPoint, InvalidOrder), gives
     an ``error:`` row; any other exception propagates."""
     raw, index, value = args
-    cfg = build_config(raw)
-    parameter = cfg.sweep["parameter"]
+    parameter = raw["sweep"]["parameter"]
     packet_raw = dict(raw["packet"])
     if parameter == "q0":
         packet_raw["q0"] = value
-        if cfg.sweep["fixed_energy"]:
-            packet_raw["energy"] = cfg.energy
-            packet_raw.pop("p0", None)
-        else:
-            packet_raw.pop("energy", None)
+        # The resolved packet holds both p0 and energy: keep the fixed one.
+        packet_raw.pop("p0" if raw["sweep"]["fixed_energy"] else "energy")
     elif parameter == "p0":
         packet_raw["p0"] = value
         packet_raw.pop("energy", None)
@@ -552,10 +541,11 @@ def run_surface(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
     sample_idx = np.unique(sample_idx)
 
     rows = []
+    q_list = q_values.tolist()
     for i in sample_idx:
         state = traj.state(int(i))
-        section = effective_potential(q_values, state, cfg.model)
-        rows.extend([state.t, q, v] for q, v in zip(q_values, section))
+        section = effective_potential(q_values, state, cfg.model).tolist()
+        rows.extend([state.t, q, v] for q, v in zip(q_list, section))
     columns = ["t", "q", "v_eff"]
     _atomic_write(Path(f"{out}.csv"), _csv(rows, columns))
     summary = {
@@ -578,57 +568,13 @@ def run_surface(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
 # Algebra self-check
 
 
-def _property_lines() -> list[str]:
-    """Exhaustive structural checks of the bracket formula, summarized as
-    stable text lines for the golden report."""
-    pairs = 0
-    anti_ok = True
-    grading_ok = True
-    indices = [
-        (a, b)
-        for a in range(5)
-        for b in range(5)
-        if 2 <= a + b <= 4
-    ]
-    for lhs in indices:
-        for rhs in indices:
-            left = moment_algebra.bracket_formula(lhs, rhs)
-            right = moment_algebra.bracket_formula(rhs, lhs)
-            if left != right.scaled(-1):
-                anti_ok = False
-            expected = lhs[0] + lhs[1] + rhs[0] + rhs[1] - 2
-            for term, _ in left.items():
-                total = sum(x + y for x, y in term.moments)
-                if total != expected - 2 * term.hbar_power:
-                    grading_ok = False
-            pairs += 1
-    k_ok = True
-    k_count = 0
-    for a in range(7):
-        for b in range(7):
-            for c in range(7):
-                for d in range(7):
-                    if min(a + c, b + d, a + b, c + d) > 1:
-                        k_count += 1
-                        if moment_algebra.k_coefficient(1, a, b, c, d) != b * c - a * d:
-                            k_ok = False
-    return [
-        f"antisymmetry over {pairs} moment pairs (orders 2..4): "
-        + ("PASS" if anti_ok else "FAIL"),
-        f"hbar grading over {pairs} moment pairs (orders 2..4): "
-        + ("PASS" if grading_ok else "FAIL"),
-        f"first contraction weight equals b*c - a*d on {k_count} index tuples: "
-        + ("PASS" if k_ok else "FAIL"),
-    ]
-
-
 def algebra_report_text() -> str:
     parts = ["moment bracket self-check", ""]
     for order in (2, 3):
         parts.append(moment_algebra.verify_eom_consistency(order).to_text())
         parts.append("")
     parts.append("structural properties")
-    for line in _property_lines():
+    for line in moment_algebra.property_lines():
         parts.append("  " + line)
     parts.append("")
     parts.append("notes")
@@ -644,7 +590,7 @@ def algebra_report_dict() -> dict:
             moment_algebra.verify_eom_consistency(order).to_dict()
             for order in (2, 3)
         ],
-        "properties": _property_lines(),
+        "properties": moment_algebra.property_lines(),
     }
 
 

@@ -6,12 +6,19 @@ State layout per truncation order::
     2:  (q, p, G20, G11, G02)                    + second central moments
     3:  (q, p, G20, G11, G02, G30, G21, G12, G03)  + third central moments
 
-The right-hand sides below are the authoritative tables the propagator
-integrates. The order-2 system is exactly the order-3 system with every
-third moment set to zero. Both conserve the effective Hamiltonian
-identically (the V-derivative terms telescope), reduce to the classical
-system when all moments vanish, and at order 2 also preserve the
-uncertainty product ``G20*G02 - G11**2``.
+The equations exist once, as the exact-rational :func:`eom_table`; the
+effective Hamiltonian exists once, as ``moment_algebra.hamiltonian_terms``.
+A small compiler turns those tables into straight-line Python, once per
+truncation order: :func:`make_rhs` is the compiled table the propagator
+integrates (and ``check-algebra`` verifies), and ``H_Q`` and ``V_eff`` (the
+Hamiltonian without its ``p`` terms) are compiled expressions that take
+floats and arrays alike.
+
+The order-2 system is exactly the order-3 system with every third moment
+set to zero. Both conserve the effective Hamiltonian identically (the
+V-derivative terms telescope), reduce to the classical system when all
+moments vanish, and at order 2 also preserve the uncertainty product
+``G20*G02 - G11**2``.
 
 Sign convention: ``dG20/dt = -(2/m) G11``, i.e. G11 is minus the usual
 position-momentum covariance; a spreading free packet has G11 < 0.
@@ -19,6 +26,7 @@ position-momentum covariance; a spreading free packet has G11 < 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +34,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .moment_algebra import Moment, MomentPolynomial
+from .moment_algebra import Moment, MomentPolynomial, Term, hamiltonian_terms
 from .potential import BarrierPotential
 
 __all__ = [
@@ -154,132 +162,65 @@ def vector_to_state(t: float, y: Sequence[float], order: int) -> MomentState:
 
 
 def make_rhs(cfg: ModelConfig):
-    """Return ``f(y) -> list`` evaluating the time derivative of a state
-    vector. The closure is allocation-light for use inside the integrator."""
-    pot = cfg.potential
-    m = cfg.mass
-    order = cfg.order
-
-    if order == 0:
-
-        def f0(y):
-            v0, v1 = pot.derivatives(y[0], 1)
-            return [y[1] / m, -v1]
-
-        return f0
-
-    if order == 2:
-
-        def f2(y):
-            q, p, g20, g11, g02 = y
-            v0, v1, v2, v3 = pot.derivatives(q, 3)
-            return [
-                p / m,
-                -v1 - 0.5 * v3 * g20,
-                -2.0 * g11 / m,
-                -g02 / m + v2 * g20,
-                2.0 * v2 * g11,
-            ]
-
-        return f2
-
-    def f3(y):
-        q, p, g20, g11, g02, g30, g21, g12, g03 = y
-        v0, v1, v2, v3, v4 = pot.derivatives(q, 4)
-        return [
-            p / m,
-            -v1 - 0.5 * v3 * g20 - v4 * g30 / 6.0,
-            -2.0 * g11 / m,
-            -g02 / m + v2 * g20 + 0.5 * v3 * g30,
-            2.0 * v2 * g11 + v3 * g21,
-            -3.0 * g21 / m,
-            -2.0 * g12 / m + v2 * g30,
-            -g03 / m + 2.0 * v2 * g21,
-            3.0 * v2 * g12,
-        ]
-
-    return f3
+    """Return ``f(y) -> list``, the time derivative of a state vector,
+    compiled from :func:`eom_table` for the model's truncation order."""
+    # Keyed on the eom_table in force, so a substituted table compiles its own
+    # kernel and never reaches the one compiled from the real table.
+    return _rhs_kernel(cfg.order, eom_table)(cfg.potential.derivatives, cfg.mass)
 
 
-def rhs(state: MomentState, cfg: ModelConfig) -> np.ndarray:
-    """Time derivative of a state, in state-vector layout."""
+def _state_row(state: MomentState, cfg: ModelConfig) -> list:
     if state.order != cfg.order:
         raise ValueError(
             f"state order {state.order} does not match model order {cfg.order}"
         )
-    return np.array(make_rhs(cfg)(state_to_vector(state)), dtype=float)
+    return [state.q, state.p, *state.moments]
 
 
-def _hamiltonian_terms(cfg: ModelConfig, v, p, g20, g02, g30):
-    """``H_Q`` at orders 2 and 3 from the jet ``v`` of V at the mean
-    position; floats and arrays alike."""
-    value = p ** 2 / (2 * cfg.mass) + v[0] + g02 / (2 * cfg.mass) + 0.5 * v[2] * g20
-    if cfg.order >= 3:
-        value = value + v[3] * g30 / 6.0
-    return value
+def rhs(state: MomentState, cfg: ModelConfig) -> np.ndarray:
+    """Time derivative of a state, in state-vector layout."""
+    return np.array(make_rhs(cfg)(_state_row(state, cfg)), dtype=float)
 
 
-def _potential_terms(cfg: ModelConfig, order: int, v, g20, g02, g30):
-    """``V_eff`` at orders 2 and 3 from the jet ``v`` of V at the evaluation
-    point; floats and arrays alike."""
-    value = v[0] + 0.5 * v[2] * g20 + g02 / (2 * cfg.mass)
-    if order >= 3 and cfg.veff_third_moment:
-        value = value + v[3] * g30 / 6.0
-    return value
+def _series(cfg: ModelConfig):
+    """``f(y) -> [H_Q, V_eff]`` at the ``q`` of ``y``, from one jet call."""
+    kernel = _series_kernel(cfg.order, cfg.veff_third_moment)
+    return kernel(cfg.potential.derivatives, cfg.mass)
 
 
 def effective_hamiltonian(state: MomentState, cfg: ModelConfig) -> float:
-    """Moment-expanded energy; conserved exactly along the flow.
+    """Moment-expanded energy ``hamiltonian_terms(order)``; conserved exactly
+    along the flow.
 
     ``p^2/2m + V + G02/2m + (1/2)V''G20`` plus ``(1/6)V'''G30`` at order 3;
     the bare classical energy at order 0.
     """
-    pot = cfg.potential
-    if cfg.order == 0:
-        return state.p ** 2 / (2 * cfg.mass) + pot(state.q)
-    v = pot.derivatives(state.q, 2 if cfg.order == 2 else 3)
-    return _hamiltonian_terms(
-        cfg, v, state.p, state.moment(2, 0), state.moment(0, 2), state.moment(3, 0)
-    )
+    return _series(cfg)(_state_row(state, cfg))[0]
 
 
 def effective_potential(q: float, state: MomentState, cfg: ModelConfig) -> float:
     """Potential felt at position ``q`` given the (frozen) moments of ``state``.
 
-    ``V(q) + (1/2)V''(q)G20 + G02/2m``, plus ``(1/6)V'''(q)G30`` at order 3
-    when the model keeps that term. ``q`` may be an ndarray: one call then
-    gives a whole section of the time-dependent effective-potential surface.
+    The effective Hamiltonian without its ``p`` terms: ``V(q) + G02/2m +
+    (1/2)V''(q)G20``, plus ``(1/6)V'''(q)G30`` at order 3 when the model keeps
+    that term. ``q`` may be an ndarray: one call then gives a whole section of
+    the time-dependent effective-potential surface.
     """
-    pot = cfg.potential
-    if state.order == 0:
-        return pot(q)
-    k = 3 if (state.order >= 3 and cfg.veff_third_moment) else 2
-    return _potential_terms(
-        cfg, state.order, pot.derivatives(q, k),
-        state.moment(2, 0), state.moment(0, 2), state.moment(3, 0),
-    )
+    row = _state_row(state, cfg)
+    row[0] = q
+    return _series(cfg)(row)[1]
 
 
 def effective_series(states: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """``H_Q`` and ``V_eff`` at the mean position for every row of an
     ``(n, d)`` state array, from one jet evaluation.
 
-    Row by row these are :func:`effective_hamiltonian` and
-    :func:`effective_potential` at the row's ``q``, up to the last bit:
-    numpy squares ``p`` exactly where Python's ``p ** 2`` may round, and at
-    order 0 numpy's ``q ** (2n)`` may differ from Python's by an ulp.
+    Row by row these are exactly :func:`effective_hamiltonian` and
+    :func:`effective_potential` at the row's ``q``: all three evaluate one
+    compiled expression.
     """
-    q, p = states[:, 0], states[:, 1]
-    if cfg.order == 0:
-        v = cfg.potential(q)
-        return p ** 2 / (2 * cfg.mass) + v, v
-    v = cfg.potential.derivatives(q, 2 if cfg.order == 2 else 3)
-    g20, g02 = states[:, 2], states[:, 4]
-    g30 = states[:, 5] if cfg.order >= 3 else None
-    return (
-        _hamiltonian_terms(cfg, v, p, g20, g02, g30),
-        _potential_terms(cfg, cfg.order, v, g20, g02, g30),
-    )
+    h_q, v_eff = _series(cfg)(states.T)
+    return h_q, v_eff
 
 
 def _third_order_table() -> dict[Union[str, Moment], MomentPolynomial]:
@@ -321,7 +262,8 @@ def _third_order_table() -> dict[Union[str, Moment], MomentPolynomial]:
 
 
 def eom_table(order: int) -> dict[Union[str, Moment], MomentPolynomial]:
-    """Authoritative right-hand sides in symbolic form.
+    """Authoritative right-hand sides in symbolic form; :func:`make_rhs`
+    compiles them into the integrated closure.
 
     Lower orders are obtained from the order-3 table by zeroing the moments
     above the truncation, which is the defining closure of the hierarchy.
@@ -340,3 +282,83 @@ def eom_table(order: int) -> dict[Union[str, Moment], MomentPolynomial]:
                 reduced.add(coeff, term)
         table[var] = reduced
     return table
+
+
+# ---------------------------------------------------------------------------
+# Table compiler: the exact-rational tables become straight-line Python, so
+# the equations integrated are the ones check-algebra verifies.
+
+
+def _term_source(coeff: Fraction, term: Term) -> str:
+    """``|coeff| * term`` as source: the numerator times the factors, then
+    ``/ m`` per inverse mass, then ``/ denominator``."""
+    if term.hbar_power:
+        raise ValueError("compiled tables carry no hbar; substitute it first")
+    factors = [] if term.v_order is None else [f"v{term.v_order}"]
+    factors += ["p"] * term.p_power
+    factors += [f"g{a}{b}" for a, b in term.moments]
+    factors += ["m"] * max(term.mass_power, 0)
+    numerator = abs(coeff.numerator)
+    if numerator != 1 or not factors:
+        factors.insert(0, repr(float(numerator)))
+    source = " * ".join(factors) + " / m" * max(-term.mass_power, 0)
+    # Divide by the exact integer denominator last: a coefficient such as
+    # 1/6 has no float, and x / 2.0 has the bits of 0.5 * x.
+    if coeff.denominator != 1:
+        source += f" / {float(coeff.denominator)!r}"
+    return source
+
+
+def _expression_source(poly: MomentPolynomial) -> str:
+    """The terms summed left to right in ``poly.items()`` order."""
+    source = ""
+    for term, coeff in poly.items():
+        body = _term_source(coeff, term)
+        if not source:
+            source = f"-{body}" if coeff < 0 else body
+        else:
+            source += f" - {body}" if coeff < 0 else f" + {body}"
+    return source or "0.0"
+
+
+def _compile(order: int, polys: Sequence[MomentPolynomial]):
+    """Compile ``polys`` into ``make(jet, m) -> f(y) -> list``.
+
+    ``f`` unpacks a state ``y`` (q, p, then the moments of ``order``; floats
+    or arrays alike), calls ``jet(q, k)`` once for the highest derivative
+    ``k`` any term uses, and returns one value per polynomial.
+    """
+    names = ", ".join(("q", "p", *moment_labels(order)))
+    k = max(
+        (t.v_order for poly in polys for t, _ in poly.items() if t.v_order is not None),
+        default=0,
+    )
+    jet = ", ".join(f"v{j}" for j in range(k + 1))
+    source = (
+        "def make(jet, m):\n"
+        "    def f(y):\n"
+        f"        [{names}] = y\n"
+        f"        [{jet}] = jet(q, {k})\n"
+        f"        return [{', '.join(map(_expression_source, polys))}]\n"
+        "    return f\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<order-{order} moment kernel>", "exec"), namespace)
+    return namespace["make"]
+
+
+@functools.lru_cache(maxsize=None)
+def _rhs_kernel(order: int, table):
+    equations = table(order)
+    return _compile(order, [equations[var] for var in state_variables(order)])
+
+
+@functools.lru_cache(maxsize=None)
+def _series_kernel(order: int, veff_third_moment: bool):
+    # V_eff is the effective Hamiltonian without its p terms; without the
+    # third-moment term it is the order-2 expression.
+    veff_order = 2 if order == 3 and not veff_third_moment else order
+    potential = MomentPolynomial(
+        {t: c for t, c in hamiltonian_terms(veff_order).items() if not t.p_power}
+    )
+    return _compile(order, [hamiltonian_terms(order), potential])

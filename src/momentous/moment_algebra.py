@@ -5,21 +5,26 @@ fluctuation times ``b`` powers of the momentum fluctuation, Weyl ordered.
 ``(1, 0)`` and ``(0, 1)`` are permitted as formal symbols but are identically
 zero, so canonical form eliminates any term containing them.
 
-Two things live here:
+What lives here:
 
 * ``bracket_formula`` -- the closed-form moment bracket: two bilinear product
   terms plus a contraction sum over odd ``n`` with integer weights
   ``k_coefficient(n, a, b, c, d)`` and even powers of hbar. It is implemented
   literally, with the summation range ``1 <= n < min(a+c, b+d, a+b, c+d)``.
+  ``property_lines`` checks its antisymmetry, hbar grading and first
+  contraction weight exhaustively over low orders.
+* ``hamiltonian_terms`` -- the moment expansion of the effective Hamiltonian,
+  from which :mod:`momentous.dynamics` compiles ``H_Q`` and ``V_eff``.
 * ``verify_eom_consistency`` -- assembles time derivatives from that bracket
-  and compares them term by term against the hand-coded tables integrated by
-  :mod:`momentous.dynamics`. The strict summation range leaves several
-  low-order brackets empty (for example ``{G11, G02}``), so a known set of
-  equations cannot be reproduced; the report flags those as KNOWN instead of
-  failing. Mismatches are data, not errors.
+  and compares them term by term against ``dynamics.eom_table``, the exact
+  tables that :mod:`momentous.dynamics` compiles into the integrated
+  right-hand side. The strict summation range leaves several low-order
+  brackets empty (for example ``{G11, G02}``), so a known set of equations
+  cannot be reproduced; the report flags those as KNOWN instead of failing.
+  Mismatches are data, not errors.
 
 Coefficients are exact rationals throughout; floats appear only when a
-polynomial is numerically evaluated.
+polynomial is numerically evaluated or compiled.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ __all__ = [
     "hamiltonian_terms",
     "assemble_rhs",
     "k_coefficient",
+    "property_lines",
     "verify_eom_consistency",
 ]
 
@@ -413,6 +419,50 @@ def hamiltonian_terms(order: int) -> MomentPolynomial:
     if order >= 3:
         h.add(Fraction(1, 6), v_order=3, moments=((3, 0),))
     return h
+
+
+def property_lines() -> list[str]:
+    """Exhaustive structural checks of the bracket formula, summarized as
+    stable text lines for the golden report."""
+    pairs = 0
+    anti_ok = True
+    grading_ok = True
+    indices = [
+        (a, b)
+        for a in range(5)
+        for b in range(5)
+        if 2 <= a + b <= 4
+    ]
+    for lhs in indices:
+        for rhs in indices:
+            left = bracket_formula(lhs, rhs)
+            right = bracket_formula(rhs, lhs)
+            if left != right.scaled(-1):
+                anti_ok = False
+            expected = lhs[0] + lhs[1] + rhs[0] + rhs[1] - 2
+            for term, _ in left.items():
+                total = sum(x + y for x, y in term.moments)
+                if total != expected - 2 * term.hbar_power:
+                    grading_ok = False
+            pairs += 1
+    k_ok = True
+    k_count = 0
+    for a in range(7):
+        for b in range(7):
+            for c in range(7):
+                for d in range(7):
+                    if min(a + c, b + d, a + b, c + d) > 1:
+                        k_count += 1
+                        if k_coefficient(1, a, b, c, d) != b * c - a * d:
+                            k_ok = False
+    return [
+        f"antisymmetry over {pairs} moment pairs (orders 2..4): "
+        + ("PASS" if anti_ok else "FAIL"),
+        f"hbar grading over {pairs} moment pairs (orders 2..4): "
+        + ("PASS" if grading_ok else "FAIL"),
+        f"first contraction weight equals b*c - a*d on {k_count} index tuples: "
+        + ("PASS" if k_ok else "FAIL"),
+    ]
 
 
 Variable = Union[str, Moment]

@@ -8,6 +8,7 @@ from momentous import (
     BarrierPotential,
     ModelConfig,
     MomentState,
+    dynamics,
     effective_hamiltonian,
     effective_potential,
     eom_table,
@@ -15,6 +16,7 @@ from momentous import (
 )
 from momentous.dynamics import (
     MOMENTS_BY_ORDER,
+    make_rhs,
     moment_labels,
     state_to_vector,
     state_variables,
@@ -105,6 +107,36 @@ def test_numeric_rhs_matches_symbolic_table(order):
                 state.moment_dict(), v_derivs=derivs, p=state.p, mass=cfg.mass,
             )
             assert numeric[i] == pytest.approx(symbolic, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("order", [0, 2, 3])
+def test_table_coefficient_reaches_rhs(order, monkeypatch):
+    # The integrated RHS is compiled from eom_table: tripling one coefficient
+    # of one equation changes exactly that component, to the tampered
+    # table's value, and the real table's kernel is untouched afterwards.
+    pot = BarrierPotential(alpha=1.0, a=1.0, n=4)
+    cfg = ModelConfig(potential=pot, mass=1.7, order=order)
+    state = random_state(order, rng(31 + order))
+    y = [state.q, state.p, *state.moments]
+    derivs = pot.derivatives(state.q, 4)
+    true_table = dynamics.eom_table
+    base = make_rhs(cfg)(y)
+    for i, var in enumerate(state_variables(order)):
+        table = dict(true_table(order))
+        term, coeff = next(table[var].items())
+        table[var] = table[var].copy().add(2 * coeff, term)
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "eom_table", lambda o: table)
+            changed = make_rhs(cfg)(y)
+        assert changed[:i] + changed[i + 1:] == base[:i] + base[i + 1:]
+        assert changed[i] != base[i]
+        assert changed[i] == pytest.approx(
+            table[var].evaluate(
+                state.moment_dict(), v_derivs=derivs, p=state.p, mass=cfg.mass,
+            ),
+            rel=1e-12, abs=1e-12,
+        )
+    assert make_rhs(cfg)(y) == base
 
 
 def test_rhs_order0_farfield():

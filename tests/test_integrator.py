@@ -223,9 +223,8 @@ def test_series_lengths_and_order0_nan_residual(barrier):
     "order,veff_third_moment", [(0, True), (2, True), (3, True), (3, False)]
 )
 def test_series_match_scalar_functions(barrier, order, veff_third_moment):
-    # The array post-processing agrees with the public scalar functions at
-    # every sample to 2 ulp: numpy's p**2 and q**(2n) may differ from
-    # Python's pow in the last bit.
+    # The array post-processing and the public scalar functions run one
+    # compiled expression, so they agree bit for bit at every sample.
     model = ModelConfig(
         potential=barrier, order=order, veff_third_moment=veff_third_moment
     )
@@ -249,8 +248,8 @@ def test_series_match_scalar_functions(barrier, order, veff_third_moment):
         effective_potential(traj.q[i], traj.state(i), model)
         for i in range(len(traj.times))
     ]
-    for series, scalar in ((traj.h_q, h_q), (traj.v_eff, v_eff)):
-        assert np.all(np.abs(series - scalar) <= 2 * np.spacing(np.abs(scalar)))
+    assert traj.h_q.tolist() == h_q
+    assert traj.v_eff.tolist() == v_eff
 
 
 def test_dop853_cross_check(barrier):
