@@ -446,12 +446,16 @@ def _sweep_point(args) -> list:
     the physics rejects (InvalidEnergy, NoTurningPoint, InvalidOrder), gives
     an ``error:`` row; any other exception propagates."""
     raw, index, value = args
-    parameter = raw["sweep"]["parameter"]
+    cfg = build_config(raw)
+    parameter = cfg.sweep["parameter"]
     packet_raw = dict(raw["packet"])
     if parameter == "q0":
         packet_raw["q0"] = value
-        # The resolved packet holds both p0 and energy: keep the fixed one.
-        packet_raw.pop("p0" if raw["sweep"]["fixed_energy"] else "energy")
+        if cfg.sweep["fixed_energy"]:
+            packet_raw["energy"] = cfg.energy
+            packet_raw.pop("p0", None)
+        else:
+            packet_raw.pop("energy", None)
     elif parameter == "p0":
         packet_raw["p0"] = value
         packet_raw.pop("energy", None)

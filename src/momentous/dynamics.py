@@ -182,9 +182,10 @@ def rhs(state: MomentState, cfg: ModelConfig) -> np.ndarray:
     return np.array(make_rhs(cfg)(_state_row(state, cfg)), dtype=float)
 
 
-def _series(cfg: ModelConfig):
-    """``f(y) -> [H_Q, V_eff]`` at the ``q`` of ``y``, from one jet call."""
-    kernel = _series_kernel(cfg.order, cfg.veff_third_moment)
+def _series(cfg: ModelConfig, hamiltonian: bool = True):
+    """``f(y) -> [H_Q, V_eff]`` at the ``q`` of ``y``, from one jet call;
+    ``f(y) -> [V_eff]`` without the Hamiltonian."""
+    kernel = _series_kernel(cfg.order, cfg.veff_third_moment, hamiltonian)
     return kernel(cfg.potential.derivatives, cfg.mass)
 
 
@@ -208,7 +209,7 @@ def effective_potential(q: float, state: MomentState, cfg: ModelConfig) -> float
     """
     row = _state_row(state, cfg)
     row[0] = q
-    return _series(cfg)(row)[1]
+    return _series(cfg, hamiltonian=False)(row)[0]
 
 
 def effective_series(states: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -292,16 +293,15 @@ def eom_table(order: int) -> dict[Union[str, Moment], MomentPolynomial]:
 def _term_source(coeff: Fraction, term: Term) -> str:
     """``|coeff| * term`` as source: the numerator times the factors, then
     ``/ m`` per inverse mass, then ``/ denominator``."""
-    if term.hbar_power:
-        raise ValueError("compiled tables carry no hbar; substitute it first")
+    if term.hbar_power or term.mass_power > 0:
+        raise ValueError("compiled tables carry no hbar and only inverse masses")
     factors = [] if term.v_order is None else [f"v{term.v_order}"]
     factors += ["p"] * term.p_power
     factors += [f"g{a}{b}" for a, b in term.moments]
-    factors += ["m"] * max(term.mass_power, 0)
     numerator = abs(coeff.numerator)
-    if numerator != 1 or not factors:
+    if numerator != 1:
         factors.insert(0, repr(float(numerator)))
-    source = " * ".join(factors) + " / m" * max(-term.mass_power, 0)
+    source = " * ".join(factors) + " / m" * -term.mass_power
     # Divide by the exact integer denominator last: a coefficient such as
     # 1/6 has no float, and x / 2.0 has the bits of 0.5 * x.
     if coeff.denominator != 1:
@@ -318,7 +318,7 @@ def _expression_source(poly: MomentPolynomial) -> str:
             source = f"-{body}" if coeff < 0 else body
         else:
             source += f" - {body}" if coeff < 0 else f" + {body}"
-    return source or "0.0"
+    return source
 
 
 def _compile(order: int, polys: Sequence[MomentPolynomial]):
@@ -329,10 +329,7 @@ def _compile(order: int, polys: Sequence[MomentPolynomial]):
     ``k`` any term uses, and returns one value per polynomial.
     """
     names = ", ".join(("q", "p", *moment_labels(order)))
-    k = max(
-        (t.v_order for poly in polys for t, _ in poly.items() if t.v_order is not None),
-        default=0,
-    )
+    k = max(t.v_order for poly in polys for t, _ in poly.items() if t.v_order is not None)
     jet = ", ".join(f"v{j}" for j in range(k + 1))
     source = (
         "def make(jet, m):\n"
@@ -354,11 +351,14 @@ def _rhs_kernel(order: int, table):
 
 
 @functools.lru_cache(maxsize=None)
-def _series_kernel(order: int, veff_third_moment: bool):
+def _series_kernel(order: int, veff_third_moment: bool, hamiltonian: bool):
     # V_eff is the effective Hamiltonian without its p terms; without the
-    # third-moment term it is the order-2 expression.
+    # third-moment term it is the order-2 expression. Compiled alone, it
+    # asks the jet only for the derivatives its own terms use.
     veff_order = 2 if order == 3 and not veff_third_moment else order
     potential = MomentPolynomial(
         {t: c for t, c in hamiltonian_terms(veff_order).items() if not t.p_power}
     )
+    if not hamiltonian:
+        return _compile(order, [potential])
     return _compile(order, [hamiltonian_terms(order), potential])
