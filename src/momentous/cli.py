@@ -13,11 +13,13 @@ Exit codes: 0 success, 1 configuration error, 2 integration step failure,
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -29,13 +31,8 @@ from . import moment_algebra
 from .classify import Outcome, Tag, classify
 from .dynamics import ModelConfig, effective_potential, moment_labels
 from .integrator import IntegratorConfig, Termination, integrate
-from .packet import (
-    THIRD_MOMENT_CONVENTIONS,
-    GaussianPacket,
-    InvalidOrder,
-    initial_moments,
-)
-from .potential import BarrierPotential, InvalidEnergy, NoTurningPoint
+from .packet import THIRD_MOMENT_CONVENTIONS, GaussianPacket, initial_moments
+from .potential import BarrierPotential
 
 __all__ = [
     "ConfigError",
@@ -56,145 +53,170 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
 
 
+_REQUIRED = object()  # the default of a field that must be given
+
+# A start/stop/count grid: the sweep's values and each surface axis.
+_GRID = {
+    "start": ("number", _REQUIRED),
+    "stop": ("number", _REQUIRED),
+    "count": ("count", _REQUIRED),
+}
+
+# The config schema: field -> (kind, default), nested by section. A kind is
+# "number", "integer", "count" (an integer >= 1), "boolean", None (any
+# value; build_config checks it) or the field table of a nested object. A
+# numeric field given as null takes its default. A default of None is
+# resolved by build_config, or leaves out an optional section (absent or
+# null).
+_SCHEMA = {
+    "model": ({
+        "alpha": ("number", 1.0),
+        "a": ("number", 1.0),
+        "n": ("integer", 4),
+        "mass": ("number", 1.0),
+        "hbar": ("number", 1.0),
+        "order": ("integer", 2),
+        "veff_third_moment": ("boolean", True),
+    }, {}),
+    "packet": ({
+        "q0": ("number", _REQUIRED),
+        "p0": ("number", None),
+        "energy": ("number", None),
+        "sigma0": ("number", 0.5),
+        "third_moment_convention": (None, "skewed"),
+    }, {}),
+    "integrator": ({
+        "rtol": ("number", 1e-10),
+        "atol": ("number", 1e-10),
+        "t_max": ("number", 20.0),
+        "max_step": ("number", 0.1),
+        "escape_radius": ("number", None),
+        "sample_dt": ("number", 0.01),
+    }, {}),
+    "classify": ({"margin": ("number", None)}, {}),
+    "sweep": ({"parameter": (None, None), **_GRID, "fixed_energy": ("boolean", None)}, None),
+    "surface": ({"q": (_GRID, _REQUIRED), "t": (_GRID, _REQUIRED)}, None),
+    "output": ({"path": (None, "momentous_run"), "format": (None, "csv")}, {}),
+}
+
+_TYPES = {
+    "number": ((int, float), "a number"),
+    "integer": (int, "an integer"),
+    "count": (int, "an integer"),
+    "boolean": (bool, "a boolean"),
+}
+
+
 def _require(cond: bool, field: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"{field} {message}")
 
 
-def _number(raw: dict, section: str, key: str, default=None, required=False):
-    if key not in raw or raw[key] is None:
-        if required:
-            raise ConfigError(f"{section}.{key} is required")
-        return default
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section}.{key} must be a number")
-    return float(value)
-
-
-def _integer(raw: dict, section: str, key: str, default=None, required=False):
-    if key not in raw or raw[key] is None:
-        if required:
-            raise ConfigError(f"{section}.{key} is required")
-        return default
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{section}.{key} must be an integer")
+def _value(kind: Optional[str], value, field: str):
+    """Check a given value against its kind; a number comes back as a finite float."""
+    if kind is None:
+        return value
+    types, noun = _TYPES[kind]
+    if not isinstance(value, types) or isinstance(value, bool) != (kind == "boolean"):
+        raise ConfigError(f"{field} must be {noun}")
+    if kind == "count":
+        _require(value >= 1, field, "must be at least 1")
+    elif kind == "number":
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            value = math.inf
+        _require(math.isfinite(value), field, "must be finite")
     return value
 
 
-def _check_keys(raw: dict, section: str, allowed: Sequence[str]) -> None:
+def _section(raw, name: str, fields: dict) -> dict:
+    """Check one config object against its field table; fill in the defaults."""
+    _require(isinstance(raw, dict), name, "must be an object")
     for key in raw:
-        if key not in allowed:
-            raise ConfigError(f"{section}.{key} is not a recognized field")
+        _require(key in fields, f"{name}.{key}", "is not a recognized field")
+    resolved = {}
+    for key, (kind, default) in fields.items():
+        field = key if name == "config" else f"{name}.{key}"
+        value = raw.get(key)
+        if isinstance(kind, dict):
+            nested = value is not None or default is not None
+            resolved[key] = _section(raw.get(key, default), field, kind) if nested else None
+        elif value is None and (key not in raw or kind not in (None, "boolean")):
+            _require(default is not _REQUIRED, field, "is required")
+            resolved[key] = default
+        else:
+            resolved[key] = _value(kind, value, field)
+    return resolved
+
+
+@contextmanager
+def _owned_by(section: str):
+    """Report a model constructor's ValueError, worded "<field> <rule>", as
+    a ConfigError on the field of ``section``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
+
+
+def _resolved(section: str, key: Optional[str] = None) -> property:
+    """A read-only RunConfig attribute: a resolved section or one of its fields."""
+    if key is None:
+        return property(lambda self: self.sections[section])
+    return property(lambda self: self.sections[section][key])
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration (all defaults filled in)."""
+    """Fully resolved run configuration (all defaults filled in).
+
+    ``sections`` holds the resolved config, section by section, as
+    :meth:`to_dict` echoes it; the model objects are built from it.
+    """
 
     model: ModelConfig
     packet: GaussianPacket
     integrator: IntegratorConfig
-    third_moment_convention: str
-    energy: float
-    margin: float
-    sweep: Optional[dict]
-    surface: Optional[dict]
-    output_path: str
-    output_format: str
+    sections: dict
+
+    energy = _resolved("packet", "energy")
+    margin = _resolved("classify", "margin")
+    sweep = _resolved("sweep")
+    surface = _resolved("surface")
+    output_path = _resolved("output", "path")
 
     def to_dict(self) -> dict:
-        pot = self.model.potential
-        return {
-            "model": {
-                "alpha": pot.alpha,
-                "a": pot.a,
-                "n": pot.n,
-                "mass": self.model.mass,
-                "hbar": self.model.hbar,
-                "order": self.model.order,
-                "veff_third_moment": self.model.veff_third_moment,
-            },
-            "packet": {
-                "q0": self.packet.q0,
-                "p0": self.packet.p0,
-                "energy": self.energy,
-                "sigma0": self.packet.sigma0,
-                "third_moment_convention": self.third_moment_convention,
-            },
-            "integrator": {
-                "rtol": self.integrator.rtol,
-                "atol": self.integrator.atol,
-                "t_max": self.integrator.t_max,
-                "max_step": self.integrator.max_step,
-                "escape_radius": self.integrator.escape_radius,
-                "sample_dt": self.integrator.sample_dt,
-            },
-            "classify": {"margin": self.margin},
-            "sweep": self.sweep,
-            "surface": self.surface,
-            "output": {"path": self.output_path, "format": self.output_format},
-        }
+        return copy.deepcopy(self.sections)
 
 
 def build_config(raw: dict, order_override: Optional[int] = None) -> RunConfig:
-    """Validate a raw (parsed JSON) mapping and resolve every default."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    _check_keys(
-        raw, "config",
-        ("model", "packet", "integrator", "classify", "sweep", "surface", "output"),
-    )
+    """Validate a raw (parsed JSON) mapping and resolve every default.
 
-    model_raw = raw.get("model", {})
-    _check_keys(
-        model_raw, "model",
-        ("alpha", "a", "n", "mass", "hbar", "order", "veff_third_moment"),
-    )
-    alpha = _number(model_raw, "model", "alpha", 1.0)
-    a = _number(model_raw, "model", "a", 1.0)
-    n = _integer(model_raw, "model", "n", 4)
-    mass = _number(model_raw, "model", "mass", 1.0)
-    hbar = _number(model_raw, "model", "hbar", 1.0)
-    order = _integer(model_raw, "model", "order", 2)
+    ``_SCHEMA`` checks keys and types; the range rules of the model objects
+    live in their constructors. Here are only the rules no constructor owns.
+    """
+    _require(isinstance(raw, dict), "config root", "must be an object")
+    sec = _section(raw, "config", _SCHEMA)
+    m, pk = sec["model"], sec["packet"]
     if order_override is not None:
-        order = order_override
-    veff_third = model_raw.get("veff_third_moment", True)
-    _require(isinstance(veff_third, bool), "model.veff_third_moment", "must be a boolean")
-    _require(a is not None and a > 0, "model.a", "must be positive")
-    _require(alpha is not None and alpha != 0, "model.alpha", "must be nonzero")
-    _require(n is not None and n >= 1, "model.n", "must be a positive integer")
-    _require(mass > 0, "model.mass", "must be positive")
-    _require(hbar > 0, "model.hbar", "must be positive")
-    _require(order in (0, 2, 3), "model.order", "must be 0, 2 or 3")
-    potential = BarrierPotential(alpha=alpha, a=a, n=n)
-    model = ModelConfig(
-        potential=potential, mass=mass, hbar=hbar, order=order,
-        veff_third_moment=veff_third,
-    )
+        m["order"] = order_override
+    with _owned_by("model"):
+        potential = BarrierPotential(alpha=m["alpha"], a=m["a"], n=m["n"])
+        model = ModelConfig(
+            potential=potential, mass=m["mass"], hbar=m["hbar"], order=m["order"],
+            veff_third_moment=m["veff_third_moment"],
+        )
 
-    packet_raw = raw.get("packet", {})
-    _check_keys(
-        packet_raw, "packet",
-        ("q0", "p0", "energy", "sigma0", "third_moment_convention"),
-    )
-    q0 = _number(packet_raw, "packet", "q0", required=True)
-    p0 = _number(packet_raw, "packet", "p0")
-    energy = _number(packet_raw, "packet", "energy")
-    sigma0 = _number(packet_raw, "packet", "sigma0", 0.5)
-    convention = packet_raw.get("third_moment_convention", "skewed")
+    convention = pk["third_moment_convention"]
     _require(
         convention in THIRD_MOMENT_CONVENTIONS,
         "packet.third_moment_convention",
         f"must be one of {list(THIRD_MOMENT_CONVENTIONS)}",
     )
-    _require(sigma0 > 0, "packet.sigma0", "must be positive")
-    _require(
-        p0 is not None or energy is not None,
-        "packet.p0",
-        "or packet.energy is required",
-    )
+    q0, p0, energy, mass = pk["q0"], pk["p0"], pk["energy"], m["mass"]
+    energy_given = energy is not None
+    _require(p0 is not None or energy_given, "packet.p0", "or packet.energy is required")
     if p0 is None:
         kinetic = energy - potential(q0)
         _require(
@@ -202,107 +224,48 @@ def build_config(raw: dict, order_override: Optional[int] = None) -> RunConfig:
             "must exceed the potential at q0 to place an inbound packet",
         )
         p0 = math.copysign(math.sqrt(2 * mass * kinetic), -q0)
-    elif energy is None:
-        energy = p0 * p0 / (2 * mass) + potential(q0)
     else:
-        # Both present (e.g. a resolved config being re-parsed): they must agree.
         implied = p0 * p0 / (2 * mass) + potential(q0)
+        # Both present (e.g. a resolved config being re-parsed): they must agree.
         _require(
-            abs(implied - energy) <= 1e-9 * max(1.0, abs(energy)),
+            energy is None or abs(implied - energy) <= 1e-9 * max(1.0, abs(energy)),
             "packet.energy",
             f"is inconsistent with packet.p0 (p0 implies energy {implied!r})",
         )
-    packet = GaussianPacket(q0=q0, p0=p0, sigma0=sigma0, hbar=hbar)
+        energy = implied if energy is None else energy
+    pk["p0"], pk["energy"] = p0, energy
+    with _owned_by("packet"):
+        potential.energy_ratio(energy)
+        packet = GaussianPacket(q0=q0, p0=p0, sigma0=pk["sigma0"], hbar=m["hbar"])
 
-    integ_raw = raw.get("integrator", {})
-    _check_keys(
-        integ_raw, "integrator",
-        ("rtol", "atol", "t_max", "max_step", "escape_radius", "sample_dt"),
-    )
-    rtol = _number(integ_raw, "integrator", "rtol", 1e-10)
-    atol = _number(integ_raw, "integrator", "atol", 1e-10)
-    t_max = _number(integ_raw, "integrator", "t_max", 20.0)
-    max_step = _number(integ_raw, "integrator", "max_step", 0.1)
-    escape = _number(integ_raw, "integrator", "escape_radius", 10.0 * a)
-    sample_dt = _number(integ_raw, "integrator", "sample_dt", 0.01)
-    for name, value in (
-        ("rtol", rtol), ("atol", atol), ("t_max", t_max),
-        ("max_step", max_step), ("escape_radius", escape),
-        ("sample_dt", sample_dt),
+    # Two lengths default to multiples of the half-width a.
+    for section, key, scale in (
+        ("integrator", "escape_radius", 10.0), ("classify", "margin", 0.05)
     ):
-        _require(value > 0, f"integrator.{name}", "must be positive")
-    integrator = IntegratorConfig(
-        rtol=rtol, atol=atol, t_max=t_max, max_step=max_step,
-        escape_radius=escape, sample_dt=sample_dt,
-    )
+        if sec[section][key] is None:
+            sec[section][key] = scale * m["a"]
+    with _owned_by("integrator"):
+        integrator = IntegratorConfig(**sec["integrator"])
+    _require(sec["classify"]["margin"] >= 0, "classify.margin", "must be non-negative")
 
-    classify_raw = raw.get("classify", {})
-    _check_keys(classify_raw, "classify", ("margin",))
-    margin = _number(classify_raw, "classify", "margin", 0.05 * a)
-    _require(margin >= 0, "classify.margin", "must be non-negative")
-
-    sweep = raw.get("sweep")
+    sweep = sec["sweep"]
     if sweep is not None:
-        _check_keys(sweep, "sweep", ("parameter", "start", "stop", "count", "fixed_energy"))
-        parameter = sweep.get("parameter")
         _require(
-            parameter in SWEEP_PARAMETERS,
+            sweep["parameter"] in SWEEP_PARAMETERS,
             "sweep.parameter", f"must be one of {list(SWEEP_PARAMETERS)}",
         )
-        start = _number(sweep, "sweep", "start", required=True)
-        stop = _number(sweep, "sweep", "stop", required=True)
-        count = _integer(sweep, "sweep", "count", required=True)
-        _require(count >= 1, "sweep.count", "must be at least 1")
         # A q0 sweep at fixed energy re-derives p0 per point (an inbound family
         # with one incident energy); at fixed p0 the energy varies instead.
-        fixed_energy = sweep.get(
-            "fixed_energy",
-            "energy" in packet_raw and packet_raw["energy"] is not None,
-        )
-        _require(isinstance(fixed_energy, bool), "sweep.fixed_energy",
-                 "must be a boolean")
-        sweep = {
-            "parameter": parameter,
-            "start": start,
-            "stop": stop,
-            "count": count,
-            "fixed_energy": fixed_energy,
-        }
-    surface = raw.get("surface")
-    if surface is not None:
-        _check_keys(surface, "surface", ("q", "t"))
-        grids = {}
-        for axis in ("q", "t"):
-            axis_raw = surface.get(axis)
-            _require(isinstance(axis_raw, dict), f"surface.{axis}", "must be an object")
-            _check_keys(axis_raw, f"surface.{axis}", ("start", "stop", "count"))
-            start = _number(axis_raw, f"surface.{axis}", "start", required=True)
-            stop = _number(axis_raw, f"surface.{axis}", "stop", required=True)
-            count = _integer(axis_raw, f"surface.{axis}", "count", required=True)
-            _require(count >= 1, f"surface.{axis}.count", "must be at least 1")
-            grids[axis] = {"start": start, "stop": stop, "count": count}
-        surface = grids
+        if sweep["fixed_energy"] is None:
+            sweep["fixed_energy"] = energy_given
 
-    output_raw = raw.get("output", {})
-    _check_keys(output_raw, "output", ("path", "format"))
-    output_path = output_raw.get("path", "momentous_run")
-    _require(isinstance(output_path, str) and output_path != "", "output.path",
-             "must be a non-empty string")
-    output_format = output_raw.get("format", "csv")
-    _require(output_format == "csv", "output.format", "must be 'csv'")
-
-    return RunConfig(
-        model=model,
-        packet=packet,
-        integrator=integrator,
-        third_moment_convention=convention,
-        energy=energy,
-        margin=margin,
-        sweep=sweep,
-        surface=surface,
-        output_path=output_path,
-        output_format=output_format,
+    output = sec["output"]
+    _require(
+        isinstance(output["path"], str) and output["path"] != "",
+        "output.path", "must be a non-empty string",
     )
+    _require(output["format"] == "csv", "output.format", "must be 'csv'")
+    return RunConfig(model=model, packet=packet, integrator=integrator, sections=sec)
 
 
 def load_config(path: str, order_override: Optional[int] = None) -> RunConfig:
@@ -343,7 +306,8 @@ def _initial_state(cfg: RunConfig):
 
     if cfg.model.order == 0:
         return MomentState(t=0.0, q=cfg.packet.q0, p=cfg.packet.p0, moments=())
-    return initial_moments(cfg.packet, cfg.model.order, cfg.third_moment_convention)
+    convention = cfg.sections["packet"]["third_moment_convention"]
+    return initial_moments(cfg.packet, cfg.model.order, convention)
 
 
 def _marks(cfg: RunConfig):
@@ -442,9 +406,9 @@ SWEEP_COLUMNS = [
 
 def _sweep_point(args) -> list:
     """Worker: run one sweep point from a resolved config dict. Module-level
-    for the process pool. A point whose config is invalid, or whose packet
-    the physics rejects (InvalidEnergy, NoTurningPoint, InvalidOrder), gives
-    an ``error:`` row; any other exception propagates."""
+    for the process pool. A point whose config is invalid (``build_config``
+    also rejects a packet energy <= 0) gives an ``error:`` row; any other
+    exception propagates."""
     raw, index, value = args
     cfg = build_config(raw)
     parameter = cfg.sweep["parameter"]
@@ -484,7 +448,7 @@ def _sweep_point(args) -> list:
             traj.termination is Termination.CONSTRAINT_VIOLATED,
             traj.termination.value,
         ]
-    except (ConfigError, InvalidEnergy, NoTurningPoint, InvalidOrder) as exc:
+    except ConfigError as exc:
         reason = f"error: {exc}".replace(",", ";").replace("\n", " ")
         return [index, value, Tag.UNDETERMINED.value, None, None, None, 0,
                 None, None, None, False, reason]
@@ -497,11 +461,7 @@ def run_sweep(cfg: RunConfig, out_path: Optional[str] = None, workers: int = 1) 
         raise ConfigError("sweep section is required for the sweep command")
     out = Path(out_path if out_path is not None else cfg.output_path)
     raw = cfg.to_dict()
-    count = cfg.sweep["count"]
-    if count == 1:
-        values = [cfg.sweep["start"]]
-    else:
-        values = list(np.linspace(cfg.sweep["start"], cfg.sweep["stop"], count))
+    values = np.linspace(cfg.sweep["start"], cfg.sweep["stop"], cfg.sweep["count"])
     jobs = [(raw, i, float(v)) for i, v in enumerate(values)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

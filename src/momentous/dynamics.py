@@ -99,7 +99,7 @@ class ModelConfig:
         if not self.hbar > 0:
             raise ValueError("hbar must be positive")
         if self.order not in VALID_ORDERS:
-            raise ValueError(f"truncation order must be one of {VALID_ORDERS}")
+            raise ValueError("order must be 0, 2 or 3")
 
 
 @dataclass(frozen=True)

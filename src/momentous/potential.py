@@ -64,27 +64,43 @@ class BarrierPotential:
     n: int = 4
 
     def __post_init__(self) -> None:
+        # Messages read "<field> <rule>", so a caller can prefix the section.
         if not self.a > 0:
-            raise ValueError("half-width a must be positive")
+            raise ValueError("a must be positive")
         if self.alpha == 0:
-            raise ValueError("barrier strength alpha must be nonzero")
+            raise ValueError("alpha must be nonzero")
         if self.n != int(self.n) or self.n < 1:
-            raise ValueError("smoothness exponent n must be a positive integer")
+            raise ValueError("n must be a positive integer")
         # Constants of the jet, computed once: the binomials C(2n, j) and a**(2n).
+        # C(2n, j) grows up to j = n, so an overflow stops the loop early.
         two_n = 2 * self.n
-        object.__setattr__(
-            self, "_binomials", tuple(float(math.comb(two_n, j)) for j in range(two_n + 1))
-        )
-        object.__setattr__(self, "_a_2n", self.a ** two_n)
+        try:
+            binomials = tuple(float(math.comb(two_n, j)) for j in range(two_n + 1))
+        except OverflowError:
+            raise ValueError("n is too large: C(2n, n) overflows a float") from None
+        try:
+            a_2n = self.a ** two_n
+        except OverflowError:
+            a_2n = math.inf
+        if not 0.0 < a_2n < math.inf:
+            raise ValueError(f"a**(2n) = {self.a!r}**{two_n} is outside the float range")
+        if not math.isfinite(self.alpha / a_2n):
+            raise ValueError("alpha / a**(2n), the barrier height, must be finite")
+        object.__setattr__(self, "_binomials", binomials)
+        object.__setattr__(self, "_a_2n", a_2n)
 
     @property
     def height(self) -> float:
         """Barrier top V(0) = alpha / a**(2n)."""
-        return self.alpha / self.a ** (2 * self.n)
+        return self.alpha / self._a_2n
 
     def __call__(self, q: float) -> float:
-        """Evaluate V(q); finite for every real q."""
-        return self.alpha / (q ** (2 * self.n) + self.a ** (2 * self.n))
+        """Evaluate V(q); finite for every real q (0 with alpha's sign where
+        q**(2n) overflows)."""
+        try:
+            return self.alpha / (q ** (2 * self.n) + self._a_2n)
+        except OverflowError:
+            return math.copysign(0.0, self.alpha)
 
     def derivatives(self, q, k_max: int = 4) -> list:
         """Return ``[V(q), V'(q), ..., V^(k_max)(q)]`` in one jet pass.

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -31,8 +32,35 @@ def scenario_raw(**overrides):
     return raw
 
 
-def test_config_roundtrip_identical():
-    cfg = build_config(scenario_raw())
+ALL_FIELDS = {
+    "model": {"alpha": 1.5, "a": 1.2, "n": 3, "mass": 2.0, "hbar": 0.5, "order": 3,
+              "veff_third_moment": False},
+    "packet": {"q0": -3.0, "energy": 0.6, "sigma0": 0.4, "third_moment_convention": "zero"},
+    "integrator": {"rtol": 1e-9, "atol": 1e-8, "t_max": 5.0, "max_step": 0.05,
+                   "escape_radius": 20.0, "sample_dt": 0.02},
+    "classify": {"margin": 0.1},
+    "sweep": {"parameter": "q0", "start": -3.5, "stop": -2.5, "count": 3, "fixed_energy": False},
+    "surface": {"q": {"start": -2.0, "stop": 2.0, "count": 5},
+                "t": {"start": 0.0, "stop": 1.0, "count": 2}},
+    "output": {"path": "out/all", "format": "csv"},
+}
+
+GRID = {"start": -1.0, "stop": 1.0, "count": 3}
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        scenario_raw(),
+        scenario_raw(packet={"q0": -2.5, "p0": 1.2}),
+        scenario_raw(sweep={"parameter": "q0", "start": -3.0, "stop": -2.0, "count": 3}),
+        scenario_raw(surface={"q": GRID, "t": GRID}),
+        ALL_FIELDS,
+    ],
+    ids=["energy", "p0", "sweep", "surface", "all_fields"],
+)
+def test_config_roundtrip_identical(raw):
+    cfg = build_config(raw)
     echoed = cfg.to_dict()
     again = build_config(echoed)
     assert again.to_dict() == echoed
@@ -49,20 +77,146 @@ def test_config_defaults_resolved():
     assert cfg.energy == 0.98
 
 
-def test_config_field_errors():
-    with pytest.raises(ConfigError, match="packet.sigma0"):
-        build_config(scenario_raw(packet={"q0": -2.5, "p0": 1.0, "sigma0": -1.0}))
-    with pytest.raises(ConfigError, match="packet.p0"):
-        build_config(scenario_raw(packet={"q0": -2.5}))
-    with pytest.raises(ConfigError, match="model.order"):
-        build_config(scenario_raw(model={"order": 1}))
-    with pytest.raises(ConfigError, match="sweep.parameter"):
-        build_config(scenario_raw(sweep={"parameter": "hbar", "start": 0, "stop": 1, "count": 2}))
-    with pytest.raises(ConfigError, match="not a recognized field"):
-        build_config(scenario_raw(model={"order": 2, "mass_": 2}))
-    with pytest.raises(ConfigError, match="packet.energy"):
-        # Inconsistent resolved pair must be rejected.
-        build_config(scenario_raw(packet={"q0": -2.5, "p0": 1.0, "energy": 0.98, "sigma0": 0.5}))
+DROP = object()
+
+
+def message_ids(cases):
+    return [re.sub(r"\W+", "_", message).strip("_") for _, message in cases]
+
+
+def faulty(section, **fields):
+    """A valid config with sweep and surface and one field of one section set
+    (DROP removes it)."""
+    raw = scenario_raw(
+        sweep={"parameter": "q0", "start": -3.0, "stop": -2.0, "count": 3},
+        surface={"q": dict(GRID), "t": dict(GRID)},
+    )
+    target = raw
+    for part in section.split("."):
+        target = target.setdefault(part, {})
+    for key, value in fields.items():
+        if value is DROP:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    return raw
+
+
+# One fault per config, with the exact message it must produce.
+FIELD_ERRORS = [
+    ([1], "config root must be an object"),
+    ({**scenario_raw(), "plot": {}}, "config.plot is not a recognized field"),
+    (faulty("model", mass_=2), "model.mass_ is not a recognized field"),
+    (faulty("model", alpha="1"), "model.alpha must be a number"),
+    (faulty("model", alpha=True), "model.alpha must be a number"),
+    (faulty("model", n=4.0), "model.n must be an integer"),
+    (faulty("model", order=True), "model.order must be an integer"),
+    (faulty("model", veff_third_moment="yes"), "model.veff_third_moment must be a boolean"),
+    (faulty("model", veff_third_moment=None), "model.veff_third_moment must be a boolean"),
+    (faulty("model", a=0.0), "model.a must be positive"),
+    (faulty("model", a=-1.0), "model.a must be positive"),
+    (faulty("model", alpha=0), "model.alpha must be nonzero"),
+    (faulty("model", n=0), "model.n must be a positive integer"),
+    (faulty("model", mass=0.0), "model.mass must be positive"),
+    (faulty("model", hbar=-1.0), "model.hbar must be positive"),
+    (faulty("model", order=1), "model.order must be 0, 2 or 3"),
+    (faulty("packet", width=1.0), "packet.width is not a recognized field"),
+    (faulty("packet", q0=DROP), "packet.q0 is required"),
+    (faulty("packet", q0=None), "packet.q0 is required"),
+    (faulty("packet", q0="-2.5"), "packet.q0 must be a number"),
+    (faulty("packet", sigma0=0.0), "packet.sigma0 must be positive"),
+    (faulty("packet", energy=DROP), "packet.p0 or packet.energy is required"),
+    (faulty("packet", energy=1e-4),
+     "packet.energy must exceed the potential at q0 to place an inbound packet"),
+    (faulty("packet", p0=1.0),
+     "packet.energy is inconsistent with packet.p0 (p0 implies energy 0.500654930784561)"),
+    (faulty("packet", third_moment_convention="odd"),
+     "packet.third_moment_convention must be one of ['skewed', 'zero']"),
+    (faulty("integrator", order=5), "integrator.order is not a recognized field"),
+    (faulty("integrator", rtol=0.0), "integrator.rtol must be positive"),
+    (faulty("integrator", atol=-1e-10), "integrator.atol must be positive"),
+    (faulty("integrator", t_max=0), "integrator.t_max must be positive"),
+    (faulty("integrator", max_step=-0.1), "integrator.max_step must be positive"),
+    (faulty("integrator", escape_radius=0.0), "integrator.escape_radius must be positive"),
+    (faulty("integrator", sample_dt=0.0), "integrator.sample_dt must be positive"),
+    (faulty("integrator", sample_dt=[0.1]), "integrator.sample_dt must be a number"),
+    (faulty("classify", margin=-0.01), "classify.margin must be non-negative"),
+    (faulty("classify", width=1.0), "classify.width is not a recognized field"),
+    (faulty("sweep", parameter="hbar"), "sweep.parameter must be one of ['q0', 'p0', 'sigma0']"),
+    (faulty("sweep", parameter=DROP), "sweep.parameter must be one of ['q0', 'p0', 'sigma0']"),
+    (faulty("sweep", start=DROP), "sweep.start is required"),
+    (faulty("sweep", stop=None), "sweep.stop is required"),
+    (faulty("sweep", count=2.5), "sweep.count must be an integer"),
+    (faulty("sweep", count=0), "sweep.count must be at least 1"),
+    (faulty("sweep", fixed_energy="yes"), "sweep.fixed_energy must be a boolean"),
+    (faulty("sweep", step=0.1), "sweep.step is not a recognized field"),
+    (faulty("surface", q=DROP), "surface.q must be an object"),
+    (faulty("surface", t=[0.0, 1.0]), "surface.t must be an object"),
+    (faulty("surface", r=GRID), "surface.r is not a recognized field"),
+    (faulty("surface.q", stop=DROP), "surface.q.stop is required"),
+    (faulty("surface.t", count=0), "surface.t.count must be at least 1"),
+    (faulty("surface.t", count="3"), "surface.t.count must be an integer"),
+    (faulty("surface.q", step=0.1), "surface.q.step is not a recognized field"),
+    (faulty("output", path=""), "output.path must be a non-empty string"),
+    (faulty("output", path=3), "output.path must be a non-empty string"),
+    (faulty("output", format="json"), "output.format must be 'csv'"),
+    (faulty("output", mode="w"), "output.mode is not a recognized field"),
+]
+
+
+@pytest.mark.parametrize("raw, message", FIELD_ERRORS, ids=message_ids(FIELD_ERRORS))
+def test_config_field_errors(raw, message):
+    with pytest.raises(ConfigError) as excinfo:
+        build_config(raw)
+    assert str(excinfo.value) == message
+
+
+BIG_INTEGER = "1" + "0" * 400  # a JSON integer beyond the float range
+
+REJECTED = [
+    ('{"model": null, "packet": {"q0": -2.5, "p0": 1.0}}', "model must be an object"),
+    ('{"output": null, "packet": {"q0": -2.5, "p0": 1.0}}', "output must be an object"),
+    ('{"sweep": [1], "packet": {"q0": -2.5, "p0": 1.0}}', "sweep must be an object"),
+    ('{"packet": {"q0": NaN, "p0": 1.0}}', "packet.q0 must be finite"),
+    ('{"packet": {"q0": -2.5, "p0": NaN}}', "packet.p0 must be finite"),
+    ('{"packet": {"q0": -2.5, "energy": Infinity}}', "packet.energy must be finite"),
+    ('{"packet": {"q0": -2.5, "p0": 1.0}, "integrator": {"t_max": 1e400}}',
+     "integrator.t_max must be finite"),
+    ('{"model": {"alpha": -Infinity}, "packet": {"q0": -2.5, "p0": 1.0}}',
+     "model.alpha must be finite"),
+    ('{"model": {"a": %s}, "packet": {"q0": -2.5, "p0": 1.0}}' % BIG_INTEGER,
+     "model.a must be finite"),
+    # A well with a slow packet: the resolved energy is negative.
+    ('{"model": {"alpha": -1.0}, "packet": {"q0": -2.5, "p0": 0.01}}',
+     "packet.energy must be positive"),
+    ('{"model": {"n": 600}, "packet": {"q0": -2.5, "p0": 1.0}}',
+     "model.n is too large: C(2n, n) overflows a float"),
+    ('{"model": {"n": %s}, "packet": {"q0": -2.5, "p0": 1.0}}' % BIG_INTEGER,
+     "model.n is too large: C(2n, n) overflows a float"),
+    ('{"model": {"a": 100, "n": 100}, "packet": {"q0": -2.5, "p0": 1.0}}',
+     "model.a**(2n) = 100.0**200 is outside the float range"),
+]
+
+
+@pytest.mark.parametrize("config_text, message", REJECTED, ids=message_ids(REJECTED))
+def test_main_rejects_config_without_traceback(tmp_path, capsys, config_text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(config_text)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_far_packet_is_a_step_failure_not_a_crash(tmp_path, capsys):
+    # q0**(2n) overflows a float: V(q0) takes its limit 0, so the config
+    # resolves, and the integrator's blowup guard stops the run.
+    path = tmp_path / "far.json"
+    path.write_text('{"packet": {"q0": -1e40, "p0": 1.0}, "integrator": {"t_max": 0.5}}')
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "far")]) == 2
+    assert "step failure (blowup)" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "far.summary.json").read_text())
+    assert summary["config"]["packet"]["energy"] == 0.5
 
 
 def test_simulate_outputs_and_reproducibility(tmp_path):
@@ -322,6 +476,18 @@ def test_sweep_point_errors_become_rows_but_bugs_propagate(tmp_path, monkeypatch
     assert rows[0][2] == "undetermined"
     assert rows[0][11].startswith("error: packet.sigma0")
     assert not rows[1][11].startswith("error:")
+
+    # So is a slow packet in a well, whose energy is not positive.
+    well = scenario_raw(
+        model={"alpha": -1.0},
+        packet={"q0": -2.5, "p0": 0.5},
+        sweep={"parameter": "p0", "start": 0.01, "stop": 0.5, "count": 2},
+        integrator={"t_max": 1.0},
+    )
+    run_sweep(build_config(well), str(tmp_path / "well"))
+    rows = [line.split(",") for line in (tmp_path / "well.csv").read_text().splitlines()[1:]]
+    assert rows[0][11] == "error: packet.energy must be positive"
+    assert rows[1][11] == "reached_tmax"
 
     # A plain ValueError is a defect, not a sweep outcome: it must propagate.
     def broken(*args, **kwargs):

@@ -138,3 +138,29 @@ def test_parameter_validation():
         BarrierPotential(alpha=0.0)
     with pytest.raises(ValueError):
         BarrierPotential(n=0)
+
+
+def test_parameter_messages_name_the_field():
+    for kwargs, message in (
+        ({"a": 0.0}, "a must be positive"),
+        ({"alpha": 0.0}, "alpha must be nonzero"),
+        ({"n": 0}, "n must be a positive integer"),
+        ({"n": 600}, "n is too large: C(2n, n) overflows a float"),
+        ({"a": 100.0, "n": 100}, "a**(2n) = 100.0**200 is outside the float range"),
+        ({"a": 0.01, "n": 200}, "a**(2n) = 0.01**400 is outside the float range"),
+        ({"alpha": 1e305, "a": 0.01}, "alpha / a**(2n), the barrier height, must be finite"),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            BarrierPotential(**kwargs)
+        assert str(excinfo.value) == message
+
+
+def test_value_where_q_power_overflows():
+    # q**(2n) overflows a float: V takes its limit 0, with the sign of alpha.
+    assert BarrierPotential()(1e40) == 0.0
+    assert math.copysign(1.0, BarrierPotential()(-1e40)) == 1.0
+    assert math.copysign(1.0, BarrierPotential(alpha=-1.0)(1e40)) == -1.0
+    pot = BarrierPotential(alpha=2.0, a=1.5, n=3)
+    for q in (-1e60, 1e55, 1e300):
+        assert pot(q) == 0.0
+    assert pot(1e30) == 2.0 / (1e30 ** 6 + 1.5 ** 6)
