@@ -18,7 +18,7 @@ points ``+-x`` widened by a margin:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -97,25 +97,20 @@ def classify(
     final_p = float(p[-1])
     horizon = float(t[-1])
 
-    ratio = pot.energy_ratio(energy)
-
-    def undetermined(reason, entry=None, exit_t=None, side=None, flips_inside=0):
+    if pot.energy_ratio(energy) <= 1.0:
         return Outcome(
             Tag.UNDETERMINED,
             Evidence(
-                barrier_entry_time=entry,
-                barrier_exit_time=exit_t,
-                barrier_exit_side=side,
-                sign_changes_inside=flips_inside,
+                barrier_entry_time=None,
+                barrier_exit_time=None,
+                barrier_exit_side=None,
+                sign_changes_inside=0,
                 final_q=final_q,
                 final_p=final_p,
                 time_horizon=horizon,
-                reason=reason,
+                reason="energy at or above the barrier top",
             ),
         )
-
-    if ratio <= 1.0:
-        return undetermined("energy at or above the barrier top")
 
     x = pot.turning_points(energy)[1]
     window = x + margin
@@ -144,13 +139,8 @@ def classify(
     )
 
     if traj.termination in (Termination.CONSTRAINT_VIOLATED, Termination.STEP_FAILURE):
-        return undetermined(
-            f"integration stopped early: {traj.termination.value}",
-            entry,
-            exit_t,
-            side,
-            flips_inside,
-        )
+        reason = f"integration stopped early: {traj.termination.value}"
+        return Outcome(Tag.UNDETERMINED, replace(evidence, reason=reason))
 
     approached = float(np.min(np.abs(q))) <= 2 * x
     if final_q > window and final_p > 0 and approached:
@@ -163,4 +153,4 @@ def classify(
         and traj.termination is Termination.REACHED_TMAX
     ):
         return Outcome(Tag.TRAPPED, evidence)
-    return undetermined("no rule matched", entry, exit_t, side, flips_inside)
+    return Outcome(Tag.UNDETERMINED, replace(evidence, reason="no rule matched"))

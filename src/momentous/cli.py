@@ -217,13 +217,14 @@ def build_config(raw: dict, order_override: Optional[int] = None) -> RunConfig:
     q0, p0, energy, mass = pk["q0"], pk["p0"], pk["energy"], m["mass"]
     energy_given = energy is not None
     _require(p0 is not None or energy_given, "packet.p0", "or packet.energy is required")
+    # A resolved p0 or energy obeys the rule of a given one: it must be finite.
     if p0 is None:
         kinetic = energy - potential(q0)
         _require(
             kinetic > 0, "packet.energy",
             "must exceed the potential at q0 to place an inbound packet",
         )
-        p0 = math.copysign(math.sqrt(2 * mass * kinetic), -q0)
+        p0 = _value("number", math.copysign(math.sqrt(2 * mass * kinetic), -q0), "packet.p0")
     else:
         implied = p0 * p0 / (2 * mass) + potential(q0)
         # Both present (e.g. a resolved config being re-parsed): they must agree.
@@ -232,7 +233,7 @@ def build_config(raw: dict, order_override: Optional[int] = None) -> RunConfig:
             "packet.energy",
             f"is inconsistent with packet.p0 (p0 implies energy {implied!r})",
         )
-        energy = implied if energy is None else energy
+        energy = _value("number", implied, "packet.energy") if energy is None else energy
     pk["p0"], pk["energy"] = p0, energy
     with _owned_by("packet"):
         potential.energy_ratio(energy)
@@ -532,30 +533,19 @@ def run_surface(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
 # Algebra self-check
 
 
-def algebra_report_text() -> str:
+def algebra_report_text(
+    reports: Sequence[moment_algebra.ConsistencyReport], properties: Sequence[str]
+) -> str:
+    """The report text of the order-2 and order-3 ``reports`` and the
+    structural ``properties``, as the golden copy holds it."""
     parts = ["moment bracket self-check", ""]
-    for order in (2, 3):
-        parts.append(moment_algebra.verify_eom_consistency(order).to_text())
-        parts.append("")
+    for report in reports:
+        parts += [report.to_text(), ""]
     parts.append("structural properties")
-    for line in moment_algebra.property_lines():
-        parts.append("  " + line)
-    parts.append("")
-    parts.append("notes")
-    for note in moment_algebra.verify_eom_consistency(2).notes:
-        parts.append("  - " + note)
+    parts += ["  " + line for line in properties]
+    parts += ["", "notes"]
+    parts += ["  - " + note for note in reports[0].notes]
     return "\n".join(parts) + "\n"
-
-
-def algebra_report_dict() -> dict:
-    return {
-        "kind": "check-algebra",
-        "orders": [
-            moment_algebra.verify_eom_consistency(order).to_dict()
-            for order in (2, 3)
-        ],
-        "properties": moment_algebra.property_lines(),
-    }
 
 
 def _golden_text() -> str:
@@ -569,11 +559,18 @@ def _golden_text() -> str:
 def run_check_algebra(out_path: Optional[str] = None) -> tuple[int, str]:
     """Regenerate the consistency report and compare against the packaged
     golden copy. Returns (exit_code, report_text); 3 on mismatch."""
-    text = algebra_report_text()
+    reports = [moment_algebra.verify_eom_consistency(order) for order in (2, 3)]
+    properties = moment_algebra.property_lines()
+    text = algebra_report_text(reports, properties)
     if out_path is not None:
         out = Path(out_path)
         _atomic_write(Path(f"{out}.txt"), text)
-        _atomic_write(Path(f"{out}.json"), _json_text(algebra_report_dict()))
+        data = {
+            "kind": "check-algebra",
+            "orders": [report.to_dict() for report in reports],
+            "properties": properties,
+        }
+        _atomic_write(Path(f"{out}.json"), _json_text(data))
     golden = _golden_text()
     return (0 if text == golden else 3), text
 

@@ -80,7 +80,6 @@ class IntegratorConfig:
     max_step: float = 0.1
     escape_radius: Optional[float] = None  # None -> 10 * potential half-width
     sample_dt: float = 0.01
-    first_step: Optional[float] = None
     max_steps: int = 2_000_000
 
     def __post_init__(self) -> None:
@@ -89,8 +88,6 @@ class IntegratorConfig:
                 raise ValueError(f"{name} must be positive")
         if self.escape_radius is not None and not self.escape_radius > 0:
             raise ValueError("escape_radius must be positive")
-        if self.first_step is not None and not self.first_step > 0:
-            raise ValueError("first_step must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
 
@@ -108,7 +105,7 @@ class Event:
 
 @dataclass(frozen=True)
 class _EventSpec:
-    fn: Callable[[float, np.ndarray], float]
+    fn: Callable[[Sequence[float]], float]
     kind: str
     terminal: bool = False
     direction: int = 0  # 0 = both directions
@@ -340,7 +337,7 @@ def _locate_zero(fn, t0, t1, g0, dense):
         if hi - lo <= 1e-13 * max(1.0, abs(hi)):
             break
         mid = 0.5 * (lo + hi)
-        gm = fn(mid, dense(mid))
+        gm = fn(dense(mid))
         if gm == 0.0:
             return mid
         if (glo < 0.0) == (gm < 0.0):
@@ -360,7 +357,6 @@ def _integrate_core(
     atol: float,
     max_step: float,
     sample_dt: float,
-    first_step: Optional[float] = None,
     specs: Sequence[_EventSpec] = (),
     max_steps: int = 2_000_000,
 ):
@@ -372,18 +368,13 @@ def _integrate_core(
     t = t0
     y = [float(a) for a in y0]
     k1 = f(y)
-    n_rhs = 1
-    span = t_end - t0
-    if first_step is not None:
-        h = min(first_step, span, max_step)
-    else:
-        h = _initial_step(f, y, k1, rtol, atol, span, max_step)
-        n_rhs += 1
+    h = _initial_step(f, y, k1, rtol, atol, t_end - t0, max_step)
+    n_rhs = 2  # k1 and the starting-step probe
 
     times = [t]
     states = [y]
     raw_events: list[tuple[float, _EventSpec, int, list]] = []
-    g_prev = [spec.fn(t, y) for spec in specs]
+    g_prev = [spec.fn(y) for spec in specs]
     sample_index = 1
     facold = 1e-4
     rejected = False
@@ -444,7 +435,7 @@ def _integrate_core(
         located: list[tuple[float, _EventSpec, int]] = []
         g_new = []
         for spec, g0 in zip(specs, g_prev):
-            g1 = spec.fn(tnew, y1)
+            g1 = spec.fn(y1)
             g_new.append(g1)
             crossed = (g0 < 0.0 < g1) or (g0 > 0.0 > g1) or (g0 != 0.0 and g1 == 0.0)
             if not crossed:
@@ -535,18 +526,18 @@ def integrate(
         else 10.0 * model.potential.a
     )
 
-    specs: list[_EventSpec] = [_EventSpec(lambda t, y: y[1], kind="p_zero")]
+    specs: list[_EventSpec] = [_EventSpec(lambda y: y[1], kind="p_zero")]
     for marker in mark_positions:
         specs.append(
             _EventSpec(
-                (lambda mk: lambda t, y: y[0] - mk)(float(marker)),
+                (lambda mk: lambda y: y[0] - mk)(float(marker)),
                 kind="q_cross",
                 marker=float(marker),
             )
         )
     specs.append(
         _EventSpec(
-            lambda t, y: abs(y[0]) - radius,
+            lambda y: abs(y[0]) - radius,
             kind="escape",
             terminal=True,
             direction=1,
@@ -556,7 +547,7 @@ def integrate(
         quarter = model.hbar * model.hbar / 4
         floor = -10.0 * icfg.atol
 
-        def constraint(t, y):
+        def constraint(y):
             return (y[2] * y[4] - y[3] * y[3] - quarter) - floor
 
         specs.append(
@@ -573,7 +564,6 @@ def integrate(
         atol=icfg.atol,
         max_step=icfg.max_step,
         sample_dt=icfg.sample_dt,
-        first_step=icfg.first_step,
         specs=specs,
         max_steps=icfg.max_steps,
     )

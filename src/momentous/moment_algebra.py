@@ -30,9 +30,9 @@ polynomial is numerically evaluated or compiled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "EquationCheck",
@@ -98,7 +98,9 @@ class Term:
     optional derivative of the potential ``V^(v_order)``.
 
     The numeric coefficient is *not* part of the term; it is the map value in
-    :class:`MomentPolynomial`.
+    :class:`MomentPolynomial`. Canonical form: ``moments`` is the sorted
+    multiset of factors without ``(0, 0)``, so equal monomials compare and
+    hash alike however they were built.
     """
 
     moments: tuple[Moment, ...] = ()
@@ -106,6 +108,10 @@ class Term:
     v_order: Optional[int] = None
     p_power: int = 0
     mass_power: int = 0
+
+    def __post_init__(self) -> None:
+        canonical = sorted((int(a), int(b)) for a, b in self.moments if (a, b) != (0, 0))
+        object.__setattr__(self, "moments", tuple(canonical))
 
     def moment_order(self) -> int:
         """Combined semiclassical order: moment powers plus 2 per hbar."""
@@ -126,16 +132,12 @@ class Term:
         return any(a + b == 1 for a, b in self.moments)
 
 
-def _canonical_moments(moments: Iterable[Moment]) -> tuple[Moment, ...]:
-    cleaned = [(int(a), int(b)) for a, b in moments if (a, b) != (0, 0)]
-    return tuple(sorted(cleaned))
-
-
 class MomentPolynomial:
     """Finite rational-coefficient combination of :class:`Term` monomials.
 
-    Canonical form: moment multisets sorted, zero coefficients removed, and
-    any term containing a first moment (``(1, 0)`` or ``(0, 1)``) eliminated.
+    Canonical form: canonical :class:`Term` keys, zero coefficients removed,
+    and any term containing a first moment (``(1, 0)`` or ``(0, 1)``)
+    eliminated.
     """
 
     __slots__ = ("_terms",)
@@ -157,13 +159,6 @@ class MomentPolynomial:
             term = Term(**term_fields)
         elif term_fields:
             raise TypeError("pass either a Term or field keywords, not both")
-        term = Term(
-            moments=_canonical_moments(term.moments),
-            hbar_power=term.hbar_power,
-            v_order=term.v_order,
-            p_power=term.p_power,
-            mass_power=term.mass_power,
-        )
         if term.contains_first_moment():
             return self
         total = self._terms.get(term, Fraction(0)) + Fraction(coeff)
@@ -177,14 +172,7 @@ class MomentPolynomial:
         return iter(sorted(self._terms.items(), key=lambda kv: kv[0].sort_key()))
 
     def coefficient(self, term: Term) -> Fraction:
-        key = Term(
-            moments=_canonical_moments(term.moments),
-            hbar_power=term.hbar_power,
-            v_order=term.v_order,
-            p_power=term.p_power,
-            mass_power=term.mass_power,
-        )
-        return self._terms.get(key, Fraction(0))
+        return self._terms.get(term, Fraction(0))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -196,9 +184,6 @@ class MomentPolynomial:
         if not isinstance(other, MomentPolynomial):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self):
-        raise TypeError("MomentPolynomial is mutable and unhashable")
 
     def __add__(self, other: "MomentPolynomial") -> "MomentPolynomial":
         out = self.copy()
@@ -242,7 +227,8 @@ class MomentPolynomial:
                 raise ValueError("product of two potential-derivative factors")
             out.add(
                 c * Fraction(coeff),
-                Term(
+                replace(
+                    term,
                     moments=term.moments + tuple(moments),
                     hbar_power=term.hbar_power + hbar_power,
                     v_order=term.v_order if v_order is None else v_order,
@@ -258,38 +244,6 @@ class MomentPolynomial:
         for term, coeff in self._terms.items():
             if term.moment_order() <= order:
                 out.add(coeff, term)
-        return out
-
-    def substitute_hbar(self, hbar: Scalar) -> "MomentPolynomial":
-        out = MomentPolynomial()
-        h = Fraction(hbar)
-        for term, coeff in self._terms.items():
-            out.add(
-                coeff * h ** term.hbar_power,
-                Term(
-                    moments=term.moments,
-                    hbar_power=0,
-                    v_order=term.v_order,
-                    p_power=term.p_power,
-                    mass_power=term.mass_power,
-                ),
-            )
-        return out
-
-    def substitute_mass(self, mass: Scalar) -> "MomentPolynomial":
-        out = MomentPolynomial()
-        m = Fraction(mass)
-        for term, coeff in self._terms.items():
-            out.add(
-                coeff * m ** term.mass_power,
-                Term(
-                    moments=term.moments,
-                    hbar_power=term.hbar_power,
-                    v_order=term.v_order,
-                    p_power=term.p_power,
-                    mass_power=0,
-                ),
-            )
         return out
 
     def evaluate(
@@ -368,19 +322,15 @@ def _format_term(coeff: Fraction, term: Term, first: bool) -> str:
     return f"{sign} {body}" if not first else f"- {body}"
 
 
-def bracket_formula(
-    lhs: Moment, rhs: Moment, hbar: Optional[Scalar] = None
-) -> MomentPolynomial:
+def bracket_formula(lhs: Moment, rhs: Moment) -> MomentPolynomial:
     """Poisson bracket of two moments, straight from the closed formula.
 
     Product part ``ad * G(a-1,b) G(c,d-1) - bc * G(a,b-1) G(c-1,d)`` plus the
     contraction sum over odd ``n`` in ``[1, min(a+c, b+d, a+b, c+d))`` with
     weight ``k_coefficient`` and prefactor ``(i*hbar/2)**(n-1)``; only odd
     ``n`` occur, so the prefactor is the real number
-    ``(-1)**((n-1)/2) * (hbar/2)**(n-1)``.
-
-    With ``hbar=None`` the result stays symbolic (terms carry ``hbar_power``);
-    a numeric ``hbar`` is folded into the rational coefficients exactly.
+    ``(-1)**((n-1)/2) * (hbar/2)**(n-1)``. ``hbar`` stays symbolic: the
+    contraction terms carry ``hbar_power = n - 1``.
     """
     a, b = _validate_moment(lhs)
     c, d = _validate_moment(rhs)
@@ -394,11 +344,7 @@ def bracket_formula(
         if weight == 0:
             continue
         coeff = Fraction(weight * (-1) ** ((n - 1) // 2), 2 ** (n - 1))
-        power = n - 1
-        if hbar is not None:
-            coeff *= Fraction(hbar) ** power
-            power = 0
-        poly.add(coeff, moments=((a + c - n, b + d - n),), hbar_power=power)
+        poly.add(coeff, moments=((a + c - n, b + d - n),), hbar_power=n - 1)
     return poly
 
 
@@ -468,44 +414,25 @@ def property_lines() -> list[str]:
 Variable = Union[str, Moment]
 
 
-def assemble_rhs(var: Variable, order: int, truncate: bool = True) -> MomentPolynomial:
+def assemble_rhs(var: Variable, order: int) -> MomentPolynomial:
     """Time derivative of ``var`` generated by the bracket formula.
 
     ``var`` is ``"q"``, ``"p"`` or a moment pair. Mean variables follow the
     elementary brackets ``{q, p} = 1`` and ``{q or p, G} = 0``, which reduce
     to partial derivatives of the Hamiltonian's coefficient functions; moment
     variables use :func:`bracket_formula` against each Hamiltonian term.
-    When ``truncate`` is set, products whose combined moment order exceeds the
-    truncation order are dropped, matching the closure of the integrated
-    system.
+    Products whose combined moment order exceeds the truncation order are
+    dropped, matching the closure of the integrated system.
     """
     hamiltonian = hamiltonian_terms(order)
     out = MomentPolynomial()
     for term, coeff in hamiltonian.items():
         if var == "q":
             if term.p_power:
-                out.add(
-                    coeff * term.p_power,
-                    Term(
-                        moments=term.moments,
-                        hbar_power=term.hbar_power,
-                        v_order=term.v_order,
-                        p_power=term.p_power - 1,
-                        mass_power=term.mass_power,
-                    ),
-                )
+                out.add(coeff * term.p_power, replace(term, p_power=term.p_power - 1))
         elif var == "p":
             if term.v_order is not None:
-                out.add(
-                    -coeff,
-                    Term(
-                        moments=term.moments,
-                        hbar_power=term.hbar_power,
-                        v_order=term.v_order + 1,
-                        p_power=term.p_power,
-                        mass_power=term.mass_power,
-                    ),
-                )
+                out.add(-coeff, replace(term, v_order=term.v_order + 1))
         else:
             index = _validate_moment(var)
             for factor in term.moments:
@@ -520,9 +447,7 @@ def assemble_rhs(var: Variable, order: int, truncate: bool = True) -> MomentPoly
                     hbar_power=term.hbar_power,
                     moments=tuple(rest),
                 )
-    if truncate:
-        out = out.truncated(order)
-    return out
+    return out.truncated(order)
 
 
 @dataclass(frozen=True)
@@ -574,15 +499,12 @@ def _variable_name(var: Variable) -> str:
     return f"dG{a}{b}/dt"
 
 
-def verify_eom_consistency(
-    order: int, mass: Optional[Scalar] = None
-) -> "ConsistencyReport":
+def verify_eom_consistency(order: int) -> "ConsistencyReport":
     """Compare bracket-assembled time derivatives with the integrated tables.
 
-    ``mass`` substitutes a numeric (exact rational) mass into both sides
-    before comparison; by default the mass stays symbolic. Mismatches are
-    reported, not raised; the ones rooted in the empty contraction range are
-    flagged as known.
+    Both sides stay symbolic in the mass and hbar. Mismatches are reported,
+    not raised; the ones rooted in the empty contraction range are flagged as
+    known.
     """
     from . import dynamics
 
@@ -595,25 +517,17 @@ def verify_eom_consistency(
         name = _variable_name(var)
         assembled = assemble_rhs(var, order)
         expected = table[var]
-        if mass is not None:
-            assembled = assembled.substitute_mass(mass)
-            expected = expected.substitute_mass(mass)
-        missing = MomentPolynomial()
-        extra = MomentPolynomial()
-        for term, coeff in expected.items():
-            delta = coeff - assembled.coefficient(term)
-            if delta != 0:
-                missing.add(delta, term)
-        for term, coeff in assembled.items():
-            if expected.coefficient(term) == 0:
-                extra.add(coeff, term)
         checks.append(
             EquationCheck(
                 variable=name,
                 assembled=assembled,
                 table=expected,
-                missing=missing,
-                extra=extra,
+                missing=MomentPolynomial(
+                    {t: c - assembled.coefficient(t) for t, c in expected.items()}
+                ),
+                extra=MomentPolynomial(
+                    {t: c for t, c in assembled.items() if not expected.coefficient(t)}
+                ),
                 known=name in known,
             )
         )

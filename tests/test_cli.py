@@ -81,7 +81,12 @@ DROP = object()
 
 
 def message_ids(cases):
-    return [re.sub(r"\W+", "_", message).strip("_") for _, message in cases]
+    """Each case's test id: its message as an identifier, unless the case is
+    a ``pytest.param`` with an id of its own."""
+    return [
+        case.id if hasattr(case, "id") else re.sub(r"\W+", "_", case[1]).strip("_")
+        for case in cases
+    ]
 
 
 def faulty(section, **fields):
@@ -130,6 +135,10 @@ FIELD_ERRORS = [
      "packet.energy must exceed the potential at q0 to place an inbound packet"),
     (faulty("packet", p0=1.0),
      "packet.energy is inconsistent with packet.p0 (p0 implies energy 0.500654930784561)"),
+    # Finite given values whose resolved partner overflows.
+    (scenario_raw(packet={"q0": -2.5, "p0": 1e200}), "packet.energy must be finite"),
+    (scenario_raw(model={"mass": 10}, packet={"q0": -2.5, "energy": 1e308}),
+     "packet.p0 must be finite"),
     (faulty("packet", third_moment_convention="odd"),
      "packet.third_moment_convention must be one of ['skewed', 'zero']"),
     (faulty("integrator", order=5), "integrator.order is not a recognized field"),
@@ -180,6 +189,12 @@ REJECTED = [
     ('{"packet": {"q0": NaN, "p0": 1.0}}', "packet.q0 must be finite"),
     ('{"packet": {"q0": -2.5, "p0": NaN}}', "packet.p0 must be finite"),
     ('{"packet": {"q0": -2.5, "energy": Infinity}}', "packet.energy must be finite"),
+    # Finite given values whose resolved partner overflows.
+    pytest.param('{"packet": {"q0": -2.5, "p0": 1e200}}', "packet.energy must be finite",
+                 id="packet_energy_must_be_finite_when_p0_squared_overflows"),
+    pytest.param('{"model": {"mass": 10}, "packet": {"q0": -2.5, "energy": 1e308}}',
+                 "packet.p0 must be finite",
+                 id="packet_p0_must_be_finite_when_2m_times_kinetic_overflows"),
     ('{"packet": {"q0": -2.5, "p0": 1.0}, "integrator": {"t_max": 1e400}}',
      "integrator.t_max must be finite"),
     ('{"model": {"alpha": -Infinity}, "packet": {"q0": -2.5, "p0": 1.0}}',

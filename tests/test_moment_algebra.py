@@ -114,15 +114,6 @@ def test_hbar_grading():
                 assert total == order - 2 * term.hbar_power
 
 
-def test_numeric_hbar_folds_into_coefficients():
-    lhs, rhs = (3, 1), (1, 3)
-    symbolic = bracket_formula(lhs, rhs)
-    assert any(t.hbar_power == 2 for t, _ in symbolic.items())
-    folded = bracket_formula(lhs, rhs, hbar=Fraction(3, 2))
-    assert folded == symbolic.substitute_hbar(Fraction(3, 2))
-    assert all(t.hbar_power == 0 for t, _ in folded.items())
-
-
 def test_canonicalization():
     poly = MomentPolynomial()
     poly.add(5, moments=((1, 0), (2, 0)))  # first moment: dropped
@@ -133,6 +124,21 @@ def test_canonicalization():
     assert poly.coefficient(Term(moments=((0, 2), (2, 0)))) == 1
     poly.add(-1, moments=((2, 0), (0, 2)))
     assert poly.is_zero()
+
+
+def test_term_canonical_form():
+    # Permuted moments and (0, 0) factors name the same monomial.
+    term = Term(moments=((2, 0), (0, 2)), v_order=2, mass_power=-1)
+    for same in (
+        Term(moments=((0, 2), (2, 0)), v_order=2, mass_power=-1),
+        Term(moments=((0, 2), (0, 0), (2, 0)), v_order=2, mass_power=-1),
+    ):
+        assert same == term
+        assert hash(same) == hash(term)
+    assert term.moments == ((0, 2), (2, 0))
+    assert term != Term(moments=((2, 0), (0, 2)), v_order=2)
+    lookup = Term(moments=((0, 0), (2, 0), (0, 2)), v_order=2, mass_power=-1)
+    assert MomentPolynomial().add(Fraction(3, 4), term).coefficient(lookup) == Fraction(3, 4)
 
 
 def test_polynomial_algebra_closure():
@@ -205,12 +211,6 @@ def test_consistency_report_order3():
     }
     assert all(c.known for c in report.checks if not c.matches)
     assert report.unexpected == ()
-
-
-def test_consistency_with_numeric_mass():
-    report = verify_eom_consistency(2, mass=Fraction(2))
-    by_var = {c.variable: c for c in report.checks}
-    assert by_var["dG20/dt"].table.coefficient(Term(moments=((1, 1),))) == -1
 
 
 def test_report_serialization_roundtrip():
