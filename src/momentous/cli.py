@@ -18,9 +18,10 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
@@ -28,8 +29,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import moment_algebra
-from .classify import Outcome, Tag, classify
-from .dynamics import ModelConfig, effective_potential, moment_labels
+from .classify import Tag, classify
+from .dynamics import ModelConfig, MomentState, effective_potential, moment_labels
 from .integrator import IntegratorConfig, Termination, integrate
 from .packet import THIRD_MOMENT_CONVENTIONS, GaussianPacket, initial_moments
 from .potential import BarrierPotential
@@ -275,7 +276,7 @@ def load_config(path: str, order_override: Optional[int] = None) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return build_config(raw, order_override)
 
@@ -287,35 +288,23 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _fmt(value) -> str:
-    return "" if value is None else str(value)
-
-
-def _csv(rows, header: Sequence[str]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=True) + "\n"
 
 
 def _initial_state(cfg: RunConfig):
-    from .dynamics import MomentState
-
     if cfg.model.order == 0:
         return MomentState(t=0.0, q=cfg.packet.q0, p=cfg.packet.p0, moments=())
     convention = cfg.sections["packet"]["third_moment_convention"]
     return initial_moments(cfg.packet, cfg.model.order, convention)
 
 
-def _marks(cfg: RunConfig):
+def _trajectory(cfg: RunConfig):
+    """Integrate the configured packet, marking the classical return points
+    of a below-barrier energy."""
     pot = cfg.model.potential
-    if pot.energy_ratio(cfg.energy) > 1.0:
-        return pot.turning_points(cfg.energy)
-    return ()
+    marks = pot.turning_points(cfg.energy) if pot.energy_ratio(cfg.energy) > 1.0 else ()
+    return integrate(_initial_state(cfg), cfg.model, cfg.integrator, marks)
 
 
 def _derived_block(cfg: RunConfig) -> dict:
@@ -333,25 +322,21 @@ def _derived_block(cfg: RunConfig) -> dict:
     }
 
 
-def _outcome_block(outcome: Outcome) -> dict:
-    ev = outcome.evidence
-    return {
-        "tag": outcome.tag.value,
-        "barrier_entry_time": ev.barrier_entry_time,
-        "barrier_exit_time": ev.barrier_exit_time,
-        "barrier_exit_side": ev.barrier_exit_side,
-        "sign_changes_inside": ev.sign_changes_inside,
-        "final_q": ev.final_q,
-        "final_p": ev.final_p,
-        "time_horizon": ev.time_horizon,
-        "reason": ev.reason,
+def _write(cfg: RunConfig, out_path: Optional[str], kind: str, columns, rows, **fields) -> dict:
+    """Write ``<out>.csv`` (``out_path``, else ``output.path``) and
+    ``<out>.summary.json``; return the summary."""
+    out = Path(out_path if out_path is not None else cfg.output_path)
+    lines = [",".join(columns), *(",".join(map(str, row)) for row in rows)]
+    _atomic_write(Path(f"{out}.csv"), "\n".join(lines) + "\n")
+    summary = {
+        "kind": kind,
+        "config": cfg.to_dict(),
+        "derived": _derived_block(cfg),
+        "columns": columns,
+        **fields,
     }
-
-
-def _simulate_columns(order: int) -> list[str]:
-    if order == 0:
-        return ["t", "q", "p"]
-    return ["t", "q", "p", *moment_labels(order), "h_q", "v_eff", "uncertainty_residual"]
+    _atomic_write(Path(f"{out}.summary.json"), _json_text(summary))
+    return summary
 
 
 def run_simulate(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
@@ -359,34 +344,25 @@ def run_simulate(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
 
     Returns the summary dict (also written to the sidecar).
     """
-    out = Path(out_path if out_path is not None else cfg.output_path)
-    traj = integrate(_initial_state(cfg), cfg.model, cfg.integrator, _marks(cfg))
+    traj = _trajectory(cfg)
     outcome = classify(traj, cfg.model.potential, cfg.energy, cfg.margin)
-
-    columns = _simulate_columns(cfg.model.order)
+    columns = ["t", "q", "p"]
     series = [traj.times[:, None], traj.states]
     if cfg.model.order >= 2:
+        columns += [*moment_labels(cfg.model.order), "h_q", "v_eff", "uncertainty_residual"]
         series += [traj.h_q[:, None], traj.v_eff[:, None], traj.uncertainty[:, None]]
-    rows = np.hstack(series).tolist()
-    _atomic_write(Path(f"{out}.csv"), _csv(rows, columns))
-
-    summary = {
-        "kind": "simulate",
-        "config": cfg.to_dict(),
-        "derived": _derived_block(cfg),
-        "columns": columns,
-        "n_samples": len(traj.times),
-        "termination": traj.termination.value,
-        "energy_drift": traj.energy_drift,
-        "outcome": _outcome_block(outcome),
-        "stats": traj.stats,
-        "events": [
+    return _write(
+        cfg, out_path, "simulate", columns, np.hstack(series).tolist(),
+        n_samples=len(traj.times),
+        termination=traj.termination.value,
+        energy_drift=traj.energy_drift,
+        outcome={"tag": outcome.tag.value, **asdict(outcome.evidence)},
+        stats=traj.stats,
+        events=[
             {"t": e.t, "kind": e.kind, "direction": e.direction, "marker": e.marker}
             for e in traj.events
         ],
-    }
-    _atomic_write(Path(f"{out}.summary.json"), _json_text(summary))
-    return summary
+    )
 
 
 SWEEP_COLUMNS = [
@@ -413,77 +389,59 @@ def _sweep_point(args) -> list:
     raw, index, value = args
     cfg = build_config(raw)
     parameter = cfg.sweep["parameter"]
-    packet_raw = dict(raw["packet"])
-    if parameter == "q0":
-        packet_raw["q0"] = value
-        if cfg.sweep["fixed_energy"]:
-            packet_raw["energy"] = cfg.energy
-            packet_raw.pop("p0", None)
-        else:
-            packet_raw.pop("energy", None)
-    elif parameter == "p0":
-        packet_raw["p0"] = value
-        packet_raw.pop("energy", None)
-    else:
-        packet_raw["sigma0"] = value
-    point_raw = dict(raw)
-    point_raw["packet"] = packet_raw
+    # The resolved packet holds both p0 and energy; drop the one the new
+    # point re-derives.
+    packet_raw = {**raw["packet"], parameter: value}
+    if parameter == "p0" or (parameter == "q0" and not cfg.sweep["fixed_energy"]):
+        del packet_raw["energy"]
+    elif parameter == "q0":
+        del packet_raw["p0"]
     try:
-        point = build_config(point_raw)
-        traj = integrate(
-            _initial_state(point), point.model, point.integrator, _marks(point)
-        )
-        outcome = classify(traj, point.model.potential, point.energy, point.margin)
-        ev = outcome.evidence
-        return [
-            index,
-            value,
-            outcome.tag.value,
-            ev.barrier_entry_time,
-            ev.barrier_exit_time,
-            ev.barrier_exit_side,
-            ev.sign_changes_inside,
-            ev.final_q,
-            ev.final_p,
-            traj.energy_drift,
-            traj.termination is Termination.CONSTRAINT_VIOLATED,
-            traj.termination.value,
-        ]
+        point = build_config({**raw, "packet": packet_raw})
     except ConfigError as exc:
         reason = f"error: {exc}".replace(",", ";").replace("\n", " ")
-        return [index, value, Tag.UNDETERMINED.value, None, None, None, 0,
-                None, None, None, False, reason]
+        return [index, value, Tag.UNDETERMINED.value, "", "", "", 0, "", "", "", False, reason]
+    traj = _trajectory(point)
+    outcome = classify(traj, point.model.potential, point.energy, point.margin)
+    ev = outcome.evidence
+    row = [
+        index,
+        value,
+        outcome.tag.value,
+        ev.barrier_entry_time,
+        ev.barrier_exit_time,
+        ev.barrier_exit_side,
+        ev.sign_changes_inside,
+        ev.final_q,
+        ev.final_p,
+        traj.energy_drift,
+        traj.termination is Termination.CONSTRAINT_VIOLATED,
+        traj.termination.value,
+    ]
+    return ["" if v is None else v for v in row]
 
 
 def run_sweep(cfg: RunConfig, out_path: Optional[str] = None, workers: int = 1) -> dict:
-    """Run every sweep point (worker pool when ``workers > 1``); write the
-    per-point outcome table and summary. Row order matches sweep order."""
+    """Run every sweep point; write the per-point outcome table and summary.
+    Row order matches sweep order. Points run on a process pool of
+    ``workers`` processes, capped at the number of points and of CPUs;
+    serially when that cap is 1."""
     if cfg.sweep is None:
         raise ConfigError("sweep section is required for the sweep command")
-    out = Path(out_path if out_path is not None else cfg.output_path)
     raw = cfg.to_dict()
     values = np.linspace(cfg.sweep["start"], cfg.sweep["stop"], cfg.sweep["count"])
     jobs = [(raw, i, float(v)) for i, v in enumerate(values)]
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     else:
         rows = [_sweep_point(job) for job in jobs]
-    _atomic_write(Path(f"{out}.csv"), _csv(rows, SWEEP_COLUMNS))
-
-    counts: dict[str, int] = {}
-    for row in rows:
-        counts[row[2]] = counts.get(row[2], 0) + 1
-    summary = {
-        "kind": "sweep",
-        "config": cfg.to_dict(),
-        "derived": _derived_block(cfg),
-        "columns": SWEEP_COLUMNS,
-        "n_rows": len(rows),
-        "outcome_counts": dict(sorted(counts.items())),
-    }
-    _atomic_write(Path(f"{out}.summary.json"), _json_text(summary))
-    return summary
+    return _write(
+        cfg, out_path, "sweep", SWEEP_COLUMNS, rows,
+        n_rows=len(rows),
+        outcome_counts=Counter(row[2] for row in rows),
+    )
 
 
 def run_surface(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
@@ -492,18 +450,13 @@ def run_surface(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
     sample."""
     if cfg.surface is None:
         raise ConfigError("surface section is required for the surface command")
-    out = Path(out_path if out_path is not None else cfg.output_path)
-    traj = integrate(_initial_state(cfg), cfg.model, cfg.integrator, _marks(cfg))
+    traj = _trajectory(cfg)
 
     qg = cfg.surface["q"]
     tg = cfg.surface["t"]
     q_values = np.linspace(qg["start"], qg["stop"], qg["count"])
     t_requested = np.linspace(tg["start"], tg["stop"], tg["count"])
-    sample_idx = np.fromiter(
-        (int(np.argmin(np.abs(traj.times - tr))) for tr in t_requested),
-        dtype=int,
-    )
-    sample_idx = np.unique(sample_idx)
+    sample_idx = np.unique([np.argmin(np.abs(traj.times - tr)) for tr in t_requested])
 
     rows = []
     q_list = q_values.tolist()
@@ -511,22 +464,15 @@ def run_surface(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
         state = traj.state(int(i))
         section = effective_potential(q_values, state, cfg.model).tolist()
         rows.extend([state.t, q, v] for q, v in zip(q_list, section))
-    columns = ["t", "q", "v_eff"]
-    _atomic_write(Path(f"{out}.csv"), _csv(rows, columns))
-    summary = {
-        "kind": "surface",
-        "config": cfg.to_dict(),
-        "derived": _derived_block(cfg),
-        "columns": columns,
-        "n_rows": len(rows),
-        "n_time_sections": int(len(sample_idx)),
-        "termination": traj.termination.value,
-        "reference_energy_drift": traj.energy_drift,
-    }
-    if traj.termination is Termination.STEP_FAILURE:
-        summary["failure"] = traj.stats["failure"]
-    _atomic_write(Path(f"{out}.summary.json"), _json_text(summary))
-    return summary
+    failed = traj.termination is Termination.STEP_FAILURE
+    return _write(
+        cfg, out_path, "surface", ["t", "q", "v_eff"], rows,
+        n_rows=len(rows),
+        n_time_sections=len(sample_idx),
+        termination=traj.termination.value,
+        reference_energy_drift=traj.energy_drift,
+        **({"failure": traj.stats["failure"]} if failed else {}),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -548,14 +494,6 @@ def algebra_report_text(
     return "\n".join(parts) + "\n"
 
 
-def _golden_text() -> str:
-    return (
-        resources.files("momentous")
-        .joinpath("data/algebra_report.txt")
-        .read_text(encoding="utf-8")
-    )
-
-
 def run_check_algebra(out_path: Optional[str] = None) -> tuple[int, str]:
     """Regenerate the consistency report and compare against the packaged
     golden copy. Returns (exit_code, report_text); 3 on mismatch."""
@@ -571,8 +509,8 @@ def run_check_algebra(out_path: Optional[str] = None) -> tuple[int, str]:
             "properties": properties,
         }
         _atomic_write(Path(f"{out}.json"), _json_text(data))
-    golden = _golden_text()
-    return (0 if text == golden else 3), text
+    golden = resources.files("momentous").joinpath("data/algebra_report.txt")
+    return (0 if text == golden.read_text(encoding="utf-8") else 3), text
 
 
 # ---------------------------------------------------------------------------

@@ -163,15 +163,18 @@ class Trajectory:
         return float(np.max(np.abs(self.h_q - h0)) / abs(h0))
 
 
+def _residual(y, quarter):
+    """The uncertainty residual of a state vector, or per sample of the
+    transposed ``(d, n)`` sample array; ``quarter`` is ``hbar**2/4``."""
+    return y[2] * y[4] - y[3] * y[3] - quarter
+
+
 def uncertainty_residual(state: MomentState, hbar: float) -> float:
     """``G20*G02 - G11**2 - hbar**2/4``; negative values violate the
     uncertainty relation."""
     if state.order < 2:
         raise ValueError("uncertainty residual requires truncation order >= 2")
-    g20 = state.moment(2, 0)
-    g11 = state.moment(1, 1)
-    g02 = state.moment(0, 2)
-    return g20 * g02 - g11 * g11 - hbar * hbar / 4
+    return _residual((state.q, state.p) + state.moments, hbar * hbar / 4)
 
 
 # Dormand-Prince 5(4) tableau, one module float per nonzero entry. The stages
@@ -543,12 +546,12 @@ def integrate(
             direction=1,
         )
     )
+    quarter = model.hbar * model.hbar / 4
     if model.order >= 2:
-        quarter = model.hbar * model.hbar / 4
         floor = -10.0 * icfg.atol
 
         def constraint(y):
-            return (y[2] * y[4] - y[3] * y[3] - quarter) - floor
+            return _residual(y, quarter) - floor
 
         specs.append(
             _EventSpec(constraint, kind="constraint", terminal=True, direction=-1)
@@ -574,8 +577,7 @@ def integrate(
     n = len(t_arr)
     h_q, v_eff = effective_series(y_arr, model)
     if order >= 2:
-        quarter = model.hbar * model.hbar / 4
-        uncertainty = y_arr[:, 2] * y_arr[:, 4] - y_arr[:, 3] ** 2 - quarter
+        uncertainty = _residual(y_arr.T, quarter)
     else:
         uncertainty = np.full(n, np.nan)
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -82,11 +83,16 @@ DROP = object()
 
 def message_ids(cases):
     """Each case's test id: its message as an identifier, unless the case is
-    a ``pytest.param`` with an id of its own."""
-    return [
+    a ``pytest.param`` with an id of its own. Ids must be unique: a repeated
+    message needs explicit ids, or pytest would number the repeats."""
+    ids = [
         case.id if hasattr(case, "id") else re.sub(r"\W+", "_", case[1]).strip("_")
         for case in cases
     ]
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:
+        raise ValueError(f"repeated test ids {repeated}: give the cases pytest.param ids")
+    return ids
 
 
 def faulty(section, **fields):
@@ -112,22 +118,32 @@ FIELD_ERRORS = [
     ([1], "config root must be an object"),
     ({**scenario_raw(), "plot": {}}, "config.plot is not a recognized field"),
     (faulty("model", mass_=2), "model.mass_ is not a recognized field"),
-    (faulty("model", alpha="1"), "model.alpha must be a number"),
-    (faulty("model", alpha=True), "model.alpha must be a number"),
+    pytest.param(faulty("model", alpha="1"), "model.alpha must be a number",
+                 id="model_alpha_must_be_a_number_not_a_string"),
+    pytest.param(faulty("model", alpha=True), "model.alpha must be a number",
+                 id="model_alpha_must_be_a_number_not_a_boolean"),
     (faulty("model", n=4.0), "model.n must be an integer"),
     (faulty("model", order=True), "model.order must be an integer"),
-    (faulty("model", veff_third_moment="yes"), "model.veff_third_moment must be a boolean"),
-    (faulty("model", veff_third_moment=None), "model.veff_third_moment must be a boolean"),
-    (faulty("model", a=0.0), "model.a must be positive"),
-    (faulty("model", a=-1.0), "model.a must be positive"),
+    pytest.param(faulty("model", veff_third_moment="yes"),
+                 "model.veff_third_moment must be a boolean",
+                 id="model_veff_third_moment_must_be_a_boolean_not_a_string"),
+    pytest.param(faulty("model", veff_third_moment=None),
+                 "model.veff_third_moment must be a boolean",
+                 id="model_veff_third_moment_must_be_a_boolean_not_null"),
+    pytest.param(faulty("model", a=0.0), "model.a must be positive",
+                 id="model_a_must_be_positive_not_zero"),
+    pytest.param(faulty("model", a=-1.0), "model.a must be positive",
+                 id="model_a_must_be_positive_not_negative"),
     (faulty("model", alpha=0), "model.alpha must be nonzero"),
     (faulty("model", n=0), "model.n must be a positive integer"),
     (faulty("model", mass=0.0), "model.mass must be positive"),
     (faulty("model", hbar=-1.0), "model.hbar must be positive"),
     (faulty("model", order=1), "model.order must be 0, 2 or 3"),
     (faulty("packet", width=1.0), "packet.width is not a recognized field"),
-    (faulty("packet", q0=DROP), "packet.q0 is required"),
-    (faulty("packet", q0=None), "packet.q0 is required"),
+    pytest.param(faulty("packet", q0=DROP), "packet.q0 is required",
+                 id="packet_q0_is_required_when_absent"),
+    pytest.param(faulty("packet", q0=None), "packet.q0 is required",
+                 id="packet_q0_is_required_when_null"),
     (faulty("packet", q0="-2.5"), "packet.q0 must be a number"),
     (faulty("packet", sigma0=0.0), "packet.sigma0 must be positive"),
     (faulty("packet", energy=DROP), "packet.p0 or packet.energy is required"),
@@ -151,8 +167,12 @@ FIELD_ERRORS = [
     (faulty("integrator", sample_dt=[0.1]), "integrator.sample_dt must be a number"),
     (faulty("classify", margin=-0.01), "classify.margin must be non-negative"),
     (faulty("classify", width=1.0), "classify.width is not a recognized field"),
-    (faulty("sweep", parameter="hbar"), "sweep.parameter must be one of ['q0', 'p0', 'sigma0']"),
-    (faulty("sweep", parameter=DROP), "sweep.parameter must be one of ['q0', 'p0', 'sigma0']"),
+    pytest.param(faulty("sweep", parameter="hbar"),
+                 "sweep.parameter must be one of ['q0', 'p0', 'sigma0']",
+                 id="sweep_parameter_must_be_one_of_q0_p0_sigma0_not_hbar"),
+    pytest.param(faulty("sweep", parameter=DROP),
+                 "sweep.parameter must be one of ['q0', 'p0', 'sigma0']",
+                 id="sweep_parameter_must_be_one_of_q0_p0_sigma0_when_absent"),
     (faulty("sweep", start=DROP), "sweep.start is required"),
     (faulty("sweep", stop=None), "sweep.stop is required"),
     (faulty("sweep", count=2.5), "sweep.count must be an integer"),
@@ -166,8 +186,10 @@ FIELD_ERRORS = [
     (faulty("surface.t", count=0), "surface.t.count must be at least 1"),
     (faulty("surface.t", count="3"), "surface.t.count must be an integer"),
     (faulty("surface.q", step=0.1), "surface.q.step is not a recognized field"),
-    (faulty("output", path=""), "output.path must be a non-empty string"),
-    (faulty("output", path=3), "output.path must be a non-empty string"),
+    pytest.param(faulty("output", path=""), "output.path must be a non-empty string",
+                 id="output_path_must_be_a_non_empty_string_not_empty"),
+    pytest.param(faulty("output", path=3), "output.path must be a non-empty string",
+                 id="output_path_must_be_a_non_empty_string_not_a_string"),
     (faulty("output", format="json"), "output.format must be 'csv'"),
     (faulty("output", mode="w"), "output.mode is not a recognized field"),
 ]
@@ -204,10 +226,12 @@ REJECTED = [
     # A well with a slow packet: the resolved energy is negative.
     ('{"model": {"alpha": -1.0}, "packet": {"q0": -2.5, "p0": 0.01}}',
      "packet.energy must be positive"),
-    ('{"model": {"n": 600}, "packet": {"q0": -2.5, "p0": 1.0}}',
-     "model.n is too large: C(2n, n) overflows a float"),
-    ('{"model": {"n": %s}, "packet": {"q0": -2.5, "p0": 1.0}}' % BIG_INTEGER,
-     "model.n is too large: C(2n, n) overflows a float"),
+    pytest.param('{"model": {"n": 600}, "packet": {"q0": -2.5, "p0": 1.0}}',
+                 "model.n is too large: C(2n, n) overflows a float",
+                 id="model_n_is_too_large_C_2n_n_overflows_a_float_for_a_large_n"),
+    pytest.param('{"model": {"n": %s}, "packet": {"q0": -2.5, "p0": 1.0}}' % BIG_INTEGER,
+                 "model.n is too large: C(2n, n) overflows a float",
+                 id="model_n_is_too_large_C_2n_n_overflows_a_float_beyond_the_float_range"),
     ('{"model": {"a": 100, "n": 100}, "packet": {"q0": -2.5, "p0": 1.0}}',
      "model.a**(2n) = 100.0**200 is outside the float range"),
 ]
@@ -220,6 +244,27 @@ def test_main_rejects_config_without_traceback(tmp_path, capsys, config_text, me
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"[" * 100_000], ids=["not_utf8", "nested_too_deep"]
+)
+def test_main_rejects_undecodable_config_in_one_line(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file {path} is not valid JSON: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_readme_example_config_builds_and_roundtrips():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    cfg = build_config(json.loads(example))
+    assert cfg.sweep["count"] == 151 and cfg.surface["q"]["count"] == 201
+    assert build_config(cfg.to_dict()).to_dict() == cfg.to_dict()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -318,6 +363,41 @@ def test_sweep_worker_pool_matches_serial(tmp_path):
     run_sweep(cfg, str(tmp_path / "serial"), workers=1)
     run_sweep(cfg, str(tmp_path / "pool"), workers=2)
     assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pool.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, pool_size",
+    [(10_000, 64, 3), (2, 2, 2), (10_000, 1, None), (4, None, None), (1, 64, None)],
+    ids=["capped_at_points", "two_cpus", "one_cpu", "cpu_count_unknown", "one_worker"],
+)
+def test_sweep_workers_capped_at_points_and_cpus(tmp_path, monkeypatch, workers, cpus, pool_size):
+    # A fake pool records its size and maps in-process: no process is started.
+    import momentous.cli as cli
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    raw = scenario_raw(
+        sweep={"parameter": "q0", "start": -2.6, "stop": -2.2, "count": 3},
+        integrator={"t_max": 1.0},
+    )
+    summary = run_sweep(build_config(raw), str(tmp_path / "capped"), workers=workers)
+    assert sizes == ([] if pool_size is None else [pool_size])
+    assert summary["n_rows"] == 3
 
 
 def test_sweep_q0_keeps_energy_fixed(tmp_path):
