@@ -8,11 +8,11 @@ State layout per truncation order::
 
 The equations exist once, as the exact-rational :func:`eom_table`; the
 effective Hamiltonian exists once, as ``moment_algebra.hamiltonian_terms``.
-A small compiler turns those tables into straight-line Python, once per
-truncation order: :func:`make_rhs` is the compiled table the propagator
-integrates (and ``check-algebra`` verifies), and ``H_Q`` and ``V_eff`` (the
-Hamiltonian without its ``p`` terms) are compiled expressions that take
-floats and arrays alike.
+A small compiler turns those tables, with the barrier's jet inlined, into
+straight-line Python per truncation order and exponent ``n``: :func:`make_rhs`
+is the compiled table the propagator integrates (and ``check-algebra``
+verifies), and ``H_Q`` and ``V_eff`` (the Hamiltonian without its ``p``
+terms) are compiled expressions that take floats and arrays alike.
 
 The order-2 system is exactly the order-3 system with every third moment
 set to zero. Both conserve the effective Hamiltonian identically (the
@@ -35,7 +35,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .moment_algebra import Moment, MomentPolynomial, Term, hamiltonian_terms
-from .potential import BarrierPotential
+from .potential import BarrierPotential, exec_source, jet_lines
 
 __all__ = [
     "MOMENTS_BY_ORDER",
@@ -166,7 +166,8 @@ def make_rhs(cfg: ModelConfig):
     compiled from :func:`eom_table` for the model's truncation order."""
     # Keyed on the eom_table in force, so a substituted table compiles its own
     # kernel and never reaches the one compiled from the real table.
-    return _rhs_kernel(cfg.order, eom_table)(cfg.potential.derivatives, cfg.mass)
+    pot = cfg.potential
+    return _rhs_kernel(cfg.order, eom_table, pot.n)(pot.alpha, pot._a_2n, cfg.mass)
 
 
 def _state_row(state: MomentState, cfg: ModelConfig) -> list:
@@ -183,10 +184,11 @@ def rhs(state: MomentState, cfg: ModelConfig) -> np.ndarray:
 
 
 def _series(cfg: ModelConfig, hamiltonian: bool = True):
-    """``f(y) -> [H_Q, V_eff]`` at the ``q`` of ``y``, from one jet call;
+    """``f(y) -> [H_Q, V_eff]`` at the ``q`` of ``y``, from one jet;
     ``f(y) -> [V_eff]`` without the Hamiltonian."""
-    kernel = _series_kernel(cfg.order, cfg.veff_third_moment, hamiltonian)
-    return kernel(cfg.potential.derivatives, cfg.mass)
+    pot = cfg.potential
+    kernel = _series_kernel(cfg.order, cfg.veff_third_moment, hamiltonian, pot.n)
+    return kernel(pot.alpha, pot._a_2n, cfg.mass)
 
 
 def effective_hamiltonian(state: MomentState, cfg: ModelConfig) -> float:
@@ -214,7 +216,7 @@ def effective_potential(q: float, state: MomentState, cfg: ModelConfig) -> float
 
 def effective_series(states: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """``H_Q`` and ``V_eff`` at the mean position for every row of an
-    ``(n, d)`` state array, from one jet evaluation.
+    ``(n, d)`` state array, from one evaluation of the jet.
 
     Row by row these are exactly :func:`effective_hamiltonian` and
     :func:`effective_potential` at the row's ``q``: all three evaluate one
@@ -321,44 +323,43 @@ def _expression_source(poly: MomentPolynomial) -> str:
     return source
 
 
-def _compile(order: int, polys: Sequence[MomentPolynomial]):
-    """Compile ``polys`` into ``make(jet, m) -> f(y) -> list``.
+def _compile(name: str, order: int, n: int, polys: Sequence[MomentPolynomial]):
+    """Compile ``polys`` into ``make(alpha, a_2n, m) -> f(y) -> list``.
 
     ``f`` unpacks a state ``y`` (q, p, then the moments of ``order``; floats
-    or arrays alike), calls ``jet(q, k)`` once for the highest derivative
-    ``k`` any term uses, and returns one value per polynomial.
+    or arrays alike), runs the jet lines of exponent ``n`` up to the highest
+    derivative any term uses, and returns one value per polynomial.
     """
     names = ", ".join(("q", "p", *moment_labels(order)))
     k = max(t.v_order for poly in polys for t, _ in poly.items() if t.v_order is not None)
-    jet = ", ".join(f"v{j}" for j in range(k + 1))
+    jet = "".join(f"        {line}\n" for line in jet_lines(n, k))
     source = (
-        "def make(jet, m):\n"
+        "def make(alpha, a_2n, m):\n"
         "    def f(y):\n"
         f"        [{names}] = y\n"
-        f"        [{jet}] = jet(q, {k})\n"
+        f"{jet}"
         f"        return [{', '.join(map(_expression_source, polys))}]\n"
         "    return f\n"
     )
-    namespace: dict = {}
-    exec(compile(source, f"<order-{order} moment kernel>", "exec"), namespace)
-    return namespace["make"]
+    return exec_source(source, f"<order-{order} {name} kernel n={n}>")["make"]
 
 
 @functools.lru_cache(maxsize=None)
-def _rhs_kernel(order: int, table):
+def _rhs_kernel(order: int, table, n: int):
     equations = table(order)
-    return _compile(order, [equations[var] for var in state_variables(order)])
+    return _compile("rhs", order, n, [equations[var] for var in state_variables(order)])
 
 
 @functools.lru_cache(maxsize=None)
-def _series_kernel(order: int, veff_third_moment: bool, hamiltonian: bool):
+def _series_kernel(order: int, veff_third_moment: bool, hamiltonian: bool, n: int):
     # V_eff is the effective Hamiltonian without its p terms; without the
     # third-moment term it is the order-2 expression. Compiled alone, it
-    # asks the jet only for the derivatives its own terms use.
+    # inlines only the derivatives its own terms use.
     veff_order = 2 if order == 3 and not veff_third_moment else order
     potential = MomentPolynomial(
         {t: c for t, c in hamiltonian_terms(veff_order).items() if not t.p_power}
     )
+    name = "V_eff" if veff_order == order else "V_eff without G30"
     if not hamiltonian:
-        return _compile(order, [potential])
-    return _compile(order, [hamiltonian_terms(order), potential])
+        return _compile(name, order, n, [potential])
+    return _compile(f"H_Q, {name}", order, n, [hamiltonian_terms(order), potential])

@@ -6,16 +6,17 @@ square barrier of half-width ``a`` as ``n`` grows.
 
 Derivatives are produced by truncated power-series (jet) arithmetic on the
 composition ``q -> q**(2n) + a**(2n) -> alpha / u``, so every order comes out
-exact to roundoff and nested quotient rules never appear. Finite differences
-are used only by the test suite, as an independent oracle.
+exact to roundoff and nested quotient rules never appear. :func:`jet_lines`
+writes it as straight-line code, run by ``derivatives`` and inlined into the
+moment kernels of ``dynamics``. Finite differences only serve as a test oracle.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import mul
 
 __all__ = [
     "K_MAX",
@@ -29,8 +30,41 @@ __all__ = [
 # needs V'''' (k=4); the rest is headroom.
 K_MAX = 8
 
-# k! as floats: they turn Taylor coefficients into derivatives.
-_FACTORIALS = tuple(float(math.factorial(k)) for k in range(K_MAX + 1))
+
+def jet_lines(n: int, k: int) -> list[str]:
+    """Statements setting ``v0, ..., v{k}`` to ``V(q), ..., V^(k)(q)`` from
+    ``q``, ``alpha`` and ``a_2n`` (= ``a**(2n)``): the powers ``_p{i}`` of
+    ``q`` by repeated multiplication, the Taylor coefficients ``_u{j}`` of
+    ``u``, those of ``alpha / u`` (``_w{i}``, each sum from ``0.0``, left to
+    right) and ``v{i} = i! * _w{i}``. That order fixes the bits; the ``_``
+    keeps temporaries apart from kernel names (``p`` is the momentum)."""
+    two_n, top = 2 * n, min(2 * n, k)
+    lines = ["_p0 = 1.0", "_p1 = q", *(f"_p{i} = _p{i - 1} * q" for i in range(2, two_n + 1))]
+    lines.append(f"_u0 = _p{two_n} + a_2n")
+    lines += [f"_u{j} = {float(math.comb(two_n, j))!r} * _p{two_n - j}"
+              for j in range(1, top + 1)]
+    lines.append("_w0 = alpha / _u0")
+    for i in range(1, k + 1):
+        terms = "".join(f" + _u{j} * _w{i - j}" for j in range(1, min(i, top) + 1))
+        lines.append(f"_w{i} = -(0.0{terms}) / _u0")
+    lines += [f"v{i} = _w{i} * {float(math.factorial(i))!r}" for i in range(k + 1)]
+    return lines
+
+
+def exec_source(source: str, filename: str) -> dict:
+    """Run generated ``source``, shown by warnings and tracebacks as ``filename``."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
+
+
+@functools.lru_cache(maxsize=None)
+def _jet(n: int, k: int):
+    """The compiled ``jet(q, alpha, a_2n) -> [v0, ..., v{k}]``."""
+    lines = [*jet_lines(n, k), f"return [{', '.join(f'v{i}' for i in range(k + 1))}]"]
+    source = "def jet(q, alpha, a_2n):\n" + "".join(f"    {line}\n" for line in lines)
+    return exec_source(source, f"<jet n={n} k={k}>")["jet"]
 
 
 class UnsupportedOrder(ValueError):
@@ -69,13 +103,16 @@ class BarrierPotential:
             raise ValueError("a must be positive")
         if self.alpha == 0:
             raise ValueError("alpha must be nonzero")
-        if self.n != int(self.n) or self.n < 1:
+        if not (self.n >= 1 and self.n % 1 == 0):  # also rejects inf and nan
             raise ValueError("n must be a positive integer")
-        # Constants of the jet, computed once: the binomials C(2n, j) and a**(2n).
-        # C(2n, j) grows up to j = n, so an overflow stops the loop early.
+        # An integral float n is stored as the int it equals, so n=4.0 builds
+        # the potential n=4 does and shares its compiled jets.
+        object.__setattr__(self, "n", int(self.n))
+        # n is bounded where C(2n, n), the largest binomial of the expansion
+        # of (q + e)**(2n), overflows a float.
         two_n = 2 * self.n
         try:
-            binomials = tuple(float(math.comb(two_n, j)) for j in range(two_n + 1))
+            float(math.comb(two_n, self.n))
         except OverflowError:
             raise ValueError("n is too large: C(2n, n) overflows a float") from None
         try:
@@ -86,7 +123,6 @@ class BarrierPotential:
             raise ValueError(f"a**(2n) = {self.a!r}**{two_n} is outside the float range")
         if not math.isfinite(self.alpha / a_2n):
             raise ValueError("alpha / a**(2n), the barrier height, must be finite")
-        object.__setattr__(self, "_binomials", binomials)
         object.__setattr__(self, "_a_2n", a_2n)
 
     @property
@@ -103,10 +139,10 @@ class BarrierPotential:
             return math.copysign(0.0, self.alpha)
 
     def derivatives(self, q, k_max: int = 4) -> list:
-        """Return ``[V(q), V'(q), ..., V^(k_max)(q)]`` in one jet pass.
+        """Return ``[V(q), V'(q), ..., V^(k_max)(q)]`` from the compiled jet.
 
-        ``q`` may be a float or an ndarray. The recurrence is elementwise, so
-        an array gives, entry by entry, the bits of the scalar calls; the
+        ``q`` may be a float or an ndarray. The code is elementwise, so an
+        array gives, entry by entry, the bits of the scalar calls; the
         caller's array is never modified.
         """
         if k_max < 0:
@@ -115,24 +151,7 @@ class BarrierPotential:
             raise UnsupportedOrder(
                 f"derivative order {k_max} not supported (K_MAX = {K_MAX})"
             )
-        two_n = 2 * self.n
-        top = min(two_n, k_max)
-
-        # Taylor coefficients of u(q + e) = (q + e)**two_n + a**two_n in e:
-        # u[0] = q**two_n + a**two_n, u[j] = C(two_n, j) * q**(two_n - j) for
-        # j = 1..top, with the powers of q by repeated multiplication.
-        powers = [1.0, *accumulate(repeat(q, two_n), mul)]
-        u0 = powers[two_n] + self._a_2n
-        u = [u0] + list(map(mul, self._binomials[1:top + 1], powers[two_n - 1::-1]))
-
-        # Reciprocal series w = alpha / u.
-        w = [self.alpha / u0]
-        for k in range(1, k_max + 1):
-            acc = 0.0
-            for j in range(1, (k if k < top else top) + 1):
-                acc = acc + u[j] * w[k - j]
-            w.append(-acc / u0)
-        return list(map(mul, w, _FACTORIALS))
+        return _jet(self.n, k_max)(q, self.alpha, self._a_2n)
 
     def derivative(self, q: float, k: int) -> float:
         """Exact k-th derivative of V at q (k <= K_MAX)."""

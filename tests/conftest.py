@@ -1,18 +1,52 @@
-"""Shared oracles and scenario helpers.
+"""Shared oracles, scenario helpers and the hypothesis profile.
 
 The finite-difference machinery here is the independent check for the jet
 derivatives: central stencils of second-order accuracy pushed through two
-Richardson extrapolation levels.
+Richardson extrapolation levels. :func:`reference_jet` is the independent
+check for the generated jet code: the same recurrence as a plain loop, which
+the generated code must match bit for bit.
+
+Property tests run derandomized and without an example database, so every
+run, in CI or locally, draws the same examples.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from momentous import BarrierPotential, GaussianPacket, IntegratorConfig
+
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
+
+
+def reference_jet(alpha, a, n, q, k_max):
+    """``[V(q), ..., V^(k_max)(q)]`` by the jet recurrence written as loops.
+
+    The Taylor coefficients of ``u(q + e) = (q + e)**(2n) + a**(2n)`` are
+    ``u[0] = q**(2n) + a**(2n)`` and ``u[j] = C(2n, j) * q**(2n - j)``, with
+    the powers of ``q`` by repeated multiplication; the reciprocal series
+    ``w = alpha / u`` follows from ``u * w = alpha``, and ``V^(k) = k! w[k]``.
+    """
+    two_n = 2 * n
+    top = min(two_n, k_max)
+    powers = [1.0, *accumulate(repeat(q, two_n), mul)]
+    u0 = powers[two_n] + a ** two_n
+    binomials = [float(math.comb(two_n, j)) for j in range(top + 1)]
+    u = [u0] + list(map(mul, binomials[1:], powers[two_n - 1::-1]))
+    w = [alpha / u0]
+    for k in range(1, k_max + 1):
+        acc = 0.0
+        for j in range(1, min(k, top) + 1):
+            acc = acc + u[j] * w[k - j]
+        w.append(-acc / u0)
+    return [w[k] * float(math.factorial(k)) for k in range(k_max + 1)]
 
 
 def central_difference(f, q, k, h):

@@ -1,4 +1,6 @@
+import linecache
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,15 +18,16 @@ from momentous import (
 )
 from momentous.dynamics import (
     MOMENTS_BY_ORDER,
+    effective_series,
     make_rhs,
     moment_labels,
     state_to_vector,
     state_variables,
     vector_to_state,
 )
-from momentous.moment_algebra import MomentPolynomial
+from momentous.moment_algebra import MomentPolynomial, hamiltonian_terms
 
-from conftest import rng
+from conftest import reference_jet, rng
 
 
 def third_order_reference():
@@ -137,6 +140,80 @@ def test_table_coefficient_reaches_rhs(order, monkeypatch):
             rel=1e-12, abs=1e-12,
         )
     assert make_rhs(cfg)(y) == base
+
+
+def reference_values(cfg, state):
+    """The RHS, H_Q and V_eff of one state from the symbolic tables, with the
+    reference jet's derivatives; V_eff is H_Q at p = 0."""
+    pot = cfg.potential
+    v = reference_jet(pot.alpha, pot.a, pot.n, state.q, 4)
+    moments = state.moment_dict()
+
+    def value(poly, p):
+        return poly.evaluate(moments, v_derivs=v, p=p, mass=cfg.mass)
+
+    table, hamiltonian = eom_table(cfg.order), hamiltonian_terms(cfg.order)
+    flow = [value(table[var], state.p) for var in state_variables(cfg.order)]
+    return flow, value(hamiltonian, state.p), value(hamiltonian, 0.0)
+
+
+def approx(values):
+    return pytest.approx(values, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("order", [0, 2, 3])
+def test_kernels_inline_the_jet(order, monkeypatch):
+    # The compiled kernels carry the jet in their own code: with
+    # BarrierPotential.derivatives raising, they still give the tables'
+    # values at the reference jet.
+    def no_jet(self, q, k_max=4):
+        raise AssertionError("a compiled kernel called derivatives")
+
+    monkeypatch.setattr(BarrierPotential, "derivatives", no_jet)
+    gen = rng(50 + order)
+    for n in (1, 4, 7):
+        pot = BarrierPotential(alpha=-1.3, a=0.9, n=n)
+        cfg = ModelConfig(potential=pot, mass=1.7, order=order)
+        states = [random_state(order, gen) for _ in range(10)]
+        rows = np.array([[s.q, s.p, *s.moments] for s in states])
+        h_q, v_eff = effective_series(rows, cfg)
+        qs = np.linspace(-2.0, 2.0, 5)
+        for state, row, h, v in zip(states, rows.tolist(), h_q, v_eff):
+            flow, h_ref, v_ref = reference_values(cfg, state)
+            assert make_rhs(cfg)(row) == approx(flow)
+            assert (h, v) == approx((h_ref, v_ref))
+            section = [reference_values(cfg, vector_to_state(0.0, [q, *row[1:]], order))[2]
+                       for q in qs]
+            assert effective_potential(qs, state, cfg) == approx(section)
+
+
+@pytest.mark.parametrize("first,second", [(2, 4), (4, 2)])
+def test_kernels_are_compiled_per_exponent(first, second):
+    # Kernels for two barrier exponents live side by side in one process,
+    # each with its own jet, whichever was compiled first.
+    dynamics._rhs_kernel.cache_clear()
+    dynamics._series_kernel.cache_clear()
+    state = random_state(3, rng(77))
+    y = [state.q, state.p, *state.moments]
+    cfgs = [ModelConfig(potential=BarrierPotential(n=n), order=3) for n in (first, second)]
+    kernels = [make_rhs(cfg) for cfg in cfgs]
+    for cfg, f in zip(cfgs, kernels):
+        flow, h_ref, v_ref = reference_values(cfg, state)
+        assert f(y) == approx(flow)
+        h_q, v_eff = effective_series(np.array([y]), cfg)
+        assert (h_q[0], v_eff[0]) == approx((h_ref, v_ref))
+
+
+def test_kernel_warnings_show_the_generated_line():
+    cfg = ModelConfig(potential=BarrierPotential(n=4), order=2)
+    y = np.array([[1e200, 0.5], [1.0, 1.0], [0.1, 0.1], [0.0, 0.0], [0.1, 0.1]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(over="warn", invalid="ignore"):
+            make_rhs(cfg)(y)
+    assert caught[0].category is RuntimeWarning
+    assert caught[0].filename == "<order-2 rhs kernel n=4>"
+    assert linecache.getline(caught[0].filename, caught[0].lineno).strip() == "_p2 = _p1 * q"
 
 
 def test_rhs_order0_farfield():

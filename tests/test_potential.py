@@ -1,11 +1,19 @@
+import linecache
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from momentous import BarrierPotential, InvalidEnergy, NoTurningPoint, UnsupportedOrder
 
-from conftest import bisect_turning_point, mp_richardson_derivative, richardson_derivative, rng
+from conftest import (
+    bisect_turning_point,
+    mp_richardson_derivative,
+    reference_jet,
+    richardson_derivative,
+    rng,
+)
 
 
 def test_height_and_evaluate_examples():
@@ -89,6 +97,49 @@ def test_derivatives_prefix_consistency():
                 expected = np.array([pot.derivatives(float(q), k)[j] for q in qs])
                 assert column.tobytes() == expected.tobytes()
         assert qs.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 20])
+def test_derivatives_match_reference_jet_bitwise(n):
+    # Signed zeros, a subnormal, and values whose q**(2n) overflows to inf
+    # (where the higher orders become nan) are compared bit for bit too.
+    qs = np.concatenate([
+        rng(n).uniform(-3.0, 3.0, size=40),
+        [0.0, -0.0, 1e-300, -5e-324, 1.0, -1.0, 1e150, -1e200, 1e300],
+    ])
+    before = qs.copy()
+    for alpha, a in ((1.0, 1.0), (-2.5, 0.8)):
+        pot = BarrierPotential(alpha=alpha, a=a, n=n)
+        for k in range(9):
+            with np.errstate(all="ignore"):
+                columns = pot.derivatives(qs, k)
+                expected = reference_jet(alpha, a, n, qs, k)
+            assert [c.tobytes() for c in columns] == [e.tobytes() for e in expected]
+            for q in qs.tolist():
+                got = np.array(pot.derivatives(q, k))
+                assert got.tobytes() == np.array(reference_jet(alpha, a, n, q, k)).tobytes()
+    assert qs.tobytes() == before.tobytes()
+
+
+def test_jet_warnings_show_the_generated_line():
+    pot = BarrierPotential(alpha=1.0, a=1.0, n=4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(over="warn", invalid="ignore"):
+            pot.derivatives(np.array([1e200]), 3)
+    assert caught[0].category is RuntimeWarning
+    assert caught[0].filename == "<jet n=4 k=3>"
+    assert linecache.getline(caught[0].filename, caught[0].lineno).strip() == "_p2 = _p1 * q"
+
+
+def test_integral_float_n_is_the_int_potential():
+    pot = BarrierPotential(alpha=1.0, a=1.0, n=4.0)
+    assert type(pot.n) is int
+    assert pot == BarrierPotential(alpha=1.0, a=1.0, n=4)
+    assert pot.derivatives(0.7, 4) == BarrierPotential(n=4).derivatives(0.7, 4)
+    for bad in (4.5, math.inf, math.nan, -2.0):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            BarrierPotential(n=bad)
 
 
 def test_unsupported_order():
