@@ -30,6 +30,11 @@ __all__ = [
 # needs V'''' (k=4); the rest is headroom.
 K_MAX = 8
 
+# Largest exponent n whose C(2n, n), the largest binomial of the expansion of
+# (q + e)**(2n), fits a float. A constant, so a huge n is refused without
+# building its exact binomials.
+N_MAX = 514
+
 
 def jet_lines(n: int, k: int) -> list[str]:
     """Statements setting ``v0, ..., v{k}`` to ``V(q), ..., V^(k)(q)`` from
@@ -39,7 +44,8 @@ def jet_lines(n: int, k: int) -> list[str]:
     right) and ``v{i} = i! * _w{i}``. That order fixes the bits; the ``_``
     keeps temporaries apart from kernel names (``p`` is the momentum)."""
     two_n, top = 2 * n, min(2 * n, k)
-    lines = ["_p0 = 1.0", "_p1 = q", *(f"_p{i} = _p{i - 1} * q" for i in range(2, two_n + 1))]
+    lines = ["_p0 = 1.0"] if top == two_n else []  # read only by _u{2n}
+    lines += ["_p1 = q", *(f"_p{i} = _p{i - 1} * q" for i in range(2, two_n + 1))]
     lines.append(f"_u0 = _p{two_n} + a_2n")
     lines += [f"_u{j} = {float(math.comb(two_n, j))!r} * _p{two_n - j}"
               for j in range(1, top + 1)]
@@ -108,13 +114,9 @@ class BarrierPotential:
         # An integral float n is stored as the int it equals, so n=4.0 builds
         # the potential n=4 does and shares its compiled jets.
         object.__setattr__(self, "n", int(self.n))
-        # n is bounded where C(2n, n), the largest binomial of the expansion
-        # of (q + e)**(2n), overflows a float.
+        if self.n > N_MAX:
+            raise ValueError("n is too large: C(2n, n) overflows a float")
         two_n = 2 * self.n
-        try:
-            float(math.comb(two_n, self.n))
-        except OverflowError:
-            raise ValueError("n is too large: C(2n, n) overflows a float") from None
         try:
             a_2n = self.a ** two_n
         except OverflowError:

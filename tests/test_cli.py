@@ -229,6 +229,10 @@ REJECTED = [
     pytest.param('{"model": {"n": 600}, "packet": {"q0": -2.5, "p0": 1.0}}',
                  "model.n is too large: C(2n, n) overflows a float",
                  id="model_n_is_too_large_C_2n_n_overflows_a_float_for_a_large_n"),
+    # C(2n, n) of n = 10**9 has about 2e9 bits: the check stops well before it.
+    pytest.param('{"model": {"n": 1000000000}, "packet": {"q0": -2.5, "p0": 1.0}}',
+                 "model.n is too large: C(2n, n) overflows a float",
+                 id="model_n_is_too_large_C_2n_n_overflows_a_float_for_n_1e9"),
     pytest.param('{"model": {"n": %s}, "packet": {"q0": -2.5, "p0": 1.0}}' % BIG_INTEGER,
                  "model.n is too large: C(2n, n) overflows a float",
                  id="model_n_is_too_large_C_2n_n_overflows_a_float_beyond_the_float_range"),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from momentous import BarrierPotential, InvalidEnergy, NoTurningPoint, UnsupportedOrder
+from momentous.potential import N_MAX
 
 from conftest import (
     bisect_turning_point,
@@ -191,12 +192,21 @@ def test_parameter_validation():
         BarrierPotential(n=0)
 
 
+def test_n_max_is_the_largest_n_whose_central_binomial_fits_a_float():
+    float(math.comb(2 * N_MAX, N_MAX))
+    with pytest.raises(OverflowError):
+        float(math.comb(2 * N_MAX + 2, N_MAX + 1))
+    assert BarrierPotential(a=1.0, n=N_MAX).n == N_MAX
+
+
 def test_parameter_messages_name_the_field():
     for kwargs, message in (
         ({"a": 0.0}, "a must be positive"),
         ({"alpha": 0.0}, "alpha must be nonzero"),
         ({"n": 0}, "n must be a positive integer"),
         ({"n": 600}, "n is too large: C(2n, n) overflows a float"),
+        ({"n": 10**9}, "n is too large: C(2n, n) overflows a float"),
+        ({"n": 1e12}, "n is too large: C(2n, n) overflows a float"),
         ({"a": 100.0, "n": 100}, "a**(2n) = 100.0**200 is outside the float range"),
         ({"a": 0.01, "n": 200}, "a**(2n) = 0.01**400 is outside the float range"),
         ({"alpha": 1e305, "a": 0.01}, "alpha / a**(2n), the barrier height, must be finite"),
