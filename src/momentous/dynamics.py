@@ -211,7 +211,11 @@ def effective_potential(q: float, state: MomentState, cfg: ModelConfig) -> float
     """
     row = _state_row(state, cfg)
     row[0] = q
-    return _series(cfg, hamiltonian=False)(row)[0]
+    kernel = _series(cfg, hamiltonian=False)
+    if not isinstance(q, np.ndarray):
+        return kernel(row)[0]
+    with np.errstate(over="ignore"):  # as in effective_series
+        return kernel(row)[0]
 
 
 def effective_series(states: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -221,8 +225,13 @@ def effective_series(states: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, 
     Row by row these are exactly :func:`effective_hamiltonian` and
     :func:`effective_potential` at the row's ``q``: all three evaluate one
     compiled expression.
+
+    Where a far ``q`` makes ``q**(2n)`` overflow to inf, ``alpha / inf`` is
+    the limit the scalar path gives, so overflow warnings are silenced here;
+    invalid-value warnings (an ``inf * 0``) still surface.
     """
-    h_q, v_eff = _series(cfg)(states.T)
+    with np.errstate(over="ignore"):
+        h_q, v_eff = _series(cfg)(states.T)
     return h_q, v_eff
 
 

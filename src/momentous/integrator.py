@@ -9,12 +9,15 @@ An explicit pair is used deliberately: the moment system is not separable,
 and exact conservation of the effective Hamiltonian then serves as an
 independent accuracy diagnostic rather than a built-in property.
 
-The state has at most nine components, so the stepper works on plain lists
-of Python floats rather than numpy arrays, whose per-call overhead would
-dominate. Each stage, the 5th-order update, the error estimate and the dense
-output is one expression per component over the tableau constants; the error
-norm sums its squares in numpy's pairwise order. Step sizes, samples and
-events are therefore those of an array implementation, bit for bit.
+The state has at most nine components, so the stepper works on Python floats
+rather than numpy arrays, whose per-call overhead would dominate. One step
+attempt is one call of a kernel generated per state dimension from the
+tableau: straight-line code with one local per component and stage that runs
+the six stages (checking each stage state for finiteness), the 5th-order
+update, the error norm and the dense-output coefficients, and calls the RHS
+it is given. Every expression keeps the per-component operation order, and
+the error norm sums its squares in numpy's pairwise order, so step sizes,
+samples and events are those of an array implementation, bit for bit.
 
 Recorded along the way:
 
@@ -34,6 +37,7 @@ Runs are bit-reproducible: identical configuration yields identical output.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -52,6 +56,7 @@ from .dynamics import (
     state_to_vector,
     vector_to_state,
 )
+from .potential import exec_source
 
 __all__ = [
     "Event",
@@ -177,29 +182,32 @@ def uncertainty_residual(state: MomentState, hbar: float) -> float:
     return _residual((state.q, state.p) + state.moments, hbar * hbar / 4)
 
 
-# Dormand-Prince 5(4) tableau, one module float per nonzero entry. The stages
-# need no time nodes: the moment system is autonomous. The 5th-order weights B
-# double as row 7 of A (FSAL); b2, e2 and d2 are zero and left out.
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
-    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
+# Dormand-Prince 5(4) tableau as ``(stage, weight)`` pairs over the nonzero
+# entries. The stages need no time nodes: the moment system is autonomous. The
+# 5th-order weights _B double as row 7 of _A (FSAL); stage 2 has zero weight in
+# _B, _E and _D and is left out of them.
+_A = (
+    ((1, 1 / 5),),
+    ((1, 3 / 40), (2, 9 / 40)),
+    ((1, 44 / 45), (2, -56 / 15), (3, 32 / 9)),
+    ((1, 19372 / 6561), (2, -25360 / 2187), (3, 64448 / 6561), (4, -212 / 729)),
+    ((1, 9017 / 3168), (2, -355 / 33), (3, 46732 / 5247), (4, 49 / 176),
+     (5, -5103 / 18656)),
 )
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_B = ((1, 35 / 384), (3, 500 / 1113), (4, 125 / 192), (5, -2187 / 6784), (6, 11 / 84))
 # Difference between the 5th- and 4th-order weights.
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
+_E = (
+    (1, 71 / 57600), (3, -71 / 16695), (4, 71 / 1920), (5, -17253 / 339200),
+    (6, 22 / 525), (7, -1 / 40),
 )
 # Dense-output weights for the quartic interpolant.
-_D1, _D3, _D4, _D5, _D6, _D7 = (
-    -12715105075 / 11282082432,
-    87487479700 / 32700410799,
-    -10690763975 / 1880347072,
-    701980252875 / 199316789632,
-    -1453857185 / 822651844,
-    69997945 / 29380423,
+_D = (
+    (1, -12715105075 / 11282082432),
+    (3, 87487479700 / 32700410799),
+    (4, -10690763975 / 1880347072),
+    (5, 701980252875 / 199316789632),
+    (6, -1453857185 / 822651844),
+    (7, 69997945 / 29380423),
 )
 
 _SAFETY = 0.9
@@ -207,10 +215,6 @@ _BETA = 0.04
 _EXPO1 = 0.2 - _BETA * 0.75
 _FAC_MIN = 0.2  # strongest allowed shrink per step
 _FAC_MAX = 10.0  # strongest allowed growth per step
-
-
-def _finite(v) -> bool:
-    return all(map(math.isfinite, v))
 
 
 def _rms(v) -> float:
@@ -254,73 +258,83 @@ def _initial_step(f, y0, k1, rtol, atol, span, max_step):
     return min(100 * h0, h1, span, max_step)
 
 
-def _stages(f, h, y, k1):
-    """The stages of one Dormand-Prince step of size ``h`` from ``y``, whose
-    derivative is ``k1``.
+def _sum_of_squares(names: Sequence[str]) -> str:
+    """``_rms``'s sum of the squares of ``names`` as one expression."""
+    sq = [f"{x} * {x}" for x in names]
+    if len(sq) < 8:
+        return " + ".join(["0.0", *sq])
+    end = len(sq) - len(sq) % 8
+    r = [f"({' + '.join(sq[j:end:8])})" for j in range(8)]
+    tree = f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"
+    return " + ".join([tree, *sq[end:]])
 
-    Returns ``(rhs_calls, result)``. ``result`` is ``(y1, k3, k4, k5, k6,
-    k7)`` with ``y1`` the 5th-order update and ``k7 = f(y1)``, or None when a
-    stage state or ``y1`` is not finite. ``k2`` is not returned: its weights
-    in the update, the error estimate and the dense output are zero.
+
+@functools.lru_cache(maxsize=None)
+def _step_kernel(d: int):
+    """Compile ``make(f, rtol, atol) -> step(h, y, k1)`` for ``d`` components.
+
+    ``step`` takes one Dormand-Prince step of size ``h`` from the state list
+    ``y`` with derivative ``k1`` (FSAL), written out as straight-line code:
+    component ``i`` of stage ``j`` is the local ``k{j}_{i}``. It returns
+    ``(rhs_calls, err, (y1, k7, coeffs))``: the 5th-order update ``y1`` with
+    ``k7 = f(y1)``, the dense-output coefficients of :class:`_DenseOutput` and
+    the scaled error norm, summed in ``_rms``'s order. When a stage state or
+    ``y1`` is not finite it returns ``(rhs_calls, nan, None)`` at once. Each
+    expression keeps the operation order of the per-component list code it
+    replaces, so every bit is that code's.
     """
-    ys = [a + h * (_A21 * b) for a, b in zip(y, k1)]
-    if not _finite(ys):
-        return 0, None
-    k2 = f(ys)
-    ys = [a + h * (_A31 * b + _A32 * c) for a, b, c in zip(y, k1, k2)]
-    if not _finite(ys):
-        return 1, None
-    k3 = f(ys)
-    ys = [
-        a + h * (_A41 * b + _A42 * c + _A43 * d)
-        for a, b, c, d in zip(y, k1, k2, k3)
-    ]
-    if not _finite(ys):
-        return 2, None
-    k4 = f(ys)
-    ys = [
-        a + h * (_A51 * b + _A52 * c + _A53 * d + _A54 * e)
-        for a, b, c, d, e in zip(y, k1, k2, k3, k4)
-    ]
-    if not _finite(ys):
-        return 3, None
-    k5 = f(ys)
-    ys = [
-        a + h * (_A61 * b + _A62 * c + _A63 * d + _A64 * e + _A65 * g)
-        for a, b, c, d, e, g in zip(y, k1, k2, k3, k4, k5)
-    ]
-    if not _finite(ys):
-        return 4, None
-    k6 = f(ys)
-    y1 = [
-        a + h * (_B1 * b + _B3 * d + _B4 * e + _B5 * g + _B6 * x)
-        for a, b, d, e, g, x in zip(y, k1, k3, k4, k5, k6)
-    ]
-    if not _finite(y1):
-        return 5, None
-    return 6, (y1, k3, k4, k5, k6, f(y1))
+    comps = range(d)
+
+    def listed(prefix):
+        return ", ".join(f"{prefix}{i}" for i in comps)
+
+    def combo(weights, i):
+        return " + ".join(f"{w!r} * k{j}_{i}" for j, w in weights)
+
+    def bail_unless_finite(prefix, calls):
+        # 0.0 * v is a zero for every finite v and nan for inf or nan.
+        test = " + ".join(f"0.0 * {prefix}{i}" for i in comps)
+        return [f"if {test} != 0.0:", f"    return {calls}, nan, None"]
+
+    lines = [f"[{listed('x')}] = y", f"[{listed('k1_')}] = k1"]
+    for j, row in enumerate(_A, start=2):
+        lines += [f"s{i} = x{i} + h * ({combo(row, i)})" for i in comps]
+        lines += bail_unless_finite("s", j - 2)
+        lines.append(f"[{listed(f'k{j}_')}] = f([{listed('s')}])")
+    lines += [f"z{i} = x{i} + h * ({combo(_B, i)})" for i in comps]
+    lines += bail_unless_finite("z", 5)
+    lines += [f"y1 = [{listed('z')}]", "k7 = f(y1)", f"[{listed('k7_')}] = k7"]
+    for i in comps:
+        # The scale takes max(|x|, |z|) the way the builtin picks it, inline.
+        scale = f"atol + rtol * (n{i} if n{i} > m{i} else m{i})"
+        lines += [f"m{i} = abs(x{i})", f"n{i} = abs(z{i})",
+                  f"e{i} = h * ({combo(_E, i)}) / ({scale})"]
+    lines.append(f"err = sqrt(({_sum_of_squares([f'e{i}' for i in comps])}) / {float(d)!r})")
+    for i in comps:
+        lines += [f"w{i} = z{i} - x{i}", f"b{i} = h * k1_{i} - w{i}"]
+    coeffs = ", ".join(
+        f"(x{i}, w{i}, b{i}, w{i} - h * k7_{i} - b{i}, h * ({combo(_D, i)}))" for i in comps
+    )
+    lines.append(f"return 6, err, (y1, k7, [{coeffs}])")
+    source = (
+        "from math import nan, sqrt\n"
+        "def make(f, rtol, atol):\n"
+        "    def step(h, y, k1):\n"
+        + "".join(f"        {line}\n" for line in lines)
+        + "    return step\n"
+    )
+    return exec_source(source, f"<dopri5 step kernel d={d}>")["make"]
 
 
 class _DenseOutput:
     """Quartic interpolant over one accepted step, one coefficient tuple per
-    state component."""
+    state component (as the step kernel returns them)."""
 
     __slots__ = ("t0", "h", "coeffs")
 
-    def __init__(self, t0, h, y0, y1, k1, k3, k4, k5, k6, k7):
+    def __init__(self, t0, h, coeffs):
         self.t0 = t0
         self.h = h
-        coeffs = []
-        for a, b, c1, c3, c4, c5, c6, c7 in zip(y0, y1, k1, k3, k4, k5, k6, k7):
-            ydiff = b - a
-            bspl = h * c1 - ydiff
-            coeffs.append((
-                a,
-                ydiff,
-                bspl,
-                ydiff - h * c7 - bspl,
-                h * (_D1 * c1 + _D3 * c3 + _D4 * c4 + _D5 * c5 + _D6 * c6 + _D7 * c7),
-            ))
         self.coeffs = coeffs
 
     def __call__(self, t):
@@ -366,10 +380,14 @@ def _integrate_core(
     """Generic adaptive loop over float lists; ``f`` maps a state list to its
     derivative list. Returns (times, states, raw events, termination, stats),
     with each state a list of floats. Raw events are ``(t, spec, direction,
-    y)`` tuples. On a step failure ``stats["failure"]`` names the guard that
-    stopped the run: "underflow", "budget" or "blowup"."""
+    y)`` tuples. ``stats`` counts accepted steps, rejected attempts (in all,
+    for an error norm above 1 and for a non-finite stage, update or error
+    norm) and RHS calls, and gives ``h_min`` and ``h_max`` over the accepted
+    steps (None when there are none). On a step failure ``stats["failure"]``
+    names the guard that stopped the run: "underflow", "budget" or "blowup"."""
     t = t0
     y = [float(a) for a in y0]
+    step = _step_kernel(len(y))(f, rtol, atol)
     k1 = f(y)
     h = _initial_step(f, y, k1, rtol, atol, t_end - t0, max_step)
     n_rhs = 2  # k1 and the starting-step probe
@@ -382,7 +400,9 @@ def _integrate_core(
     facold = 1e-4
     rejected = False
     n_steps = 0
-    n_rejected = 0
+    n_error = 0  # rejected for err > 1
+    n_nonfinite = 0  # rejected for a non-finite stage, update or err
+    h_min, h_max = math.inf, 0.0
     termination = Termination.REACHED_TMAX
     failure = None
 
@@ -392,13 +412,16 @@ def _integrate_core(
             states.append(yr)
 
     while t_end - t > 1e-12 * max(1.0, abs(t_end)):
-        h = min(h, max_step, t_end - t)
+        h = min(h, max_step)
+        landing = h > t_end - t  # cut short to land on t_end
+        if landing:
+            h = t_end - t
         # Underflow, iteration-budget and blowup guards: the truncated moment
         # hierarchy can develop finite-time blowups, which must surface as a
         # step failure with the partial trajectory intact.
         if h < 1e-14 * max(1.0, abs(t)):
             failure = "underflow"
-        elif n_steps + n_rejected >= max_steps:
+        elif n_steps + n_error + n_nonfinite >= max_steps:
             failure = "budget"
         elif max(map(abs, y)) > 1e12:
             failure = "blowup"
@@ -406,33 +429,30 @@ def _integrate_core(
             termination = Termination.STEP_FAILURE
             break
 
-        # Stages (FSAL: k1 carried over from the previous step).
-        calls, result = _stages(f, h, y, k1)
+        # One step attempt (FSAL: k1 carried over from the previous step).
+        calls, err, result = step(h, y, k1)
         n_rhs += calls
-        if result is not None:
-            y1, k3, k4, k5, k6, k7 = result
-            err = _rms([
-                h * (_E1 * b + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * x)
-                / (atol + rtol * max(abs(a0), abs(a1)))
-                for a0, a1, b, c, d, e, g, x in zip(y, y1, k1, k3, k4, k5, k6, k7)
-            ])
-        if result is None or not math.isfinite(err):
-            n_rejected += 1
+        if not math.isfinite(err):  # a stage, the update or the error norm
+            n_nonfinite += 1
             rejected = True
             h *= 0.1
             continue
 
         fac11 = err ** _EXPO1
         if err > 1.0:
-            n_rejected += 1
+            n_error += 1
             rejected = True
             h = h / min(1.0 / _FAC_MIN, fac11 / _SAFETY)
             continue
 
         # Accepted.
         n_steps += 1
+        if not landing:
+            h_min = min(h_min, h)
+            h_max = max(h_max, h)
         tnew = t + h
-        dense = _DenseOutput(t, h, y, y1, k1, k3, k4, k5, k6, k7)
+        y1, k7, coeffs = result
+        dense = _DenseOutput(t, h, coeffs)
 
         # Events on (t, tnew].
         located: list[tuple[float, _EventSpec, int]] = []
@@ -497,7 +517,16 @@ def _integrate_core(
         h = hnew
 
     record(t, y)
-    stats = {"n_steps": n_steps, "n_rejected": n_rejected, "n_rhs": n_rhs}
+    stats = {
+        "n_steps": n_steps,
+        "n_rejected": n_error + n_nonfinite,
+        "n_rhs": n_rhs,
+        "n_rejected_error": n_error,
+        "n_rejected_nonfinite": n_nonfinite,
+        # Over accepted steps, leaving out one cut short to land on t_end.
+        "h_min": h_min if h_max else None,
+        "h_max": h_max if h_max else None,
+    }
     if failure is not None:
         stats["failure"] = failure
     return times, states, raw_events, termination, stats

@@ -4,7 +4,9 @@ The finite-difference machinery here is the independent check for the jet
 derivatives: central stencils of second-order accuracy pushed through two
 Richardson extrapolation levels. :func:`reference_jet` is the independent
 check for the generated jet code: the same recurrence as a plain loop, which
-the generated code must match bit for bit.
+the generated code must match bit for bit. :func:`reference_step` plays the
+same part for the generated Dormand-Prince step: one step written as
+per-component list code.
 
 Property tests run derandomized and without an example database, so every
 run, in CI or locally, draws the same examples.
@@ -47,6 +49,118 @@ def reference_jet(alpha, a, n, q, k_max):
             acc = acc + u[j] * w[k - j]
         w.append(-acc / u0)
     return [w[k] * float(math.factorial(k)) for k in range(k_max + 1)]
+
+
+# Dormand-Prince 5(4) tableau for reference_step, typed in independently of
+# the integrator's tables.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
+)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
+)
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075 / 11282082432,
+    87487479700 / 32700410799,
+    -10690763975 / 1880347072,
+    701980252875 / 199316789632,
+    -1453857185 / 822651844,
+    69997945 / 29380423,
+)
+
+
+def _finite(v):
+    return all(map(math.isfinite, v))
+
+
+def _reference_rms(v):
+    """Root mean square, squares summed in numpy's pairwise order: left to
+    right below 8 terms, otherwise 8 interleaved partial sums combined as a
+    tree, then the remainder."""
+    n = len(v)
+    if n < 8:
+        total = 0.0
+        for x in v:
+            total = total + x * x
+    else:
+        sq = [x * x for x in v]
+        r = sq[:8]
+        end = n - n % 8
+        for i in range(8, end, 8):
+            r = [a + b for a, b in zip(r, sq[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in sq[end:]:
+            total = total + x
+    return math.sqrt(total / n)
+
+
+def reference_step(f, rtol, atol, h, y, k1):
+    """One Dormand-Prince step of size ``h`` from the float list ``y`` with
+    derivative ``k1``, as per-component list code.
+
+    Returns ``(rhs_calls, err, (y1, k7, coeffs))`` like the generated step:
+    ``coeffs`` holds the quartic dense-output coefficients per component. A
+    stage state or ``y1`` that is not finite gives ``(rhs_calls, None, None)``
+    after the calls made so far.
+    """
+    ys = [a + h * (_A21 * b) for a, b in zip(y, k1)]
+    if not _finite(ys):
+        return 0, None, None
+    k2 = f(ys)
+    ys = [a + h * (_A31 * b + _A32 * c) for a, b, c in zip(y, k1, k2)]
+    if not _finite(ys):
+        return 1, None, None
+    k3 = f(ys)
+    ys = [
+        a + h * (_A41 * b + _A42 * c + _A43 * d)
+        for a, b, c, d in zip(y, k1, k2, k3)
+    ]
+    if not _finite(ys):
+        return 2, None, None
+    k4 = f(ys)
+    ys = [
+        a + h * (_A51 * b + _A52 * c + _A53 * d + _A54 * e)
+        for a, b, c, d, e in zip(y, k1, k2, k3, k4)
+    ]
+    if not _finite(ys):
+        return 3, None, None
+    k5 = f(ys)
+    ys = [
+        a + h * (_A61 * b + _A62 * c + _A63 * d + _A64 * e + _A65 * g)
+        for a, b, c, d, e, g in zip(y, k1, k2, k3, k4, k5)
+    ]
+    if not _finite(ys):
+        return 4, None, None
+    k6 = f(ys)
+    y1 = [
+        a + h * (_B1 * b + _B3 * d + _B4 * e + _B5 * g + _B6 * x)
+        for a, b, d, e, g, x in zip(y, k1, k3, k4, k5, k6)
+    ]
+    if not _finite(y1):
+        return 5, None, None
+    k7 = f(y1)
+    err = _reference_rms([
+        h * (_E1 * b + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * x)
+        / (atol + rtol * max(abs(a0), abs(a1)))
+        for a0, a1, b, c, d, e, g, x in zip(y, y1, k1, k3, k4, k5, k6, k7)
+    ])
+    coeffs = []
+    for a, b, c1, c3, c4, c5, c6, c7 in zip(y, y1, k1, k3, k4, k5, k6, k7):
+        ydiff = b - a
+        bspl = h * c1 - ydiff
+        coeffs.append((
+            a,
+            ydiff,
+            bspl,
+            ydiff - h * c7 - bspl,
+            h * (_D1 * c1 + _D3 * c3 + _D4 * c4 + _D5 * c5 + _D6 * c6 + _D7 * c7),
+        ))
+    return 6, err, (y1, k7, coeffs)
 
 
 def central_difference(f, q, k, h):

@@ -271,16 +271,17 @@ def test_readme_example_config_builds_and_roundtrips():
     assert build_config(cfg.to_dict()).to_dict() == cfg.to_dict()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_far_packet_is_a_step_failure_not_a_crash(tmp_path, capsys):
+def test_far_packet_is_a_step_failure_not_a_crash(tmp_path, capsys, recwarn):
     # q0**(2n) overflows a float: V(q0) takes its limit 0, so the config
-    # resolves, and the integrator's blowup guard stops the run.
+    # resolves, and the integrator's blowup guard stops the run. The sampled
+    # series take the same limit without an overflow warning.
     path = tmp_path / "far.json"
     path.write_text('{"packet": {"q0": -1e40, "p0": 1.0}, "integrator": {"t_max": 0.5}}')
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "far")]) == 2
     assert "step failure (blowup)" in capsys.readouterr().err
     summary = json.loads((tmp_path / "far.summary.json").read_text())
     assert summary["config"]["packet"]["energy"] == 0.5
+    assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_simulate_outputs_and_reproducibility(tmp_path):

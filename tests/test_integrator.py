@@ -17,9 +17,13 @@ from momentous import (
     uncertainty_residual,
 )
 from momentous.dynamics import make_rhs, state_to_vector
-from momentous.integrator import _EventSpec, _integrate_core
+from momentous.integrator import _EventSpec, _integrate_core, _step_kernel
 
-from conftest import scenario_packet, tight_integrator
+from conftest import reference_step, rng, scenario_packet, tight_integrator
+
+# Both branches of the error norm's summation (below 8 terms and the 8-lane
+# tree), a remainder after the tree, and a second 8-lane block.
+STEP_DIMENSIONS = (1, 2, 5, 8, 9, 17)
 
 
 def classical_inbound(pot, energy, q0):
@@ -175,6 +179,100 @@ def test_step_failure_on_blowup():
     assert times[-1] < 1.0 + 1e-6
     assert states[-1][0] > 1e6
     assert all(b > a for a, b in zip(times, times[1:]))
+
+
+def coupled_rhs(d, seed):
+    """A nonlinear map on ``d`` float components that couples neighbours."""
+    lin, quad = rng(seed).normal(size=(2, d)).tolist()
+    return lambda y: [
+        lin[i] * y[i] + quad[i] * y[i - 1] * y[(i + 1) % d] for i in range(d)
+    ]
+
+
+@pytest.mark.parametrize("d", STEP_DIMENSIONS)
+def test_generated_step_matches_reference_bit_for_bit(d):
+    gen = rng(100 + d)
+    f = coupled_rhs(d, d)
+    for _ in range(25):
+        y = (gen.normal(size=d) * 10.0 ** gen.uniform(-3, 2, size=d)).tolist()
+        h = 10.0 ** gen.uniform(-4, -0.5)
+        rtol, atol = 10.0 ** gen.uniform(-12, -4, size=2)
+        k1 = f(y)
+        step = _step_kernel(d)(f, rtol, atol)
+        assert step(h, y, k1) == reference_step(f, rtol, atol, h, y, k1)
+
+
+def poisoned(base, call, component, bad):
+    """``base`` with ``component`` of its ``call``-th result set to ``bad``,
+    and the list holding its call count."""
+    count = [0]
+
+    def f(y):
+        count[0] += 1
+        out = base(y)
+        if count[0] == call:
+            out[component] = bad
+        return out
+
+    return f, count
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("d", STEP_DIMENSIONS)
+def test_generated_step_stops_at_a_nonfinite_stage(d, bad):
+    # Position 0 poisons k1, position c the c-th RHS call. For c <= 5 the next
+    # stage state (after call 5, the update) is not finite and the step
+    # returns after c calls; a poisoned k7 (call 6) leaves only err non-finite.
+    base = coupled_rhs(d, d)
+    y = rng(200 + d).normal(size=d).tolist()
+    for position in range(7):
+        for component in {0, d - 1}:
+            k1 = base(y)
+            if position == 0:
+                k1[component] = bad
+            f, count = poisoned(base, position, component, bad)
+            calls, err, out = _step_kernel(d)(f, 1e-10, 1e-6)(0.01, y, k1)
+            assert calls == count[0] == position
+            f, count = poisoned(base, position, component, bad)
+            ref_calls, ref_err, ref_out = reference_step(f, 1e-10, 1e-6, 0.01, y, k1)
+            assert ref_calls == count[0] == position
+            assert not math.isfinite(err)
+            if position < 6:
+                assert out is None and ref_out is None and ref_err is None
+            else:
+                assert not math.isfinite(ref_err) and out[0] == ref_out[0]
+
+
+def core_stats(f, y0, t_end, max_step=0.5):
+    return _integrate_core(
+        f, 0.0, y0, t_end, rtol=1e-6, atol=1e-6, max_step=max_step, sample_dt=0.05
+    )[4]
+
+
+def test_step_statistics_split_rejections_by_cause():
+    # A stiff oscillator: every rejection is an error rejection, and each of
+    # the attempts costs six RHS calls after the two start-up calls.
+    stats = core_stats(lambda y: [y[1], -400.0 * y[0]], [1.0, 0.0], 2.0)
+    assert stats["n_rejected"] == stats["n_rejected_error"] > 0
+    assert stats["n_rejected_nonfinite"] == 0
+    assert stats["n_rhs"] == 2 + 6 * (stats["n_steps"] + stats["n_rejected"])
+    assert 0 < stats["h_min"] < stats["h_max"] <= 0.5
+    # An RHS that turns infinite past y = 1.5: every rejection is non-finite.
+    stats = core_stats(lambda y: [math.inf if y[0] > 1.5 else 1.0], [0.0], 2.0)
+    assert stats["failure"] == "underflow"
+    assert stats["n_rejected"] == stats["n_rejected_nonfinite"] > 0
+    assert stats["n_rejected_error"] == 0
+
+
+def test_step_size_range_leaves_out_the_landing_step():
+    # The last step is cut to about 1e-9 to land on t_end; the range is that
+    # of the other accepted steps, which grow to max_step.
+    stats = core_stats(lambda y: [1.0, -y[0]], [0.0, 1.0], 10.0 + 1e-9, max_step=0.1)
+    assert stats["h_max"] == 0.1
+    assert stats["h_min"] > 1e-3
+    # No accepted step at all: no range.
+    stats = core_stats(lambda y: [y[0] * y[0]], [2e12], 1.0)
+    assert stats["n_steps"] == 0 and stats["h_min"] is None and stats["h_max"] is None
 
 
 def test_uncertainty_residual_values(barrier):
