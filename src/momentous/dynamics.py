@@ -211,11 +211,8 @@ def effective_potential(q: float, state: MomentState, cfg: ModelConfig) -> float
     """
     row = _state_row(state, cfg)
     row[0] = q
-    kernel = _series(cfg, hamiltonian=False)
-    if not isinstance(q, np.ndarray):
-        return kernel(row)[0]
     with np.errstate(over="ignore"):  # as in effective_series
-        return kernel(row)[0]
+        return _series(cfg, hamiltonian=False)(row)[0]
 
 
 def effective_series(states: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -217,40 +217,16 @@ _FAC_MIN = 0.2  # strongest allowed shrink per step
 _FAC_MAX = 10.0  # strongest allowed growth per step
 
 
-def _rms(v) -> float:
-    """Root mean square of a float list.
-
-    The squares are summed in the order of numpy's pairwise sum (``np.mean``):
-    left to right below 8 terms, otherwise 8 interleaved partial sums (for up
-    to 128 terms) combined as a tree, then the remainder. Step sizes therefore
-    repeat those of an array implementation bit for bit.
-    """
-    n = len(v)
-    if n < 8:
-        total = 0.0
-        for x in v:
-            total = total + x * x
-    else:
-        sq = [x * x for x in v]
-        r = sq[:8]
-        end = n - n % 8
-        for i in range(8, end, 8):
-            r = [a + b for a, b in zip(r, sq[i:i + 8])]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for x in sq[end:]:
-            total = total + x
-    return math.sqrt(total / n)
-
-
 def _initial_step(f, y0, k1, rtol, atol, span, max_step):
     """Hairer's starting-step heuristic."""
+    rms = _rms_kernel(len(y0))
     sc = [atol + rtol * abs(a) for a in y0]
-    d0 = _rms([a / s for a, s in zip(y0, sc)])
-    d1 = _rms([a / s for a, s in zip(k1, sc)])
+    d0 = rms([a / s for a, s in zip(y0, sc)])
+    d1 = rms([a / s for a, s in zip(k1, sc)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span, max_step)
     f1 = f([a + h0 * b for a, b in zip(y0, k1)])
-    d2 = _rms([(a - b) / s for a, b, s in zip(f1, k1, sc)]) / h0
+    d2 = rms([(a - b) / s for a, b, s in zip(f1, k1, sc)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -258,15 +234,36 @@ def _initial_step(f, y0, k1, rtol, atol, span, max_step):
     return min(100 * h0, h1, span, max_step)
 
 
-def _sum_of_squares(names: Sequence[str]) -> str:
-    """``_rms``'s sum of the squares of ``names`` as one expression."""
+def _rms_expression(names: Sequence[str]) -> str:
+    """The root mean square of ``names`` as one expression.
+
+    The squares are summed in the order of numpy's pairwise sum (``np.mean``):
+    left to right below 8 terms, otherwise 8 interleaved partial sums (for up
+    to 128 terms) combined as a tree, then the remainder. Step sizes therefore
+    repeat those of an array implementation bit for bit.
+    """
     sq = [f"{x} * {x}" for x in names]
     if len(sq) < 8:
-        return " + ".join(["0.0", *sq])
-    end = len(sq) - len(sq) % 8
-    r = [f"({' + '.join(sq[j:end:8])})" for j in range(8)]
-    tree = f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"
-    return " + ".join([tree, *sq[end:]])
+        total = " + ".join(["0.0", *sq])
+    else:
+        end = len(sq) - len(sq) % 8
+        r = [f"({' + '.join(sq[j:end:8])})" for j in range(8)]
+        tree = f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"
+        total = " + ".join([tree, *sq[end:]])
+    return f"sqrt(({total}) / {float(len(sq))!r})"
+
+
+@functools.lru_cache(maxsize=None)
+def _rms_kernel(d: int):
+    """Compile ``rms(v)`` for a list of ``d`` floats, from :func:`_rms_expression`."""
+    names = [f"v{i}" for i in range(d)]
+    source = (
+        "from math import sqrt\n"
+        "def rms(v):\n"
+        f"    [{', '.join(names)}] = v\n"
+        f"    return {_rms_expression(names)}\n"
+    )
+    return exec_source(source, f"<rms kernel d={d}>")["rms"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -278,7 +275,7 @@ def _step_kernel(d: int):
     component ``i`` of stage ``j`` is the local ``k{j}_{i}``. It returns
     ``(rhs_calls, err, (y1, k7, coeffs))``: the 5th-order update ``y1`` with
     ``k7 = f(y1)``, the dense-output coefficients of :class:`_DenseOutput` and
-    the scaled error norm, summed in ``_rms``'s order. When a stage state or
+    the scaled error norm of :func:`_rms_expression`. When a stage state or
     ``y1`` is not finite it returns ``(rhs_calls, nan, None)`` at once. Each
     expression keeps the operation order of the per-component list code it
     replaces, so every bit is that code's.
@@ -309,7 +306,7 @@ def _step_kernel(d: int):
         scale = f"atol + rtol * (n{i} if n{i} > m{i} else m{i})"
         lines += [f"m{i} = abs(x{i})", f"n{i} = abs(z{i})",
                   f"e{i} = h * ({combo(_E, i)}) / ({scale})"]
-    lines.append(f"err = sqrt(({_sum_of_squares([f'e{i}' for i in comps])}) / {float(d)!r})")
+    lines.append(f"err = {_rms_expression([f'e{i}' for i in comps])}")
     for i in comps:
         lines += [f"w{i} = z{i} - x{i}", f"b{i} = h * k1_{i} - w{i}"]
     coeffs = ", ".join(

@@ -78,7 +78,7 @@ def _finite(v):
     return all(map(math.isfinite, v))
 
 
-def _reference_rms(v):
+def reference_rms(v):
     """Root mean square, squares summed in numpy's pairwise order: left to
     right below 8 terms, otherwise 8 interleaved partial sums combined as a
     tree, then the remainder."""
@@ -144,7 +144,7 @@ def reference_step(f, rtol, atol, h, y, k1):
     if not _finite(y1):
         return 5, None, None
     k7 = f(y1)
-    err = _reference_rms([
+    err = reference_rms([
         h * (_E1 * b + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * x)
         / (atol + rtol * max(abs(a0), abs(a1)))
         for a0, a1, b, c, d, e, g, x in zip(y, y1, k1, k3, k4, k5, k6, k7)

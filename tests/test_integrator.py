@@ -17,9 +17,9 @@ from momentous import (
     uncertainty_residual,
 )
 from momentous.dynamics import make_rhs, state_to_vector
-from momentous.integrator import _EventSpec, _integrate_core, _step_kernel
+from momentous.integrator import _EventSpec, _integrate_core, _rms_kernel, _step_kernel
 
-from conftest import reference_step, rng, scenario_packet, tight_integrator
+from conftest import reference_rms, reference_step, rng, scenario_packet, tight_integrator
 
 # Both branches of the error norm's summation (below 8 terms and the 8-lane
 # tree), a remainder after the tree, and a second 8-lane block.
@@ -200,6 +200,15 @@ def test_generated_step_matches_reference_bit_for_bit(d):
         k1 = f(y)
         step = _step_kernel(d)(f, rtol, atol)
         assert step(h, y, k1) == reference_step(f, rtol, atol, h, y, k1)
+
+
+@pytest.mark.parametrize("d", STEP_DIMENSIONS)
+def test_generated_rms_matches_reference_bit_for_bit(d):
+    # The starting step's norm, which the step kernel's comparison misses.
+    gen = rng(300 + d)
+    for _ in range(25):
+        v = (gen.normal(size=d) * 10.0 ** gen.uniform(-3, 3, size=d)).tolist()
+        assert _rms_kernel(d)(v) == reference_rms(v)
 
 
 def poisoned(base, call, component, bad):
