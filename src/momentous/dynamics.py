@@ -274,23 +274,15 @@ def eom_table(order: int) -> dict[Union[str, Moment], MomentPolynomial]:
     """Authoritative right-hand sides in symbolic form; :func:`make_rhs`
     compiles them into the integrated closure.
 
-    Lower orders are obtained from the order-3 table by zeroing the moments
-    above the truncation, which is the defining closure of the hierarchy.
+    Every order is the order-3 table closed by
+    :meth:`MomentPolynomial.truncated`, which drops the terms whose combined
+    moment order exceeds the truncation order: the defining closure of the
+    hierarchy, and the one ``check-algebra`` applies to the bracket side.
     """
     if order not in VALID_ORDERS:
         raise ValueError(f"truncation order must be one of {VALID_ORDERS}")
     full = _third_order_table()
-    if order == 3:
-        return full
-    keep = set(MOMENTS_BY_ORDER[order])
-    table: dict[Union[str, Moment], MomentPolynomial] = {}
-    for var in state_variables(order):
-        reduced = MomentPolynomial()
-        for term, coeff in full[var].items():
-            if all(idx in keep for idx in term.moments):
-                reduced.add(coeff, term)
-        table[var] = reduced
-    return table
+    return {var: full[var].truncated(order) for var in state_variables(order)}
 
 
 # ---------------------------------------------------------------------------

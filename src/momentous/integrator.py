@@ -24,7 +24,7 @@ Recorded along the way:
 * samples on a fixed ``sample_dt`` grid (via dense output) plus event points;
 * events: momentum sign changes, crossings of caller-supplied position
   markers (classical return points), outbound escape, and violation of the
-  uncertainty constraint beyond ``-10 * atol`` (terminal);
+  uncertainty constraint beyond ``-10 * atol`` (which stops the run);
 * per-sample series, computed once per trajectory on the ``(n, d)`` sample
   array: effective Hamiltonian, effective potential at the mean position,
   and the uncertainty-product residual;
@@ -112,7 +112,7 @@ class Event:
 class _EventSpec:
     fn: Callable[[Sequence[float]], float]
     kind: str
-    terminal: bool = False
+    stop: Optional[Termination] = None  # why the run ends at this event, if it does
     direction: int = 0  # 0 = both directions
     marker: Optional[float] = None
 
@@ -365,23 +365,23 @@ def _integrate_core(
     f,
     t0: float,
     y0: Sequence[float],
-    t_end: float,
-    *,
-    rtol: float,
-    atol: float,
-    max_step: float,
-    sample_dt: float,
+    icfg: IntegratorConfig,
     specs: Sequence[_EventSpec] = (),
-    max_steps: int = 2_000_000,
 ):
-    """Generic adaptive loop over float lists; ``f`` maps a state list to its
-    derivative list. Returns (times, states, raw events, termination, stats),
-    with each state a list of floats. Raw events are ``(t, spec, direction,
-    y)`` tuples. ``stats`` counts accepted steps, rejected attempts (in all,
-    for an error norm above 1 and for a non-finite stage, update or error
-    norm) and RHS calls, and gives ``h_min`` and ``h_max`` over the accepted
-    steps (None when there are none). On a step failure ``stats["failure"]``
-    names the guard that stopped the run: "underflow", "budget" or "blowup"."""
+    """Generic adaptive loop over float lists for ``icfg.t_max`` from ``t0``,
+    under the tolerances, step cap, sample grid and step budget of ``icfg``;
+    ``f`` maps a state list to its derivative list, and an event whose spec
+    names a ``stop`` ends the run with that termination. Returns (times,
+    states, raw events, termination, stats), with each state a list of floats.
+    Raw events are ``(t, spec, direction, y)`` tuples. ``stats`` counts
+    accepted steps, rejected attempts (in all, for an error norm above 1 and
+    for a non-finite stage, update or error norm) and RHS calls, and gives
+    ``h_min`` and ``h_max`` over the accepted steps (None when there are
+    none). On a step failure ``stats["failure"]`` names the guard that
+    stopped the run: "underflow", "budget" or "blowup"."""
+    rtol, atol, max_step = icfg.rtol, icfg.atol, icfg.max_step
+    sample_dt, max_steps = icfg.sample_dt, icfg.max_steps
+    t_end = t0 + icfg.t_max
     t = t0
     y = [float(a) for a in y0]
     step = _step_kernel(len(y))(f, rtol, atol)
@@ -468,13 +468,11 @@ def _integrate_core(
         located.sort(key=lambda item: item[0])
 
         cut = tnew
-        terminal_spec = None
         kept_events = []
         for te, spec, direction in located:
             kept_events.append((te, spec, direction))
-            if spec.terminal:
-                cut = te
-                terminal_spec = spec
+            if spec.stop is not None:
+                cut, termination = te, spec.stop
                 break
 
         # Merge grid samples and event points in time order.
@@ -492,12 +490,7 @@ def _integrate_core(
             if spec is not None:
                 raw_events.append((tr, spec, direction, yr))
 
-        if terminal_spec is not None:
-            termination = (
-                Termination.ESCAPED
-                if terminal_spec.kind == "escape"
-                else Termination.CONSTRAINT_VIOLATED
-            )
+        if termination is not Termination.REACHED_TMAX:  # an event stopped the run
             t, y = cut, dense(cut)
             break
 
@@ -542,7 +535,7 @@ def integrate(
     ``-10 * atol`` (orders >= 2), or a step failure, whose cause
     ``stats["failure"]`` names: "underflow" (step size below ``1e-14 * |t|``),
     "budget" (``max_steps`` attempts used) or "blowup" (a state component
-    beyond ``1e12``). ``mark_positions`` adds recorded (non-terminal) crossing
+    beyond ``1e12``). ``mark_positions`` adds recorded (non-stopping) crossing
     events, typically the classical return points.
     """
     if init.order != model.order:
@@ -568,7 +561,7 @@ def integrate(
         _EventSpec(
             lambda y: abs(y[0]) - radius,
             kind="escape",
-            terminal=True,
+            stop=Termination.ESCAPED,
             direction=1,
         )
     )
@@ -579,22 +572,12 @@ def integrate(
         def constraint(y):
             return _residual(y, quarter) - floor
 
-        specs.append(
-            _EventSpec(constraint, kind="constraint", terminal=True, direction=-1)
-        )
+        stop = Termination.CONSTRAINT_VIOLATED
+        specs.append(_EventSpec(constraint, kind="constraint", stop=stop, direction=-1))
 
     f = make_rhs(model)
     times, states, raw_events, termination, stats = _integrate_core(
-        f,
-        init.t,
-        state_to_vector(init),
-        init.t + icfg.t_max,
-        rtol=icfg.rtol,
-        atol=icfg.atol,
-        max_step=icfg.max_step,
-        sample_dt=icfg.sample_dt,
-        specs=specs,
-        max_steps=icfg.max_steps,
+        f, init.t, state_to_vector(init), icfg, specs
     )
 
     order = model.order

@@ -13,6 +13,11 @@ What lives here:
   literally, with the summation range ``1 <= n < min(a+c, b+d, a+b, c+d)``.
   ``property_lines`` checks its antisymmetry, hbar grading and first
   contraction weight exhaustively over low orders.
+* ``MomentPolynomial.truncated`` -- the closure of the hierarchy: it drops
+  every term whose combined moment order (moment powers plus 2 per hbar)
+  exceeds the truncation order. ``hamiltonian_terms`` and
+  ``dynamics.eom_table`` are their order-3 forms closed by this one rule at
+  every order, and the bracket assembly is closed by it too.
 * ``hamiltonian_terms`` -- the moment expansion of the effective Hamiltonian,
   from which :mod:`momentous.dynamics` compiles ``H_Q`` and ``V_eff``.
 * ``verify_eom_consistency`` -- assembles time derivatives from that bracket
@@ -210,30 +215,21 @@ class MomentPolynomial:
         out._terms = {t: c * f for t, c in self._terms.items()}
         return out
 
-    def times(
-        self,
-        coeff: Scalar,
-        *,
-        v_order: Optional[int] = None,
-        p_power: int = 0,
-        mass_power: int = 0,
-        hbar_power: int = 0,
-        moments: tuple[Moment, ...] = (),
-    ) -> "MomentPolynomial":
-        """Multiply every term by an extra monomial factor."""
+    def times(self, coeff: Scalar, factor: Term) -> "MomentPolynomial":
+        """Multiply every term by ``coeff * factor``."""
         out = MomentPolynomial()
         for term, c in self._terms.items():
-            if v_order is not None and term.v_order is not None:
+            if factor.v_order is not None and term.v_order is not None:
                 raise ValueError("product of two potential-derivative factors")
             out.add(
                 c * Fraction(coeff),
                 replace(
                     term,
-                    moments=term.moments + tuple(moments),
-                    hbar_power=term.hbar_power + hbar_power,
-                    v_order=term.v_order if v_order is None else v_order,
-                    p_power=term.p_power + p_power,
-                    mass_power=term.mass_power + mass_power,
+                    moments=term.moments + factor.moments,
+                    hbar_power=term.hbar_power + factor.hbar_power,
+                    v_order=term.v_order if factor.v_order is None else factor.v_order,
+                    p_power=term.p_power + factor.p_power,
+                    mass_power=term.mass_power + factor.mass_power,
                 ),
             )
         return out
@@ -351,20 +347,19 @@ def bracket_formula(lhs: Moment, rhs: Moment) -> MomentPolynomial:
 def hamiltonian_terms(order: int) -> MomentPolynomial:
     """Moment expansion of the effective Hamiltonian at a truncation order.
 
-    ``p^2/2m + V + G02/2m + (1/2) V'' G20``, plus ``(1/6) V''' G30`` at
-    order 3. Order 0 is the bare classical Hamiltonian.
+    The order-3 expansion ``p^2/2m + V + G02/2m + (1/2) V'' G20 +
+    (1/6) V''' G30`` closed by :meth:`MomentPolynomial.truncated`: order 2
+    drops the ``G30`` term, and order 0 is the bare classical Hamiltonian.
     """
     if order not in (0, 2, 3):
         raise ValueError("truncation order must be 0, 2 or 3")
     h = MomentPolynomial()
     h.add(Fraction(1, 2), p_power=2, mass_power=-1)
     h.add(1, v_order=0)
-    if order >= 2:
-        h.add(Fraction(1, 2), mass_power=-1, moments=((0, 2),))
-        h.add(Fraction(1, 2), v_order=2, moments=((2, 0),))
-    if order >= 3:
-        h.add(Fraction(1, 6), v_order=3, moments=((3, 0),))
-    return h
+    h.add(Fraction(1, 2), mass_power=-1, moments=((0, 2),))
+    h.add(Fraction(1, 2), v_order=2, moments=((2, 0),))
+    h.add(Fraction(1, 6), v_order=3, moments=((3, 0),))
+    return h.truncated(order)
 
 
 def property_lines() -> list[str]:
@@ -439,14 +434,7 @@ def assemble_rhs(var: Variable, order: int) -> MomentPolynomial:
                 rest = list(term.moments)
                 rest.remove(factor)
                 bracket = bracket_formula(index, factor)
-                out = out + bracket.times(
-                    coeff,
-                    v_order=term.v_order,
-                    p_power=term.p_power,
-                    mass_power=term.mass_power,
-                    hbar_power=term.hbar_power,
-                    moments=tuple(rest),
-                )
+                out = out + bracket.times(coeff, replace(term, moments=tuple(rest)))
     return out.truncated(order)
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from momentous import (
-    BarrierPotential,
     IntegratorConfig,
     InvalidEnergy,
     InvalidMargin,

@@ -9,9 +9,7 @@ import momentous.dynamics as dynamics
 from momentous import BarrierPotential
 from momentous.cli import (
     ConfigError,
-    algebra_report_text,
     build_config,
-    load_config,
     main,
     run_check_algebra,
     run_simulate,
@@ -332,6 +330,11 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["simulate", "--config", str(path)]) == 1
     assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 1
+    # --order obeys the model's order rule, as "model.order" in the file does.
+    path.write_text(json.dumps(scenario_raw()))
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(path), "--order", "1"]) == 1
+    assert capsys.readouterr().err == "config error: model.order must be 0, 2 or 3\n"
 
 
 def test_sweep_degenerate_matches_simulate(tmp_path):

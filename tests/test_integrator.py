@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from momentous import (
-    BarrierPotential,
     GaussianPacket,
     IntegratorConfig,
     ModelConfig,
@@ -17,7 +16,7 @@ from momentous import (
     uncertainty_residual,
 )
 from momentous.dynamics import make_rhs, state_to_vector
-from momentous.integrator import _EventSpec, _integrate_core, _rms_kernel, _step_kernel
+from momentous.integrator import _integrate_core, _rms_kernel, _step_kernel
 
 from conftest import reference_rms, reference_step, rng, scenario_packet, tight_integrator
 
@@ -168,11 +167,7 @@ def test_step_failure_on_blowup():
         lambda y: [y[0] * y[0]],
         0.0,
         np.array([1.0]),
-        2.0,
-        rtol=1e-10,
-        atol=1e-10,
-        max_step=0.5,
-        sample_dt=0.05,
+        IntegratorConfig(rtol=1e-10, atol=1e-10, t_max=2.0, max_step=0.5, sample_dt=0.05),
     )
     assert termination is Termination.STEP_FAILURE
     assert stats["failure"] == "blowup"
@@ -253,9 +248,8 @@ def test_generated_step_stops_at_a_nonfinite_stage(d, bad):
 
 
 def core_stats(f, y0, t_end, max_step=0.5):
-    return _integrate_core(
-        f, 0.0, y0, t_end, rtol=1e-6, atol=1e-6, max_step=max_step, sample_dt=0.05
-    )[4]
+    icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=t_end, max_step=max_step, sample_dt=0.05)
+    return _integrate_core(f, 0.0, y0, icfg)[4]
 
 
 def test_step_statistics_split_rejections_by_cause():
@@ -312,6 +306,22 @@ def test_escape_requires_outbound_motion(barrier):
     traj = integrate(init, model, tight_integrator(t_max=1.0))
     assert traj.termination is Termination.REACHED_TMAX
     assert traj.q[-1] > -10.0
+
+
+def test_escape_ignores_the_inward_crossing(barrier):
+    # Starting outside the radius, the packet crosses it inward at t ~ 1.4
+    # (|q| - radius falls through zero), is reflected, and escapes outward.
+    packet = scenario_packet(barrier, -12.0, sigma0=0.5)
+    model = ModelConfig(potential=barrier, order=2)
+    icfg = tight_integrator(t_max=40.0, escape_radius=10.0)
+    traj = integrate(initial_moments(packet, 2), model, icfg)
+    inward = np.flatnonzero(np.abs(traj.q) < 10.0)[0]
+    assert traj.times[inward] == pytest.approx(1.4, abs=0.1)
+    escapes = [e for e in traj.events if e.kind == "escape"]
+    assert [(e.direction, round(e.t, 1)) for e in escapes] == [(1, 12.7)]
+    assert traj.termination is Termination.ESCAPED
+    assert traj.times[-1] == escapes[0].t
+    assert abs(traj.q[-1]) == pytest.approx(10.0, abs=1e-9)
 
 
 def test_series_lengths_and_order0_nan_residual(barrier):

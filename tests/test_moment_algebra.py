@@ -170,6 +170,9 @@ def test_polynomial_evaluate():
 
 
 def test_hamiltonian_terms_orders():
+    # Order 0 is exactly the classical p^2/2m + V.
+    classical = MomentPolynomial().add(Fraction(1, 2), p_power=2, mass_power=-1).add(1, v_order=0)
+    assert hamiltonian_terms(0) == classical
     h2 = hamiltonian_terms(2)
     assert h2.coefficient(Term(moments=((0, 2),), mass_power=-1)) == Fraction(1, 2)
     assert h2.coefficient(Term(v_order=3, moments=((3, 0),))) == 0
