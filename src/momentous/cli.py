@@ -510,8 +510,17 @@ def run_check_algebra(out_path: Optional[str] = None) -> tuple[int, str]:
 # Command line
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1, the configuration-error code, on a usage error, with
+    argparse's message: its own code 2 means a step failure here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="momentous",
         description="semiclassical moment-dynamics runs for a smooth barrier",
     )

@@ -10,14 +10,18 @@ and exact conservation of the effective Hamiltonian then serves as an
 independent accuracy diagnostic rather than a built-in property.
 
 The state has at most nine components, so the stepper works on Python floats
-rather than numpy arrays, whose per-call overhead would dominate. One step
-attempt is one call of a kernel generated per state dimension from the
-tableau: straight-line code with one local per component and stage that runs
-the six stages (checking each stage state for finiteness), the 5th-order
-update, the error norm and the dense-output coefficients, and calls the RHS
-it is given. Every expression keeps the per-component operation order, and
-the error norm sums its squares in numpy's pairwise order, so step sizes,
-samples and events are those of an array implementation, bit for bit.
+rather than numpy arrays, whose per-call overhead would dominate. One
+trajectory is one call of a loop generated from the tableau per state
+dimension and set of event expressions (each event is a source expression
+over the state components, so every sweep point shares one compiled loop):
+straight-line code with one local per component and stage that runs the
+starting-step heuristic, the step-size guards, the six stages (checking each
+stage state for finiteness), the 5th-order update, the error norm, the PI
+controller, the event tests, the dense-output sampling and the bisection of
+each located event, and calls the RHS it is given. Every expression keeps the
+per-component operation order, and the error norm sums its squares in numpy's
+pairwise order, so step sizes, samples and events are those of an array
+implementation, bit for bit.
 
 Recorded along the way:
 
@@ -38,9 +42,9 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
+import string
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -110,8 +114,12 @@ class Event:
 
 @dataclass(frozen=True)
 class _EventSpec:
-    fn: Callable[[Sequence[float]], float]
+    """An event function as Python source: ``{y0}, {y1}, ...`` stand for the
+    state components and ``{c0}, {c1}, ...`` for the entries of ``values``."""
+
+    expr: str
     kind: str
+    values: tuple = ()
     stop: Optional[Termination] = None  # why the run ends at this event, if it does
     direction: int = 0  # 0 = both directions
     marker: Optional[float] = None
@@ -168,10 +176,15 @@ class Trajectory:
         return float(np.max(np.abs(self.h_q - h0)) / abs(h0))
 
 
-def _residual(y, quarter):
-    """The uncertainty residual of a state vector, or per sample of the
-    transposed ``(d, n)`` sample array; ``quarter`` is ``hbar**2/4``."""
-    return y[2] * y[4] - y[3] * y[3] - quarter
+# The uncertainty residual as event source; ``{c0}`` is ``hbar**2/4``.
+_RESIDUAL = "{y2} * {y4} - {y3} * {y3} - {c0}"
+# ``_residual(y, quarter)``: the residual of a state vector, or per sample of
+# the transposed ``(d, n)`` sample array.
+_residual = exec_source(
+    "def residual(y, quarter):\n"
+    f"    return {_RESIDUAL.format(y2='y[2]', y3='y[3]', y4='y[4]', c0='quarter')}\n",
+    "<uncertainty residual>",
+)["residual"]
 
 
 def uncertainty_residual(state: MomentState, hbar: float) -> float:
@@ -217,23 +230,6 @@ _FAC_MIN = 0.2  # strongest allowed shrink per step
 _FAC_MAX = 10.0  # strongest allowed growth per step
 
 
-def _initial_step(f, y0, k1, rtol, atol, span, max_step):
-    """Hairer's starting-step heuristic."""
-    rms = _rms_kernel(len(y0))
-    sc = [atol + rtol * abs(a) for a in y0]
-    d0 = rms([a / s for a, s in zip(y0, sc)])
-    d1 = rms([a / s for a, s in zip(k1, sc)])
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, span, max_step)
-    f1 = f([a + h0 * b for a, b in zip(y0, k1)])
-    d2 = rms([(a - b) / s for a, b, s in zip(f1, k1, sc)]) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, span, max_step)
-
-
 def _rms_expression(names: Sequence[str]) -> str:
     """The root mean square of ``names`` as one expression.
 
@@ -253,273 +249,350 @@ def _rms_expression(names: Sequence[str]) -> str:
     return f"sqrt(({total}) / {float(len(sq))!r})"
 
 
-@functools.lru_cache(maxsize=None)
-def _rms_kernel(d: int):
-    """Compile ``rms(v)`` for a list of ``d`` floats, from :func:`_rms_expression`."""
-    names = [f"v{i}" for i in range(d)]
-    source = (
-        "from math import sqrt\n"
-        "def rms(v):\n"
-        f"    [{', '.join(names)}] = v\n"
-        f"    return {_rms_expression(names)}\n"
-    )
-    return exec_source(source, f"<rms kernel d={d}>")["rms"]
+def _fields(expr: str, kind: str) -> list[int]:
+    """The indices of the ``{y<i>}`` (kind "y") or ``{c<j>}`` (kind "c")
+    fields of an event expression, ascending."""
+    names = {name for _, name, _, _ in string.Formatter().parse(expr) if name}
+    return sorted(int(name[1:]) for name in names if name[0] == kind)
 
 
 @functools.lru_cache(maxsize=None)
-def _step_kernel(d: int):
-    """Compile ``make(f, rtol, atol) -> step(h, y, k1)`` for ``d`` components.
+def _loop(d: int, events: tuple[tuple[str, int], ...]):
+    """Compile ``run(f, t0, y0, icfg, specs)``, the whole adaptive loop for
+    ``d`` state components and the ``(expr, direction)`` of each event spec.
 
-    ``step`` takes one Dormand-Prince step of size ``h`` from the state list
-    ``y`` with derivative ``k1`` (FSAL), written out as straight-line code:
-    component ``i`` of stage ``j`` is the local ``k{j}_{i}``. It returns
-    ``(rhs_calls, err, (y1, k7, coeffs))``: the 5th-order update ``y1`` with
-    ``k7 = f(y1)``, the dense-output coefficients of :class:`_DenseOutput` and
-    the scaled error norm of :func:`_rms_expression`. When a stage state or
-    ``y1`` is not finite it returns ``(rhs_calls, nan, None)`` at once. Each
-    expression keeps the operation order of the per-component list code it
-    replaces, so every bit is that code's.
+    The loop is straight-line code per step with one local per component and
+    stage (component ``i`` of stage ``j`` is ``k{j}_{i}``): Hairer's starting
+    step, the step-size guards, the six stages with their finiteness checks,
+    the error norm of :func:`_rms_expression`, the PI controller, the event
+    values and crossing tests, the quartic dense output on the sample grid,
+    and the bisection of each crossing event over the components it reads.
+    A step builds the interpolant's coefficients only when an event crosses
+    or a sample falls inside it, and one in which no event crosses samples
+    the grid without sorting. It calls ``f`` on state lists and reads the
+    run's tolerances, horizon, step cap, sample grid and step budget from
+    ``icfg``; each event's constants come from its spec's ``values``. Every
+    expression keeps the operation order of the per-component list loop it
+    replaces (see ``tests/conftest.py``), so every bit is that loop's.
+
+    ``run`` returns ``(times, states, raw events, stop, stats)``: ``stop`` is
+    the ``stop`` of the spec whose event ended the run, or None.
     """
     comps = range(d)
+    out: list[str] = []
 
-    def listed(prefix):
-        return ", ".join(f"{prefix}{i}" for i in comps)
+    def put(level, *lines):
+        out.extend("    " * level + line for line in lines)
+
+    def listed(prefix, indices=comps):
+        return ", ".join(f"{prefix}{i}" for i in indices)
 
     def combo(weights, i):
         return " + ".join(f"{w!r} * k{j}_{i}" for j, w in weights)
 
-    def bail_unless_finite(prefix, calls):
-        # 0.0 * v is a zero for every finite v and nan for inf or nan.
-        test = " + ".join(f"0.0 * {prefix}{i}" for i in comps)
-        return [f"if {test} != 0.0:", f"    return {calls}, nan, None"]
+    def event(k, prefix):
+        # Event k over the locals prefix0, prefix1, ... and its constants.
+        expr = events[k][0]
+        names = {f"y{i}": f"{prefix}{i}" for i in _fields(expr, "y")}
+        names.update({f"c{j}": f"c{k}_{j}" for j in _fields(expr, "c")})
+        return expr.format(**names)
 
-    lines = [f"[{listed('x')}] = y", f"[{listed('k1_')}] = k1"]
+    def interpolant(i):
+        return f"x{i} + theta * (d1_{i} + om * (d2_{i} + theta * (d3_{i} + om * d4_{i})))"
+
+    def dense_at(level, at):
+        put(level, f"theta = ({at} - t) / h", "om = 1 - theta")
+
+    def record(level, tr, yr):
+        put(level, f"a = abs({tr})",
+            f"if {tr} - tlast > 1e-12 * (a if a > 1.0 else 1.0):",
+            f"    times.append({tr})", f"    states.append({yr})", f"    tlast = {tr}")
+
+    def reject_unless_finite(level, names, calls):
+        # 0.0 * v is a zero for every finite v and nan for inf or nan.
+        put(level, f"if {' + '.join(f'0.0 * {v}' for v in names)} != 0.0:")
+        if calls:
+            put(level + 1, f"n_rhs += {calls}")
+        put(level + 1, "n_nonfinite += 1", "rejected = True", "h *= 0.1", "continue")
+
+    def rms(level, target, values, scale=""):
+        put(level, *(f"u{i} = {v}" for i, v in zip(comps, values)))
+        put(level, f"{target} = {_rms_expression([f'u{i}' for i in comps])}{scale}")
+
+    def crossing(k):
+        # The crossing tests of the list loop, split by direction: g rose
+        # through or onto zero, or fell (a nan start counts as falling).
+        up = f"g{k} < 0.0 <= G{k}"
+        down = f"g{k} > 0.0 >= G{k} or g{k} != g{k} and G{k} == 0.0"
+        return {1: up, -1: down, 0: f"{up} or {down}"}[events[k][1]]
+
+    ev = range(len(events))
+    put(1, "rtol = icfg.rtol", "atol = icfg.atol", "max_step = icfg.max_step",
+        "sample_dt = icfg.sample_dt", "max_steps = icfg.max_steps",
+        "t_end = t0 + icfg.t_max", "t = t0", "y = [float(a) for a in y0]",
+        f"[{listed('x')}] = y")
+    for k in ev:
+        constants = _fields(events[k][0], "c")
+        if constants:
+            put(1, f"[{listed(f'c{k}_', constants)}] = specs[{k}].values")
+    put(1, f"[{listed('k1_')}] = f(y)")
+
+    # Hairer's starting-step heuristic.
+    put(1, *(f"sc{i} = atol + rtol * abs(x{i})" for i in comps))
+    rms(1, "norm0", [f"x{i} / sc{i}" for i in comps])
+    rms(1, "norm1", [f"k1_{i} / sc{i}" for i in comps])
+    put(1, "h0 = 1e-6 if (norm0 < 1e-5 or norm1 < 1e-5) else 0.01 * norm0 / norm1",
+        "span = t_end - t0",
+        "if span < h0:", "    h0 = span",
+        "if max_step < h0:", "    h0 = max_step",
+        f"[{listed('f1_')}] = f([{', '.join(f'x{i} + h0 * k1_{i}' for i in comps)}])")
+    rms(1, "norm2", [f"(f1_{i} - k1_{i}) / sc{i}" for i in comps], " / h0")
+    put(1, "top = norm2 if norm2 > norm1 else norm1",
+        "if top <= 1e-15:",
+        "    h1 = h0 * 1e-3",
+        "    h1 = h1 if h1 > 1e-6 else 1e-6",
+        "else:",
+        "    h1 = (0.01 / top) ** 0.2",
+        "h = 100 * h0",
+        "if h1 < h:", "    h = h1",
+        "if span < h:", "    h = span",
+        "if max_step < h:", "    h = max_step",
+        "n_rhs = 2  # k1 and the starting-step probe")
+
+    put(1, "times = [t]", "states = [y]", "tlast = t", "raw_events = []")
+    put(1, *(f"g{k} = {event(k, 'x')}" for k in ev))
+    put(1, "sample_index = 1", "facold = 1e-4", "rejected = False",
+        "n_steps = 0", "n_error = 0  # rejected for err > 1",
+        "n_nonfinite = 0  # rejected for a non-finite stage, update or err",
+        "h_min = inf", "h_max = 0.0", "stop = None", "failure = None",
+        "a = abs(t_end)", "close = 1e-12 * (a if a > 1.0 else 1.0)",
+        "slack = 1e-9 * sample_dt")
+
+    put(1, "while t_end - t > close:")
+    put(2, "if max_step < h:", "    h = max_step",
+        "landing = h > t_end - t  # cut short to land on t_end",
+        "if landing:", "    h = t_end - t")
+    # Underflow, iteration-budget and blowup guards: the truncated moment
+    # hierarchy can develop finite-time blowups, which must surface as a step
+    # failure with the partial trajectory intact.
+    biggest = f"max({', '.join(f'abs(x{i})' for i in comps)})" if d > 1 else "abs(x0)"
+    put(2, "a = abs(t)",
+        "if h < 1e-14 * (a if a > 1.0 else 1.0):", "    failure = 'underflow'", "    break",
+        "if n_steps + n_error + n_nonfinite >= max_steps:", "    failure = 'budget'", "    break",
+        f"if {biggest} > 1e12:", "    failure = 'blowup'", "    break")
+
+    # One step attempt (FSAL: k1 carried over from the previous step).
     for j, row in enumerate(_A, start=2):
-        lines += [f"s{i} = x{i} + h * ({combo(row, i)})" for i in comps]
-        lines += bail_unless_finite("s", j - 2)
-        lines.append(f"[{listed(f'k{j}_')}] = f([{listed('s')}])")
-    lines += [f"z{i} = x{i} + h * ({combo(_B, i)})" for i in comps]
-    lines += bail_unless_finite("z", 5)
-    lines += [f"y1 = [{listed('z')}]", "k7 = f(y1)", f"[{listed('k7_')}] = k7"]
+        put(2, *(f"s{i} = x{i} + h * ({combo(row, i)})" for i in comps))
+        reject_unless_finite(2, [f"s{i}" for i in comps], j - 2)
+        put(2, f"[{listed(f'k{j}_')}] = f([{listed('s')}])")
+    put(2, *(f"z{i} = x{i} + h * ({combo(_B, i)})" for i in comps))
+    reject_unless_finite(2, [f"z{i}" for i in comps], 5)
+    put(2, f"[{listed('k7_')}] = f([{listed('z')}])", "n_rhs += 6")
     for i in comps:
         # The scale takes max(|x|, |z|) the way the builtin picks it, inline.
-        scale = f"atol + rtol * (n{i} if n{i} > m{i} else m{i})"
-        lines += [f"m{i} = abs(x{i})", f"n{i} = abs(z{i})",
-                  f"e{i} = h * ({combo(_E, i)}) / ({scale})"]
-    lines.append(f"err = {_rms_expression([f'e{i}' for i in comps])}")
+        put(2, f"m{i} = abs(x{i})", f"n{i} = abs(z{i})",
+            f"e{i} = h * ({combo(_E, i)}) / (atol + rtol * (n{i} if n{i} > m{i} else m{i}))")
+    put(2, f"err = {_rms_expression([f'e{i}' for i in comps])}")
+    reject_unless_finite(2, ["err"], 0)
+    put(2, f"fac11 = err ** {_EXPO1!r}",
+        "if err > 1.0:",
+        "    n_error += 1",
+        "    rejected = True",
+        f"    a = fac11 / {_SAFETY!r}",
+        f"    h = h / (a if a < {1.0 / _FAC_MIN!r} else {1.0 / _FAC_MIN!r})",
+        "    continue")
+
+    # Accepted.
+    put(2, "n_steps += 1",
+        "if not landing:",
+        "    if h < h_min:", "        h_min = h",
+        "    if h > h_max:", "        h_max = h",
+        "tnew = t + h")
+    put(2, *(f"G{k} = {event(k, 'z')}" for k in ev))
+    # The interpolant's coefficients are built only for a step with an event
+    # or a sample before tnew + slack.
+    if events:
+        put(2, f"crossing = {' or '.join(f'({crossing(k)})' for k in ev)}")
+    put(2, "ts = t0 + sample_index * sample_dt", "bound = tnew + slack",
+        f"if {'crossing or ' if events else ''}not ts > bound:")
     for i in comps:
-        lines += [f"w{i} = z{i} - x{i}", f"b{i} = h * k1_{i} - w{i}"]
-    coeffs = ", ".join(
-        f"(x{i}, w{i}, b{i}, w{i} - h * k7_{i} - b{i}, h * ({combo(_D, i)}))" for i in comps
-    )
-    lines.append(f"return 6, err, (y1, k7, [{coeffs}])")
+        put(3, f"d1_{i} = z{i} - x{i}", f"d2_{i} = h * k1_{i} - d1_{i}",
+            f"d3_{i} = d1_{i} - h * k7_{i} - d2_{i}", f"d4_{i} = h * ({combo(_D, i)})")
+    level = 3
+    if events:
+        # Events on (t, tnew]: locate each crossing by bisection over dense
+        # output (~1e-13 in time), keep them in time order up to the first
+        # that stops the run, and merge them with the grid samples.
+        put(3, "if crossing:")
+        put(4, "crossed = []")
+        for k in ev:
+            direction = events[k][1] or f"1 if g{k} < 0.0 else -1"
+            put(4, f"if {crossing(k)}:", f"    crossed.append(({k}, g{k}, G{k}, {direction}))")
+        put(4, "located = []", "for k, glo, gend, direction in crossed:",
+            "    if gend == 0.0:", "        te = tnew", "    else:")
+        put(6, "lo = t", "hi = tnew", "for _ in range(200):")
+        put(7, "a = abs(hi)",
+            "if hi - lo <= 1e-13 * (a if a > 1.0 else 1.0):",
+            "    te = 0.5 * (lo + hi)", "    break",
+            "mid = 0.5 * (lo + hi)")
+        dense_at(7, "mid")
+        for k in ev:  # event k's value, from the components it reads
+            put(7, f"{'if' if k == 0 else 'elif'} k == {k}:")
+            put(8, *(f"u{i} = {interpolant(i)}" for i in _fields(events[k][0], "y")),
+                f"gm = {event(k, 'u')}")
+        put(7, "if gm == 0.0:", "    te = mid", "    break",
+            "if (glo < 0.0) == (gm < 0.0):", "    lo = mid", "    glo = gm",
+            "else:", "    hi = mid")
+        put(6, "else:", "    te = 0.5 * (lo + hi)")
+        put(5, "located.append((te, specs[k], direction))")
+        put(4, "located.sort(key=_time)",
+            "cut = tnew",
+            "pending = []",
+            "for item in located:",
+            "    pending.append(item)",
+            "    if item[1].stop is not None:",
+            "        cut = item[0]",
+            "        stop = item[1].stop",
+            "        break",
+            "bound = cut + slack",
+            "while True:",
+            "    ts = t0 + sample_index * sample_dt",
+            "    if ts > bound:",
+            "        break",
+            "    pending.append((cut if cut < ts else ts, None, 0))",
+            "    sample_index += 1",
+            "pending.sort(key=_time)",
+            "for tr, spec, direction in pending:",
+            "    if spec is None and tr >= tnew:",
+            f"        yr = [{listed('z')}]",
+            "    else:")
+        dense_at(6, "tr")
+        put(6, f"yr = [{', '.join(interpolant(i) for i in comps)}]")
+        record(5, "tr", "yr")
+        put(5, "if spec is not None:", "    raw_events.append((tr, spec, direction, yr))")
+        put(4, "if stop is not None:", "    break")
+        put(3, "else:")
+        level = 4
+    # Only grid samples, which need the interpolant unless they fall on tnew.
+    put(level, "while True:", "    tr = tnew if tnew < ts else ts")
+    put(level + 1, "a = abs(tr)",
+        "if tr - tlast > 1e-12 * (a if a > 1.0 else 1.0):",
+        "    if tr >= tnew:", f"        yr = [{listed('z')}]", "    else:")
+    dense_at(level + 3, "tr")
+    put(level + 3, f"yr = [{', '.join(interpolant(i) for i in comps)}]")
+    put(level + 2, "times.append(tr)", "states.append(yr)", "tlast = tr")
+    put(level + 1, "sample_index += 1", "ts = t0 + sample_index * sample_dt",
+        "if ts > bound:", "    break")
+
+    # PI controller update.
+    put(2, f"fac = fac11 / facold ** {_BETA!r}",
+        f"a = fac / {_SAFETY!r}",
+        f"fac = a if a < {1.0 / _FAC_MIN!r} else {1.0 / _FAC_MIN!r}",
+        f"fac = fac if fac > {1.0 / _FAC_MAX!r} else {1.0 / _FAC_MAX!r}",
+        "hnew = h / fac",
+        "if rejected and h < hnew:", "    hnew = h",
+        "facold = 1e-4 if err < 1e-4 else err",
+        "rejected = False",
+        "t = tnew",
+        *(f"x{i} = z{i}" for i in comps),
+        *(f"k1_{i} = k7_{i}" for i in comps),
+        *(f"g{k} = G{k}" for k in ev),
+        "h = hnew")
+
+    # After a stop the last row considered is the stop event's, at its time.
+    put(1, "if stop is None:")
+    record(2, "t", f"[{listed('x')}]")
+    put(1, "stats = {",
+        "    'n_steps': n_steps,",
+        "    'n_rejected': n_error + n_nonfinite,",
+        "    'n_rhs': n_rhs,",
+        "    'n_rejected_error': n_error,",
+        "    'n_rejected_nonfinite': n_nonfinite,",
+        "    # Over accepted steps, leaving out one cut short to land on t_end.",
+        "    'h_min': h_min if h_max else None,",
+        "    'h_max': h_max if h_max else None,",
+        "}",
+        "if failure is not None:", "    stats['failure'] = failure",
+        "return times, states, raw_events, stop, stats")
     source = (
-        "from math import nan, sqrt\n"
-        "def make(f, rtol, atol):\n"
-        "    def step(h, y, k1):\n"
-        + "".join(f"        {line}\n" for line in lines)
-        + "    return step\n"
+        "from math import inf, sqrt\n"
+        "from operator import itemgetter\n"
+        "_time = itemgetter(0)\n"
+        "def run(f, t0, y0, icfg, specs):\n"
+        + "".join(f"{line}\n" for line in out)
     )
-    return exec_source(source, f"<dopri5 step kernel d={d}>")["make"]
+    described = "; ".join(
+        expr + {0: "", 1: " rising", -1: " falling"}[direction] for expr, direction in events
+    )
+    return exec_source(source, f"<dopri5 loop d={d} events: {described}>")["run"]
 
 
-class _DenseOutput:
-    """Quartic interpolant over one accepted step, one coefficient tuple per
-    state component (as the step kernel returns them)."""
-
-    __slots__ = ("t0", "h", "coeffs")
-
-    def __init__(self, t0, h, coeffs):
-        self.t0 = t0
-        self.h = h
-        self.coeffs = coeffs
-
-    def __call__(self, t):
-        theta = (t - self.t0) / self.h
-        om = 1 - theta
-        return [
-            c0 + theta * (c1 + om * (c2 + theta * (c3 + om * c4)))
-            for c0, c1, c2, c3, c4 in self.coeffs
-        ]
-
-
-def _locate_zero(fn, t0, t1, g0, dense):
-    """Bisect a sign change of ``fn`` over dense output; ~1e-13 in time."""
-    lo, hi = t0, t1
-    glo = g0
-    for _ in range(200):
-        if hi - lo <= 1e-13 * max(1.0, abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        gm = fn(dense(mid))
-        if gm == 0.0:
-            return mid
-        if (glo < 0.0) == (gm < 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _integrate_core(
+def _propagate(
     f,
     t0: float,
     y0: Sequence[float],
     icfg: IntegratorConfig,
     specs: Sequence[_EventSpec] = (),
 ):
-    """Generic adaptive loop over float lists for ``icfg.t_max`` from ``t0``,
-    under the tolerances, step cap, sample grid and step budget of ``icfg``;
-    ``f`` maps a state list to its derivative list, and an event whose spec
-    names a ``stop`` ends the run with that termination. Returns (times,
-    states, raw events, termination, stats), with each state a list of floats.
-    Raw events are ``(t, spec, direction, y)`` tuples. ``stats`` counts
-    accepted steps, rejected attempts (in all, for an error norm above 1 and
-    for a non-finite stage, update or error norm) and RHS calls, and gives
-    ``h_min`` and ``h_max`` over the accepted steps (None when there are
-    none). On a step failure ``stats["failure"]`` names the guard that
+    """Adaptive loop for ``icfg.t_max`` from ``t0``, under the tolerances,
+    step cap, sample grid and step budget of ``icfg``; ``f`` maps a state
+    list to its derivative list, and an event whose spec names a ``stop``
+    ends the run with that termination. Runs the loop :func:`_loop` compiled
+    for the state dimension and the specs' expressions, and returns (times,
+    states, raw events, termination, stats), with each state a list of
+    floats. Raw events are ``(t, spec, direction, y)`` tuples. ``stats``
+    counts accepted steps, rejected attempts (in all, for an error norm above
+    1 and for a non-finite stage, update or error norm) and RHS calls, and
+    gives ``h_min`` and ``h_max`` over the accepted steps (None when there
+    are none). On a step failure ``stats["failure"]`` names the guard that
     stopped the run: "underflow", "budget" or "blowup"."""
-    rtol, atol, max_step = icfg.rtol, icfg.atol, icfg.max_step
-    sample_dt, max_steps = icfg.sample_dt, icfg.max_steps
-    t_end = t0 + icfg.t_max
-    t = t0
-    y = [float(a) for a in y0]
-    step = _step_kernel(len(y))(f, rtol, atol)
-    k1 = f(y)
-    h = _initial_step(f, y, k1, rtol, atol, t_end - t0, max_step)
-    n_rhs = 2  # k1 and the starting-step probe
-
-    times = [t]
-    states = [y]
-    raw_events: list[tuple[float, _EventSpec, int, list]] = []
-    g_prev = [spec.fn(y) for spec in specs]
-    sample_index = 1
-    facold = 1e-4
-    rejected = False
-    n_steps = 0
-    n_error = 0  # rejected for err > 1
-    n_nonfinite = 0  # rejected for a non-finite stage, update or err
-    h_min, h_max = math.inf, 0.0
-    termination = Termination.REACHED_TMAX
-    failure = None
-
-    def record(tr, yr):
-        if tr - times[-1] > 1e-12 * max(1.0, abs(tr)):
-            times.append(tr)
-            states.append(yr)
-
-    while t_end - t > 1e-12 * max(1.0, abs(t_end)):
-        h = min(h, max_step)
-        landing = h > t_end - t  # cut short to land on t_end
-        if landing:
-            h = t_end - t
-        # Underflow, iteration-budget and blowup guards: the truncated moment
-        # hierarchy can develop finite-time blowups, which must surface as a
-        # step failure with the partial trajectory intact.
-        if h < 1e-14 * max(1.0, abs(t)):
-            failure = "underflow"
-        elif n_steps + n_error + n_nonfinite >= max_steps:
-            failure = "budget"
-        elif max(map(abs, y)) > 1e12:
-            failure = "blowup"
-        if failure is not None:
-            termination = Termination.STEP_FAILURE
-            break
-
-        # One step attempt (FSAL: k1 carried over from the previous step).
-        calls, err, result = step(h, y, k1)
-        n_rhs += calls
-        if not math.isfinite(err):  # a stage, the update or the error norm
-            n_nonfinite += 1
-            rejected = True
-            h *= 0.1
-            continue
-
-        fac11 = err ** _EXPO1
-        if err > 1.0:
-            n_error += 1
-            rejected = True
-            h = h / min(1.0 / _FAC_MIN, fac11 / _SAFETY)
-            continue
-
-        # Accepted.
-        n_steps += 1
-        if not landing:
-            h_min = min(h_min, h)
-            h_max = max(h_max, h)
-        tnew = t + h
-        y1, k7, coeffs = result
-        dense = _DenseOutput(t, h, coeffs)
-
-        # Events on (t, tnew].
-        located: list[tuple[float, _EventSpec, int]] = []
-        g_new = []
-        for spec, g0 in zip(specs, g_prev):
-            g1 = spec.fn(y1)
-            g_new.append(g1)
-            crossed = (g0 < 0.0 < g1) or (g0 > 0.0 > g1) or (g0 != 0.0 and g1 == 0.0)
-            if not crossed:
-                continue
-            direction = 1 if g0 < 0.0 else -1
-            if spec.direction and spec.direction != direction:
-                continue
-            te = tnew if g1 == 0.0 else _locate_zero(spec.fn, t, tnew, g0, dense)
-            located.append((te, spec, direction))
-        located.sort(key=lambda item: item[0])
-
-        cut = tnew
-        kept_events = []
-        for te, spec, direction in located:
-            kept_events.append((te, spec, direction))
-            if spec.stop is not None:
-                cut, termination = te, spec.stop
-                break
-
-        # Merge grid samples and event points in time order.
-        pending = [(te, dense(te), spec, direction) for te, spec, direction in kept_events]
-        while True:
-            ts = t0 + sample_index * sample_dt
-            if ts > cut + 1e-9 * sample_dt:
-                break
-            ts_clip = min(ts, cut)
-            pending.append((ts_clip, y1 if ts_clip >= tnew else dense(ts_clip), None, 0))
-            sample_index += 1
-        pending.sort(key=lambda item: item[0])
-        for tr, yr, spec, direction in pending:
-            record(tr, yr)
-            if spec is not None:
-                raw_events.append((tr, spec, direction, yr))
-
-        if termination is not Termination.REACHED_TMAX:  # an event stopped the run
-            t, y = cut, dense(cut)
-            break
-
-        # PI controller update.
-        fac = fac11 / facold ** _BETA
-        fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFETY))
-        hnew = h / fac
-        if rejected:
-            hnew = min(hnew, h)
-        facold = max(err, 1e-4)
-        rejected = False
-
-        t, y, k1, g_prev = tnew, y1, k7, g_new
-        h = hnew
-
-    record(t, y)
-    stats = {
-        "n_steps": n_steps,
-        "n_rejected": n_error + n_nonfinite,
-        "n_rhs": n_rhs,
-        "n_rejected_error": n_error,
-        "n_rejected_nonfinite": n_nonfinite,
-        # Over accepted steps, leaving out one cut short to land on t_end.
-        "h_min": h_min if h_max else None,
-        "h_max": h_max if h_max else None,
-    }
-    if failure is not None:
-        stats["failure"] = failure
+    run = _loop(len(y0), tuple((spec.expr, spec.direction) for spec in specs))
+    times, states, raw_events, stop, stats = run(f, t0, y0, icfg, tuple(specs))
+    if "failure" in stats:
+        termination = Termination.STEP_FAILURE
+    else:
+        termination = Termination.REACHED_TMAX if stop is None else stop
     return times, states, raw_events, termination, stats
+
+
+def _event_specs(
+    model: ModelConfig, icfg: IntegratorConfig, mark_positions: Sequence[float]
+) -> list[_EventSpec]:
+    """The events of :func:`integrate`: momentum sign changes, crossings of
+    ``mark_positions``, outbound escape (a stop) and, at orders >= 2, the
+    uncertainty residual falling below ``-10 * atol`` (a stop)."""
+    radius = (
+        icfg.escape_radius
+        if icfg.escape_radius is not None
+        else 10.0 * model.potential.a
+    )
+
+    specs = [_EventSpec("{y1}", kind="p_zero")]
+    specs += [
+        _EventSpec("{y0} - {c0}", kind="q_cross", values=(marker,), marker=marker)
+        for marker in map(float, mark_positions)
+    ]
+    specs.append(
+        _EventSpec(
+            "abs({y0}) - {c0}",
+            kind="escape",
+            values=(radius,),
+            stop=Termination.ESCAPED,
+            direction=1,
+        )
+    )
+    if model.order >= 2:
+        specs.append(
+            _EventSpec(
+                _RESIDUAL + " - {c1}",  # below the floor -10 * atol
+                kind="constraint",
+                values=(model.hbar * model.hbar / 4, -10.0 * icfg.atol),
+                stop=Termination.CONSTRAINT_VIOLATED,
+                direction=-1,
+            )
+        )
+    return specs
 
 
 def integrate(
@@ -542,42 +615,9 @@ def integrate(
         raise ValueError(
             f"initial state order {init.order} does not match model order {model.order}"
         )
-    radius = (
-        icfg.escape_radius
-        if icfg.escape_radius is not None
-        else 10.0 * model.potential.a
-    )
-
-    specs: list[_EventSpec] = [_EventSpec(lambda y: y[1], kind="p_zero")]
-    for marker in mark_positions:
-        specs.append(
-            _EventSpec(
-                (lambda mk: lambda y: y[0] - mk)(float(marker)),
-                kind="q_cross",
-                marker=float(marker),
-            )
-        )
-    specs.append(
-        _EventSpec(
-            lambda y: abs(y[0]) - radius,
-            kind="escape",
-            stop=Termination.ESCAPED,
-            direction=1,
-        )
-    )
-    quarter = model.hbar * model.hbar / 4
-    if model.order >= 2:
-        floor = -10.0 * icfg.atol
-
-        def constraint(y):
-            return _residual(y, quarter) - floor
-
-        stop = Termination.CONSTRAINT_VIOLATED
-        specs.append(_EventSpec(constraint, kind="constraint", stop=stop, direction=-1))
-
     f = make_rhs(model)
-    times, states, raw_events, termination, stats = _integrate_core(
-        f, init.t, state_to_vector(init), icfg, specs
+    times, states, raw_events, termination, stats = _propagate(
+        f, init.t, state_to_vector(init), icfg, _event_specs(model, icfg, mark_positions)
     )
 
     order = model.order
@@ -586,7 +626,7 @@ def integrate(
     n = len(t_arr)
     h_q, v_eff = effective_series(y_arr, model)
     if order >= 2:
-        uncertainty = _residual(y_arr.T, quarter)
+        uncertainty = _residual(y_arr.T, model.hbar * model.hbar / 4)
     else:
         uncertainty = np.full(n, np.nan)
 

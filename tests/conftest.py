@@ -4,9 +4,10 @@ The finite-difference machinery here is the independent check for the jet
 derivatives: central stencils of second-order accuracy pushed through two
 Richardson extrapolation levels. :func:`reference_jet` is the independent
 check for the generated jet code: the same recurrence as a plain loop, which
-the generated code must match bit for bit. :func:`reference_step` plays the
-same part for the generated Dormand-Prince step: one step written as
-per-component list code.
+the generated code must match bit for bit. :func:`reference_integrate` plays
+the same part for the generated Dormand-Prince loop: the adaptive loop written
+with per-component list code (:func:`reference_step`), a list dense output and
+a plain bisection.
 
 Property tests run derandomized and without an example database, so every
 run, in CI or locally, draws the same examples.
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from momentous import BarrierPotential, GaussianPacket, IntegratorConfig
+from momentous import BarrierPotential, GaussianPacket, IntegratorConfig, Termination
 
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
@@ -161,6 +162,204 @@ def reference_step(f, rtol, atol, h, y, k1):
             h * (_D1 * c1 + _D3 * c3 + _D4 * c4 + _D5 * c5 + _D6 * c6 + _D7 * c7),
         ))
     return 6, err, (y1, k7, coeffs)
+
+
+def reference_dense(t0, h, coeffs):
+    """The quartic interpolant over the step ``[t0, t0 + h]``, from the
+    per-component coefficients of :func:`reference_step`."""
+
+    def dense(t):
+        theta = (t - t0) / h
+        om = 1 - theta
+        return [
+            c0 + theta * (c1 + om * (c2 + theta * (c3 + om * c4)))
+            for c0, c1, c2, c3, c4 in coeffs
+        ]
+
+    return dense
+
+
+def reference_locate_zero(fn, t0, t1, g0, dense):
+    """Bisect a sign change of ``fn`` over dense output; ~1e-13 in time."""
+    lo, hi = t0, t1
+    glo = g0
+    for _ in range(200):
+        if hi - lo <= 1e-13 * max(1.0, abs(hi)):
+            break
+        mid = 0.5 * (lo + hi)
+        gm = fn(dense(mid))
+        if gm == 0.0:
+            return mid
+        if (glo < 0.0) == (gm < 0.0):
+            lo, glo = mid, gm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def reference_initial_step(f, y0, k1, rtol, atol, span, max_step):
+    """Hairer's starting-step heuristic, with :func:`reference_rms`."""
+    sc = [atol + rtol * abs(a) for a in y0]
+    d0 = reference_rms([a / s for a, s in zip(y0, sc)])
+    d1 = reference_rms([a / s for a, s in zip(k1, sc)])
+    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    h0 = min(h0, span, max_step)
+    f1 = f([a + h0 * b for a, b in zip(y0, k1)])
+    d2 = reference_rms([(a - b) / s for a, b, s in zip(f1, k1, sc)]) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, span, max_step)
+
+
+class _Subscripts(dict):
+    def __missing__(self, name):
+        return f"{name[0]}[{name[1:]}]"
+
+
+def event_function(spec):
+    """``spec``'s event expression as a function of a state list."""
+    fn = eval(f"lambda y, c: {spec.expr.format_map(_Subscripts())}")
+    return lambda y: fn(y, spec.values)
+
+
+def reference_integrate(f, t0, y0, icfg, specs=()):
+    """The adaptive Dormand-Prince loop as list code: the same arguments and
+    the same ``(times, states, raw events, termination, stats)`` as the
+    generated loop, which must match it bit for bit."""
+    rtol, atol, max_step = icfg.rtol, icfg.atol, icfg.max_step
+    sample_dt, max_steps = icfg.sample_dt, icfg.max_steps
+    t_end = t0 + icfg.t_max
+    t = t0
+    y = [float(a) for a in y0]
+    k1 = f(y)
+    h = reference_initial_step(f, y, k1, rtol, atol, t_end - t0, max_step)
+    n_rhs = 2  # k1 and the starting-step probe
+    fns = [event_function(spec) for spec in specs]
+
+    times = [t]
+    states = [y]
+    raw_events = []
+    g_prev = [fn(y) for fn in fns]
+    sample_index = 1
+    facold = 1e-4
+    rejected = False
+    n_steps = 0
+    n_error = 0
+    n_nonfinite = 0
+    h_min, h_max = math.inf, 0.0
+    termination = Termination.REACHED_TMAX
+    failure = None
+
+    def record(tr, yr):
+        if tr - times[-1] > 1e-12 * max(1.0, abs(tr)):
+            times.append(tr)
+            states.append(yr)
+
+    while t_end - t > 1e-12 * max(1.0, abs(t_end)):
+        h = min(h, max_step)
+        landing = h > t_end - t
+        if landing:
+            h = t_end - t
+        if h < 1e-14 * max(1.0, abs(t)):
+            failure = "underflow"
+        elif n_steps + n_error + n_nonfinite >= max_steps:
+            failure = "budget"
+        elif max(map(abs, y)) > 1e12:
+            failure = "blowup"
+        if failure is not None:
+            termination = Termination.STEP_FAILURE
+            break
+
+        calls, err, result = reference_step(f, rtol, atol, h, y, k1)
+        n_rhs += calls
+        if err is None or not math.isfinite(err):
+            n_nonfinite += 1
+            rejected = True
+            h *= 0.1
+            continue
+
+        fac11 = err ** (0.2 - 0.04 * 0.75)
+        if err > 1.0:
+            n_error += 1
+            rejected = True
+            h = h / min(1.0 / 0.2, fac11 / 0.9)
+            continue
+
+        n_steps += 1
+        if not landing:
+            h_min = min(h_min, h)
+            h_max = max(h_max, h)
+        tnew = t + h
+        y1, k7, coeffs = result
+        dense = reference_dense(t, h, coeffs)
+
+        located = []
+        g_new = []
+        for spec, fn, g0 in zip(specs, fns, g_prev):
+            g1 = fn(y1)
+            g_new.append(g1)
+            crossed = (g0 < 0.0 < g1) or (g0 > 0.0 > g1) or (g0 != 0.0 and g1 == 0.0)
+            if not crossed:
+                continue
+            direction = 1 if g0 < 0.0 else -1
+            if spec.direction and spec.direction != direction:
+                continue
+            te = tnew if g1 == 0.0 else reference_locate_zero(fn, t, tnew, g0, dense)
+            located.append((te, spec, direction))
+        located.sort(key=lambda item: item[0])
+
+        cut = tnew
+        kept_events = []
+        for te, spec, direction in located:
+            kept_events.append((te, spec, direction))
+            if spec.stop is not None:
+                cut, termination = te, spec.stop
+                break
+
+        pending = [(te, dense(te), spec, direction) for te, spec, direction in kept_events]
+        while True:
+            ts = t0 + sample_index * sample_dt
+            if ts > cut + 1e-9 * sample_dt:
+                break
+            ts_clip = min(ts, cut)
+            pending.append((ts_clip, y1 if ts_clip >= tnew else dense(ts_clip), None, 0))
+            sample_index += 1
+        pending.sort(key=lambda item: item[0])
+        for tr, yr, spec, direction in pending:
+            record(tr, yr)
+            if spec is not None:
+                raw_events.append((tr, spec, direction, yr))
+
+        if termination is not Termination.REACHED_TMAX:
+            t, y = cut, dense(cut)
+            break
+
+        fac = fac11 / facold ** 0.04
+        fac = max(1.0 / 10.0, min(1.0 / 0.2, fac / 0.9))
+        hnew = h / fac
+        if rejected:
+            hnew = min(hnew, h)
+        facold = max(err, 1e-4)
+        rejected = False
+
+        t, y, k1, g_prev = tnew, y1, k7, g_new
+        h = hnew
+
+    record(t, y)
+    stats = {
+        "n_steps": n_steps,
+        "n_rejected": n_error + n_nonfinite,
+        "n_rhs": n_rhs,
+        "n_rejected_error": n_error,
+        "n_rejected_nonfinite": n_nonfinite,
+        "h_min": h_min if h_max else None,
+        "h_max": h_max if h_max else None,
+    }
+    if failure is not None:
+        stats["failure"] = failure
+    return times, states, raw_events, termination, stats
 
 
 def central_difference(f, q, k, h):

@@ -337,6 +337,35 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: model.order must be 0, 2 or 3\n"
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["simulate", "--config", "c.json", "--order", "abc"],
+         "argument --order: invalid int value: 'abc'"),
+        (["simulate"], "the following arguments are required: --config"),
+        (["sweep", "--config", "c.json", "--workers", "x"],
+         "argument --workers: invalid int value: 'x'"),
+    ],
+    ids=["order-abc", "missing-config", "workers-x"],
+)
+def test_usage_error_is_a_configuration_error(args, message, capsys):
+    # Exit 2 means a step failure, so a usage error exits 1 with argparse's
+    # message.
+    with pytest.raises(SystemExit) as exit_info:
+        main(args)
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: momentous") and err.endswith(f"error: {message}\n")
+
+
+def test_help_exits_zero(capsys):
+    for args in (["--help"], ["simulate", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: momentous")
+
+
 def test_sweep_degenerate_matches_simulate(tmp_path):
     raw = scenario_raw(sweep={"parameter": "q0", "start": -2.5, "stop": -2.5, "count": 1})
     cfg = build_config(raw)

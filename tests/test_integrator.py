@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,14 +20,40 @@ from momentous import (
     integrate,
     uncertainty_residual,
 )
+import momentous
 from momentous.dynamics import make_rhs, state_to_vector
-from momentous.integrator import _integrate_core, _rms_kernel, _step_kernel
+from momentous.integrator import _EventSpec, _event_specs, _propagate
 
-from conftest import reference_rms, reference_step, rng, scenario_packet, tight_integrator
+from conftest import (
+    reference_initial_step,
+    reference_integrate,
+    rng,
+    scenario_packet,
+    tight_integrator,
+)
 
 # Both branches of the error norm's summation (below 8 terms and the 8-lane
 # tree), a remainder after the tree, and a second 8-lane block.
 STEP_DIMENSIONS = (1, 2, 5, 8, 9, 17)
+
+
+def matches_reference(make_f, t0, y0, icfg, specs=()):
+    """The generated loop's output for an RHS from ``make_f`` (a fresh one
+    per run), required to equal the reference loop's bit for bit (``repr``
+    tells -0.0 from 0.0 and spells every float exactly)."""
+    expected = reference_integrate(make_f(), t0, y0, icfg, specs)
+    actual = _propagate(make_f(), t0, y0, icfg, specs)
+    parts = ("times", "states", "raw events", "termination", "stats")
+    for name, got, want in zip(parts, actual, expected):
+        if repr(got) != repr(want):
+            if isinstance(got, list):
+                i = next(
+                    (i for i, (u, v) in enumerate(zip(got, want)) if repr(u) != repr(v)),
+                    min(len(got), len(want)),
+                )
+                got, want = f"{got[i:i + 1]} of {len(got)}", f"{want[i:i + 1]} of {len(want)}"
+            pytest.fail(f"{name} differ from the reference: {got} != {want}")
+    return actual
 
 
 def classical_inbound(pot, energy, q0):
@@ -163,8 +194,8 @@ def test_constraint_violation_stops_skewed_third_order(barrier):
 def test_step_failure_on_blowup():
     # dy/dt = y^2 from y(0) = 1 blows up at t = 1; the guards must surface a
     # step failure and return the partial trajectory.
-    times, states, events, termination, stats = _integrate_core(
-        lambda y: [y[0] * y[0]],
+    times, states, events, termination, stats = matches_reference(
+        lambda: lambda y: [y[0] * y[0]],
         0.0,
         np.array([1.0]),
         IntegratorConfig(rtol=1e-10, atol=1e-10, t_max=2.0, max_step=0.5, sample_dt=0.05),
@@ -184,26 +215,54 @@ def coupled_rhs(d, seed):
     ]
 
 
+def coupled_events(d, y0):
+    """A sign event on the last component, a marker just right of the start
+    on the first, and a stop when ``|y0|`` rises through 3."""
+    return (
+        _EventSpec(f"{{y{d - 1}}}", kind="sign"),
+        _EventSpec("{y0} - {c0}", kind="marker", values=(y0[0] + 0.05,)),
+        _EventSpec("abs({y0}) - {c0}", kind="stop", values=(3.0,),
+                   stop=Termination.ESCAPED, direction=1),
+    )
+
+
 @pytest.mark.parametrize("d", STEP_DIMENSIONS)
 def test_generated_step_matches_reference_bit_for_bit(d):
+    # The whole loop, events included, on a coupled nonlinear map; the runs
+    # reach t_max, stop at an event or blow up.
     gen = rng(100 + d)
     f = coupled_rhs(d, d)
-    for _ in range(25):
-        y = (gen.normal(size=d) * 10.0 ** gen.uniform(-3, 2, size=d)).tolist()
-        h = 10.0 ** gen.uniform(-4, -0.5)
+    located = []
+    for _ in range(8):
+        y0 = (gen.normal(size=d) * 10.0 ** gen.uniform(-3, 2, size=d)).tolist()
         rtol, atol = 10.0 ** gen.uniform(-12, -4, size=2)
-        k1 = f(y)
-        step = _step_kernel(d)(f, rtol, atol)
-        assert step(h, y, k1) == reference_step(f, rtol, atol, h, y, k1)
+        icfg = IntegratorConfig(rtol=rtol, atol=atol, t_max=1.5, sample_dt=0.1)
+        _, _, events, _, stats = matches_reference(
+            lambda: f, 0.0, y0, icfg, coupled_events(d, y0)
+        )
+        assert stats["n_steps"] > 2
+        located += events
+    assert located
 
 
 @pytest.mark.parametrize("d", STEP_DIMENSIONS)
 def test_generated_rms_matches_reference_bit_for_bit(d):
-    # The starting step's norm, which the step kernel's comparison misses.
+    # The starting step's three norms: one step attempt, accepted, ends at
+    # the step size of the reference_rms-based heuristic.
     gen = rng(300 + d)
+    lin = gen.normal(size=d).tolist()
+
+    def f(y):
+        return [a * b for a, b in zip(lin, y)]
+
     for _ in range(25):
-        v = (gen.normal(size=d) * 10.0 ** gen.uniform(-3, 3, size=d)).tolist()
-        assert _rms_kernel(d)(v) == reference_rms(v)
+        y0 = (gen.normal(size=d) * 10.0 ** gen.uniform(-3, 3, size=d)).tolist()
+        rtol, atol = 10.0 ** gen.uniform(-12, -4, size=2)
+        icfg = IntegratorConfig(rtol=rtol, atol=atol, t_max=1e3, max_step=1e3, max_steps=1)
+        times, _, _, _, stats = matches_reference(lambda: f, 0.0, y0, icfg)
+        assert stats["n_steps"] == 1 and stats["failure"] == "budget"
+        h = reference_initial_step(f, y0, f(y0), rtol, atol, 1e3, 1e3)
+        assert times[-1] == h == stats["h_max"]
 
 
 def poisoned(base, call, component, bad):
@@ -224,32 +283,192 @@ def poisoned(base, call, component, bad):
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("d", STEP_DIMENSIONS)
 def test_generated_step_stops_at_a_nonfinite_stage(d, bad):
-    # Position 0 poisons k1, position c the c-th RHS call. For c <= 5 the next
-    # stage state (after call 5, the update) is not finite and the step
-    # returns after c calls; a poisoned k7 (call 6) leaves only err non-finite.
+    # Position c in 1..6 poisons the c-th RHS call of the first step attempt
+    # (calls 1 and 2 are k1 and the starting-step probe). For c <= 5 the next
+    # stage state (after call 5, the update) is not finite and the attempt
+    # ends after c calls; a poisoned k7 (call 6) leaves only err non-finite.
+    # Either way the attempt is a non-finite rejection and the run goes on.
     base = coupled_rhs(d, d)
-    y = rng(200 + d).normal(size=d).tolist()
-    for position in range(7):
+    y0 = rng(200 + d).normal(size=d).tolist()
+    icfg = IntegratorConfig(rtol=1e-10, atol=1e-6, t_max=0.05, max_step=0.01)
+    for position in range(1, 7):
         for component in {0, d - 1}:
-            k1 = base(y)
-            if position == 0:
-                k1[component] = bad
-            f, count = poisoned(base, position, component, bad)
-            calls, err, out = _step_kernel(d)(f, 1e-10, 1e-6)(0.01, y, k1)
-            assert calls == count[0] == position
-            f, count = poisoned(base, position, component, bad)
-            ref_calls, ref_err, ref_out = reference_step(f, 1e-10, 1e-6, 0.01, y, k1)
-            assert ref_calls == count[0] == position
-            assert not math.isfinite(err)
-            if position < 6:
-                assert out is None and ref_out is None and ref_err is None
-            else:
-                assert not math.isfinite(ref_err) and out[0] == ref_out[0]
+            counts = []
+
+            def make_f():
+                f, count = poisoned(base, 2 + position, component, bad)
+                counts.append(count)
+                return f
+
+            stats = matches_reference(make_f, 0.0, y0, icfg)[4]
+            assert counts[0] == counts[1] == [stats["n_rhs"]]
+            assert stats["n_rejected_nonfinite"] == 1
+            # Two start-up calls, `position` in the poisoned attempt, six in
+            # every other.
+            assert stats["n_rhs"] == 2 + position + 6 * (stats["n_steps"] + stats["n_rejected_error"])
+
+
+def test_nonfinite_first_derivative_fails_like_the_reference():
+    # A non-finite k1 from the first RHS call: infinities make the starting
+    # step zero (a division by zero in both loops); a nan one makes it nan,
+    # and every attempt is rejected until the budget runs out.
+    icfg = IntegratorConfig(rtol=1e-10, atol=1e-6, t_max=1.0, max_steps=20)
+    base = coupled_rhs(2, 2)
+    for bad in (math.inf, -math.inf):
+        for run in (reference_integrate, _propagate):
+            with pytest.raises(ZeroDivisionError):
+                run(poisoned(base, 1, 0, bad)[0], 0.0, [0.5, -0.2], icfg)
+    stats = matches_reference(
+        lambda: poisoned(base, 1, 0, math.nan)[0], 0.0, [0.5, -0.2], icfg
+    )[4]
+    assert stats["failure"] == "budget"
+    assert stats["n_rejected_nonfinite"] == 20
+
+
+def model_run(barrier, order, q0, sigma0, convention, **overrides):
+    """RHS factory, start vector, config and event specs of an ``integrate``
+    call on the standard scenario, marking the classical return points."""
+    model = ModelConfig(potential=barrier, order=order)
+    packet = scenario_packet(barrier, q0, sigma0)
+    if order == 0:
+        init = MomentState(t=0.0, q=packet.q0, p=packet.p0, moments=())
+    else:
+        init = initial_moments(packet, order, convention)
+    icfg = tight_integrator(**overrides)
+    specs = _event_specs(model, icfg, barrier.turning_points(0.98))
+    f = make_rhs(model)
+    return (lambda: f), state_to_vector(init), icfg, specs
+
+
+@pytest.mark.parametrize(
+    "order,q0,sigma0,convention,overrides,termination",
+    [
+        pytest.param(2, -1.62, 0.3, "zero", dict(atol=1e-6, t_max=2.35, sample_dt=0.1),
+                     Termination.REACHED_TMAX, id="order2-coarse-samples"),
+        pytest.param(2, -2.5, 0.5, "zero", dict(t_max=3.0, sample_dt=0.001),
+                     Termination.REACHED_TMAX, id="order2-fine-samples"),
+        pytest.param(3, -2.5, 0.5, "skewed", {},
+                     Termination.CONSTRAINT_VIOLATED, id="order3-constraint"),
+        pytest.param(3, -1.62, 0.3, "zero", dict(atol=1e-6, t_max=2.35),
+                     Termination.REACHED_TMAX, id="order3-zero"),
+        pytest.param(0, -3.0, 0.5, None, {},
+                     Termination.ESCAPED, id="order0-escaped"),
+        pytest.param(2, -12.0, 0.5, "zero", dict(t_max=40.0, escape_radius=10.0),
+                     Termination.ESCAPED, id="order2-inward-then-escaped"),
+    ],
+)
+def test_loop_matches_reference_on_model_runs(
+    request, barrier, order, q0, sigma0, convention, overrides, termination
+):
+    make_f, y0, icfg, specs = model_run(barrier, order, q0, sigma0, convention, **overrides)
+    times, _, events, got, stats = matches_reference(make_f, 0.0, y0, icfg, specs)
+    assert got is termination
+    case = request.node.callspec.id
+    if case == "order2-coarse-samples":
+        assert len(times) < stats["n_steps"]
+        assert {"p_zero", "q_cross"} <= {spec.kind for _, spec, _, _ in events}
+    if case == "order2-fine-samples":
+        assert len(times) > 10 * stats["n_steps"]
+    if case == "order2-inward-then-escaped":
+        # The inward crossing of the escape radius is filtered out.
+        assert [d for _, spec, d, _ in events if spec.kind == "escape"] == [1]
+        assert np.abs(y0[0]) > icfg.escape_radius
+
+
+def test_loop_matches_reference_on_step_failures():
+    # Underflow: an RHS that turns infinite past y = 1.5.
+    icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=2.0, max_step=0.5, sample_dt=0.05)
+    stats = matches_reference(
+        lambda: lambda y: [math.inf if y[0] > 1.5 else 1.0], 0.0, [0.0], icfg
+    )[4]
+    assert stats["failure"] == "underflow"
+    # Budget: a stiff oscillator with five attempts.
+    icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=2.0, max_steps=5)
+    stats = matches_reference(
+        lambda: lambda y: [y[1], -400.0 * y[0]], 0.0, [1.0, 0.0], icfg
+    )[4]
+    assert stats["failure"] == "budget"
+    assert stats["n_steps"] + stats["n_rejected"] == 5
+
+
+def test_loop_matches_reference_on_a_landing_step():
+    # The last step is cut to about 1e-9 to land on t_end.
+    icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=10.0 + 1e-9, max_step=0.1, sample_dt=0.05)
+    times, _, _, termination, stats = matches_reference(
+        lambda: lambda y: [1.0, -y[0]], 0.0, [0.0, 1.0], icfg
+    )
+    assert termination is Termination.REACHED_TMAX
+    assert times[-1] == 10.0 + 1e-9 and stats["h_min"] > 1e-3
+
+
+def test_loop_matches_reference_on_an_event_landing_exactly_on_zero():
+    # Markers placed on the end state of the third step: both event values
+    # (one rising, one falling) are exactly 0.0 there, so the event time is
+    # that step's end, unbisected. Starting at t0 = 1000, (t + h - t) / h is
+    # not exactly 1, so the event state is the interpolant's, not y1's.
+    base = coupled_rhs(2, 7)
+    icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=1.0, sample_dt=0.3)
+    calls = []
+
+    def logged(y):
+        calls.append(list(y))
+        return base(y)
+
+    assert _propagate(logged, 1000.0, [0.3, -0.4], icfg)[4]["n_rejected"] == 0
+    end3 = calls[2 + 3 * 6 - 1][0]  # the third attempt's k7 is f at its end state
+    specs = (
+        _EventSpec("{y0} - {c0}", kind="above", values=(end3,)),
+        _EventSpec("{c0} - {y0}", kind="below", values=(end3,)),
+    )
+    events = matches_reference(lambda: base, 1000.0, [0.3, -0.4], icfg, specs)[2]
+    assert sorted(direction for _, _, direction, _ in events) == [-1, 1]
+    assert events[0][0] == events[1][0]
+    assert events[0][3][0] == pytest.approx(end3, abs=1e-12)
+
+
+def test_loop_matches_reference_on_an_event_value_from_nan_to_zero():
+    # y0 == y1 throughout: y0 * c - y1 * c is nan (inf - inf) while y exceeds
+    # about 1.8e8 and exactly 0.0 below; the list loop counts that change as
+    # a falling crossing.
+    spec = _EventSpec("{y0} * {c0} - {y1} * {c0}", kind="nan", values=(1e300,))
+    icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=3.0)
+    events = matches_reference(
+        lambda: lambda y: [-y[0], -y[1]], 0.0, [1e9, 1e9], icfg, (spec,)
+    )[2]
+    assert [(direction, y[0] < 1.8e8) for _, _, direction, y in events] == [(-1, True)]
+
+
+def test_loop_matches_reference_on_a_stop_just_before_a_sample():
+    # q = t stops at 0.5 - 1e-12, within 1e-9 * sample_dt of the grid time
+    # 0.5: that sample is clipped to the stop and merges with its row.
+    spec = _EventSpec("abs({y0}) - {c0}", kind="stop", values=(0.5 - 1e-12,),
+                      stop=Termination.ESCAPED, direction=1)
+    icfg = IntegratorConfig(rtol=1e-10, atol=1e-10, t_max=1.0, sample_dt=0.25)
+    times, _, events, termination, _ = matches_reference(
+        lambda: lambda y: [1.0, 0.0], 0.0, [0.0, 0.0], icfg, (spec,)
+    )
+    assert termination is Termination.ESCAPED
+    assert times == [0.0, 0.25, events[0][0]]
+    assert events[0][0] == pytest.approx(0.5 - 1e-12, abs=1e-13)
+
+
+def test_loop_matches_reference_on_event_rows_next_to_samples():
+    # q = t: an event 5e-12 after the sample at 0.5 is a row of its own; one
+    # 5e-13 after the sample at 0.75 is within 1e-12 of it and is not. Both
+    # are events.
+    specs = tuple(
+        _EventSpec("{y0} - {c0}", kind="marker", values=(mark,)) for mark in (0.5 + 5e-12, 0.75 + 5e-13)
+    )
+    icfg = IntegratorConfig(rtol=1e-10, atol=1e-10, t_max=1.0, sample_dt=0.25)
+    times, _, events, _, _ = matches_reference(lambda: lambda y: [1.0, 0.0], 0.0, [0.0, 0.0], icfg, specs)
+    assert [te for te, _, _, _ in events] == [pytest.approx(0.5 + 5e-12, abs=1e-13),
+                                              pytest.approx(0.75 + 5e-13, abs=1e-13)]
+    assert times == [0.0, 0.25, 0.5, events[0][0], 0.75, 1.0]
 
 
 def core_stats(f, y0, t_end, max_step=0.5):
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=t_end, max_step=max_step, sample_dt=0.05)
-    return _integrate_core(f, 0.0, y0, icfg)[4]
+    return matches_reference(lambda: f, 0.0, y0, icfg)[4]
 
 
 def test_step_statistics_split_rejections_by_cause():
@@ -401,3 +620,45 @@ def test_order_mismatch_rejected(barrier):
     model = ModelConfig(potential=barrier, order=2)
     with pytest.raises(ValueError):
         integrate(MomentState(t=0.0, q=0.0, p=0.0, moments=()), model, IntegratorConfig())
+
+
+# Builds the loop for d = 2, 5 and 9 with and without markers and the
+# constraint, and the RHS and series kernels of orders 0, 2 and 3; prints the
+# text of every generated source.
+GENERATED_SOURCES = """
+import json, linecache
+from momentous import BarrierPotential, IntegratorConfig, ModelConfig
+from momentous.dynamics import _series, make_rhs
+from momentous.integrator import _event_specs, _loop
+
+pot = BarrierPotential(alpha=1.0, a=1.0, n=4)
+icfg = IntegratorConfig()
+for order, d in ((0, 2), (2, 5), (3, 9)):
+    for third in (True, False):
+        model = ModelConfig(potential=pot, order=order, veff_third_moment=third)
+        make_rhs(model)
+        _series(model, True)
+        _series(model, False)
+    for marks in ((), pot.turning_points(0.98)):
+        specs = _event_specs(model, icfg, marks)
+        for kept in (specs, [s for s in specs if s.kind != "constraint"]):
+            _loop(d, tuple((s.expr, s.direction) for s in kept))
+print(json.dumps({k: "".join(v[2]) for k, v in linecache.cache.items() if k.startswith("<")}))
+"""
+
+
+def test_generated_source_ignores_the_hash_seed():
+    src = str(Path(momentous.__file__).resolve().parents[1])
+    texts = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", GENERATED_SOURCES],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        texts.append(json.loads(run.stdout))
+    assert texts[0] == texts[1]
+    loops = [name for name in texts[0] if name.startswith("<dopri5 loop")]
+    assert len(loops) == 10  # order 0 has no constraint to drop
+    assert any(name.startswith("<order-3 rhs kernel") for name in texts[0])
