@@ -16,6 +16,7 @@ import argparse
 import copy
 import json
 import math
+import multiprocessing
 import os
 import sys
 from collections import Counter
@@ -342,10 +343,19 @@ def _write(cfg: RunConfig, out_path: Optional[str], kind: str, columns, rows, **
 def run_simulate(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
     """Integrate one trajectory; write `<out>.csv` and `<out>.summary.json`.
 
-    Returns the summary dict (also written to the sidecar).
+    Returns the summary dict (also written to the sidecar). A run that stops
+    at the uncertainty constraint gets a ``warnings`` list naming the stop
+    time, which ``main`` prints.
     """
     traj = _trajectory(cfg)
     outcome = classify(traj, cfg.model.potential, cfg.energy, cfg.margin)
+    warnings = []
+    if traj.termination is Termination.CONSTRAINT_VIOLATED:
+        # The stop event is the run's last event.
+        warnings.append(
+            f"stopped early at t = {traj.events[-1].t!r}: the uncertainty residual "
+            f"fell below -10 * atol (constraint_violated)"
+        )
     columns = ["t", "q", "p"]
     series = [traj.times[:, None], traj.states]
     if cfg.model.order >= 2:
@@ -362,6 +372,7 @@ def run_simulate(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
             {"t": e.t, "kind": e.kind, "direction": e.direction, "marker": e.marker}
             for e in traj.events
         ],
+        **({"warnings": warnings} if warnings else {}),
     )
 
 
@@ -382,10 +393,9 @@ SWEEP_COLUMNS = [
 
 
 def _sweep_point(args) -> list:
-    """Worker: run one sweep point from a resolved config dict. Module-level
-    for the process pool. A point whose config is invalid (``build_config``
-    also rejects a packet energy <= 0) gives an ``error:`` row; any other
-    exception propagates."""
+    """Run one sweep point, a ``(resolved config dict, index, value)`` job.
+    A point whose config is invalid (``build_config`` also rejects a packet
+    energy <= 0) gives an ``error:`` row; any other exception propagates."""
     raw, index, value = args
     cfg = build_config(raw)
     parameter = cfg.sweep["parameter"]
@@ -421,11 +431,49 @@ def _sweep_point(args) -> list:
     return ["" if v is None else v for v in row]
 
 
+# A pool worker's ``(jobs, counter)``, set by ``_adopt`` as the process starts:
+# a shared counter can reach a process only then, not through ``submit``.
+_ADOPTED = None
+
+
+def _adopt(jobs, counter) -> None:
+    global _ADOPTED
+    _ADOPTED = (jobs, counter)
+
+
+def _claim_adopted() -> list:
+    return _claim(*_ADOPTED)
+
+
+def _claim(jobs, counter) -> list:
+    """Run sweep points, each the next index taken under ``counter``'s lock,
+    until none is left; return their ``(index, row)`` pairs. An exception
+    takes every index left, so the other claimers stop after their current
+    point, and propagates."""
+    pairs = []
+    try:
+        while True:
+            with counter.get_lock():
+                index = counter.value
+                counter.value = index + 1
+            if index >= len(jobs):
+                return pairs
+            pairs.append((index, _sweep_point(jobs[index])))
+    except BaseException:
+        with counter.get_lock():
+            counter.value = len(jobs)
+        raise
+
+
 def run_sweep(cfg: RunConfig, out_path: Optional[str] = None, workers: int = 1) -> dict:
     """Run every sweep point; write the per-point outcome table and summary.
-    Row order matches sweep order. Points run on a process pool of
-    ``workers`` processes, capped at the number of points and of CPUs;
-    serially when that cap is 1."""
+
+    Points run in ``workers`` processes, capped at the number of points and
+    of CPUs; serially when that cap is 1. The calling process is one of
+    them: it claims points alongside ``workers - 1`` pool processes, each of
+    which returns all its rows in one message. Rows are placed by index, so
+    the table is the serial one byte for byte.
+    """
     if cfg.sweep is None:
         raise ConfigError("sweep section is required for the sweep command")
     raw = cfg.to_dict()
@@ -433,8 +481,15 @@ def run_sweep(cfg: RunConfig, out_path: Optional[str] = None, workers: int = 1) 
     jobs = [(raw, i, float(v)) for i, v in enumerate(values)]
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
+        counter = multiprocessing.Value("l", 0)
+        with ProcessPoolExecutor(
+            workers - 1, initializer=_adopt, initargs=(jobs, counter)
+        ) as pool:
+            futures = [pool.submit(_claim_adopted) for _ in range(workers - 1)]
+            pairs = _claim(jobs, counter)
+            for future in futures:
+                pairs += future.result()
+        rows = [row for _, row in sorted(pairs, key=lambda pair: pair[0])]
     else:
         rows = [_sweep_point(job) for job in jobs]
     return _write(
@@ -538,7 +593,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_cmd = add_run_command("sweep", "classify a family of trajectories")
     sweep_cmd.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes for sweep points (default 1)",
+        help="processes for sweep points, this one included (default 1)",
     )
     add_run_command("surface", "sample the effective potential over (t, q)")
     check = sub.add_parser("check-algebra", help="moment bracket self-check")
@@ -569,6 +624,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    for warning in summary.get("warnings", ()):
+        print(f"warning: {warning}", file=sys.stderr)
     if summary.get("termination") == Termination.STEP_FAILURE.value:
         # simulate summaries keep the cause in their stats, surfaces at top level
         cause = summary["stats"]["failure"] if "stats" in summary else summary["failure"]

@@ -32,8 +32,8 @@ Recorded along the way:
 * per-sample series, computed once per trajectory on the ``(n, d)`` sample
   array: effective Hamiltonian, effective potential at the mean position,
   and the uncertainty-product residual;
-* on a step failure, its cause: step-size underflow, the ``max_steps``
-  budget, or a state blowup.
+* on a step failure, its cause: a non-finite start, step-size underflow,
+  the ``max_steps`` budget, or a state blowup.
 
 Runs are bit-reproducible: identical configuration yields identical output.
 """
@@ -263,10 +263,12 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
 
     The loop is straight-line code per step with one local per component and
     stage (component ``i`` of stage ``j`` is ``k{j}_{i}``): Hairer's starting
-    step, the step-size guards, the six stages with their finiteness checks,
-    the error norm of :func:`_rms_expression`, the PI controller, the event
-    values and crossing tests, the quartic dense output on the sample grid,
-    and the bisection of each crossing event over the components it reads.
+    step (or a failure before any attempt when k1 or that step is not
+    finite), the step-size guards, the six stages with their finiteness
+    checks, the error norm of :func:`_rms_expression`, the PI controller, the
+    event values and crossing tests, the quartic dense output on the sample
+    grid, and the bisection of each crossing event over the components it
+    reads.
     A step builds the interpolant's coefficients only when an event crosses
     or a sample falls inside it, and one in which no event crosses samples
     the grid without sorting. It calls ``f`` on state lists and reads the
@@ -335,19 +337,22 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
         constants = _fields(events[k][0], "c")
         if constants:
             put(1, f"[{listed(f'c{k}_', constants)}] = specs[{k}].values")
-    put(1, f"[{listed('k1_')}] = f(y)")
+    put(1, f"[{listed('k1_')}] = f(y)", "n_rhs = 1", "failure = None")
 
-    # Hairer's starting-step heuristic.
-    put(1, *(f"sc{i} = atol + rtol * abs(x{i})" for i in comps))
-    rms(1, "norm0", [f"x{i} / sc{i}" for i in comps])
-    rms(1, "norm1", [f"k1_{i} / sc{i}" for i in comps])
-    put(1, "h0 = 1e-6 if (norm0 < 1e-5 or norm1 < 1e-5) else 0.01 * norm0 / norm1",
+    # Hairer's starting-step heuristic, unless k1 is not finite; the run
+    # fails at once if either gives no finite positive starting step.
+    put(1, f"if {' + '.join(f'0.0 * k1_{i}' for i in comps)} != 0.0:",
+        "    failure = 'nonfinite_start'", "else:")
+    put(2, *(f"sc{i} = atol + rtol * abs(x{i})" for i in comps))
+    rms(2, "norm0", [f"x{i} / sc{i}" for i in comps])
+    rms(2, "norm1", [f"k1_{i} / sc{i}" for i in comps])
+    put(2, "h0 = 1e-6 if (norm0 < 1e-5 or norm1 < 1e-5) else 0.01 * norm0 / norm1",
         "span = t_end - t0",
         "if span < h0:", "    h0 = span",
         "if max_step < h0:", "    h0 = max_step",
         f"[{listed('f1_')}] = f([{', '.join(f'x{i} + h0 * k1_{i}' for i in comps)}])")
-    rms(1, "norm2", [f"(f1_{i} - k1_{i}) / sc{i}" for i in comps], " / h0")
-    put(1, "top = norm2 if norm2 > norm1 else norm1",
+    rms(2, "norm2", [f"(f1_{i} - k1_{i}) / sc{i}" for i in comps], " / h0")
+    put(2, "top = norm2 if norm2 > norm1 else norm1",
         "if top <= 1e-15:",
         "    h1 = h0 * 1e-3",
         "    h1 = h1 if h1 > 1e-6 else 1e-6",
@@ -357,18 +362,19 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
         "if h1 < h:", "    h = h1",
         "if span < h:", "    h = span",
         "if max_step < h:", "    h = max_step",
-        "n_rhs = 2  # k1 and the starting-step probe")
+        "n_rhs = 2  # k1 and the starting-step probe",
+        "if not 0.0 < h < inf:", "    failure = 'nonfinite_start'")
 
     put(1, "times = [t]", "states = [y]", "tlast = t", "raw_events = []")
     put(1, *(f"g{k} = {event(k, 'x')}" for k in ev))
     put(1, "sample_index = 1", "facold = 1e-4", "rejected = False",
         "n_steps = 0", "n_error = 0  # rejected for err > 1",
         "n_nonfinite = 0  # rejected for a non-finite stage, update or err",
-        "h_min = inf", "h_max = 0.0", "stop = None", "failure = None",
+        "h_min = inf", "h_max = 0.0", "stop = None",
         "a = abs(t_end)", "close = 1e-12 * (a if a > 1.0 else 1.0)",
         "slack = 1e-9 * sample_dt")
 
-    put(1, "while t_end - t > close:")
+    put(1, "while failure is None and t_end - t > close:")
     put(2, "if max_step < h:", "    h = max_step",
         "landing = h > t_end - t  # cut short to land on t_end",
         "if landing:", "    h = t_end - t")
@@ -546,7 +552,8 @@ def _propagate(
     1 and for a non-finite stage, update or error norm) and RHS calls, and
     gives ``h_min`` and ``h_max`` over the accepted steps (None when there
     are none). On a step failure ``stats["failure"]`` names the guard that
-    stopped the run: "underflow", "budget" or "blowup"."""
+    stopped the run: "nonfinite_start", "underflow", "budget" or
+    "blowup"."""
     run = _loop(len(y0), tuple((spec.expr, spec.direction) for spec in specs))
     times, states, raw_events, stop, stats = run(f, t0, y0, icfg, tuple(specs))
     if "failure" in stats:
@@ -606,10 +613,12 @@ def integrate(
     Early stops: outbound escape through ``|q| = escape_radius`` (default
     ``10 *`` the potential half-width), uncertainty residual below
     ``-10 * atol`` (orders >= 2), or a step failure, whose cause
-    ``stats["failure"]`` names: "underflow" (step size below ``1e-14 * |t|``),
-    "budget" (``max_steps`` attempts used) or "blowup" (a state component
-    beyond ``1e12``). ``mark_positions`` adds recorded (non-stopping) crossing
-    events, typically the classical return points.
+    ``stats["failure"]`` names: "nonfinite_start" (a non-finite first
+    derivative or starting step; no step is attempted), "underflow" (step
+    size below ``1e-14 * |t|``), "budget" (``max_steps`` attempts used) or
+    "blowup" (a state component beyond ``1e12``). ``mark_positions`` adds
+    recorded (non-stopping) crossing events, typically the classical return
+    points.
     """
     if init.order != model.order:
         raise ValueError(

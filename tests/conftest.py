@@ -234,8 +234,15 @@ def reference_integrate(f, t0, y0, icfg, specs=()):
     t = t0
     y = [float(a) for a in y0]
     k1 = f(y)
-    h = reference_initial_step(f, y, k1, rtol, atol, t_end - t0, max_step)
-    n_rhs = 2  # k1 and the starting-step probe
+    n_rhs = 1
+    failure = None
+    if not all(map(math.isfinite, k1)):
+        failure = "nonfinite_start"
+    else:
+        h = reference_initial_step(f, y, k1, rtol, atol, t_end - t0, max_step)
+        n_rhs = 2  # k1 and the starting-step probe
+        if not 0.0 < h < math.inf:
+            failure = "nonfinite_start"
     fns = [event_function(spec) for spec in specs]
 
     times = [t]
@@ -249,15 +256,14 @@ def reference_integrate(f, t0, y0, icfg, specs=()):
     n_error = 0
     n_nonfinite = 0
     h_min, h_max = math.inf, 0.0
-    termination = Termination.REACHED_TMAX
-    failure = None
+    termination = Termination.REACHED_TMAX if failure is None else Termination.STEP_FAILURE
 
     def record(tr, yr):
         if tr - times[-1] > 1e-12 * max(1.0, abs(tr)):
             times.append(tr)
             states.append(yr)
 
-    while t_end - t > 1e-12 * max(1.0, abs(t_end)):
+    while failure is None and t_end - t > 1e-12 * max(1.0, abs(t_end)):
         h = min(h, max_step)
         landing = h > t_end - t
         if landing:

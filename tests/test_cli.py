@@ -1,8 +1,15 @@
 import json
 import math
+import multiprocessing
+import os
 import re
+import signal
+import time
+from concurrent.futures import Future
+from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import momentous.dynamics as dynamics
@@ -403,19 +410,21 @@ def test_sweep_worker_pool_matches_serial(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "workers, cpus, pool_size",
+    "workers, cpus, cap",
     [(10_000, 64, 3), (2, 2, 2), (10_000, 1, None), (4, None, None), (1, 64, None)],
     ids=["capped_at_points", "two_cpus", "one_cpu", "cpu_count_unknown", "one_worker"],
 )
-def test_sweep_workers_capped_at_points_and_cpus(tmp_path, monkeypatch, workers, cpus, pool_size):
-    # A fake pool records its size and maps in-process: no process is started.
+def test_sweep_workers_capped_at_points_and_cpus(tmp_path, monkeypatch, workers, cpus, cap):
+    # A fake pool records its size and runs each submitted claimer in-process
+    # at once: no process is started.
     import momentous.cli as cli
 
     sizes = []
 
     class FakePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -423,18 +432,123 @@ def test_sweep_workers_capped_at_points_and_cpus(tmp_path, monkeypatch, workers,
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def submit(self, fn):
+            future = Future()
+            future.set_result(fn())
+            return future
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli, "_ADOPTED", None)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     raw = scenario_raw(
         sweep={"parameter": "q0", "start": -2.6, "stop": -2.2, "count": 3},
         integrator={"t_max": 1.0},
     )
     summary = run_sweep(build_config(raw), str(tmp_path / "capped"), workers=workers)
-    assert sizes == ([] if pool_size is None else [pool_size])
+    # The calling process claims points too: the pool has one process fewer.
+    assert [size + 1 for size in sizes] == ([] if cap is None else [cap])
     assert summary["n_rows"] == 3
+
+
+# The tests below patch cli._sweep_point in this process; the pool's
+# processes see the patch only when they are forked from it.
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool processes inherit the patched sweep point only under fork",
+)
+
+
+@contextmanager
+def time_bound(seconds):
+    """Raise TimeoutError in this process if the block outlasts ``seconds``
+    (a forked child inherits the handler but not the timer)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def patched_points(monkeypatch, point, cpus):
+    """Run each sweep point as ``point(index, value)``, on ``cpus`` CPUs."""
+    import momentous.cli as cli
+
+    monkeypatch.setattr(cli, "_sweep_point", lambda job: point(job[1], job[2]))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+
+
+def fake_row(index, value, termination="reached_tmax"):
+    return [index, value, "reflected", "", "", "", 0, "", "", "", False, termination]
+
+
+@fork_only
+@pytest.mark.parametrize("side", ["worker", "caller"])
+def test_sweep_pool_propagates_an_exception_from_either_side(tmp_path, monkeypatch, side):
+    # A defect (not a ConfigError) on one side only. The other side's first
+    # point waits until the failing side has started, so both claim.
+    caller = os.getpid()
+    started = multiprocessing.Event()
+
+    def point(index, value):
+        if (os.getpid() == caller) == (side == "caller"):
+            started.set()
+            raise RuntimeError(f"{side} defect")
+        assert started.wait(30)
+        return fake_row(index, value)
+
+    patched_points(monkeypatch, point, cpus=2)
+    raw = scenario_raw(sweep={"parameter": "q0", "start": -3.0, "stop": -2.0, "count": 20})
+    with time_bound(60), pytest.raises(RuntimeError, match=f"{side} defect"):
+        run_sweep(build_config(raw), str(tmp_path / "defect"), workers=2)
+
+
+def test_a_failed_claim_takes_every_index_left(monkeypatch):
+    # So the other claimers stop after their current point.
+    import momentous.cli as cli
+
+    def point(job):
+        if job[1] == 2:
+            raise RuntimeError("defect")
+        return fake_row(job[1], job[2])
+
+    monkeypatch.setattr(cli, "_sweep_point", point)
+    counter = multiprocessing.Value("l", 0)
+    jobs = [(None, i, float(i)) for i in range(10)]
+    with pytest.raises(RuntimeError, match="defect"):
+        cli._claim(jobs, counter)
+    assert counter.value == len(jobs)
+    assert cli._claim(jobs, counter) == []
+
+
+@fork_only
+def test_sweep_pool_claims_every_point_once_in_order(tmp_path, monkeypatch):
+    # More claimers than cores over a few hundred short points: a lost update
+    # of the shared counter would run a point twice or not at all.
+    count, claimers = 300, 8
+    claims = multiprocessing.Array("i", count)
+
+    def point(index, value):
+        with claims.get_lock():
+            claims[index] += 1
+        time.sleep(0.001)
+        return fake_row(index, value, termination=os.getpid())
+
+    patched_points(monkeypatch, point, cpus=claimers)
+    raw = scenario_raw(sweep={"parameter": "q0", "start": -3.0, "stop": -2.0, "count": count})
+    with time_bound(60):
+        summary = run_sweep(build_config(raw), str(tmp_path / "stress"), workers=claimers)
+    assert list(claims) == [1] * count
+    assert summary["n_rows"] == count
+    rows = [line.split(",") for line in (tmp_path / "stress.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == [str(i) for i in range(count)]
+    assert [row[1] for row in rows] == [str(v) for v in np.linspace(-3.0, -2.0, count).tolist()]
+    assert len({row[11] for row in rows}) > 1  # more than one process claimed
 
 
 def test_sweep_q0_keeps_energy_fixed(tmp_path):
@@ -593,6 +707,50 @@ def test_step_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "integration failed: step failure (budget)" in capsys.readouterr().err
     summary = json.loads((tmp_path / "h.summary.json").read_text())
     assert summary["failure"] == "budget"
+
+
+def test_constraint_stop_warns_and_exits_zero(tmp_path, capsys):
+    # The order-3 skewed default stops at the uncertainty constraint: one
+    # stderr line and the same text in the summary; still exit 0.
+    stem = tmp_path / "skewed"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(scenario_raw(model={"order": 3}, output={"path": str(stem)})))
+    assert main(["simulate", "--config", str(path)]) == 0
+    summary = json.loads(stem.with_suffix(".summary.json").read_text())
+    assert summary["termination"] == "constraint_violated"
+    stop = summary["events"][-1]
+    assert stop["kind"] == "constraint"
+    assert summary["warnings"] == [
+        f"stopped early at t = {stop['t']!r}: the uncertainty residual fell below "
+        "-10 * atol (constraint_violated)"
+    ]
+    assert capsys.readouterr().err == f"warning: {summary['warnings'][0]}\n"
+    # A run that is not stopped there has no warnings.
+    path.write_text(json.dumps(scenario_raw(
+        model={"order": 3}, packet={"q0": -2.5, "energy": 0.98, "sigma0": 0.5,
+                                    "third_moment_convention": "zero"},
+        integrator={"t_max": 1.0}, output={"path": str(stem)},
+    )))
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert "warnings" not in json.loads(stem.with_suffix(".summary.json").read_text())
+    assert capsys.readouterr().err == ""
+
+
+def test_nonfinite_start_exit_code(tmp_path, monkeypatch, capsys):
+    # An RHS that is nan at the start: the run fails before any step and
+    # the message names the cause; the table holds the initial state.
+    import momentous.integrator as integrator
+
+    monkeypatch.setattr(integrator, "make_rhs", lambda model: lambda y: [math.nan] * len(y))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(scenario_raw(output={"path": str(tmp_path / "n")})))
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "integration failed: step failure (nonfinite_start)" in err
+    summary = json.loads((tmp_path / "n.summary.json").read_text())
+    assert summary["stats"]["failure"] == "nonfinite_start"
+    assert summary["stats"]["n_rhs"] == 1 and summary["n_samples"] == 1
+    assert summary["outcome"]["tag"] == "undetermined"
 
 
 def test_sweep_point_errors_become_rows_but_bugs_propagate(tmp_path, monkeypatch):

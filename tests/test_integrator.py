@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -309,20 +310,29 @@ def test_generated_step_stops_at_a_nonfinite_stage(d, bad):
 
 
 def test_nonfinite_first_derivative_fails_like_the_reference():
-    # A non-finite k1 from the first RHS call: infinities make the starting
-    # step zero (a division by zero in both loops); a nan one makes it nan,
-    # and every attempt is rejected until the budget runs out.
+    # A non-finite k1 from the first RHS call ends the run at once, in both
+    # loops: no starting-step probe, no step attempt, only the start row.
     icfg = IntegratorConfig(rtol=1e-10, atol=1e-6, t_max=1.0, max_steps=20)
     base = coupled_rhs(2, 2)
-    for bad in (math.inf, -math.inf):
-        for run in (reference_integrate, _propagate):
-            with pytest.raises(ZeroDivisionError):
-                run(poisoned(base, 1, 0, bad)[0], 0.0, [0.5, -0.2], icfg)
-    stats = matches_reference(
-        lambda: poisoned(base, 1, 0, math.nan)[0], 0.0, [0.5, -0.2], icfg
-    )[4]
-    assert stats["failure"] == "budget"
-    assert stats["n_rejected_nonfinite"] == 20
+    for bad, component in itertools.product((math.inf, -math.inf, math.nan), (0, 1)):
+        times, states, events, termination, stats = matches_reference(
+            lambda: poisoned(base, 1, component, bad)[0], 0.0, [0.5, -0.2], icfg
+        )
+        assert termination is Termination.STEP_FAILURE
+        assert stats["failure"] == "nonfinite_start"
+        assert stats["n_rhs"] == 1
+        assert stats["n_steps"] == stats["n_rejected"] == 0
+        assert (times, states, events) == ([0.0], [[0.5, -0.2]], [])
+
+
+def test_nonfinite_starting_step_fails_like_the_reference():
+    # A finite k1 at a nan state gives a nan starting step: the run ends
+    # after the probe, before any step attempt.
+    icfg = IntegratorConfig(rtol=1e-10, atol=1e-6, t_max=1.0, max_steps=20)
+    stats = matches_reference(lambda: lambda y: [1.0, 0.0], 0.0, [math.nan, 0.0], icfg)[4]
+    assert stats["failure"] == "nonfinite_start"
+    assert stats["n_rhs"] == 2
+    assert stats["n_steps"] == stats["n_rejected"] == 0
 
 
 def model_run(barrier, order, q0, sigma0, convention, **overrides):
