@@ -15,6 +15,7 @@ import pytest
 import momentous.dynamics as dynamics
 from momentous import BarrierPotential
 from momentous.cli import (
+    SPLIT_CELLS,
     ConfigError,
     build_config,
     main,
@@ -549,6 +550,163 @@ def test_sweep_pool_claims_every_point_once_in_order(tmp_path, monkeypatch):
     assert [row[0] for row in rows] == [str(i) for i in range(count)]
     assert [row[1] for row in rows] == [str(v) for v in np.linspace(-3.0, -2.0, count).tolist()]
     assert len({row[11] for row in rows}) > 1  # more than one process claimed
+
+
+# Long tables are formatted in two processes: a forked helper formats the
+# second half. Every cell kind a table holds, and the float edge cases.
+TABLE_COLUMNS = [f"c{k}" for k in range(9)]
+BELOW_SPLIT = (SPLIT_CELLS - 1) // len(TABLE_COLUMNS)  # rows; one more reaches it
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split table forks")
+
+
+def table(n_rows):
+    return [
+        [i, i % 2 == 0, "", "error: packet.sigma0: must be > 0", math.nan,
+         math.inf if i % 3 else -math.inf, -0.0, 1e-300, i / 7]
+        for i in range(n_rows)
+    ]
+
+
+def serial_csv(columns, rows) -> bytes:
+    """The bytes of the writer before tables were split."""
+    return ("\n".join([",".join(columns), *(",".join(map(str, row)) for row in rows)])
+            + "\n").encode()
+
+
+def write_table(tmp_path, rows, stem="table"):
+    import momentous.cli as cli
+
+    cfg = build_config(scenario_raw())
+    with time_bound(60):
+        cli._write(cfg, str(tmp_path / stem), "simulate", TABLE_COLUMNS, rows)
+    return (tmp_path / f"{stem}.csv").read_bytes()
+
+
+def spy_forks(monkeypatch, cpus=2) -> list:
+    """Count the forks of this process (in it, not in the children)."""
+    real = os.fork
+    forks = []
+
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return forks
+
+
+def free_fds():
+    """The two lowest free descriptors: one leaked since an earlier call
+    takes one of them."""
+    pair = os.pipe()
+    for fd in pair:
+        os.close(fd)
+    return pair
+
+
+def assert_helper_gone(fds_before):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child left to reap
+    assert free_fds() == fds_before
+
+
+@needs_fork
+@pytest.mark.parametrize("forced", [False, True], ids=["cut_off", "split_forced"])
+@pytest.mark.parametrize(
+    "n_rows", [0, 1, 7, BELOW_SPLIT, BELOW_SPLIT + 1],
+    ids=["empty", "one_row", "odd", "below_cut_off", "at_cut_off"],
+)
+def test_split_table_has_the_serial_bytes(tmp_path, monkeypatch, n_rows, forced):
+    import momentous.cli as cli
+
+    forks = spy_forks(monkeypatch)
+    if forced:
+        monkeypatch.setattr(cli, "SPLIT_CELLS", 0)
+    fds = free_fds()
+    rows = table(n_rows)
+    assert write_table(tmp_path, rows) == serial_csv(TABLE_COLUMNS, rows)
+    assert len(forks) == (1 if forced or n_rows > BELOW_SPLIT else 0)
+    assert_helper_gone(fds)
+
+
+@needs_fork
+@pytest.mark.parametrize("failure", ["formatter_raises", "exits_midway", "killed"])
+def test_a_failed_helper_is_replaced_in_process(tmp_path, monkeypatch, failure):
+    # The caller formats the helper's half itself: the same bytes, never a
+    # part of the helper's.
+    import momentous.cli as cli
+
+    caller = os.getpid()
+    real_lines = cli._csv_lines
+
+    def lines(rows):
+        if os.getpid() != caller:
+            raise RuntimeError("helper defect")
+        return real_lines(rows)
+
+    def send_part(rows, read_fd, write_fd):
+        os.write(write_fd, real_lines(rows)[:1000].encode())
+        os._exit(1)
+
+    def killed(rows, read_fd, write_fd):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    if failure == "formatter_raises":
+        monkeypatch.setattr(cli, "_csv_lines", lines)
+    else:
+        monkeypatch.setattr(cli, "_send_lines", send_part if failure == "exits_midway" else killed)
+    forks = spy_forks(monkeypatch)
+    fds = free_fds()
+    rows = table(BELOW_SPLIT + 1)
+    assert write_table(tmp_path, rows) == serial_csv(TABLE_COLUMNS, rows)
+    assert len(forks) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv", "table.summary.json"]
+    assert_helper_gone(fds)
+
+
+@needs_fork
+def test_an_exception_in_the_callers_half_reaps_the_helper(tmp_path, monkeypatch):
+    # The helper's half is far more than a pipe holds, so it blocks on the
+    # pipe until the caller closes it; reaping before closing would hang.
+    import momentous.cli as cli
+
+    caller = os.getpid()
+    real_lines = cli._csv_lines
+
+    def lines(rows):
+        if os.getpid() == caller:
+            raise RuntimeError("caller defect")
+        return real_lines(rows)
+
+    monkeypatch.setattr(cli, "_csv_lines", lines)
+    forks = spy_forks(monkeypatch)
+    fds = free_fds()
+    with pytest.raises(RuntimeError, match="caller defect"):
+        write_table(tmp_path, table(4 * BELOW_SPLIT))
+    assert len(forks) == 1
+    assert list(tmp_path.iterdir()) == []  # no partial table, no .tmp
+    assert_helper_gone(fds)
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "cpus, has_fork, n_forks",
+    [(2, True, 1), (1, True, 0), (None, True, 0), (2, False, 0)],
+    ids=["two_cpus", "one_cpu", "cpu_count_unknown", "no_fork"],
+)
+def test_long_table_splits_only_with_two_cpus_and_fork(
+    tmp_path, monkeypatch, cpus, has_fork, n_forks
+):
+    forks = spy_forks(monkeypatch, cpus)
+    if not has_fork:
+        monkeypatch.delattr(os, "fork")
+    rows = table(BELOW_SPLIT + 1)
+    assert write_table(tmp_path, rows) == serial_csv(TABLE_COLUMNS, rows)
+    assert len(forks) == n_forks
 
 
 def test_sweep_q0_keeps_energy_fixed(tmp_path):
