@@ -574,13 +574,13 @@ def serial_csv(columns, rows) -> bytes:
             + "\n").encode()
 
 
-def write_table(tmp_path, rows, stem="table"):
+def write_table(tmp_path, rows):
     import momentous.cli as cli
 
     cfg = build_config(scenario_raw())
     with time_bound(60):
-        cli._write(cfg, str(tmp_path / stem), "simulate", TABLE_COLUMNS, rows)
-    return (tmp_path / f"{stem}.csv").read_bytes()
+        cli._write(cfg, str(tmp_path / "table"), "simulate", TABLE_COLUMNS, rows)
+    return (tmp_path / "table.csv").read_bytes()
 
 
 def spy_forks(monkeypatch, cpus=2) -> list:
