@@ -17,7 +17,7 @@ over the state components, so every sweep point shares one compiled loop):
 straight-line code with one local per component and stage that runs the
 starting-step heuristic, the step-size guards, the six stages (checking each
 stage state for finiteness), the 5th-order update, the error norm, the PI
-controller, the event tests, the dense-output sampling and the bisection of
+controller, the event tests, the choice of sample rows and the bisection of
 each located event, and calls the RHS it is given. Every expression keeps the
 per-component operation order, and the error norm sums its squares in numpy's
 pairwise order, so step sizes, samples and events are those of an array
@@ -25,7 +25,11 @@ implementation, bit for bit.
 
 Recorded along the way:
 
-* samples on a fixed ``sample_dt`` grid (via dense output) plus event points;
+* samples on a fixed ``sample_dt`` grid plus event points. The loop records
+  each row's time and the step it falls in, with one row of dense-output
+  coefficients per step that holds a row or an event; after the loop one
+  numpy pass evaluates the quartic interpolant at every row, in the loop's
+  operation order, into the ``(n, d)`` sample array;
 * events: momentum sign changes, crossings of caller-supplied position
   markers (classical return points), outbound escape, and violation of the
   uncertainty constraint beyond ``-10 * atol`` (which stops the run);
@@ -266,19 +270,26 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
     step (or a failure before any attempt when k1 or that step is not
     finite), the step-size guards, the six stages with their finiteness
     checks, the error norm of :func:`_rms_expression`, the PI controller, the
-    event values and crossing tests, the quartic dense output on the sample
-    grid, and the bisection of each crossing event over the components it
-    reads.
+    event values and crossing tests, the choice of rows on the sample grid,
+    and the bisection of each crossing event over the components it reads.
     A step builds the interpolant's coefficients only when an event crosses
     or a sample falls inside it, and one in which no event crosses samples
-    the grid without sorting. It calls ``f`` on state lists and reads the
-    run's tolerances, horizon, step cap, sample grid and step budget from
-    ``icfg``; each event's constants come from its spec's ``values``. Every
-    expression keeps the operation order of the per-component list loop it
-    replaces (see ``tests/conftest.py``), so every bit is that loop's.
+    the grid without sorting. Such a step packs its coefficients into the
+    bytearray ``coeffs`` as one row of doubles ``(t, h, x_i..., d1_i...,
+    d2_i..., d3_i..., d4_i..., z_i...)``, and each row it records appends its
+    time to ``times`` and a reference to ``steps``: the coefficient row's
+    byte offset ``k`` to take the interpolant, or ``~k`` to take the step's
+    end state ``z`` exactly. The start row and a final ``t_end`` row are exact rows of
+    the same list. The loop evaluates the interpolant only for event states;
+    :func:`_dense_rows` builds the sample states after it.
+    It calls ``f`` on state lists and reads the run's tolerances, horizon,
+    step cap, sample grid and step budget from ``icfg``; each event's
+    constants come from its spec's ``values``. Every expression keeps the
+    operation order of the per-component list loop it replaces (see
+    ``tests/conftest.py``), so every bit is that loop's.
 
-    ``run`` returns ``(times, states, raw events, stop, stats)``: ``stop`` is
-    the ``stop`` of the spec whose event ended the run, or None.
+    ``run`` returns ``(times, steps, coeffs, raw events, stop, stats)``:
+    ``stop`` is the ``stop`` of the spec whose event ended the run, or None.
     """
     comps = range(d)
     out: list[str] = []
@@ -305,10 +316,15 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
     def dense_at(level, at):
         put(level, f"theta = ({at} - t) / h", "om = 1 - theta")
 
-    def record(level, tr, yr):
+    def record(level, tr, step):
+        # A row at tr unless it falls within 1e-12 of the last one.
         put(level, f"a = abs({tr})",
             f"if {tr} - tlast > 1e-12 * (a if a > 1.0 else 1.0):",
-            f"    times.append({tr})", f"    states.append({yr})", f"    tlast = {tr}")
+            f"    times.append({tr})", f"    steps.append({step})", f"    tlast = {tr}")
+
+    def exact_row(level):
+        # A coefficient row read only for its end state, the current x.
+        put(level, f"coeffs += pack(t, 1.0, {listed('x')}, {', '.join(['0.0'] * (4 * d))}, {listed('x')})")
 
     def reject_unless_finite(level, names, calls):
         # 0.0 * v is a zero for every finite v and nan for inf or nan.
@@ -365,7 +381,9 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
         "n_rhs = 2  # k1 and the starting-step probe",
         "if not 0.0 < h < inf:", "    failure = 'nonfinite_start'")
 
-    put(1, "times = [t]", "states = [y]", "tlast = t", "raw_events = []")
+    put(1, "coeffs = bytearray()")
+    exact_row(1)
+    put(1, "times = [t]", "steps = [~0]", "tlast = t", "raw_events = []")
     put(1, *(f"g{k} = {event(k, 'x')}" for k in ev))
     put(1, "sample_index = 1", "facold = 1e-4", "rejected = False",
         "n_steps = 0", "n_error = 0  # rejected for err > 1",
@@ -425,6 +443,8 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
     for i in comps:
         put(3, f"d1_{i} = z{i} - x{i}", f"d2_{i} = h * k1_{i} - d1_{i}",
             f"d3_{i} = d1_{i} - h * k7_{i} - d2_{i}", f"d4_{i} = h * ({combo(_D, i)})")
+    blocks = ", ".join(listed(prefix) for prefix in ("x", "d1_", "d2_", "d3_", "d4_", "z"))
+    put(3, "row = len(coeffs)", f"coeffs += pack(t, h, {blocks})")
     level = 3
     if events:
         # Events on (t, tnew]: locate each crossing by bisection over dense
@@ -469,25 +489,19 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
             "    pending.append((cut if cut < ts else ts, None, 0))",
             "    sample_index += 1",
             "pending.sort(key=_time)",
-            "for tr, spec, direction in pending:",
-            "    if spec is None and tr >= tnew:",
-            f"        yr = [{listed('z')}]",
-            "    else:")
+            "for tr, spec, direction in pending:")
+        # A grid sample on tnew takes the exact end state; an event row
+        # takes the interpolant, as does its state, built here.
+        record(5, "tr", "~row if spec is None and tr >= tnew else row")
+        put(5, "if spec is not None:")
         dense_at(6, "tr")
-        put(6, f"yr = [{', '.join(interpolant(i) for i in comps)}]")
-        record(5, "tr", "yr")
-        put(5, "if spec is not None:", "    raw_events.append((tr, spec, direction, yr))")
+        put(6, f"raw_events.append((tr, spec, direction, [{', '.join(interpolant(i) for i in comps)}]))")
         put(4, "if stop is not None:", "    break")
         put(3, "else:")
         level = 4
-    # Only grid samples, which need the interpolant unless they fall on tnew.
+    # Only grid samples, which take the interpolant unless they fall on tnew.
     put(level, "while True:", "    tr = tnew if tnew < ts else ts")
-    put(level + 1, "a = abs(tr)",
-        "if tr - tlast > 1e-12 * (a if a > 1.0 else 1.0):",
-        "    if tr >= tnew:", f"        yr = [{listed('z')}]", "    else:")
-    dense_at(level + 3, "tr")
-    put(level + 3, f"yr = [{', '.join(interpolant(i) for i in comps)}]")
-    put(level + 2, "times.append(tr)", "states.append(yr)", "tlast = tr")
+    record(level + 1, "tr", "~row if tr >= tnew else row")
     put(level + 1, "sample_index += 1", "ts = t0 + sample_index * sample_dt",
         "if ts > bound:", "    break")
 
@@ -508,7 +522,8 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
 
     # After a stop the last row considered is the stop event's, at its time.
     put(1, "if stop is None:")
-    record(2, "t", f"[{listed('x')}]")
+    record(2, "t", "~len(coeffs)")
+    exact_row(3)
     put(1, "stats = {",
         "    'n_steps': n_steps,",
         "    'n_rejected': n_error + n_nonfinite,",
@@ -520,11 +535,13 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
         "    'h_max': h_max if h_max else None,",
         "}",
         "if failure is not None:", "    stats['failure'] = failure",
-        "return times, states, raw_events, stop, stats")
+        "return times, steps, coeffs, raw_events, stop, stats")
     source = (
         "from math import inf, sqrt\n"
         "from operator import itemgetter\n"
+        "from struct import Struct\n"
         "_time = itemgetter(0)\n"
+        f"pack = Struct('{2 + 6 * d}d').pack\n"
         "def run(f, t0, y0, icfg, specs):\n"
         + "".join(f"{line}\n" for line in out)
     )
@@ -532,6 +549,47 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
         expr + {0: "", 1: " rising", -1: " falling"}[direction] for expr, direction in events
     )
     return exec_source(source, f"<dopri5 loop d={d} events: {described}>")["run"]
+
+
+def _dense_rows(times, steps, coeffs, d: int) -> np.ndarray:
+    """The ``(n, d)`` states of the rows at ``times``.
+
+    ``coeffs`` holds packed float64 coefficient rows ``(t, h, x_i...,
+    d1_i..., d2_i..., d3_i..., d4_i..., z_i...)``, one per recorded step. A
+    reference ``k`` in ``steps``, the byte offset of a row, takes that
+    step's quartic interpolant at the row's time; ``~k`` takes the step's
+    end state ``z`` exactly. The interpolant is evaluated on ``(n, d)`` blocks in the loop's
+    operation order, so every bit is the loop's. numpy's float warnings are
+    off, as Python floats raise none.
+    """
+    width = 2 + 6 * d
+    table = np.frombuffer(coeffs).reshape(-1, width)
+    k = np.fromiter(steps, np.intp, len(steps))
+    exact = k < 0
+    k[exact] = ~k[exact]
+    k //= table.itemsize * width
+
+    def block(j, rows=k):  # block j (x, d1, d2, d3, d4 or z) of the rows
+        return table[:, 2 + j * d:2 + (j + 1) * d].take(rows, axis=0)
+
+    with np.errstate(all="ignore"):
+        theta = table[k, 0]
+        np.subtract(np.fromiter(times, float, len(times)), theta, out=theta)
+        theta /= table[k, 1]
+        om = 1.0 - theta
+        theta, om = theta[:, None], om[:, None]
+        # x + theta * (d1 + om * (d2 + theta * (d3 + om * d4)))
+        states = block(4)
+        states *= om
+        states += block(3)
+        states *= theta
+        states += block(2)
+        states *= om
+        states += block(1)
+        states *= theta
+        states += block(0)
+    states[exact] = block(5, k[exact])
+    return states
 
 
 def _propagate(
@@ -546,16 +604,19 @@ def _propagate(
     list to its derivative list, and an event whose spec names a ``stop``
     ends the run with that termination. Runs the loop :func:`_loop` compiled
     for the state dimension and the specs' expressions, and returns (times,
-    states, raw events, termination, stats), with each state a list of
-    floats. Raw events are ``(t, spec, direction, y)`` tuples. ``stats``
-    counts accepted steps, rejected attempts (in all, for an error norm above
-    1 and for a non-finite stage, update or error norm) and RHS calls, and
-    gives ``h_min`` and ``h_max`` over the accepted steps (None when there
-    are none). On a step failure ``stats["failure"]`` names the guard that
-    stopped the run: "nonfinite_start", "underflow", "budget" or
-    "blowup"."""
-    run = _loop(len(y0), tuple((spec.expr, spec.direction) for spec in specs))
-    times, states, raw_events, stop, stats = run(f, t0, y0, icfg, tuple(specs))
+    states, raw events, termination, stats): ``times`` is a list of floats
+    and ``states`` the ``(n, d)`` float array that :func:`_dense_rows`
+    builds after the loop. Raw events are ``(t, spec, direction, y)`` tuples,
+    ``y`` a list of floats. ``stats`` counts accepted steps, rejected
+    attempts (in all, for an error norm above 1 and for a non-finite stage,
+    update or error norm) and RHS calls, and gives ``h_min`` and ``h_max``
+    over the accepted steps (None when there are none). On a step failure
+    ``stats["failure"]`` names the guard that stopped the run:
+    "nonfinite_start", "underflow", "budget" or "blowup"."""
+    d = len(y0)
+    run = _loop(d, tuple((spec.expr, spec.direction) for spec in specs))
+    times, steps, coeffs, raw_events, stop, stats = run(f, t0, y0, icfg, tuple(specs))
+    states = _dense_rows(times, steps, coeffs, d)
     if "failure" in stats:
         termination = Termination.STEP_FAILURE
     else:
@@ -625,13 +686,12 @@ def integrate(
             f"initial state order {init.order} does not match model order {model.order}"
         )
     f = make_rhs(model)
-    times, states, raw_events, termination, stats = _propagate(
+    times, y_arr, raw_events, termination, stats = _propagate(
         f, init.t, state_to_vector(init), icfg, _event_specs(model, icfg, mark_positions)
     )
 
     order = model.order
     t_arr = np.array(times)
-    y_arr = np.array(states)
     n = len(t_arr)
     h_q, v_eff = effective_series(y_arr, model)
     if order >= 2:

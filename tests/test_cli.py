@@ -4,7 +4,9 @@ import multiprocessing
 import os
 import re
 import signal
+import threading
 import time
+import warnings
 from concurrent.futures import Future
 from contextlib import contextmanager
 from pathlib import Path
@@ -707,6 +709,32 @@ def test_long_table_splits_only_with_two_cpus_and_fork(
     rows = table(BELOW_SPLIT + 1)
     assert write_table(tmp_path, rows) == serial_csv(TABLE_COLUMNS, rows)
     assert len(forks) == n_forks
+
+
+@needs_fork
+def test_a_split_table_with_a_live_thread_has_the_serial_bytes(monkeypatch):
+    # From Python 3.12, os.fork in a process with more than one thread warns
+    # (DeprecationWarning); CPython clears that warning even when warnings
+    # are errors, so the split goes ahead and its bytes must be the serial
+    # ones, with no helper left behind.
+    import momentous.cli as cli
+
+    forks = spy_forks(monkeypatch)
+    fds = free_fds()
+    rows = table(BELOW_SPLIT + 1)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        with warnings.catch_warnings(), time_bound(60):
+            warnings.simplefilter("error")
+            text = cli._csv_text(rows, len(TABLE_COLUMNS))
+    finally:
+        release.set()
+        thread.join()
+    assert text.encode() == serial_csv(TABLE_COLUMNS, rows).split(b"\n", 1)[1]
+    assert len(forks) == 1
+    assert_helper_gone(fds)
 
 
 def test_sweep_q0_keeps_energy_fixed(tmp_path):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,10 @@ from momentous.dynamics import make_rhs, state_to_vector
 from momentous.integrator import _EventSpec, _event_specs, _propagate
 
 from conftest import (
+    reference_dense,
     reference_initial_step,
     reference_integrate,
+    reference_step,
     rng,
     scenario_packet,
     tight_integrator,
@@ -38,15 +41,28 @@ from conftest import (
 STEP_DIMENSIONS = (1, 2, 5, 8, 9, 17)
 
 
+def same_rows(states, rows):
+    """Whether the float64 array ``states`` holds the list of lists ``rows``
+    bit for bit: same shape and same bytes, which tell -0.0 from 0.0."""
+    want = np.array(rows, dtype=float)
+    return states.shape == want.shape and states.tobytes() == want.tobytes()
+
+
 def matches_reference(make_f, t0, y0, icfg, specs=()):
     """The generated loop's output for an RHS from ``make_f`` (a fresh one
-    per run), required to equal the reference loop's bit for bit (``repr``
-    tells -0.0 from 0.0 and spells every float exactly)."""
+    per run), required to equal the reference loop's bit for bit: the states
+    array by :func:`same_rows`, the rest by ``repr`` (which tells -0.0 from
+    0.0 and spells every float exactly)."""
     expected = reference_integrate(make_f(), t0, y0, icfg, specs)
     actual = _propagate(make_f(), t0, y0, icfg, specs)
     parts = ("times", "states", "raw events", "termination", "stats")
     for name, got, want in zip(parts, actual, expected):
-        if repr(got) != repr(want):
+        if name == "states":
+            same = same_rows(got, want)
+            got = got.tolist()
+        else:
+            same = repr(got) == repr(want)
+        if not same:
             if isinstance(got, list):
                 i = next(
                     (i for i, (u, v) in enumerate(zip(got, want)) if repr(u) != repr(v)),
@@ -322,7 +338,8 @@ def test_nonfinite_first_derivative_fails_like_the_reference():
         assert stats["failure"] == "nonfinite_start"
         assert stats["n_rhs"] == 1
         assert stats["n_steps"] == stats["n_rejected"] == 0
-        assert (times, states, events) == ([0.0], [[0.5, -0.2]], [])
+        assert (times, events) == ([0.0], [])
+        assert same_rows(states, [[0.5, -0.2]])
 
 
 def test_nonfinite_starting_step_fails_like_the_reference():
@@ -474,6 +491,102 @@ def test_loop_matches_reference_on_event_rows_next_to_samples():
     assert [te for te, _, _, _ in events] == [pytest.approx(0.5 + 5e-12, abs=1e-13),
                                               pytest.approx(0.75 + 5e-13, abs=1e-13)]
     assert times == [0.0, 0.25, 0.5, events[0][0], 0.75, 1.0]
+
+
+def test_a_sample_within_the_slack_after_a_step_end_takes_its_end_state():
+    # The first step ends at t0 + h, and the grid time t0 + sample_dt lies
+    # 4e-12 after it, inside the 1e-9 * sample_dt slack: that sample becomes
+    # the step's end row and takes the end state z. At t0 = 1000 the
+    # interpolant there is not z (theta is not exactly 1).
+    f = coupled_rhs(2, 7)
+    t0, y0, tol = 1000.0, [0.3, -0.4], 1e-6
+    h = reference_initial_step(f, y0, f(y0), tol, tol, 1.0, 0.1)
+    _, err, (z, _, coeffs) = reference_step(f, tol, tol, h, y0, f(y0))
+    assert err <= 1.0  # the first attempt is accepted
+    icfg = IntegratorConfig(rtol=tol, atol=tol, t_max=1.0, sample_dt=h * (1 + 1e-10))
+    assert t0 + h < t0 + icfg.sample_dt <= t0 + h + 1e-9 * icfg.sample_dt
+    times, states, _, _, _ = matches_reference(lambda: f, t0, y0, icfg)
+    assert times[1] == t0 + h
+    assert same_rows(states[1:2], [z])
+    assert reference_dense(t0, h, coeffs)(t0 + h) != z
+
+
+def test_a_sample_step_beyond_the_horizon_keeps_the_first_and_last_rows():
+    # Both rows are exact states; the start's -0.0 stays -0.0.
+    f = coupled_rhs(3, 3)
+    y0 = [0.2, -0.0, 0.4]
+    icfg = IntegratorConfig(rtol=1e-8, atol=1e-8, t_max=1.5, sample_dt=2.0)
+    times, states, _, termination, stats = matches_reference(lambda: f, 0.0, y0, icfg)
+    assert termination is Termination.REACHED_TMAX
+    assert stats["n_steps"] > 2
+    assert times == [0.0, 1.5]
+    assert same_rows(states[:1], [y0])
+
+
+def test_a_nonfinite_start_keeps_its_single_row():
+    # A nan start gives a nan starting step: the run fails before any step
+    # attempt and keeps only the start row, nan included.
+    icfg = IntegratorConfig(rtol=1e-10, atol=1e-6, t_max=1.0)
+    times, states, events, _, stats = matches_reference(
+        lambda: lambda y: [1.0, 0.0, 0.5], 0.0, [math.nan, 0.0, -0.0], icfg
+    )
+    assert stats["failure"] == "nonfinite_start"
+    assert (times, events) == ([0.0], [])
+    assert states.shape == (1, 3)
+    assert same_rows(states, [[math.nan, 0.0, -0.0]])
+
+
+@pytest.mark.parametrize(
+    "order,q0,sigma0,convention,icfg,termination",
+    [
+        pytest.param(2, -1.62, 0.3, "zero", IntegratorConfig(rtol=1e-10, atol=1e-6, t_max=2.35),
+                     Termination.REACHED_TMAX, id="order2-return-points"),
+        pytest.param(3, -2.5, 0.5, "skewed", tight_integrator(),
+                     Termination.CONSTRAINT_VIOLATED, id="order3-constraint-stop"),
+        pytest.param(0, -3.0, 0.5, None, tight_integrator(),
+                     Termination.ESCAPED, id="order0-escape-stop"),
+    ],
+)
+def test_event_states_equal_their_rows_bit_for_bit(
+    barrier, order, q0, sigma0, convention, icfg, termination
+):
+    # Event states come from the loop's interpolant and sample rows from the
+    # array pass after it; an event with a row of its own has that row's
+    # state, bit for bit. The states array is C-contiguous float64 (n, d).
+    model = ModelConfig(potential=barrier, order=order)
+    packet = scenario_packet(barrier, q0, sigma0)
+    if order == 0:
+        init = MomentState(t=0.0, q=packet.q0, p=packet.p0, moments=())
+    else:
+        init = initial_moments(packet, order, convention)
+    traj = integrate(init, model, icfg, barrier.turning_points(0.98))
+    assert traj.termination is termination
+    states = traj.states
+    assert states.dtype == np.float64 and states.flags.c_contiguous
+    assert states.shape == (len(traj.times), len(state_to_vector(init)))
+    rows = {t: i for i, t in enumerate(traj.times.tolist())}
+    matched = [e for e in traj.events if e.t in rows]
+    assert matched
+    if termination is not Termination.REACHED_TMAX:
+        assert matched[-1].t == traj.times[-1]  # the stop event's row ends the run
+    for event in matched:
+        assert same_rows(states[rows[event.t]][None], [state_to_vector(event.state).tolist()])
+
+
+def test_a_blowup_with_overflowing_coefficients_raises_no_numpy_warning():
+    # Huge tolerances accept every step, so y' = 1e308 past y = 3 makes one
+    # step with coefficients near the float limit before the 1e12 guard
+    # stops the run. The interpolant then meets inf - inf: Python floats
+    # give nan silently, and the array pass must raise no numpy warning
+    # either, with warnings as errors.
+    icfg = IntegratorConfig(rtol=1e300, atol=1e300, t_max=10.0, max_step=2.0, sample_dt=2.0 / 13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, states, _, termination, stats = matches_reference(
+            lambda: lambda y: [1.0 if y[0] < 3.0 else 1e308], 0.0, [0.0], icfg
+        )
+    assert termination is Termination.STEP_FAILURE and stats["failure"] == "blowup"
+    assert np.isnan(states).any()
 
 
 def core_stats(f, y0, t_end, max_step=0.5):
