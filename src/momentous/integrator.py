@@ -279,9 +279,9 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
     d2_i..., d3_i..., d4_i..., z_i...)``, and each row it records appends its
     time to ``times`` and a reference to ``steps``: the coefficient row's
     byte offset ``k`` to take the interpolant, or ``~k`` to take the step's
-    end state ``z`` exactly. The start row and a final ``t_end`` row are exact rows of
-    the same list. The loop evaluates the interpolant only for event states;
-    :func:`_dense_rows` builds the sample states after it.
+    end state ``z`` exactly. The start row and a final ``t_end`` row are
+    exact rows of the same table. The loop evaluates the interpolant only for
+    event states; :func:`_dense_rows` builds the sample states after it.
     It calls ``f`` on state lists and reads the run's tolerances, horizon,
     step cap, sample grid and step budget from ``icfg``; each event's
     constants come from its spec's ``values``. Every expression keeps the
@@ -324,7 +324,8 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
 
     def exact_row(level):
         # A coefficient row read only for its end state, the current x.
-        put(level, f"coeffs += pack(t, 1.0, {listed('x')}, {', '.join(['0.0'] * (4 * d))}, {listed('x')})")
+        zeros = ", ".join(["0.0"] * (4 * d))
+        put(level, f"coeffs += pack(t, 1.0, {listed('x')}, {zeros}, {listed('x')})")
 
     def reject_unless_finite(level, names, calls):
         # 0.0 * v is a zero for every finite v and nan for inf or nan.
@@ -495,7 +496,8 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
         record(5, "tr", "~row if spec is None and tr >= tnew else row")
         put(5, "if spec is not None:")
         dense_at(6, "tr")
-        put(6, f"raw_events.append((tr, spec, direction, [{', '.join(interpolant(i) for i in comps)}]))")
+        state = ", ".join(interpolant(i) for i in comps)
+        put(6, f"raw_events.append((tr, spec, direction, [{state}]))")
         put(4, "if stop is not None:", "    break")
         put(3, "else:")
         level = 4
@@ -558,9 +560,9 @@ def _dense_rows(times, steps, coeffs, d: int) -> np.ndarray:
     d1_i..., d2_i..., d3_i..., d4_i..., z_i...)``, one per recorded step. A
     reference ``k`` in ``steps``, the byte offset of a row, takes that
     step's quartic interpolant at the row's time; ``~k`` takes the step's
-    end state ``z`` exactly. The interpolant is evaluated on ``(n, d)`` blocks in the loop's
-    operation order, so every bit is the loop's. numpy's float warnings are
-    off, as Python floats raise none.
+    end state ``z`` exactly. The interpolant is evaluated in place on
+    ``(n, d)`` blocks in the loop's operation order, so every bit is the
+    loop's. numpy's float warnings are off, as Python floats raise none.
     """
     width = 2 + 6 * d
     table = np.frombuffer(coeffs).reshape(-1, width)

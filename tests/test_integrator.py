@@ -344,12 +344,17 @@ def test_nonfinite_first_derivative_fails_like_the_reference():
 
 def test_nonfinite_starting_step_fails_like_the_reference():
     # A finite k1 at a nan state gives a nan starting step: the run ends
-    # after the probe, before any step attempt.
+    # after the probe, before any step attempt, and keeps only the start
+    # row, its nan and -0.0 included.
     icfg = IntegratorConfig(rtol=1e-10, atol=1e-6, t_max=1.0, max_steps=20)
-    stats = matches_reference(lambda: lambda y: [1.0, 0.0], 0.0, [math.nan, 0.0], icfg)[4]
+    times, states, events, _, stats = matches_reference(
+        lambda: lambda y: [1.0, 0.0], 0.0, [math.nan, -0.0], icfg
+    )
     assert stats["failure"] == "nonfinite_start"
     assert stats["n_rhs"] == 2
     assert stats["n_steps"] == stats["n_rejected"] == 0
+    assert (times, events) == ([0.0], [])
+    assert same_rows(states, [[math.nan, -0.0]])
 
 
 def model_run(barrier, order, q0, sigma0, convention, **overrides):
@@ -521,19 +526,6 @@ def test_a_sample_step_beyond_the_horizon_keeps_the_first_and_last_rows():
     assert stats["n_steps"] > 2
     assert times == [0.0, 1.5]
     assert same_rows(states[:1], [y0])
-
-
-def test_a_nonfinite_start_keeps_its_single_row():
-    # A nan start gives a nan starting step: the run fails before any step
-    # attempt and keeps only the start row, nan included.
-    icfg = IntegratorConfig(rtol=1e-10, atol=1e-6, t_max=1.0)
-    times, states, events, _, stats = matches_reference(
-        lambda: lambda y: [1.0, 0.0, 0.5], 0.0, [math.nan, 0.0, -0.0], icfg
-    )
-    assert stats["failure"] == "nonfinite_start"
-    assert (times, events) == ([0.0], [])
-    assert states.shape == (1, 3)
-    assert same_rows(states, [[math.nan, 0.0, -0.0]])
 
 
 @pytest.mark.parametrize(
