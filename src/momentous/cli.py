@@ -18,9 +18,9 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from importlib import resources
@@ -323,9 +323,46 @@ def _derived_block(cfg: RunConfig) -> dict:
     }
 
 
-def _cpus() -> int:
-    """CPUs this host reports, 1 when it cannot tell."""
-    return os.cpu_count() or 1
+def _processes(wanted: int) -> int:
+    """``wanted`` capped at the host's CPUs; 1 if it cannot tell or has no ``os.fork``."""
+    return min(wanted, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+
+
+def _start(fn, *args):
+    """Fork a helper that writes ``fn(*args)``, pickled, to a pipe and leaves
+    through ``os._exit``, with status 0 only after its last byte; return
+    the ``(pid, pipe)`` that ``_finish`` takes."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)  # so the pipe ends when the helper does
+        return pid, open(read_fd, "rb")
+    status = 1
+    try:
+        os.close(read_fd)
+        data = memoryview(pickle.dumps(fn(*args)))
+        while data:
+            data = data[os.write(write_fd, data):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _finish(helper):
+    """Read a helper's pipe to its end, close it and reap the helper; return
+    its result, or None for any exit status but 0. Reading, not closing,
+    is what releases a helper blocked on a full pipe: every helper forked
+    after it holds a copy of that pipe's read end."""
+    pid, pipe = helper
+    with pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    return pickle.loads(data) if status == 0 else None
 
 
 # A table of at least this many cells is formatted in two processes (see
@@ -340,51 +377,24 @@ def _csv_lines(rows) -> str:
     return "".join([",".join(map(str, row)) + "\n" for row in rows])
 
 
-def _send_lines(rows, read_fd: int, write_fd: int) -> None:
-    """The forked helper: format ``rows`` and write every byte to
-    ``write_fd``. It ends through ``os._exit`` on every path, with status 0
-    only after its last byte is written. It calls only ``str`` and
-    ``os.write``, so no lock held by another thread of the caller (numpy's
-    BLAS threads) is ever needed in it."""
-    status = 1
-    try:
-        os.close(read_fd)
-        data = memoryview(_csv_lines(rows).encode())
-        while data:
-            data = data[os.write(write_fd, data):]
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _csv_text(rows, n_columns: int) -> str:
     """``_csv_lines(rows)``, formatted in two processes when the table has
-    ``SPLIT_CELLS`` cells or more, the host has more than one CPU and
-    ``os.fork`` exists. A forked helper formats the second half and sends
-    its bytes back through a pipe while this process formats the first.
+    ``SPLIT_CELLS`` cells or more and ``_processes`` allows two: a helper
+    (``_start``) formats the second half while this process formats the
+    first.
 
-    A helper that fails (any exit status but 0) is not trusted for a single
-    byte: this process formats the second half itself, so the text is the
-    same either way. An exception in this process's half closes the pipe
-    and reaps the helper before it propagates."""
-    if len(rows) * n_columns < SPLIT_CELLS or _cpus() < 2 or not hasattr(os, "fork"):
+    A failed helper's half is formatted here, so the text is the same
+    either way. An exception in this process's half propagates once the
+    helper is finished."""
+    if len(rows) * n_columns < SPLIT_CELLS or _processes(2) < 2:
         return _csv_lines(rows)
     half = len(rows) // 2
-    read_fd, write_fd = os.pipe()
-    with open(read_fd, "rb") as pipe:
-        try:
-            pid = os.fork()
-            if pid == 0:
-                _send_lines(rows[half:], read_fd, write_fd)
-        finally:
-            os.close(write_fd)
-        try:
-            head = _csv_lines(rows[:half])
-            tail = pipe.read()
-        finally:
-            pipe.close()  # a helper still writing fails with EPIPE and exits
-            _, status = os.waitpid(pid, 0)
-    return head + (tail.decode() if status == 0 else _csv_lines(rows[half:]))
+    helper = _start(_csv_lines, rows[half:])
+    try:
+        head = _csv_lines(rows[:half])
+    finally:
+        tail = _finish(helper)
+    return head + (_csv_lines(rows[half:]) if tail is None else tail)
 
 
 def _write(cfg: RunConfig, out_path: Optional[str], kind: str, columns, rows, **fields) -> dict:
@@ -495,20 +505,6 @@ def _sweep_point(args) -> list:
     return ["" if v is None else v for v in row]
 
 
-# A pool worker's ``(jobs, counter)``, set by ``_adopt`` as the process starts:
-# a shared counter can reach a process only then, not through ``submit``.
-_ADOPTED = None
-
-
-def _adopt(jobs, counter) -> None:
-    global _ADOPTED
-    _ADOPTED = (jobs, counter)
-
-
-def _claim_adopted() -> list:
-    return _claim(*_ADOPTED)
-
-
 def _claim(jobs, counter) -> list:
     """Run sweep points, each the next index taken under ``counter``'s lock,
     until none is left; return their ``(index, row)`` pairs. An exception
@@ -533,29 +529,29 @@ def run_sweep(cfg: RunConfig, out_path: Optional[str] = None, workers: int = 1) 
     """Run every sweep point; write the per-point outcome table and summary.
 
     Points run in ``workers`` processes, capped at the number of points and
-    of CPUs; serially when that cap is 1. The calling process is one of
-    them: it claims points alongside ``workers - 1`` pool processes, each of
-    which returns all its rows in one message. Rows are placed by index, so
-    the table is the serial one byte for byte.
+    by ``_processes``: this one claims points (``_claim``) beside
+    ``workers - 1`` helpers (``_start``), each of which sends back all its
+    rows at once. Then this process runs every point no helper returned,
+    so a failed helper's points are redone here and a defect is raised
+    here, as a serial sweep raises it. Rows are placed by index, so the
+    table is the serial one byte for byte.
     """
     if cfg.sweep is None:
         raise ConfigError("sweep section is required for the sweep command")
     raw = cfg.to_dict()
     values = np.linspace(cfg.sweep["start"], cfg.sweep["stop"], cfg.sweep["count"])
     jobs = [(raw, i, float(v)) for i, v in enumerate(values)]
-    workers = min(workers, len(jobs), _cpus())
-    if workers > 1:
-        counter = multiprocessing.Value("l", 0)
-        with ProcessPoolExecutor(
-            workers - 1, initializer=_adopt, initargs=(jobs, counter)
-        ) as pool:
-            futures = [pool.submit(_claim_adopted) for _ in range(workers - 1)]
-            pairs = _claim(jobs, counter)
-            for future in futures:
-                pairs += future.result()
-        rows = [row for _, row in sorted(pairs, key=lambda pair: pair[0])]
-    else:
-        rows = [_sweep_point(job) for job in jobs]
+    counter = multiprocessing.Value("l", 0)
+    helpers = []
+    try:
+        for _ in range(_processes(min(workers, len(jobs))) - 1):
+            helpers.append(_start(_claim, jobs, counter))
+        done = dict(_claim(jobs, counter))
+    finally:
+        returned = [_finish(helper) for helper in helpers]
+    for pairs in returned:
+        done.update(pairs or ())
+    rows = [done[i] if i in done else _sweep_point(job) for i, job in enumerate(jobs)]
     return _write(
         cfg, out_path, "sweep", SWEEP_COLUMNS, rows,
         n_rows=len(rows),

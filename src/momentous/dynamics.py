@@ -183,12 +183,10 @@ def rhs(state: MomentState, cfg: ModelConfig) -> np.ndarray:
     return np.array(make_rhs(cfg)(_state_row(state, cfg)), dtype=float)
 
 
-def _series(cfg: ModelConfig, hamiltonian: bool = True):
-    """``f(y) -> [H_Q, V_eff]`` at the ``q`` of ``y``, from one jet;
-    ``f(y) -> [V_eff]`` without the Hamiltonian."""
+def _series(cfg: ModelConfig):
+    """``f(y) -> [H_Q, V_eff]`` at the ``q`` of ``y``, from one jet."""
     pot = cfg.potential
-    kernel = _series_kernel(cfg.order, cfg.veff_third_moment, hamiltonian, pot.n)
-    return kernel(pot.alpha, pot._a_2n, cfg.mass)
+    return _series_kernel(cfg.order, cfg.veff_third_moment, pot.n)(pot.alpha, pot._a_2n, cfg.mass)
 
 
 def effective_hamiltonian(state: MomentState, cfg: ModelConfig) -> float:
@@ -212,7 +210,7 @@ def effective_potential(q: float, state: MomentState, cfg: ModelConfig) -> float
     row = _state_row(state, cfg)
     row[0] = q
     with np.errstate(over="ignore"):  # as in effective_series
-        return _series(cfg, hamiltonian=False)(row)[0]
+        return _series(cfg)(row)[1]
 
 
 def effective_series(states: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -349,15 +347,12 @@ def _rhs_kernel(order: int, table, n: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _series_kernel(order: int, veff_third_moment: bool, hamiltonian: bool, n: int):
+def _series_kernel(order: int, veff_third_moment: bool, n: int):
     # V_eff is the effective Hamiltonian without its p terms; without the
-    # third-moment term it is the order-2 expression. Compiled alone, it
-    # inlines only the derivatives its own terms use.
+    # third-moment term it is the order-2 expression.
     veff_order = 2 if order == 3 and not veff_third_moment else order
     potential = MomentPolynomial(
         {t: c for t, c in hamiltonian_terms(veff_order).items() if not t.p_power}
     )
     name = "V_eff" if veff_order == order else "V_eff without G30"
-    if not hamiltonian:
-        return _compile(name, order, n, [potential])
     return _compile(f"H_Q, {name}", order, n, [hamiltonian_terms(order), potential])

@@ -7,7 +7,6 @@ import signal
 import threading
 import time
 import warnings
-from concurrent.futures import Future
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -404,61 +403,9 @@ def test_sweep_above_barrier_all_undetermined(tmp_path):
     assert all(row.split(",")[2] == "undetermined" for row in rows)
 
 
-def test_sweep_worker_pool_matches_serial(tmp_path):
-    raw = scenario_raw(sweep={"parameter": "q0", "start": -2.6, "stop": -2.2, "count": 4})
-    cfg = build_config(raw)
-    run_sweep(cfg, str(tmp_path / "serial"), workers=1)
-    run_sweep(cfg, str(tmp_path / "pool"), workers=2)
-    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pool.csv").read_bytes()
-
-
-@pytest.mark.parametrize(
-    "workers, cpus, cap",
-    [(10_000, 64, 3), (2, 2, 2), (10_000, 1, None), (4, None, None), (1, 64, None)],
-    ids=["capped_at_points", "two_cpus", "one_cpu", "cpu_count_unknown", "one_worker"],
-)
-def test_sweep_workers_capped_at_points_and_cpus(tmp_path, monkeypatch, workers, cpus, cap):
-    # A fake pool records its size and runs each submitted claimer in-process
-    # at once: no process is started.
-    import momentous.cli as cli
-
-    sizes = []
-
-    class FakePool:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn):
-            future = Future()
-            future.set_result(fn())
-            return future
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(cli, "_ADOPTED", None)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    raw = scenario_raw(
-        sweep={"parameter": "q0", "start": -2.6, "stop": -2.2, "count": 3},
-        integrator={"t_max": 1.0},
-    )
-    summary = run_sweep(build_config(raw), str(tmp_path / "capped"), workers=workers)
-    # The calling process claims points too: the pool has one process fewer.
-    assert [size + 1 for size in sizes] == ([] if cap is None else [cap])
-    assert summary["n_rows"] == 3
-
-
-# The tests below patch cli._sweep_point in this process; the pool's
-# processes see the patch only when they are forked from it.
-fork_only = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="pool processes inherit the patched sweep point only under fork",
-)
+# Sweeps and long tables hand work to helpers forked from this process
+# (cli._start), so a patch made here reaches them.
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers are forked")
 
 
 @contextmanager
@@ -478,6 +425,103 @@ def time_bound(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def spy_forks(monkeypatch, cpus=2) -> list:
+    """Count the forks of this process (in it, not in the children)."""
+    real = os.fork
+    forks = []
+
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return forks
+
+
+def free_fds():
+    """The two lowest free descriptors: one leaked since an earlier call
+    takes one of them."""
+    pair = os.pipe()
+    for fd in pair:
+        os.close(fd)
+    return pair
+
+
+def sweep_free_fds():
+    """``free_fds()`` once this process has made a shared counter: the first
+    one opens the arena that multiprocessing keeps for every later one."""
+    multiprocessing.Value("l", 0)
+    return free_fds()
+
+
+def assert_helper_gone(fds_before):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child left to reap
+    assert free_fds() == fds_before
+
+
+def fail_helper_writes(monkeypatch, failure):
+    """Make a helper's first write fail: it sends part of its bytes and
+    exits with status 1 (``exits_midway``), or it is killed (``killed``)."""
+    caller = os.getpid()
+    real_write = os.write
+
+    def write(fd, data):
+        if os.getpid() == caller:
+            return real_write(fd, data)
+        if failure == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        real_write(fd, bytes(data[:len(data) // 2]))
+        os._exit(1)
+
+    monkeypatch.setattr(os, "write", write)
+
+
+def short_sweep(count):
+    return build_config(scenario_raw(
+        sweep={"parameter": "q0", "start": -2.6, "stop": -2.2, "count": count},
+        integrator={"t_max": 1.0},
+    ))
+
+
+@needs_fork
+def test_sweep_worker_pool_matches_serial(tmp_path, monkeypatch):
+    raw = scenario_raw(sweep={"parameter": "q0", "start": -2.6, "stop": -2.2, "count": 4})
+    cfg = build_config(raw)
+    run_sweep(cfg, str(tmp_path / "serial"), workers=1)
+    forks = spy_forks(monkeypatch)
+    fds = sweep_free_fds()
+    with time_bound(60):
+        run_sweep(cfg, str(tmp_path / "pool"), workers=2)
+    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pool.csv").read_bytes()
+    assert len(forks) == 1
+    assert_helper_gone(fds)
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "workers, cpus, has_fork, cap",
+    [(10_000, 64, True, 3), (2, 2, True, 2), (10_000, 1, True, 1), (4, None, True, 1),
+     (1, 64, True, 1), (4, 64, False, 1)],
+    ids=["capped_at_points", "two_cpus", "one_cpu", "cpu_count_unknown", "one_worker",
+         "no_fork"],
+)
+def test_sweep_workers_capped_at_points_and_cpus(
+    tmp_path, monkeypatch, workers, cpus, has_fork, cap
+):
+    forks = spy_forks(monkeypatch, cpus)
+    if not has_fork:
+        monkeypatch.delattr(os, "fork")
+    with time_bound(60):
+        summary = run_sweep(short_sweep(3), str(tmp_path / "capped"), workers=workers)
+    # The calling process claims points too: it forks one helper fewer.
+    assert len(forks) == cap - 1
+    assert summary["n_rows"] == 3
+
+
 def patched_points(monkeypatch, point, cpus):
     """Run each sweep point as ``point(index, value)``, on ``cpus`` CPUs."""
     import momentous.cli as cli
@@ -490,16 +534,19 @@ def fake_row(index, value, termination="reached_tmax"):
     return [index, value, "reflected", "", "", "", 0, "", "", "", False, termination]
 
 
-@fork_only
-@pytest.mark.parametrize("side", ["worker", "caller"])
+@needs_fork
+@pytest.mark.parametrize("side", ["worker", "caller", "every"])
 def test_sweep_pool_propagates_an_exception_from_either_side(tmp_path, monkeypatch, side):
-    # A defect (not a ConfigError) on one side only. The other side's first
-    # point waits until the failing side has started, so both claim.
+    # A defect (not a ConfigError) in the helper, in the caller or in every
+    # process. Where one side has it, the other side's first point waits
+    # until the failing side has started, so both claim. A helper's failed
+    # points are redone in the caller, so only a defect the caller has too
+    # is raised, as the serial sweep raises it.
     caller = os.getpid()
     started = multiprocessing.Event()
 
     def point(index, value):
-        if (os.getpid() == caller) == (side == "caller"):
+        if side == "every" or (os.getpid() == caller) == (side == "caller"):
             started.set()
             raise RuntimeError(f"{side} defect")
         assert started.wait(30)
@@ -507,8 +554,81 @@ def test_sweep_pool_propagates_an_exception_from_either_side(tmp_path, monkeypat
 
     patched_points(monkeypatch, point, cpus=2)
     raw = scenario_raw(sweep={"parameter": "q0", "start": -3.0, "stop": -2.0, "count": 20})
-    with time_bound(60), pytest.raises(RuntimeError, match=f"{side} defect"):
-        run_sweep(build_config(raw), str(tmp_path / "defect"), workers=2)
+    fds = sweep_free_fds()
+    with time_bound(60):
+        if side == "worker":
+            run_sweep(build_config(raw), str(tmp_path / "pool"), workers=2)
+        else:
+            with pytest.raises(RuntimeError, match=f"{side} defect"):
+                run_sweep(build_config(raw), str(tmp_path / "pool"), workers=2)
+    assert_helper_gone(fds)
+    if side == "worker":
+        run_sweep(build_config(raw), str(tmp_path / "serial"))
+        assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    else:
+        with pytest.raises(RuntimeError, match=f"{side} defect"):
+            run_sweep(build_config(raw), str(tmp_path / "serial"))
+        assert list(tmp_path.iterdir()) == []
+
+
+@needs_fork
+@pytest.mark.parametrize("failure", ["claimer_raises", "exits_midway", "killed"])
+def test_a_failed_sweep_helper_is_replaced_in_process(tmp_path, monkeypatch, failure):
+    import momentous.cli as cli
+
+    cfg = short_sweep(6)
+    run_sweep(cfg, str(tmp_path / "serial"))
+    caller = os.getpid()
+    real_point = cli._sweep_point
+
+    def point(job):
+        if os.getpid() != caller:
+            raise RuntimeError("helper defect")
+        return real_point(job)
+
+    if failure == "claimer_raises":
+        monkeypatch.setattr(cli, "_sweep_point", point)
+    else:
+        fail_helper_writes(monkeypatch, failure)
+    forks = spy_forks(monkeypatch, cpus=3)
+    fds = sweep_free_fds()
+    with time_bound(60):
+        run_sweep(cfg, str(tmp_path / "pool"), workers=3)
+    assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert len(forks) == 2
+    assert_helper_gone(fds)
+
+
+@needs_fork
+def test_a_sweep_whose_caller_raises_finishes_every_helper(tmp_path, monkeypatch):
+    # When the caller raises, each of two helpers holds a row larger than a
+    # pipe. The second helper holds a copy of the first one's read end, so
+    # closing that pipe would not release the first helper: reaping it
+    # before the second is done with would hang.
+    caller = os.getpid()
+    holding = multiprocessing.Value("i", 0)
+    raised = multiprocessing.Event()
+
+    def point(index, value):
+        if os.getpid() == caller:
+            while holding.value < 2:
+                time.sleep(0.001)
+            raised.set()
+            raise RuntimeError("caller defect")
+        with holding.get_lock():
+            holding.value += 1
+        assert raised.wait(30)
+        return fake_row(index, value, termination="x" * 100_000)
+
+    patched_points(monkeypatch, point, cpus=3)
+    forks = spy_forks(monkeypatch, cpus=3)
+    fds = sweep_free_fds()
+    raw = scenario_raw(sweep={"parameter": "q0", "start": -3.0, "stop": -2.0, "count": 20})
+    with time_bound(60), pytest.raises(RuntimeError, match="caller defect"):
+        run_sweep(build_config(raw), str(tmp_path / "defect"), workers=3)
+    assert len(forks) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert_helper_gone(fds)
 
 
 def test_a_failed_claim_takes_every_index_left(monkeypatch):
@@ -529,7 +649,7 @@ def test_a_failed_claim_takes_every_index_left(monkeypatch):
     assert cli._claim(jobs, counter) == []
 
 
-@fork_only
+@needs_fork
 def test_sweep_pool_claims_every_point_once_in_order(tmp_path, monkeypatch):
     # More claimers than cores over a few hundred short points: a lost update
     # of the shared counter would run a point twice or not at all.
@@ -559,8 +679,6 @@ def test_sweep_pool_claims_every_point_once_in_order(tmp_path, monkeypatch):
 TABLE_COLUMNS = [f"c{k}" for k in range(9)]
 BELOW_SPLIT = (SPLIT_CELLS - 1) // len(TABLE_COLUMNS)  # rows; one more reaches it
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split table forks")
-
 
 def table(n_rows):
     return [
@@ -583,37 +701,6 @@ def write_table(tmp_path, rows):
     with time_bound(60):
         cli._write(cfg, str(tmp_path / "table"), "simulate", TABLE_COLUMNS, rows)
     return (tmp_path / "table.csv").read_bytes()
-
-
-def spy_forks(monkeypatch, cpus=2) -> list:
-    """Count the forks of this process (in it, not in the children)."""
-    real = os.fork
-    forks = []
-
-    def fork():
-        pid = real()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    return forks
-
-
-def free_fds():
-    """The two lowest free descriptors: one leaked since an earlier call
-    takes one of them."""
-    pair = os.pipe()
-    for fd in pair:
-        os.close(fd)
-    return pair
-
-
-def assert_helper_gone(fds_before):
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)  # no child left to reap
-    assert free_fds() == fds_before
 
 
 @needs_fork
@@ -650,17 +737,10 @@ def test_a_failed_helper_is_replaced_in_process(tmp_path, monkeypatch, failure):
             raise RuntimeError("helper defect")
         return real_lines(rows)
 
-    def send_part(rows, read_fd, write_fd):
-        os.write(write_fd, real_lines(rows)[:1000].encode())
-        os._exit(1)
-
-    def killed(rows, read_fd, write_fd):
-        os.kill(os.getpid(), signal.SIGKILL)
-
     if failure == "formatter_raises":
         monkeypatch.setattr(cli, "_csv_lines", lines)
     else:
-        monkeypatch.setattr(cli, "_send_lines", send_part if failure == "exits_midway" else killed)
+        fail_helper_writes(monkeypatch, failure)
     forks = spy_forks(monkeypatch)
     fds = free_fds()
     rows = table(BELOW_SPLIT + 1)
@@ -673,7 +753,7 @@ def test_a_failed_helper_is_replaced_in_process(tmp_path, monkeypatch, failure):
 @needs_fork
 def test_an_exception_in_the_callers_half_reaps_the_helper(tmp_path, monkeypatch):
     # The helper's half is far more than a pipe holds, so it blocks on the
-    # pipe until the caller closes it; reaping before closing would hang.
+    # pipe until the caller reads it; reaping before reading would hang.
     import momentous.cli as cli
 
     caller = os.getpid()
@@ -712,28 +792,38 @@ def test_long_table_splits_only_with_two_cpus_and_fork(
 
 
 @needs_fork
-def test_a_split_table_with_a_live_thread_has_the_serial_bytes(monkeypatch):
+@pytest.mark.parametrize("work", ["table", "sweep"])
+def test_a_split_table_with_a_live_thread_has_the_serial_bytes(tmp_path, monkeypatch, work):
     # From Python 3.12, os.fork in a process with more than one thread warns
     # (DeprecationWarning); CPython clears that warning even when warnings
-    # are errors, so the split goes ahead and its bytes must be the serial
-    # ones, with no helper left behind.
+    # are errors, so the helpers go ahead. A long table forks one helper, a
+    # 3-process sweep two; the bytes must be the serial ones, with no helper
+    # left behind.
     import momentous.cli as cli
 
-    forks = spy_forks(monkeypatch)
-    fds = free_fds()
+    cfg = short_sweep(4)
+    run_sweep(cfg, str(tmp_path / "serial"))
     rows = table(BELOW_SPLIT + 1)
+    forks = spy_forks(monkeypatch, cpus=3)
+    fds = free_fds()
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
         with warnings.catch_warnings(), time_bound(60):
             warnings.simplefilter("error")
-            text = cli._csv_text(rows, len(TABLE_COLUMNS))
+            if work == "table":
+                text = cli._csv_text(rows, len(TABLE_COLUMNS)).encode()
+            else:
+                run_sweep(cfg, str(tmp_path / "pool"), workers=3)
     finally:
         release.set()
         thread.join()
-    assert text.encode() == serial_csv(TABLE_COLUMNS, rows).split(b"\n", 1)[1]
-    assert len(forks) == 1
+    if work == "table":
+        assert text == serial_csv(TABLE_COLUMNS, rows).split(b"\n", 1)[1]
+    else:
+        assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert len(forks) == (1 if work == "table" else 2)
     assert_helper_gone(fds)
 
 

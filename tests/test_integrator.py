@@ -752,8 +752,7 @@ for order, d in ((0, 2), (2, 5), (3, 9)):
     for third in (True, False):
         model = ModelConfig(potential=pot, order=order, veff_third_moment=third)
         make_rhs(model)
-        _series(model, True)
-        _series(model, False)
+        _series(model)
     for marks in ((), pot.turning_points(0.98)):
         specs = _event_specs(model, icfg, marks)
         for kept in (specs, [s for s in specs if s.kind != "constraint"]):
