@@ -19,6 +19,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -28,6 +29,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+import orjson
 
 from . import moment_algebra
 from .classify import Tag, classify
@@ -365,43 +367,52 @@ def _finish(helper):
     return pickle.loads(data) if status == 0 else None
 
 
-# A table of at least this many cells is formatted in two processes (see
-# ``_csv_text``). On a shared 2-vCPU host, tables of 9,000 to 40,500 cells
-# took 0.77-1.51 times as long split as serial, and 58,500 cells and more
-# 0.67-0.87 times; each seed-0 dense benchmark table has over 57,000.
-SPLIT_CELLS = 50_000
-
-
 def _csv_lines(rows) -> str:
     """The CSV lines of ``rows``, each ending in a newline."""
     return "".join([",".join(map(str, row)) + "\n" for row in rows])
 
 
-def _csv_text(rows, n_columns: int) -> str:
-    """``_csv_lines(rows)``, formatted in two processes when the table has
-    ``SPLIT_CELLS`` cells or more and ``_processes`` allows two: a helper
-    (``_start``) formats the second half while this process formats the
-    first.
-
-    A failed helper's half is formatted here, so the text is the same
-    either way. An exception in this process's half propagates once the
-    helper is finished."""
-    if len(rows) * n_columns < SPLIT_CELLS or _processes(2) < 2:
-        return _csv_lines(rows)
-    half = len(rows) // 2
-    helper = _start(_csv_lines, rows[half:])
-    try:
-        head = _csv_lines(rows[:half])
-    finally:
-        tail = _finish(helper)
-    return head + (_csv_lines(rows[half:]) if tail is None else tail)
+# orjson writes a float's shortest round-trip digits, as ``repr`` does, in
+# its own notation: an exponent without ``repr``'s sign and two-digit
+# padding (``1e16``, ``1e-9``), and a magnitude in [1e-5, 1e-4), below
+# ``repr``'s positional range, positionally (``0.00001``). Each pattern
+# starts with a literal, so a search skips to candidates at C speed.
+_UNSIGNED_EXPONENT = re.compile(rb"e(\d)")
+_ONE_DIGIT_EXPONENT = re.compile(rb"e([+-])(\d)([,\n])")
+_SMALL = re.compile(rb"0\.0000\d*")
 
 
-def _write(cfg: RunConfig, out_path: Optional[str], kind: str, columns, rows, **fields) -> dict:
-    """Write ``<out>.csv`` (``out_path``, else ``output.path``) and
-    ``<out>.summary.json``; return the summary."""
+def _small_repr(match) -> bytes:
+    """``repr`` of a positional small token; a match that starts inside a
+    token (the ``0.0000`` of ``10.0000001``) stays as it is."""
+    start = match.start()
+    if match.string[start - 1:start].isdigit():
+        return match[0]
+    return repr(float(match[0])).encode()
+
+
+def _float_lines(table: np.ndarray) -> str:
+    """``_csv_lines(table.tolist())`` of a 2-D float64 array, byte for byte.
+
+    A table whose cells are all finite is written by orjson (Ryū, the same
+    shortest digits as ``repr``, several times faster) and its tokens are
+    put into ``repr``'s notation; an empty table, or one with a nan or an
+    infinity (which orjson writes as ``null``), goes through ``_csv_lines``."""
+    if table.size == 0 or not np.isfinite(table).all():
+        return _csv_lines(table.tolist())
+    text = orjson.dumps(np.ascontiguousarray(table), option=orjson.OPT_SERIALIZE_NUMPY)
+    text = text[2:-2].replace(b"],[", b"\n") + b"\n"
+    text = _ONE_DIGIT_EXPONENT.sub(rb"e\g<1>0\2\3", _UNSIGNED_EXPONENT.sub(rb"e+\1", text))
+    return _SMALL.sub(_small_repr, text).decode()
+
+
+def _write(cfg: RunConfig, out_path: Optional[str], kind: str, columns, lines: str,
+           **fields) -> dict:
+    """Write ``<out>.csv`` (``out_path``, else ``output.path``), the header
+    ``columns`` and then ``lines``, and ``<out>.summary.json``; return the
+    summary."""
     out = Path(out_path if out_path is not None else cfg.output_path)
-    text = ",".join(columns) + "\n" + _csv_text(rows, len(columns))
+    text = ",".join(columns) + "\n" + lines
     _atomic_write(Path(f"{out}.csv"), text)
     summary = {
         "kind": kind,
@@ -436,7 +447,7 @@ def run_simulate(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
         columns += [*moment_labels(cfg.model.order), "h_q", "v_eff", "uncertainty_residual"]
         series += [traj.h_q[:, None], traj.v_eff[:, None], traj.uncertainty[:, None]]
     return _write(
-        cfg, out_path, "simulate", columns, np.hstack(series).tolist(),
+        cfg, out_path, "simulate", columns, _float_lines(np.hstack(series)),
         n_samples=len(traj.times),
         termination=traj.termination.value,
         energy_drift=traj.energy_drift,
@@ -541,19 +552,22 @@ def run_sweep(cfg: RunConfig, out_path: Optional[str] = None, workers: int = 1) 
     raw = cfg.to_dict()
     values = np.linspace(cfg.sweep["start"], cfg.sweep["stop"], cfg.sweep["count"])
     jobs = [(raw, i, float(v)) for i, v in enumerate(values)]
-    counter = multiprocessing.Value("l", 0)
-    helpers = []
-    try:
-        for _ in range(_processes(min(workers, len(jobs))) - 1):
-            helpers.append(_start(_claim, jobs, counter))
-        done = dict(_claim(jobs, counter))
-    finally:
-        returned = [_finish(helper) for helper in helpers]
-    for pairs in returned:
-        done.update(pairs or ())
+    n_helpers = _processes(min(workers, len(jobs))) - 1
+    done = {}
+    if n_helpers:
+        counter = multiprocessing.Value("l", 0)
+        helpers = []
+        try:
+            for _ in range(n_helpers):
+                helpers.append(_start(_claim, jobs, counter))
+            done = dict(_claim(jobs, counter))
+        finally:
+            returned = [_finish(helper) for helper in helpers]
+        for pairs in returned:
+            done.update(pairs or ())
     rows = [done[i] if i in done else _sweep_point(job) for i, job in enumerate(jobs)]
     return _write(
-        cfg, out_path, "sweep", SWEEP_COLUMNS, rows,
+        cfg, out_path, "sweep", SWEEP_COLUMNS, _csv_lines(rows),
         n_rows=len(rows),
         outcome_counts=Counter(row[2] for row in rows),
     )
@@ -573,16 +587,18 @@ def run_surface(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
     t_requested = np.linspace(tg["start"], tg["stop"], tg["count"])
     sample_idx = np.unique([np.argmin(np.abs(traj.times - tr)) for tr in t_requested])
 
-    rows = []
-    q_list = q_values.tolist()
-    for i in sample_idx:
+    # One (t, q, v_eff) block of rows per time section.
+    table = np.empty((len(sample_idx), len(q_values), 3))
+    for block, i in zip(table, sample_idx):
         state = traj.state(int(i))
-        section = effective_potential(q_values, state, cfg.model).tolist()
-        rows.extend([state.t, q, v] for q, v in zip(q_list, section))
+        block[:, 0] = state.t
+        block[:, 1] = q_values
+        block[:, 2] = effective_potential(q_values, state, cfg.model)
+    table = table.reshape(-1, 3)
     failed = traj.termination is Termination.STEP_FAILURE
     return _write(
-        cfg, out_path, "surface", ["t", "q", "v_eff"], rows,
-        n_rows=len(rows),
+        cfg, out_path, "surface", ["t", "q", "v_eff"], _float_lines(table),
+        n_rows=len(table),
         n_time_sections=len(sample_idx),
         termination=traj.termination.value,
         reference_energy_drift=traj.energy_drift,

@@ -31,11 +31,13 @@ Recorded along the way:
   numpy pass evaluates the quartic interpolant at every row, in the loop's
   operation order, into the ``(n, d)`` sample array;
 * events: momentum sign changes, crossings of caller-supplied position
-  markers (classical return points), outbound escape, and violation of the
-  uncertainty constraint beyond ``-10 * atol`` (which stops the run);
+  markers (classical return points), outbound escape, and, at order 3,
+  violation of the uncertainty constraint beyond ``-10 * atol`` (which
+  stops the run);
 * per-sample series, computed once per trajectory on the ``(n, d)`` sample
   array: effective Hamiltonian, effective potential at the mean position,
-  and the uncertainty-product residual;
+  and the uncertainty-product residual, whose minimum over the samples and
+  its time go into the step statistics;
 * on a step failure, its cause: a non-finite start, step-size underflow,
   the ``max_steps`` budget, or a state blowup.
 
@@ -630,8 +632,10 @@ def _event_specs(
     model: ModelConfig, icfg: IntegratorConfig, mark_positions: Sequence[float]
 ) -> list[_EventSpec]:
     """The events of :func:`integrate`: momentum sign changes, crossings of
-    ``mark_positions``, outbound escape (a stop) and, at orders >= 2, the
-    uncertainty residual falling below ``-10 * atol`` (a stop)."""
+    ``mark_positions``, outbound escape (a stop) and, at order 3, the
+    uncertainty residual falling below ``-10 * atol`` (a stop). Order 2
+    conserves the residual exactly, so a dip there is integration error,
+    which a stop would turn into tags that move with the tolerance."""
     radius = (
         icfg.escape_radius
         if icfg.escape_radius is not None
@@ -652,7 +656,7 @@ def _event_specs(
             direction=1,
         )
     )
-    if model.order >= 2:
+    if model.order == 3:
         specs.append(
             _EventSpec(
                 _RESIDUAL + " - {c1}",  # below the floor -10 * atol
@@ -675,13 +679,15 @@ def integrate(
 
     Early stops: outbound escape through ``|q| = escape_radius`` (default
     ``10 *`` the potential half-width), uncertainty residual below
-    ``-10 * atol`` (orders >= 2), or a step failure, whose cause
+    ``-10 * atol`` (order 3), or a step failure, whose cause
     ``stats["failure"]`` names: "nonfinite_start" (a non-finite first
     derivative or starting step; no step is attempted), "underflow" (step
     size below ``1e-14 * |t|``), "budget" (``max_steps`` attempts used) or
     "blowup" (a state component beyond ``1e12``). ``mark_positions`` adds
     recorded (non-stopping) crossing events, typically the classical return
-    points.
+    points. At orders >= 2, ``stats["residual_min"]`` and
+    ``stats["t_residual_min"]`` give the lowest sampled uncertainty residual
+    and its time.
     """
     if init.order != model.order:
         raise ValueError(
@@ -698,6 +704,9 @@ def integrate(
     h_q, v_eff = effective_series(y_arr, model)
     if order >= 2:
         uncertainty = _residual(y_arr.T, model.hbar * model.hbar / 4)
+        worst = int(np.argmin(uncertainty))
+        stats["residual_min"] = float(uncertainty[worst])
+        stats["t_residual_min"] = times[worst]
     else:
         uncertainty = np.full(n, np.nan)
 

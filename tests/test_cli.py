@@ -12,11 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import momentous.dynamics as dynamics
+from conftest import rng
 from momentous import BarrierPotential
 from momentous.cli import (
-    SPLIT_CELLS,
     ConfigError,
     build_config,
     main,
@@ -307,6 +310,11 @@ def test_simulate_outputs_and_reproducibility(tmp_path):
     assert summary["energy_drift"] <= 1e-8
     assert summary["config"]["packet"]["sigma0"] == 0.5
     assert summary["derived"]["turning_point"] == pytest.approx(0.6147881529512644)
+    # The worst sampled uncertainty residual and its time, from the table.
+    rows = [line.split(",") for line in csv1.decode().splitlines()[1:]]
+    worst = min(rows, key=lambda row: float(row[-1]))
+    assert summary["stats"]["residual_min"] == float(worst[-1])
+    assert summary["stats"]["t_residual_min"] == float(worst[0])
 
 
 def test_simulate_order0_schema(tmp_path):
@@ -403,7 +411,7 @@ def test_sweep_above_barrier_all_undetermined(tmp_path):
     assert all(row.split(",")[2] == "undetermined" for row in rows)
 
 
-# Sweeps and long tables hand work to helpers forked from this process
+# Pooled sweeps hand work to helpers forked from this process
 # (cli._start), so a patch made here reaches them.
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers are forked")
 
@@ -649,6 +657,39 @@ def test_a_failed_claim_takes_every_index_left(monkeypatch):
     assert cli._claim(jobs, counter) == []
 
 
+def test_a_serial_sweep_makes_no_shared_counter(tmp_path, monkeypatch):
+    # The first shared counter in a process keeps two descriptors open on a
+    # deleted shared-memory file for the life of the process.
+    def no_counter(*args):
+        raise AssertionError("a serial sweep made a shared counter")
+
+    fds = free_fds()
+    monkeypatch.setattr(multiprocessing, "Value", no_counter)
+    forks = spy_forks(monkeypatch)
+    summary = run_sweep(short_sweep(3), str(tmp_path / "serial"))
+    assert summary["n_rows"] == 3
+    assert forks == []
+    assert free_fds() == fds
+
+
+def test_acceptance_sweep_tags_hold_at_a_loose_tolerance(tmp_path):
+    # Order 2 conserves the uncertainty residual exactly, so a dip below the
+    # floor is integration error and stops no run: at rtol = atol = 1e-6 the
+    # acceptance sweep keeps the tags of its gate setting (rtol 1e-10).
+    raw = {
+        "model": {"alpha": 1.0, "a": 1.0, "n": 4, "order": 2},
+        "packet": {"q0": -2.5, "energy": 0.98, "sigma0": 0.30},
+        "integrator": {"rtol": 1e-6, "atol": 1e-6, "t_max": 2.35},
+        "sweep": {"parameter": "q0", "start": -3.72638, "stop": -1.36634, "count": 151},
+    }
+    summary = run_sweep(build_config(raw), str(tmp_path / "loose"))
+    assert summary["outcome_counts"] == {
+        "reflected": 16, "tunneled": 3, "trapped": 3, "undetermined": 129,
+    }
+    rows = (tmp_path / "loose.csv").read_text().splitlines()[1:]
+    assert {row.split(",", 10)[10] for row in rows} == {"False,reached_tmax"}
+
+
 @needs_fork
 def test_sweep_pool_claims_every_point_once_in_order(tmp_path, monkeypatch):
     # More claimers than cores over a few hundred short points: a lost update
@@ -674,10 +715,10 @@ def test_sweep_pool_claims_every_point_once_in_order(tmp_path, monkeypatch):
     assert len({row[11] for row in rows}) > 1  # more than one process claimed
 
 
-# Long tables are formatted in two processes: a forked helper formats the
-# second half. Every cell kind a table holds, and the float edge cases.
+# Tables of floats are written by orjson, with each token put into repr's
+# notation; a table with other cells, or a nan or an infinity, by str.
+# ``serial_csv`` is the reference for both.
 TABLE_COLUMNS = [f"c{k}" for k in range(9)]
-BELOW_SPLIT = (SPLIT_CELLS - 1) // len(TABLE_COLUMNS)  # rows; one more reaches it
 
 
 def table(n_rows):
@@ -689,141 +730,119 @@ def table(n_rows):
 
 
 def serial_csv(columns, rows) -> bytes:
-    """The bytes of the writer before tables were split."""
+    """The bytes of ``",".join(map(str, row))`` for each row, under the header."""
     return ("\n".join([",".join(columns), *(",".join(map(str, row)) for row in rows)])
             + "\n").encode()
 
 
-def write_table(tmp_path, rows):
+def write_table(tmp_path, columns, lines):
     import momentous.cli as cli
 
     cfg = build_config(scenario_raw())
-    with time_bound(60):
-        cli._write(cfg, str(tmp_path / "table"), "simulate", TABLE_COLUMNS, rows)
+    cli._write(cfg, str(tmp_path / "table"), "simulate", columns, lines)
     return (tmp_path / "table.csv").read_bytes()
 
 
-@needs_fork
-@pytest.mark.parametrize("forced", [False, True], ids=["cut_off", "split_forced"])
-@pytest.mark.parametrize(
-    "n_rows", [0, 1, 7, BELOW_SPLIT, BELOW_SPLIT + 1],
-    ids=["empty", "one_row", "odd", "below_cut_off", "at_cut_off"],
-)
-def test_split_table_has_the_serial_bytes(tmp_path, monkeypatch, n_rows, forced):
+def assert_float_csv(table):
+    """The float writer gives ``serial_csv``'s bytes for a float array."""
     import momentous.cli as cli
 
-    forks = spy_forks(monkeypatch)
-    if forced:
-        monkeypatch.setattr(cli, "SPLIT_CELLS", 0)
-    fds = free_fds()
+    columns = [f"c{k}" for k in range(table.shape[1])]
+    text = ",".join(columns) + "\n" + cli._float_lines(table)
+    assert text.encode() == serial_csv(columns, table.tolist())
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 7], ids=["empty", "one_row", "odd"])
+def test_mixed_table_has_the_str_bytes(tmp_path, n_rows):
+    import momentous.cli as cli
+
     rows = table(n_rows)
-    assert write_table(tmp_path, rows) == serial_csv(TABLE_COLUMNS, rows)
-    assert len(forks) == (1 if forced or n_rows > BELOW_SPLIT else 0)
-    assert_helper_gone(fds)
+    expected = serial_csv(TABLE_COLUMNS, rows)
+    assert write_table(tmp_path, TABLE_COLUMNS, cli._csv_lines(rows)) == expected
 
 
-@needs_fork
-@pytest.mark.parametrize("failure", ["formatter_raises", "exits_midway", "killed"])
-def test_a_failed_helper_is_replaced_in_process(tmp_path, monkeypatch, failure):
-    # The caller formats the helper's half itself: the same bytes, never a
-    # part of the helper's.
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_float_table_with_a_nonfinite_cell_has_the_str_bytes(tmp_path, bad):
+    # orjson writes a nan or an infinity as null: such a table keeps str.
     import momentous.cli as cli
 
-    caller = os.getpid()
-    real_lines = cli._csv_lines
+    values = np.array([[0.5, -1e-05, 1e16], [2.0, bad, 7.414568375607028e-05]])
+    expected = serial_csv(["a", "b", "c"], values.tolist())
+    assert write_table(tmp_path, ["a", "b", "c"], cli._float_lines(values)) == expected
 
-    def lines(rows):
-        if os.getpid() != caller:
-            raise RuntimeError("helper defect")
-        return real_lines(rows)
 
-    if failure == "formatter_raises":
-        monkeypatch.setattr(cli, "_csv_lines", lines)
-    else:
-        fail_helper_writes(monkeypatch, failure)
+@settings(max_examples=300)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_float_table_has_the_str_bytes(values):
+    assert_float_csv(values)
+
+
+def test_random_bit_patterns_have_the_str_bytes():
+    bits = rng(16).integers(0, 2**64, size=120_000, dtype=np.uint64).view(np.float64)
+    finite = bits[np.isfinite(bits)]
+    assert len(finite) >= 100_000
+    assert_float_csv(finite[:100_000].reshape(-1, 10))
+
+
+# Where repr's notation changes (positional from 1e-4 up to 1e16, a padded,
+# signed exponent outside) and the ends of the float range.
+BOUNDARY_VALUES = [
+    0.0, 5e-324, 2.2250738585072014e-308, 1e-9, 9.999999999999999e-10, 1e-5,
+    9.999999999999999e-05, 1e-4, 1e15, 9999999999999998.0, 1e16,
+    1.7976931348623157e308,
+]
+
+
+@pytest.mark.parametrize("value", BOUNDARY_VALUES, ids=map(repr, BOUNDARY_VALUES))
+def test_boundary_values_have_the_str_bytes(value):
+    for sign in (1.0, -1.0):
+        cell = sign * value
+        assert_float_csv(np.array([[cell]]))
+        assert_float_csv(np.array([[cell, 10.0 + cell, cell], [1.0, cell, -10.000000000000178]]))
+
+
+@needs_fork
+def test_simulate_and_surface_fork_no_process(tmp_path, monkeypatch):
+    # Both tables are long (over 50,000 cells); a table of any length is
+    # written by this process.
     forks = spy_forks(monkeypatch)
-    fds = free_fds()
-    rows = table(BELOW_SPLIT + 1)
-    assert write_table(tmp_path, rows) == serial_csv(TABLE_COLUMNS, rows)
-    assert len(forks) == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv", "table.summary.json"]
-    assert_helper_gone(fds)
+    raw = scenario_raw(
+        integrator={"t_max": 6.0, "sample_dt": 0.001},
+        surface={"q": {"start": -3.0, "stop": 3.0, "count": 401},
+                 "t": {"start": 0.0, "stop": 6.0, "count": 61}},
+    )
+    cfg = build_config(raw)
+    simulated = run_simulate(cfg, str(tmp_path / "run"))
+    surface = run_surface(cfg, str(tmp_path / "surface"))
+    assert simulated["n_samples"] * len(simulated["columns"]) > 50_000
+    assert surface["n_rows"] * 3 > 50_000
+    assert forks == []
 
 
 @needs_fork
-def test_an_exception_in_the_callers_half_reaps_the_helper(tmp_path, monkeypatch):
-    # The helper's half is far more than a pipe holds, so it blocks on the
-    # pipe until the caller reads it; reaping before reading would hang.
-    import momentous.cli as cli
-
-    caller = os.getpid()
-    real_lines = cli._csv_lines
-
-    def lines(rows):
-        if os.getpid() == caller:
-            raise RuntimeError("caller defect")
-        return real_lines(rows)
-
-    monkeypatch.setattr(cli, "_csv_lines", lines)
-    forks = spy_forks(monkeypatch)
-    fds = free_fds()
-    with pytest.raises(RuntimeError, match="caller defect"):
-        write_table(tmp_path, table(4 * BELOW_SPLIT))
-    assert len(forks) == 1
-    assert list(tmp_path.iterdir()) == []  # no partial table, no .tmp
-    assert_helper_gone(fds)
-
-
-@needs_fork
-@pytest.mark.parametrize(
-    "cpus, has_fork, n_forks",
-    [(2, True, 1), (1, True, 0), (None, True, 0), (2, False, 0)],
-    ids=["two_cpus", "one_cpu", "cpu_count_unknown", "no_fork"],
-)
-def test_long_table_splits_only_with_two_cpus_and_fork(
-    tmp_path, monkeypatch, cpus, has_fork, n_forks
-):
-    forks = spy_forks(monkeypatch, cpus)
-    if not has_fork:
-        monkeypatch.delattr(os, "fork")
-    rows = table(BELOW_SPLIT + 1)
-    assert write_table(tmp_path, rows) == serial_csv(TABLE_COLUMNS, rows)
-    assert len(forks) == n_forks
-
-
-@needs_fork
-@pytest.mark.parametrize("work", ["table", "sweep"])
+@pytest.mark.parametrize("work", ["sweep"])
 def test_a_split_table_with_a_live_thread_has_the_serial_bytes(tmp_path, monkeypatch, work):
     # From Python 3.12, os.fork in a process with more than one thread warns
     # (DeprecationWarning); CPython clears that warning even when warnings
-    # are errors, so the helpers go ahead. A long table forks one helper, a
-    # 3-process sweep two; the bytes must be the serial ones, with no helper
-    # left behind.
-    import momentous.cli as cli
-
+    # are errors, so the helpers go ahead. A 3-process sweep forks two; the
+    # bytes must be the serial ones, with no helper left behind.
     cfg = short_sweep(4)
     run_sweep(cfg, str(tmp_path / "serial"))
-    rows = table(BELOW_SPLIT + 1)
     forks = spy_forks(monkeypatch, cpus=3)
-    fds = free_fds()
+    fds = sweep_free_fds()
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
         with warnings.catch_warnings(), time_bound(60):
             warnings.simplefilter("error")
-            if work == "table":
-                text = cli._csv_text(rows, len(TABLE_COLUMNS)).encode()
-            else:
-                run_sweep(cfg, str(tmp_path / "pool"), workers=3)
+            run_sweep(cfg, str(tmp_path / "pool"), workers=3)
     finally:
         release.set()
         thread.join()
-    if work == "table":
-        assert text == serial_csv(TABLE_COLUMNS, rows).split(b"\n", 1)[1]
-    else:
-        assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
-    assert len(forks) == (1 if work == "table" else 2)
+    assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert len(forks) == 2
     assert_helper_gone(fds)
 
 

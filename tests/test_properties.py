@@ -69,7 +69,10 @@ def test_effective_hamiltonian_drift_follows_the_tolerance(
     # under one unit of atol + rtol*|y_i|, so a step moves each of the d
     # components by at most about sqrt(d) such units, and H_Q by that times
     # the 1-norm of its gradient. The flow itself conserves H_Q, so over N
-    # steps the drift stays below N times that first-order step bound.
+    # steps the drift stays below N times that first-order step bound. A
+    # packet in a steep well can blow up under the order-2 closure with no
+    # stop before t_max; the step budget keeps such a draw at 10,000
+    # attempts (the bound holds for a partial trajectory too).
     pot = BarrierPotential(alpha=alpha, a=1.0, n=n)
     cfg = ModelConfig(potential=pot, mass=mass, order=order)
     tol = 10.0 ** exponent
@@ -77,7 +80,8 @@ def test_effective_hamiltonian_drift_follows_the_tolerance(
         init = MomentState(t=0.0, q=q0, p=p0)
     else:
         init = initial_moments(GaussianPacket(q0, p0, sigma0), order, "zero")
-    traj = integrate(init, cfg, IntegratorConfig(rtol=tol, atol=tol, t_max=3.0))
+    icfg = IntegratorConfig(rtol=tol, atol=tol, t_max=3.0, max_steps=10_000)
+    traj = integrate(init, cfg, icfg)
     d = traj.states.shape[1]
     step_bound = np.sqrt(d) * tol * (1.0 + np.abs(traj.states).max()) * gradient_bound(
         traj, pot, mass)
