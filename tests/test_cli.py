@@ -802,6 +802,42 @@ def test_boundary_values_have_the_str_bytes(value):
         assert_float_csv(np.array([[cell, 10.0 + cell, cell], [1.0, cell, -10.000000000000178]]))
 
 
+# Tables once went to two processes from 50,000 cells; they are written in
+# this one at any length, even where a split used to be forced.
+BELOW_SPLIT = (50_000 - 1) // len(TABLE_COLUMNS)  # rows; one more reaches 50,000 cells
+
+
+def float_table(n_rows):
+    """A float table of ``n_rows`` rows, its cells in every notation repr uses."""
+    scales = 10.0 ** np.arange(-12, 24, 4)  # one decade per column
+    return rng(n_rows).standard_normal((n_rows, len(TABLE_COLUMNS))) * scales
+
+
+@needs_fork
+@pytest.mark.parametrize("forced", [False, True], ids=["cut_off", "split_forced"])
+@pytest.mark.parametrize(
+    "n_rows", [0, 1, 7, BELOW_SPLIT, BELOW_SPLIT + 1],
+    ids=["empty", "one_row", "odd", "below_cut_off", "at_cut_off"],
+)
+def test_split_table_has_the_serial_bytes(tmp_path, monkeypatch, n_rows, forced):
+    # ``split_forced`` reports many CPUs, where the earlier writer split any
+    # table; the mixed and the float table each keep the serial bytes, and
+    # neither forks.
+    import momentous.cli as cli
+
+    forks = spy_forks(monkeypatch, cpus=64 if forced else 2)
+    fds = free_fds()
+    rows = table(n_rows)
+    floats = float_table(n_rows)
+    with time_bound(60):
+        assert (write_table(tmp_path, TABLE_COLUMNS, cli._csv_lines(rows))
+                == serial_csv(TABLE_COLUMNS, rows))
+        assert (write_table(tmp_path, TABLE_COLUMNS, cli._float_lines(floats))
+                == serial_csv(TABLE_COLUMNS, floats.tolist()))
+    assert forks == []
+    assert_helper_gone(fds)
+
+
 @needs_fork
 def test_simulate_and_surface_fork_no_process(tmp_path, monkeypatch):
     # Both tables are long (over 50,000 cells); a table of any length is
@@ -821,28 +857,38 @@ def test_simulate_and_surface_fork_no_process(tmp_path, monkeypatch):
 
 
 @needs_fork
-@pytest.mark.parametrize("work", ["sweep"])
+@pytest.mark.parametrize("work", ["table", "sweep"])
 def test_a_split_table_with_a_live_thread_has_the_serial_bytes(tmp_path, monkeypatch, work):
     # From Python 3.12, os.fork in a process with more than one thread warns
     # (DeprecationWarning); CPython clears that warning even when warnings
-    # are errors, so the helpers go ahead. A 3-process sweep forks two; the
-    # bytes must be the serial ones, with no helper left behind.
+    # are errors, so the helpers go ahead. A long table forks nothing, a
+    # 3-process sweep two; the bytes must be the serial ones, with no helper
+    # left behind.
+    import momentous.cli as cli
+
     cfg = short_sweep(4)
     run_sweep(cfg, str(tmp_path / "serial"))
+    floats = float_table(BELOW_SPLIT + 1)
     forks = spy_forks(monkeypatch, cpus=3)
-    fds = sweep_free_fds()
+    fds = free_fds() if work == "table" else sweep_free_fds()
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
         with warnings.catch_warnings(), time_bound(60):
             warnings.simplefilter("error")
-            run_sweep(cfg, str(tmp_path / "pool"), workers=3)
+            if work == "table":
+                text = cli._float_lines(floats).encode()
+            else:
+                run_sweep(cfg, str(tmp_path / "pool"), workers=3)
     finally:
         release.set()
         thread.join()
-    assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
-    assert len(forks) == 2
+    if work == "table":
+        assert text == serial_csv(TABLE_COLUMNS, floats.tolist()).split(b"\n", 1)[1]
+    else:
+        assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert len(forks) == (0 if work == "table" else 2)
     assert_helper_gone(fds)
 
 
