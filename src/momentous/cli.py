@@ -19,7 +19,6 @@ import math
 import multiprocessing
 import os
 import pickle
-import re
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -284,15 +283,18 @@ def load_config(path: str, order_override: Optional[int] = None) -> RunConfig:
     return build_config(raw, order_override)
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, *parts: bytes) -> None:
+    """Write the concatenation of ``parts`` to ``path`` through a ``.tmp``
+    file and a rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "wb") as fh:
+        fh.writelines(parts)
     os.replace(tmp, path)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=True) + "\n"
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=True) + "\n").encode()
 
 
 def _initial_state(cfg: RunConfig):
@@ -372,48 +374,47 @@ def _csv_lines(rows) -> str:
     return "".join([",".join(map(str, row)) + "\n" for row in rows])
 
 
-# orjson writes a float's shortest round-trip digits, as ``repr`` does, in
-# its own notation: an exponent without ``repr``'s sign and two-digit
-# padding (``1e16``, ``1e-9``), and a magnitude in [1e-5, 1e-4), below
-# ``repr``'s positional range, positionally (``0.00001``). Each pattern
-# starts with a literal, so a search skips to candidates at C speed.
-_UNSIGNED_EXPONENT = re.compile(rb"e(\d)")
-_ONE_DIGIT_EXPONENT = re.compile(rb"e([+-])(\d)([,\n])")
-_SMALL = re.compile(rb"0\.0000\d*")
+def _orjson_rows(block: np.ndarray) -> memoryview:
+    """The CSV lines of a 2-D float64 array whose cells orjson writes as
+    ``repr`` does: one ``dumps`` of the cells in row order, with every
+    row's last comma and the closing ``]`` set to a newline (a float has no
+    comma) and the opening ``[`` left out."""
+    text = bytearray(orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY))
+    chars = np.frombuffer(text, np.uint8)
+    n_cols = block.shape[1]
+    chars[np.flatnonzero(chars == ord(","))[n_cols - 1::n_cols]] = ord("\n")
+    chars[-1] = ord("\n")
+    return memoryview(text)[1:]
 
 
-def _small_repr(match) -> bytes:
-    """``repr`` of a positional small token; a match that starts inside a
-    token (the ``0.0000`` of ``10.0000001``) stays as it is."""
-    start = match.start()
-    if match.string[start - 1:start].isdigit():
-        return match[0]
-    return repr(float(match[0])).encode()
+def _float_lines(table: np.ndarray) -> bytes:
+    """``_csv_lines(table.tolist())`` of a 2-D float64 array, encoded, byte
+    for byte.
+
+    orjson (Ryū) writes the shortest round-trip digits, as ``repr`` does,
+    and ``repr``'s notation except for a magnitude in [1e-9, 1e-4)
+    (``0.00001``, ``1e-9``), a magnitude from 1e16 up (``1e16``) and a nan
+    or an infinity (``null``). A row with a cell in [5e-10, 2e-4), at 5e15
+    or above, or not finite, so within a factor 2 of those ranges, goes
+    through ``_csv_lines``; each run of the other rows is one orjson call."""
+    if table.size == 0:
+        return _csv_lines(table.tolist()).encode()
+    mag = np.abs(table)
+    flagged = ((mag >= 5e-10) & (mag < 2e-4) | ~(mag < 5e15)).any(axis=1)
+    cuts = [0, *np.flatnonzero(flagged[1:] != flagged[:-1]) + 1, len(table)]
+    return b"".join(
+        _csv_lines(table[lo:hi].tolist()).encode() if flagged[lo] else _orjson_rows(table[lo:hi])
+        for lo, hi in zip(cuts, cuts[1:])
+    )
 
 
-def _float_lines(table: np.ndarray) -> str:
-    """``_csv_lines(table.tolist())`` of a 2-D float64 array, byte for byte.
-
-    A table whose cells are all finite is written by orjson (Ryū, the same
-    shortest digits as ``repr``, several times faster) and its tokens are
-    put into ``repr``'s notation; an empty table, or one with a nan or an
-    infinity (which orjson writes as ``null``), goes through ``_csv_lines``."""
-    if table.size == 0 or not np.isfinite(table).all():
-        return _csv_lines(table.tolist())
-    text = orjson.dumps(np.ascontiguousarray(table), option=orjson.OPT_SERIALIZE_NUMPY)
-    text = text[2:-2].replace(b"],[", b"\n") + b"\n"
-    text = _ONE_DIGIT_EXPONENT.sub(rb"e\g<1>0\2\3", _UNSIGNED_EXPONENT.sub(rb"e+\1", text))
-    return _SMALL.sub(_small_repr, text).decode()
-
-
-def _write(cfg: RunConfig, out_path: Optional[str], kind: str, columns, lines: str,
+def _write(cfg: RunConfig, out_path: Optional[str], kind: str, columns, lines: bytes,
            **fields) -> dict:
     """Write ``<out>.csv`` (``out_path``, else ``output.path``), the header
     ``columns`` and then ``lines``, and ``<out>.summary.json``; return the
     summary."""
     out = Path(out_path if out_path is not None else cfg.output_path)
-    text = ",".join(columns) + "\n" + lines
-    _atomic_write(Path(f"{out}.csv"), text)
+    _atomic_write(Path(f"{out}.csv"), (",".join(columns) + "\n").encode(), lines)
     summary = {
         "kind": kind,
         "config": cfg.to_dict(),
@@ -421,7 +422,7 @@ def _write(cfg: RunConfig, out_path: Optional[str], kind: str, columns, lines: s
         "columns": columns,
         **fields,
     }
-    _atomic_write(Path(f"{out}.summary.json"), _json_text(summary))
+    _atomic_write(Path(f"{out}.summary.json"), _json_bytes(summary))
     return summary
 
 
@@ -567,7 +568,7 @@ def run_sweep(cfg: RunConfig, out_path: Optional[str] = None, workers: int = 1) 
             done.update(pairs or ())
     rows = [done[i] if i in done else _sweep_point(job) for i, job in enumerate(jobs)]
     return _write(
-        cfg, out_path, "sweep", SWEEP_COLUMNS, _csv_lines(rows),
+        cfg, out_path, "sweep", SWEEP_COLUMNS, _csv_lines(rows).encode(),
         n_rows=len(rows),
         outcome_counts=Counter(row[2] for row in rows),
     )
@@ -626,13 +627,13 @@ def run_check_algebra(out_path: Optional[str] = None) -> tuple[int, str]:
     text = "\n".join(parts) + "\n"
     if out_path is not None:
         out = Path(out_path)
-        _atomic_write(Path(f"{out}.txt"), text)
+        _atomic_write(Path(f"{out}.txt"), text.encode())
         data = {
             "kind": "check-algebra",
             "orders": [report.to_dict() for report in reports],
             "properties": properties,
         }
-        _atomic_write(Path(f"{out}.json"), _json_text(data))
+        _atomic_write(Path(f"{out}.json"), _json_bytes(data))
     golden = resources.files("momentous").joinpath("data/algebra_report.txt")
     return (0 if text == golden.read_text(encoding="utf-8") else 3), text
 

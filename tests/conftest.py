@@ -7,7 +7,8 @@ check for the generated jet code: the same recurrence as a plain loop, which
 the generated code must match bit for bit. :func:`reference_integrate` plays
 the same part for the generated Dormand-Prince loop: the adaptive loop written
 with per-component list code (:func:`reference_step`), a list dense output and
-a plain bisection.
+a plain bisection. :func:`darboux_integrate` is an independent realization of
+the order-2 moment system, the oracle for its tags.
 
 Property tests run derandomized and without an example database, so every
 run, in CI or locally, draws the same examples.
@@ -24,6 +25,8 @@ import pytest
 from hypothesis import settings
 
 from momentous import BarrierPotential, GaussianPacket, IntegratorConfig, Termination
+from momentous.dynamics import effective_series, vector_to_state
+from momentous.integrator import Event, Trajectory, _event_specs, _propagate
 
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
@@ -366,6 +369,56 @@ def reference_integrate(f, t0, y0, icfg, specs=()):
     if failure is not None:
         stats["failure"] = failure
     return times, states, raw_events, termination, stats
+
+
+def _darboux_moments(y, casimir):
+    """``(q, p, G20, G11, G02)`` of a Darboux state ``(q, p, s, p_s)``."""
+    q, p, s, p_s = y
+    return q, p, s * s, -s * p_s, p_s * p_s + casimir / (s * s)
+
+
+def darboux_integrate(init, model, icfg, mark_positions=()):
+    """Integrate an order-2 state in canonical "Darboux" coordinates and
+    return the :class:`Trajectory` of its moments.
+
+    ``G20 = s**2``, ``G11 = -s*p_s``, ``G02 = p_s**2 + U/s**2``, with the
+    Casimir ``U = G20*G02 - G11**2`` fixed by ``init``, turn the order-2
+    system into a particle in two dimensions with Hamiltonian
+    ``p**2/2m + V(q) + p_s**2/2m + U/(2m s**2) + V''(q) s**2/2``. Its four
+    equations are written here from that Hamiltonian, not from
+    ``eom_table``, and the uncertainty relation holds in them by
+    construction. They run through the package's adaptive loop with the
+    events of :func:`momentous.integrate`, less any uncertainty-constraint
+    stop, which has nothing to monitor here.
+    """
+    assert model.order == 2
+    g20, g11, g02 = init.moments
+    casimir = g20 * g02 - g11 * g11
+    pot, m = model.potential, model.mass
+
+    def f(y):
+        q, p, s, p_s = y
+        _, v1, v2, v3 = pot.derivatives(q, 3)
+        return [p / m, -v1 - 0.5 * v3 * s * s, p_s / m, casimir / (m * s ** 3) - v2 * s]
+
+    s0 = math.sqrt(g20)
+    times, states, raw_events, termination, stats = _propagate(
+        f, init.t, [init.q, init.p, s0, -g11 / s0], icfg,
+        [spec for spec in _event_specs(model, icfg, mark_positions) if spec.kind != "constraint"],
+    )
+    moments = np.column_stack(_darboux_moments(states.T, casimir))
+    h_q, v_eff = effective_series(moments, model)
+    g20, g11, g02 = moments[:, 2:].T
+    events = tuple(
+        Event(t=te, kind=spec.kind, direction=direction,
+              state=vector_to_state(te, _darboux_moments(ye, casimir), 2), marker=spec.marker)
+        for te, spec, direction, ye in raw_events
+    )
+    return Trajectory(
+        model=model, times=np.array(times), states=moments, h_q=h_q, v_eff=v_eff,
+        uncertainty=g20 * g02 - g11 * g11 - model.hbar ** 2 / 4,
+        termination=termination, events=events, stats=stats,
+    )
 
 
 def central_difference(f, q, k, h):

@@ -35,7 +35,7 @@ from momentous import (
 from momentous.cli import build_config, run_check_algebra, run_sweep
 from momentous.moment_algebra import MomentPolynomial
 
-from conftest import mp_richardson_derivative, rng, scenario_packet
+from conftest import darboux_integrate, mp_richardson_derivative, rng, scenario_packet
 
 ENERGY = 0.98
 SWEEP_SIGMA0 = 0.30
@@ -60,14 +60,20 @@ def pot():
 
 @pytest.fixture(scope="module")
 def sweep_rows(pot, tmp_path_factory):
-    raw = {
+    out = tmp_path_factory.mktemp("acceptance") / "sweep"
+    start = time.perf_counter()
+    run_sweep(sweep_config(SWEEP_RTOL, SWEEP_ATOL), str(out))
+    elapsed = time.perf_counter() - start
+    return read_rows(out.parent / "sweep.csv"), elapsed
+
+
+def sweep_config(rtol, atol):
+    """The acceptance sweep at a tolerance: 151 inbound q0 points at one
+    energy, order 2, sigma0 0.30, horizon 2.35."""
+    return build_config({
         "model": {"alpha": 1.0, "a": 1.0, "n": 4, "order": 2},
         "packet": {"q0": -2.5, "energy": ENERGY, "sigma0": SWEEP_SIGMA0},
-        "integrator": {
-            "rtol": SWEEP_RTOL,
-            "atol": SWEEP_ATOL,
-            "t_max": SWEEP_T_MAX,
-        },
+        "integrator": {"rtol": rtol, "atol": atol, "t_max": SWEEP_T_MAX},
         "sweep": {
             "parameter": "q0",
             "start": -3.72638,
@@ -75,15 +81,13 @@ def sweep_rows(pot, tmp_path_factory):
             "count": SWEEP_COUNT,
         },
         "output": {"path": "sweep"},
-    }
-    out = tmp_path_factory.mktemp("acceptance") / "sweep"
-    start = time.perf_counter()
-    run_sweep(build_config(raw), str(out))
-    elapsed = time.perf_counter() - start
-    lines = (out.parent / "sweep.csv").read_text().splitlines()
+    })
+
+
+def read_rows(csv_path):
+    lines = csv_path.read_text().splitlines()
     header = lines[0].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-    return rows, elapsed
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
 
 def run_scenario(pot, q0, order, sigma0, convention="zero", **integrator_overrides):
@@ -376,3 +380,28 @@ def test_criterion_9_derivative_oracle(pot):
         worst <= 1e-6,
         f"max rel deviation {worst:.2e} over 100 points, k <= 4",
     )
+
+
+def test_darboux_form_gives_the_sweep_tags(pot, sweep_rows, tmp_path):
+    # The order-2 tags against an independent realization of the same
+    # system (conftest.darboux_integrate): equal point by point at the gate
+    # setting and at rtol = atol = 1e-8, and the two forms' final positions
+    # closer at the tighter tolerance.
+    run_sweep(sweep_config(1e-8, 1e-8), str(tmp_path / "tight"))
+    model = ModelConfig(potential=pot, order=2)
+    worst = []
+    for (rtol, atol), rows in (
+        ((SWEEP_RTOL, SWEEP_ATOL), sweep_rows[0]),
+        ((1e-8, 1e-8), read_rows(tmp_path / "tight.csv")),
+    ):
+        icfg = IntegratorConfig(rtol=rtol, atol=atol, t_max=SWEEP_T_MAX)
+        tags, dq = [], 0.0
+        for row in rows:
+            packet = scenario_packet(pot, float(row["value"]), sigma0=SWEEP_SIGMA0, energy=ENERGY)
+            traj = darboux_integrate(initial_moments(packet, 2), model, icfg,
+                                     pot.turning_points(ENERGY))
+            tags.append(classify(traj, pot, ENERGY).tag.value)
+            dq = max(dq, abs(float(traj.q[-1]) - float(row["final_q"])))
+        assert tags == [row["outcome"] for row in rows], (rtol, atol)
+        worst.append(dq)
+    assert worst[1] < worst[0], worst

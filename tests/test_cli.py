@@ -715,8 +715,9 @@ def test_sweep_pool_claims_every_point_once_in_order(tmp_path, monkeypatch):
     assert len({row[11] for row in rows}) > 1  # more than one process claimed
 
 
-# Tables of floats are written by orjson, with each token put into repr's
-# notation; a table with other cells, or a nan or an infinity, by str.
+# Rows of floats are written by orjson, except rows with a cell where its
+# notation can differ from repr's (near [1e-9, 1e-4), from near 1e16 up, or
+# not finite), which go through str like the mixed rows of a sweep.
 # ``serial_csv`` is the reference for both.
 TABLE_COLUMNS = [f"c{k}" for k in range(9)]
 
@@ -735,7 +736,7 @@ def serial_csv(columns, rows) -> bytes:
             + "\n").encode()
 
 
-def write_table(tmp_path, columns, lines):
+def write_table(tmp_path, columns, lines: bytes):
     import momentous.cli as cli
 
     cfg = build_config(scenario_raw())
@@ -748,8 +749,8 @@ def assert_float_csv(table):
     import momentous.cli as cli
 
     columns = [f"c{k}" for k in range(table.shape[1])]
-    text = ",".join(columns) + "\n" + cli._float_lines(table)
-    assert text.encode() == serial_csv(columns, table.tolist())
+    text = (",".join(columns) + "\n").encode() + cli._float_lines(table)
+    assert text == serial_csv(columns, table.tolist())
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 7], ids=["empty", "one_row", "odd"])
@@ -758,12 +759,12 @@ def test_mixed_table_has_the_str_bytes(tmp_path, n_rows):
 
     rows = table(n_rows)
     expected = serial_csv(TABLE_COLUMNS, rows)
-    assert write_table(tmp_path, TABLE_COLUMNS, cli._csv_lines(rows)) == expected
+    assert write_table(tmp_path, TABLE_COLUMNS, cli._csv_lines(rows).encode()) == expected
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_float_table_with_a_nonfinite_cell_has_the_str_bytes(tmp_path, bad):
-    # orjson writes a nan or an infinity as null: such a table keeps str.
+    # orjson writes a nan or an infinity as null: such a row keeps str.
     import momentous.cli as cli
 
     values = np.array([[0.5, -1e-05, 1e16], [2.0, bad, 7.414568375607028e-05]])
@@ -775,6 +776,58 @@ def test_float_table_with_a_nonfinite_cell_has_the_str_bytes(tmp_path, bad):
 @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12),
               elements=st.floats(allow_nan=False, allow_infinity=False)))
 def test_float_table_has_the_str_bytes(values):
+    assert_float_csv(values)
+
+
+# Cells of either sign and magnitude 10**U(-12, 18), on both sides of every
+# edge of the row mask; the default float strategy rarely draws a cell in
+# [1e-9, 1e-4).
+decades = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=12),
+                 elements=st.floats(-30.0, 30.0)).map(
+                     lambda x: np.sign(x) * 10.0 ** (np.abs(x) - 12.0))
+
+
+@settings(max_examples=300)
+@given(decades)
+def test_float_table_of_any_decade_has_the_str_bytes(values):
+    assert_float_csv(values)
+
+
+# One cell of each kind whose row the writer hands to str.
+FLAGGED_CELLS = [7.414568375607028e-05, -1e-09, 1.5e16, math.nan, -math.inf]
+FLAGGED_ROWS = {"first": [0], "last": [7], "adjacent": [3, 4], "every": range(8), "none": []}
+
+
+@pytest.mark.parametrize("n_cols", [1, 3])
+@pytest.mark.parametrize("where", FLAGGED_ROWS)
+def test_flagged_rows_anywhere_have_the_str_bytes(where, n_cols):
+    values = rng(8).uniform(-100.0, 100.0, size=(8, n_cols))
+    for k, row in enumerate(FLAGGED_ROWS[where]):
+        values[row, k % n_cols] = FLAGGED_CELLS[k % len(FLAGGED_CELLS)]
+    assert_float_csv(values)
+
+
+# The edges of the ranges where orjson's notation differs from repr's, and of
+# the row mask's factor-2 margin around them, each with its two neighbours.
+MASK_EDGES = [
+    np.nextafter(edge, toward)
+    for edge in (1e-9, 1e-4, 1e16, 5e-10, 2e-4, 5e15)
+    for toward in (0.0, edge, math.inf)
+]
+
+
+@pytest.mark.parametrize("n_cols", [1, 3])
+@pytest.mark.parametrize("value", MASK_EDGES, ids=map(repr, MASK_EDGES))
+def test_mask_edges_have_the_str_bytes(value, n_cols):
+    middle = [0.5, value, -value][:n_cols]
+    assert_float_csv(np.array([[1.5] * n_cols, middle, [-value] * n_cols, [2.5] * n_cols]))
+
+
+@pytest.mark.parametrize("n_cols", [1, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_nonfinite_row_in_a_long_table_has_the_str_bytes(bad, n_cols):
+    values = rng(3).uniform(1.0, 1000.0, size=(3000, n_cols))
+    values[1234, n_cols - 1] = bad
     assert_float_csv(values)
 
 
@@ -830,7 +883,7 @@ def test_split_table_has_the_serial_bytes(tmp_path, monkeypatch, n_rows, forced)
     rows = table(n_rows)
     floats = float_table(n_rows)
     with time_bound(60):
-        assert (write_table(tmp_path, TABLE_COLUMNS, cli._csv_lines(rows))
+        assert (write_table(tmp_path, TABLE_COLUMNS, cli._csv_lines(rows).encode())
                 == serial_csv(TABLE_COLUMNS, rows))
         assert (write_table(tmp_path, TABLE_COLUMNS, cli._float_lines(floats))
                 == serial_csv(TABLE_COLUMNS, floats.tolist()))
@@ -878,7 +931,7 @@ def test_a_split_table_with_a_live_thread_has_the_serial_bytes(tmp_path, monkeyp
         with warnings.catch_warnings(), time_bound(60):
             warnings.simplefilter("error")
             if work == "table":
-                text = cli._float_lines(floats).encode()
+                text = cli._float_lines(floats)
             else:
                 run_sweep(cfg, str(tmp_path / "pool"), workers=3)
     finally:
