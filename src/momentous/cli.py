@@ -241,6 +241,13 @@ def build_config(raw: dict, order_override: Optional[int] = None) -> RunConfig:
     with _owned_by("packet"):
         potential.energy_ratio(energy)
         packet = GaussianPacket(q0=q0, p0=p0, sigma0=pk["sigma0"], hbar=m["hbar"])
+        if model.order >= 2:
+            try:
+                initial_moments(packet, model.order, convention)
+            except (ArithmeticError, ValueError):  # overflow, or a moment of inf
+                raise ValueError(
+                    f"sigma0 = {packet.sigma0!r} gives initial moments outside the float range"
+                ) from None
 
     # Two lengths default to multiples of the half-width a.
     for section, key, scale in (
@@ -429,9 +436,12 @@ def _write(cfg: RunConfig, out_path: Optional[str], kind: str, columns, lines: b
 def run_simulate(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
     """Integrate one trajectory; write `<out>.csv` and `<out>.summary.json`.
 
-    Returns the summary dict (also written to the sidecar). A run that stops
-    at the uncertainty constraint gets a ``warnings`` list naming the stop
-    time, which ``main`` prints.
+    Returns the summary dict (also written to the sidecar). It gets a
+    ``warnings`` list, which ``main`` prints, when the run stops at the
+    uncertainty constraint (naming the stop time) or when a sampled
+    uncertainty residual falls below ``-hbar**2/4``: then ``G20*G02 - G11**2``
+    was negative, which no state can have, so the integration has failed
+    whatever the tolerance allowed.
     """
     traj = _trajectory(cfg)
     outcome = classify(traj, cfg.model.potential, cfg.energy, cfg.margin)
@@ -441,6 +451,13 @@ def run_simulate(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
         warnings.append(
             f"stopped early at t = {traj.events[-1].t!r}: the uncertainty residual "
             f"fell below -10 * atol (constraint_violated)"
+        )
+    residual_min = traj.stats.get("residual_min")
+    if residual_min is not None and residual_min < -cfg.model.hbar * cfg.model.hbar / 4:
+        warnings.append(
+            f"the uncertainty residual reached {residual_min!r} at "
+            f"t = {traj.stats['t_residual_min']!r}, below -hbar**2/4: G20*G02 - G11**2 "
+            f"went negative, which no state can have (integration error)"
         )
     columns = ["t", "q", "p"]
     series = [traj.times[:, None], traj.states]

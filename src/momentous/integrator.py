@@ -25,11 +25,13 @@ implementation, bit for bit.
 
 Recorded along the way:
 
-* samples on a fixed ``sample_dt`` grid plus event points. The loop records
-  each row's time and the step it falls in, with one row of dense-output
-  coefficients per step that holds a row or an event; after the loop one
-  numpy pass evaluates the quartic interpolant at every row, in the loop's
-  operation order, into the ``(n, d)`` sample array;
+* samples on a fixed ``sample_dt`` grid plus event points. The loop packs
+  one row of dense-output coefficients per step that holds a sample or an
+  event, and records a step's grid samples as one range of grid indices and
+  every other row with its time; after the loop one numpy pass expands the
+  ranges, drops rows within ``1e-12`` of the last one kept and evaluates the
+  quartic interpolant at every row, in the loop's operation order, into the
+  ``(n, d)`` sample array;
 * events: momentum sign changes, crossings of caller-supplied position
   markers (classical return points), outbound escape, and, at order 3,
   violation of the uncertainty constraint beyond ``-10 * atol`` (which
@@ -275,23 +277,26 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
     event values and crossing tests, the choice of rows on the sample grid,
     and the bisection of each crossing event over the components it reads.
     A step builds the interpolant's coefficients only when an event crosses
-    or a sample falls inside it, and one in which no event crosses samples
-    the grid without sorting. Such a step packs its coefficients into the
+    or a sample falls inside it. Such a step packs its coefficients into the
     bytearray ``coeffs`` as one row of doubles ``(t, h, x_i..., d1_i...,
-    d2_i..., d3_i..., d4_i..., z_i...)``, and each row it records appends its
-    time to ``times`` and a reference to ``steps``: the coefficient row's
-    byte offset ``k`` to take the interpolant, or ``~k`` to take the step's
-    end state ``z`` exactly. The start row and a final ``t_end`` row are
-    exact rows of the same table. The loop evaluates the interpolant only for
-    event states; :func:`_dense_rows` builds the sample states after it.
-    It calls ``f`` on state lists and reads the run's tolerances, horizon,
-    step cap, sample grid and step budget from ``icfg``; each event's
-    constants come from its spec's ``values``. Every expression keeps the
-    operation order of the per-component list loop it replaces (see
-    ``tests/conftest.py``), so every bit is that loop's.
+    d2_i..., d3_i..., d4_i..., z_i...)`` and appends entries of four numbers
+    to the flat list ``rec`` (see :func:`_dense_rows`). A step in which no
+    event crosses appends one entry, the range of grid indices it holds,
+    found by one division and exact tests at its ends: no per-sample code
+    runs. A step with an event appends one entry per row, in time order,
+    each with its time. The start row and a final ``t_end`` row are exact
+    rows of the same table. Nothing is dropped here: the rule for rows
+    within ``1e-12`` of each other is applied after the loop. The loop
+    evaluates the interpolant only for event states; :func:`_dense_rows`
+    builds the sample times and states after it. It calls ``f`` on state
+    lists and reads the run's tolerances, horizon, step cap, sample grid and
+    step budget from ``icfg``; each event's constants come from its spec's
+    ``values``. Every expression keeps the operation order of the
+    per-component list loop it replaces (see ``tests/conftest.py``), so
+    every bit is that loop's.
 
-    ``run`` returns ``(times, steps, coeffs, raw events, stop, stats)``:
-    ``stop`` is the ``stop`` of the spec whose event ended the run, or None.
+    ``run`` returns ``(rec, coeffs, raw events, stop, stats)``: ``stop`` is
+    the ``stop`` of the spec whose event ended the run, or None.
     """
     comps = range(d)
     out: list[str] = []
@@ -317,12 +322,6 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
 
     def dense_at(level, at):
         put(level, f"theta = ({at} - t) / h", "om = 1 - theta")
-
-    def record(level, tr, step):
-        # A row at tr unless it falls within 1e-12 of the last one.
-        put(level, f"a = abs({tr})",
-            f"if {tr} - tlast > 1e-12 * (a if a > 1.0 else 1.0):",
-            f"    times.append({tr})", f"    steps.append({step})", f"    tlast = {tr}")
 
     def exact_row(level):
         # A coefficient row read only for its end state, the current x.
@@ -386,7 +385,7 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
 
     put(1, "coeffs = bytearray()")
     exact_row(1)
-    put(1, "times = [t]", "steps = [~0]", "tlast = t", "raw_events = []")
+    put(1, "rec = [t, 0, inf, 1]", "raw_events = []")
     put(1, *(f"g{k} = {event(k, 'x')}" for k in ev))
     put(1, "sample_index = 1", "facold = 1e-4", "rejected = False",
         "n_steps = 0", "n_error = 0  # rejected for err > 1",
@@ -495,19 +494,22 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
             "for tr, spec, direction in pending:")
         # A grid sample on tnew takes the exact end state; an event row
         # takes the interpolant, as does its state, built here.
-        record(5, "tr", "~row if spec is None and tr >= tnew else row")
-        put(5, "if spec is not None:")
+        put(5, "rec += (tr, row, inf if spec is None and tr >= tnew else nan, 1)",
+            "if spec is not None:")
         dense_at(6, "tr")
         state = ", ".join(interpolant(i) for i in comps)
         put(6, f"raw_events.append((tr, spec, direction, [{state}]))")
         put(4, "if stop is not None:", "    break")
         put(3, "else:")
         level = 4
-    # Only grid samples, which take the interpolant unless they fall on tnew.
-    put(level, "while True:", "    tr = tnew if tnew < ts else ts")
-    record(level + 1, "tr", "~row if tr >= tnew else row")
-    put(level + 1, "sample_index += 1", "ts = t0 + sample_index * sample_dt",
-        "if ts > bound:", "    break")
+    # Only grid samples: the indices from sample_index to the last i with
+    # t0 + i * sample_dt <= bound, which the division finds to within its
+    # rounding and the exact tests settle.
+    put(level, "i = (bound - t0) // sample_dt",
+        "while t0 + (i + 1.0) * sample_dt <= bound:", "    i += 1.0",
+        "while t0 + i * sample_dt > bound:", "    i -= 1.0",
+        "rec += (tnew, row, sample_index, i + 1.0 - sample_index)",
+        "sample_index = i + 1.0")
 
     # PI controller update.
     put(2, f"fac = fac11 / facold ** {_BETA!r}",
@@ -525,9 +527,8 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
         "h = hnew")
 
     # After a stop the last row considered is the stop event's, at its time.
-    put(1, "if stop is None:")
-    record(2, "t", "~len(coeffs)")
-    exact_row(3)
+    put(1, "if stop is None:", "    rec += (t, len(coeffs), inf, 1)")
+    exact_row(2)
     put(1, "stats = {",
         "    'n_steps': n_steps,",
         "    'n_rejected': n_error + n_nonfinite,",
@@ -539,9 +540,9 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
         "    'h_max': h_max if h_max else None,",
         "}",
         "if failure is not None:", "    stats['failure'] = failure",
-        "return times, steps, coeffs, raw_events, stop, stats")
+        "return rec, coeffs, raw_events, stop, stats")
     source = (
-        "from math import inf, sqrt\n"
+        "from math import inf, nan, sqrt\n"
         "from operator import itemgetter\n"
         "from struct import Struct\n"
         "_time = itemgetter(0)\n"
@@ -555,31 +556,76 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
     return exec_source(source, f"<dopri5 loop d={d} events: {described}>")["run"]
 
 
-def _dense_rows(times, steps, coeffs, d: int) -> np.ndarray:
-    """The ``(n, d)`` states of the rows at ``times``.
+def _dense_rows(rec, coeffs, d: int, t0: float, sample_dt: float):
+    """The ``(times, states)`` arrays of the rows the loop recorded in ``rec``.
 
     ``coeffs`` holds packed float64 coefficient rows ``(t, h, x_i...,
-    d1_i..., d2_i..., d3_i..., d4_i..., z_i...)``, one per recorded step. A
-    reference ``k`` in ``steps``, the byte offset of a row, takes that
-    step's quartic interpolant at the row's time; ``~k`` takes the step's
-    end state ``z`` exactly. The interpolant is evaluated in place on
-    ``(n, d)`` blocks in the loop's operation order, so every bit is the
-    loop's. numpy's float warnings are off, as Python floats raise none.
+    d1_i..., d2_i..., d3_i..., d4_i..., z_i...)``, one per recorded step.
+    ``rec`` is flat, four numbers ``(t, row, i, n)`` an entry, where ``row``
+    is the byte offset of a coefficient row:
+
+    * ``n`` grid samples ``i, i + 1, ...`` of the step that ends at ``t``:
+      with ``ts = t0 + i * sample_dt``, each lies at ``min(ts, t)`` and
+      takes the step's quartic interpolant, or its exact end state ``z``
+      when ``ts >= t``;
+    * ``n = 1`` with ``i`` nan: one row at ``t`` on the interpolant; with
+      ``i`` inf: one row at ``t`` with the end state. The same rule gives
+      both, as ``ts`` is then nan or inf and ``np.fmin`` passes over a nan.
+
+    A row within ``1e-12 * max(|t|, 1)`` of the last row kept is dropped.
+    The times never decrease, so a row kept against the row before it is
+    kept against the last kept row too; only a chain of dropped rows needs
+    the test in turn. Every time is the loop's Python expression, and the
+    interpolant is evaluated in place on ``(n, d)`` blocks in the loop's
+    operation order, so every bit is that of a per-row evaluation. numpy's
+    float warnings are off, as Python floats raise none.
     """
     width = 2 + 6 * d
     table = np.frombuffer(coeffs).reshape(-1, width)
-    k = np.fromiter(steps, np.intp, len(steps))
-    exact = k < 0
-    k[exact] = ~k[exact]
-    k //= table.itemsize * width
+    entries = np.array(rec, float).reshape(-1, 4)
+    count = entries[:, 3].astype(np.intp)
+    start = count.cumsum()
+    start -= count
+    entries[:, 2] -= start  # plus the row number: the sample index i
+    entries[:, 1] /= table.itemsize * width  # byte offset -> row number
+    expanded = entries.repeat(count, axis=0)  # one entry per row
+    ends = expanded[:, 0]
+    ts = np.arange(len(expanded), dtype=float)
+    ts += expanded[:, 2]
+    ts *= sample_dt
+    ts += t0
+    times = np.fmin(ts, ends)
+    exact = ts >= ends
+    k = expanded[:, 1].astype(np.intp)
+
+    later = times[1:]
+    tol = np.abs(later)
+    np.maximum(tol, 1.0, out=tol)
+    tol *= 1e-12
+    drop = []
+    for j in (later - times[:-1] <= tol).nonzero()[0].tolist():
+        j += 1
+        if drop and drop[-1] == j - 1:  # test against the last kept row
+            t = times[j]
+            a = abs(t)
+            if t - kept > 1e-12 * (a if a > 1.0 else 1.0):
+                kept = t
+                continue
+        else:
+            kept = times[j - 1]
+        drop.append(j)
+    if drop:
+        keep = np.ones(len(times), bool)
+        keep[drop] = False
+        times, k, exact = times[keep], k[keep], exact[keep]
 
     def block(j, rows=k):  # block j (x, d1, d2, d3, d4 or z) of the rows
         return table[:, 2 + j * d:2 + (j + 1) * d].take(rows, axis=0)
 
     with np.errstate(all="ignore"):
-        theta = table[k, 0]
-        np.subtract(np.fromiter(times, float, len(times)), theta, out=theta)
-        theta /= table[k, 1]
+        theta = table[:, 0].take(k)
+        np.subtract(times, theta, out=theta)
+        theta /= table[:, 1].take(k)
         om = 1.0 - theta
         theta, om = theta[:, None], om[:, None]
         # x + theta * (d1 + om * (d2 + theta * (d3 + om * d4)))
@@ -593,7 +639,7 @@ def _dense_rows(times, steps, coeffs, d: int) -> np.ndarray:
         states *= theta
         states += block(0)
     states[exact] = block(5, k[exact])
-    return states
+    return times, states
 
 
 def _propagate(
@@ -608,10 +654,10 @@ def _propagate(
     list to its derivative list, and an event whose spec names a ``stop``
     ends the run with that termination. Runs the loop :func:`_loop` compiled
     for the state dimension and the specs' expressions, and returns (times,
-    states, raw events, termination, stats): ``times`` is a list of floats
-    and ``states`` the ``(n, d)`` float array that :func:`_dense_rows`
-    builds after the loop. Raw events are ``(t, spec, direction, y)`` tuples,
-    ``y`` a list of floats. ``stats`` counts accepted steps, rejected
+    states, raw events, termination, stats): ``times`` is the float array of
+    sample times and ``states`` the ``(n, d)`` float array that
+    :func:`_dense_rows` builds after the loop. Raw events are ``(t, spec,
+    direction, y)`` tuples, ``y`` a list of floats. ``stats`` counts accepted steps, rejected
     attempts (in all, for an error norm above 1 and for a non-finite stage,
     update or error norm) and RHS calls, and gives ``h_min`` and ``h_max``
     over the accepted steps (None when there are none). On a step failure
@@ -619,8 +665,8 @@ def _propagate(
     "nonfinite_start", "underflow", "budget" or "blowup"."""
     d = len(y0)
     run = _loop(d, tuple((spec.expr, spec.direction) for spec in specs))
-    times, steps, coeffs, raw_events, stop, stats = run(f, t0, y0, icfg, tuple(specs))
-    states = _dense_rows(times, steps, coeffs, d)
+    rec, coeffs, raw_events, stop, stats = run(f, t0, y0, icfg, tuple(specs))
+    times, states = _dense_rows(rec, coeffs, d, t0, icfg.sample_dt)
     if "failure" in stats:
         termination = Termination.STEP_FAILURE
     else:
@@ -699,16 +745,14 @@ def integrate(
     )
 
     order = model.order
-    t_arr = np.array(times)
-    n = len(t_arr)
     h_q, v_eff = effective_series(y_arr, model)
     if order >= 2:
         uncertainty = _residual(y_arr.T, model.hbar * model.hbar / 4)
         worst = int(np.argmin(uncertainty))
         stats["residual_min"] = float(uncertainty[worst])
-        stats["t_residual_min"] = times[worst]
+        stats["t_residual_min"] = float(times[worst])
     else:
-        uncertainty = np.full(n, np.nan)
+        uncertainty = np.full(len(times), np.nan)
 
     events = tuple(
         Event(
@@ -722,7 +766,7 @@ def integrate(
     )
     return Trajectory(
         model=model,
-        times=t_arr,
+        times=times,
         states=y_arr,
         h_q=h_q,
         v_eff=v_eff,

@@ -415,7 +415,7 @@ def darboux_integrate(init, model, icfg, mark_positions=()):
         for te, spec, direction, ye in raw_events
     )
     return Trajectory(
-        model=model, times=np.array(times), states=moments, h_q=h_q, v_eff=v_eff,
+        model=model, times=times, states=moments, h_q=h_q, v_eff=v_eff,
         uncertainty=g20 * g02 - g11 * g11 - model.hbar ** 2 / 4,
         termination=termination, events=events, stats=stats,
     )

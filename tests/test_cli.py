@@ -248,6 +248,11 @@ REJECTED = [
                  id="model_n_is_too_large_C_2n_n_overflows_a_float_beyond_the_float_range"),
     ('{"model": {"a": 100, "n": 100}, "packet": {"q0": -2.5, "p0": 1.0}}',
      "model.a**(2n) = 100.0**200 is outside the float range"),
+    # G20 = sigma0**2 is inf; (hbar / (2 sigma0))**2 overflows.
+    ('{"packet": {"q0": -3.0, "p0": 1.0, "sigma0": 1e160}}',
+     "packet.sigma0 = 1e+160 gives initial moments outside the float range"),
+    ('{"packet": {"q0": -3.0, "p0": 1.0, "sigma0": 1e-170}}',
+     "packet.sigma0 = 1e-170 gives initial moments outside the float range"),
 ]
 
 
@@ -1128,6 +1133,64 @@ def test_constraint_stop_warns_and_exits_zero(tmp_path, capsys):
     assert main(["simulate", "--config", str(path)]) == 0
     assert "warnings" not in json.loads(stem.with_suffix(".summary.json").read_text())
     assert capsys.readouterr().err == ""
+
+
+def test_a_negative_covariance_warns_and_exits_zero(tmp_path, capsys):
+    # An order-2 packet in a steep well at loose tolerances: the residual
+    # falls far below -hbar**2/4, so G20*G02 - G11**2 < 0 at a sample, which
+    # no state can have; the run still reaches t_max.
+    stem = tmp_path / "well"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(scenario_raw(
+        model={"alpha": -1.31, "a": 1.0, "n": 9, "order": 2},
+        packet={"q0": -2.2, "p0": 0.4, "sigma0": 0.4},
+        integrator={"rtol": 1e-3, "atol": 1e-3, "t_max": 3.0},
+        output={"path": str(stem)},
+    )))
+    assert main(["simulate", "--config", str(path)]) == 0
+    summary = json.loads(stem.with_suffix(".summary.json").read_text())
+    assert summary["termination"] == "reached_tmax"
+    stats = summary["stats"]
+    assert stats["residual_min"] < -100
+    assert summary["warnings"] == [
+        f"the uncertainty residual reached {stats['residual_min']!r} at "
+        f"t = {stats['t_residual_min']!r}, below -hbar**2/4: G20*G02 - G11**2 went "
+        "negative, which no state can have (integration error)"
+    ]
+    assert capsys.readouterr().err == f"warning: {summary['warnings'][0]}\n"
+
+
+def test_a_run_at_the_gate_setting_has_no_warnings(tmp_path, capsys):
+    # The acceptance scenario at the gate's tolerances keeps the residual
+    # within roundoff of zero.
+    stem = tmp_path / "gate"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(scenario_raw(
+        packet={"q0": -1.62, "energy": 0.98, "sigma0": 0.30},
+        integrator={"rtol": 1e-10, "atol": 1e-6, "t_max": 2.35},
+        output={"path": str(stem)},
+    )))
+    assert main(["simulate", "--config", str(path)]) == 0
+    summary = json.loads(stem.with_suffix(".summary.json").read_text())
+    assert abs(summary["stats"]["residual_min"]) < 0.25
+    assert "warnings" not in summary
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("start,stop,bad", [(1e-170, 0.5, 0), (0.5, 1e160, 1)])
+def test_a_sweep_over_an_overflowing_sigma0_gets_an_error_row(tmp_path, start, stop, bad):
+    raw = scenario_raw(
+        sweep={"parameter": "sigma0", "start": start, "stop": stop, "count": 2},
+        integrator={"t_max": 1.0},
+    )
+    run_sweep(build_config(raw), str(tmp_path / "s"))
+    rows = [line.split(",") for line in (tmp_path / "s.csv").read_text().splitlines()[1:]]
+    assert rows[bad][2] == "undetermined"
+    assert rows[bad][11] == (
+        f"error: packet.sigma0 = {(start, stop)[bad]!r} gives initial moments outside the "
+        "float range"
+    )
+    assert rows[1 - bad][11] == "reached_tmax"
 
 
 def test_nonfinite_start_exit_code(tmp_path, monkeypatch, capsys):

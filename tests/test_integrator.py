@@ -24,7 +24,7 @@ from momentous import (
 )
 import momentous
 from momentous.dynamics import make_rhs, state_to_vector
-from momentous.integrator import _EventSpec, _event_specs, _propagate
+from momentous.integrator import _EventSpec, _event_specs, _loop, _propagate
 
 from conftest import (
     reference_dense,
@@ -52,9 +52,12 @@ def matches_reference(make_f, t0, y0, icfg, specs=()):
     """The generated loop's output for an RHS from ``make_f`` (a fresh one
     per run), required to equal the reference loop's bit for bit: the states
     array by :func:`same_rows`, the rest by ``repr`` (which tells -0.0 from
-    0.0 and spells every float exactly)."""
+    0.0 and spells every float exactly), the times array as its list of
+    Python floats, in which form it is returned."""
     expected = reference_integrate(make_f(), t0, y0, icfg, specs)
-    actual = _propagate(make_f(), t0, y0, icfg, specs)
+    times, *rest = _propagate(make_f(), t0, y0, icfg, specs)
+    assert times.dtype == np.float64
+    actual = (times.tolist(), *rest)
     parts = ("times", "states", "raw events", "termination", "stats")
     for name, got, want in zip(parts, actual, expected):
         if name == "states":
@@ -526,6 +529,103 @@ def test_a_sample_step_beyond_the_horizon_keeps_the_first_and_last_rows():
     assert stats["n_steps"] > 2
     assert times == [0.0, 1.5]
     assert same_rows(states[:1], [y0])
+
+
+@pytest.mark.parametrize(
+    "sample_dt,t_max,max_step,steps",
+    [
+        # Five samples per 1e-12 * t0 window, over five steps.
+        pytest.param(2e-7, 1e-4, 2.1e-5, 5, id="chains-over-steps"),
+        # Half an ulp of t0 apart: runs of equal sample times, one step.
+        pytest.param(6e-11, 2e-6, 0.1, 1, id="equal-sample-times"),
+    ],
+)
+def test_grid_samples_within_the_duplicate_window_form_chains(sample_dt, t_max, max_step, steps):
+    # At t0 = 1e6 a sample within 1e-12 * t0 of the last kept row is
+    # dropped, so each run of such samples is a chain of dropped rows, and
+    # the first sample beyond the window is kept against the row before
+    # the chain, not against its own predecessor.
+    icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=t_max, max_step=max_step,
+                            sample_dt=sample_dt)
+    times, _, _, termination, stats = matches_reference(
+        lambda: lambda y: [1.0, -y[0]], 1e6, [0.0, 1.0], icfg
+    )
+    assert termination is Termination.REACHED_TMAX
+    assert stats["n_steps"] == steps
+    gaps = np.diff(times)
+    assert np.all(gaps > 1e-12 * np.abs(times[1:]))
+    assert np.all(gaps < 2e-12 * np.abs(times[1:]))  # no kept row is a whole window late
+    assert len(times) < t_max / sample_dt / 4
+
+
+@pytest.mark.parametrize("sample_dt,every", [(1.5e-6, 1), (8e-7, 2)])
+def test_samples_near_the_duplicate_window_keep_each_row_beyond_it(sample_dt, every):
+    # At t0 = 1e6 the window is 1e-6: samples 1.5e-6 apart all stay, and of
+    # samples 8e-7 apart every second one falls inside it and is dropped.
+    icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=200 * sample_dt, sample_dt=sample_dt)
+    times = matches_reference(lambda: lambda y: [1.0, -y[0]], 1e6, [0.0, 1.0], icfg)[0]
+    assert len(times) == 200 // every + 1
+    assert np.allclose(np.diff(times), every * sample_dt, rtol=1e-3)
+
+
+@pytest.mark.parametrize(
+    "t0,sample_dt,t_max,max_step",
+    [
+        pytest.param(1000.0, 0.001, 5.0, 0.1, id="regular"),
+        # A twelfth of an ulp of t0: t0 + i * sample_dt rounds to runs of
+        # equal values, and the division misses the last index by up to 5.
+        pytest.param(1e6, 1.3e-11, 1.5e-6, 1e-7, id="sub-ulp"),
+    ],
+)
+def test_each_grid_index_is_recorded_by_the_first_step_that_reaches_it(t0, sample_dt, t_max,
+                                                                       max_step):
+    # Without events every grid index lies in one range entry (t, row, i, n)
+    # of the record, the ranges follow each other, and each ends at the last
+    # index whose time is within the 1e-9 * sample_dt slack after its step.
+    icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=t_max, max_step=max_step,
+                            sample_dt=sample_dt)
+    rec = _loop(2, ())(lambda y: [1.0, -y[0]], t0, [0.0, 1.0], icfg, ())[0]
+    ranges = [(t, i, n) for t, _, i, n in zip(*[iter(rec)] * 4) if math.isfinite(i)]
+    assert len(ranges) > 5
+    slack = 1e-9 * sample_dt
+    first = 1
+    for t, i, n in ranges:
+        assert i == first and n >= 1
+        last = i + n - 1
+        assert t0 + last * sample_dt <= t + slack < t0 + (last + 1) * sample_dt
+        first = last + 1
+
+
+@pytest.mark.parametrize("sample_dt,t_max", [(0.125, 2.0), (0.1, 0.7)])
+def test_a_horizon_on_the_sample_grid_keeps_one_last_row(sample_dt, t_max):
+    # The last grid sample lands on t_end (0.125 * 16 == 2.0) or within the
+    # slack after it (0.1 * 7 > 0.7), so the t_end row repeats it and is
+    # dropped.
+    icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=t_max, sample_dt=sample_dt)
+    times, _, _, _, stats = matches_reference(lambda: coupled_rhs(2, 7), 0.0, [0.3, -0.4], icfg)
+    assert stats["n_steps"] > 2
+    assert times[-1] == t_max
+    assert len(times) == round(t_max / sample_dt) + 1
+
+
+def test_a_sample_on_a_step_end_closes_a_run_of_samples():
+    # The first step holds three samples; the third lands on the step's end
+    # (within the 1e-9 * sample_dt slack) and takes the end state z, the
+    # first two take the interpolant. At t0 = 1000 the interpolant at the
+    # step's end is not z.
+    f = coupled_rhs(2, 7)
+    t0, y0, tol = 1000.0, [0.3, -0.4], 1e-6
+    h = reference_initial_step(f, y0, f(y0), tol, tol, 1.0, 0.1)
+    _, err, (z, _, coeffs) = reference_step(f, tol, tol, h, y0, f(y0))
+    assert err <= 1.0  # the first attempt is accepted
+    icfg = IntegratorConfig(rtol=tol, atol=tol, t_max=1.0, sample_dt=h / 3 * (1 + 1e-12))
+    dt = icfg.sample_dt
+    assert t0 + 2 * dt < t0 + h <= t0 + 3 * dt <= t0 + h + 1e-9 * dt
+    times, states, _, _, _ = matches_reference(lambda: f, t0, y0, icfg)
+    assert times[1:4] == [t0 + dt, t0 + 2 * dt, t0 + h]
+    dense = reference_dense(t0, h, coeffs)
+    assert same_rows(states[1:4], [dense(t0 + dt), dense(t0 + 2 * dt), z])
+    assert dense(t0 + h) != z
 
 
 @pytest.mark.parametrize(
