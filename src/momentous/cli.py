@@ -16,7 +16,6 @@ import argparse
 import copy
 import json
 import math
-import multiprocessing
 import os
 import pickle
 import sys
@@ -334,11 +333,6 @@ def _derived_block(cfg: RunConfig) -> dict:
     }
 
 
-def _processes(wanted: int) -> int:
-    """``wanted`` capped at the host's CPUs; 1 if it cannot tell or has no ``os.fork``."""
-    return min(wanted, os.cpu_count() or 1) if hasattr(os, "fork") else 1
-
-
 def _start(fn, *args):
     """Fork a helper that writes ``fn(*args)``, pickled, to a pipe and leaves
     through ``os._exit``, with status 0 only after its last byte; return
@@ -433,18 +427,12 @@ def _write(cfg: RunConfig, out_path: Optional[str], kind: str, columns, lines: b
     return summary
 
 
-def run_simulate(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
-    """Integrate one trajectory; write `<out>.csv` and `<out>.summary.json`.
-
-    Returns the summary dict (also written to the sidecar). It gets a
-    ``warnings`` list, which ``main`` prints, when the run stops at the
-    uncertainty constraint (naming the stop time) or when a sampled
-    uncertainty residual falls below ``-hbar**2/4``: then ``G20*G02 - G11**2``
-    was negative, which no state can have, so the integration has failed
-    whatever the tolerance allowed.
-    """
-    traj = _trajectory(cfg)
-    outcome = classify(traj, cfg.model.potential, cfg.energy, cfg.margin)
+def _warnings(cfg: RunConfig, traj) -> list:
+    """What ``main`` prints as ``warning:`` lines about a run: a stop at the
+    uncertainty constraint (naming the stop time), and a sampled
+    uncertainty residual below ``-hbar**2/4``: then ``G20*G02 - G11**2`` was
+    negative, which no state can have, so the integration has failed
+    whatever the tolerance allowed."""
     warnings = []
     if traj.termination is Termination.CONSTRAINT_VIOLATED:
         # The stop event is the run's last event.
@@ -459,6 +447,18 @@ def run_simulate(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
             f"t = {traj.stats['t_residual_min']!r}, below -hbar**2/4: G20*G02 - G11**2 "
             f"went negative, which no state can have (integration error)"
         )
+    return warnings
+
+
+def run_simulate(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
+    """Integrate one trajectory; write `<out>.csv` and `<out>.summary.json`.
+
+    Returns the summary dict (also written to the sidecar), with the run's
+    ``_warnings`` when there are any.
+    """
+    traj = _trajectory(cfg)
+    outcome = classify(traj, cfg.model.potential, cfg.energy, cfg.margin)
+    warnings = _warnings(cfg, traj)
     columns = ["t", "q", "p"]
     series = [traj.times[:, None], traj.states]
     if cfg.model.order >= 2:
@@ -534,55 +534,41 @@ def _sweep_point(args) -> list:
     return ["" if v is None else v for v in row]
 
 
-def _claim(jobs, counter) -> list:
-    """Run sweep points, each the next index taken under ``counter``'s lock,
-    until none is left; return their ``(index, row)`` pairs. An exception
-    takes every index left, so the other claimers stop after their current
-    point, and propagates."""
-    pairs = []
-    try:
-        while True:
-            with counter.get_lock():
-                index = counter.value
-                counter.value = index + 1
-            if index >= len(jobs):
-                return pairs
-            pairs.append((index, _sweep_point(jobs[index])))
-    except BaseException:
-        with counter.get_lock():
-            counter.value = len(jobs)
-        raise
+def _stride(jobs, k: int, n: int) -> list:
+    """Run sweep points ``k``, ``k + n``, ``k + 2n``, ...; return their
+    ``(index, row)`` pairs."""
+    return [(i, _sweep_point(jobs[i])) for i in range(k, len(jobs), n)]
 
 
 def run_sweep(cfg: RunConfig, out_path: Optional[str] = None, workers: int = 1) -> dict:
     """Run every sweep point; write the per-point outcome table and summary.
 
-    Points run in ``workers`` processes, capped at the number of points and
-    by ``_processes``: this one claims points (``_claim``) beside
-    ``workers - 1`` helpers (``_start``), each of which sends back all its
-    rows at once. Then this process runs every point no helper returned,
-    so a failed helper's points are redone here and a defect is raised
-    here, as a serial sweep raises it. Rows are placed by index, so the
-    table is the serial one byte for byte.
+    Points run in n processes: ``workers``, at least 1, capped at the
+    number of points and the host's CPUs, or 1 where ``os.fork`` is
+    missing or the CPU count unknown. Process k of n runs points k,
+    k + n, k + 2n, ... (``_stride``): this one runs stride 0 beside n - 1
+    helpers (``_start``), each of which sends back all its rows at once.
+    Then this process runs every point no helper returned, so a failed
+    helper's points are redone here and a defect is raised here, as a
+    serial sweep (n = 1, no helper) raises it. A defect raised only here
+    is raised once every helper has finished its stride. Rows are placed
+    by index, so the table is the serial one byte for byte.
     """
     if cfg.sweep is None:
         raise ConfigError("sweep section is required for the sweep command")
     raw = cfg.to_dict()
     values = np.linspace(cfg.sweep["start"], cfg.sweep["stop"], cfg.sweep["count"])
     jobs = [(raw, i, float(v)) for i, v in enumerate(values)]
-    n_helpers = _processes(min(workers, len(jobs))) - 1
-    done = {}
-    if n_helpers:
-        counter = multiprocessing.Value("l", 0)
-        helpers = []
-        try:
-            for _ in range(n_helpers):
-                helpers.append(_start(_claim, jobs, counter))
-            done = dict(_claim(jobs, counter))
-        finally:
-            returned = [_finish(helper) for helper in helpers]
-        for pairs in returned:
-            done.update(pairs or ())
+    n = max(1, min(workers, len(jobs), os.cpu_count() or 1)) if hasattr(os, "fork") else 1
+    helpers = []
+    try:
+        for k in range(1, n):
+            helpers.append(_start(_stride, jobs, k, n))
+        done = dict(_stride(jobs, 0, n))
+    finally:
+        returned = [_finish(helper) for helper in helpers]
+    for pairs in returned:
+        done.update(pairs or ())
     rows = [done[i] if i in done else _sweep_point(job) for i, job in enumerate(jobs)]
     return _write(
         cfg, out_path, "sweep", SWEEP_COLUMNS, _csv_lines(rows).encode(),
@@ -594,7 +580,8 @@ def run_sweep(cfg: RunConfig, out_path: Optional[str] = None, workers: int = 1) 
 def run_surface(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
     """Integrate the reference trajectory, then tabulate the effective
     potential over the configured (t, q) grid with moments frozen per time
-    sample."""
+    sample. The summary gets the reference run's ``_warnings`` when there
+    are any."""
     if cfg.surface is None:
         raise ConfigError("surface section is required for the surface command")
     traj = _trajectory(cfg)
@@ -614,6 +601,7 @@ def run_surface(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
         block[:, 2] = effective_potential(q_values, state, cfg.model)
     table = table.reshape(-1, 3)
     failed = traj.termination is Termination.STEP_FAILURE
+    warnings = _warnings(cfg, traj)
     return _write(
         cfg, out_path, "surface", ["t", "q", "v_eff"], _float_lines(table),
         n_rows=len(table),
@@ -621,6 +609,7 @@ def run_surface(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
         termination=traj.termination.value,
         reference_energy_drift=traj.energy_drift,
         **({"failure": traj.stats["failure"]} if failed else {}),
+        **({"warnings": warnings} if warnings else {}),
     )
 
 

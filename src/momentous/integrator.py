@@ -103,6 +103,9 @@ class IntegratorConfig:
         for name in ("rtol", "atol", "t_max", "max_step", "sample_dt"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        # The loop counts grid indices in floats, and i + 1.0 == i from 2**53.
+        if not self.t_max / self.sample_dt < 2**53:
+            raise ValueError("sample_dt must give fewer than 2**53 samples over t_max")
         if self.escape_radius is not None and not self.escape_radius > 0:
             raise ValueError("escape_radius must be positive")
         if self.max_steps < 1:

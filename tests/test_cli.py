@@ -4,6 +4,8 @@ import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -463,13 +465,6 @@ def free_fds():
     return pair
 
 
-def sweep_free_fds():
-    """``free_fds()`` once this process has made a shared counter: the first
-    one opens the arena that multiprocessing keeps for every later one."""
-    multiprocessing.Value("l", 0)
-    return free_fds()
-
-
 def assert_helper_gone(fds_before):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # no child left to reap
@@ -506,7 +501,7 @@ def test_sweep_worker_pool_matches_serial(tmp_path, monkeypatch):
     cfg = build_config(raw)
     run_sweep(cfg, str(tmp_path / "serial"), workers=1)
     forks = spy_forks(monkeypatch)
-    fds = sweep_free_fds()
+    fds = free_fds()
     with time_bound(60):
         run_sweep(cfg, str(tmp_path / "pool"), workers=2)
     assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pool.csv").read_bytes()
@@ -530,7 +525,7 @@ def test_sweep_workers_capped_at_points_and_cpus(
         monkeypatch.delattr(os, "fork")
     with time_bound(60):
         summary = run_sweep(short_sweep(3), str(tmp_path / "capped"), workers=workers)
-    # The calling process claims points too: it forks one helper fewer.
+    # The calling process runs points too: it forks one helper fewer.
     assert len(forks) == cap - 1
     assert summary["n_rows"] == 3
 
@@ -552,7 +547,7 @@ def fake_row(index, value, termination="reached_tmax"):
 def test_sweep_pool_propagates_an_exception_from_either_side(tmp_path, monkeypatch, side):
     # A defect (not a ConfigError) in the helper, in the caller or in every
     # process. Where one side has it, the other side's first point waits
-    # until the failing side has started, so both claim. A helper's failed
+    # until the failing side has started, so both run points. A helper's failed
     # points are redone in the caller, so only a defect the caller has too
     # is raised, as the serial sweep raises it.
     caller = os.getpid()
@@ -567,7 +562,7 @@ def test_sweep_pool_propagates_an_exception_from_either_side(tmp_path, monkeypat
 
     patched_points(monkeypatch, point, cpus=2)
     raw = scenario_raw(sweep={"parameter": "q0", "start": -3.0, "stop": -2.0, "count": 20})
-    fds = sweep_free_fds()
+    fds = free_fds()
     with time_bound(60):
         if side == "worker":
             run_sweep(build_config(raw), str(tmp_path / "pool"), workers=2)
@@ -604,7 +599,7 @@ def test_a_failed_sweep_helper_is_replaced_in_process(tmp_path, monkeypatch, fai
     else:
         fail_helper_writes(monkeypatch, failure)
     forks = spy_forks(monkeypatch, cpus=3)
-    fds = sweep_free_fds()
+    fds = free_fds()
     with time_bound(60):
         run_sweep(cfg, str(tmp_path / "pool"), workers=3)
     assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
@@ -635,7 +630,7 @@ def test_a_sweep_whose_caller_raises_finishes_every_helper(tmp_path, monkeypatch
 
     patched_points(monkeypatch, point, cpus=3)
     forks = spy_forks(monkeypatch, cpus=3)
-    fds = sweep_free_fds()
+    fds = free_fds()
     raw = scenario_raw(sweep={"parameter": "q0", "start": -3.0, "stop": -2.0, "count": 20})
     with time_bound(60), pytest.raises(RuntimeError, match="caller defect"):
         run_sweep(build_config(raw), str(tmp_path / "defect"), workers=3)
@@ -644,32 +639,63 @@ def test_a_sweep_whose_caller_raises_finishes_every_helper(tmp_path, monkeypatch
     assert_helper_gone(fds)
 
 
-def test_a_failed_claim_takes_every_index_left(monkeypatch):
-    # So the other claimers stop after their current point.
+@needs_fork
+def test_a_raising_helpers_stride_is_redone_by_the_caller(tmp_path, monkeypatch):
+    # Nine points in three processes: the helper of stride 1 (points 1, 4,
+    # 7) raises at its second point and returns nothing. The caller runs its
+    # own stride, then all of stride 1; stride 2 stays with the other helper.
     import momentous.cli as cli
 
+    cfg = short_sweep(9)
+    run_sweep(cfg, str(tmp_path / "serial"))
+    caller = os.getpid()
+    log = tmp_path / "points.log"
+    real_point = cli._sweep_point
+
     def point(job):
-        if job[1] == 2:
-            raise RuntimeError("defect")
-        return fake_row(job[1], job[2])
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {job[1]}\n")
+        if job[1] == 4 and os.getpid() != caller:
+            raise RuntimeError("helper defect")
+        return real_point(job)
 
     monkeypatch.setattr(cli, "_sweep_point", point)
-    counter = multiprocessing.Value("l", 0)
-    jobs = [(None, i, float(i)) for i in range(10)]
-    with pytest.raises(RuntimeError, match="defect"):
-        cli._claim(jobs, counter)
-    assert counter.value == len(jobs)
-    assert cli._claim(jobs, counter) == []
-
-
-def test_a_serial_sweep_makes_no_shared_counter(tmp_path, monkeypatch):
-    # The first shared counter in a process keeps two descriptors open on a
-    # deleted shared-memory file for the life of the process.
-    def no_counter(*args):
-        raise AssertionError("a serial sweep made a shared counter")
-
+    forks = spy_forks(monkeypatch, cpus=3)
     fds = free_fds()
-    monkeypatch.setattr(multiprocessing, "Value", no_counter)
+    with time_bound(60):
+        run_sweep(cfg, str(tmp_path / "pool"), workers=3)
+    ran = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    assert len(forks) == 2
+    assert [i for pid, i in ran if pid == caller] == [0, 3, 6, 1, 4, 7]
+    assert [i for pid, i in ran if pid == forks[0]] == [1, 4]
+    assert [pid for pid, i in ran if i in (2, 5, 8)] == [forks[1]] * 3
+    assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert_helper_gone(fds)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_a_sweep_with_fewer_than_one_worker_runs_serially(tmp_path, monkeypatch, workers):
+    forks = spy_forks(monkeypatch)
+    summary = run_sweep(short_sweep(3), str(tmp_path / "none"), workers=workers)
+    assert summary["n_rows"] == 3
+    assert forks == []
+
+
+def test_the_cli_needs_no_multiprocessing(tmp_path, monkeypatch):
+    # A fresh interpreter: importing the CLI loads no multiprocessing, whose
+    # first shared counter would keep two descriptors open on a deleted
+    # shared-memory file. A serial sweep forks nothing and leaves no
+    # descriptor open.
+    import momentous
+
+    src = str(Path(momentous.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, momentous.cli; print('multiprocessing' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert run.stdout == "False\n"
+    fds = free_fds()
     forks = spy_forks(monkeypatch)
     summary = run_sweep(short_sweep(3), str(tmp_path / "serial"))
     assert summary["n_rows"] == 3
@@ -697,8 +723,8 @@ def test_acceptance_sweep_tags_hold_at_a_loose_tolerance(tmp_path):
 
 @needs_fork
 def test_sweep_pool_claims_every_point_once_in_order(tmp_path, monkeypatch):
-    # More claimers than cores over a few hundred short points: a lost update
-    # of the shared counter would run a point twice or not at all.
+    # More processes than cores over a few hundred short points: a stride
+    # that overlapped or left a gap would run a point twice or not at all.
     count, claimers = 300, 8
     claims = multiprocessing.Array("i", count)
 
@@ -928,7 +954,7 @@ def test_a_split_table_with_a_live_thread_has_the_serial_bytes(tmp_path, monkeyp
     run_sweep(cfg, str(tmp_path / "serial"))
     floats = float_table(BELOW_SPLIT + 1)
     forks = spy_forks(monkeypatch, cpus=3)
-    fds = free_fds() if work == "table" else sweep_free_fds()
+    fds = free_fds()
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
@@ -1158,6 +1184,39 @@ def test_a_negative_covariance_warns_and_exits_zero(tmp_path, capsys):
         "negative, which no state can have (integration error)"
     ]
     assert capsys.readouterr().err == f"warning: {summary['warnings'][0]}\n"
+
+
+def test_a_surface_on_a_negative_covariance_run_warns_as_simulate_does(tmp_path, capsys):
+    # The reproducer above with a small surface: the surface's reference run
+    # is the simulate run, so it carries the same warning.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(scenario_raw(
+        model={"alpha": -1.31, "a": 1.0, "n": 9, "order": 2},
+        packet={"q0": -2.2, "p0": 0.4, "sigma0": 0.4},
+        integrator={"rtol": 1e-3, "atol": 1e-3, "t_max": 3.0},
+        surface={"q": {"start": -3.0, "stop": 3.0, "count": 5},
+                 "t": {"start": 0.0, "stop": 3.0, "count": 4}},
+    )))
+    assert main(["surface", "--config", str(path), "--out", str(tmp_path / "surface")]) == 0
+    summary = json.loads((tmp_path / "surface.summary.json").read_text())
+    assert len(summary["warnings"]) == 1
+    assert capsys.readouterr().err == f"warning: {summary['warnings'][0]}\n"
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    simulated = json.loads((tmp_path / "run.summary.json").read_text())
+    assert summary["warnings"] == simulated["warnings"]
+
+
+@pytest.mark.parametrize("sample_dt", [1e-300, 5e-324])
+def test_a_sample_grid_of_2_53_indices_is_a_config_error(tmp_path, capsys, sample_dt):
+    # The loop counts grid indices in floats, where i + 1.0 == i from 2**53.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(scenario_raw(integrator={"t_max": 0.01, "sample_dt": sample_dt})))
+    with time_bound(10):
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == (
+        "config error: integrator.sample_dt must give fewer than 2**53 samples over t_max\n"
+    )
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_a_run_at_the_gate_setting_has_no_warnings(tmp_path, capsys):

@@ -829,6 +829,10 @@ def test_integrator_config_validation():
         IntegratorConfig(escape_radius=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(max_steps=0)
+    # Grid indices are floats in the loop; i + 1.0 == i from 2**53 on.
+    IntegratorConfig(t_max=1.0, sample_dt=2.0**-52)
+    with pytest.raises(ValueError, match=r"fewer than 2\*\*53 samples"):
+        IntegratorConfig(t_max=1.0, sample_dt=2.0**-53)
 
 
 def test_order_mismatch_rejected(barrier):
