@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import itertools
 import json
 import math
 import os
@@ -289,14 +290,19 @@ def load_config(path: str, order_override: Optional[int] = None) -> RunConfig:
     return build_config(raw, order_override)
 
 
-def _atomic_write(path: Path, *parts: bytes) -> None:
-    """Write the concatenation of ``parts`` to ``path`` through a ``.tmp``
-    file and a rename."""
+def _atomic_write(path: Path, chunks) -> None:
+    """Write the byte chunks of an iterable to ``path`` as they come,
+    through a ``.tmp`` file and a rename. On any exception the ``.tmp`` is
+    removed and the exception raised again; ``path`` keeps what it held."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.writelines(parts)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _json_bytes(obj) -> bytes:
@@ -388,34 +394,43 @@ def _orjson_rows(block: np.ndarray) -> memoryview:
     return memoryview(text)[1:]
 
 
-def _float_lines(table: np.ndarray) -> bytes:
-    """``_csv_lines(table.tolist())`` of a 2-D float64 array, encoded, byte
-    for byte.
+# The most rows one ``_float_lines`` block holds: the writer's memory is set
+# by this, not by the table's length.
+BLOCK_ROWS = 4096
+
+
+def _float_lines(table: np.ndarray):
+    """Yield ``_csv_lines(table.tolist())`` of a 2-D float64 array, encoded,
+    byte for byte, in chunks of at most ``BLOCK_ROWS`` rows each.
 
     orjson (Ryū) writes the shortest round-trip digits, as ``repr`` does,
     and ``repr``'s notation except for a magnitude in [1e-9, 1e-4)
     (``0.00001``, ``1e-9``), a magnitude from 1e16 up (``1e16``) and a nan
     or an infinity (``null``). A row with a cell in [5e-10, 2e-4), at 5e15
     or above, or not finite, so within a factor 2 of those ranges, goes
-    through ``_csv_lines``; each run of the other rows is one orjson call."""
+    through ``_csv_lines``; each run of the other rows in a block is one
+    orjson call."""
     if table.size == 0:
-        return _csv_lines(table.tolist()).encode()
-    mag = np.abs(table)
-    flagged = ((mag >= 5e-10) & (mag < 2e-4) | ~(mag < 5e15)).any(axis=1)
-    cuts = [0, *np.flatnonzero(flagged[1:] != flagged[:-1]) + 1, len(table)]
-    return b"".join(
-        _csv_lines(table[lo:hi].tolist()).encode() if flagged[lo] else _orjson_rows(table[lo:hi])
-        for lo, hi in zip(cuts, cuts[1:])
-    )
+        yield _csv_lines(table.tolist()).encode()
+        return
+    for start in range(0, len(table), BLOCK_ROWS):
+        block = table[start:start + BLOCK_ROWS]
+        mag = np.abs(block)
+        flagged = ((mag >= 5e-10) & (mag < 2e-4) | ~(mag < 5e15)).any(axis=1)
+        cuts = [0, *np.flatnonzero(flagged[1:] != flagged[:-1]) + 1, len(block)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            yield (_csv_lines(block[lo:hi].tolist()).encode() if flagged[lo]
+                   else _orjson_rows(block[lo:hi]))
 
 
-def _write(cfg: RunConfig, out_path: Optional[str], kind: str, columns, lines: bytes,
+def _write(cfg: RunConfig, out_path: Optional[str], kind: str, columns, lines,
            **fields) -> dict:
     """Write ``<out>.csv`` (``out_path``, else ``output.path``), the header
-    ``columns`` and then ``lines``, and ``<out>.summary.json``; return the
-    summary."""
+    ``columns`` and then the byte chunks of the iterable ``lines``, and
+    ``<out>.summary.json``; return the summary."""
     out = Path(out_path if out_path is not None else cfg.output_path)
-    _atomic_write(Path(f"{out}.csv"), (",".join(columns) + "\n").encode(), lines)
+    header = (",".join(columns) + "\n").encode()
+    _atomic_write(Path(f"{out}.csv"), itertools.chain([header], lines))
     summary = {
         "kind": kind,
         "config": cfg.to_dict(),
@@ -423,7 +438,7 @@ def _write(cfg: RunConfig, out_path: Optional[str], kind: str, columns, lines: b
         "columns": columns,
         **fields,
     }
-    _atomic_write(Path(f"{out}.summary.json"), _json_bytes(summary))
+    _atomic_write(Path(f"{out}.summary.json"), [_json_bytes(summary)])
     return summary
 
 
@@ -571,7 +586,7 @@ def run_sweep(cfg: RunConfig, out_path: Optional[str] = None, workers: int = 1) 
         done.update(pairs or ())
     rows = [done[i] if i in done else _sweep_point(job) for i, job in enumerate(jobs)]
     return _write(
-        cfg, out_path, "sweep", SWEEP_COLUMNS, _csv_lines(rows).encode(),
+        cfg, out_path, "sweep", SWEEP_COLUMNS, [_csv_lines(rows).encode()],
         n_rows=len(rows),
         outcome_counts=Counter(row[2] for row in rows),
     )
@@ -633,13 +648,13 @@ def run_check_algebra(out_path: Optional[str] = None) -> tuple[int, str]:
     text = "\n".join(parts) + "\n"
     if out_path is not None:
         out = Path(out_path)
-        _atomic_write(Path(f"{out}.txt"), text.encode())
+        _atomic_write(Path(f"{out}.txt"), [text.encode()])
         data = {
             "kind": "check-algebra",
             "orders": [report.to_dict() for report in reports],
             "properties": properties,
         }
-        _atomic_write(Path(f"{out}.json"), _json_bytes(data))
+        _atomic_write(Path(f"{out}.json"), [_json_bytes(data)])
     golden = resources.files("momentous").joinpath("data/algebra_report.txt")
     return (0 if text == golden.read_text(encoding="utf-8") else 3), text
 

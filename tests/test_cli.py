@@ -22,6 +22,7 @@ import momentous.dynamics as dynamics
 from conftest import rng
 from momentous import BarrierPotential
 from momentous.cli import (
+    BLOCK_ROWS,
     ConfigError,
     build_config,
     main,
@@ -767,7 +768,8 @@ def serial_csv(columns, rows) -> bytes:
             + "\n").encode()
 
 
-def write_table(tmp_path, columns, lines: bytes):
+def write_table(tmp_path, columns, lines):
+    """Write the byte chunks of ``lines`` under the header; return the CSV."""
     import momentous.cli as cli
 
     cfg = build_config(scenario_raw())
@@ -780,7 +782,7 @@ def assert_float_csv(table):
     import momentous.cli as cli
 
     columns = [f"c{k}" for k in range(table.shape[1])]
-    text = (",".join(columns) + "\n").encode() + cli._float_lines(table)
+    text = (",".join(columns) + "\n").encode() + b"".join(cli._float_lines(table))
     assert text == serial_csv(columns, table.tolist())
 
 
@@ -790,7 +792,7 @@ def test_mixed_table_has_the_str_bytes(tmp_path, n_rows):
 
     rows = table(n_rows)
     expected = serial_csv(TABLE_COLUMNS, rows)
-    assert write_table(tmp_path, TABLE_COLUMNS, cli._csv_lines(rows).encode()) == expected
+    assert write_table(tmp_path, TABLE_COLUMNS, [cli._csv_lines(rows).encode()]) == expected
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -886,6 +888,77 @@ def test_boundary_values_have_the_str_bytes(value):
         assert_float_csv(np.array([[cell, 10.0 + cell, cell], [1.0, cell, -10.000000000000178]]))
 
 
+# A float table is formatted in blocks of at most BLOCK_ROWS rows, each with
+# its own row mask; the tables drawn above never reach a block's end.
+BLOCK_SIZES = {"block_minus_1": BLOCK_ROWS - 1, "block": BLOCK_ROWS,
+               "block_plus_1": BLOCK_ROWS + 1, "three_blocks_plus_5": 3 * BLOCK_ROWS + 5}
+
+
+# Flagged rows placed around each block boundary b.
+AT_BOUNDARY = {"none": [], "last_of_block": [-1], "first_of_next": [0],
+               "run_across": [-2, -1, 0, 1]}
+
+
+@pytest.mark.parametrize("n_cols", [1, 14])
+@pytest.mark.parametrize("where", AT_BOUNDARY)
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_block_boundaries_have_the_str_bytes(size, where, n_cols):
+    n_rows = BLOCK_SIZES[size]
+    values = rng(n_rows).uniform(-100.0, 100.0, size=(n_rows, n_cols))
+    rows = [b + d for b in range(BLOCK_ROWS, n_rows + 2, BLOCK_ROWS) for d in AT_BOUNDARY[where]]
+    for k, row in enumerate(r for r in rows if r < n_rows):
+        values[row, k % n_cols] = FLAGGED_CELLS[k % len(FLAGGED_CELLS)]
+    assert_float_csv(values)
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_a_table_of_no_columns_has_an_empty_line_per_row(size):
+    import momentous.cli as cli
+
+    n_rows = BLOCK_SIZES[size]
+    assert b"".join(cli._float_lines(np.empty((n_rows, 0)))) == b"\n" * n_rows
+
+
+LONG_RUN = {"t_max": 20.0, "sample_dt": 0.0005}  # 12,660 samples: four blocks
+
+
+def test_simulate_formats_one_block_at_a_time(tmp_path, monkeypatch):
+    import momentous.cli as cli
+
+    tables, sizes = [], []
+    float_lines, orjson_rows = cli._float_lines, cli._orjson_rows
+    monkeypatch.setattr(cli, "_float_lines", lambda t: tables.append(t) or float_lines(t))
+    monkeypatch.setattr(cli, "_orjson_rows", lambda b: sizes.append(len(b)) or orjson_rows(b))
+    summary = run_simulate(build_config(scenario_raw(integrator=LONG_RUN)), str(tmp_path / "run"))
+    [table] = tables
+    assert summary["n_samples"] == len(table) > 3 * BLOCK_ROWS
+    assert len(sizes) >= 4 and max(sizes) <= BLOCK_ROWS
+    assert (tmp_path / "run.csv").read_bytes() == serial_csv(summary["columns"], table.tolist())
+
+
+def test_a_failed_table_write_leaves_the_previous_files(tmp_path, monkeypatch):
+    # The second orjson call fails after the first rows went to run.csv.tmp:
+    # the error propagates, the .tmp goes and the earlier run's files stay.
+    import momentous.cli as cli
+
+    cfg = build_config(scenario_raw(integrator=LONG_RUN))
+    run_simulate(cfg, str(tmp_path / "run"))
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    orjson_rows, partial = cli._orjson_rows, []
+
+    def failing(block):
+        partial.append((tmp_path / "run.csv.tmp").exists())
+        if len(partial) == 2:
+            raise RuntimeError("formatting failed")
+        return orjson_rows(block)
+
+    monkeypatch.setattr(cli, "_orjson_rows", failing)
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        run_simulate(cfg, str(tmp_path / "run"))
+    assert partial == [True, True]
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 # Tables once went to two processes from 50,000 cells; they are written in
 # this one at any length, even where a split used to be forced.
 BELOW_SPLIT = (50_000 - 1) // len(TABLE_COLUMNS)  # rows; one more reaches 50,000 cells
@@ -914,7 +987,7 @@ def test_split_table_has_the_serial_bytes(tmp_path, monkeypatch, n_rows, forced)
     rows = table(n_rows)
     floats = float_table(n_rows)
     with time_bound(60):
-        assert (write_table(tmp_path, TABLE_COLUMNS, cli._csv_lines(rows).encode())
+        assert (write_table(tmp_path, TABLE_COLUMNS, [cli._csv_lines(rows).encode()])
                 == serial_csv(TABLE_COLUMNS, rows))
         assert (write_table(tmp_path, TABLE_COLUMNS, cli._float_lines(floats))
                 == serial_csv(TABLE_COLUMNS, floats.tolist()))
@@ -962,7 +1035,7 @@ def test_a_split_table_with_a_live_thread_has_the_serial_bytes(tmp_path, monkeyp
         with warnings.catch_warnings(), time_bound(60):
             warnings.simplefilter("error")
             if work == "table":
-                text = cli._float_lines(floats)
+                text = b"".join(cli._float_lines(floats))
             else:
                 run_sweep(cfg, str(tmp_path / "pool"), workers=3)
     finally:
