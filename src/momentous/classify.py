@@ -29,6 +29,10 @@ from .potential import BarrierPotential
 __all__ = ["Evidence", "InvalidMargin", "Outcome", "Tag", "classify"]
 
 
+# The default margin, in units of the potential half-width ``a``.
+MARGIN_SCALE = 0.05
+
+
 class InvalidMargin(ValueError):
     """Classification margin must be non-negative."""
 
@@ -84,9 +88,9 @@ def classify(
     energy: float,
     margin: Optional[float] = None,
 ) -> Outcome:
-    """Tag a terminated trajectory; ``margin`` defaults to ``0.05 * a``."""
+    """Tag a terminated trajectory; ``margin`` defaults to ``MARGIN_SCALE * a``."""
     if margin is None:
-        margin = 0.05 * pot.a
+        margin = MARGIN_SCALE * pot.a
     if margin < 0:
         raise InvalidMargin("margin must be non-negative")
 

@@ -31,9 +31,9 @@ import numpy as np
 import orjson
 
 from . import moment_algebra
-from .classify import Tag, classify
+from .classify import MARGIN_SCALE, Tag, classify
 from .dynamics import ModelConfig, MomentState, effective_potential, moment_labels
-from .integrator import IntegratorConfig, Termination, integrate
+from .integrator import ESCAPE_RADIUS_SCALE, IntegratorConfig, Termination, integrate
 from .packet import THIRD_MOMENT_CONVENTIONS, GaussianPacket, initial_moments
 from .potential import BarrierPotential
 
@@ -70,31 +70,31 @@ _GRID = {
 # value; build_config checks it) or the field table of a nested object. A
 # numeric field given as null takes its default. A default of None is
 # resolved by build_config, or leaves out an optional section (absent or
-# null).
+# null). The other defaults are those of the model objects' fields.
 _SCHEMA = {
     "model": ({
-        "alpha": ("number", 1.0),
-        "a": ("number", 1.0),
-        "n": ("integer", 4),
-        "mass": ("number", 1.0),
-        "hbar": ("number", 1.0),
-        "order": ("integer", 2),
-        "veff_third_moment": ("boolean", True),
+        "alpha": ("number", BarrierPotential.alpha),
+        "a": ("number", BarrierPotential.a),
+        "n": ("integer", BarrierPotential.n),
+        "mass": ("number", ModelConfig.mass),
+        "hbar": ("number", ModelConfig.hbar),
+        "order": ("integer", ModelConfig.order),
+        "veff_third_moment": ("boolean", ModelConfig.veff_third_moment),
     }, {}),
     "packet": ({
         "q0": ("number", _REQUIRED),
         "p0": ("number", None),
         "energy": ("number", None),
-        "sigma0": ("number", 0.5),
+        "sigma0": ("number", GaussianPacket.sigma0),
         "third_moment_convention": (None, "skewed"),
     }, {}),
     "integrator": ({
-        "rtol": ("number", 1e-10),
-        "atol": ("number", 1e-10),
-        "t_max": ("number", 20.0),
-        "max_step": ("number", 0.1),
+        "rtol": ("number", IntegratorConfig.rtol),
+        "atol": ("number", IntegratorConfig.atol),
+        "t_max": ("number", IntegratorConfig.t_max),
+        "max_step": ("number", IntegratorConfig.max_step),
         "escape_radius": ("number", None),
-        "sample_dt": ("number", 0.01),
+        "sample_dt": ("number", IntegratorConfig.sample_dt),
     }, {}),
     "classify": ({"margin": ("number", None)}, {}),
     "sweep": ({"parameter": (None, None), **_GRID, "fixed_energy": ("boolean", None)}, None),
@@ -251,7 +251,8 @@ def build_config(raw: dict, order_override: Optional[int] = None) -> RunConfig:
 
     # Two lengths default to multiples of the half-width a.
     for section, key, scale in (
-        ("integrator", "escape_radius", 10.0), ("classify", "margin", 0.05)
+        ("integrator", "escape_radius", ESCAPE_RADIUS_SCALE),
+        ("classify", "margin", MARGIN_SCALE),
     ):
         if sec[section][key] is None:
             sec[section][key] = scale * m["a"]

@@ -27,10 +27,11 @@ Recorded along the way:
 
 * samples on a fixed ``sample_dt`` grid plus event points. The loop packs
   one row of dense-output coefficients per step that holds a sample or an
-  event, and records a step's grid samples as one range of grid indices and
-  every other row with its time; after the loop one numpy pass expands the
-  ranges, drops rows within ``1e-12`` of the last one kept and evaluates the
-  quartic interpolant at every row, in the loop's operation order, into the
+  event, and records every step's grid samples as one range of grid indices
+  and each event, the start and the end as single rows with their times;
+  after the loop one numpy pass expands the ranges, orders the rows by time,
+  drops rows within ``1e-12`` of the last one kept and evaluates the quartic
+  interpolant at every row, in the loop's operation order, into the
   ``(n, d)`` sample array;
 * events: momentum sign changes, crossings of caller-supplied position
   markers (classical return points), outbound escape, and, at order 3,
@@ -80,6 +81,10 @@ __all__ = [
 ]
 
 
+# The default escape radius, in units of the potential half-width ``a``.
+ESCAPE_RADIUS_SCALE = 10.0
+
+
 class Termination(enum.Enum):
     REACHED_TMAX = "reached_tmax"
     ESCAPED = "escaped"
@@ -95,7 +100,7 @@ class IntegratorConfig:
     atol: float = 1e-10
     t_max: float = 20.0
     max_step: float = 0.1
-    escape_radius: Optional[float] = None  # None -> 10 * potential half-width
+    escape_radius: Optional[float] = None  # None -> ESCAPE_RADIUS_SCALE * a
     sample_dt: float = 0.01
     max_steps: int = 2_000_000
 
@@ -283,19 +288,21 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
     or a sample falls inside it. Such a step packs its coefficients into the
     bytearray ``coeffs`` as one row of doubles ``(t, h, x_i..., d1_i...,
     d2_i..., d3_i..., d4_i..., z_i...)`` and appends entries of four numbers
-    to the flat list ``rec`` (see :func:`_dense_rows`). A step in which no
-    event crosses appends one entry, the range of grid indices it holds,
-    found by one division and exact tests at its ends: no per-sample code
-    runs. A step with an event appends one entry per row, in time order,
-    each with its time. The start row and a final ``t_end`` row are exact
-    rows of the same table. Nothing is dropped here: the rule for rows
-    within ``1e-12`` of each other is applied after the loop. The loop
-    evaluates the interpolant only for event states; :func:`_dense_rows`
-    builds the sample times and states after it. It calls ``f`` on state
-    lists and reads the run's tolerances, horizon, step cap, sample grid and
-    step budget from ``icfg``; each event's constants come from its spec's
-    ``values``. Every expression keeps the operation order of the
-    per-component list loop it replaces (see ``tests/conftest.py``), so
+    to the flat list ``rec`` (see :func:`_dense_rows`): first one entry per
+    located event, in time order up to the first that stops the run, each with
+    its time, then one entry for the range of grid indices the step holds up
+    to ``cut`` (the stop event's time, or the step's end) plus a slack of
+    ``1e-9 * sample_dt``, found by one division and exact tests at its ends;
+    no per-sample code runs. The start row and a final ``t_end`` row are exact
+    rows of the same table. Event rows are not merged with grid rows and
+    nothing is dropped here: :func:`_dense_rows` sorts the rows by time and
+    applies the rule for rows within ``1e-12`` of each other after the loop.
+    The loop evaluates the interpolant only for event states;
+    :func:`_dense_rows` builds the sample times and states after it. It calls
+    ``f`` on state lists and reads the run's tolerances, horizon, step cap,
+    sample grid and step budget from ``icfg``; each event's constants come
+    from its spec's ``values``. Every expression keeps the operation order of
+    the per-component list loop it replaces (see ``tests/conftest.py``), so
     every bit is that loop's.
 
     ``run`` returns ``(rec, coeffs, raw events, stop, stats)``: ``stop`` is
@@ -449,12 +456,13 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
         put(3, f"d1_{i} = z{i} - x{i}", f"d2_{i} = h * k1_{i} - d1_{i}",
             f"d3_{i} = d1_{i} - h * k7_{i} - d2_{i}", f"d4_{i} = h * ({combo(_D, i)})")
     blocks = ", ".join(listed(prefix) for prefix in ("x", "d1_", "d2_", "d3_", "d4_", "z"))
-    put(3, "row = len(coeffs)", f"coeffs += pack(t, h, {blocks})")
-    level = 3
+    put(3, "row = len(coeffs)", f"coeffs += pack(t, h, {blocks})", "cut = tnew")
     if events:
         # Events on (t, tnew]: locate each crossing by bisection over dense
-        # output (~1e-13 in time), keep them in time order up to the first
-        # that stops the run, and merge them with the grid samples.
+        # output (~1e-13 in time) and record them in time order, each as a
+        # row at its time, up to the first that stops the run; its time cuts
+        # the step's grid samples. The rows go before the step's range entry,
+        # so an event precedes a grid sample at its time (see _dense_rows).
         put(3, "if crossing:")
         put(4, "crossed = []")
         for k in ev:
@@ -477,42 +485,30 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
             "else:", "    hi = mid")
         put(6, "else:", "    te = 0.5 * (lo + hi)")
         put(5, "located.append((te, specs[k], direction))")
-        put(4, "located.sort(key=_time)",
-            "cut = tnew",
-            "pending = []",
-            "for item in located:",
-            "    pending.append(item)",
-            "    if item[1].stop is not None:",
-            "        cut = item[0]",
-            "        stop = item[1].stop",
-            "        break",
-            "bound = cut + slack",
-            "while True:",
-            "    ts = t0 + sample_index * sample_dt",
-            "    if ts > bound:",
-            "        break",
-            "    pending.append((cut if cut < ts else ts, None, 0))",
-            "    sample_index += 1",
-            "pending.sort(key=_time)",
-            "for tr, spec, direction in pending:")
-        # A grid sample on tnew takes the exact end state; an event row
-        # takes the interpolant, as does its state, built here.
-        put(5, "rec += (tr, row, inf if spec is None and tr >= tnew else nan, 1)",
-            "if spec is not None:")
-        dense_at(6, "tr")
+        put(4, "located.sort(key=_time)", "for te, spec, direction in located:")
+        # An event row takes the interpolant, as does its state, built here.
+        put(5, "rec += (te, row, nan, 1)")
+        dense_at(5, "te")
         state = ", ".join(interpolant(i) for i in comps)
-        put(6, f"raw_events.append((tr, spec, direction, [{state}]))")
-        put(4, "if stop is not None:", "    break")
-        put(3, "else:")
-        level = 4
-    # Only grid samples: the indices from sample_index to the last i with
+        put(5, f"raw_events.append((te, spec, direction, [{state}]))",
+            "if spec.stop is not None:",
+            "    cut = te",
+            "    stop = spec.stop",
+            "    bound = cut + slack",
+            "    break")
+    # The grid samples: the indices from sample_index to the last i with
     # t0 + i * sample_dt <= bound, which the division finds to within its
-    # rounding and the exact tests settle.
-    put(level, "i = (bound - t0) // sample_dt",
+    # rounding and the exact tests settle. An event step without one
+    # records a range of n = 0. In a stopping step an index at or just
+    # past cut reads "exact" by the range rule, which is harmless: its row
+    # has the stop row's time, so the duplicate rule drops it.
+    put(3, "i = (bound - t0) // sample_dt",
         "while t0 + (i + 1.0) * sample_dt <= bound:", "    i += 1.0",
         "while t0 + i * sample_dt > bound:", "    i -= 1.0",
-        "rec += (tnew, row, sample_index, i + 1.0 - sample_index)",
+        "rec += (cut, row, sample_index, i + 1.0 - sample_index)",
         "sample_index = i + 1.0")
+    if events:
+        put(3, "if stop is not None:", "    break")
 
     # PI controller update.
     put(2, f"fac = fac11 / facold ** {_BETA!r}",
@@ -567,18 +563,24 @@ def _dense_rows(rec, coeffs, d: int, t0: float, sample_dt: float):
     ``rec`` is flat, four numbers ``(t, row, i, n)`` an entry, where ``row``
     is the byte offset of a coefficient row:
 
-    * ``n`` grid samples ``i, i + 1, ...`` of the step that ends at ``t``:
-      with ``ts = t0 + i * sample_dt``, each lies at ``min(ts, t)`` and
-      takes the step's quartic interpolant, or its exact end state ``z``
-      when ``ts >= t``;
-    * ``n = 1`` with ``i`` nan: one row at ``t`` on the interpolant; with
-      ``i`` inf: one row at ``t`` with the end state. The same rule gives
-      both, as ``ts`` is then nan or inf and ``np.fmin`` passes over a nan.
+    * ``n`` (possibly 0) grid samples ``i, i + 1, ...`` of a step cut at
+      ``t``: with ``ts = t0 + i * sample_dt``, each lies at ``min(ts, t)``
+      and takes the step's quartic interpolant, or its exact end state ``z``
+      when ``ts >= t``. ``t`` is the step's end, or the time of the event
+      that stops the run; a sample there reads "exact" too, which is
+      harmless, as the stop event's row precedes it at the same time and
+      the duplicate rule drops it;
+    * ``n = 1`` with ``i`` nan: one row at ``t`` on the interpolant (an
+      event); with ``i`` inf: one row at ``t`` with the end state (the start
+      and ``t_end`` rows). The same rule gives both, as ``ts`` is then nan
+      or inf and ``np.fmin`` passes over a nan.
 
-    A row within ``1e-12 * max(|t|, 1)`` of the last row kept is dropped.
-    The times never decrease, so a row kept against the row before it is
-    kept against the last kept row too; only a chain of dropped rows needs
-    the test in turn. Every time is the loop's Python expression, and the
+    One stable sort by time merges an event step's event rows, which come
+    first in ``rec``, with its grid rows; on a tie the event stays first. Then
+    a row within ``1e-12 * max(|t|, 1)`` of the last row kept is dropped. The
+    sorted times never decrease, so a row kept against the row before it is
+    kept against the last kept row too; only a chain of dropped rows needs the
+    test in turn. Every time is the loop's Python expression, and the
     interpolant is evaluated in place on ``(n, d)`` blocks in the loop's
     operation order, so every bit is that of a per-row evaluation. numpy's
     float warnings are off, as Python floats raise none.
@@ -600,6 +602,10 @@ def _dense_rows(rec, coeffs, d: int, t0: float, sample_dt: float):
     times = np.fmin(ts, ends)
     exact = ts >= ends
     k = expanded[:, 1].astype(np.intp)
+    # Merge each event step's event rows, recorded first, with its grid rows;
+    # on a tie the event stays first.
+    order = np.argsort(times, kind="stable")
+    times, exact, k = times[order], exact[order], k[order]
 
     later = times[1:]
     tol = np.abs(later)
@@ -688,7 +694,7 @@ def _event_specs(
     radius = (
         icfg.escape_radius
         if icfg.escape_radius is not None
-        else 10.0 * model.potential.a
+        else ESCAPE_RADIUS_SCALE * model.potential.a
     )
 
     specs = [_EventSpec("{y1}", kind="p_zero")]
@@ -727,16 +733,15 @@ def integrate(
     """Propagate ``init`` to ``t_max`` or an early stop.
 
     Early stops: outbound escape through ``|q| = escape_radius`` (default
-    ``10 *`` the potential half-width), uncertainty residual below
-    ``-10 * atol`` (order 3), or a step failure, whose cause
+    ``ESCAPE_RADIUS_SCALE`` times the potential half-width), uncertainty
+    residual below ``-10 * atol`` (order 3), or a step failure, whose cause
     ``stats["failure"]`` names: "nonfinite_start" (a non-finite first
-    derivative or starting step; no step is attempted), "underflow" (step
-    size below ``1e-14 * |t|``), "budget" (``max_steps`` attempts used) or
-    "blowup" (a state component beyond ``1e12``). ``mark_positions`` adds
-    recorded (non-stopping) crossing events, typically the classical return
-    points. At orders >= 2, ``stats["residual_min"]`` and
-    ``stats["t_residual_min"]`` give the lowest sampled uncertainty residual
-    and its time.
+    derivative or starting step; no step is attempted), "underflow" (step size
+    below ``1e-14 * |t|``), "budget" (``max_steps`` attempts used) or "blowup"
+    (a state component beyond ``1e12``). ``mark_positions`` adds recorded
+    (non-stopping) crossing events, typically the classical return points. At
+    orders >= 2, ``stats["residual_min"]`` and ``stats["t_residual_min"]``
+    give the lowest sampled uncertainty residual and its time.
     """
     if init.order != model.order:
         raise ValueError(

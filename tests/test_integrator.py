@@ -568,32 +568,70 @@ def test_samples_near_the_duplicate_window_keep_each_row_beyond_it(sample_dt, ev
     assert np.allclose(np.diff(times), every * sample_dt, rtol=1e-3)
 
 
+_REGULAR = (1000.0, 0.001, 5.0, 0.1)
+# A twelfth of an ulp of t0: t0 + i * sample_dt rounds to runs of equal
+# values, and the division misses the last index by up to 5.
+_SUB_ULP = (1e6, 1.3e-11, 1.5e-6, 1e-7)
+
+
 @pytest.mark.parametrize(
-    "t0,sample_dt,t_max,max_step",
+    "t0,sample_dt,t_max,max_step,events",
     [
-        pytest.param(1000.0, 0.001, 5.0, 0.1, id="regular"),
-        # A twelfth of an ulp of t0: t0 + i * sample_dt rounds to runs of
-        # equal values, and the division misses the last index by up to 5.
-        pytest.param(1e6, 1.3e-11, 1.5e-6, 1e-7, id="sub-ulp"),
+        pytest.param(*_REGULAR, "none", id="regular"),
+        pytest.param(*_SUB_ULP, "none", id="sub-ulp"),
+        pytest.param(*_REGULAR, "p_zero", id="regular-p_zero"),
+        pytest.param(*_SUB_ULP, "p_zero", id="sub-ulp-p_zero"),
+        pytest.param(*_REGULAR, "stop", id="regular-stop"),
+        pytest.param(*_SUB_ULP, "stop", id="sub-ulp-stop"),
     ],
 )
 def test_each_grid_index_is_recorded_by_the_first_step_that_reaches_it(t0, sample_dt, t_max,
-                                                                       max_step):
-    # Without events every grid index lies in one range entry (t, row, i, n)
-    # of the record, the ranges follow each other, and each ends at the last
-    # index whose time is within the 1e-9 * sample_dt slack after its step.
+                                                                       max_step, events):
+    # Every grid index lies in one range entry (t, row, i, n) of the record,
+    # the ranges follow each other, and each ends at the last index whose
+    # time is within the 1e-9 * sample_dt slack after t: its step's end, or
+    # the time of the event that stops the run. An event step records each
+    # event as one entry (te, row, nan, 1) before its range, which may be
+    # empty; an inf index marks only the start row and the t_end row. The
+    # rows then expand to the reference loop's, bit for bit.
+    # On the oscillator p = w cos s - sin s: p_zero at s = atan(w) and pi
+    # later, and the stop where p falls through -w / 2.
+    w = 0.1 * t_max
+    p_zero = _EventSpec("{y1}", kind="p_zero")
+    specs = {
+        "none": (),
+        "p_zero": (p_zero,),
+        "stop": (p_zero, _EventSpec("{y1} + {c0}", kind="stop", values=(0.5 * w,),
+                                    stop=Termination.ESCAPED, direction=-1)),
+    }[events]
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=t_max, max_step=max_step,
                             sample_dt=sample_dt)
-    rec = _loop(2, ())(lambda y: [1.0, -y[0]], t0, [0.0, 1.0], icfg, ())[0]
-    ranges = [(t, i, n) for t, _, i, n in zip(*[iter(rec)] * 4) if math.isfinite(i)]
-    assert len(ranges) > 5
+    run = _loop(2, tuple((spec.expr, spec.direction) for spec in specs))
+    rec, _, raw_events, stop, _ = run(lambda y: [y[1], -y[0]], t0, [1.0, w], icfg, specs)
+    entries = list(zip(*[iter(rec)] * 4))
+    assert len(raw_events) >= {"none": 0, "p_zero": 1, "stop": 2}[events]
+    assert stop is (Termination.ESCAPED if events == "stop" else None)
+    assert [(t, n) for t, _, i, n in entries if math.isnan(i)] == [
+        (te, 1) for te, *_ in raw_events
+    ]
+    assert entries[0] == (t0, 0, math.inf, 1)
+    assert [i for _, _, i, _ in entries].count(math.inf) == (1 if stop else 2)
+    if stop:
+        assert entries[-1][0] == raw_events[-1][0] and math.isfinite(entries[-1][2])
     slack = 1e-9 * sample_dt
     first = 1
-    for t, i, n in ranges:
-        assert i == first and n >= 1
-        last = i + n - 1
-        assert t0 + last * sample_dt <= t + slack < t0 + (last + 1) * sample_dt
-        first = last + 1
+    ranges = 0
+    after_event = False
+    for t, _, i, n in entries:
+        if math.isfinite(i):
+            assert i == first and (n >= 1 or after_event)
+            last = i + n - 1
+            assert t0 + last * sample_dt <= t + slack < t0 + (last + 1) * sample_dt
+            first = last + 1
+            ranges += 1
+        after_event = math.isnan(i)
+    assert ranges > (2 if stop else 5)
+    matches_reference(lambda: lambda y: [y[1], -y[0]], t0, [1.0, w], icfg, specs)
 
 
 @pytest.mark.parametrize("sample_dt,t_max", [(0.125, 2.0), (0.1, 0.7)])

@@ -226,3 +226,127 @@ def test_report_serialization_roundtrip():
     assert len(data["equations"]) == 9
     statuses = {e["variable"]: e["status"] for e in data["equations"]}
     assert statuses["dG11/dt"] == "MISMATCH (KNOWN)"
+
+
+# ---------------------------------------------------------------------------
+# An independent oracle for the bracket (Bojowald & Skirzewski, "Effective
+# equations of motion for quantum systems", Rev. Math. Phys. 18 (2006) 713,
+# arXiv:math-ph/0511043). G^{ab} is the expectation of the Weyl symbol
+# X^a K^b, with X = x - <x> and K = k - <k>. As a function of the state it
+# varies like the expectation of X^a K^b - a G^{a-1,b} X - b G^{a,b-1} K (the
+# chain rule through <x> and <k>), and the bracket of two expectations is the
+# expectation of the Moyal bracket of their symbols.
+
+# The one sign between the oracle and this package's bracket: bracket_formula
+# and eom_table follow dG20/dt = -2 G11/m, the oracle {G20, G02} = +4 G11.
+SIGN = -1
+
+INDICES = [(a, b) for a in range(5) for b in range(5) if 2 <= a + b <= 4]
+
+_ONE = MomentPolynomial().add(1)
+
+
+def _moment(i, j):
+    """The expectation of X^i K^j as a polynomial: 1, 0 or G^{ij}."""
+    return MomentPolynomial().add(1, moments=((i, j),))
+
+
+def _product(p, q):
+    out = MomentPolynomial()
+    for term, coeff in q.items():
+        out = out + p.times(coeff, term)
+    return out
+
+
+def _derivative(i, j, di, dj):
+    """(factor, i - di, j - dj) for d^di/dX^di d^dj/dK^dj of X^i K^j, or None."""
+    if di > i or dj > j:
+        return None
+    return math.perm(i, di) * math.perm(j, dj), i - di, j - dj
+
+
+def _symbol(index):
+    """The symbol of G^{ab} with its chain-rule terms: {(i, j): coefficient}."""
+    a, b = index
+    return {(a, b): _ONE, (1, 0): _moment(a - 1, b).scaled(-a),
+            (0, 1): _moment(a, b - 1).scaled(-b)}
+
+
+def moyal_oracle(lhs, rhs):
+    """{G^lhs, G^rhs}: the expectation of the Moyal bracket
+    sum over odd n of (-1)**((n-1)/2) (hbar/2)**(n-1) / n! *
+    sum_s C(n, s) (-1)**s d_X^(n-s) d_K^s S d_K^(n-s) d_X^s T
+    of the two symbols S and T."""
+    out = MomentPolynomial()
+    for (i, j), p in _symbol(lhs).items():
+        for (k, l), q in _symbol(rhs).items():
+            for n in range(1, i + j + 1, 2):
+                scale = Fraction((-1) ** ((n - 1) // 2), 2 ** (n - 1) * math.factorial(n))
+                for s in range(n + 1):
+                    left = _derivative(i, j, n - s, s)
+                    right = _derivative(k, l, s, n - s)
+                    if left is None or right is None:
+                        continue
+                    weight = scale * math.comb(n, s) * (-1) ** s * left[0] * right[0]
+                    moment = _moment(left[1] + right[1], left[2] + right[2])
+                    out = out + _product(_product(p, q), moment).times(
+                        weight, Term(hbar_power=n - 1))
+    return out
+
+
+def closed_form_bracket(lhs, rhs, inclusive):
+    """bracket_formula transcribed with its contraction sum over odd n up to
+    min(a+c, b+d, a+b, c+d), inclusive or (as shipped) exclusive."""
+    (a, b), (c, d) = lhs, rhs
+    poly = MomentPolynomial()
+    poly.add(a * d, moments=((a - 1, b), (c, d - 1)))
+    poly.add(-b * c, moments=((a, b - 1), (c - 1, d)))
+    for n in range(1, min(a + c, b + d, a + b, c + d) + inclusive, 2):
+        coeff = Fraction(k_direct(n, a, b, c, d) * (-1) ** ((n - 1) // 2), 2 ** (n - 1))
+        poly.add(coeff, moments=((a + c - n, b + d - n),), hbar_power=n - 1)
+    return poly
+
+
+def test_moyal_oracle_is_the_inclusive_range_bracket():
+    # Over all 144 pairs of orders 2-4 the oracle is the closed formula with
+    # the inclusive range, up to SIGN. The shipped strict range, which the
+    # transcription reproduces, misses the n = min(...) term of 48 pairs.
+    assert len(INDICES) ** 2 == 144
+    differ = 0
+    for lhs in INDICES:
+        for rhs in INDICES:
+            inclusive = closed_form_bracket(lhs, rhs, inclusive=True)
+            assert moyal_oracle(lhs, rhs) == inclusive.scaled(SIGN), (lhs, rhs)
+            strict = closed_form_bracket(lhs, rhs, inclusive=False)
+            assert strict == bracket_formula(lhs, rhs)
+            differ += strict != inclusive
+    assert differ == 48
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_moyal_oracle_reproduces_every_eom_table_equation(order, monkeypatch):
+    from momentous import moment_algebra
+    from momentous.dynamics import eom_table
+
+    monkeypatch.setattr(moment_algebra, "bracket_formula",
+                        lambda lhs, rhs: moyal_oracle(lhs, rhs).scaled(SIGN))
+    table = eom_table(order)
+    assert len(table) == {2: 5, 3: 9}[order]
+    for var, rhs in table.items():
+        assert assemble_rhs(var, order) == rhs, var
+
+
+def test_moyal_oracle_low_order_brackets():
+    g11 = _moment(1, 1)
+    assert moyal_oracle((2, 0), (0, 2)) == g11.scaled(4)
+    assert bracket_formula((2, 0), (0, 2)) == g11.scaled(4 * SIGN)
+    # The n = 3 contraction of {G12, G21} lands on G00 = 1: its hbar**2/2 term
+    # (in this package's sign), which the strict range leaves out.
+    g12_g21 = moyal_oracle((1, 2), (2, 1)).scaled(SIGN)
+    assert g12_g21.coefficient(Term(hbar_power=2)) == Fraction(1, 2)
+    assert bracket_formula((1, 2), (2, 1)).coefficient(Term(hbar_power=2)) == 0
+    # {G11, G02}, empty under the strict range, carries the kinetic coupling.
+    assert moyal_oracle((1, 1), (0, 2)) == _moment(0, 2).scaled(2)
+    for lhs in INDICES:
+        for rhs in INDICES:
+            assert moyal_oracle(lhs, rhs) == moyal_oracle(rhs, lhs).scaled(-1)
