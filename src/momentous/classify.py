@@ -13,6 +13,11 @@ points ``+-x`` widened by a margin:
   horizon-relative: trapped particles leave eventually);
 * ``UNDETERMINED`` otherwise, including above-barrier runs and integrations
   that stopped on a constraint violation or step failure.
+
+An undetermined below-barrier run that stopped normally gives one reason of
+a fixed vocabulary, tested in this order: "inside the window with fewer than
+two momentum flips"; "outside the window, not moving away"; "moving away
+without having come within 2x of the barrier centre".
 """
 
 from __future__ import annotations
@@ -157,4 +162,10 @@ def classify(
         and traj.termination is Termination.REACHED_TMAX
     ):
         return Outcome(Tag.TRAPPED, evidence)
-    return Outcome(Tag.UNDETERMINED, replace(evidence, reason="no rule matched"))
+    if abs(final_q) < window:
+        reason = "inside the window with fewer than two momentum flips"
+    elif final_q * final_p <= 0:
+        reason = "outside the window, not moving away"
+    else:  # an approached run would have matched a tag above
+        reason = "moving away without having come within 2x of the barrier centre"
+    return Outcome(Tag.UNDETERMINED, replace(evidence, reason=reason))

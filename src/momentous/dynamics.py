@@ -6,9 +6,10 @@ State layout per truncation order::
     2:  (q, p, G20, G11, G02)                    + second central moments
     3:  (q, p, G20, G11, G02, G30, G21, G12, G03)  + third central moments
 
-The equations exist once, as the exact-rational :func:`eom_table`; the
-effective Hamiltonian exists once, as ``moment_algebra.hamiltonian_terms``.
-A small compiler turns those tables, with the barrier's jet inlined, into
+The physics exists once, as the effective Hamiltonian
+``moment_algebra.hamiltonian_terms``. :func:`eom_table` derives the exact
+equations from it through the complete moment bracket, and a small compiler
+turns those tables, with the barrier's jet inlined, into
 straight-line Python per truncation order and exponent ``n``: :func:`make_rhs`
 is the compiled table the propagator integrates (and ``check-algebra``
 verifies), and ``H_Q`` and ``V_eff`` (the Hamiltonian without its ``p``
@@ -34,7 +35,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .moment_algebra import Moment, MomentPolynomial, Term, hamiltonian_terms
+from . import moment_algebra
+from .moment_algebra import VALID_ORDERS, Moment, MomentPolynomial, Term
 from .potential import BarrierPotential, exec_source, jet_lines
 
 __all__ = [
@@ -61,8 +63,6 @@ MOMENTS_BY_ORDER: dict[int, tuple[Moment, ...]] = {
 }
 
 _ORDER_BY_COUNT = {len(v): k for k, v in MOMENTS_BY_ORDER.items()}
-
-VALID_ORDERS = (0, 2, 3)
 
 
 def moment_labels(order: int) -> tuple[str, ...]:
@@ -230,57 +230,17 @@ def effective_series(states: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, 
     return h_q, v_eff
 
 
-def _third_order_table() -> dict[Union[str, Moment], MomentPolynomial]:
-    half = Fraction(1, 2)
-    sixth = Fraction(1, 6)
-    table: dict[Union[str, Moment], MomentPolynomial] = {}
-    table["q"] = MomentPolynomial().add(1, p_power=1, mass_power=-1)
-    table["p"] = (
-        MomentPolynomial()
-        .add(-1, v_order=1)
-        .add(-half, v_order=3, moments=((2, 0),))
-        .add(-sixth, v_order=4, moments=((3, 0),))
-    )
-    table[(2, 0)] = MomentPolynomial().add(-2, mass_power=-1, moments=((1, 1),))
-    table[(1, 1)] = (
-        MomentPolynomial()
-        .add(-1, mass_power=-1, moments=((0, 2),))
-        .add(1, v_order=2, moments=((2, 0),))
-        .add(half, v_order=3, moments=((3, 0),))
-    )
-    table[(0, 2)] = (
-        MomentPolynomial()
-        .add(2, v_order=2, moments=((1, 1),))
-        .add(1, v_order=3, moments=((2, 1),))
-    )
-    table[(3, 0)] = MomentPolynomial().add(-3, mass_power=-1, moments=((2, 1),))
-    table[(2, 1)] = (
-        MomentPolynomial()
-        .add(-2, mass_power=-1, moments=((1, 2),))
-        .add(1, v_order=2, moments=((3, 0),))
-    )
-    table[(1, 2)] = (
-        MomentPolynomial()
-        .add(-1, mass_power=-1, moments=((0, 3),))
-        .add(2, v_order=2, moments=((2, 1),))
-    )
-    table[(0, 3)] = MomentPolynomial().add(3, v_order=2, moments=((1, 2),))
-    return table
-
-
 def eom_table(order: int) -> dict[Union[str, Moment], MomentPolynomial]:
-    """Authoritative right-hand sides in symbolic form; :func:`make_rhs`
-    compiles them into the integrated closure.
+    """Right-hand sides in symbolic form, which :func:`make_rhs` compiles.
 
-    Every order is the order-3 table closed by
-    :meth:`MomentPolynomial.truncated`, which drops the terms whose combined
-    moment order exceeds the truncation order: the defining closure of the
-    hierarchy, and the one ``check-algebra`` applies to the bracket side.
+    Each is the bracket of its variable with ``hamiltonian_terms(order)``
+    through the complete moment bracket (contractions up to and including
+    ``n = min(a+c, b+d, a+b, c+d)``), closed by
+    :meth:`MomentPolynomial.truncated` at the truncation order.
     """
-    if order not in VALID_ORDERS:
-        raise ValueError(f"truncation order must be one of {VALID_ORDERS}")
-    full = _third_order_table()
-    return {var: full[var].truncated(order) for var in state_variables(order)}
+    hamiltonian = moment_algebra.hamiltonian_terms(order)
+    return {var: moment_algebra._assemble(var, hamiltonian, order)
+            for var in state_variables(order)}
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +311,9 @@ def _series_kernel(order: int, veff_third_moment: bool, n: int):
     # V_eff is the effective Hamiltonian without its p terms; without the
     # third-moment term it is the order-2 expression.
     veff_order = 2 if order == 3 and not veff_third_moment else order
-    potential = MomentPolynomial(
-        {t: c for t, c in hamiltonian_terms(veff_order).items() if not t.p_power}
-    )
+    hamiltonian = moment_algebra.hamiltonian_terms(order)
+    potential = MomentPolynomial({
+        t: c for t, c in moment_algebra.hamiltonian_terms(veff_order).items() if not t.p_power
+    })
     name = "V_eff" if veff_order == order else "V_eff without G30"
-    return _compile(f"H_Q, {name}", order, n, [hamiltonian_terms(order), potential])
+    return _compile(f"H_Q, {name}", order, n, [hamiltonian, potential])

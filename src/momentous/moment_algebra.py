@@ -7,25 +7,26 @@ zero, so canonical form eliminates any term containing them.
 
 What lives here:
 
-* ``bracket_formula`` -- the closed-form moment bracket: two bilinear product
-  terms plus a contraction sum over odd ``n`` with integer weights
-  ``k_coefficient(n, a, b, c, d)`` and even powers of hbar. It is implemented
-  literally, with the summation range ``1 <= n < min(a+c, b+d, a+b, c+d)``.
-  ``property_lines`` checks its antisymmetry, hbar grading and first
-  contraction weight exhaustively over low orders.
+* ``hamiltonian_terms`` -- the moment expansion of the effective Hamiltonian,
+  the one hand-written piece of physics: :mod:`momentous.dynamics` compiles
+  ``H_Q`` and ``V_eff`` from it and derives ``eom_table`` from it.
+* The closed-form moment bracket: two bilinear product terms plus a
+  contraction sum over odd ``n`` with integer weights and even powers of
+  hbar. One implementation serves two ranges: the complete bracket, with
+  ``1 <= n <= min(a+c, b+d, a+b, c+d)``, derives ``eom_table``; the printed
+  ``bracket_formula`` stops below ``min(...)``, and ``property_lines``
+  checks its antisymmetry, hbar grading and first contraction weight
+  ``k_coefficient`` exhaustively over low orders.
 * ``MomentPolynomial.truncated`` -- the closure of the hierarchy: it drops
   every term whose combined moment order (moment powers plus 2 per hbar)
-  exceeds the truncation order. ``hamiltonian_terms`` and
-  ``dynamics.eom_table`` are their order-3 forms closed by this one rule at
-  every order, and the bracket assembly is closed by it too.
-* ``hamiltonian_terms`` -- the moment expansion of the effective Hamiltonian,
-  from which :mod:`momentous.dynamics` compiles ``H_Q`` and ``V_eff``.
-* ``verify_eom_consistency`` -- assembles time derivatives from that bracket
-  and compares them term by term against ``dynamics.eom_table``, the exact
-  tables that :mod:`momentous.dynamics` compiles into the integrated
-  right-hand side. The strict summation range leaves several low-order
-  brackets empty (for example ``{G11, G02}``), so a known set of equations
-  cannot be reproduced; the report flags those as KNOWN instead of failing.
+  exceeds the truncation order. The Hamiltonian and every bracket assembly
+  are closed by this one rule.
+* ``verify_eom_consistency`` -- assembles time derivatives through
+  ``bracket_formula`` and compares them term by term against
+  ``dynamics.eom_table``. The strict range leaves several low-order brackets
+  empty (for example ``{G11, G02}``), so some equations come out short. A
+  mismatch is KNOWN when the table equals the complete-bracket assembly, so
+  the gap is exactly the missing top terms, and UNEXPECTED otherwise.
   Mismatches are data, not errors.
 
 Coefficients are exact rationals throughout; floats appear only when a
@@ -54,7 +55,10 @@ __all__ = [
 ]
 
 Moment = tuple[int, int]
+Variable = Union[str, Moment]
 Scalar = Union[int, float, Fraction]
+
+VALID_ORDERS = (0, 2, 3)
 
 
 class RangeViolation(ValueError):
@@ -66,6 +70,13 @@ def _validate_moment(index: Moment) -> Moment:
     if a < 0 or b < 0:
         raise ValueError(f"moment powers must be non-negative, got {index}")
     return (int(a), int(b))
+
+
+def _contraction_weight(n: int, a: int, b: int, c: int, d: int) -> int:
+    """The weight sum of the hbar**(n-1) contraction, at any ``n``."""
+    return sum((-1) ** s * math.factorial(s) * math.factorial(n - s) * math.comb(a, s)
+               * math.comb(b, n - s) * math.comb(c, n - s) * math.comb(d, s)
+               for s in range(n + 1))
 
 
 def k_coefficient(n: int, a: int, b: int, c: int, d: int) -> int:
@@ -83,18 +94,7 @@ def k_coefficient(n: int, a: int, b: int, c: int, d: int) -> int:
             f"n={n} outside odd range [1, min(a+c, b+d, a+b, c+d)) for "
             f"(a, b, c, d)=({a}, {b}, {c}, {d})"
         )
-    total = 0
-    for s in range(n + 1):
-        total += (
-            (-1) ** s
-            * math.factorial(s)
-            * math.factorial(n - s)
-            * math.comb(a, s)
-            * math.comb(b, n - s)
-            * math.comb(c, n - s)
-            * math.comb(d, s)
-        )
-    return total
+    return _contraction_weight(n, a, b, c, d)
 
 
 @dataclass(frozen=True)
@@ -318,6 +318,27 @@ def _format_term(coeff: Fraction, term: Term, first: bool) -> str:
     return f"{sign} {body}" if not first else f"- {body}"
 
 
+def _bracket(lhs: Moment, rhs: Moment, complete: bool = True) -> MomentPolynomial:
+    """The closed-form moment bracket; ``complete`` includes the contraction
+    ``n = min(a+c, b+d, a+b, c+d)``, which :func:`bracket_formula` stops below:
+    the bracket of Bojowald & Skirzewski (math-ph/0511043) in this package's
+    sign, through which ``dynamics.eom_table`` is derived."""
+    a, b = _validate_moment(lhs)
+    c, d = _validate_moment(rhs)
+    if a + b < 2 or c + d < 2:
+        raise ValueError("bracket_formula expects genuine moments (a + b >= 2)")
+    poly = MomentPolynomial()
+    poly.add(a * d, moments=((a - 1, b), (c, d - 1)))
+    poly.add(-b * c, moments=((a, b - 1), (c - 1, d)))
+    for n in range(1, min(a + c, b + d, a + b, c + d) + complete, 2):
+        weight = _contraction_weight(n, a, b, c, d)
+        if weight == 0:
+            continue
+        coeff = Fraction(weight * (-1) ** ((n - 1) // 2), 2 ** (n - 1))
+        poly.add(coeff, moments=((a + c - n, b + d - n),), hbar_power=n - 1)
+    return poly
+
+
 def bracket_formula(lhs: Moment, rhs: Moment) -> MomentPolynomial:
     """Poisson bracket of two moments, straight from the closed formula.
 
@@ -328,20 +349,7 @@ def bracket_formula(lhs: Moment, rhs: Moment) -> MomentPolynomial:
     ``(-1)**((n-1)/2) * (hbar/2)**(n-1)``. ``hbar`` stays symbolic: the
     contraction terms carry ``hbar_power = n - 1``.
     """
-    a, b = _validate_moment(lhs)
-    c, d = _validate_moment(rhs)
-    if a + b < 2 or c + d < 2:
-        raise ValueError("bracket_formula expects genuine moments (a + b >= 2)")
-    poly = MomentPolynomial()
-    poly.add(a * d, moments=((a - 1, b), (c, d - 1)))
-    poly.add(-b * c, moments=((a, b - 1), (c - 1, d)))
-    for n in range(1, min(a + c, b + d, a + b, c + d), 2):
-        weight = k_coefficient(n, a, b, c, d)
-        if weight == 0:
-            continue
-        coeff = Fraction(weight * (-1) ** ((n - 1) // 2), 2 ** (n - 1))
-        poly.add(coeff, moments=((a + c - n, b + d - n),), hbar_power=n - 1)
-    return poly
+    return _bracket(lhs, rhs, complete=False)
 
 
 def hamiltonian_terms(order: int) -> MomentPolynomial:
@@ -351,7 +359,7 @@ def hamiltonian_terms(order: int) -> MomentPolynomial:
     (1/6) V''' G30`` closed by :meth:`MomentPolynomial.truncated`: order 2
     drops the ``G30`` term, and order 0 is the bare classical Hamiltonian.
     """
-    if order not in (0, 2, 3):
+    if order not in VALID_ORDERS:
         raise ValueError("truncation order must be 0, 2 or 3")
     h = MomentPolynomial()
     h.add(Fraction(1, 2), p_power=2, mass_power=-1)
@@ -406,7 +414,24 @@ def property_lines() -> list[str]:
     ]
 
 
-Variable = Union[str, Moment]
+def _assemble(var: Variable, hamiltonian: MomentPolynomial, order: int,
+              bracket=_bracket) -> MomentPolynomial:
+    """Time derivative of ``var`` under ``hamiltonian``, with ``bracket`` as
+    the moment bracket, closed at the truncation order."""
+    out = MomentPolynomial()
+    for term, coeff in hamiltonian.items():
+        if var == "q":
+            if term.p_power:
+                out.add(coeff * term.p_power, replace(term, p_power=term.p_power - 1))
+        elif var == "p":
+            if term.v_order is not None:
+                out.add(-coeff, replace(term, v_order=term.v_order + 1))
+        else:
+            for factor in term.moments:
+                rest = list(term.moments)
+                rest.remove(factor)
+                out = out + bracket(var, factor).times(coeff, replace(term, moments=tuple(rest)))
+    return out.truncated(order)
 
 
 def assemble_rhs(var: Variable, order: int) -> MomentPolynomial:
@@ -419,28 +444,13 @@ def assemble_rhs(var: Variable, order: int) -> MomentPolynomial:
     Products whose combined moment order exceeds the truncation order are
     dropped, matching the closure of the integrated system.
     """
-    hamiltonian = hamiltonian_terms(order)
-    out = MomentPolynomial()
-    for term, coeff in hamiltonian.items():
-        if var == "q":
-            if term.p_power:
-                out.add(coeff * term.p_power, replace(term, p_power=term.p_power - 1))
-        elif var == "p":
-            if term.v_order is not None:
-                out.add(-coeff, replace(term, v_order=term.v_order + 1))
-        else:
-            index = _validate_moment(var)
-            for factor in term.moments:
-                rest = list(term.moments)
-                rest.remove(factor)
-                bracket = bracket_formula(index, factor)
-                out = out + bracket.times(coeff, replace(term, moments=tuple(rest)))
-    return out.truncated(order)
+    return _assemble(var, hamiltonian_terms(order), order, bracket_formula)
 
 
 @dataclass(frozen=True)
 class EquationCheck:
-    """Per-equation comparison between the bracket assembly and the table."""
+    """Per-equation comparison between the bracket assembly and the table;
+    ``known`` marks a mismatch where the table is the complete-bracket one."""
 
     variable: str
     assembled: MomentPolynomial
@@ -458,13 +468,6 @@ class EquationCheck:
             return "MATCH"
         return "MISMATCH (KNOWN)" if self.known else "MISMATCH (UNEXPECTED)"
 
-
-# Equations whose bracket assembly is short because the contraction range
-# 1 <= n < min(a+c, b+d, a+b, c+d) is empty for the brackets feeding them.
-_KNOWN_SHORT: dict[int, frozenset[str]] = {
-    2: frozenset({"dG11/dt"}),
-    3: frozenset({"dG11/dt", "dG21/dt", "dG12/dt"}),
-}
 
 _NOTES: tuple[str, ...] = (
     "momentum equation: the integrated table uses dp/dt = -V' - (1/2)V'''*G20"
@@ -488,26 +491,26 @@ def _variable_name(var: Variable) -> str:
 
 
 def verify_eom_consistency(order: int) -> "ConsistencyReport":
-    """Compare bracket-assembled time derivatives with the integrated tables.
+    """Compare ``bracket_formula``-assembled time derivatives with the
+    integrated tables, which are derived through the complete bracket.
 
     Both sides stay symbolic in the mass and hbar. Mismatches are reported,
-    not raised; the ones rooted in the empty contraction range are flagged as
-    known.
+    not raised; one is KNOWN when the table equals the complete-bracket
+    assembly, and UNEXPECTED otherwise (a table that is not the Hamiltonian's).
     """
     from . import dynamics
 
     if order not in (2, 3):
         raise ValueError("consistency check supports orders 2 and 3")
     table = dynamics.eom_table(order)
-    known = _KNOWN_SHORT[order]
+    hamiltonian = hamiltonian_terms(order)
     checks = []
     for var in dynamics.state_variables(order):
-        name = _variable_name(var)
         assembled = assemble_rhs(var, order)
         expected = table[var]
         checks.append(
             EquationCheck(
-                variable=name,
+                variable=_variable_name(var),
                 assembled=assembled,
                 table=expected,
                 missing=MomentPolynomial(
@@ -516,7 +519,7 @@ def verify_eom_consistency(order: int) -> "ConsistencyReport":
                 extra=MomentPolynomial(
                     {t: c for t, c in assembled.items() if not expected.coefficient(t)}
                 ),
-                known=name in known,
+                known=assembled != expected and expected == _assemble(var, hamiltonian, order),
             )
         )
     return ConsistencyReport(order=order, checks=tuple(checks), notes=_NOTES)

@@ -114,6 +114,25 @@ def test_reflection_requires_approach(barrier):
     assert classify(traj, barrier, 0.98).tag is Tag.UNDETERMINED
 
 
+@pytest.mark.parametrize("index, reason", [
+    (140, "inside the window with fewer than two momentum flips"),
+    (139, "outside the window, not moving away"),
+    (0, "moving away without having come within 2x of the barrier centre"),
+])
+def test_undetermined_reason_on_the_acceptance_grid(barrier, index, reason):
+    # One point of the 151-point acceptance q0 grid per reason.
+    energy = 0.98
+    q0 = float(np.linspace(-3.72638, -1.36634, 151)[index])
+    packet = scenario_packet(barrier, q0, sigma0=0.3, energy=energy)
+    icfg = IntegratorConfig(rtol=1e-10, atol=1e-6, t_max=2.35)
+    traj = integrate(initial_moments(packet, 2), ModelConfig(potential=barrier, order=2),
+                     icfg, barrier.turning_points(energy))
+    outcome = classify(traj, barrier, energy)
+    assert outcome.tag is Tag.UNDETERMINED
+    assert traj.termination is Termination.REACHED_TMAX
+    assert outcome.evidence.reason == reason
+
+
 def test_margin_monotonicity(barrier):
     energy = 0.98
     model = ModelConfig(potential=barrier, order=2)

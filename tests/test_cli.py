@@ -1148,17 +1148,25 @@ def test_check_algebra_matches_golden(tmp_path):
 
 
 def test_check_algebra_detects_tampered_table(monkeypatch):
+    # A mismatch is KNOWN only where the table is the complete-bracket
+    # assembly: a tampered equation reads UNEXPECTED, also where the printed
+    # range already falls short of the table (dG11/dt).
     true_table = dynamics.eom_table
+    for var, name, poly in (
+        ("q", "dq/dt", MomentPolynomial().add(2, p_power=1, mass_power=-1)),
+        ((1, 1), "dG11/dt", MomentPolynomial().add(-2, mass_power=-1, moments=((0, 2),))),
+    ):
+        def tampered(order):
+            return {**true_table(order), var: poly}
 
-    def tampered(order):
-        table = dict(true_table(order))
-        table["q"] = MomentPolynomial().add(2, p_power=1, mass_power=-1)
-        return table
-
-    monkeypatch.setattr(dynamics, "eom_table", tampered)
-    code, text = run_check_algebra()
-    assert code == 3
-    assert "MISMATCH (UNEXPECTED)" in text
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "eom_table", tampered)
+            code, text = run_check_algebra()
+        assert code == 3
+        statuses = [line.split() for line in text.splitlines()]
+        assert statuses.count([name, "MISMATCH", "(UNEXPECTED)"]) == 2, name
+        assert sum(s[1:] == ["MISMATCH", "(UNEXPECTED)"] for s in statuses) == 2
+        assert "MISMATCH (KNOWN)" in text
 
 
 def test_main_check_algebra_exit_codes(tmp_path, capsys, monkeypatch):

@@ -25,7 +25,7 @@ from momentous.dynamics import (
     state_variables,
     vector_to_state,
 )
-from momentous.moment_algebra import MomentPolynomial, hamiltonian_terms
+from momentous.moment_algebra import MomentPolynomial, Term, hamiltonian_terms
 
 from conftest import reference_jet, rng
 
@@ -86,6 +86,31 @@ def test_order2_table_is_order3_with_thirds_zeroed():
             ]
         )
         assert table2[var] == expected, f"equation for {var}"
+
+
+def test_eom_table_is_derived_from_the_hamiltonian(monkeypatch):
+    # The tables follow hamiltonian_terms: doubling its G02/2m coefficient
+    # doubles the kinetic coupling of dG11/dt. Only the symbolic tables are
+    # checked, as the compiled kernels are cached per process.
+    from momentous import moment_algebra
+
+    true_hamiltonian = moment_algebra.hamiltonian_terms
+    kinetic = Term(moments=((0, 2),), mass_power=-1)
+
+    def doubled(order):
+        h = true_hamiltonian(order)
+        return h.copy().add(h.coefficient(kinetic), kinetic)
+
+    assert eom_table(2)[(1, 1)].coefficient(kinetic) == -1
+    monkeypatch.setattr(moment_algebra, "hamiltonian_terms", doubled)
+    assert eom_table(2)[(1, 1)].coefficient(kinetic) == -2
+    assert eom_table(3)[(1, 1)].coefficient(kinetic) == -2
+
+
+def test_eom_table_rejects_an_invalid_order():
+    for order in (1, 4, -1):
+        with pytest.raises(ValueError, match="truncation order must be 0, 2 or 3"):
+            eom_table(order)
 
 
 def random_state(order, gen, scale=1.0):
