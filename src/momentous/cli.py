@@ -33,7 +33,9 @@ import orjson
 from . import moment_algebra
 from .classify import MARGIN_SCALE, Tag, classify
 from .dynamics import ModelConfig, MomentState, effective_potential, moment_labels
-from .integrator import ESCAPE_RADIUS_SCALE, IntegratorConfig, Termination, integrate
+from .integrator import (
+    ESCAPE_RADIUS_SCALE, IntegratorConfig, Termination, integrate, row_blocks,
+)
 from .packet import THIRD_MOMENT_CONVENTIONS, GaussianPacket, initial_moments
 from .potential import BarrierPotential
 
@@ -395,14 +397,11 @@ def _orjson_rows(block: np.ndarray) -> memoryview:
     return memoryview(text)[1:]
 
 
-# The most rows one ``_float_lines`` block holds: the writer's memory is set
-# by this, not by the table's length.
-BLOCK_ROWS = 4096
-
-
-def _float_lines(table: np.ndarray):
-    """Yield ``_csv_lines(table.tolist())`` of a 2-D float64 array, encoded,
-    byte for byte, in chunks of at most ``BLOCK_ROWS`` rows each.
+def _float_lines(*columns: np.ndarray):
+    """Yield ``_csv_lines(np.hstack(columns).tolist())`` of 2-D float64
+    arrays of equal length, encoded, byte for byte, in chunks of at most one
+    :func:`integrator.row_blocks` block each: a block's cells are copied from
+    ``columns`` when it is formatted, so no copy of the whole table is made.
 
     orjson (Ryū) writes the shortest round-trip digits, as ``repr`` does,
     and ``repr``'s notation except for a magnitude in [1e-9, 1e-4)
@@ -411,11 +410,12 @@ def _float_lines(table: np.ndarray):
     or above, or not finite, so within a factor 2 of those ranges, goes
     through ``_csv_lines``; each run of the other rows in a block is one
     orjson call."""
-    if table.size == 0:
-        yield _csv_lines(table.tolist()).encode()
+    n_rows, width = len(columns[0]), sum(c.shape[1] for c in columns)
+    if n_rows * width == 0:
+        yield _csv_lines(np.hstack(columns).tolist()).encode()
         return
-    for start in range(0, len(table), BLOCK_ROWS):
-        block = table[start:start + BLOCK_ROWS]
+    for rows in row_blocks(n_rows, width):
+        block = np.hstack([c[rows] for c in columns])
         mag = np.abs(block)
         flagged = ((mag >= 5e-10) & (mag < 2e-4) | ~(mag < 5e15)).any(axis=1)
         cuts = [0, *np.flatnonzero(flagged[1:] != flagged[:-1]) + 1, len(block)]
@@ -481,7 +481,7 @@ def run_simulate(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
         columns += [*moment_labels(cfg.model.order), "h_q", "v_eff", "uncertainty_residual"]
         series += [traj.h_q[:, None], traj.v_eff[:, None], traj.uncertainty[:, None]]
     return _write(
-        cfg, out_path, "simulate", columns, _float_lines(np.hstack(series)),
+        cfg, out_path, "simulate", columns, _float_lines(*series),
         n_samples=len(traj.times),
         termination=traj.termination.value,
         energy_drift=traj.energy_drift,

@@ -29,18 +29,20 @@ Recorded along the way:
   one row of dense-output coefficients per step that holds a sample or an
   event, and records every step's grid samples as one range of grid indices
   and each event, the start and the end as single rows with their times;
-  after the loop one numpy pass expands the ranges, orders the rows by time,
-  drops rows within ``1e-12`` of the last one kept and evaluates the quartic
-  interpolant at every row, in the loop's operation order, into the
+  after the loop one numpy pass expands the ranges, orders the rows by time
+  and drops rows within ``1e-12`` of the last one kept, on 1-D arrays over
+  all rows, then evaluates the quartic interpolant in the loop's operation
+  order, block by block (:func:`row_blocks`), into the preallocated
   ``(n, d)`` sample array;
 * events: momentum sign changes, crossings of caller-supplied position
   markers (classical return points), outbound escape, and, at order 3,
   violation of the uncertainty constraint beyond ``-10 * atol`` (which
   stops the run);
-* per-sample series, computed once per trajectory on the ``(n, d)`` sample
-  array: effective Hamiltonian, effective potential at the mean position,
-  and the uncertainty-product residual, whose minimum over the samples and
-  its time go into the step statistics;
+* per-sample series, computed block by block into preallocated arrays:
+  effective Hamiltonian, effective potential at the mean position, and the
+  uncertainty-product residual, whose minimum over the samples and its time
+  go into the step statistics. No temporary between the loop and the
+  returned arrays holds more than one block;
 * on a step failure, its cause: a non-finite start, step-size underflow,
   the ``max_steps`` budget, or a state blowup.
 
@@ -190,6 +192,19 @@ class Trajectory:
         initial value."""
         h0 = self.h_q[0]
         return float(np.max(np.abs(self.h_q - h0)) / abs(h0))
+
+
+# The most cells (rows times columns) one block of the sample pass or of the
+# float CSV writer holds: their temporaries are set by this, not by the run's
+# length.
+BLOCK_CELLS = 8192
+
+
+def row_blocks(n: int, columns: int):
+    """The slices of ``n`` rows of ``columns`` cells each in blocks of
+    ``BLOCK_CELLS // columns`` rows, at least 1 (the last may be shorter)."""
+    step = max(1, BLOCK_CELLS // max(columns, 1))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
 # The uncertainty residual as event source; ``{c0}`` is ``hbar**2/4``.
@@ -580,10 +595,13 @@ def _dense_rows(rec, coeffs, d: int, t0: float, sample_dt: float):
     a row within ``1e-12 * max(|t|, 1)`` of the last row kept is dropped. The
     sorted times never decrease, so a row kept against the row before it is
     kept against the last kept row too; only a chain of dropped rows needs the
-    test in turn. Every time is the loop's Python expression, and the
-    interpolant is evaluated in place on ``(n, d)`` blocks in the loop's
-    operation order, so every bit is that of a per-row evaluation. numpy's
-    float warnings are off, as Python floats raise none.
+    test in turn. The rows' times, the sort and the drop rule work on 1-D
+    arrays over all rows, so no rule crosses a block boundary. Every time is
+    the loop's Python expression, and the interpolant is evaluated in the
+    loop's operation order on blocks of :func:`row_blocks` rows, in place in
+    the preallocated ``(n, d)`` states, so every bit is that of a per-row
+    evaluation and no temporary holds more than one block. numpy's float
+    warnings are off, as Python floats raise none.
     """
     width = 2 + 6 * d
     table = np.frombuffer(coeffs).reshape(-1, width)
@@ -593,19 +611,22 @@ def _dense_rows(rec, coeffs, d: int, t0: float, sample_dt: float):
     start -= count
     entries[:, 2] -= start  # plus the row number: the sample index i
     entries[:, 1] /= table.itemsize * width  # byte offset -> row number
-    expanded = entries.repeat(count, axis=0)  # one entry per row
-    ends = expanded[:, 0]
-    ts = np.arange(len(expanded), dtype=float)
-    ts += expanded[:, 2]
+    # One value per row, repeated from its entry. Each all-row temporary is
+    # deleted once used, as the (n, d) states come on top of what is left.
+    ts = entries[:, 2].repeat(count)
+    ts += np.arange(len(ts), dtype=float)
     ts *= sample_dt
     ts += t0
-    times = np.fmin(ts, ends)
+    ends = entries[:, 0].repeat(count)
     exact = ts >= ends
-    k = expanded[:, 1].astype(np.intp)
+    times = np.fmin(ts, ends, out=ts)
+    del ends
+    k = entries[:, 1].astype(np.intp).repeat(count)
     # Merge each event step's event rows, recorded first, with its grid rows;
     # on a tie the event stays first.
     order = np.argsort(times, kind="stable")
     times, exact, k = times[order], exact[order], k[order]
+    del order
 
     later = times[1:]
     tol = np.abs(later)
@@ -623,31 +644,35 @@ def _dense_rows(rec, coeffs, d: int, t0: float, sample_dt: float):
         else:
             kept = times[j - 1]
         drop.append(j)
+    del later, tol
     if drop:
         keep = np.ones(len(times), bool)
         keep[drop] = False
         times, k, exact = times[keep], k[keep], exact[keep]
 
-    def block(j, rows=k):  # block j (x, d1, d2, d3, d4 or z) of the rows
-        return table[:, 2 + j * d:2 + (j + 1) * d].take(rows, axis=0)
-
+    # The x, d1, d2, d3, d4 and z columns of the coefficient rows.
+    x, d1, d2, d3, d4, z = (table[:, 2 + j * d:2 + (j + 1) * d] for j in range(6))
+    states = np.empty((len(times), d))
     with np.errstate(all="ignore"):
-        theta = table[:, 0].take(k)
-        np.subtract(times, theta, out=theta)
-        theta /= table[:, 1].take(k)
-        om = 1.0 - theta
-        theta, om = theta[:, None], om[:, None]
-        # x + theta * (d1 + om * (d2 + theta * (d3 + om * d4)))
-        states = block(4)
-        states *= om
-        states += block(3)
-        states *= theta
-        states += block(2)
-        states *= om
-        states += block(1)
-        states *= theta
-        states += block(0)
-    states[exact] = block(5, k[exact])
+        for rows in row_blocks(len(times), d):
+            kb, out = k[rows], states[rows]
+            theta = table[:, 0].take(kb)
+            np.subtract(times[rows], theta, out=theta)
+            theta /= table[:, 1].take(kb)
+            om = 1.0 - theta
+            theta, om = theta[:, None], om[:, None]
+            # x + theta * (d1 + om * (d2 + theta * (d3 + om * d4)))
+            d4.take(kb, axis=0, out=out, mode="clip")  # clip: unbuffered
+            out *= om
+            out += d3.take(kb, axis=0)
+            out *= theta
+            out += d2.take(kb, axis=0)
+            out *= om
+            out += d1.take(kb, axis=0)
+            out *= theta
+            out += x.take(kb, axis=0)
+            hit = exact[rows]
+            out[hit] = z.take(kb[hit], axis=0)
     return times, states
 
 
@@ -753,14 +778,17 @@ def integrate(
     )
 
     order = model.order
-    h_q, v_eff = effective_series(y_arr, model)
+    n, d = y_arr.shape
+    h_q, v_eff = np.empty(n), np.empty(n)
+    uncertainty = np.empty(n) if order >= 2 else np.full(n, np.nan)
+    for rows in row_blocks(n, d):
+        h_q[rows], v_eff[rows] = effective_series(y_arr[rows], model)
+        if order >= 2:
+            uncertainty[rows] = _residual(y_arr[rows].T, model.hbar * model.hbar / 4)
     if order >= 2:
-        uncertainty = _residual(y_arr.T, model.hbar * model.hbar / 4)
         worst = int(np.argmin(uncertainty))
         stats["residual_min"] = float(uncertainty[worst])
         stats["t_residual_min"] = float(times[worst])
-    else:
-        uncertainty = np.full(len(times), np.nan)
 
     events = tuple(
         Event(

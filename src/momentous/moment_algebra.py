@@ -382,18 +382,17 @@ def property_lines() -> list[str]:
         for b in range(5)
         if 2 <= a + b <= 4
     ]
-    for lhs in indices:
-        for rhs in indices:
-            left = bracket_formula(lhs, rhs)
-            right = bracket_formula(rhs, lhs)
-            if left != right.scaled(-1):
-                anti_ok = False
-            expected = lhs[0] + lhs[1] + rhs[0] + rhs[1] - 2
-            for term, _ in left.items():
-                total = sum(x + y for x, y in term.moments)
-                if total != expected - 2 * term.hbar_power:
-                    grading_ok = False
-            pairs += 1
+    # Each ordered pair's bracket once: it is one pair's left and another's right.
+    brackets = {(lhs, rhs): bracket_formula(lhs, rhs) for lhs in indices for rhs in indices}
+    for (lhs, rhs), left in brackets.items():
+        if left != brackets[rhs, lhs].scaled(-1):
+            anti_ok = False
+        expected = lhs[0] + lhs[1] + rhs[0] + rhs[1] - 2
+        for term, _ in left.items():
+            total = sum(x + y for x, y in term.moments)
+            if total != expected - 2 * term.hbar_power:
+                grading_ok = False
+        pairs += 1
     k_ok = True
     k_count = 0
     for a in range(7):

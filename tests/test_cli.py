@@ -22,7 +22,6 @@ import momentous.dynamics as dynamics
 from conftest import rng
 from momentous import BarrierPotential
 from momentous.cli import (
-    BLOCK_ROWS,
     ConfigError,
     build_config,
     main,
@@ -31,6 +30,7 @@ from momentous.cli import (
     run_surface,
     run_sweep,
 )
+from momentous.integrator import BLOCK_CELLS
 from momentous.moment_algebra import MomentPolynomial
 
 
@@ -888,10 +888,17 @@ def test_boundary_values_have_the_str_bytes(value):
         assert_float_csv(np.array([[cell, 10.0 + cell, cell], [1.0, cell, -10.000000000000178]]))
 
 
-# A float table is formatted in blocks of at most BLOCK_ROWS rows, each with
-# its own row mask; the tables drawn above never reach a block's end.
-BLOCK_SIZES = {"block_minus_1": BLOCK_ROWS - 1, "block": BLOCK_ROWS,
-               "block_plus_1": BLOCK_ROWS + 1, "three_blocks_plus_5": 3 * BLOCK_ROWS + 5}
+# A float table of c columns is formatted in blocks of at most
+# BLOCK_CELLS // c rows, each with its own row mask; the tables drawn above
+# never reach a block's end. A size is (blocks, extra rows).
+BLOCK_SIZES = {"block_minus_1": (1, -1), "block": (1, 0), "block_plus_1": (1, 1),
+               "three_blocks_plus_5": (3, 5)}
+
+
+def block_size(size, n_cols):
+    """The rows of a named size in blocks of ``n_cols``-column rows."""
+    blocks, extra = BLOCK_SIZES[size]
+    return blocks * (BLOCK_CELLS // max(n_cols, 1)) + extra
 
 
 # Flagged rows placed around each block boundary b.
@@ -903,9 +910,9 @@ AT_BOUNDARY = {"none": [], "last_of_block": [-1], "first_of_next": [0],
 @pytest.mark.parametrize("where", AT_BOUNDARY)
 @pytest.mark.parametrize("size", BLOCK_SIZES)
 def test_block_boundaries_have_the_str_bytes(size, where, n_cols):
-    n_rows = BLOCK_SIZES[size]
+    n_rows, block = block_size(size, n_cols), BLOCK_CELLS // n_cols
     values = rng(n_rows).uniform(-100.0, 100.0, size=(n_rows, n_cols))
-    rows = [b + d for b in range(BLOCK_ROWS, n_rows + 2, BLOCK_ROWS) for d in AT_BOUNDARY[where]]
+    rows = [b + d for b in range(block, n_rows + 2, block) for d in AT_BOUNDARY[where]]
     for k, row in enumerate(r for r in rows if r < n_rows):
         values[row, k % n_cols] = FLAGGED_CELLS[k % len(FLAGGED_CELLS)]
     assert_float_csv(values)
@@ -915,25 +922,71 @@ def test_block_boundaries_have_the_str_bytes(size, where, n_cols):
 def test_a_table_of_no_columns_has_an_empty_line_per_row(size):
     import momentous.cli as cli
 
-    n_rows = BLOCK_SIZES[size]
+    n_rows = block_size(size, 0)
     assert b"".join(cli._float_lines(np.empty((n_rows, 0)))) == b"\n" * n_rows
 
 
-LONG_RUN = {"t_max": 20.0, "sample_dt": 0.0005}  # 12,660 samples: four blocks
+LONG_RUN = {"t_max": 20.0, "sample_dt": 0.0005}  # 12,660 samples: 14 blocks of 9 columns
 
 
 def test_simulate_formats_one_block_at_a_time(tmp_path, monkeypatch):
+    # run_simulate hands the writer the run's own arrays, no copy of the
+    # whole table, and each orjson call formats at most one block of rows.
     import momentous.cli as cli
 
-    tables, sizes = [], []
-    float_lines, orjson_rows = cli._float_lines, cli._orjson_rows
-    monkeypatch.setattr(cli, "_float_lines", lambda t: tables.append(t) or float_lines(t))
-    monkeypatch.setattr(cli, "_orjson_rows", lambda b: sizes.append(len(b)) or orjson_rows(b))
+    runs, calls, shapes = [], [], []
+    trajectory, float_lines, orjson_rows = cli._trajectory, cli._float_lines, cli._orjson_rows
+    monkeypatch.setattr(cli, "_trajectory", lambda cfg: runs.append(trajectory(cfg)) or runs[-1])
+    monkeypatch.setattr(cli, "_float_lines", lambda *c: calls.append(c) or float_lines(*c))
+    monkeypatch.setattr(cli, "_orjson_rows", lambda b: shapes.append(b.shape) or orjson_rows(b))
     summary = run_simulate(build_config(scenario_raw(integrator=LONG_RUN)), str(tmp_path / "run"))
-    [table] = tables
-    assert summary["n_samples"] == len(table) > 3 * BLOCK_ROWS
-    assert len(sizes) >= 4 and max(sizes) <= BLOCK_ROWS
+    [traj], [series] = runs, calls
+    arrays = [traj.times, traj.states, traj.h_q, traj.v_eff, traj.uncertainty]
+    assert all(any(np.shares_memory(s, a) for a in arrays) for s in series)
+    table = np.hstack(series)
+    block = BLOCK_CELLS // table.shape[1]
+    assert summary["n_samples"] == len(table) > 3 * block
+    assert len(shapes) >= 4 and max(rows for rows, _ in shapes) <= block
     assert (tmp_path / "run.csv").read_bytes() == serial_csv(summary["columns"], table.tolist())
+
+
+# CI's event-rich order-2 run (over 100 events) and its order-3 run that
+# stops on the uncertainty constraint between two grid samples.
+BLOCK_RUNS = {
+    "events": {"packet": {"q0": -1.62, "energy": 0.98, "sigma0": 0.3},
+               "integrator": {"atol": 1e-6, "t_max": 4.0, "sample_dt": 1e-3}},
+    "stop": {"model": {"order": 3}, "packet": {"q0": -2.5, "energy": 0.98, "sigma0": 0.5},
+             "integrator": {"t_max": 2.0, "sample_dt": 1e-4}},
+}
+
+
+@pytest.mark.parametrize("cells", [1, 7 * 14], ids=["cells_1", "cells_98"])
+@pytest.mark.parametrize("run", BLOCK_RUNS)
+def test_the_block_budget_moves_no_output_bit(run, cells, tmp_path, monkeypatch):
+    # One block budget sizes the sample pass and the writer; a budget of a
+    # few rows puts block boundaries everywhere, and nothing may move.
+    import momentous.cli as cli
+    import momentous.integrator as integrator
+
+    runs, trajectory = [], cli._trajectory
+    monkeypatch.setattr(cli, "_trajectory", lambda cfg: runs.append(trajectory(cfg)) or runs[-1])
+    cfg = build_config(BLOCK_RUNS[run])
+    files = []
+    for budget in (BLOCK_CELLS, cells):
+        monkeypatch.setattr(integrator, "BLOCK_CELLS", budget)
+        out = tmp_path / f"cells_{budget}"
+        run_simulate(cfg, str(out))
+        files.append([Path(f"{out}{suffix}").read_bytes() for suffix in (".csv", ".summary.json")])
+    default, blocked = runs
+    for name in ("times", "states", "h_q", "v_eff", "uncertainty"):
+        assert getattr(blocked, name).tobytes() == getattr(default, name).tobytes(), name
+    assert blocked.stats == default.stats
+    assert blocked.events == default.events
+    assert files[1] == files[0]
+    if run == "events":
+        assert len(default.events) > 100
+    else:
+        assert default.termination is cli.Termination.CONSTRAINT_VIOLATED
 
 
 def test_a_failed_table_write_leaves_the_previous_files(tmp_path, monkeypatch):

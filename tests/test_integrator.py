@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -722,6 +723,30 @@ def test_a_blowup_with_overflowing_coefficients_raises_no_numpy_warning():
 def core_stats(f, y0, t_end, max_step=0.5):
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=t_end, max_step=max_step, sample_dt=0.05)
     return matches_reference(lambda: f, 0.0, y0, icfg)[4]
+
+
+def test_sample_pass_memory_is_bounded_by_its_outputs():
+    # CI's order-3 run at sample_dt 1e-4 (63,290 rows). Every temporary
+    # between the loop and the returned arrays is block-sized, so the traced
+    # peak of the run stays near the bytes of its five output arrays; a
+    # sample pass on whole arrays peaks at about 2.5 times them.
+    from momentous.cli import _trajectory, build_config
+
+    cfg = build_config({
+        "model": {"order": 3},
+        "packet": {"q0": -2.5, "energy": 0.98, "sigma0": 0.5, "third_moment_convention": "zero"},
+        "integrator": {"t_max": 20.0, "sample_dt": 1e-4},
+    })
+    _trajectory(cfg)  # compile the loop and the kernels outside the trace
+    tracemalloc.start()
+    try:
+        traj = _trajectory(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = (traj.times, traj.states, traj.h_q, traj.v_eff, traj.uncertainty)
+    assert len(traj.times) == 63_290
+    assert peak <= 1.25 * sum(a.nbytes for a in outputs)
 
 
 def test_step_statistics_split_rejections_by_cause():
