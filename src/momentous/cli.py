@@ -81,7 +81,6 @@ _SCHEMA = {
         "mass": ("number", ModelConfig.mass),
         "hbar": ("number", ModelConfig.hbar),
         "order": ("integer", ModelConfig.order),
-        "veff_third_moment": ("boolean", ModelConfig.veff_third_moment),
     }, {}),
     "packet": ({
         "q0": ("number", _REQUIRED),
@@ -101,7 +100,7 @@ _SCHEMA = {
     "classify": ({"margin": ("number", None)}, {}),
     "sweep": ({"parameter": (None, None), **_GRID, "fixed_energy": ("boolean", None)}, None),
     "surface": ({"q": (_GRID, _REQUIRED), "t": (_GRID, _REQUIRED)}, None),
-    "output": ({"path": (None, "momentous_run"), "format": (None, "csv")}, {}),
+    "output": ({"path": (None, "momentous_run")}, {}),
 }
 
 _TYPES = {
@@ -208,10 +207,7 @@ def build_config(raw: dict, order_override: Optional[int] = None) -> RunConfig:
         m["order"] = order_override
     with _owned_by("model"):
         potential = BarrierPotential(alpha=m["alpha"], a=m["a"], n=m["n"])
-        model = ModelConfig(
-            potential=potential, mass=m["mass"], hbar=m["hbar"], order=m["order"],
-            veff_third_moment=m["veff_third_moment"],
-        )
+        model = ModelConfig(potential=potential, mass=m["mass"], hbar=m["hbar"], order=m["order"])
 
     convention = pk["third_moment_convention"]
     _require(
@@ -273,12 +269,8 @@ def build_config(raw: dict, order_override: Optional[int] = None) -> RunConfig:
         if sweep["fixed_energy"] is None:
             sweep["fixed_energy"] = energy_given
 
-    output = sec["output"]
-    _require(
-        isinstance(output["path"], str) and output["path"] != "",
-        "output.path", "must be a non-empty string",
-    )
-    _require(output["format"] == "csv", "output.format", "must be 'csv'")
+    path = sec["output"]["path"]
+    _require(isinstance(path, str) and path != "", "output.path", "must be a non-empty string")
     return RunConfig(model=model, packet=packet, integrator=integrator, sections=sec)
 
 
@@ -444,26 +436,23 @@ def _write(cfg: RunConfig, out_path: Optional[str], kind: str, columns, lines,
 
 
 def _warnings(cfg: RunConfig, traj) -> list:
-    """What ``main`` prints as ``warning:`` lines about a run: a stop at the
-    uncertainty constraint (naming the stop time), and a sampled
-    uncertainty residual below ``-hbar**2/4``: then ``G20*G02 - G11**2`` was
-    negative, which no state can have, so the integration has failed
-    whatever the tolerance allowed."""
-    warnings = []
+    """What ``main`` prints as ``warning:`` lines about a run: one line when
+    the run broke the bound ``G20*G02 - G11**2 >= 0``, which no state can
+    break. An order-3 run stops where the product turns negative (naming
+    the stop time); an order-2 run goes on, and a sampled uncertainty
+    residual below ``-hbar**2/4`` shows the integration failed whatever the
+    tolerance allowed."""
+    bound = "G20*G02 - G11**2 went negative, which no state can have"
     if traj.termination is Termination.CONSTRAINT_VIOLATED:
         # The stop event is the run's last event.
-        warnings.append(
-            f"stopped early at t = {traj.events[-1].t!r}: the uncertainty residual "
-            f"fell below -10 * atol (constraint_violated)"
-        )
+        return [f"{bound}: stopped at t = {traj.events[-1].t!r} (constraint_violated)"]
     residual_min = traj.stats.get("residual_min")
     if residual_min is not None and residual_min < -cfg.model.hbar * cfg.model.hbar / 4:
-        warnings.append(
-            f"the uncertainty residual reached {residual_min!r} at "
-            f"t = {traj.stats['t_residual_min']!r}, below -hbar**2/4: G20*G02 - G11**2 "
-            f"went negative, which no state can have (integration error)"
-        )
-    return warnings
+        return [
+            f"{bound}: the uncertainty residual reached {residual_min!r} at "
+            f"t = {traj.stats['t_residual_min']!r}, below -hbar**2/4 (integration error)"
+        ]
+    return []
 
 
 def run_simulate(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
@@ -596,8 +585,8 @@ def run_sweep(cfg: RunConfig, out_path: Optional[str] = None, workers: int = 1) 
 def run_surface(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
     """Integrate the reference trajectory, then tabulate the effective
     potential over the configured (t, q) grid with moments frozen per time
-    sample. The summary gets the reference run's ``_warnings`` when there
-    are any."""
+    sample. The summary gets the reference run's ``stats``, as a simulate
+    summary does, and its ``_warnings`` when there are any."""
     if cfg.surface is None:
         raise ConfigError("surface section is required for the surface command")
     traj = _trajectory(cfg)
@@ -616,7 +605,6 @@ def run_surface(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
         block[:, 1] = q_values
         block[:, 2] = effective_potential(q_values, state, cfg.model)
     table = table.reshape(-1, 3)
-    failed = traj.termination is Termination.STEP_FAILURE
     warnings = _warnings(cfg, traj)
     return _write(
         cfg, out_path, "surface", ["t", "q", "v_eff"], _float_lines(table),
@@ -624,7 +612,7 @@ def run_surface(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
         n_time_sections=len(sample_idx),
         termination=traj.termination.value,
         reference_energy_drift=traj.energy_drift,
-        **({"failure": traj.stats["failure"]} if failed else {}),
+        stats=traj.stats,
         **({"warnings": warnings} if warnings else {}),
     )
 
@@ -688,7 +676,6 @@ def _build_parser() -> argparse.ArgumentParser:
         return cmd
 
     add_run_command("simulate", "integrate a single trajectory")
-    add_run_command("classical", "integrate a single order-0 trajectory")
     sweep_cmd = add_run_command("sweep", "classify a family of trajectories")
     sweep_cmd.add_argument(
         "--workers", type=int, default=1,
@@ -712,9 +699,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       file=sys.stderr)
             return code
 
-        order_override = 0 if args.command == "classical" else args.order
-        cfg = load_config(args.config, order_override)
-        if args.command in ("simulate", "classical"):
+        cfg = load_config(args.config, args.order)
+        if args.command == "simulate":
             summary = run_simulate(cfg, args.out)
         elif args.command == "sweep":
             summary = run_sweep(cfg, args.out, workers=max(1, args.workers))
@@ -726,8 +712,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for warning in summary.get("warnings", ()):
         print(f"warning: {warning}", file=sys.stderr)
     if summary.get("termination") == Termination.STEP_FAILURE.value:
-        # simulate summaries keep the cause in their stats, surfaces at top level
-        cause = summary["stats"]["failure"] if "stats" in summary else summary["failure"]
+        cause = summary["stats"]["failure"]
         print(f"integration failed: step failure ({cause}); partial output written",
               file=sys.stderr)
         return 2

@@ -81,17 +81,12 @@ def state_variables(order: int) -> tuple[Union[str, Moment], ...]:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Physical model: potential, mass, hbar and the truncation order.
-
-    ``veff_third_moment`` controls whether the effective potential includes
-    the ``(1/6) V''' G30`` term at order 3 (the Hamiltonian always does).
-    """
+    """Physical model: potential, mass, hbar and the truncation order."""
 
     potential: BarrierPotential
     mass: float = 1.0
     hbar: float = 1.0
     order: int = 2
-    veff_third_moment: bool = True
 
     def __post_init__(self) -> None:
         if not self.mass > 0:
@@ -186,7 +181,7 @@ def rhs(state: MomentState, cfg: ModelConfig) -> np.ndarray:
 def _series(cfg: ModelConfig):
     """``f(y) -> [H_Q, V_eff]`` at the ``q`` of ``y``, from one jet."""
     pot = cfg.potential
-    return _series_kernel(cfg.order, cfg.veff_third_moment, pot.n)(pot.alpha, pot._a_2n, cfg.mass)
+    return _series_kernel(cfg.order, pot.n)(pot.alpha, pot._a_2n, cfg.mass)
 
 
 def effective_hamiltonian(state: MomentState, cfg: ModelConfig) -> float:
@@ -203,9 +198,9 @@ def effective_potential(q: float, state: MomentState, cfg: ModelConfig) -> float
     """Potential felt at position ``q`` given the (frozen) moments of ``state``.
 
     The effective Hamiltonian without its ``p`` terms: ``V(q) + G02/2m +
-    (1/2)V''(q)G20``, plus ``(1/6)V'''(q)G30`` at order 3 when the model keeps
-    that term. ``q`` may be an ndarray: one call then gives a whole section of
-    the time-dependent effective-potential surface.
+    (1/2)V''(q)G20``, plus ``(1/6)V'''(q)G30`` at order 3. ``q`` may be an
+    ndarray: one call then gives a whole section of the time-dependent
+    effective-potential surface.
     """
     row = _state_row(state, cfg)
     row[0] = q
@@ -307,13 +302,8 @@ def _rhs_kernel(order: int, table, n: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _series_kernel(order: int, veff_third_moment: bool, n: int):
-    # V_eff is the effective Hamiltonian without its p terms; without the
-    # third-moment term it is the order-2 expression.
-    veff_order = 2 if order == 3 and not veff_third_moment else order
+def _series_kernel(order: int, n: int):
+    # V_eff is the effective Hamiltonian without its p terms.
     hamiltonian = moment_algebra.hamiltonian_terms(order)
-    potential = MomentPolynomial({
-        t: c for t, c in moment_algebra.hamiltonian_terms(veff_order).items() if not t.p_power
-    })
-    name = "V_eff" if veff_order == order else "V_eff without G30"
-    return _compile(f"H_Q, {name}", order, n, [hamiltonian, potential])
+    potential = MomentPolynomial({t: c for t, c in hamiltonian.items() if not t.p_power})
+    return _compile("H_Q, V_eff", order, n, [hamiltonian, potential])

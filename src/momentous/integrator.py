@@ -36,8 +36,7 @@ Recorded along the way:
   ``(n, d)`` sample array;
 * events: momentum sign changes, crossings of caller-supplied position
   markers (classical return points), outbound escape, and, at order 3,
-  violation of the uncertainty constraint beyond ``-10 * atol`` (which
-  stops the run);
+  ``G20*G02 - G11**2`` turning negative, which no state can have (a stop);
 * per-sample series, computed block by block into preallocated arrays:
   effective Hamiltonian, effective potential at the mean position, and the
   uncertainty-product residual, whose minimum over the samples and its time
@@ -207,8 +206,10 @@ def row_blocks(n: int, columns: int):
     return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
-# The uncertainty residual as event source; ``{c0}`` is ``hbar**2/4``.
-_RESIDUAL = "{y2} * {y4} - {y3} * {y3} - {c0}"
+# The uncertainty product ``G20*G02 - G11**2`` as event source, and the
+# uncertainty residual, which subtracts ``{c0}`` = ``hbar**2/4`` from it.
+_PRODUCT = "{y2} * {y4} - {y3} * {y3}"
+_RESIDUAL = _PRODUCT + " - {c0}"
 # ``_residual(y, quarter)``: the residual of a state vector, or per sample of
 # the transposed ``(d, n)`` sample array.
 _residual = exec_source(
@@ -712,10 +713,11 @@ def _event_specs(
     model: ModelConfig, icfg: IntegratorConfig, mark_positions: Sequence[float]
 ) -> list[_EventSpec]:
     """The events of :func:`integrate`: momentum sign changes, crossings of
-    ``mark_positions``, outbound escape (a stop) and, at order 3, the
-    uncertainty residual falling below ``-10 * atol`` (a stop). Order 2
-    conserves the residual exactly, so a dip there is integration error,
-    which a stop would turn into tags that move with the tolerance."""
+    ``mark_positions``, outbound escape (a stop) and, at order 3,
+    ``G20*G02 - G11**2`` turning negative (a stop): no state can have that,
+    so where the stop falls is set by the physics, not by the tolerance.
+    Order 2 conserves the product exactly, so a dip there is integration
+    error, which a stop would turn into tags that move with the tolerance."""
     radius = (
         icfg.escape_radius
         if icfg.escape_radius is not None
@@ -739,9 +741,8 @@ def _event_specs(
     if model.order == 3:
         specs.append(
             _EventSpec(
-                _RESIDUAL + " - {c1}",  # below the floor -10 * atol
+                _PRODUCT,
                 kind="constraint",
-                values=(model.hbar * model.hbar / 4, -10.0 * icfg.atol),
                 stop=Termination.CONSTRAINT_VIOLATED,
                 direction=-1,
             )
@@ -758,8 +759,8 @@ def integrate(
     """Propagate ``init`` to ``t_max`` or an early stop.
 
     Early stops: outbound escape through ``|q| = escape_radius`` (default
-    ``ESCAPE_RADIUS_SCALE`` times the potential half-width), uncertainty
-    residual below ``-10 * atol`` (order 3), or a step failure, whose cause
+    ``ESCAPE_RADIUS_SCALE`` times the potential half-width), ``G20*G02 -
+    G11**2`` turning negative (order 3), or a step failure, whose cause
     ``stats["failure"]`` names: "nonfinite_start" (a non-finite first
     derivative or starting step; no step is attempted), "underflow" (step size
     below ``1e-14 * |t|``), "budget" (``max_steps`` attempts used) or "blowup"

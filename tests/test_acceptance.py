@@ -3,11 +3,9 @@
 Scenario constants used throughout: barrier alpha = a = 1, n = 4, incident
 energy 0.98, mass = hbar = 1. Third-order runs use the zero third-moment
 convention: under the skewed convention the uncertainty residual falls like
-t**3 and the run stops where it crosses the -10 * atol floor, at t = 0.0041
-(atol 1e-10) or t = 0.0789 (atol 1e-6) for sigma0 = 0.5, long before
-G20*G02 - G11**2 first goes negative (t of about 0.63-0.69 for sigma0 in
-[0.3, 1]), so no long skewed order-3 trajectory exists to measure (see
-README, "Practical note").
+t**3 and the run stops where G20*G02 - G11**2 turns negative, at t of about
+0.63-0.69 for sigma0 in [0.3, 1] at any atol, so no long skewed order-3
+trajectory exists to measure (see README, "Practical note").
 
 The three-outcome sweep cannot produce tunneling or trapping at the default
 sigma0 = 0.5 (every packet is pushed back outside the classical return

@@ -47,8 +47,7 @@ def scenario_raw(**overrides):
 
 
 ALL_FIELDS = {
-    "model": {"alpha": 1.5, "a": 1.2, "n": 3, "mass": 2.0, "hbar": 0.5, "order": 3,
-              "veff_third_moment": False},
+    "model": {"alpha": 1.5, "a": 1.2, "n": 3, "mass": 2.0, "hbar": 0.5, "order": 3},
     "packet": {"q0": -3.0, "energy": 0.6, "sigma0": 0.4, "third_moment_convention": "zero"},
     "integrator": {"rtol": 1e-9, "atol": 1e-8, "t_max": 5.0, "max_step": 0.05,
                    "escape_radius": 20.0, "sample_dt": 0.02},
@@ -56,7 +55,7 @@ ALL_FIELDS = {
     "sweep": {"parameter": "q0", "start": -3.5, "stop": -2.5, "count": 3, "fixed_energy": False},
     "surface": {"q": {"start": -2.0, "stop": 2.0, "count": 5},
                 "t": {"start": 0.0, "stop": 1.0, "count": 2}},
-    "output": {"path": "out/all", "format": "csv"},
+    "output": {"path": "out/all"},
 }
 
 GRID = {"start": -1.0, "stop": 1.0, "count": 3}
@@ -137,12 +136,9 @@ FIELD_ERRORS = [
                  id="model_alpha_must_be_a_number_not_a_boolean"),
     (faulty("model", n=4.0), "model.n must be an integer"),
     (faulty("model", order=True), "model.order must be an integer"),
-    pytest.param(faulty("model", veff_third_moment="yes"),
-                 "model.veff_third_moment must be a boolean",
-                 id="model_veff_third_moment_must_be_a_boolean_not_a_string"),
-    pytest.param(faulty("model", veff_third_moment=None),
-                 "model.veff_third_moment must be a boolean",
-                 id="model_veff_third_moment_must_be_a_boolean_not_null"),
+    # Settings of earlier releases that selected nothing.
+    (faulty("model", veff_third_moment=True),
+     "model.veff_third_moment is not a recognized field"),
     pytest.param(faulty("model", a=0.0), "model.a must be positive",
                  id="model_a_must_be_positive_not_zero"),
     pytest.param(faulty("model", a=-1.0), "model.a must be positive",
@@ -203,7 +199,7 @@ FIELD_ERRORS = [
                  id="output_path_must_be_a_non_empty_string_not_empty"),
     pytest.param(faulty("output", path=3), "output.path must be a non-empty string",
                  id="output_path_must_be_a_non_empty_string_not_a_string"),
-    (faulty("output", format="json"), "output.format must be 'csv'"),
+    (faulty("output", format="csv"), "output.format is not a recognized field"),
     (faulty("output", mode="w"), "output.mode is not a recognized field"),
 ]
 
@@ -335,10 +331,16 @@ def test_simulate_order0_schema(tmp_path):
     assert all(line.count(",") == 2 for line in lines[1:])
 
 
-def test_classical_command_and_order_override(tmp_path):
+def test_classical_command_and_order_override(tmp_path, capsys):
+    # An order-0 run is ``simulate --order 0``; the former ``classical``
+    # command, which ignored --order, is a usage error.
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(scenario_raw(output={"path": str(tmp_path / "d")})))
-    assert main(["classical", "--config", str(path)]) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(["classical", "--config", str(path)])
+    assert exit_info.value.code == 1
+    assert "invalid choice: 'classical'" in capsys.readouterr().err
+    assert main(["simulate", "--config", str(path), "--order", "0"]) == 0
     assert (tmp_path / "d.csv").read_text().splitlines()[0] == "t,q,p"
     assert main(["simulate", "--config", str(path), "--order", "3"]) == 0
     header = (tmp_path / "d.csv").read_text().splitlines()[0]
@@ -1012,42 +1014,6 @@ def test_a_failed_table_write_leaves_the_previous_files(tmp_path, monkeypatch):
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
-# Tables once went to two processes from 50,000 cells; they are written in
-# this one at any length, even where a split used to be forced.
-BELOW_SPLIT = (50_000 - 1) // len(TABLE_COLUMNS)  # rows; one more reaches 50,000 cells
-
-
-def float_table(n_rows):
-    """A float table of ``n_rows`` rows, its cells in every notation repr uses."""
-    scales = 10.0 ** np.arange(-12, 24, 4)  # one decade per column
-    return rng(n_rows).standard_normal((n_rows, len(TABLE_COLUMNS))) * scales
-
-
-@needs_fork
-@pytest.mark.parametrize("forced", [False, True], ids=["cut_off", "split_forced"])
-@pytest.mark.parametrize(
-    "n_rows", [0, 1, 7, BELOW_SPLIT, BELOW_SPLIT + 1],
-    ids=["empty", "one_row", "odd", "below_cut_off", "at_cut_off"],
-)
-def test_split_table_has_the_serial_bytes(tmp_path, monkeypatch, n_rows, forced):
-    # ``split_forced`` reports many CPUs, where the earlier writer split any
-    # table; the mixed and the float table each keep the serial bytes, and
-    # neither forks.
-    import momentous.cli as cli
-
-    forks = spy_forks(monkeypatch, cpus=64 if forced else 2)
-    fds = free_fds()
-    rows = table(n_rows)
-    floats = float_table(n_rows)
-    with time_bound(60):
-        assert (write_table(tmp_path, TABLE_COLUMNS, [cli._csv_lines(rows).encode()])
-                == serial_csv(TABLE_COLUMNS, rows))
-        assert (write_table(tmp_path, TABLE_COLUMNS, cli._float_lines(floats))
-                == serial_csv(TABLE_COLUMNS, floats.tolist()))
-    assert forks == []
-    assert_helper_gone(fds)
-
-
 @needs_fork
 def test_simulate_and_surface_fork_no_process(tmp_path, monkeypatch):
     # Both tables are long (over 50,000 cells); a table of any length is
@@ -1067,18 +1033,13 @@ def test_simulate_and_surface_fork_no_process(tmp_path, monkeypatch):
 
 
 @needs_fork
-@pytest.mark.parametrize("work", ["table", "sweep"])
-def test_a_split_table_with_a_live_thread_has_the_serial_bytes(tmp_path, monkeypatch, work):
+def test_a_pooled_sweep_with_a_live_thread_has_the_serial_bytes(tmp_path, monkeypatch):
     # From Python 3.12, os.fork in a process with more than one thread warns
     # (DeprecationWarning); CPython clears that warning even when warnings
-    # are errors, so the helpers go ahead. A long table forks nothing, a
-    # 3-process sweep two; the bytes must be the serial ones, with no helper
-    # left behind.
-    import momentous.cli as cli
-
+    # are errors, so the helpers go ahead. A 3-process sweep forks two; the
+    # bytes must be the serial ones, with no helper left behind.
     cfg = short_sweep(4)
     run_sweep(cfg, str(tmp_path / "serial"))
-    floats = float_table(BELOW_SPLIT + 1)
     forks = spy_forks(monkeypatch, cpus=3)
     fds = free_fds()
     release = threading.Event()
@@ -1087,18 +1048,12 @@ def test_a_split_table_with_a_live_thread_has_the_serial_bytes(tmp_path, monkeyp
     try:
         with warnings.catch_warnings(), time_bound(60):
             warnings.simplefilter("error")
-            if work == "table":
-                text = b"".join(cli._float_lines(floats))
-            else:
-                run_sweep(cfg, str(tmp_path / "pool"), workers=3)
+            run_sweep(cfg, str(tmp_path / "pool"), workers=3)
     finally:
         release.set()
         thread.join()
-    if work == "table":
-        assert text == serial_csv(TABLE_COLUMNS, floats.tolist()).split(b"\n", 1)[1]
-    else:
-        assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
-    assert len(forks) == (0 if work == "table" else 2)
+    assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert len(forks) == 2
     assert_helper_gone(fds)
 
 
@@ -1255,7 +1210,7 @@ def test_step_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "integration failed: step failure (budget)" in err
     assert "underflow" not in err
     assert (tmp_path / "g.csv").exists()
-    # A surface summary has no stats; it names the cause at top level.
+    # A surface summary carries its reference run's stats, as simulate's does.
     grid = {"start": -1.0, "stop": 1.0, "count": 3}
     surface_cfg = build_config(
         scenario_raw(surface={"q": grid, "t": grid}, output={"path": str(tmp_path / "h")})
@@ -1265,25 +1220,34 @@ def test_step_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["surface", "--config", str(path)]) == 2
     assert "integration failed: step failure (budget)" in capsys.readouterr().err
     summary = json.loads((tmp_path / "h.summary.json").read_text())
-    assert summary["failure"] == "budget"
+    assert summary["stats"]["failure"] == "budget"
+    assert "failure" not in summary
 
 
 def test_constraint_stop_warns_and_exits_zero(tmp_path, capsys):
-    # The order-3 skewed default stops at the uncertainty constraint: one
-    # stderr line and the same text in the summary; still exit 0.
+    # The order-3 skewed default stops where G20*G02 - G11**2 turns negative:
+    # exactly one stderr line and the same text in the summary; still exit 0.
+    # At atol 1e-8 the stop row's residual lands below -hbar**2/4 by
+    # roundoff, which must not add a second warning.
     stem = tmp_path / "skewed"
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(scenario_raw(model={"order": 3}, output={"path": str(stem)})))
-    assert main(["simulate", "--config", str(path)]) == 0
-    summary = json.loads(stem.with_suffix(".summary.json").read_text())
-    assert summary["termination"] == "constraint_violated"
-    stop = summary["events"][-1]
-    assert stop["kind"] == "constraint"
-    assert summary["warnings"] == [
-        f"stopped early at t = {stop['t']!r}: the uncertainty residual fell below "
-        "-10 * atol (constraint_violated)"
-    ]
-    assert capsys.readouterr().err == f"warning: {summary['warnings'][0]}\n"
+    for atol, below in ((1e-10, False), (1e-8, True)):
+        path.write_text(json.dumps(scenario_raw(
+            model={"order": 3}, integrator={"t_max": 20.0, "atol": atol},
+            output={"path": str(stem)},
+        )))
+        assert main(["simulate", "--config", str(path)]) == 0
+        summary = json.loads(stem.with_suffix(".summary.json").read_text())
+        assert summary["termination"] == "constraint_violated"
+        assert (summary["stats"]["residual_min"] < -0.25) is below
+        stop = summary["events"][-1]
+        assert stop["kind"] == "constraint"
+        assert 0.66 < stop["t"] < 0.68
+        assert summary["warnings"] == [
+            f"G20*G02 - G11**2 went negative, which no state can have: stopped at "
+            f"t = {stop['t']!r} (constraint_violated)"
+        ]
+        assert capsys.readouterr().err == f"warning: {summary['warnings'][0]}\n"
     # A run that is not stopped there has no warnings.
     path.write_text(json.dumps(scenario_raw(
         model={"order": 3}, packet={"q0": -2.5, "energy": 0.98, "sigma0": 0.5,
@@ -1313,9 +1277,9 @@ def test_a_negative_covariance_warns_and_exits_zero(tmp_path, capsys):
     stats = summary["stats"]
     assert stats["residual_min"] < -100
     assert summary["warnings"] == [
-        f"the uncertainty residual reached {stats['residual_min']!r} at "
-        f"t = {stats['t_residual_min']!r}, below -hbar**2/4: G20*G02 - G11**2 went "
-        "negative, which no state can have (integration error)"
+        f"G20*G02 - G11**2 went negative, which no state can have: the uncertainty "
+        f"residual reached {stats['residual_min']!r} at t = {stats['t_residual_min']!r}, "
+        "below -hbar**2/4 (integration error)"
     ]
     assert capsys.readouterr().err == f"warning: {summary['warnings'][0]}\n"
 

@@ -359,15 +359,20 @@ def test_effective_potential_examples():
     )
 
 
-def test_effective_potential_third_moment_switch():
+def test_effective_potential_has_the_g30_term():
+    # At order 3 V_eff adds (1/6) V''' G30 to the order-2 expression; the
+    # other third moments and the mean momentum add nothing.
     pot = BarrierPotential(alpha=1.0, a=1.0, n=4)
-    state = MomentState(
-        t=0.0, q=0.0, p=0.0, moments=(0.5, 0.0, 0.5, 0.2, 0.0, 0.0, 0.0)
-    )
-    with_term = ModelConfig(potential=pot, order=3)
-    without = ModelConfig(potential=pot, order=3, veff_third_moment=False)
+    cfg = ModelConfig(potential=pot, order=3)
+    second = (0.5, 0.1, 0.5)
+    without = MomentState(t=0.0, q=0.0, p=0.3, moments=second + (0.0, 0.3, -0.2, 0.4))
+    with_g30 = MomentState(t=0.0, q=0.0, p=0.3, moments=second + (0.2, 0.3, -0.2, 0.4))
+    order2 = MomentState(t=0.0, q=0.0, p=0.0, moments=second)
     q = 0.7
-    delta = effective_potential(q, state, with_term) - effective_potential(q, state, without)
+    assert effective_potential(q, without, cfg) == effective_potential(
+        q, order2, ModelConfig(potential=pot, order=2)
+    )
+    delta = effective_potential(q, with_g30, cfg) - effective_potential(q, without, cfg)
     assert delta == pytest.approx(pot.derivative(q, 3) * 0.2 / 6.0, rel=1e-12)
 
 

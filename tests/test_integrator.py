@@ -202,14 +202,24 @@ def test_constraint_violation_stops_skewed_third_order(barrier):
     packet = scenario_packet(barrier, -2.5, sigma0=0.5)
     init = initial_moments(packet, 3)  # skewed third moment
     model = ModelConfig(potential=barrier, order=3)
-    traj = integrate(init, model, tight_integrator())
-    assert traj.termination is Termination.CONSTRAINT_VIOLATED
-    assert traj.times[-1] < 1.0
-    # Flagged just past the tolerated band around the roundoff floor.
-    assert traj.uncertainty[-1] == pytest.approx(-10 * 1e-10, rel=1e-3)
-    assert np.all(np.diff(traj.times) > 0)
-    events = [e for e in traj.events if e.kind == "constraint"]
-    assert len(events) == 1 and events[0].direction == -1
+    stops = []
+    for atol in (1e-6, 1e-10):
+        traj = integrate(init, model, tight_integrator(atol=atol))
+        assert traj.termination is Termination.CONSTRAINT_VIOLATED
+        # Stopped where G20*G02 - G11**2 turns negative, so the residual is
+        # -hbar**2/4 (to roundoff) and no earlier sample is below it.
+        g20, g11, g02 = traj.states[-1, 2:5]
+        assert abs(g20 * g02 - g11 * g11) <= 1e-12
+        assert traj.uncertainty[-1] == pytest.approx(-0.25, abs=1e-12)
+        assert np.all(traj.uncertainty[:-1] > -0.25)
+        assert np.all(np.diff(traj.times) > 0)
+        events = [e for e in traj.events if e.kind == "constraint"]
+        assert len(events) == 1 and events[0].direction == -1
+        assert events[0].t == traj.times[-1]
+        stops.append(events[0].t)
+    # The physics sets the stop time, not the tolerance.
+    assert 0.66 < stops[0] < 0.68
+    assert stops[0] == pytest.approx(stops[1], abs=5e-7)
 
 
 def test_step_failure_on_blowup():
@@ -833,15 +843,11 @@ def test_series_lengths_and_order0_nan_residual(barrier):
     assert traj.v_eff[0] == pytest.approx(barrier(-3.0), rel=1e-15)
 
 
-@pytest.mark.parametrize(
-    "order,veff_third_moment", [(0, True), (2, True), (3, True), (3, False)]
-)
-def test_series_match_scalar_functions(barrier, order, veff_third_moment):
+@pytest.mark.parametrize("order", [0, 2, 3])
+def test_series_match_scalar_functions(barrier, order):
     # The array post-processing and the public scalar functions run one
     # compiled expression, so they agree bit for bit at every sample.
-    model = ModelConfig(
-        potential=barrier, order=order, veff_third_moment=veff_third_moment
-    )
+    model = ModelConfig(potential=barrier, order=order)
     packet = scenario_packet(barrier, -1.62, sigma0=0.3)
     if order == 0:
         init = MomentState(t=0.0, q=packet.q0, p=packet.p0, moments=())
@@ -916,10 +922,9 @@ from momentous.integrator import _event_specs, _loop
 pot = BarrierPotential(alpha=1.0, a=1.0, n=4)
 icfg = IntegratorConfig()
 for order, d in ((0, 2), (2, 5), (3, 9)):
-    for third in (True, False):
-        model = ModelConfig(potential=pot, order=order, veff_third_moment=third)
-        make_rhs(model)
-        _series(model)
+    model = ModelConfig(potential=pot, order=order)
+    make_rhs(model)
+    _series(model)
     for marks in ((), pot.turning_points(0.98)):
         specs = _event_specs(model, icfg, marks)
         for kept in (specs, [s for s in specs if s.kind != "constraint"]):
