@@ -9,10 +9,14 @@ points ``+-x`` widened by a margin:
   both require having approached within ``2x`` of the barrier center, which
   keeps the tags mirror-symmetric and rejects runs that never interacted;
 * ``TRAPPED``   -- still inside ``|q| < x + margin`` at the time horizon with
-  at least two momentum sign changes inside that window (the tag is
+  at least two momentum flips inside that window (the tag is
   horizon-relative: trapped particles leave eventually);
-* ``UNDETERMINED`` otherwise, including above-barrier runs and integrations
-  that stopped on a constraint violation or step failure.
+* ``UNDETERMINED`` otherwise, including runs at or above the barrier top
+  and integrations that stopped on a constraint violation or step failure.
+
+A momentum flip is a ``p_zero`` event of the trajectory, located by the
+integrator; the sampled momenta are not scanned, so a trajectory without
+events has no flips.
 
 An undetermined below-barrier run that stopped normally gives one reason of
 a fixed vocabulary, tested in this order: "inside the window with fewer than
@@ -69,24 +73,6 @@ class Outcome:
     evidence: Evidence
 
 
-def _momentum_flips(traj: Trajectory) -> list[tuple[float, float]]:
-    """(time, position) of momentum sign changes; integrator events when
-    available, otherwise sample-level sign flips (synthetic trajectories)."""
-    flips = [(e.t, e.state.q) for e in traj.events if e.kind == "p_zero"]
-    if flips:
-        return flips
-    p = traj.p
-    q = traj.q
-    t = traj.times
-    out = []
-    for i in range(len(p) - 1):
-        if p[i] == 0.0 or p[i] * p[i + 1] >= 0.0:
-            continue
-        w = p[i] / (p[i] - p[i + 1])
-        out.append((float(t[i] + w * (t[i + 1] - t[i])), float(q[i] + w * (q[i + 1] - q[i]))))
-    return out
-
-
 def classify(
     traj: Trajectory,
     pot: BarrierPotential,
@@ -134,8 +120,9 @@ def classify(
         exit_t = float(t[j])
         side = 1 if q[j] > 0 else -1
 
-    flips = _momentum_flips(traj)
-    flips_inside = sum(1 for _, fq in flips if abs(fq) < window)
+    flips_inside = sum(
+        1 for e in traj.events if e.kind == "p_zero" and abs(e.state.q) < window
+    )
 
     evidence = Evidence(
         barrier_entry_time=entry,

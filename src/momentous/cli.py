@@ -32,11 +32,11 @@ import orjson
 
 from . import moment_algebra
 from .classify import MARGIN_SCALE, Tag, classify
-from .dynamics import ModelConfig, MomentState, effective_potential, moment_labels
+from .dynamics import ModelConfig, effective_potential, moment_labels
 from .integrator import (
     ESCAPE_RADIUS_SCALE, IntegratorConfig, Termination, integrate, row_blocks,
 )
-from .packet import THIRD_MOMENT_CONVENTIONS, GaussianPacket, initial_moments
+from .packet import GaussianPacket, initial_moments
 from .potential import BarrierPotential
 
 __all__ = [
@@ -198,7 +198,9 @@ def build_config(raw: dict, order_override: Optional[int] = None) -> RunConfig:
     """Validate a raw (parsed JSON) mapping and resolve every default.
 
     ``_SCHEMA`` checks keys and types; the range rules of the model objects
-    live in their constructors. Here are only the rules no constructor owns.
+    live in their constructors, and the packet's third-moment convention
+    and moment overflow rules, at every order, in ``initial_moments``. Here
+    are only the rules no constructor owns.
     """
     _require(isinstance(raw, dict), "config root", "must be an object")
     sec = _section(raw, "config", _SCHEMA)
@@ -209,12 +211,6 @@ def build_config(raw: dict, order_override: Optional[int] = None) -> RunConfig:
         potential = BarrierPotential(alpha=m["alpha"], a=m["a"], n=m["n"])
         model = ModelConfig(potential=potential, mass=m["mass"], hbar=m["hbar"], order=m["order"])
 
-    convention = pk["third_moment_convention"]
-    _require(
-        convention in THIRD_MOMENT_CONVENTIONS,
-        "packet.third_moment_convention",
-        f"must be one of {list(THIRD_MOMENT_CONVENTIONS)}",
-    )
     q0, p0, energy, mass = pk["q0"], pk["p0"], pk["energy"], m["mass"]
     energy_given = energy is not None
     _require(p0 is not None or energy_given, "packet.p0", "or packet.energy is required")
@@ -239,13 +235,7 @@ def build_config(raw: dict, order_override: Optional[int] = None) -> RunConfig:
     with _owned_by("packet"):
         potential.energy_ratio(energy)
         packet = GaussianPacket(q0=q0, p0=p0, sigma0=pk["sigma0"], hbar=m["hbar"])
-        if model.order >= 2:
-            try:
-                initial_moments(packet, model.order, convention)
-            except (ArithmeticError, ValueError):  # overflow, or a moment of inf
-                raise ValueError(
-                    f"sigma0 = {packet.sigma0!r} gives initial moments outside the float range"
-                ) from None
+        initial_moments(packet, model.order, pk["third_moment_convention"])
 
     # Two lengths default to multiples of the half-width a.
     for section, key, scale in (
@@ -304,30 +294,29 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=True) + "\n").encode()
 
 
-def _initial_state(cfg: RunConfig):
-    if cfg.model.order == 0:
-        return MomentState(t=0.0, q=cfg.packet.q0, p=cfg.packet.p0, moments=())
-    convention = cfg.sections["packet"]["third_moment_convention"]
-    return initial_moments(cfg.packet, cfg.model.order, convention)
+def _return_points(cfg: RunConfig) -> tuple:
+    """The classical return points ``(-x, x)`` of an energy below the
+    barrier top, as ``classify`` draws that line; () at or above it."""
+    pot = cfg.model.potential
+    return pot.turning_points(cfg.energy) if pot.energy_ratio(cfg.energy) > 1.0 else ()
 
 
 def _trajectory(cfg: RunConfig):
-    """Integrate the configured packet, marking the classical return points
-    of a below-barrier energy."""
-    pot = cfg.model.potential
-    marks = pot.turning_points(cfg.energy) if pot.energy_ratio(cfg.energy) > 1.0 else ()
-    return integrate(_initial_state(cfg), cfg.model, cfg.integrator, marks)
+    """Integrate the configured packet, marking its ``_return_points``."""
+    init = initial_moments(
+        cfg.packet, cfg.model.order, cfg.sections["packet"]["third_moment_convention"]
+    )
+    return integrate(init, cfg.model, cfg.integrator, _return_points(cfg))
 
 
 def _derived_block(cfg: RunConfig) -> dict:
     pot = cfg.model.potential
-    ratio = pot.energy_ratio(cfg.energy)
-    turning = pot.turning_points(cfg.energy)[1] if ratio >= 1.0 else None
+    marks = _return_points(cfg)
     return {
         "barrier_height": pot.height,
         "energy": cfg.energy,
-        "energy_ratio": ratio,
-        "turning_point": turning,
+        "energy_ratio": pot.energy_ratio(cfg.energy),
+        "turning_point": marks[1] if marks else None,
         "p0": cfg.packet.p0,
         "escape_radius": cfg.integrator.escape_radius,
         "margin": cfg.margin,
@@ -495,7 +484,6 @@ SWEEP_COLUMNS = [
     "final_q",
     "final_p",
     "energy_drift",
-    "constraint_violated",
     "termination",
 ]
 
@@ -518,7 +506,7 @@ def _sweep_point(args) -> list:
         point = build_config({**raw, "packet": packet_raw})
     except ConfigError as exc:
         reason = f"error: {exc}".replace(",", ";").replace("\n", " ")
-        return [index, value, Tag.UNDETERMINED.value, "", "", "", 0, "", "", "", False, reason]
+        return [index, value, Tag.UNDETERMINED.value, "", "", "", 0, "", "", "", reason]
     traj = _trajectory(point)
     outcome = classify(traj, point.model.potential, point.energy, point.margin)
     ev = outcome.evidence
@@ -533,7 +521,6 @@ def _sweep_point(args) -> list:
         ev.final_q,
         ev.final_p,
         traj.energy_drift,
-        traj.termination is Termination.CONSTRAINT_VIOLATED,
         traj.termination.value,
     ]
     return ["" if v is None else v for v in row]

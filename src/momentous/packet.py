@@ -1,8 +1,10 @@
 """Gaussian wavepacket initial data for the moment system.
 
-A packet centered at (q0, p0) with position spread sigma0 induces second
-moments that saturate the uncertainty relation exactly:
-``G20 = sigma0**2``, ``G11 = 0``, ``G02 = (hbar / (2 sigma0))**2``.
+A packet centered at (q0, p0) with position spread sigma0 gives the
+initial state of every truncation order: the bare ``(q0, p0)`` at order 0;
+at orders 2 and 3 also second moments that saturate the uncertainty
+relation exactly: ``G20 = sigma0**2``, ``G11 = 0``,
+``G02 = (hbar / (2 sigma0))**2``.
 
 Third moments come in two conventions (see ``initial_moments``): the
 default "skewed" convention sets ``G03 = -hbar**2 p0 / sigma0**2`` with the
@@ -13,9 +15,11 @@ symmetric-packet value. Arithmetic is type-preserving, so exact
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .dynamics import MomentState
+from .moment_algebra import VALID_ORDERS
 
 __all__ = ["GaussianPacket", "InvalidOrder", "THIRD_MOMENT_CONVENTIONS", "initial_moments"]
 
@@ -23,7 +27,7 @@ THIRD_MOMENT_CONVENTIONS = ("skewed", "zero")
 
 
 class InvalidOrder(ValueError):
-    """Initial moments exist only for truncation orders 2 and 3."""
+    """Initial states exist only for the truncation orders 0, 2 and 3."""
 
 
 @dataclass(frozen=True)
@@ -45,25 +49,35 @@ class GaussianPacket:
 def initial_moments(
     packet: GaussianPacket, order: int, third_moment_convention: str = "skewed"
 ) -> MomentState:
-    """Moment state of the packet at t = 0 for a truncation order of 2 or 3.
+    """State of the packet at t = 0 for a truncation order of 0, 2 or 3.
 
-    The second moments saturate ``G20*G02 - G11**2 = hbar**2/4`` exactly.
+    The convention is checked at every order, before any arithmetic. The
+    second moments saturate ``G20*G02 - G11**2 = hbar**2/4`` exactly; a
+    moment outside the float range raises a ``ValueError`` naming sigma0.
     """
-    if order not in (2, 3):
-        raise InvalidOrder(f"truncation order must be 2 or 3, got {order}")
+    if order not in VALID_ORDERS:
+        raise InvalidOrder(f"truncation order must be 0, 2 or 3, got {order}")
     if third_moment_convention not in THIRD_MOMENT_CONVENTIONS:
         raise ValueError(
-            f"third_moment_convention must be one of {THIRD_MOMENT_CONVENTIONS}"
+            f"third_moment_convention must be one of {list(THIRD_MOMENT_CONVENTIONS)}"
         )
-    g20 = packet.sigma0 * packet.sigma0
-    g11 = 0 * packet.sigma0
-    g02 = (packet.hbar / (2 * packet.sigma0)) ** 2
-    moments = (g20, g11, g02)
-    if order == 3:
-        zero = 0 * packet.sigma0
-        if third_moment_convention == "skewed":
-            g03 = -(packet.hbar ** 2) * packet.p0 / packet.sigma0 ** 2
-        else:
-            g03 = zero
-        moments = moments + (zero, zero, zero, g03)
+    sigma0, hbar = packet.sigma0, packet.hbar
+    zero = 0 * sigma0
+    moments = ()
+    try:
+        if order >= 2:
+            moments = (sigma0 * sigma0, zero, (hbar / (2 * sigma0)) ** 2)
+        if order == 3:
+            if third_moment_convention == "skewed":
+                g03 = -(hbar ** 2) * packet.p0 / sigma0 ** 2
+            else:
+                g03 = zero
+            moments += (zero, zero, zero, g03)
+        finite = all(math.isfinite(g) for g in moments)
+    except ArithmeticError:  # a power beyond the float range, or sigma0**2 = 0
+        finite = False
+    if not finite:
+        raise ValueError(
+            f"sigma0 = {sigma0!r} gives initial moments outside the float range"
+        )
     return MomentState(t=0.0, q=packet.q0, p=packet.p0, moments=moments)

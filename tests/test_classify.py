@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,12 +16,12 @@ from momentous import (
     initial_moments,
     integrate,
 )
-from momentous.integrator import Trajectory
+from momentous.integrator import Event, Trajectory
 
 from conftest import rng, scenario_packet, tight_integrator
 
 
-def make_synthetic(barrier, times, q, p, termination=Termination.REACHED_TMAX):
+def make_synthetic(barrier, times, q, p, termination=Termination.REACHED_TMAX, events=()):
     times = np.asarray(times, dtype=float)
     states = np.column_stack([q, p])
     n = len(times)
@@ -33,7 +34,14 @@ def make_synthetic(barrier, times, q, p, termination=Termination.REACHED_TMAX):
         v_eff=np.zeros(n),
         uncertainty=np.full(n, np.nan),
         termination=termination,
+        events=tuple(events),
     )
+
+
+def p_zero(t, q, direction):
+    """A momentum flip as the integrator records it."""
+    return Event(t=t, kind="p_zero", direction=direction,
+                 state=MomentState(t=t, q=q, p=0.0, moments=()))
 
 
 def test_classical_reflection_tagged(barrier):
@@ -60,21 +68,46 @@ def test_synthetic_monotone_crossing_is_tunneled(barrier):
     assert outcome.evidence.barrier_exit_side == 1
 
 
-def test_synthetic_trapped_needs_two_flips(barrier):
-    x = barrier.turning_points(0.98)[1]
+def oscillation_inside(barrier):
+    """Samples of an oscillation deep inside the window, q = A sin(2 pi t),
+    and its 16 momentum flips at t = 1/4, 3/4, ..., alternately at q = A, -A."""
+    amplitude = 0.4 * barrier.turning_points(0.98)[1]
     t = np.linspace(0, 8, 401)
-    q = 0.4 * x * np.sin(2 * np.pi * t)  # oscillates deep inside
-    p = 0.4 * x * 2 * np.pi * np.cos(2 * np.pi * t)
-    traj = make_synthetic(barrier, t, q, p)
+    q = amplitude * np.sin(2 * np.pi * t)
+    p = amplitude * 2 * np.pi * np.cos(2 * np.pi * t)
+    flips = [p_zero(0.25 + k / 2, amplitude * (-1) ** k, (-1) ** (k + 1)) for k in range(16)]
+    return t, q, p, flips
+
+
+def test_synthetic_trapped_needs_two_flips(barrier):
+    t, q, p, flips = oscillation_inside(barrier)
+    traj = make_synthetic(barrier, t, q, p, events=flips)
     outcome = classify(traj, barrier, 0.98)
     assert outcome.tag is Tag.TRAPPED
-    assert outcome.evidence.sign_changes_inside >= 2
+    assert outcome.evidence.sign_changes_inside == 16
     # A single turnaround inside is not trapping.
+    x = barrier.turning_points(0.98)[1]
     t1 = np.linspace(0, 1, 101)
     q1 = 0.4 * x * np.sin(0.5 * np.pi * t1)
     p1 = np.cos(0.5 * np.pi * t1)
-    single = make_synthetic(barrier, t1, q1, p1)
-    assert classify(single, barrier, 0.98).tag is Tag.UNDETERMINED
+    single = make_synthetic(barrier, t1, q1, p1, events=[p_zero(1.0, 0.4 * x, -1)])
+    outcome = classify(single, barrier, 0.98)
+    assert outcome.tag is Tag.UNDETERMINED
+    assert outcome.evidence.sign_changes_inside == 1
+
+
+def test_sampled_sign_changes_are_not_flips(barrier):
+    # The momentum samples change sign 16 times, but only the integrator's
+    # p_zero events count: with none (a q_cross event is not a flip) there
+    # are no flips, and the oscillation is not trapped.
+    t, q, p, flips = oscillation_inside(barrier)
+    assert np.count_nonzero(p[:-1] * p[1:] < 0) == 16
+    cross = replace(flips[0], kind="q_cross", marker=float(flips[0].state.q))
+    for events in ((), (cross,)):
+        outcome = classify(make_synthetic(barrier, t, q, p, events=events), barrier, 0.98)
+        assert outcome.evidence.sign_changes_inside == 0
+        assert outcome.tag is Tag.UNDETERMINED
+        assert outcome.evidence.reason == "inside the window with fewer than two momentum flips"
 
 
 def test_above_barrier_undetermined(barrier):
@@ -176,6 +209,14 @@ def test_classical_limit_random_inbound(barrier):
     assert x_max < 2.0  # sanity: the sampled starts sit outside 2x
 
 
+def mirror(event):
+    """The event of the mirror-image run: q -> -q, p -> -p, so each event
+    function crosses zero the other way."""
+    state = replace(event.state, q=-event.state.q, p=-event.state.p)
+    marker = None if event.marker is None else -event.marker
+    return replace(event, direction=-event.direction, state=state, marker=marker)
+
+
 def test_mirror_symmetry_swaps_reflected_and_tunneled(barrier):
     energy = 0.98
     model = ModelConfig(potential=barrier, order=2)
@@ -194,8 +235,10 @@ def test_mirror_symmetry_swaps_reflected_and_tunneled(barrier):
             v_eff=traj.v_eff,
             uncertainty=traj.uncertainty,
             termination=traj.termination,
+            events=tuple(mirror(e) for e in traj.events),
         )
         swapped = classify(mirrored, barrier, energy)
+        assert swapped.evidence.sign_changes_inside == outcome.evidence.sign_changes_inside
         expected = {
             Tag.REFLECTED: Tag.TUNNELED,
             Tag.TUNNELED: Tag.REFLECTED,

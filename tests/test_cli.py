@@ -20,8 +20,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import momentous.dynamics as dynamics
 from conftest import rng
-from momentous import BarrierPotential
+from momentous import BarrierPotential, GaussianPacket, initial_moments
 from momentous.cli import (
+    SWEEP_COLUMNS,
     ConfigError,
     build_config,
     main,
@@ -166,6 +167,10 @@ FIELD_ERRORS = [
      "packet.p0 must be finite"),
     (faulty("packet", third_moment_convention="odd"),
      "packet.third_moment_convention must be one of ['skewed', 'zero']"),
+    # An order-0 run forms no moments, but its convention is checked all the same.
+    pytest.param({**faulty("packet", third_moment_convention="odd"), "model": {"order": 0}},
+                 "packet.third_moment_convention must be one of ['skewed', 'zero']",
+                 id="packet_third_moment_convention_is_checked_at_order_0"),
     (faulty("integrator", order=5), "integrator.order is not a recognized field"),
     (faulty("integrator", rtol=0.0), "integrator.rtol must be positive"),
     (faulty("integrator", atol=-1e-10), "integrator.atol must be positive"),
@@ -264,6 +269,19 @@ def test_main_rejects_config_without_traceback(tmp_path, capsys, config_text, me
     assert not (tmp_path / "run.csv").exists()
 
 
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("sigma0", [1e160, 1e-170])
+def test_the_cli_prints_the_overflow_message_of_initial_moments(tmp_path, capsys, sigma0, order):
+    # The rule lives in initial_moments; the CLI only puts its section in front.
+    with pytest.raises(ValueError) as info:
+        initial_moments(GaussianPacket(q0=-3.0, p0=1.0, sigma0=sigma0), order)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"model": {"order": order},
+                                "packet": {"q0": -3.0, "p0": 1.0, "sigma0": sigma0}}))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"config error: packet.{info.value}\n"
+
+
 @pytest.mark.parametrize(
     "content", [b"\xff\xfe{}", b"[" * 100_000], ids=["not_utf8", "nested_too_deep"]
 )
@@ -283,6 +301,12 @@ def test_readme_example_config_builds_and_roundtrips():
     cfg = build_config(json.loads(example))
     assert cfg.sweep["count"] == 151 and cfg.surface["q"]["count"] == 201
     assert build_config(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+
+def test_readme_sweep_columns_are_the_written_ones():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (listed,) = re.findall(r"`sweep`: one row per point, in sweep order:\s*`([^`]*)`", readme)
+    assert re.sub(r"\s+", "", listed).split(",") == SWEEP_COLUMNS
 
 
 def test_far_packet_is_a_step_failure_not_a_crash(tmp_path, capsys, recwarn):
@@ -404,7 +428,7 @@ def test_sweep_degenerate_matches_simulate(tmp_path):
     assert fields[2] == sim["outcome"]["tag"]
     assert float(fields[7]) == pytest.approx(sim["outcome"]["final_q"], rel=1e-12)
     assert float(fields[8]) == pytest.approx(sim["outcome"]["final_p"], rel=1e-12)
-    assert fields[11] == sim["termination"]
+    assert fields[10] == sim["termination"]
 
 
 def test_sweep_above_barrier_all_undetermined(tmp_path):
@@ -419,6 +443,19 @@ def test_sweep_above_barrier_all_undetermined(tmp_path):
     assert summary["outcome_counts"] == {"undetermined": 5}
     rows = (tmp_path / "u.csv").read_text().splitlines()[1:]
     assert all(row.split(",")[2] == "undetermined" for row in rows)
+
+
+def test_an_energy_at_the_barrier_top_has_no_return_point(tmp_path):
+    # E = V0: classify calls it at or above the top, so the summary gives no
+    # return point and the run marks none.
+    summary = run_simulate(
+        build_config(scenario_raw(packet={"q0": -2.5, "energy": 1.0}, integrator={"t_max": 2.0})),
+        str(tmp_path / "top"),
+    )
+    assert summary["derived"]["energy_ratio"] == 1.0
+    assert summary["derived"]["turning_point"] is None
+    assert summary["outcome"]["reason"] == "energy at or above the barrier top"
+    assert "q_cross" not in {event["kind"] for event in summary["events"]}
 
 
 # Pooled sweeps hand work to helpers forked from this process
@@ -542,7 +579,7 @@ def patched_points(monkeypatch, point, cpus):
 
 
 def fake_row(index, value, termination="reached_tmax"):
-    return [index, value, "reflected", "", "", "", 0, "", "", "", False, termination]
+    return [index, value, "reflected", "", "", "", 0, "", "", "", termination]
 
 
 @needs_fork
@@ -721,7 +758,7 @@ def test_acceptance_sweep_tags_hold_at_a_loose_tolerance(tmp_path):
         "reflected": 16, "tunneled": 3, "trapped": 3, "undetermined": 129,
     }
     rows = (tmp_path / "loose.csv").read_text().splitlines()[1:]
-    assert {row.split(",", 10)[10] for row in rows} == {"False,reached_tmax"}
+    assert {row.split(",")[10] for row in rows} == {"reached_tmax"}
 
 
 @needs_fork
@@ -746,7 +783,7 @@ def test_sweep_pool_claims_every_point_once_in_order(tmp_path, monkeypatch):
     rows = [line.split(",") for line in (tmp_path / "stress.csv").read_text().splitlines()[1:]]
     assert [row[0] for row in rows] == [str(i) for i in range(count)]
     assert [row[1] for row in rows] == [str(v) for v in np.linspace(-3.0, -2.0, count).tolist()]
-    assert len({row[11] for row in rows}) > 1  # more than one process claimed
+    assert len({row[10] for row in rows}) > 1  # more than one process claimed
 
 
 # Rows of floats are written by orjson, except rows with a cell where its
@@ -1343,11 +1380,11 @@ def test_a_sweep_over_an_overflowing_sigma0_gets_an_error_row(tmp_path, start, s
     run_sweep(build_config(raw), str(tmp_path / "s"))
     rows = [line.split(",") for line in (tmp_path / "s.csv").read_text().splitlines()[1:]]
     assert rows[bad][2] == "undetermined"
-    assert rows[bad][11] == (
+    assert rows[bad][10] == (
         f"error: packet.sigma0 = {(start, stop)[bad]!r} gives initial moments outside the "
         "float range"
     )
-    assert rows[1 - bad][11] == "reached_tmax"
+    assert rows[1 - bad][10] == "reached_tmax"
 
 
 def test_nonfinite_start_exit_code(tmp_path, monkeypatch, capsys):
@@ -1378,8 +1415,8 @@ def test_sweep_point_errors_become_rows_but_bugs_propagate(tmp_path, monkeypatch
     run_sweep(build_config(raw), str(tmp_path / "cfgerr"))
     rows = [line.split(",") for line in (tmp_path / "cfgerr.csv").read_text().splitlines()[1:]]
     assert rows[0][2] == "undetermined"
-    assert rows[0][11].startswith("error: packet.sigma0")
-    assert not rows[1][11].startswith("error:")
+    assert rows[0][10].startswith("error: packet.sigma0")
+    assert not rows[1][10].startswith("error:")
 
     # So is a slow packet in a well, whose energy is not positive.
     well = scenario_raw(
@@ -1390,8 +1427,8 @@ def test_sweep_point_errors_become_rows_but_bugs_propagate(tmp_path, monkeypatch
     )
     run_sweep(build_config(well), str(tmp_path / "well"))
     rows = [line.split(",") for line in (tmp_path / "well.csv").read_text().splitlines()[1:]]
-    assert rows[0][11] == "error: packet.energy must be positive"
-    assert rows[1][11] == "reached_tmax"
+    assert rows[0][10] == "error: packet.energy must be positive"
+    assert rows[1][10] == "reached_tmax"
 
     # A plain ValueError is a defect, not a sweep outcome: it must propagate.
     def broken(*args, **kwargs):

@@ -56,11 +56,19 @@ def test_spread_scaling():
     assert a.moments[0] * a.moments[2] == b.moments[0] * b.moments[2]
 
 
+def test_order0_is_the_bare_mean_state():
+    state = initial_moments(GaussianPacket(q0=-5.0, p0=1.0, sigma0=1.0), 0)
+    assert (state.t, state.q, state.p, state.moments) == (0.0, -5.0, 1.0, ())
+    assert state.order == 0
+    # No moment is formed at order 0, so no spread overflows.
+    assert initial_moments(GaussianPacket(q0=-5.0, p0=1.0, sigma0=1e160), 0).moments == ()
+
+
 def test_validation():
     with pytest.raises(InvalidOrder):
         initial_moments(GaussianPacket(q0=0, p0=0, sigma0=1.0), 4)
     with pytest.raises(InvalidOrder):
-        initial_moments(GaussianPacket(q0=0, p0=0, sigma0=1.0), 0)
+        initial_moments(GaussianPacket(q0=0, p0=0, sigma0=1.0), 1)
     with pytest.raises(ValueError):
         GaussianPacket(q0=0, p0=0, sigma0=0.0)
     with pytest.raises(ValueError):
@@ -69,3 +77,11 @@ def test_validation():
         initial_moments(
             GaussianPacket(q0=0, p0=0, sigma0=1.0), 3, third_moment_convention="flat"
         )
+
+
+@pytest.mark.parametrize("order", [0, 2, 3])
+def test_the_convention_is_checked_at_every_order(order):
+    with pytest.raises(ValueError) as info:
+        initial_moments(GaussianPacket(q0=0, p0=0, sigma0=1.0), order, "odd")
+    assert str(info.value) == "third_moment_convention must be one of ['skewed', 'zero']"
+
