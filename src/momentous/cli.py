@@ -424,24 +424,17 @@ def _write(cfg: RunConfig, out_path: Optional[str], kind: str, columns, lines,
     return summary
 
 
-def _warnings(cfg: RunConfig, traj) -> list:
+def _warnings(traj) -> list:
     """What ``main`` prints as ``warning:`` lines about a run: one line when
-    the run broke the bound ``G20*G02 - G11**2 >= 0``, which no state can
-    break. An order-3 run stops where the product turns negative (naming
-    the stop time); an order-2 run goes on, and a sampled uncertainty
-    residual below ``-hbar**2/4`` shows the integration failed whatever the
-    tolerance allowed."""
-    bound = "G20*G02 - G11**2 went negative, which no state can have"
-    if traj.termination is Termination.CONSTRAINT_VIOLATED:
-        # The stop event is the run's last event.
-        return [f"{bound}: stopped at t = {traj.events[-1].t!r} (constraint_violated)"]
-    residual_min = traj.stats.get("residual_min")
-    if residual_min is not None and residual_min < -cfg.model.hbar * cfg.model.hbar / 4:
-        return [
-            f"{bound}: the uncertainty residual reached {residual_min!r} at "
-            f"t = {traj.stats['t_residual_min']!r}, below -hbar**2/4 (integration error)"
-        ]
-    return []
+    the run stopped where ``G20*G02 - G11**2`` turned negative, which no
+    state can have, naming the stop time."""
+    if traj.termination is not Termination.CONSTRAINT_VIOLATED:
+        return []
+    # The stop event is the run's last event.
+    return [
+        "G20*G02 - G11**2 went negative, which no state can have: "
+        f"stopped at t = {traj.events[-1].t!r} (constraint_violated)"
+    ]
 
 
 def run_simulate(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
@@ -452,7 +445,7 @@ def run_simulate(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
     """
     traj = _trajectory(cfg)
     outcome = classify(traj, cfg.model.potential, cfg.energy, cfg.margin)
-    warnings = _warnings(cfg, traj)
+    warnings = _warnings(traj)
     columns = ["t", "q", "p"]
     series = [traj.times[:, None], traj.states]
     if cfg.model.order >= 2:
@@ -488,10 +481,13 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_point(args) -> list:
-    """Run one sweep point, a ``(resolved config dict, index, value)`` job.
-    A point whose config is invalid (``build_config`` also rejects a packet
-    energy <= 0) gives an ``error:`` row; any other exception propagates."""
+def _sweep_point(args) -> dict:
+    """Run one sweep point, a ``(resolved config dict, index, value)`` job;
+    return its cells, keyed by ``SWEEP_COLUMNS`` in their order, with
+    ``""`` for a missing value. A point whose config is invalid
+    (``build_config`` also rejects a packet energy <= 0) gives an ``error:``
+    row: undetermined, no sign change, the error as its termination and no
+    other value. Any other exception propagates."""
     raw, index, value = args
     cfg = build_config(raw)
     parameter = cfg.sweep["parameter"]
@@ -502,28 +498,23 @@ def _sweep_point(args) -> list:
         del packet_raw["energy"]
     elif parameter == "q0":
         del packet_raw["p0"]
+    cells = {"index": index, "value": value, "outcome": Tag.UNDETERMINED.value,
+             "sign_changes_inside": 0}
     try:
         point = build_config({**raw, "packet": packet_raw})
     except ConfigError as exc:
-        reason = f"error: {exc}".replace(",", ";").replace("\n", " ")
-        return [index, value, Tag.UNDETERMINED.value, "", "", "", 0, "", "", "", reason]
-    traj = _trajectory(point)
-    outcome = classify(traj, point.model.potential, point.energy, point.margin)
-    ev = outcome.evidence
-    row = [
-        index,
-        value,
-        outcome.tag.value,
-        ev.barrier_entry_time,
-        ev.barrier_exit_time,
-        ev.barrier_exit_side,
-        ev.sign_changes_inside,
-        ev.final_q,
-        ev.final_p,
-        traj.energy_drift,
-        traj.termination.value,
-    ]
-    return ["" if v is None else v for v in row]
+        cells["termination"] = f"error: {exc}".replace(",", ";").replace("\n", " ")
+    else:
+        traj = _trajectory(point)
+        outcome = classify(traj, point.model.potential, point.energy, point.margin)
+        cells.update(
+            asdict(outcome.evidence),
+            outcome=outcome.tag.value,
+            energy_drift=traj.energy_drift,
+            termination=traj.termination.value,
+        )
+    return {column: "" if cells.get(column) is None else cells[column]
+            for column in SWEEP_COLUMNS}
 
 
 def _stride(jobs, k: int, n: int) -> list:
@@ -562,10 +553,11 @@ def run_sweep(cfg: RunConfig, out_path: Optional[str] = None, workers: int = 1) 
     for pairs in returned:
         done.update(pairs or ())
     rows = [done[i] if i in done else _sweep_point(job) for i, job in enumerate(jobs)]
+    cells = [[row[column] for column in SWEEP_COLUMNS] for row in rows]
     return _write(
-        cfg, out_path, "sweep", SWEEP_COLUMNS, [_csv_lines(rows).encode()],
+        cfg, out_path, "sweep", SWEEP_COLUMNS, [_csv_lines(cells).encode()],
         n_rows=len(rows),
-        outcome_counts=Counter(row[2] for row in rows),
+        outcome_counts=Counter(row["outcome"] for row in rows),
     )
 
 
@@ -592,7 +584,7 @@ def run_surface(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
         block[:, 1] = q_values
         block[:, 2] = effective_potential(q_values, state, cfg.model)
     table = table.reshape(-1, 3)
-    warnings = _warnings(cfg, traj)
+    warnings = _warnings(traj)
     return _write(
         cfg, out_path, "surface", ["t", "q", "v_eff"], _float_lines(table),
         n_rows=len(table),

@@ -35,8 +35,8 @@ Recorded along the way:
   order, block by block (:func:`row_blocks`), into the preallocated
   ``(n, d)`` sample array;
 * events: momentum sign changes, crossings of caller-supplied position
-  markers (classical return points), outbound escape, and, at order 3,
-  ``G20*G02 - G11**2`` turning negative, which no state can have (a stop);
+  markers (classical return points), outbound escape, and, at orders 2 and
+  3, ``G20*G02 - G11**2`` turning negative, which no state can have (a stop);
 * per-sample series, computed block by block into preallocated arrays:
   effective Hamiltonian, effective potential at the mean position, and the
   uncertainty-product residual, whose minimum over the samples and its time
@@ -417,7 +417,11 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
         "n_steps = 0", "n_error = 0  # rejected for err > 1",
         "n_nonfinite = 0  # rejected for a non-finite stage, update or err",
         "h_min = inf", "h_max = 0.0", "stop = None",
-        "a = abs(t_end)", "close = 1e-12 * (a if a > 1.0 else 1.0)",
+        # The horizon is met within 1e-12 of the span, or within the
+        # smallest step the underflow guard allows at t_end (at least the
+        # float spacing of t_end), so a step that ends a few ulps short of
+        # it ends the run instead of failing.
+        "close = max(1e-12 * max(t_end - t0, 1.0), 1e-14 * max(abs(t_end), 1.0))",
         "slack = 1e-9 * sample_dt")
 
     put(1, "while failure is None and t_end - t > close:")
@@ -593,14 +597,16 @@ def _dense_rows(rec, coeffs, d: int, t0: float, sample_dt: float):
 
     One stable sort by time merges an event step's event rows, which come
     first in ``rec``, with its grid rows; on a tie the event stays first. Then
-    a row within ``1e-12 * max(|t|, 1)`` of the last row kept is dropped. The
-    sorted times never decrease, so a row kept against the row before it is
-    kept against the last kept row too; only a chain of dropped rows needs the
-    test in turn. The rows' times, the sort and the drop rule work on 1-D
-    arrays over all rows, so no rule crosses a block boundary. Every time is
-    the loop's Python expression, and the interpolant is evaluated in the
-    loop's operation order on blocks of :func:`row_blocks` rows, in place in
-    the preallocated ``(n, d)`` states, so every bit is that of a per-row
+    a row within ``1e-12 * max(t - t0, 1)`` of the last row kept is dropped:
+    the window grows with the elapsed time, not with ``|t|``, so a run's rows
+    do not depend on where its clock starts. The sorted times never
+    decrease, so a row kept against the row before it is kept against the
+    last kept row too; only a chain of dropped rows needs the test in turn.
+    The rows' times, the sort and the drop rule work on 1-D arrays over all
+    rows, so no rule crosses a block boundary. Every time is the loop's
+    Python expression, and the interpolant is evaluated in the loop's
+    operation order on blocks of :func:`row_blocks` rows, in place in the
+    preallocated ``(n, d)`` states, so every bit is that of a per-row
     evaluation and no temporary holds more than one block. numpy's float
     warnings are off, as Python floats raise none.
     """
@@ -630,7 +636,7 @@ def _dense_rows(rec, coeffs, d: int, t0: float, sample_dt: float):
     del order
 
     later = times[1:]
-    tol = np.abs(later)
+    tol = later - t0
     np.maximum(tol, 1.0, out=tol)
     tol *= 1e-12
     drop = []
@@ -638,7 +644,7 @@ def _dense_rows(rec, coeffs, d: int, t0: float, sample_dt: float):
         j += 1
         if drop and drop[-1] == j - 1:  # test against the last kept row
             t = times[j]
-            a = abs(t)
+            a = t - t0
             if t - kept > 1e-12 * (a if a > 1.0 else 1.0):
                 kept = t
                 continue
@@ -713,11 +719,11 @@ def _event_specs(
     model: ModelConfig, icfg: IntegratorConfig, mark_positions: Sequence[float]
 ) -> list[_EventSpec]:
     """The events of :func:`integrate`: momentum sign changes, crossings of
-    ``mark_positions``, outbound escape (a stop) and, at order 3,
+    ``mark_positions``, outbound escape (a stop) and, at orders 2 and 3,
     ``G20*G02 - G11**2`` turning negative (a stop): no state can have that,
-    so where the stop falls is set by the physics, not by the tolerance.
-    Order 2 conserves the product exactly, so a dip there is integration
-    error, which a stop would turn into tags that move with the tolerance."""
+    so past it the moments describe no packet. Order 2 conserves the
+    product, which then falls through zero only where the moments have
+    grown so far that ``hbar**2/4`` is lost in their rounding."""
     radius = (
         icfg.escape_radius
         if icfg.escape_radius is not None
@@ -738,7 +744,7 @@ def _event_specs(
             direction=1,
         )
     )
-    if model.order == 3:
+    if model.order >= 2:
         specs.append(
             _EventSpec(
                 _PRODUCT,
@@ -760,7 +766,7 @@ def integrate(
 
     Early stops: outbound escape through ``|q| = escape_radius`` (default
     ``ESCAPE_RADIUS_SCALE`` times the potential half-width), ``G20*G02 -
-    G11**2`` turning negative (order 3), or a step failure, whose cause
+    G11**2`` turning negative (orders 2 and 3), or a step failure, whose cause
     ``stats["failure"]`` names: "nonfinite_start" (a non-finite first
     derivative or starting step; no step is attempted), "underflow" (step size
     below ``1e-14 * |t|``), "budget" (``max_steps`` attempts used) or "blowup"

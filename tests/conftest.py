@@ -262,11 +262,12 @@ def reference_integrate(f, t0, y0, icfg, specs=()):
     termination = Termination.REACHED_TMAX if failure is None else Termination.STEP_FAILURE
 
     def record(tr, yr):
-        if tr - times[-1] > 1e-12 * max(1.0, abs(tr)):
+        if tr - times[-1] > 1e-12 * max(1.0, tr - t0):
             times.append(tr)
             states.append(yr)
 
-    while failure is None and t_end - t > 1e-12 * max(1.0, abs(t_end)):
+    close = max(1e-12 * max(1.0, t_end - t0), 1e-14 * max(1.0, abs(t_end)))
+    while failure is None and t_end - t > close:
         h = min(h, max_step)
         landing = h > t_end - t
         if landing:

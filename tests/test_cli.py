@@ -35,6 +35,12 @@ from momentous.integrator import BLOCK_CELLS
 from momentous.moment_algebra import MomentPolynomial
 
 
+def sweep_table(path):
+    """The rows of a sweep CSV as mappings from header name to cell."""
+    header, *lines = Path(path).read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
 def scenario_raw(**overrides):
     raw = {
         "model": {"alpha": 1.0, "a": 1.0, "n": 4, "order": 2},
@@ -421,14 +427,12 @@ def test_sweep_degenerate_matches_simulate(tmp_path):
     raw = scenario_raw(sweep={"parameter": "q0", "start": -2.5, "stop": -2.5, "count": 1})
     cfg = build_config(raw)
     run_sweep(cfg, str(tmp_path / "s"))
-    rows = (tmp_path / "s.csv").read_text().splitlines()
-    assert len(rows) == 2
+    [row] = sweep_table(tmp_path / "s.csv")
     sim = run_simulate(build_config(scenario_raw()), str(tmp_path / "t"))
-    fields = rows[1].split(",")
-    assert fields[2] == sim["outcome"]["tag"]
-    assert float(fields[7]) == pytest.approx(sim["outcome"]["final_q"], rel=1e-12)
-    assert float(fields[8]) == pytest.approx(sim["outcome"]["final_p"], rel=1e-12)
-    assert fields[10] == sim["termination"]
+    assert row["outcome"] == sim["outcome"]["tag"]
+    assert float(row["final_q"]) == pytest.approx(sim["outcome"]["final_q"], rel=1e-12)
+    assert float(row["final_p"]) == pytest.approx(sim["outcome"]["final_p"], rel=1e-12)
+    assert row["termination"] == sim["termination"]
 
 
 def test_sweep_above_barrier_all_undetermined(tmp_path):
@@ -441,8 +445,7 @@ def test_sweep_above_barrier_all_undetermined(tmp_path):
     cfg = build_config(raw)
     summary = run_sweep(cfg, str(tmp_path / "u"))
     assert summary["outcome_counts"] == {"undetermined": 5}
-    rows = (tmp_path / "u.csv").read_text().splitlines()[1:]
-    assert all(row.split(",")[2] == "undetermined" for row in rows)
+    assert all(row["outcome"] == "undetermined" for row in sweep_table(tmp_path / "u.csv"))
 
 
 def test_an_energy_at_the_barrier_top_has_no_return_point(tmp_path):
@@ -579,7 +582,8 @@ def patched_points(monkeypatch, point, cpus):
 
 
 def fake_row(index, value, termination="reached_tmax"):
-    return [index, value, "reflected", "", "", "", 0, "", "", "", termination]
+    return {**dict.fromkeys(SWEEP_COLUMNS, ""), "index": index, "value": value,
+            "outcome": "reflected", "sign_changes_inside": 0, "termination": termination}
 
 
 @needs_fork
@@ -744,9 +748,9 @@ def test_the_cli_needs_no_multiprocessing(tmp_path, monkeypatch):
 
 
 def test_acceptance_sweep_tags_hold_at_a_loose_tolerance(tmp_path):
-    # Order 2 conserves the uncertainty residual exactly, so a dip below the
-    # floor is integration error and stops no run: at rtol = atol = 1e-6 the
-    # acceptance sweep keeps the tags of its gate setting (rtol 1e-10).
+    # Within the gate horizon no point of the acceptance sweep reaches the
+    # G20*G02 - G11**2 >= 0 stop: at rtol = atol = 1e-6 it keeps the tags
+    # of its gate setting (rtol 1e-10).
     raw = {
         "model": {"alpha": 1.0, "a": 1.0, "n": 4, "order": 2},
         "packet": {"q0": -2.5, "energy": 0.98, "sigma0": 0.30},
@@ -757,8 +761,8 @@ def test_acceptance_sweep_tags_hold_at_a_loose_tolerance(tmp_path):
     assert summary["outcome_counts"] == {
         "reflected": 16, "tunneled": 3, "trapped": 3, "undetermined": 129,
     }
-    rows = (tmp_path / "loose.csv").read_text().splitlines()[1:]
-    assert {row.split(",")[10] for row in rows} == {"reached_tmax"}
+    rows = sweep_table(tmp_path / "loose.csv")
+    assert {row["termination"] for row in rows} == {"reached_tmax"}
 
 
 @needs_fork
@@ -780,10 +784,12 @@ def test_sweep_pool_claims_every_point_once_in_order(tmp_path, monkeypatch):
         summary = run_sweep(build_config(raw), str(tmp_path / "stress"), workers=claimers)
     assert list(claims) == [1] * count
     assert summary["n_rows"] == count
-    rows = [line.split(",") for line in (tmp_path / "stress.csv").read_text().splitlines()[1:]]
-    assert [row[0] for row in rows] == [str(i) for i in range(count)]
-    assert [row[1] for row in rows] == [str(v) for v in np.linspace(-3.0, -2.0, count).tolist()]
-    assert len({row[10] for row in rows}) > 1  # more than one process claimed
+    rows = sweep_table(tmp_path / "stress.csv")
+    assert [row["index"] for row in rows] == [str(i) for i in range(count)]
+    assert [row["value"] for row in rows] == [
+        str(v) for v in np.linspace(-3.0, -2.0, count).tolist()
+    ]
+    assert len({row["termination"] for row in rows}) > 1  # more than one process claimed
 
 
 # Rows of floats are written by orjson, except rows with a cell where its
@@ -1099,8 +1105,7 @@ def test_sweep_q0_keeps_energy_fixed(tmp_path):
     cfg = build_config(raw)
     assert cfg.sweep["fixed_energy"] is True
     run_sweep(cfg, str(tmp_path / "e"))
-    rows = (tmp_path / "e.csv").read_text().splitlines()[1:]
-    assert [float(r.split(",")[1]) for r in rows] == [-3.0, -2.5, -2.0]
+    assert [float(r["value"]) for r in sweep_table(tmp_path / "e.csv")] == [-3.0, -2.5, -2.0]
 
 
 def test_surface_order0_constant_in_time(tmp_path):
@@ -1133,9 +1138,9 @@ def test_sweep_sigma0_parameter(tmp_path):
     )
     cfg = build_config(raw)
     run_sweep(cfg, str(tmp_path / "sig"))
-    rows = [line.split(",") for line in (tmp_path / "sig.csv").read_text().splitlines()[1:]]
-    assert [float(r[1]) for r in rows] == [0.4, 0.5, 0.6]
-    assert all(r[2] in {"reflected", "tunneled", "trapped", "undetermined"} for r in rows)
+    rows = sweep_table(tmp_path / "sig.csv")
+    assert [float(r["value"]) for r in rows] == [0.4, 0.5, 0.6]
+    assert all(r["outcome"] in {"reflected", "tunneled", "trapped", "undetermined"} for r in rows)
 
 
 def test_surface_late_sections_grow_two_minima(tmp_path):
@@ -1297,9 +1302,9 @@ def test_constraint_stop_warns_and_exits_zero(tmp_path, capsys):
 
 
 def test_a_negative_covariance_warns_and_exits_zero(tmp_path, capsys):
-    # An order-2 packet in a steep well at loose tolerances: the residual
-    # falls far below -hbar**2/4, so G20*G02 - G11**2 < 0 at a sample, which
-    # no state can have; the run still reaches t_max.
+    # An order-2 packet in a steep well at loose tolerances: G20*G02 -
+    # G11**2 falls through zero, which no state can have, so the run stops
+    # there, as an order-3 run does, with one warning line, and exits 0.
     stem = tmp_path / "well"
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(scenario_raw(
@@ -1310,13 +1315,40 @@ def test_a_negative_covariance_warns_and_exits_zero(tmp_path, capsys):
     )))
     assert main(["simulate", "--config", str(path)]) == 0
     summary = json.loads(stem.with_suffix(".summary.json").read_text())
-    assert summary["termination"] == "reached_tmax"
-    stats = summary["stats"]
-    assert stats["residual_min"] < -100
+    assert summary["termination"] == "constraint_violated"
+    stop = summary["events"][-1]
+    assert stop["kind"] == "constraint"
+    assert 2.10 < stop["t"] < 2.11
     assert summary["warnings"] == [
-        f"G20*G02 - G11**2 went negative, which no state can have: the uncertainty "
-        f"residual reached {stats['residual_min']!r} at t = {stats['t_residual_min']!r}, "
-        "below -hbar**2/4 (integration error)"
+        f"G20*G02 - G11**2 went negative, which no state can have: stopped at "
+        f"t = {stop['t']!r} (constraint_violated)"
+    ]
+    assert capsys.readouterr().err == f"warning: {summary['warnings'][0]}\n"
+
+
+def test_an_order2_run_past_the_gate_horizon_stops_at_the_bound(tmp_path, capsys):
+    # Past t = 2.35 this acceptance packet breaks the closure inside the
+    # barrier: its moments grow until G20*G02 - G11**2 falls through zero.
+    # The run stops there in well under 100,000 steps; it used to grind
+    # through the 2,000,000-attempt budget (1,941,464 steps) and exit 2.
+    stem = tmp_path / "late"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(scenario_raw(
+        packet={"q0": -1.62, "energy": 0.98, "sigma0": 0.3},
+        integrator={"atol": 1e-6, "t_max": 8.0, "sample_dt": 1e-3},
+        output={"path": str(stem)},
+    )))
+    assert main(["simulate", "--config", str(path)]) == 0
+    summary = json.loads(stem.with_suffix(".summary.json").read_text())
+    assert summary["termination"] == "constraint_violated"
+    assert summary["stats"]["n_steps"] < 100_000
+    assert summary["outcome"]["tag"] == "undetermined"
+    assert summary["outcome"]["reason"] == "integration stopped early: constraint_violated"
+    stop = summary["events"][-1]
+    assert stop["kind"] == "constraint" and 4.6 < stop["t"] < 4.8
+    assert summary["warnings"] == [
+        f"G20*G02 - G11**2 went negative, which no state can have: stopped at "
+        f"t = {stop['t']!r} (constraint_violated)"
     ]
     assert capsys.readouterr().err == f"warning: {summary['warnings'][0]}\n"
 
@@ -1378,13 +1410,13 @@ def test_a_sweep_over_an_overflowing_sigma0_gets_an_error_row(tmp_path, start, s
         integrator={"t_max": 1.0},
     )
     run_sweep(build_config(raw), str(tmp_path / "s"))
-    rows = [line.split(",") for line in (tmp_path / "s.csv").read_text().splitlines()[1:]]
-    assert rows[bad][2] == "undetermined"
-    assert rows[bad][10] == (
+    rows = sweep_table(tmp_path / "s.csv")
+    assert rows[bad]["outcome"] == "undetermined"
+    assert rows[bad]["termination"] == (
         f"error: packet.sigma0 = {(start, stop)[bad]!r} gives initial moments outside the "
         "float range"
     )
-    assert rows[1 - bad][10] == "reached_tmax"
+    assert rows[1 - bad]["termination"] == "reached_tmax"
 
 
 def test_nonfinite_start_exit_code(tmp_path, monkeypatch, capsys):
@@ -1413,10 +1445,10 @@ def test_sweep_point_errors_become_rows_but_bugs_propagate(tmp_path, monkeypatch
         integrator={"t_max": 1.0},
     )
     run_sweep(build_config(raw), str(tmp_path / "cfgerr"))
-    rows = [line.split(",") for line in (tmp_path / "cfgerr.csv").read_text().splitlines()[1:]]
-    assert rows[0][2] == "undetermined"
-    assert rows[0][10].startswith("error: packet.sigma0")
-    assert not rows[1][10].startswith("error:")
+    rows = sweep_table(tmp_path / "cfgerr.csv")
+    assert rows[0]["outcome"] == "undetermined"
+    assert rows[0]["termination"].startswith("error: packet.sigma0")
+    assert not rows[1]["termination"].startswith("error:")
 
     # So is a slow packet in a well, whose energy is not positive.
     well = scenario_raw(
@@ -1426,9 +1458,9 @@ def test_sweep_point_errors_become_rows_but_bugs_propagate(tmp_path, monkeypatch
         integrator={"t_max": 1.0},
     )
     run_sweep(build_config(well), str(tmp_path / "well"))
-    rows = [line.split(",") for line in (tmp_path / "well.csv").read_text().splitlines()[1:]]
-    assert rows[0][10] == "error: packet.energy must be positive"
-    assert rows[1][10] == "reached_tmax"
+    rows = sweep_table(tmp_path / "well.csv")
+    assert rows[0]["termination"] == "error: packet.energy must be positive"
+    assert rows[1]["termination"] == "reached_tmax"
 
     # A plain ValueError is a defect, not a sweep outcome: it must propagate.
     def broken(*args, **kwargs):

@@ -545,36 +545,40 @@ def test_a_sample_step_beyond_the_horizon_keeps_the_first_and_last_rows():
 @pytest.mark.parametrize(
     "sample_dt,t_max,max_step,steps",
     [
-        # Five samples per 1e-12 * t0 window, over five steps.
-        pytest.param(2e-7, 1e-4, 2.1e-5, 5, id="chains-over-steps"),
+        # Five samples per window, over five steps.
+        pytest.param(2e-13, 1e-10, 2.1e-11, 5, id="chains-over-steps"),
         # Half an ulp of t0 apart: runs of equal sample times, one step.
-        pytest.param(6e-11, 2e-6, 0.1, 1, id="equal-sample-times"),
+        pytest.param(1.2e-16, 2e-12, 0.1, 1, id="equal-sample-times"),
     ],
 )
 def test_grid_samples_within_the_duplicate_window_form_chains(sample_dt, t_max, max_step, steps):
-    # At t0 = 1e6 a sample within 1e-12 * t0 of the last kept row is
-    # dropped, so each run of such samples is a chain of dropped rows, and
-    # the first sample beyond the window is kept against the row before
-    # the chain, not against its own predecessor.
+    # Within the first unit of elapsed time the window is 1e-12: a sample
+    # within it of the last kept row is dropped, so each run of such
+    # samples is a chain of dropped rows, and the first sample beyond the
+    # window is kept against the row before the chain, not against its own
+    # predecessor.
+    t0 = 1.0
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=t_max, max_step=max_step,
                             sample_dt=sample_dt)
     times, _, _, termination, stats = matches_reference(
-        lambda: lambda y: [1.0, -y[0]], 1e6, [0.0, 1.0], icfg
+        lambda: lambda y: [1.0, -y[0]], t0, [0.0, 1.0], icfg
     )
     assert termination is Termination.REACHED_TMAX
     assert stats["n_steps"] == steps
     gaps = np.diff(times)
-    assert np.all(gaps > 1e-12 * np.abs(times[1:]))
-    assert np.all(gaps < 2e-12 * np.abs(times[1:]))  # no kept row is a whole window late
+    window = 1e-12 * np.maximum(np.subtract(times[1:], t0), 1.0)
+    assert np.all(gaps > window)
+    assert np.all(gaps < 2 * window)  # no kept row is a whole window late
     assert len(times) < t_max / sample_dt / 4
 
 
-@pytest.mark.parametrize("sample_dt,every", [(1.5e-6, 1), (8e-7, 2)])
+@pytest.mark.parametrize("sample_dt,every", [(1.5e-12, 1), (8e-13, 2)])
 def test_samples_near_the_duplicate_window_keep_each_row_beyond_it(sample_dt, every):
-    # At t0 = 1e6 the window is 1e-6: samples 1.5e-6 apart all stay, and of
-    # samples 8e-7 apart every second one falls inside it and is dropped.
+    # The window is 1e-12 within the first unit of elapsed time: samples
+    # 1.5e-12 apart all stay, and of samples 8e-13 apart every second one
+    # falls inside it and is dropped.
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=200 * sample_dt, sample_dt=sample_dt)
-    times = matches_reference(lambda: lambda y: [1.0, -y[0]], 1e6, [0.0, 1.0], icfg)[0]
+    times = matches_reference(lambda: lambda y: [1.0, -y[0]], 1.0, [0.0, 1.0], icfg)[0]
     assert len(times) == 200 // every + 1
     assert np.allclose(np.diff(times), every * sample_dt, rtol=1e-3)
 
@@ -583,6 +587,8 @@ _REGULAR = (1000.0, 0.001, 5.0, 0.1)
 # A twelfth of an ulp of t0: t0 + i * sample_dt rounds to runs of equal
 # values, and the division misses the last index by up to 5.
 _SUB_ULP = (1e6, 1.3e-11, 1.5e-6, 1e-7)
+# A span below 1e-12 * t0, one sample per step of max_step.
+_LATE = (1e6, 1e-7, 1.5e-6, 1e-7)
 
 
 @pytest.mark.parametrize(
@@ -594,6 +600,7 @@ _SUB_ULP = (1e6, 1.3e-11, 1.5e-6, 1e-7)
         pytest.param(*_SUB_ULP, "p_zero", id="sub-ulp-p_zero"),
         pytest.param(*_REGULAR, "stop", id="regular-stop"),
         pytest.param(*_SUB_ULP, "stop", id="sub-ulp-stop"),
+        pytest.param(*_LATE, "none", id="late-start"),
     ],
 )
 def test_each_grid_index_is_recorded_by_the_first_step_that_reaches_it(t0, sample_dt, t_max,
@@ -642,7 +649,16 @@ def test_each_grid_index_is_recorded_by_the_first_step_that_reaches_it(t0, sampl
             ranges += 1
         after_event = math.isnan(i)
     assert ranges > (2 if stop else 5)
-    matches_reference(lambda: lambda y: [y[1], -y[0]], t0, [1.0, w], icfg, specs)
+    times, _, _, _, stats = matches_reference(
+        lambda: lambda y: [y[1], -y[0]], t0, [1.0, w], icfg, specs
+    )
+    if (t0, sample_dt, t_max, max_step) == _LATE:
+        # The horizon and the duplicate window are measured from the
+        # elapsed time: all 15 steps run, each keeps its sample, and the
+        # last row is at t_end, as from t0 = 0.
+        assert stats["n_steps"] == 15
+        assert len(times) == 16
+        assert times[-1] == t0 + t_max
 
 
 @pytest.mark.parametrize("sample_dt,t_max", [(0.125, 2.0), (0.1, 0.7)])
@@ -904,6 +920,35 @@ def test_integrator_config_validation():
         IntegratorConfig(t_max=1.0, sample_dt=2.0**-53)
 
 
+@pytest.mark.parametrize("order,stops", [(0, False), (2, True), (3, True)])
+def test_every_order_with_moments_stops_where_the_product_turns_negative(barrier, order, stops):
+    # G20*G02 - G11**2 >= 0 holds for every state; a run with moments stops
+    # where the product falls through zero, at order 2 as at order 3.
+    model = ModelConfig(potential=barrier, order=order)
+    specs = _event_specs(model, IntegratorConfig(), ())
+    constraint = [spec for spec in specs if spec.kind == "constraint"]
+    assert constraint == ([_EventSpec("{y2} * {y4} - {y3} * {y3}", kind="constraint",
+                                      stop=Termination.CONSTRAINT_VIOLATED, direction=-1)]
+                          if stops else [])
+
+
+def test_a_remainder_below_the_smallest_step_ends_the_run():
+    # At t0 = 1e6 the underflow guard allows no step below 1e-8, 86 ulps of
+    # t0. A step of max_step that ends 5 ulps short of t_end ends the run
+    # there: the horizon is met within that smallest step, so no step the
+    # guard would reject is attempted.
+    t0, ulp = 1e6, math.ulp(1e6)
+    icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=1e-7 + 5 * ulp, max_step=1e-7,
+                            sample_dt=1e-7)
+    times, _, _, termination, stats = matches_reference(
+        lambda: lambda y: [1.0, -y[0]], t0, [0.0, 1.0], icfg
+    )
+    assert termination is Termination.REACHED_TMAX
+    assert stats["n_steps"] == 1
+    assert times == [t0, t0 + 1e-7]
+    assert (t0 + icfg.t_max) - times[-1] == 5 * ulp
+
+
 def test_order_mismatch_rejected(barrier):
     model = ModelConfig(potential=barrier, order=2)
     with pytest.raises(ValueError):
@@ -946,5 +991,5 @@ def test_generated_source_ignores_the_hash_seed():
         texts.append(json.loads(run.stdout))
     assert texts[0] == texts[1]
     loops = [name for name in texts[0] if name.startswith("<dopri5 loop")]
-    assert len(loops) == 8  # only order 3 has a constraint to drop
+    assert len(loops) == 10
     assert any(name.startswith("<order-3 rhs kernel") for name in texts[0])
