@@ -32,7 +32,7 @@ from .moment_algebra import (
     k_coefficient,
     verify_eom_consistency,
 )
-from .packet import GaussianPacket, InvalidOrder, initial_moments
+from .packet import GaussianPacket, initial_moments
 from .potential import (
     K_MAX,
     BarrierPotential,
@@ -52,7 +52,6 @@ __all__ = [
     "IntegratorConfig",
     "InvalidEnergy",
     "InvalidMargin",
-    "InvalidOrder",
     "K_MAX",
     "MOMENTS_BY_ORDER",
     "ModelConfig",

@@ -2,7 +2,8 @@
 
 A below-barrier run (barrier top above the energy) ends in exactly one of
 four tags, judged from the final sampled state against the classical return
-points ``+-x`` widened by a margin:
+points ``+-x`` of the barrier the trajectory was integrated over
+(``traj.model.potential``), widened by a margin:
 
 * ``TUNNELED``  -- final position beyond ``x + margin`` moving right;
 * ``REFLECTED`` -- final position beyond ``-x - margin`` moving left;
@@ -33,7 +34,6 @@ from typing import Optional
 import numpy as np
 
 from .integrator import Termination, Trajectory
-from .potential import BarrierPotential
 
 __all__ = ["Evidence", "InvalidMargin", "Outcome", "Tag", "classify"]
 
@@ -73,13 +73,10 @@ class Outcome:
     evidence: Evidence
 
 
-def classify(
-    traj: Trajectory,
-    pot: BarrierPotential,
-    energy: float,
-    margin: Optional[float] = None,
-) -> Outcome:
-    """Tag a terminated trajectory; ``margin`` defaults to ``MARGIN_SCALE * a``."""
+def classify(traj: Trajectory, energy: float, margin: Optional[float] = None) -> Outcome:
+    """Tag a terminated trajectory by the barrier of the model it was
+    integrated under; ``margin`` defaults to ``MARGIN_SCALE * a``."""
+    pot = traj.model.potential
     if margin is None:
         margin = MARGIN_SCALE * pot.a
     if margin < 0:

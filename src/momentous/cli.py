@@ -87,7 +87,7 @@ _SCHEMA = {
         "p0": ("number", None),
         "energy": ("number", None),
         "sigma0": ("number", GaussianPacket.sigma0),
-        "third_moment_convention": (None, "skewed"),
+        "third_moment_convention": (None, GaussianPacket.third_moment_convention),
     }, {}),
     "integrator": ({
         "rtol": ("number", IntegratorConfig.rtol),
@@ -198,9 +198,9 @@ def build_config(raw: dict, order_override: Optional[int] = None) -> RunConfig:
     """Validate a raw (parsed JSON) mapping and resolve every default.
 
     ``_SCHEMA`` checks keys and types; the range rules of the model objects
-    live in their constructors, and the packet's third-moment convention
-    and moment overflow rules, at every order, in ``initial_moments``. Here
-    are only the rules no constructor owns.
+    live in their constructors, and the packet's moment overflow rule, at
+    every order, in ``initial_moments``. Here are only the rules no
+    constructor owns.
     """
     _require(isinstance(raw, dict), "config root", "must be an object")
     sec = _section(raw, "config", _SCHEMA)
@@ -234,8 +234,9 @@ def build_config(raw: dict, order_override: Optional[int] = None) -> RunConfig:
     pk["p0"], pk["energy"] = p0, energy
     with _owned_by("packet"):
         potential.energy_ratio(energy)
-        packet = GaussianPacket(q0=q0, p0=p0, sigma0=pk["sigma0"], hbar=m["hbar"])
-        initial_moments(packet, model.order, pk["third_moment_convention"])
+        packet = GaussianPacket(q0=q0, p0=p0, sigma0=pk["sigma0"],
+                                third_moment_convention=pk["third_moment_convention"])
+        initial_moments(packet, model)
 
     # Two lengths default to multiples of the half-width a.
     for section, key, scale in (
@@ -303,9 +304,7 @@ def _return_points(cfg: RunConfig) -> tuple:
 
 def _trajectory(cfg: RunConfig):
     """Integrate the configured packet, marking its ``_return_points``."""
-    init = initial_moments(
-        cfg.packet, cfg.model.order, cfg.sections["packet"]["third_moment_convention"]
-    )
+    init = initial_moments(cfg.packet, cfg.model)
     return integrate(init, cfg.model, cfg.integrator, _return_points(cfg))
 
 
@@ -444,7 +443,7 @@ def run_simulate(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
     ``_warnings`` when there are any.
     """
     traj = _trajectory(cfg)
-    outcome = classify(traj, cfg.model.potential, cfg.energy, cfg.margin)
+    outcome = classify(traj, cfg.energy, cfg.margin)
     warnings = _warnings(traj)
     columns = ["t", "q", "p"]
     series = [traj.times[:, None], traj.states]
@@ -506,7 +505,7 @@ def _sweep_point(args) -> dict:
         cells["termination"] = f"error: {exc}".replace(",", ";").replace("\n", " ")
     else:
         traj = _trajectory(point)
-        outcome = classify(traj, point.model.potential, point.energy, point.margin)
+        outcome = classify(traj, point.energy, point.margin)
         cells.update(
             asdict(outcome.evidence),
             outcome=outcome.tag.value,

@@ -219,12 +219,12 @@ _residual = exec_source(
 )["residual"]
 
 
-def uncertainty_residual(state: MomentState, hbar: float) -> float:
-    """``G20*G02 - G11**2 - hbar**2/4``; negative values violate the
-    uncertainty relation."""
+def uncertainty_residual(state: MomentState, model: ModelConfig) -> float:
+    """``G20*G02 - G11**2 - hbar**2/4`` under the model's hbar; negative
+    values violate the uncertainty relation."""
     if state.order < 2:
         raise ValueError("uncertainty residual requires truncation order >= 2")
-    return _residual((state.q, state.p) + state.moments, hbar * hbar / 4)
+    return _residual((state.q, state.p) + state.moments, model.hbar * model.hbar / 4)
 
 
 # Dormand-Prince 5(4) tableau as ``(stage, weight)`` pairs over the nonzero
@@ -417,11 +417,9 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
         "n_steps = 0", "n_error = 0  # rejected for err > 1",
         "n_nonfinite = 0  # rejected for a non-finite stage, update or err",
         "h_min = inf", "h_max = 0.0", "stop = None",
-        # The horizon is met within 1e-12 of the span, or within the
-        # smallest step the underflow guard allows at t_end (at least the
-        # float spacing of t_end), so a step that ends a few ulps short of
-        # it ends the run instead of failing.
-        "close = max(1e-12 * max(t_end - t0, 1.0), 1e-14 * max(abs(t_end), 1.0))",
+        # The horizon is met within 1e-12 of the span (at least 1e-12); a
+        # longer remainder, even a few ulps of a late t, is one more step.
+        "close = 1e-12 * max(t_end - t0, 1.0)",
         "slack = 1e-9 * sample_dt")
 
     put(1, "while failure is None and t_end - t > close:")
@@ -432,8 +430,11 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
     # hierarchy can develop finite-time blowups, which must surface as a step
     # failure with the partial trajectory intact.
     biggest = f"max({', '.join(f'abs(x{i})' for i in comps)})" if d > 1 else "abs(x0)"
-    put(2, "a = abs(t)",
-        "if h < 1e-14 * (a if a > 1.0 else 1.0):", "    failure = 'underflow'", "    break",
+    # The smallest step scales with the elapsed time, not with t itself; a
+    # step too small to move t fails as well.
+    put(2, "a = t - t0",
+        "if h < 1e-14 * (a if a > 1.0 else 1.0) or t + h == t:",
+        "    failure = 'underflow'", "    break",
         "if n_steps + n_error + n_nonfinite >= max_steps:", "    failure = 'budget'", "    break",
         f"if {biggest} > 1e12:", "    failure = 'blowup'", "    break")
 
@@ -769,9 +770,10 @@ def integrate(
     G11**2`` turning negative (orders 2 and 3), or a step failure, whose cause
     ``stats["failure"]`` names: "nonfinite_start" (a non-finite first
     derivative or starting step; no step is attempted), "underflow" (step size
-    below ``1e-14 * |t|``), "budget" (``max_steps`` attempts used) or "blowup"
-    (a state component beyond ``1e12``). ``mark_positions`` adds recorded
-    (non-stopping) crossing events, typically the classical return points. At
+    below ``1e-14 * max(t - t0, 1)`` or too small to change ``t``), "budget"
+    (``max_steps`` attempts used) or "blowup" (a state component beyond
+    ``1e12``). ``mark_positions`` adds recorded (non-stopping) crossing
+    events, typically the classical return points. At
     orders >= 2, ``stats["residual_min"]`` and ``stats["t_residual_min"]``
     give the lowest sampled uncertainty residual and its time.
     """

@@ -429,7 +429,9 @@ def _assemble(var: Variable, hamiltonian: MomentPolynomial, order: int,
             for factor in term.moments:
                 rest = list(term.moments)
                 rest.remove(factor)
-                out = out + bracket(var, factor).times(coeff, replace(term, moments=tuple(rest)))
+                product = bracket(var, factor).times(coeff, replace(term, moments=tuple(rest)))
+                for product_term, product_coeff in product._terms.items():
+                    out.add(product_coeff, product_term)
     return out.truncated(order)
 
 

@@ -266,13 +266,13 @@ def reference_integrate(f, t0, y0, icfg, specs=()):
             times.append(tr)
             states.append(yr)
 
-    close = max(1e-12 * max(1.0, t_end - t0), 1e-14 * max(1.0, abs(t_end)))
+    close = 1e-12 * max(1.0, t_end - t0)
     while failure is None and t_end - t > close:
         h = min(h, max_step)
         landing = h > t_end - t
         if landing:
             h = t_end - t
-        if h < 1e-14 * max(1.0, abs(t)):
+        if h < 1e-14 * max(1.0, t - t0) or t + h == t:
             failure = "underflow"
         elif n_steps + n_error + n_nonfinite >= max_steps:
             failure = "budget"
@@ -492,10 +492,11 @@ def barrier():
     return BarrierPotential(alpha=1.0, a=1.0, n=4)
 
 
-def scenario_packet(pot, q0, sigma0, energy=0.98, hbar=1.0, mass=1.0):
-    """Inbound packet at the standard scenario energy."""
+def scenario_packet(pot, q0, sigma0, energy=0.98, mass=1.0, **fields):
+    """Inbound packet at the standard scenario energy; ``fields`` go to the
+    packet (its ``third_moment_convention``)."""
     p0 = math.copysign(math.sqrt(2 * mass * (energy - pot(q0))), -q0)
-    return GaussianPacket(q0=q0, p0=p0, sigma0=sigma0, hbar=hbar)
+    return GaussianPacket(q0=q0, p0=p0, sigma0=sigma0, **fields)
 
 
 def tight_integrator(**overrides):

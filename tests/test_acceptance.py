@@ -92,9 +92,10 @@ def read_rows(csv_path):
 
 
 def run_scenario(pot, q0, order, sigma0, convention="zero", **integrator_overrides):
-    packet = scenario_packet(pot, q0, sigma0=sigma0, energy=ENERGY)
-    init = initial_moments(packet, order, third_moment_convention=convention)
+    packet = scenario_packet(pot, q0, sigma0=sigma0, energy=ENERGY,
+                             third_moment_convention=convention)
     model = ModelConfig(potential=pot, order=order)
+    init = initial_moments(packet, model)
     defaults = dict(rtol=1e-10, atol=1e-10, t_max=20.0)
     defaults.update(integrator_overrides)
     icfg = IntegratorConfig(**defaults)
@@ -126,9 +127,10 @@ def test_criterion_2_uncertainty_saturation(pot):
     traj, _ = run_scenario(pot, -2.5, 2, sigma0=0.5, escape_radius=1e6)
     worst = float(np.max(np.abs(traj.uncertainty)))
     free_packet = scenario_packet(pot, -50.0, sigma0=0.5, energy=0.5 + pot(-50.0))
+    model = ModelConfig(potential=pot, order=2)
     free = integrate(
-        initial_moments(free_packet, 2),
-        ModelConfig(potential=pot, order=2),
+        initial_moments(free_packet, model),
+        model,
         IntegratorConfig(rtol=1e-10, atol=1e-10, t_max=20.0, escape_radius=1e6),
     )
     worst = max(worst, float(np.max(np.abs(free.uncertainty))))
@@ -249,9 +251,10 @@ def test_criterion_4_classical_regime(pot):
 def test_criterion_5_free_packet_spreading(pot):
     sigma0, hbar, mass = 0.5, 1.0, 1.0
     packet = scenario_packet(pot, -50.0, sigma0=sigma0, energy=0.5 + pot(-50.0))
+    model = ModelConfig(potential=pot, order=2)
     traj = integrate(
-        initial_moments(packet, 2),
-        ModelConfig(potential=pot, order=2),
+        initial_moments(packet, model),
+        model,
         IntegratorConfig(rtol=1e-10, atol=1e-10, t_max=10.0, escape_radius=1e6),
     )
     t = traj.times
@@ -399,9 +402,9 @@ def test_darboux_form_gives_the_sweep_tags(pot, sweep_rows, tmp_path):
         tags, dq = [], 0.0
         for row in rows:
             packet = scenario_packet(pot, float(row["value"]), sigma0=SWEEP_SIGMA0, energy=ENERGY)
-            traj = darboux_integrate(initial_moments(packet, 2), model, icfg,
+            traj = darboux_integrate(initial_moments(packet, model), model, icfg,
                                      pot.turning_points(ENERGY))
-            tags.append(classify(traj, pot, ENERGY).tag.value)
+            tags.append(classify(traj, ENERGY).tag.value)
             dq = max(dq, abs(float(traj.q[-1]) - float(row["final_q"])))
         assert tags == [row["outcome"] for row in rows], (rtol, atol)
         worst.append(dq)

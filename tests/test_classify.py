@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from momentous import (
+    BarrierPotential,
     IntegratorConfig,
     InvalidEnergy,
     InvalidMargin,
@@ -51,7 +52,7 @@ def test_classical_reflection_tagged(barrier):
     model = ModelConfig(potential=barrier, order=0)
     traj = integrate(init, model, tight_integrator(t_max=40.0),
                      mark_positions=barrier.turning_points(energy))
-    outcome = classify(traj, barrier, energy)
+    outcome = classify(traj, energy)
     assert outcome.tag is Tag.REFLECTED
     assert outcome.evidence.final_p < 0
     assert outcome.evidence.time_horizon == pytest.approx(traj.times[-1])
@@ -62,7 +63,7 @@ def test_synthetic_monotone_crossing_is_tunneled(barrier):
     q = -5.0 + t  # crosses the barrier and keeps going
     p = np.ones_like(t)
     traj = make_synthetic(barrier, t, q, p)
-    outcome = classify(traj, barrier, 0.98)
+    outcome = classify(traj, 0.98)
     assert outcome.tag is Tag.TUNNELED
     assert outcome.evidence.barrier_entry_time is not None
     assert outcome.evidence.barrier_exit_side == 1
@@ -82,7 +83,7 @@ def oscillation_inside(barrier):
 def test_synthetic_trapped_needs_two_flips(barrier):
     t, q, p, flips = oscillation_inside(barrier)
     traj = make_synthetic(barrier, t, q, p, events=flips)
-    outcome = classify(traj, barrier, 0.98)
+    outcome = classify(traj, 0.98)
     assert outcome.tag is Tag.TRAPPED
     assert outcome.evidence.sign_changes_inside == 16
     # A single turnaround inside is not trapping.
@@ -91,7 +92,7 @@ def test_synthetic_trapped_needs_two_flips(barrier):
     q1 = 0.4 * x * np.sin(0.5 * np.pi * t1)
     p1 = np.cos(0.5 * np.pi * t1)
     single = make_synthetic(barrier, t1, q1, p1, events=[p_zero(1.0, 0.4 * x, -1)])
-    outcome = classify(single, barrier, 0.98)
+    outcome = classify(single, 0.98)
     assert outcome.tag is Tag.UNDETERMINED
     assert outcome.evidence.sign_changes_inside == 1
 
@@ -104,27 +105,42 @@ def test_sampled_sign_changes_are_not_flips(barrier):
     assert np.count_nonzero(p[:-1] * p[1:] < 0) == 16
     cross = replace(flips[0], kind="q_cross", marker=float(flips[0].state.q))
     for events in ((), (cross,)):
-        outcome = classify(make_synthetic(barrier, t, q, p, events=events), barrier, 0.98)
+        outcome = classify(make_synthetic(barrier, t, q, p, events=events), 0.98)
         assert outcome.evidence.sign_changes_inside == 0
         assert outcome.tag is Tag.UNDETERMINED
         assert outcome.evidence.reason == "inside the window with fewer than two momentum flips"
 
 
+def test_the_barrier_is_the_trajectory_s(barrier):
+    # The same samples, integrated over a barrier ten times wider (the same
+    # height), end inside its window: the return points and the default
+    # margin are those of the model the trajectory carries.
+    t = np.linspace(0, 10, 201)
+    wide = BarrierPotential(alpha=1e8, a=10.0, n=4)
+    assert wide.height == barrier.height
+    narrow = classify(make_synthetic(barrier, t, -5.0 + t, np.ones_like(t)), 0.98)
+    outcome = classify(make_synthetic(wide, t, -5.0 + t, np.ones_like(t)), 0.98)
+    assert narrow.tag is Tag.TUNNELED
+    assert outcome.tag is Tag.UNDETERMINED
+    assert outcome.evidence.reason == "inside the window with fewer than two momentum flips"
+    assert outcome.evidence.barrier_entry_time < narrow.evidence.barrier_entry_time
+
+
 def test_above_barrier_undetermined(barrier):
     t = np.linspace(0, 1, 11)
     traj = make_synthetic(barrier, t, -5 + t, np.ones_like(t))
-    outcome = classify(traj, barrier, 2.0 * barrier.height)
+    outcome = classify(traj, 2.0 * barrier.height)
     assert outcome.tag is Tag.UNDETERMINED
     assert "barrier top" in outcome.evidence.reason
 
 
 def test_constraint_violated_is_undetermined(barrier):
     packet = scenario_packet(barrier, -2.5, sigma0=0.5)
-    init = initial_moments(packet, 3)
     model = ModelConfig(potential=barrier, order=3)
+    init = initial_moments(packet, model)
     traj = integrate(init, model, tight_integrator())
     assert traj.termination is Termination.CONSTRAINT_VIOLATED
-    outcome = classify(traj, barrier, 0.98)
+    outcome = classify(traj, 0.98)
     assert outcome.tag is Tag.UNDETERMINED
     assert "constraint" in outcome.evidence.reason
 
@@ -133,9 +149,9 @@ def test_margin_validation(barrier):
     t = np.linspace(0, 1, 11)
     traj = make_synthetic(barrier, t, -5 + t, np.ones_like(t))
     with pytest.raises(InvalidMargin):
-        classify(traj, barrier, 0.98, margin=-0.1)
+        classify(traj, 0.98, margin=-0.1)
     with pytest.raises(InvalidEnergy):
-        classify(traj, barrier, 0.0)
+        classify(traj, 0.0)
 
 
 def test_reflection_requires_approach(barrier):
@@ -144,7 +160,7 @@ def test_reflection_requires_approach(barrier):
     q = -3.0 - np.abs(t - 5.0)  # comes no closer than 3
     p = np.sign(5.0 - t)
     traj = make_synthetic(barrier, t, q, p)
-    assert classify(traj, barrier, 0.98).tag is Tag.UNDETERMINED
+    assert classify(traj, 0.98).tag is Tag.UNDETERMINED
 
 
 @pytest.mark.parametrize("index, reason", [
@@ -158,9 +174,9 @@ def test_undetermined_reason_on_the_acceptance_grid(barrier, index, reason):
     q0 = float(np.linspace(-3.72638, -1.36634, 151)[index])
     packet = scenario_packet(barrier, q0, sigma0=0.3, energy=energy)
     icfg = IntegratorConfig(rtol=1e-10, atol=1e-6, t_max=2.35)
-    traj = integrate(initial_moments(packet, 2), ModelConfig(potential=barrier, order=2),
-                     icfg, barrier.turning_points(energy))
-    outcome = classify(traj, barrier, energy)
+    model = ModelConfig(potential=barrier, order=2)
+    traj = integrate(initial_moments(packet, model), model, icfg, barrier.turning_points(energy))
+    outcome = classify(traj, energy)
     assert outcome.tag is Tag.UNDETERMINED
     assert traj.termination is Termination.REACHED_TMAX
     assert outcome.evidence.reason == reason
@@ -174,9 +190,9 @@ def test_margin_monotonicity(barrier):
     tags = {}
     for q0 in np.linspace(-3.72638, -1.36634, 25):
         packet = scenario_packet(barrier, float(q0), sigma0=0.3, energy=energy)
-        traj = integrate(initial_moments(packet, 2), model, icfg, marks)
+        traj = integrate(initial_moments(packet, model), model, icfg, marks)
         per_margin = [
-            classify(traj, barrier, energy, margin=m).tag
+            classify(traj, energy, margin=m).tag
             for m in (0.0, 0.05, 0.15, 0.4)
         ]
         tags[q0] = per_margin
@@ -204,7 +220,7 @@ def test_classical_limit_random_inbound(barrier):
             escape_radius=abs(q0), max_step=0.2,
         )
         traj = integrate(init, model, icfg)
-        outcome = classify(traj, barrier, energy)
+        outcome = classify(traj, energy)
         assert outcome.tag is Tag.REFLECTED, (gamma, q0, outcome)
     assert x_max < 2.0  # sanity: the sampled starts sit outside 2x
 
@@ -225,8 +241,8 @@ def test_mirror_symmetry_swaps_reflected_and_tunneled(barrier):
     seen = set()
     for q0 in np.linspace(-1.8, -1.4, 21):
         packet = scenario_packet(barrier, float(q0), sigma0=0.3, energy=energy)
-        traj = integrate(initial_moments(packet, 2), model, icfg, marks)
-        outcome = classify(traj, barrier, energy)
+        traj = integrate(initial_moments(packet, model), model, icfg, marks)
+        outcome = classify(traj, energy)
         mirrored = Trajectory(
             model=model,
             times=traj.times,
@@ -237,7 +253,7 @@ def test_mirror_symmetry_swaps_reflected_and_tunneled(barrier):
             termination=traj.termination,
             events=tuple(mirror(e) for e in traj.events),
         )
-        swapped = classify(mirrored, barrier, energy)
+        swapped = classify(mirrored, energy)
         assert swapped.evidence.sign_changes_inside == outcome.evidence.sign_changes_inside
         expected = {
             Tag.REFLECTED: Tag.TUNNELED,
@@ -256,7 +272,7 @@ def test_single_tag_exhaustive(barrier):
     icfg = IntegratorConfig(rtol=1e-10, atol=1e-6, t_max=2.35)
     for q0 in np.linspace(-3.0, -1.4, 9):
         packet = scenario_packet(barrier, float(q0), sigma0=0.3, energy=energy)
-        traj = integrate(initial_moments(packet, 2), model, icfg)
-        outcome = classify(traj, barrier, energy)
+        traj = integrate(initial_moments(packet, model), model, icfg)
+        outcome = classify(traj, energy)
         assert outcome.tag in Tag
         assert isinstance(outcome.evidence.sign_changes_inside, int)

@@ -20,7 +20,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import momentous.dynamics as dynamics
 from conftest import rng
-from momentous import BarrierPotential, GaussianPacket, initial_moments
+from momentous import BarrierPotential, GaussianPacket, ModelConfig, initial_moments
 from momentous.cli import (
     SWEEP_COLUMNS,
     ConfigError,
@@ -280,7 +280,8 @@ def test_main_rejects_config_without_traceback(tmp_path, capsys, config_text, me
 def test_the_cli_prints_the_overflow_message_of_initial_moments(tmp_path, capsys, sigma0, order):
     # The rule lives in initial_moments; the CLI only puts its section in front.
     with pytest.raises(ValueError) as info:
-        initial_moments(GaussianPacket(q0=-3.0, p0=1.0, sigma0=sigma0), order)
+        initial_moments(GaussianPacket(q0=-3.0, p0=1.0, sigma0=sigma0),
+                        ModelConfig(potential=BarrierPotential(alpha=1.0, a=1.0, n=4), order=order))
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"model": {"order": order},
                                 "packet": {"q0": -3.0, "p0": 1.0, "sigma0": sigma0}}))

@@ -93,10 +93,10 @@ def test_free_linear_motion(barrier):
 
 def test_free_packet_spreading_closed_form(barrier):
     sigma0, hbar, mass = 0.5, 1.0, 1.0
-    packet = GaussianPacket(q0=-50.0, p0=1.0, sigma0=sigma0, hbar=hbar)
+    packet = GaussianPacket(q0=-50.0, p0=1.0, sigma0=sigma0)
     model = ModelConfig(potential=barrier, mass=mass, hbar=hbar, order=2)
     traj = integrate(
-        initial_moments(packet, 2), model, tight_integrator(t_max=10.0, escape_radius=1e6)
+        initial_moments(packet, model), model, tight_integrator(t_max=10.0, escape_radius=1e6)
     )
     t = traj.times
     g20 = sigma0**2 + hbar**2 * t**2 / (4 * mass**2 * sigma0**2)
@@ -128,7 +128,7 @@ def test_energy_drift_across_scenarios(barrier):
     model = ModelConfig(potential=barrier, order=2)
     for q0 in (-2.5, -1.8):
         packet = scenario_packet(barrier, q0, sigma0=0.5)
-        traj = integrate(initial_moments(packet, 2), model, tight_integrator())
+        traj = integrate(initial_moments(packet, model), model, tight_integrator())
         assert traj.energy_drift <= 1e-8
 
 
@@ -137,7 +137,7 @@ def test_tolerance_convergence(barrier):
     # tolerance on the standard scenario.
     model = ModelConfig(potential=barrier, order=2)
     packet = scenario_packet(barrier, -2.5, sigma0=0.5)
-    init = initial_moments(packet, 2)
+    init = initial_moments(packet, model)
 
     def endpoint(tol):
         icfg = IntegratorConfig(rtol=tol, atol=tol, t_max=3.0, escape_radius=1e6)
@@ -150,7 +150,7 @@ def test_tolerance_convergence(barrier):
 def test_determinism_bit_identical(barrier):
     model = ModelConfig(potential=barrier, order=2)
     packet = scenario_packet(barrier, -1.62, sigma0=0.3)
-    init = initial_moments(packet, 2)
+    init = initial_moments(packet, model)
     icfg = IntegratorConfig(rtol=1e-10, atol=1e-6, t_max=2.35)
     marks = barrier.turning_points(0.98)
     a = integrate(init, model, icfg, marks)
@@ -167,7 +167,7 @@ def test_momentum_events_alternate_and_are_sharp(barrier):
     energy = 0.98
     model = ModelConfig(potential=barrier, order=2)
     packet = scenario_packet(barrier, -1.618, sigma0=0.3, energy=energy)
-    init = initial_moments(packet, 2)
+    init = initial_moments(packet, model)
     traj = integrate(
         init, model, IntegratorConfig(rtol=1e-10, atol=1e-6, t_max=2.35),
         mark_positions=barrier.turning_points(energy),
@@ -198,10 +198,28 @@ def test_sampling_grid_and_event_rows(barrier):
         assert np.min(np.abs(traj.times - g)) <= 1e-9
 
 
+def test_order3_under_the_zero_convention_is_order2(barrier):
+    # With every third moment zero at t = 0 the order-3 system keeps them
+    # zero, and its other components follow the order-2 equations: the runs
+    # differ only by the step control of the 9-component error norm.
+    packet = scenario_packet(barrier, -2.5, sigma0=0.5, third_moment_convention="zero")
+    runs = []
+    for order in (2, 3):
+        model = ModelConfig(potential=barrier, order=order)
+        runs.append(integrate(initial_moments(packet, model), model, tight_integrator()))
+    order2, order3 = runs
+    assert order2.termination is order3.termination is Termination.ESCAPED
+    third = order3.states[:, 5:]
+    assert np.all(third == 0.0) and not np.signbit(third).any()
+    common, i2, i3 = np.intersect1d(order2.times, order3.times, return_indices=True)
+    assert len(common) > 600
+    assert np.max(np.abs(order3.states[i3, :5] - order2.states[i2])) <= 1e-7
+
+
 def test_constraint_violation_stops_skewed_third_order(barrier):
-    packet = scenario_packet(barrier, -2.5, sigma0=0.5)
-    init = initial_moments(packet, 3)  # skewed third moment
+    packet = scenario_packet(barrier, -2.5, sigma0=0.5)  # skewed third moment
     model = ModelConfig(potential=barrier, order=3)
+    init = initial_moments(packet, model)
     stops = []
     for atol in (1e-6, 1e-10):
         traj = integrate(init, model, tight_integrator(atol=atol))
@@ -375,11 +393,8 @@ def model_run(barrier, order, q0, sigma0, convention, **overrides):
     """RHS factory, start vector, config and event specs of an ``integrate``
     call on the standard scenario, marking the classical return points."""
     model = ModelConfig(potential=barrier, order=order)
-    packet = scenario_packet(barrier, q0, sigma0)
-    if order == 0:
-        init = MomentState(t=0.0, q=packet.q0, p=packet.p0, moments=())
-    else:
-        init = initial_moments(packet, order, convention)
+    packet = scenario_packet(barrier, q0, sigma0, third_moment_convention=convention)
+    init = initial_moments(packet, model)
     icfg = tight_integrator(**overrides)
     specs = _event_specs(model, icfg, barrier.turning_points(0.98))
     f = make_rhs(model)
@@ -397,7 +412,7 @@ def model_run(barrier, order, q0, sigma0, convention, **overrides):
                      Termination.CONSTRAINT_VIOLATED, id="order3-constraint"),
         pytest.param(3, -1.62, 0.3, "zero", dict(atol=1e-6, t_max=2.35),
                      Termination.REACHED_TMAX, id="order3-zero"),
-        pytest.param(0, -3.0, 0.5, None, {},
+        pytest.param(0, -3.0, 0.5, "zero", {},
                      Termination.ESCAPED, id="order0-escaped"),
         pytest.param(2, -12.0, 0.5, "zero", dict(t_max=40.0, escape_radius=10.0),
                      Termination.ESCAPED, id="order2-inward-then-escaped"),
@@ -700,7 +715,7 @@ def test_a_sample_on_a_step_end_closes_a_run_of_samples():
                      Termination.REACHED_TMAX, id="order2-return-points"),
         pytest.param(3, -2.5, 0.5, "skewed", tight_integrator(),
                      Termination.CONSTRAINT_VIOLATED, id="order3-constraint-stop"),
-        pytest.param(0, -3.0, 0.5, None, tight_integrator(),
+        pytest.param(0, -3.0, 0.5, "zero", tight_integrator(),
                      Termination.ESCAPED, id="order0-escape-stop"),
     ],
 )
@@ -711,11 +726,8 @@ def test_event_states_equal_their_rows_bit_for_bit(
     # array pass after it; an event with a row of its own has that row's
     # state, bit for bit. The states array is C-contiguous float64 (n, d).
     model = ModelConfig(potential=barrier, order=order)
-    packet = scenario_packet(barrier, q0, sigma0)
-    if order == 0:
-        init = MomentState(t=0.0, q=packet.q0, p=packet.p0, moments=())
-    else:
-        init = initial_moments(packet, order, convention)
+    packet = scenario_packet(barrier, q0, sigma0, third_moment_convention=convention)
+    init = initial_moments(packet, model)
     traj = integrate(init, model, icfg, barrier.turning_points(0.98))
     assert traj.termination is termination
     states = traj.states
@@ -802,23 +814,35 @@ def test_step_size_range_leaves_out_the_landing_step():
 
 
 def test_uncertainty_residual_values(barrier):
+    model = ModelConfig(potential=barrier, order=2)
     state = MomentState(t=0.0, q=0.0, p=0.0, moments=(1.0, 0.0, 0.1))
-    assert uncertainty_residual(state, 1.0) == pytest.approx(-0.15, rel=1e-15)
-    packet = GaussianPacket(q0=-3.0, p0=1.0, sigma0=0.5, hbar=1.0)
-    assert uncertainty_residual(initial_moments(packet, 2), 1.0) == 0.0
+    assert uncertainty_residual(state, model) == pytest.approx(-0.15, rel=1e-15)
+    packet = GaussianPacket(q0=-3.0, p0=1.0, sigma0=0.5)
+    assert uncertainty_residual(initial_moments(packet, model), model) == 0.0
     with pytest.raises(ValueError):
-        uncertainty_residual(MomentState(t=0.0, q=0.0, p=0.0, moments=()), 1.0)
+        uncertainty_residual(MomentState(t=0.0, q=0.0, p=0.0, moments=()), model)
+
+
+def test_a_run_starts_saturated_under_its_model_s_hbar(barrier):
+    # The packet takes hbar from the model it starts in, so the run's first
+    # residual is exactly zero at hbar = 0.5 too.
+    packet = scenario_packet(barrier, -2.5, sigma0=0.5)
+    for order in (2, 3):
+        model = ModelConfig(potential=barrier, hbar=0.5, order=order)
+        traj = integrate(initial_moments(packet, model), model, tight_integrator(t_max=0.5))
+        assert traj.uncertainty[0] == 0.0
+        assert uncertainty_residual(traj.state(0), model) == 0.0
 
 
 def test_residual_stays_small_along_order2_run(barrier):
     model = ModelConfig(potential=barrier, order=2)
     packet = scenario_packet(barrier, -2.5, sigma0=0.5)
-    traj = integrate(initial_moments(packet, 2), model, tight_integrator())
+    traj = integrate(initial_moments(packet, model), model, tight_integrator())
     assert np.nanmax(np.abs(traj.uncertainty)) <= 1e-8
     for i in (0, len(traj.times) // 2, -1):
         state = traj.state(i)
         assert traj.uncertainty[i] == pytest.approx(
-            uncertainty_residual(state, model.hbar), abs=1e-15
+            uncertainty_residual(state, model), abs=1e-15
         )
 
 
@@ -837,7 +861,7 @@ def test_escape_ignores_the_inward_crossing(barrier):
     packet = scenario_packet(barrier, -12.0, sigma0=0.5)
     model = ModelConfig(potential=barrier, order=2)
     icfg = tight_integrator(t_max=40.0, escape_radius=10.0)
-    traj = integrate(initial_moments(packet, 2), model, icfg)
+    traj = integrate(initial_moments(packet, model), model, icfg)
     inward = np.flatnonzero(np.abs(traj.q) < 10.0)[0]
     assert traj.times[inward] == pytest.approx(1.4, abs=0.1)
     escapes = [e for e in traj.events if e.kind == "escape"]
@@ -864,11 +888,8 @@ def test_series_match_scalar_functions(barrier, order):
     # The array post-processing and the public scalar functions run one
     # compiled expression, so they agree bit for bit at every sample.
     model = ModelConfig(potential=barrier, order=order)
-    packet = scenario_packet(barrier, -1.62, sigma0=0.3)
-    if order == 0:
-        init = MomentState(t=0.0, q=packet.q0, p=packet.p0, moments=())
-    else:
-        init = initial_moments(packet, order, "zero")
+    packet = scenario_packet(barrier, -1.62, sigma0=0.3, third_moment_convention="zero")
+    init = initial_moments(packet, model)
     if order == 3:
         # A skewed packet, so that the G30 terms are nonzero.
         init = MomentState(
@@ -893,7 +914,7 @@ def test_dop853_cross_check(barrier):
     # with the Dormand-Prince 5(4) run on the standard scenario.
     integrate_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     model = ModelConfig(potential=barrier, order=2)
-    init = initial_moments(scenario_packet(barrier, -2.5, sigma0=0.5), 2)
+    init = initial_moments(scenario_packet(barrier, -2.5, sigma0=0.5), model)
     traj = integrate(init, model, tight_integrator(t_max=2.0))
     assert traj.termination is Termination.REACHED_TMAX
     f = make_rhs(model)
@@ -932,11 +953,11 @@ def test_every_order_with_moments_stops_where_the_product_turns_negative(barrier
                           if stops else [])
 
 
-def test_a_remainder_below_the_smallest_step_ends_the_run():
-    # At t0 = 1e6 the underflow guard allows no step below 1e-8, 86 ulps of
-    # t0. A step of max_step that ends 5 ulps short of t_end ends the run
-    # there: the horizon is met within that smallest step, so no step the
-    # guard would reject is attempted.
+def test_a_remainder_of_a_few_ulps_is_stepped_to_t_end():
+    # At t0 = 1e6 a step of max_step ends 5 ulps short of t_end. The horizon
+    # is met within 1e-12 of the span, and the smallest step the underflow
+    # guard allows scales with the elapsed time, not with t, so the 5-ulp
+    # remainder is one more step that lands on t_end exactly.
     t0, ulp = 1e6, math.ulp(1e6)
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=1e-7 + 5 * ulp, max_step=1e-7,
                             sample_dt=1e-7)
@@ -944,9 +965,36 @@ def test_a_remainder_below_the_smallest_step_ends_the_run():
         lambda: lambda y: [1.0, -y[0]], t0, [0.0, 1.0], icfg
     )
     assert termination is Termination.REACHED_TMAX
-    assert stats["n_steps"] == 1
-    assert times == [t0, t0 + 1e-7]
-    assert (t0 + icfg.t_max) - times[-1] == 5 * ulp
+    assert stats["n_steps"] == 2
+    assert times == [t0, t0 + 1e-7, t0 + icfg.t_max]
+
+
+def test_a_late_start_steps_as_an_early_one():
+    # Step sizes of 1e-9 are 9 ulps at t0 = 1e6, below 1e-14 * t0 but far
+    # above 1e-14 times the elapsed time: the run from t0 = 1e6 takes the
+    # same 10 steps and keeps the same 11 rows as the run from t0 = 0.
+    icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=1e-8, max_step=1e-9, sample_dt=1e-9)
+    for t0 in (0.0, 1e6):
+        times, _, _, termination, stats = matches_reference(
+            lambda: lambda y: [1.0, -y[0]], t0, [0.0, 1.0], icfg
+        )
+        assert termination is Termination.REACHED_TMAX
+        assert "failure" not in stats
+        assert stats["n_steps"] == 10
+        assert len(times) == 11
+        assert times[-1] == t0 + icfg.t_max
+    # A step too small to move t is an underflow failure too. An RHS that
+    # turns infinite past y = 1.5 shrinks the step tenfold per attempt: from
+    # t0 = 0 down to 1e-14 * 1.5, from t0 = 1e6 only until t + h == t (about
+    # 6e-11), so the late run fails after fewer attempts.
+    icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=2.0, max_step=0.5, sample_dt=0.05)
+    early, late = (
+        matches_reference(lambda: lambda y: [math.inf if y[0] > 1.5 else 1.0], t0, [0.0], icfg)[4]
+        for t0 in (0.0, 1e6)
+    )
+    assert early["failure"] == late["failure"] == "underflow"
+    assert early["n_steps"] == late["n_steps"]
+    assert late["n_rejected_nonfinite"] < early["n_rejected_nonfinite"]
 
 
 def test_order_mismatch_rejected(barrier):

@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentous import BarrierPotential, GaussianPacket, IntegratorConfig, ModelConfig, MomentState
+from momentous import BarrierPotential, GaussianPacket, IntegratorConfig, ModelConfig
 from momentous.dynamics import effective_series, make_rhs, state_variables
 from momentous.integrator import integrate
 from momentous.packet import initial_moments
@@ -76,10 +76,7 @@ def test_effective_hamiltonian_drift_follows_the_tolerance(
     pot = BarrierPotential(alpha=alpha, a=1.0, n=n)
     cfg = ModelConfig(potential=pot, mass=mass, order=order)
     tol = 10.0 ** exponent
-    if order == 0:
-        init = MomentState(t=0.0, q=q0, p=p0)
-    else:
-        init = initial_moments(GaussianPacket(q0, p0, sigma0), order, "zero")
+    init = initial_moments(GaussianPacket(q0, p0, sigma0, "zero"), cfg)
     icfg = IntegratorConfig(rtol=tol, atol=tol, t_max=3.0, max_steps=10_000)
     traj = integrate(init, cfg, icfg)
     d = traj.states.shape[1]
