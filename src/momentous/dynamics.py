@@ -9,11 +9,13 @@ State layout per truncation order::
 The physics exists once, as the effective Hamiltonian
 ``moment_algebra.hamiltonian_terms``. :func:`eom_table` derives the exact
 equations from it through the complete moment bracket, and a small compiler
-turns those tables, with the barrier's jet inlined, into
-straight-line Python per truncation order and exponent ``n``: :func:`make_rhs`
-is the compiled table the propagator integrates (and ``check-algebra``
-verifies), and ``H_Q`` and ``V_eff`` (the Hamiltonian without its ``p``
-terms) are compiled expressions that take floats and arrays alike.
+turns those tables, with the barrier's jet inlined, into straight-line
+Python source per truncation order and exponent ``n``: :func:`rhs_source` is
+the table as a template over the state components, which the propagator
+pastes into its loop, :func:`make_rhs` is the same source compiled as a
+function (which ``check-algebra`` verifies), and ``H_Q`` and ``V_eff`` (the
+Hamiltonian without its ``p`` terms) are compiled expressions that take
+floats and arrays alike.
 
 The order-2 system is exactly the order-3 system with every third moment
 set to zero. Both conserve the effective Hamiltonian identically (the
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -37,12 +39,13 @@ import numpy as np
 
 from . import moment_algebra
 from .moment_algebra import VALID_ORDERS, Moment, MomentPolynomial, Term
-from .potential import BarrierPotential, exec_source, jet_lines
+from .potential import BarrierPotential, exec_source, jet_lines, jet_name
 
 __all__ = [
     "MOMENTS_BY_ORDER",
     "ModelConfig",
     "MomentState",
+    "RhsSource",
     "effective_hamiltonian",
     "effective_potential",
     "effective_series",
@@ -50,6 +53,7 @@ __all__ = [
     "make_rhs",
     "moment_labels",
     "rhs",
+    "rhs_source",
     "state_dimension",
     "state_variables",
     "state_to_vector",
@@ -156,11 +160,38 @@ def vector_to_state(t: float, y: Sequence[float], order: int) -> MomentState:
                        moments=tuple(float(v) for v in y[2:]))
 
 
+@dataclass(frozen=True)
+class RhsSource:
+    """The time derivative of a state vector as source lines, for a caller
+    to paste into its own code.
+
+    In ``template``, ``{y0}, {y1}, ...`` stand for the state's components,
+    each to be replaced by a plain name, and ``{k0}, {k1}, ...`` for the
+    names the lines assign the derivative's components to. The lines read
+    the constants ``bound``, name to value, and assign temporaries whose
+    names begin with ``_`` or ``v``. ``label`` names the source in generated
+    file names. Equality and hashing take the text only, not ``bound``.
+    """
+
+    template: str
+    label: str
+    bound: dict = field(compare=False)
+
+
+def rhs_source(cfg: ModelConfig) -> RhsSource:
+    """The model's RHS, compiled from :func:`eom_table` for its truncation
+    order, as source: the lines :func:`make_rhs` runs."""
+    # Keyed on the eom_table in force, so a substituted table yields its own
+    # source and never the one derived from the real table.
+    pot = cfg.potential
+    return RhsSource(_rhs_template(cfg.order, eom_table, pot.n),
+                     f"order-{cfg.order} rhs n={pot.n}",
+                     {"alpha": pot.alpha, "a_2n": pot._a_2n, "m": cfg.mass})
+
+
 def make_rhs(cfg: ModelConfig):
-    """Return ``f(y) -> list``, the time derivative of a state vector,
-    compiled from :func:`eom_table` for the model's truncation order."""
-    # Keyed on the eom_table in force, so a substituted table compiles its own
-    # kernel and never reaches the one compiled from the real table.
+    """Return ``f(y) -> list``, the time derivative of a state vector: the
+    lines of :func:`rhs_source` compiled as a function."""
     pot = cfg.potential
     return _rhs_kernel(cfg.order, eom_table, pot.n)(pot.alpha, pot._a_2n, cfg.mass)
 
@@ -226,7 +257,7 @@ def effective_series(states: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, 
 
 
 def eom_table(order: int) -> dict[Union[str, Moment], MomentPolynomial]:
-    """Right-hand sides in symbolic form, which :func:`make_rhs` compiles.
+    """Right-hand sides in symbolic form, which :func:`rhs_source` compiles.
 
     Each is the bracket of its variable with ``hamiltonian_terms(order)``
     through the complete moment bracket (contractions up to and including
@@ -243,14 +274,15 @@ def eom_table(order: int) -> dict[Union[str, Moment], MomentPolynomial]:
 # the equations integrated are the ones check-algebra verifies.
 
 
-def _term_source(coeff: Fraction, term: Term) -> str:
-    """``|coeff| * term`` as source: the numerator times the factors, then
-    ``/ m`` per inverse mass, then ``/ denominator``."""
+def _term_source(coeff: Fraction, term: Term, fields: dict) -> str:
+    """``|coeff| * term`` as source, the variables read from ``fields``: the
+    numerator times the factors, then ``/ m`` per inverse mass, then ``/
+    denominator``."""
     if term.hbar_power or term.mass_power > 0:
         raise ValueError("compiled tables carry no hbar and only inverse masses")
-    factors = [] if term.v_order is None else [f"v{term.v_order}"]
-    factors += ["p"] * term.p_power
-    factors += [f"g{a}{b}" for a, b in term.moments]
+    factors = [] if term.v_order is None else [jet_name(term.v_order)]
+    factors += [fields["p"]] * term.p_power
+    factors += [fields[moment] for moment in term.moments]
     numerator = abs(coeff.numerator)
     if numerator != 1:
         factors.insert(0, repr(float(numerator)))
@@ -262,11 +294,11 @@ def _term_source(coeff: Fraction, term: Term) -> str:
     return source
 
 
-def _expression_source(poly: MomentPolynomial) -> str:
+def _expression_source(poly: MomentPolynomial, fields: dict) -> str:
     """The terms summed left to right in ``poly.items()`` order."""
     source = ""
     for term, coeff in poly.items():
-        body = _term_source(coeff, term)
+        body = _term_source(coeff, term, fields)
         if not source:
             source = f"-{body}" if coeff < 0 else body
         else:
@@ -274,31 +306,49 @@ def _expression_source(poly: MomentPolynomial) -> str:
     return source
 
 
-def _compile(name: str, order: int, n: int, polys: Sequence[MomentPolynomial]):
-    """Compile ``polys`` into ``make(alpha, a_2n, m) -> f(y) -> list``.
+def _template(order: int, n: int, polys: Sequence[MomentPolynomial]) -> str:
+    """``polys`` as the lines of an :class:`RhsSource` template over a state
+    of ``order``: the jet lines of exponent ``n`` for the derivatives the
+    terms read, then ``{k<i>} = `` polynomial ``i``."""
+    fields = {var: f"{{y{i}}}" for i, var in enumerate(state_variables(order))}
+    orders = {t.v_order for poly in polys for t, _ in poly.items() if t.v_order is not None}
+    lines = jet_lines(n, orders, fields["q"])
+    lines += [f"{{k{i}}} = {_expression_source(poly, fields)}" for i, poly in enumerate(polys)]
+    return "\n".join(lines)
+
+
+def _compile(filename: str, order: int, template: str, count: int):
+    """Compile ``template`` into ``make(alpha, a_2n, m) -> f(y) -> list``.
 
     ``f`` unpacks a state ``y`` (q, p, then the moments of ``order``; floats
-    or arrays alike), runs the jet lines of exponent ``n`` up to the highest
-    derivative any term uses, and returns one value per polynomial.
+    or arrays alike), runs the template's lines and returns its ``count``
+    values.
     """
-    names = ", ".join(("q", "p", *moment_labels(order)))
-    k = max(t.v_order for poly in polys for t, _ in poly.items() if t.v_order is not None)
-    jet = "".join(f"        {line}\n" for line in jet_lines(n, k))
+    names = ("q", "p", *moment_labels(order))
+    outputs = [f"r{i}" for i in range(count)]
+    body = template.format(**{f"y{i}": name for i, name in enumerate(names)},
+                           **{f"k{i}": name for i, name in enumerate(outputs)})
     source = (
         "def make(alpha, a_2n, m):\n"
         "    def f(y):\n"
-        f"        [{names}] = y\n"
-        f"{jet}"
-        f"        return [{', '.join(map(_expression_source, polys))}]\n"
+        f"        [{', '.join(names)}] = y\n"
+        + "".join(f"        {line}\n" for line in body.splitlines())
+        + f"        return [{', '.join(outputs)}]\n"
         "    return f\n"
     )
-    return exec_source(source, f"<order-{order} {name} kernel n={n}>")["make"]
+    return exec_source(source, filename)["make"]
+
+
+@functools.lru_cache(maxsize=None)
+def _rhs_template(order: int, table, n: int) -> str:
+    equations = table(order)
+    return _template(order, n, [equations[var] for var in state_variables(order)])
 
 
 @functools.lru_cache(maxsize=None)
 def _rhs_kernel(order: int, table, n: int):
-    equations = table(order)
-    return _compile("rhs", order, n, [equations[var] for var in state_variables(order)])
+    return _compile(f"<order-{order} rhs kernel n={n}>", order,
+                    _rhs_template(order, table, n), state_dimension(order))
 
 
 @functools.lru_cache(maxsize=None)
@@ -306,4 +356,5 @@ def _series_kernel(order: int, n: int):
     # V_eff is the effective Hamiltonian without its p terms.
     hamiltonian = moment_algebra.hamiltonian_terms(order)
     potential = MomentPolynomial({t: c for t, c in hamiltonian.items() if not t.p_power})
-    return _compile("H_Q, V_eff", order, n, [hamiltonian, potential])
+    return _compile(f"<order-{order} H_Q, V_eff kernel n={n}>", order,
+                    _template(order, n, [hamiltonian, potential]), 2)

@@ -11,17 +11,20 @@ independent accuracy diagnostic rather than a built-in property.
 
 The state has at most nine components, so the stepper works on Python floats
 rather than numpy arrays, whose per-call overhead would dominate. One
-trajectory is one call of a loop generated from the tableau per state
-dimension and set of event expressions (each event is a source expression
-over the state components, so every sweep point shares one compiled loop):
+trajectory is one call of one Python frame: a loop generated from the tableau
+per state dimension, set of event expressions and RHS source (each event is
+a source expression over the state components, and the model's RHS is the
+source ``dynamics.rhs_source`` derives from ``eom_table``, whose constants
+are arguments, so every sweep point shares one compiled loop). It is
 straight-line code with one local per component and stage that runs the
 starting-step heuristic, the step-size guards, the six stages (checking each
 stage state for finiteness), the 5th-order update, the error norm, the PI
 controller, the event tests, the choice of sample rows and the bisection of
-each located event, and calls the RHS it is given. Every expression keeps the
-per-component operation order, and the error norm sums its squares in numpy's
-pairwise order, so step sizes, samples and events are those of an array
-implementation, bit for bit.
+each located event, with the RHS lines pasted in at each of its eight
+evaluations; an opaque RHS callable is the one-line source that calls it.
+Every expression keeps the per-component operation order, and the error norm
+sums its squares in numpy's pairwise order, so step sizes, samples and events
+are those of an array implementation, bit for bit.
 
 Recorded along the way:
 
@@ -61,15 +64,16 @@ import numpy as np
 from .dynamics import (
     ModelConfig,
     MomentState,
-    # Unused here: perfbench's tracer wraps these two names in this module,
-    # and its smoke tests require every traced name to exist.
-    effective_hamiltonian,
-    effective_potential,
+    RhsSource,
     effective_series,
-    make_rhs,
+    rhs_source,
     state_to_vector,
     vector_to_state,
 )
+
+# Unused here: perfbench's tracer wraps these three names in this module, and
+# its smoke tests require every traced name to exist.
+from .dynamics import effective_hamiltonian, effective_potential, make_rhs
 from .potential import exec_source
 
 __all__ = [
@@ -289,9 +293,10 @@ def _fields(expr: str, kind: str) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _loop(d: int, events: tuple[tuple[str, int], ...]):
-    """Compile ``run(f, t0, y0, icfg, specs)``, the whole adaptive loop for
-    ``d`` state components and the ``(expr, direction)`` of each event spec.
+def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource):
+    """Compile ``run(rhs, t0, y0, icfg, specs)``, the whole adaptive loop for
+    ``d`` state components, the ``(expr, direction)`` of each event spec and
+    the text of the RHS source ``rhs``.
 
     The loop is straight-line code per step with one local per component and
     stage (component ``i`` of stage ``j`` is ``k{j}_{i}``): Hairer's starting
@@ -314,10 +319,13 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
     nothing is dropped here: :func:`_dense_rows` sorts the rows by time and
     applies the rule for rows within ``1e-12`` of each other after the loop.
     The loop evaluates the interpolant only for event states;
-    :func:`_dense_rows` builds the sample times and states after it. It calls
-    ``f`` on state lists and reads the run's tolerances, horizon, step cap,
-    sample grid and step budget from ``icfg``; each event's constants come
-    from its spec's ``values``. Every expression keeps the operation order of
+    :func:`_dense_rows` builds the sample times and states after it. Each of
+    its eight RHS evaluations (k1, the starting-step probe, stages 2 to 6
+    and k7) is the template of ``rhs`` pasted in over that stage's locals;
+    there is no call. It reads the template's constants from the ``rhs`` it
+    is called with, the run's tolerances, horizon, step cap, sample grid
+    and step budget from ``icfg``, and each event's constants from its
+    spec's ``values``. Every expression keeps the operation order of
     the per-component list loop it replaces (see ``tests/conftest.py``), so
     every bit is that loop's.
 
@@ -361,6 +369,19 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
             put(level + 1, f"n_rhs += {calls}")
         put(level + 1, "n_nonfinite += 1", "rejected = True", "h *= 0.1", "continue")
 
+    def derivative(level, args, out):
+        # The RHS at the state ``args`` into the locals out0, out1, ...: an
+        # expression argument is assigned to a stage local first, as the
+        # template reads each component as a plain name.
+        names = {}
+        for i, arg in zip(comps, args):
+            if not arg.isidentifier():
+                put(level, f"s{i} = {arg}")
+                arg = f"s{i}"
+            names[f"y{i}"] = arg
+        names.update((f"k{i}", f"{out}{i}") for i in comps)
+        put(level, *rhs.template.format(**names).splitlines())
+
     def rms(level, target, values, scale=""):
         put(level, *(f"u{i} = {v}" for i, v in zip(comps, values)))
         put(level, f"{target} = {_rms_expression([f'u{i}' for i in comps])}{scale}")
@@ -375,13 +396,14 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
     ev = range(len(events))
     put(1, "rtol = icfg.rtol", "atol = icfg.atol", "max_step = icfg.max_step",
         "sample_dt = icfg.sample_dt", "max_steps = icfg.max_steps",
-        "t_end = t0 + icfg.t_max", "t = t0", "y = [float(a) for a in y0]",
-        f"[{listed('x')}] = y")
+        "t_end = t0 + icfg.t_max", "t = t0", f"[{listed('x')}] = [float(a) for a in y0]",
+        *(f"{name} = rhs.bound[{name!r}]" for name in rhs.bound))
     for k in ev:
         constants = _fields(events[k][0], "c")
         if constants:
             put(1, f"[{listed(f'c{k}_', constants)}] = specs[{k}].values")
-    put(1, f"[{listed('k1_')}] = f(y)", "n_rhs = 1", "failure = None")
+    derivative(1, [f"x{i}" for i in comps], "k1_")
+    put(1, "n_rhs = 1", "failure = None")
 
     # Hairer's starting-step heuristic, unless k1 is not finite; the run
     # fails at once if either gives no finite positive starting step.
@@ -393,8 +415,8 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
     put(2, "h0 = 1e-6 if (norm0 < 1e-5 or norm1 < 1e-5) else 0.01 * norm0 / norm1",
         "span = t_end - t0",
         "if span < h0:", "    h0 = span",
-        "if max_step < h0:", "    h0 = max_step",
-        f"[{listed('f1_')}] = f([{', '.join(f'x{i} + h0 * k1_{i}' for i in comps)}])")
+        "if max_step < h0:", "    h0 = max_step")
+    derivative(2, [f"x{i} + h0 * k1_{i}" for i in comps], "f1_")
     rms(2, "norm2", [f"(f1_{i} - k1_{i}) / sc{i}" for i in comps], " / h0")
     put(2, "top = norm2 if norm2 > norm1 else norm1",
         "if top <= 1e-15:",
@@ -442,10 +464,11 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
     for j, row in enumerate(_A, start=2):
         put(2, *(f"s{i} = x{i} + h * ({combo(row, i)})" for i in comps))
         reject_unless_finite(2, [f"s{i}" for i in comps], j - 2)
-        put(2, f"[{listed(f'k{j}_')}] = f([{listed('s')}])")
+        derivative(2, [f"s{i}" for i in comps], f"k{j}_")
     put(2, *(f"z{i} = x{i} + h * ({combo(_B, i)})" for i in comps))
     reject_unless_finite(2, [f"z{i}" for i in comps], 5)
-    put(2, f"[{listed('k7_')}] = f([{listed('z')}])", "n_rhs += 6")
+    derivative(2, [f"z{i}" for i in comps], "k7_")
+    put(2, "n_rhs += 6")
     for i in comps:
         # The scale takes max(|x|, |z|) the way the builtin picks it, inline.
         put(2, f"m{i} = abs(x{i})", f"n{i} = abs(z{i})",
@@ -492,10 +515,14 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
         put(4, "located = []", "for k, glo, gend, direction in crossed:",
             "    if gend == 0.0:", "        te = tnew", "    else:")
         put(6, "lo = t", "hi = tnew", "for _ in range(200):")
-        put(7, "a = abs(hi)",
+        # The width rule scales with the elapsed time, as the step rules do;
+        # at a late start it is finer than the float spacing, where the
+        # midpoint rounds onto an end.
+        put(7, "a = hi - t0",
             "if hi - lo <= 1e-13 * (a if a > 1.0 else 1.0):",
             "    te = 0.5 * (lo + hi)", "    break",
-            "mid = 0.5 * (lo + hi)")
+            "mid = 0.5 * (lo + hi)",
+            "if mid == lo or mid == hi:", "    te = mid", "    break")
         dense_at(7, "mid")
         for k in ev:  # event k's value, from the components it reads
             put(7, f"{'if' if k == 0 else 'elif'} k == {k}:")
@@ -567,13 +594,13 @@ def _loop(d: int, events: tuple[tuple[str, int], ...]):
         "from struct import Struct\n"
         "_time = itemgetter(0)\n"
         f"pack = Struct('{2 + 6 * d}d').pack\n"
-        "def run(f, t0, y0, icfg, specs):\n"
+        "def run(rhs, t0, y0, icfg, specs):\n"
         + "".join(f"{line}\n" for line in out)
     )
     described = "; ".join(
         expr + {0: "", 1: " rising", -1: " falling"}[direction] for expr, direction in events
     )
-    return exec_source(source, f"<dopri5 loop d={d} events: {described}>")["run"]
+    return exec_source(source, f"<dopri5 loop d={d} rhs: {rhs.label}; events: {described}>")["run"]
 
 
 def _dense_rows(rec, coeffs, d: int, t0: float, sample_dt: float):
@@ -684,30 +711,41 @@ def _dense_rows(rec, coeffs, d: int, t0: float, sample_dt: float):
     return times, states
 
 
+def _callable_source(f, d: int) -> RhsSource:
+    """An opaque RHS callable ``f`` as the one-line source that calls it on
+    a state list of ``d`` components."""
+    outputs = ", ".join(f"{{k{i}}}" for i in range(d))
+    inputs = ", ".join(f"{{y{i}}}" for i in range(d))
+    return RhsSource(f"[{outputs}] = f([{inputs}])", "a callable f", {"f": f})
+
+
 def _propagate(
-    f,
+    rhs,
     t0: float,
     y0: Sequence[float],
     icfg: IntegratorConfig,
     specs: Sequence[_EventSpec] = (),
 ):
     """Adaptive loop for ``icfg.t_max`` from ``t0``, under the tolerances,
-    step cap, sample grid and step budget of ``icfg``; ``f`` maps a state
-    list to its derivative list, and an event whose spec names a ``stop``
-    ends the run with that termination. Runs the loop :func:`_loop` compiled
-    for the state dimension and the specs' expressions, and returns (times,
-    states, raw events, termination, stats): ``times`` is the float array of
-    sample times and ``states`` the ``(n, d)`` float array that
+    step cap, sample grid and step budget of ``icfg``; ``rhs`` is an
+    :class:`RhsSource` or a callable that maps a state list to its
+    derivative list, and an event whose spec names a ``stop`` ends the run
+    with that termination. Runs the loop :func:`_loop` compiled for the
+    state dimension, the specs' expressions and the RHS source, and returns
+    (times, states, raw events, termination, stats): ``times`` is the float
+    array of sample times and ``states`` the ``(n, d)`` float array that
     :func:`_dense_rows` builds after the loop. Raw events are ``(t, spec,
     direction, y)`` tuples, ``y`` a list of floats. ``stats`` counts accepted steps, rejected
     attempts (in all, for an error norm above 1 and for a non-finite stage,
-    update or error norm) and RHS calls, and gives ``h_min`` and ``h_max``
+    update or error norm) and RHS evaluations, and gives ``h_min`` and ``h_max``
     over the accepted steps (None when there are none). On a step failure
     ``stats["failure"]`` names the guard that stopped the run:
     "nonfinite_start", "underflow", "budget" or "blowup"."""
     d = len(y0)
-    run = _loop(d, tuple((spec.expr, spec.direction) for spec in specs))
-    rec, coeffs, raw_events, stop, stats = run(f, t0, y0, icfg, tuple(specs))
+    if not isinstance(rhs, RhsSource):
+        rhs = _callable_source(rhs, d)
+    run = _loop(d, tuple((spec.expr, spec.direction) for spec in specs), rhs)
+    rec, coeffs, raw_events, stop, stats = run(rhs, t0, y0, icfg, tuple(specs))
     times, states = _dense_rows(rec, coeffs, d, t0, icfg.sample_dt)
     if "failure" in stats:
         termination = Termination.STEP_FAILURE
@@ -781,9 +819,9 @@ def integrate(
         raise ValueError(
             f"initial state order {init.order} does not match model order {model.order}"
         )
-    f = make_rhs(model)
     times, y_arr, raw_events, termination, stats = _propagate(
-        f, init.t, state_to_vector(init), icfg, _event_specs(model, icfg, mark_positions)
+        rhs_source(model), init.t, state_to_vector(init), icfg,
+        _event_specs(model, icfg, mark_positions),
     )
 
     order = model.order

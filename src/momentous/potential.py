@@ -36,16 +36,25 @@ K_MAX = 8
 N_MAX = 514
 
 
-def jet_lines(n: int, k: int) -> list[str]:
-    """Statements setting ``v0, ..., v{k}`` to ``V(q), ..., V^(k)(q)`` from
-    ``q``, ``alpha`` and ``a_2n`` (= ``a**(2n)``): the powers ``_p{i}`` of
-    ``q`` by repeated multiplication, the Taylor coefficients ``_u{j}`` of
-    ``u``, those of ``alpha / u`` (``_w{i}``, each sum from ``0.0``, left to
-    right) and ``v{i} = i! * _w{i}``. That order fixes the bits; the ``_``
+def jet_name(i: int) -> str:
+    """The local that :func:`jet_lines` leaves ``V^(i)(q)`` in: ``_w{i}``
+    itself where ``i! = 1`` (``x * 1.0`` is ``x``, bit for bit), else
+    ``v{i}``."""
+    return f"_w{i}" if i < 2 else f"v{i}"
+
+
+def jet_lines(n: int, orders, q: str = "q") -> list[str]:
+    """Statements setting :func:`jet_name` ``(i)`` to ``V^(i)(q)`` for each
+    ``i`` in ``orders``, from the source ``q``, ``alpha`` and ``a_2n`` (=
+    ``a**(2n)``): the powers ``_p{i}`` of ``q`` by repeated multiplication,
+    the Taylor coefficients ``_u{j}`` of ``u``, those of ``alpha / u``
+    (``_w{i}``, each sum from ``0.0``, left to right, up to the highest
+    order) and ``v{i} = i! * _w{i}``. That order fixes the bits; the ``_``
     keeps temporaries apart from kernel names (``p`` is the momentum)."""
+    k = max(orders)
     two_n, top = 2 * n, min(2 * n, k)
     lines = ["_p0 = 1.0"] if top == two_n else []  # read only by _u{2n}
-    lines += ["_p1 = q", *(f"_p{i} = _p{i - 1} * q" for i in range(2, two_n + 1))]
+    lines += [f"_p1 = {q}", *(f"_p{i} = _p{i - 1} * {q}" for i in range(2, two_n + 1))]
     lines.append(f"_u0 = _p{two_n} + a_2n")
     lines += [f"_u{j} = {float(math.comb(two_n, j))!r} * _p{two_n - j}"
               for j in range(1, top + 1)]
@@ -53,7 +62,8 @@ def jet_lines(n: int, k: int) -> list[str]:
     for i in range(1, k + 1):
         terms = "".join(f" + _u{j} * _w{i - j}" for j in range(1, min(i, top) + 1))
         lines.append(f"_w{i} = -(0.0{terms}) / _u0")
-    lines += [f"v{i} = _w{i} * {float(math.factorial(i))!r}" for i in range(k + 1)]
+    lines += [f"{jet_name(i)} = _w{i} * {float(math.factorial(i))!r}"
+              for i in sorted(orders) if jet_name(i) != f"_w{i}"]
     return lines
 
 
@@ -68,7 +78,7 @@ def exec_source(source: str, filename: str) -> dict:
 @functools.lru_cache(maxsize=None)
 def _jet(n: int, k: int):
     """The compiled ``jet(q, alpha, a_2n) -> [v0, ..., v{k}]``."""
-    lines = [*jet_lines(n, k), f"return [{', '.join(f'v{i}' for i in range(k + 1))}]"]
+    lines = [*jet_lines(n, range(k + 1)), f"return [{', '.join(map(jet_name, range(k + 1)))}]"]
     source = "def jet(q, alpha, a_2n):\n" + "".join(f"    {line}\n" for line in lines)
     return exec_source(source, f"<jet n={n} k={k}>")["jet"]
 

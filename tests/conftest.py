@@ -182,14 +182,16 @@ def reference_dense(t0, h, coeffs):
     return dense
 
 
-def reference_locate_zero(fn, t0, t1, g0, dense):
-    """Bisect a sign change of ``fn`` over dense output; ~1e-13 in time."""
-    lo, hi = t0, t1
-    glo = g0
+def reference_locate_zero(fn, lo, hi, glo, dense, t0):
+    """Bisect a sign change of ``fn`` on ``(lo, hi]`` over dense output, to
+    ~1e-13 of the time elapsed since the run's start ``t0``, or until the
+    midpoint rounds onto an end."""
     for _ in range(200):
-        if hi - lo <= 1e-13 * max(1.0, abs(hi)):
+        if hi - lo <= 1e-13 * max(1.0, hi - t0):
             break
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         gm = fn(dense(mid))
         if gm == 0.0:
             return mid
@@ -316,7 +318,7 @@ def reference_integrate(f, t0, y0, icfg, specs=()):
             direction = 1 if g0 < 0.0 else -1
             if spec.direction and spec.direction != direction:
                 continue
-            te = tnew if g1 == 0.0 else reference_locate_zero(fn, t, tnew, g0, dense)
+            te = tnew if g1 == 0.0 else reference_locate_zero(fn, t, tnew, g0, dense, t0)
             located.append((te, spec, direction))
         located.sort(key=lambda item: item[0])
 

@@ -1425,7 +1425,7 @@ def test_nonfinite_start_exit_code(tmp_path, monkeypatch, capsys):
     # the message names the cause; the table holds the initial state.
     import momentous.integrator as integrator
 
-    monkeypatch.setattr(integrator, "make_rhs", lambda model: lambda y: [math.nan] * len(y))
+    monkeypatch.setattr(integrator, "rhs_source", lambda model: lambda y: [math.nan] * len(y))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(scenario_raw(output={"path": str(tmp_path / "n")})))
     assert main(["simulate", "--config", str(path)]) == 2

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import json
+import linecache
 import math
 import os
 import subprocess
@@ -24,8 +26,15 @@ from momentous import (
     uncertainty_residual,
 )
 import momentous
-from momentous.dynamics import make_rhs, state_to_vector
-from momentous.integrator import _EventSpec, _event_specs, _loop, _propagate
+from momentous import dynamics
+from momentous.dynamics import make_rhs, rhs_source, state_to_vector
+from momentous.integrator import (
+    _EventSpec,
+    _callable_source,
+    _event_specs,
+    _loop,
+    _propagate,
+)
 
 from conftest import (
     reference_dense,
@@ -49,14 +58,15 @@ def same_rows(states, rows):
     return states.shape == want.shape and states.tobytes() == want.tobytes()
 
 
-def matches_reference(make_f, t0, y0, icfg, specs=()):
-    """The generated loop's output for an RHS from ``make_f`` (a fresh one
-    per run), required to equal the reference loop's bit for bit: the states
+def matches_reference(make_f, t0, y0, icfg, specs=(), source=None):
+    """The generated loop's output for the RHS ``source``, or an RHS from
+    ``make_f`` (a fresh one per run), required to equal that of the
+    reference loop, which calls ``make_f()``, bit for bit: the states
     array by :func:`same_rows`, the rest by ``repr`` (which tells -0.0 from
     0.0 and spells every float exactly), the times array as its list of
     Python floats, in which form it is returned."""
     expected = reference_integrate(make_f(), t0, y0, icfg, specs)
-    times, *rest = _propagate(make_f(), t0, y0, icfg, specs)
+    times, *rest = _propagate(make_f() if source is None else source, t0, y0, icfg, specs)
     assert times.dtype == np.float64
     actual = (times.tolist(), *rest)
     parts = ("times", "states", "raw events", "termination", "stats")
@@ -390,15 +400,16 @@ def test_nonfinite_starting_step_fails_like_the_reference():
 
 
 def model_run(barrier, order, q0, sigma0, convention, **overrides):
-    """RHS factory, start vector, config and event specs of an ``integrate``
-    call on the standard scenario, marking the classical return points."""
+    """RHS factory, the RHS source that ``integrate`` splices into its loop,
+    start vector, config and event specs of an ``integrate`` call on the
+    standard scenario, marking the classical return points."""
     model = ModelConfig(potential=barrier, order=order)
     packet = scenario_packet(barrier, q0, sigma0, third_moment_convention=convention)
     init = initial_moments(packet, model)
     icfg = tight_integrator(**overrides)
     specs = _event_specs(model, icfg, barrier.turning_points(0.98))
     f = make_rhs(model)
-    return (lambda: f), state_to_vector(init), icfg, specs
+    return (lambda: f), rhs_source(model), state_to_vector(init), icfg, specs
 
 
 @pytest.mark.parametrize(
@@ -421,8 +432,8 @@ def model_run(barrier, order, q0, sigma0, convention, **overrides):
 def test_loop_matches_reference_on_model_runs(
     request, barrier, order, q0, sigma0, convention, overrides, termination
 ):
-    make_f, y0, icfg, specs = model_run(barrier, order, q0, sigma0, convention, **overrides)
-    times, _, events, got, stats = matches_reference(make_f, 0.0, y0, icfg, specs)
+    make_f, source, y0, icfg, specs = model_run(barrier, order, q0, sigma0, convention, **overrides)
+    times, _, events, got, stats = matches_reference(make_f, 0.0, y0, icfg, specs, source)
     assert got is termination
     case = request.node.callspec.id
     if case == "order2-coarse-samples":
@@ -434,6 +445,70 @@ def test_loop_matches_reference_on_model_runs(
         # The inward crossing of the escape radius is filtered out.
         assert [d for _, spec, d, _ in events if spec.kind == "escape"] == [1]
         assert np.abs(y0[0]) > icfg.escape_radius
+
+
+@pytest.mark.parametrize("order", [0, 2, 3])
+def test_a_model_run_counts_every_rhs_evaluation(barrier, order):
+    # The spliced RHS is no call to count: n_rhs must still be the number of
+    # evaluations that a logging callable sees on the same run.
+    make_f, source, y0, icfg, specs = model_run(barrier, order, -1.62, 0.3, "zero",
+                                                atol=1e-6, t_max=2.35)
+    f = make_f()
+    calls = []
+
+    def logged(y):
+        calls.append(None)
+        return f(y)
+
+    stats = _propagate(source, 0.0, y0, icfg, specs)[4]
+    assert _propagate(logged, 0.0, y0, icfg, specs)[4] == stats
+    assert stats["n_rejected_nonfinite"] == 0 and stats["n_steps"] > 20
+    assert stats["n_rhs"] == len(calls)
+
+
+def test_the_loop_of_a_model_run_calls_no_rhs(barrier):
+    # integrate pastes the RHS lines into the loop: the loop it runs calls
+    # nothing but builtins and the row packer it builds, and carries the
+    # jet itself.
+    model = ModelConfig(potential=barrier, order=3)
+    init = initial_moments(scenario_packet(barrier, -1.62, 0.3), model)
+    icfg = tight_integrator(t_max=0.5)
+    _loop.cache_clear()
+    integrate(init, model, icfg)
+    hits = _loop.cache_info().hits
+    specs = _event_specs(model, icfg, ())
+    run = _loop(9, tuple((spec.expr, spec.direction) for spec in specs), rhs_source(model))
+    assert _loop.cache_info().hits == hits + 1  # the loop integrate ran
+    source = "".join(linecache.getlines(run.__code__.co_filename))
+    called = {node.func.id for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert called == {"Struct", "abs", "bytearray", "float", "itemgetter", "len", "max", "pack",
+                      "range", "sqrt"}
+    assert source.count("_w0 = alpha / _u0") == 8  # k1, the probe, stages 2-6, k7
+
+
+@pytest.mark.parametrize("order", [0, 2, 3])
+def test_table_coefficient_reaches_integrate(barrier, order, monkeypatch):
+    # integrate splices the RHS source of the eom_table in force: tripling
+    # one coefficient of the p equation gives the run of the tampered
+    # table's compiled RHS, bit for bit, not that of the loop compiled for
+    # the real table before, which is untouched afterwards.
+    model = ModelConfig(potential=barrier, order=order)
+    init = initial_moments(scenario_packet(barrier, -2.5, 0.5, third_moment_convention="zero"),
+                           model)
+    icfg = tight_integrator(t_max=2.0, sample_dt=0.05)
+    real = integrate(init, model, icfg)
+    table = dict(dynamics.eom_table(order))
+    term, coeff = next(table["p"].items())
+    table["p"] = table["p"].copy().add(2 * coeff, term)
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "eom_table", lambda o: table)
+        tampered = integrate(init, model, icfg)
+        times, states, *_ = _propagate(make_rhs(model), 0.0, state_to_vector(init), icfg,
+                                       _event_specs(model, icfg, ()))
+    assert same_rows(tampered.states, states.tolist()) and tampered.times.tolist() == times.tolist()
+    assert tampered.states.tobytes() != real.states.tobytes()
+    assert integrate(init, model, icfg).states.tobytes() == real.states.tobytes()
 
 
 def test_loop_matches_reference_on_step_failures():
@@ -639,8 +714,9 @@ def test_each_grid_index_is_recorded_by_the_first_step_that_reaches_it(t0, sampl
     }[events]
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=t_max, max_step=max_step,
                             sample_dt=sample_dt)
-    run = _loop(2, tuple((spec.expr, spec.direction) for spec in specs))
-    rec, _, raw_events, stop, _ = run(lambda y: [y[1], -y[0]], t0, [1.0, w], icfg, specs)
+    rhs = _callable_source(lambda y: [y[1], -y[0]], 2)
+    run = _loop(2, tuple((spec.expr, spec.direction) for spec in specs), rhs)
+    rec, _, raw_events, stop, _ = run(rhs, t0, [1.0, w], icfg, specs)
     entries = list(zip(*[iter(rec)] * 4))
     assert len(raw_events) >= {"none": 0, "p_zero": 1, "stop": 2}[events]
     assert stop is (Termination.ESCAPED if events == "stop" else None)
@@ -997,6 +1073,26 @@ def test_a_late_start_steps_as_an_early_one():
     assert late["n_rejected_nonfinite"] < early["n_rejected_nonfinite"]
 
 
+def test_an_event_at_a_late_start_is_located_to_the_float_spacing():
+    # p = cos s on the oscillator turns negative at s = pi/2. The bisection
+    # stops at 1e-13 of the elapsed time, which at t0 = 1e6 is finer than
+    # the float spacing: there it stops where the midpoint rounds onto an
+    # end, within a few ulps of t0 + pi/2, where a width of 1e-13 * t would
+    # leave it about 20 ulps off. From t0 = 0 the rule is unchanged.
+    spec = _EventSpec("{y1}", kind="p_zero")
+    icfg = IntegratorConfig(rtol=1e-10, atol=1e-10, t_max=2.0)
+    located = []
+    for t0 in (0.0, 1e6):
+        events = matches_reference(lambda: lambda y: [y[1], -y[0]], t0, [0.0, 1.0], icfg, (spec,))[2]
+        [(te, _, direction, _)] = events
+        assert direction == -1
+        located.append(te)
+    early, late = located
+    assert abs(early - math.pi / 2) < 1e-11
+    assert abs(late - (1e6 + math.pi / 2)) <= 3 * math.ulp(1e6)
+    assert abs(late - 1e6 - early) <= 3 * math.ulp(1e6)
+
+
 def test_order_mismatch_rejected(barrier):
     model = ModelConfig(potential=barrier, order=2)
     with pytest.raises(ValueError):
@@ -1004,12 +1100,12 @@ def test_order_mismatch_rejected(barrier):
 
 
 # Builds the loop for d = 2, 5 and 9 with and without markers and the
-# constraint, and the RHS and series kernels of orders 0, 2 and 3; prints the
-# text of every generated source.
+# constraint, each over its model's RHS source, and the RHS and series
+# kernels of orders 0, 2 and 3; prints the text of every generated source.
 GENERATED_SOURCES = """
 import json, linecache
 from momentous import BarrierPotential, IntegratorConfig, ModelConfig
-from momentous.dynamics import _series, make_rhs
+from momentous.dynamics import _series, make_rhs, rhs_source
 from momentous.integrator import _event_specs, _loop
 
 pot = BarrierPotential(alpha=1.0, a=1.0, n=4)
@@ -1021,7 +1117,7 @@ for order, d in ((0, 2), (2, 5), (3, 9)):
     for marks in ((), pot.turning_points(0.98)):
         specs = _event_specs(model, icfg, marks)
         for kept in (specs, [s for s in specs if s.kind != "constraint"]):
-            _loop(d, tuple((s.expr, s.direction) for s in kept))
+            _loop(d, tuple((s.expr, s.direction) for s in kept), rhs_source(model))
 print(json.dumps({k: "".join(v[2]) for k, v in linecache.cache.items() if k.startswith("<")}))
 """
 
