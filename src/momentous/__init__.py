@@ -37,7 +37,6 @@ from .potential import (
     K_MAX,
     BarrierPotential,
     InvalidEnergy,
-    NoTurningPoint,
     UnsupportedOrder,
 )
 
@@ -57,7 +56,6 @@ __all__ = [
     "ModelConfig",
     "MomentPolynomial",
     "MomentState",
-    "NoTurningPoint",
     "Outcome",
     "RangeViolation",
     "Tag",

@@ -1,9 +1,9 @@
 """Outcome tagging for integrated trajectories.
 
-A below-barrier run (barrier top above the energy) ends in exactly one of
-four tags, judged from the final sampled state against the classical return
-points ``+-x`` of the barrier the trajectory was integrated over
-(``traj.model.potential``), widened by a margin:
+A below-barrier run, one whose barrier ``traj.model.potential`` has return
+points ``+-x`` at the energy (``turning_points``), ends in exactly one of four
+tags, judged from the final sampled state against ``+-x`` widened by the
+margin (:func:`resolve_margin`, which the CLI applies too):
 
 * ``TUNNELED``  -- final position beyond ``x + margin`` moving right;
 * ``REFLECTED`` -- final position beyond ``-x - margin`` moving left;
@@ -46,6 +46,14 @@ class InvalidMargin(ValueError):
     """Classification margin must be non-negative."""
 
 
+def resolve_margin(margin: Optional[float], a: float) -> float:
+    """``margin``, or ``MARGIN_SCALE * a`` for None; InvalidMargin below 0."""
+    margin = MARGIN_SCALE * a if margin is None else margin
+    if margin < 0:
+        raise InvalidMargin("margin must be non-negative")
+    return margin
+
+
 class Tag(enum.Enum):
     REFLECTED = "reflected"
     TUNNELED = "tunneled"
@@ -75,12 +83,9 @@ class Outcome:
 
 def classify(traj: Trajectory, energy: float, margin: Optional[float] = None) -> Outcome:
     """Tag a terminated trajectory by the barrier of the model it was
-    integrated under; ``margin`` defaults to ``MARGIN_SCALE * a``."""
+    integrated under; ``margin`` is resolved by :func:`resolve_margin`."""
     pot = traj.model.potential
-    if margin is None:
-        margin = MARGIN_SCALE * pot.a
-    if margin < 0:
-        raise InvalidMargin("margin must be non-negative")
+    margin = resolve_margin(margin, pot.a)
 
     q = traj.q
     p = traj.p
@@ -89,7 +94,8 @@ def classify(traj: Trajectory, energy: float, margin: Optional[float] = None) ->
     final_p = float(p[-1])
     horizon = float(t[-1])
 
-    if pot.energy_ratio(energy) <= 1.0:
+    marks = pot.turning_points(energy)
+    if not marks:
         return Outcome(
             Tag.UNDETERMINED,
             Evidence(
@@ -104,7 +110,7 @@ def classify(traj: Trajectory, energy: float, margin: Optional[float] = None) ->
             ),
         )
 
-    x = pot.turning_points(energy)[1]
+    x = marks[1]
     window = x + margin
 
     inside = np.abs(q) < x

@@ -31,10 +31,10 @@ import numpy as np
 import orjson
 
 from . import moment_algebra
-from .classify import MARGIN_SCALE, Tag, classify
+from .classify import Tag, classify, resolve_margin
 from .dynamics import ModelConfig, effective_potential, moment_labels
 from .integrator import (
-    ESCAPE_RADIUS_SCALE, IntegratorConfig, Termination, integrate, row_blocks,
+    IntegratorConfig, Termination, integrate, resolve_escape_radius, row_blocks,
 )
 from .packet import GaussianPacket, initial_moments
 from .potential import BarrierPotential
@@ -198,9 +198,9 @@ def build_config(raw: dict, order_override: Optional[int] = None) -> RunConfig:
     """Validate a raw (parsed JSON) mapping and resolve every default.
 
     ``_SCHEMA`` checks keys and types; the range rules of the model objects
-    live in their constructors, and the packet's moment overflow rule, at
-    every order, in ``initial_moments``. Here are only the rules no
-    constructor owns.
+    live in their constructors and ``initial_moments`` (moment overflow),
+    the two default lengths in ``resolve_escape_radius`` and
+    ``resolve_margin``. Here are only the rules no model function owns.
     """
     _require(isinstance(raw, dict), "config root", "must be an object")
     sec = _section(raw, "config", _SCHEMA)
@@ -238,16 +238,12 @@ def build_config(raw: dict, order_override: Optional[int] = None) -> RunConfig:
                                 third_moment_convention=pk["third_moment_convention"])
         initial_moments(packet, model)
 
-    # Two lengths default to multiples of the half-width a.
-    for section, key, scale in (
-        ("integrator", "escape_radius", ESCAPE_RADIUS_SCALE),
-        ("classify", "margin", MARGIN_SCALE),
-    ):
-        if sec[section][key] is None:
-            sec[section][key] = scale * m["a"]
+    ig, cl = sec["integrator"], sec["classify"]
+    ig["escape_radius"] = resolve_escape_radius(ig["escape_radius"], potential.a)
     with _owned_by("integrator"):
-        integrator = IntegratorConfig(**sec["integrator"])
-    _require(sec["classify"]["margin"] >= 0, "classify.margin", "must be non-negative")
+        integrator = IntegratorConfig(**ig)
+    with _owned_by("classify"):
+        cl["margin"] = resolve_margin(cl["margin"], potential.a)
 
     sweep = sec["sweep"]
     if sweep is not None:
@@ -295,22 +291,17 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=True) + "\n").encode()
 
 
-def _return_points(cfg: RunConfig) -> tuple:
-    """The classical return points ``(-x, x)`` of an energy below the
-    barrier top, as ``classify`` draws that line; () at or above it."""
-    pot = cfg.model.potential
-    return pot.turning_points(cfg.energy) if pot.energy_ratio(cfg.energy) > 1.0 else ()
-
-
 def _trajectory(cfg: RunConfig):
-    """Integrate the configured packet, marking its ``_return_points``."""
+    """Integrate the configured packet, marking its classical return points
+    (none at or above the barrier top)."""
     init = initial_moments(cfg.packet, cfg.model)
-    return integrate(init, cfg.model, cfg.integrator, _return_points(cfg))
+    return integrate(init, cfg.model, cfg.integrator,
+                     cfg.model.potential.turning_points(cfg.energy))
 
 
 def _derived_block(cfg: RunConfig) -> dict:
     pot = cfg.model.potential
-    marks = _return_points(cfg)
+    marks = pot.turning_points(cfg.energy)
     return {
         "barrier_height": pot.height,
         "energy": cfg.energy,

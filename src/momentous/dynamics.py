@@ -317,8 +317,8 @@ def _template(order: int, n: int, polys: Sequence[MomentPolynomial]) -> str:
     return "\n".join(lines)
 
 
-def _compile(filename: str, order: int, template: str, count: int):
-    """Compile ``template`` into ``make(alpha, a_2n, m) -> f(y) -> list``.
+def _compile(label: str, order: int, template: str, count: int):
+    """Compile ``template``, named by ``label``, into ``make(alpha, a_2n, m) -> f(y) -> list``.
 
     ``f`` unpacks a state ``y`` (q, p, then the moments of ``order``; floats
     or arrays alike), runs the template's lines and returns its ``count``
@@ -336,7 +336,7 @@ def _compile(filename: str, order: int, template: str, count: int):
         + f"        return [{', '.join(outputs)}]\n"
         "    return f\n"
     )
-    return exec_source(source, filename)["make"]
+    return exec_source(source, label)["make"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -347,7 +347,7 @@ def _rhs_template(order: int, table, n: int) -> str:
 
 @functools.lru_cache(maxsize=None)
 def _rhs_kernel(order: int, table, n: int):
-    return _compile(f"<order-{order} rhs kernel n={n}>", order,
+    return _compile(f"order-{order} rhs kernel n={n}", order,
                     _rhs_template(order, table, n), state_dimension(order))
 
 
@@ -356,5 +356,5 @@ def _series_kernel(order: int, n: int):
     # V_eff is the effective Hamiltonian without its p terms.
     hamiltonian = moment_algebra.hamiltonian_terms(order)
     potential = MomentPolynomial({t: c for t, c in hamiltonian.items() if not t.p_power})
-    return _compile(f"<order-{order} H_Q, V_eff kernel n={n}>", order,
+    return _compile(f"order-{order} H_Q, V_eff kernel n={n}", order,
                     _template(order, n, [hamiltonian, potential]), 2)

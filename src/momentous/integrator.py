@@ -90,6 +90,11 @@ __all__ = [
 ESCAPE_RADIUS_SCALE = 10.0
 
 
+def resolve_escape_radius(radius: Optional[float], a: float) -> float:
+    """``radius``, or ``ESCAPE_RADIUS_SCALE * a`` (``a`` the half-width) for None."""
+    return ESCAPE_RADIUS_SCALE * a if radius is None else radius
+
+
 class Termination(enum.Enum):
     REACHED_TMAX = "reached_tmax"
     ESCAPED = "escaped"
@@ -105,7 +110,7 @@ class IntegratorConfig:
     atol: float = 1e-10
     t_max: float = 20.0
     max_step: float = 0.1
-    escape_radius: Optional[float] = None  # None -> ESCAPE_RADIUS_SCALE * a
+    escape_radius: Optional[float] = None  # None: see resolve_escape_radius
     sample_dt: float = 0.01
     max_steps: int = 2_000_000
 
@@ -219,7 +224,7 @@ _RESIDUAL = _PRODUCT + " - {c0}"
 _residual = exec_source(
     "def residual(y, quarter):\n"
     f"    return {_RESIDUAL.format(y2='y[2]', y3='y[3]', y4='y[4]', c0='quarter')}\n",
-    "<uncertainty residual>",
+    "uncertainty residual",
 )["residual"]
 
 
@@ -600,7 +605,7 @@ def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource):
     described = "; ".join(
         expr + {0: "", 1: " rising", -1: " falling"}[direction] for expr, direction in events
     )
-    return exec_source(source, f"<dopri5 loop d={d} rhs: {rhs.label}; events: {described}>")["run"]
+    return exec_source(source, f"dopri5 loop d={d} rhs: {rhs.label}; events: {described}")["run"]
 
 
 def _dense_rows(rec, coeffs, d: int, t0: float, sample_dt: float):
@@ -763,11 +768,7 @@ def _event_specs(
     so past it the moments describe no packet. Order 2 conserves the
     product, which then falls through zero only where the moments have
     grown so far that ``hbar**2/4`` is lost in their rounding."""
-    radius = (
-        icfg.escape_radius
-        if icfg.escape_radius is not None
-        else ESCAPE_RADIUS_SCALE * model.potential.a
-    )
+    radius = resolve_escape_radius(icfg.escape_radius, model.potential.a)
 
     specs = [_EventSpec("{y1}", kind="p_zero")]
     specs += [
@@ -803,15 +804,15 @@ def integrate(
 ) -> Trajectory:
     """Propagate ``init`` to ``t_max`` or an early stop.
 
-    Early stops: outbound escape through ``|q| = escape_radius`` (default
-    ``ESCAPE_RADIUS_SCALE`` times the potential half-width), ``G20*G02 -
+    Early stops: outbound escape through ``|q| =`` the
+    :func:`resolve_escape_radius` of ``escape_radius``, ``G20*G02 -
     G11**2`` turning negative (orders 2 and 3), or a step failure, whose cause
     ``stats["failure"]`` names: "nonfinite_start" (a non-finite first
     derivative or starting step; no step is attempted), "underflow" (step size
     below ``1e-14 * max(t - t0, 1)`` or too small to change ``t``), "budget"
     (``max_steps`` attempts used) or "blowup" (a state component beyond
     ``1e12``). ``mark_positions`` adds recorded (non-stopping) crossing
-    events, typically the classical return points. At
+    events, typically ``BarrierPotential.turning_points``. At
     orders >= 2, ``stats["residual_min"]`` and ``stats["t_residual_min"]``
     give the lowest sampled uncertainty residual and its time.
     """

@@ -8,7 +8,8 @@ Derivatives are produced by truncated power-series (jet) arithmetic on the
 composition ``q -> q**(2n) + a**(2n) -> alpha / u``, so every order comes out
 exact to roundoff and nested quotient rules never appear. :func:`jet_lines`
 writes it as straight-line code, run by ``derivatives`` and inlined into the
-moment kernels of ``dynamics``. Finite differences only serve as a test oracle.
+moment kernels of ``dynamics``. ``turning_points`` alone decides whether an
+energy is below the top; finite differences only serve as a test oracle.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from __future__ import annotations
 import functools
 import linecache
 import math
+import zlib
 from dataclasses import dataclass
 
 __all__ = [
     "K_MAX",
     "BarrierPotential",
     "InvalidEnergy",
-    "NoTurningPoint",
     "UnsupportedOrder",
 ]
 
@@ -67,8 +68,10 @@ def jet_lines(n: int, orders, q: str = "q") -> list[str]:
     return lines
 
 
-def exec_source(source: str, filename: str) -> dict:
-    """Run generated ``source``, shown by warnings and tracebacks as ``filename``."""
+def exec_source(source: str, label: str) -> dict:
+    """Run generated ``source``, shown by warnings and tracebacks as the file
+    ``<label #crc>``, the CRC-32 of its text (``hash()`` varies per process)."""
+    filename = f"<{label} #{zlib.crc32(source.encode()):08x}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace: dict = {}
     exec(compile(source, filename, "exec"), namespace)
@@ -80,7 +83,7 @@ def _jet(n: int, k: int):
     """The compiled ``jet(q, alpha, a_2n) -> [v0, ..., v{k}]``."""
     lines = [*jet_lines(n, range(k + 1)), f"return [{', '.join(map(jet_name, range(k + 1)))}]"]
     source = "def jet(q, alpha, a_2n):\n" + "".join(f"    {line}\n" for line in lines)
-    return exec_source(source, f"<jet n={n} k={k}>")["jet"]
+    return exec_source(source, f"jet n={n} k={k}")["jet"]
 
 
 class UnsupportedOrder(ValueError):
@@ -89,10 +92,6 @@ class UnsupportedOrder(ValueError):
 
 class InvalidEnergy(ValueError):
     """Energy must be strictly positive."""
-
-
-class NoTurningPoint(ValueError):
-    """No classical turning point: the energy exceeds the barrier top."""
 
 
 @dataclass(frozen=True)
@@ -175,16 +174,16 @@ class BarrierPotential:
             raise InvalidEnergy("energy must be positive")
         return self.height / energy
 
-    def turning_points(self, energy: float) -> tuple[float, float]:
-        """Classical return points (-x, +x) where V(x) = energy.
+    def turning_points(self, energy: float) -> tuple[float, ...]:
+        """Classical return points ``(-x, x)`` where V(x) = energy below the
+        barrier top; ``()`` at or above it, where nothing is forbidden.
 
         Uses the closed form ``x = a * (ratio - 1)**(1 / 2n)`` polished by one
         guarded Newton step, which protects the marginal case ratio ~ 1.
-        Raises NoTurningPoint when the energy exceeds the barrier top.
         """
         ratio = self.energy_ratio(energy)
-        if ratio < 1.0:
-            raise NoTurningPoint("energy exceeds the barrier height")
+        if ratio <= 1.0:
+            return ()
         x = self.a * (ratio - 1.0) ** (1.0 / (2 * self.n))
         residual = self(x) - energy
         if residual != 0.0 and x > 0.0:

@@ -17,6 +17,7 @@ from momentous import (
     initial_moments,
     integrate,
 )
+from momentous.classify import resolve_margin
 from momentous.integrator import Event, Trajectory
 
 from conftest import rng, scenario_packet, tight_integrator
@@ -152,6 +153,15 @@ def test_margin_validation(barrier):
         classify(traj, 0.98, margin=-0.1)
     with pytest.raises(InvalidEnergy):
         classify(traj, 0.0)
+
+
+def test_the_margin_defaults_to_a_share_of_the_half_width():
+    for a in (1.0, 0.37, 2.5):
+        assert resolve_margin(None, a) == 0.05 * a
+    for given in (0.0, 0.123, 7.5):
+        assert resolve_margin(given, 2.0) == given
+    with pytest.raises(InvalidMargin, match="margin must be non-negative"):
+        resolve_margin(-0.01, 1.0)
 
 
 def test_reflection_requires_approach(barrier):

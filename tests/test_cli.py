@@ -462,6 +462,31 @@ def test_an_energy_at_the_barrier_top_has_no_return_point(tmp_path):
     assert "q_cross" not in {event["kind"] for event in summary["events"]}
 
 
+@pytest.mark.parametrize("order", [2, 3])
+def test_an_energy_above_the_barrier_top_has_no_return_point(tmp_path, order):
+    summary = run_simulate(
+        build_config(scenario_raw(model={"order": order}, packet={"q0": -2.5, "energy": 1.5},
+                                  integrator={"t_max": 2.0})),
+        str(tmp_path / "above"),
+    )
+    assert summary["derived"]["energy_ratio"] < 1.0
+    assert summary["derived"]["turning_point"] is None
+    assert summary["outcome"]["reason"] == "energy at or above the barrier top"
+    assert "q_cross" not in {event["kind"] for event in summary["events"]}
+
+
+def test_the_barrier_lengths_resolve_after_the_integrator_checks():
+    # None gives 10 a and 0.05 a; an invalid integrator field is reported
+    # before an invalid margin (test_config_field_errors has the margin's own).
+    cfg = build_config(scenario_raw(model={"a": 0.37}))
+    radius = cfg.sections["integrator"]["escape_radius"]
+    assert cfg.integrator.escape_radius == radius == 10.0 * 0.37
+    assert cfg.margin == 0.05 * 0.37
+    both = scenario_raw(integrator={"t_max": 0.0}, classify={"margin": -0.01})
+    with pytest.raises(ConfigError, match="^integrator.t_max must be positive$"):
+        build_config(both)
+
+
 # Pooled sweeps hand work to helpers forked from this process
 # (cli._start), so a patch made here reaches them.
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers are forked")

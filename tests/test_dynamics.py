@@ -1,5 +1,6 @@
 import linecache
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -237,7 +238,8 @@ def test_kernel_warnings_show_the_generated_line():
         with np.errstate(over="warn", invalid="ignore"):
             make_rhs(cfg)(y)
     assert caught[0].category is RuntimeWarning
-    assert caught[0].filename == "<order-2 rhs kernel n=4>"
+    # Named by its label and the CRC-32 of its text.
+    assert re.fullmatch(r"<order-2 rhs kernel n=4 #[0-9a-f]{8}>", caught[0].filename)
     assert linecache.getline(caught[0].filename, caught[0].lineno).strip() == "_p2 = _p1 * q"
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from momentous import (
+    BarrierPotential,
     GaussianPacket,
     IntegratorConfig,
     ModelConfig,
@@ -34,6 +35,7 @@ from momentous.integrator import (
     _event_specs,
     _loop,
     _propagate,
+    resolve_escape_radius,
 )
 
 from conftest import (
@@ -509,6 +511,45 @@ def test_table_coefficient_reaches_integrate(barrier, order, monkeypatch):
     assert same_rows(tampered.states, states.tolist()) and tampered.times.tolist() == times.tolist()
     assert tampered.states.tobytes() != real.states.tobytes()
     assert integrate(init, model, icfg).states.tobytes() == real.states.tobytes()
+
+
+def test_generated_names_follow_the_source_text(barrier, monkeypatch):
+    # A loop or kernel compiled from a substituted eom_table gets a file name
+    # of its own, so linecache keeps the real source for warnings and
+    # tracebacks from the real code.
+    model = ModelConfig(potential=barrier, order=2)
+    events = tuple((s.expr, s.direction) for s in _event_specs(model, IntegratorConfig(), ()))
+
+    def compiled():
+        return (_loop(5, events, rhs_source(model)).__code__.co_filename,
+                make_rhs(model).__code__.co_filename)
+
+    real = compiled()
+    real_lines = [linecache.getlines(name) for name in real]
+    # The kernel's dp/dt line, r1 = ...
+    dp_dt = next(line for line in real_lines[1] if line.strip().startswith("r1 = "))
+    table = dict(dynamics.eom_table(2))
+    term, coeff = next(table["p"].items())
+    table["p"] = table["p"].copy().add(2 * coeff, term)
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "eom_table", lambda o: table)
+        tampered = compiled()
+    assert set(real).isdisjoint(tampered)
+    assert [linecache.getlines(name) for name in real] == real_lines
+    assert dp_dt in linecache.getlines(real[1])
+    assert dp_dt not in linecache.getlines(tampered[1])
+    prefixes = ("<dopri5 loop d=5 rhs: order-2 rhs n=4;", "<order-2 rhs kernel n=4 #")
+    assert all(name.startswith(prefix) for name, prefix in zip(tampered, prefixes))
+
+
+def test_the_escape_radius_defaults_to_a_multiple_of_the_half_width():
+    for a in (1.0, 0.37, 2.5):
+        assert resolve_escape_radius(None, a) == 10.0 * a
+        model = ModelConfig(potential=BarrierPotential(a=a), order=2)
+        escape = [s for s in _event_specs(model, IntegratorConfig(), ()) if s.kind == "escape"]
+        assert escape[0].values == (10.0 * a,)
+    for given in (0.5, 3.0, 40.0):
+        assert resolve_escape_radius(given, 2.0) == given
 
 
 def test_loop_matches_reference_on_step_failures():

@@ -1,11 +1,12 @@
 import linecache
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from momentous import BarrierPotential, InvalidEnergy, NoTurningPoint, UnsupportedOrder
+from momentous import BarrierPotential, InvalidEnergy, UnsupportedOrder
 from momentous.potential import N_MAX
 
 from conftest import (
@@ -129,7 +130,8 @@ def test_jet_warnings_show_the_generated_line():
         with np.errstate(over="warn", invalid="ignore"):
             pot.derivatives(np.array([1e200]), 3)
     assert caught[0].category is RuntimeWarning
-    assert caught[0].filename == "<jet n=4 k=3>"
+    # Named by its label and the CRC-32 of its text.
+    assert re.fullmatch(r"<jet n=4 k=3 #[0-9a-f]{8}>", caught[0].filename)
     assert linecache.getline(caught[0].filename, caught[0].lineno).strip() == "_p2 = _p1 * q"
 
 
@@ -153,15 +155,14 @@ def test_unsupported_order():
 
 
 def test_turning_points_examples(barrier):
-    # Marginal energy: the return points merge at the top.
-    assert barrier.turning_points(barrier.height) == (0.0, 0.0)
+    # At or above the top there is no classically forbidden region.
+    assert barrier.turning_points(barrier.height) == ()
+    assert barrier.turning_points(2.0 * barrier.height) == ()
     energy = barrier.height / 1.46484
     neg, pos = barrier.turning_points(energy)
     assert pos == pytest.approx(0.90867, abs=1e-4)
     assert neg == -pos
     assert pos == pytest.approx(bisect_turning_point(barrier, energy), abs=1e-12)
-    with pytest.raises(NoTurningPoint):
-        barrier.turning_points(2.0 * barrier.height)
 
 
 def test_turning_point_residual_random():
