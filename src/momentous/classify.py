@@ -28,6 +28,7 @@ without having come within 2x of the barrier centre".
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -43,12 +44,15 @@ MARGIN_SCALE = 0.05
 
 
 class InvalidMargin(ValueError):
-    """Classification margin must be non-negative."""
+    """Classification margin must be finite and non-negative."""
 
 
 def resolve_margin(margin: Optional[float], a: float) -> float:
-    """``margin``, or ``MARGIN_SCALE * a`` for None; InvalidMargin below 0."""
+    """``margin``, or ``MARGIN_SCALE * a`` for None; InvalidMargin for a
+    negative or non-finite one."""
     margin = MARGIN_SCALE * a if margin is None else margin
+    if not math.isfinite(margin):
+        raise InvalidMargin("margin must be finite")
     if margin < 0:
         raise InvalidMargin("margin must be non-negative")
     return margin
@@ -94,21 +98,19 @@ def classify(traj: Trajectory, energy: float, margin: Optional[float] = None) ->
     final_p = float(p[-1])
     horizon = float(t[-1])
 
+    evidence = Evidence(
+        barrier_entry_time=None,
+        barrier_exit_time=None,
+        barrier_exit_side=None,
+        sign_changes_inside=0,
+        final_q=final_q,
+        final_p=final_p,
+        time_horizon=horizon,
+    )
     marks = pot.turning_points(energy)
     if not marks:
-        return Outcome(
-            Tag.UNDETERMINED,
-            Evidence(
-                barrier_entry_time=None,
-                barrier_exit_time=None,
-                barrier_exit_side=None,
-                sign_changes_inside=0,
-                final_q=final_q,
-                final_p=final_p,
-                time_horizon=horizon,
-                reason="energy at or above the barrier top",
-            ),
-        )
+        reason = "energy at or above the barrier top"
+        return Outcome(Tag.UNDETERMINED, replace(evidence, reason=reason))
 
     x = marks[1]
     window = x + margin
@@ -127,14 +129,12 @@ def classify(traj: Trajectory, energy: float, margin: Optional[float] = None) ->
         1 for e in traj.events if e.kind == "p_zero" and abs(e.state.q) < window
     )
 
-    evidence = Evidence(
+    evidence = replace(
+        evidence,
         barrier_entry_time=entry,
         barrier_exit_time=exit_t,
         barrier_exit_side=side,
         sign_changes_inside=flips_inside,
-        final_q=final_q,
-        final_p=final_p,
-        time_horizon=horizon,
     )
 
     if traj.termination in (Termination.CONSTRAINT_VIOLATED, Termination.STEP_FAILURE):

@@ -1,10 +1,10 @@
 """Batch front end: single runs, parameter sweeps, effective-potential
 surfaces, and the bracket-algebra self-check.
 
-Configuration is a JSON file (nested key/value); every default and derived
-quantity is echoed back into the run summary so each artifact is
-self-describing. Tables are CSV with a one-line header; each table gets a
-JSON summary sidecar. Files are written atomically (write-then-rename).
+Configuration is a JSON file (nested key/value); the run summary echoes it
+with every default filled in, and the quantities derived from it, so each
+artifact is self-describing. Tables are CSV with a one-line header; each
+table gets a JSON summary sidecar. Files are written atomically (write-then-rename).
 
 Exit codes: 0 success, 1 configuration error, 2 integration step failure,
 3 algebra golden-report mismatch.
@@ -68,8 +68,8 @@ _GRID = {
 }
 
 # The config schema: field -> (kind, default), nested by section. A kind is
-# "number", "integer", "count" (an integer >= 1), "boolean", None (any
-# value; build_config checks it) or the field table of a nested object. A
+# "number", "integer", "count" (an integer >= 1), None (any value;
+# build_config checks it) or the field table of a nested object. A
 # numeric field given as null takes its default. A default of None is
 # resolved by build_config, or leaves out an optional section (absent or
 # null). The other defaults are those of the model objects' fields.
@@ -98,7 +98,7 @@ _SCHEMA = {
         "sample_dt": ("number", IntegratorConfig.sample_dt),
     }, {}),
     "classify": ({"margin": ("number", None)}, {}),
-    "sweep": ({"parameter": (None, None), **_GRID, "fixed_energy": ("boolean", None)}, None),
+    "sweep": ({"parameter": (None, None), **_GRID}, None),
     "surface": ({"q": (_GRID, _REQUIRED), "t": (_GRID, _REQUIRED)}, None),
     "output": ({"path": (None, "momentous_run")}, {}),
 }
@@ -107,7 +107,6 @@ _TYPES = {
     "number": ((int, float), "a number"),
     "integer": (int, "an integer"),
     "count": (int, "an integer"),
-    "boolean": (bool, "a boolean"),
 }
 
 
@@ -121,7 +120,7 @@ def _value(kind: Optional[str], value, field: str):
     if kind is None:
         return value
     types, noun = _TYPES[kind]
-    if not isinstance(value, types) or isinstance(value, bool) != (kind == "boolean"):
+    if not isinstance(value, types) or isinstance(value, bool):
         raise ConfigError(f"{field} must be {noun}")
     if kind == "count":
         _require(value >= 1, field, "must be at least 1")
@@ -146,7 +145,7 @@ def _section(raw, name: str, fields: dict) -> dict:
         if isinstance(kind, dict):
             nested = value is not None or default is not None
             resolved[key] = _section(raw.get(key, default), field, kind) if nested else None
-        elif value is None and (key not in raw or kind not in (None, "boolean")):
+        elif value is None and (key not in raw or kind is not None):
             _require(default is not _REQUIRED, field, "is required")
             resolved[key] = default
         else:
@@ -175,16 +174,18 @@ def _resolved(section: str, key: Optional[str] = None) -> property:
 class RunConfig:
     """Fully resolved run configuration (all defaults filled in).
 
-    ``sections`` holds the resolved config, section by section, as
-    :meth:`to_dict` echoes it; the model objects are built from it.
+    ``sections`` holds the config as given, section by section, with the
+    defaults filled in, as :meth:`to_dict` echoes it; the model objects are
+    built from it. Of ``packet.p0`` and ``packet.energy`` it keeps the one
+    given and leaves the other null; ``packet`` and ``energy`` hold both.
     """
 
     model: ModelConfig
     packet: GaussianPacket
     integrator: IntegratorConfig
+    energy: float
     sections: dict
 
-    energy = _resolved("packet", "energy")
     margin = _resolved("classify", "margin")
     sweep = _resolved("sweep")
     surface = _resolved("surface")
@@ -200,7 +201,9 @@ def build_config(raw: dict, order_override: Optional[int] = None) -> RunConfig:
     ``_SCHEMA`` checks keys and types; the range rules of the model objects
     live in their constructors and ``initial_moments`` (moment overflow),
     the two default lengths in ``resolve_escape_radius`` and
-    ``resolve_margin``. Here are only the rules no model function owns.
+    ``resolve_margin``. Here are only the rules no model function owns,
+    among them one of ``p0`` and ``energy``: the other is derived (an
+    inbound packet) for ``packet`` and ``energy``, and not echoed.
     """
     _require(isinstance(raw, dict), "config root", "must be an object")
     sec = _section(raw, "config", _SCHEMA)
@@ -212,9 +215,10 @@ def build_config(raw: dict, order_override: Optional[int] = None) -> RunConfig:
         model = ModelConfig(potential=potential, mass=m["mass"], hbar=m["hbar"], order=m["order"])
 
     q0, p0, energy, mass = pk["q0"], pk["p0"], pk["energy"], m["mass"]
-    energy_given = energy is not None
-    _require(p0 is not None or energy_given, "packet.p0", "or packet.energy is required")
-    # A resolved p0 or energy obeys the rule of a given one: it must be finite.
+    _require(p0 is not None or energy is not None, "packet.p0", "or packet.energy is required")
+    _require(p0 is None or energy is None,
+             "packet.energy", "must be left out when packet.p0 is given")
+    # A derived p0 or energy obeys the rule of a given one: it must be finite.
     if p0 is None:
         kinetic = energy - potential(q0)
         _require(
@@ -223,15 +227,7 @@ def build_config(raw: dict, order_override: Optional[int] = None) -> RunConfig:
         )
         p0 = _value("number", math.copysign(math.sqrt(2 * mass * kinetic), -q0), "packet.p0")
     else:
-        implied = p0 * p0 / (2 * mass) + potential(q0)
-        # Both present (e.g. a resolved config being re-parsed): they must agree.
-        _require(
-            energy is None or abs(implied - energy) <= 1e-9 * max(1.0, abs(energy)),
-            "packet.energy",
-            f"is inconsistent with packet.p0 (p0 implies energy {implied!r})",
-        )
-        energy = _value("number", implied, "packet.energy") if energy is None else energy
-    pk["p0"], pk["energy"] = p0, energy
+        energy = _value("number", p0 * p0 / (2 * mass) + potential(q0), "packet.energy")
     with _owned_by("packet"):
         potential.energy_ratio(energy)
         packet = GaussianPacket(q0=q0, p0=p0, sigma0=pk["sigma0"],
@@ -246,19 +242,15 @@ def build_config(raw: dict, order_override: Optional[int] = None) -> RunConfig:
         cl["margin"] = resolve_margin(cl["margin"], potential.a)
 
     sweep = sec["sweep"]
-    if sweep is not None:
-        _require(
-            sweep["parameter"] in SWEEP_PARAMETERS,
-            "sweep.parameter", f"must be one of {list(SWEEP_PARAMETERS)}",
-        )
-        # A q0 sweep at fixed energy re-derives p0 per point (an inbound family
-        # with one incident energy); at fixed p0 the energy varies instead.
-        if sweep["fixed_energy"] is None:
-            sweep["fixed_energy"] = energy_given
+    _require(
+        sweep is None or sweep["parameter"] in SWEEP_PARAMETERS,
+        "sweep.parameter", f"must be one of {list(SWEEP_PARAMETERS)}",
+    )
 
     path = sec["output"]["path"]
     _require(isinstance(path, str) and path != "", "output.path", "must be a non-empty string")
-    return RunConfig(model=model, packet=packet, integrator=integrator, sections=sec)
+    return RunConfig(model=model, packet=packet, integrator=integrator, energy=energy,
+                     sections=sec)
 
 
 def load_config(path: str, order_override: Optional[int] = None) -> RunConfig:
@@ -472,22 +464,22 @@ SWEEP_COLUMNS = [
 
 
 def _sweep_point(args) -> dict:
-    """Run one sweep point, a ``(resolved config dict, index, value)`` job;
+    """Run one sweep point, a ``(config dict as echoed, index, value)`` job;
     return its cells, keyed by ``SWEEP_COLUMNS`` in their order, with
-    ``""`` for a missing value. A point whose config is invalid
-    (``build_config`` also rejects a packet energy <= 0) gives an ``error:``
-    row: undetermined, no sign change, the error as its termination and no
-    other value. Any other exception propagates."""
+    ``""`` for a missing value.
+
+    The point's packet keeps the one of ``p0`` and ``energy`` that the
+    sweep's packet gave: a q0 sweep at a given energy is an inbound family
+    of one incident energy, and at a given p0 the energy varies instead. A
+    p0 point leaves ``energy`` out. A point whose config ``build_config``
+    rejects (say, an energy at or below the potential at its q0) gives an
+    ``error:`` row: undetermined, no sign change, the error as its
+    termination and no other value. Any other exception propagates."""
     raw, index, value = args
-    cfg = build_config(raw)
-    parameter = cfg.sweep["parameter"]
-    # The resolved packet holds both p0 and energy; drop the one the new
-    # point re-derives.
+    parameter = build_config(raw).sweep["parameter"]
     packet_raw = {**raw["packet"], parameter: value}
-    if parameter == "p0" or (parameter == "q0" and not cfg.sweep["fixed_energy"]):
-        del packet_raw["energy"]
-    elif parameter == "q0":
-        del packet_raw["p0"]
+    if parameter == "p0":
+        packet_raw["energy"] = None
     cells = {"index": index, "value": value, "outcome": Tag.UNDETERMINED.value,
              "sign_changes_inside": 0}
     try:

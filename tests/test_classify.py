@@ -164,6 +164,18 @@ def test_the_margin_defaults_to_a_share_of_the_half_width():
         resolve_margin(-0.01, 1.0)
 
 
+@pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_margin_is_invalid(barrier, margin):
+    # Through the API a nan margin tagged a run undetermined with no flips
+    # and an infinite one trapped: it must be rejected before any tag.
+    t = np.linspace(0, 1, 11)
+    traj = make_synthetic(barrier, t, -5 + t, np.ones_like(t))
+    with pytest.raises(InvalidMargin, match="margin must be finite"):
+        classify(traj, 0.98, margin)
+    with pytest.raises(InvalidMargin, match="margin must be finite"):
+        resolve_margin(margin, 1.0)
+
+
 def test_reflection_requires_approach(barrier):
     # Turns around far from the barrier: not a barrier reflection.
     t = np.linspace(0, 10, 201)

@@ -59,7 +59,7 @@ ALL_FIELDS = {
     "integrator": {"rtol": 1e-9, "atol": 1e-8, "t_max": 5.0, "max_step": 0.05,
                    "escape_radius": 20.0, "sample_dt": 0.02},
     "classify": {"margin": 0.1},
-    "sweep": {"parameter": "q0", "start": -3.5, "stop": -2.5, "count": 3, "fixed_energy": False},
+    "sweep": {"parameter": "q0", "start": -3.5, "stop": -2.5, "count": 3},
     "surface": {"q": {"start": -2.0, "stop": 2.0, "count": 5},
                 "t": {"start": 0.0, "stop": 1.0, "count": 2}},
     "output": {"path": "out/all"},
@@ -165,8 +165,7 @@ FIELD_ERRORS = [
     (faulty("packet", energy=DROP), "packet.p0 or packet.energy is required"),
     (faulty("packet", energy=1e-4),
      "packet.energy must exceed the potential at q0 to place an inbound packet"),
-    (faulty("packet", p0=1.0),
-     "packet.energy is inconsistent with packet.p0 (p0 implies energy 0.500654930784561)"),
+    (faulty("packet", p0=1.0), "packet.energy must be left out when packet.p0 is given"),
     # Finite given values whose resolved partner overflows.
     (scenario_raw(packet={"q0": -2.5, "p0": 1e200}), "packet.energy must be finite"),
     (scenario_raw(model={"mass": 10}, packet={"q0": -2.5, "energy": 1e308}),
@@ -197,7 +196,8 @@ FIELD_ERRORS = [
     (faulty("sweep", stop=None), "sweep.stop is required"),
     (faulty("sweep", count=2.5), "sweep.count must be an integer"),
     (faulty("sweep", count=0), "sweep.count must be at least 1"),
-    (faulty("sweep", fixed_energy="yes"), "sweep.fixed_energy must be a boolean"),
+    # Settings of earlier releases that the config now derives.
+    (faulty("sweep", fixed_energy=True), "sweep.fixed_energy is not a recognized field"),
     (faulty("sweep", step=0.1), "sweep.step is not a recognized field"),
     (faulty("surface", q=DROP), "surface.q must be an object"),
     (faulty("surface", t=[0.0, 1.0]), "surface.t must be an object"),
@@ -325,7 +325,7 @@ def test_far_packet_is_a_step_failure_not_a_crash(tmp_path, capsys, recwarn):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "far")]) == 2
     assert "step failure (blowup)" in capsys.readouterr().err
     summary = json.loads((tmp_path / "far.summary.json").read_text())
-    assert summary["config"]["packet"]["energy"] == 0.5
+    assert summary["derived"]["energy"] == 0.5
     assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
@@ -1129,9 +1129,37 @@ def test_a_pooled_sweep_with_a_live_thread_has_the_serial_bytes(tmp_path, monkey
 def test_sweep_q0_keeps_energy_fixed(tmp_path):
     raw = scenario_raw(sweep={"parameter": "q0", "start": -3.0, "stop": -2.0, "count": 3})
     cfg = build_config(raw)
-    assert cfg.sweep["fixed_energy"] is True
-    run_sweep(cfg, str(tmp_path / "e"))
+    summary = run_sweep(cfg, str(tmp_path / "e"))
+    assert summary["config"]["packet"]["energy"] == 0.98
+    assert summary["config"]["packet"]["p0"] is None
     assert [float(r["value"]) for r in sweep_table(tmp_path / "e.csv")] == [-3.0, -2.5, -2.0]
+
+
+ECHO_PACKETS = {
+    "energy": {"q0": -2.5, "energy": 0.98, "sigma0": 0.3},
+    "p0": {"q0": -2.5, "p0": 1.2, "sigma0": 0.3},
+}
+
+
+@pytest.mark.parametrize("given, sweep", [
+    ("energy", {"parameter": "q0", "start": -3.0, "stop": -1.5, "count": 4}),
+    ("p0", {"parameter": "q0", "start": -3.0, "stop": -1.5, "count": 4}),
+    ("energy", {"parameter": "p0", "start": 1.0, "stop": 1.6, "count": 4}),
+    ("energy", {"parameter": "sigma0", "start": 0.2, "stop": 0.5, "count": 4}),
+    ("p0", {"parameter": "sigma0", "start": 0.2, "stop": 0.5, "count": 4}),
+], ids=["q0_at_energy", "q0_at_p0", "p0_of_energy_packet", "sigma0_at_energy",
+        "sigma0_at_p0"])
+def test_a_sweep_echoes_the_given_packet_field_and_reruns_from_it(tmp_path, given, sweep):
+    raw = {"packet": ECHO_PACKETS[given], "integrator": {"t_max": 2.35}, "sweep": sweep}
+    summary = run_sweep(build_config(raw), str(tmp_path / "first"))
+    packet = summary["config"]["packet"]
+    derived = "p0" if given == "energy" else "energy"
+    assert packet[given] == ECHO_PACKETS[given][given] and packet[derived] is None
+    v0 = BarrierPotential()(-2.5)
+    p0, energy = (1.2, 1.2 * 1.2 / 2 + v0) if given == "p0" else (math.sqrt(2 * (0.98 - v0)), 0.98)
+    assert (summary["derived"]["p0"], summary["derived"]["energy"]) == (p0, energy)
+    run_sweep(build_config(summary["config"]), str(tmp_path / "again"))
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
 
 
 def test_surface_order0_constant_in_time(tmp_path):
