@@ -9,22 +9,29 @@ An explicit pair is used deliberately: the moment system is not separable,
 and exact conservation of the effective Hamiltonian then serves as an
 independent accuracy diagnostic rather than a built-in property.
 
-The state has at most nine components, so the stepper works on Python floats
-rather than numpy arrays, whose per-call overhead would dominate. One
-trajectory is one call of one Python frame: a loop generated from the tableau
-per state dimension, set of event expressions and RHS source (each event is
-a source expression over the state components, and the model's RHS is the
-source ``dynamics.rhs_source`` derives from ``eom_table``, whose constants
-are arguments, so every sweep point shares one compiled loop). It is
-straight-line code with one local per component and stage that runs the
-starting-step heuristic, the step-size guards, the six stages (checking each
-stage state for finiteness), the 5th-order update, the error norm, the PI
-controller, the event tests, the choice of sample rows and the bisection of
-each located event, with the RHS lines pasted in at each of its eight
-evaluations; an opaque RHS callable is the one-line source that calls it.
-Every expression keeps the per-component operation order, and the error norm
-sums its squares in numpy's pairwise order, so step sizes, samples and events
-are those of an array implementation, bit for bit.
+One trajectory is one call of a loop generated per state dimension, set of
+event expressions and RHS source (each event is a source expression over the
+state components, and the model's RHS is the source ``dynamics.rhs_source``
+derives from ``eom_table``, whose constants are arguments, so every sweep
+point shares one loop). It runs the starting-step heuristic, the step-size
+guards, the six stages (checking each stage state for finiteness), the
+5th-order update, the error norm, the PI controller, the event tests, the
+choice of sample rows and the bisection of each located event. Every
+expression keeps the per-component operation order, and the error norm sums
+its squares in numpy's pairwise order, so step sizes, samples and events are
+those of an array implementation, bit for bit.
+
+The loop exists in two languages with the same operations in the same order.
+Where a C compiler is found (``$CC``, else ``cc``), an :class:`RhsSource`
+run goes through a C kernel (:func:`_c_units`), compiled once per machine
+and kept in the cache that :mod:`native` manages
+(``$XDG_CACHE_HOME/momentous``, else ``~/.cache/momentous``); a new
+``(d, events, rhs)`` costs one compile of about half a second. Otherwise,
+and for an opaque RHS callable, a run whose settings are not plain floats or
+one that raises in Python, the Python loop (:func:`_loop`) runs: one frame of
+straight-line code with one local per component and stage and the RHS lines
+pasted in at each of its eight evaluations; an opaque RHS callable is the
+one-line source that calls it. The outputs are the same bytes either way.
 
 Recorded along the way:
 
@@ -53,6 +60,7 @@ Runs are bit-reproducible: identical configuration yields identical output.
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import functools
 import string
@@ -74,6 +82,7 @@ from .dynamics import (
 # Unused here: perfbench's tracer wraps these three names in this module, and
 # its smoke tests require every traced name to exist.
 from .dynamics import effective_hamiltonian, effective_potential, make_rhs
+from . import native
 from .potential import exec_source
 
 __all__ = [
@@ -594,7 +603,7 @@ def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource):
         "if failure is not None:", "    stats['failure'] = failure",
         "return rec, coeffs, raw_events, stop, stats")
     source = (
-        "from math import inf, nan, sqrt\n"
+        "from math import fabs, inf, nan, sqrt\n"
         "from operator import itemgetter\n"
         "from struct import Struct\n"
         "_time = itemgetter(0)\n"
@@ -606,6 +615,654 @@ def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource):
         expr + {0: "", 1: " rising", -1: " falling"}[direction] for expr, direction in events
     )
     return exec_source(source, f"dopri5 loop d={d} rhs: {rhs.label}; events: {described}")["run"]
+
+
+# The loop of :func:`_loop` in C, statement for statement, over arrays of D
+# doubles, as four translation units that share _C_SHARED; :func:`_c_units`
+# fills in the $-fields. Each operation is that of the Python loop in its
+# order, so every bit is the same: quot and floordiv are Python's float
+# division and floor division, and max, abs and conditional expressions are
+# comparisons in the order the builtins make them. A division by zero,
+# where Python raises, is noted in lp->zero, and run then returns RAISES.
+# The compiler's memory grows with the largest function and unit, so the
+# loop's parts are functions in separate units, and no header is read.
+_C_SHARED = r"""#if !defined(__FLT_EVAL_METHOD__) || __FLT_EVAL_METHOD__ != 0
+#error "each double operation must round to double, as Python's do"
+#endif
+
+double copysign(double, double);
+double fabs(double);
+double floor(double);
+double fmod(double, double);
+double pow(double, double);
+double sqrt(double);
+void *realloc(void *, __SIZE_TYPE__);
+void free(void *);
+
+#define D $d
+#define NEV $nev
+#define WIDTH (2 + 6 * D)
+#define INF __builtin_inf()
+
+enum { OK, RAISES, NO_MEMORY };
+enum { NONE, NONFINITE_START, UNDERFLOW, BUDGET, BLOWUP };
+
+typedef struct { double *data; long long n, cap; } buffer;
+
+/* A run's settings, constants, outputs so far and sample grid position. */
+typedef struct {
+    double t0, rtol, atol, max_step, sample_dt, t_end, slack, sample_index;
+    const double *b, *c;  /* the RHS's and the events' constants */
+    const int *stops;  /* per event: whether it ends the run */
+    buffer rec, coeffs, events;
+    int zero, stop;  /* a division by zero was met; the stopping event or -1 */
+} loop;
+
+void rhs(const double *y, double *k, const double *b, int *zero);
+double event(int j, const double *y, const double *c, int *zero);
+double starting_step(loop *lp, const double *x, const double *k1);
+int attempt(loop *lp, const double *x, double h, double k[7][D], double *z, double *err);
+double bisect(loop *lp, int j, double glo, double gend, double t, double h, double tnew,
+              const double *x, const double d[4][D]);
+int append(buffer *b, const double *v, int n);
+int append_row(buffer *coeffs, double t, double h, const double *x, const double d[4][D],
+               const double *z);
+int record(loop *lp, double t, double h, const double *x, const double *z,
+           const double k[7][D], const double *g, const double *G);
+
+/* 0.0 * v is a zero for every finite v and nan for inf or nan. */
+static inline int all_finite(const double *v, int n)
+{
+    for (int i = 0; i < n; i++)
+        if (0.0 * v[i] != 0.0)
+            return 0;
+    return 1;
+}
+
+/* The quartic interpolant at time at of the step (t, h) from x. */
+static inline void dense(double at, double t, double h, const double *x, const double d[4][D],
+                         double *u)
+{
+    double theta = (at - t) / h, om = 1 - theta;
+    for (int i = 0; i < D; i++)
+        u[i] = x[i] + theta * (d[0][i] + om * (d[1][i] + theta * (d[2][i] + om * d[3][i])));
+}
+"""
+
+# The model: the RHS template and the event expressions.
+_C_MODEL = r"""
+/* x / y for a y that may be zero, where Python raises: noted in *zero. */
+static double quot(double x, double y, int *zero)
+{
+    *zero |= y == 0.0;
+    return x / y;
+}
+
+/* The RHS at the state y into k; its constants are b. */
+void rhs(const double *y, double *k, const double *b, int *zero)
+{
+$rhs
+}
+
+/* The value of event j at the state y; the events' constants are c. */
+double event(int j, const double *y, const double *c, int *zero)
+{
+    switch (j) {
+$events
+    }
+    return 0.0;
+}
+"""
+
+# The stepper: the starting step, one step attempt and the event bisection.
+_C_STEP = r"""
+static double rms(const double *u)
+{
+    return $rms;
+}
+
+/* Hairer's starting step from x, where k1 = f(x) is finite. */
+double starting_step(loop *lp, const double *x, const double *k1)
+{
+    double sc[D], u[D], s[D], f1[D], norm0, norm1, norm2, h0, h1, h, top;
+    double span = lp->t_end - lp->t0;
+    int i;
+    for (i = 0; i < D; i++)
+        sc[i] = lp->atol + lp->rtol * fabs(x[i]);
+    for (i = 0; i < D; i++)
+        u[i] = x[i] / sc[i];
+    norm0 = rms(u);
+    for (i = 0; i < D; i++)
+        u[i] = k1[i] / sc[i];
+    norm1 = rms(u);
+    h0 = (norm0 < 1e-5 || norm1 < 1e-5) ? 1e-6 : 0.01 * norm0 / norm1;
+    if (span < h0)
+        h0 = span;
+    if (lp->max_step < h0)
+        h0 = lp->max_step;
+    for (i = 0; i < D; i++)
+        s[i] = x[i] + h0 * k1[i];
+    rhs(s, f1, lp->b, &lp->zero);
+    lp->zero |= h0 == 0.0;
+    for (i = 0; i < D; i++)
+        u[i] = (f1[i] - k1[i]) / sc[i];
+    norm2 = rms(u) / h0;
+    top = norm2 > norm1 ? norm2 : norm1;
+    if (top <= 1e-15) {
+        h1 = h0 * 1e-3;
+        h1 = h1 > 1e-6 ? h1 : 1e-6;
+    } else {
+        h1 = pow(0.01 / top, 0.2);
+    }
+    h = 100 * h0;
+    if (h1 < h)
+        h = h1;
+    if (span < h)
+        h = span;
+    if (lp->max_step < h)
+        h = lp->max_step;
+    return h;
+}
+
+/* One attempt of the step h from x, where k[0] = f(x): the stages k[1] to
+   k[5], the update z, k[6] = f(z) and the error norm *err. Returns the
+   RHS evaluations it made: 6, or fewer where a stage state or the update
+   is not finite. */
+int attempt(loop *lp, const double *x, double h, double k[7][D], double *z, double *err)
+{
+    const double *b = lp->b;
+    double s[D], e[D];
+    int *zero = &lp->zero, i;
+$stages
+    for (i = 0; i < D; i++) {
+        double mx = fabs(x[i]), mz = fabs(z[i]);
+        e[i] = h * ($error) / (lp->atol + lp->rtol * (mz > mx ? mz : mx));
+    }
+    *err = rms(e);
+    return 6;
+}
+
+/* The time of event j's crossing in the step (t, h) from x to tnew, with
+   the dense coefficients d, where it was glo at t and gend at tnew:
+   bisection to 1e-13 of the elapsed time, or until the midpoint rounds
+   onto an end. */
+double bisect(loop *lp, int j, double glo, double gend, double t, double h, double tnew,
+              const double *x, const double d[4][D])
+{
+    double lo = t, hi = tnew, mid, gm, a, u[D];
+    if (gend == 0.0)
+        return tnew;
+    for (int it = 0; it < 200; it++) {
+        a = hi - lp->t0;
+        if (hi - lo <= 1e-13 * (a > 1.0 ? a : 1.0))
+            return 0.5 * (lo + hi);
+        mid = 0.5 * (lo + hi);
+        if (mid == lo || mid == hi)
+            return mid;
+        dense(mid, t, h, x, d, u);
+        gm = event(j, u, lp->c, &lp->zero);
+        if (gm == 0.0)
+            return mid;
+        if ((glo < 0.0) == (gm < 0.0)) {
+            lo = mid;
+            glo = gm;
+        } else {
+            hi = mid;
+        }
+    }
+    return 0.5 * (lo + hi);
+}
+"""
+
+# The records of an accepted step: its coefficient row, its events and its
+# range of grid samples.
+_C_RECORD = r"""
+/* Per event: 1 rising, -1 falling, 0 both ways. */
+static const int DIRECTION[NEV + 1] = {$directions};
+
+/* Whether event j crossed from g to G: rose through or onto zero, or fell
+   (a nan start counts as falling). */
+static int crosses(int j, double g, double G)
+{
+    int up = g < 0.0 && 0.0 <= G;
+    int down = (g > 0.0 && 0.0 >= G) || (g != g && G == 0.0);
+    return DIRECTION[j] > 0 ? up : DIRECTION[j] < 0 ? down : up || down;
+}
+
+/* Python's float vx // wx (CPython's _float_div_mod) for wx > 0. */
+static double floordiv(double vx, double wx)
+{
+    double mod = fmod(vx, wx), div = (vx - mod) / wx, floored;
+    if (mod && (wx < 0) != (mod < 0))
+        div -= 1.0;
+    if (div) {
+        floored = floor(div);
+        if (div - floored > 0.5)
+            floored += 1.0;
+    } else {
+        floored = copysign(0.0, vx / wx);
+    }
+    return floored;
+}
+
+int append(buffer *b, const double *v, int n)
+{
+    if (b->n + n > b->cap) {
+        long long cap = b->cap ? 2 * b->cap : 4096;
+        double *data;
+        while (cap < b->n + n)
+            cap *= 2;
+        data = realloc(b->data, cap * sizeof *data);
+        if (!data)
+            return 0;
+        b->data = data;
+        b->cap = cap;
+    }
+    for (int i = 0; i < n; i++)
+        b->data[b->n + i] = v[i];
+    b->n += n;
+    return 1;
+}
+
+/* A coefficient row (t, h, x, d1, d2, d3, d4, z); an exact row, read only
+   for its end state x, has h = 1 and zero d. */
+int append_row(buffer *coeffs, double t, double h, const double *x, const double d[4][D],
+               const double *z)
+{
+    double row[WIDTH];
+    row[0] = t;
+    row[1] = h;
+    for (int i = 0; i < D; i++) {
+        row[2 + i] = x[i];
+        row[2 + D + i] = d[0][i];
+        row[2 + 2 * D + i] = d[1][i];
+        row[2 + 3 * D + i] = d[2][i];
+        row[2 + 4 * D + i] = d[3][i];
+        row[2 + 5 * D + i] = z[i];
+    }
+    return append(coeffs, row, WIDTH);
+}
+
+/* The records of the accepted step (t, h) from x to z, where the events
+   went from g to G: for a step with a crossing or a grid sample, its
+   coefficient row, its located events in time order (a stable sort) up to
+   the first that stops the run, and its range of grid indices up to the
+   stop or the step's end, plus a slack. */
+int record(loop *lp, double t, double h, const double *x, const double *z,
+           const double k[7][D], const double *g, const double *G)
+{
+    double d[4][D], u[D], entry[4], event_row[3 + D], located_t[NEV + 1];
+    double tnew = t + h, cut = tnew, bound = tnew + lp->slack, offset, index, te;
+    int located[NEV + 1], located_direction[NEV + 1], crossing = 0, i, j, m, n = 0;
+
+    for (j = 0; j < NEV; j++)
+        crossing = crossing || crosses(j, g[j], G[j]);
+    if (!crossing && lp->t0 + lp->sample_index * lp->sample_dt > bound)
+        return OK;
+    for (i = 0; i < D; i++) {
+        d[0][i] = z[i] - x[i];
+        d[1][i] = h * k[0][i] - d[0][i];
+        d[2][i] = d[0][i] - h * k[6][i] - d[1][i];
+        d[3][i] = h * ($dense);
+    }
+    offset = lp->coeffs.n * (double)sizeof(double);  /* the row's byte offset */
+    if (!append_row(&lp->coeffs, t, h, x, d, z))
+        return NO_MEMORY;
+    for (j = 0; crossing && j < NEV; j++) {
+        if (!crosses(j, g[j], G[j]))
+            continue;
+        te = bisect(lp, j, g[j], G[j], t, h, tnew, x, d);
+        for (m = n++; m > 0 && te < located_t[m - 1]; m--) {
+            located_t[m] = located_t[m - 1];
+            located[m] = located[m - 1];
+            located_direction[m] = located_direction[m - 1];
+        }
+        located_t[m] = te;
+        located[m] = j;
+        located_direction[m] = DIRECTION[j] ? DIRECTION[j] : g[j] < 0.0 ? 1 : -1;
+    }
+    if (lp->zero)
+        return RAISES;
+    for (m = 0; m < n; m++) {
+        entry[0] = located_t[m];
+        entry[1] = offset;
+        entry[2] = __builtin_nan("");
+        entry[3] = 1.0;
+        dense(located_t[m], t, h, x, d, u);
+        event_row[0] = located_t[m];
+        event_row[1] = located[m];
+        event_row[2] = located_direction[m];
+        for (i = 0; i < D; i++)
+            event_row[3 + i] = u[i];
+        if (!append(&lp->rec, entry, 4) || !append(&lp->events, event_row, 3 + D))
+            return NO_MEMORY;
+        if (lp->stops[located[m]]) {
+            cut = located_t[m];
+            lp->stop = located[m];
+            bound = cut + lp->slack;
+            break;
+        }
+    }
+    index = floordiv(bound - lp->t0, lp->sample_dt);
+    while (lp->t0 + (index + 1.0) * lp->sample_dt <= bound)
+        index += 1.0;
+    while (lp->t0 + index * lp->sample_dt > bound)
+        index -= 1.0;
+    entry[0] = cut;
+    entry[1] = offset;
+    entry[2] = lp->sample_index;
+    entry[3] = index + 1.0 - lp->sample_index;
+    lp->sample_index = index + 1.0;
+    return append(&lp->rec, entry, 4) ? OK : NO_MEMORY;
+}
+"""
+
+# The loop itself: guards, step attempts, error control and the PI
+# controller.
+_C_RUN = r"""
+void release(double **bufs)
+{
+    for (int i = 0; i < 3; i++) {
+        free(bufs[i]);
+        bufs[i] = 0;
+    }
+}
+
+/* The loop from the state start at cfg = (t0, rtol, atol, max_step,
+   sample_dt, t_max). On OK, bufs holds rec, coeffs and the raw events
+   (t, j, direction, state) as doubles, counts their lengths, then n_steps,
+   n_error, n_nonfinite, n_rhs, the failure and the stopping event (or -1),
+   and hs h_min and h_max. */
+int run(const double *start, const double *cfg, long long max_steps, const double *b,
+        const double *c, const int *stops, double **bufs, long long *counts, double *hs)
+{
+    static const double no_d[4][D];
+    loop lp = {cfg[0], cfg[1], cfg[2], cfg[3], cfg[4], cfg[0] + cfg[5], 1e-9 * cfg[4], 1.0,
+               b, c, stops, {0}, {0}, {0}, 0, -1};
+    double x[D], z[D], k[7][D], g[NEV + 1], G[NEV + 1], start_entry[4] = {lp.t0, 0.0, INF, 1.0};
+    double t = lp.t0, h = 0.0, h_min = INF, h_max = 0.0, facold = 1e-4;
+    double close, a, err, fac, fac11, hnew;
+    long long n_rhs, n_steps = 0, n_error = 0, n_nonfinite = 0;
+    int failure = NONE, rejected = 0, landing, calls, status, i, j;
+
+    for (i = 0; i < D; i++)
+        x[i] = start[i];
+    rhs(x, k[0], b, &lp.zero);
+    if (lp.zero)
+        goto raises;
+    n_rhs = 1;
+    /* The run fails at once if k1 or the starting step is not finite. */
+    if (!all_finite(k[0], D)) {
+        failure = NONFINITE_START;
+    } else {
+        h = starting_step(&lp, x, k[0]);
+        if (lp.zero)
+            goto raises;
+        n_rhs = 2;
+        if (!(0.0 < h && h < INF))
+            failure = NONFINITE_START;
+    }
+
+    if (!append_row(&lp.coeffs, t, 1.0, x, no_d, x) || !append(&lp.rec, start_entry, 4))
+        goto no_memory;
+    for (j = 0; j < NEV; j++)
+        g[j] = event(j, x, c, &lp.zero);
+    if (lp.zero)
+        goto raises;
+    close = 1e-12 * (1.0 > lp.t_end - lp.t0 ? 1.0 : lp.t_end - lp.t0);
+
+    while (failure == NONE && lp.t_end - t > close) {
+        if (lp.max_step < h)
+            h = lp.max_step;
+        landing = h > lp.t_end - t;
+        if (landing)
+            h = lp.t_end - t;
+        a = t - lp.t0;
+        if (h < 1e-14 * (a > 1.0 ? a : 1.0) || t + h == t) {
+            failure = UNDERFLOW;
+            break;
+        }
+        if (n_steps + n_error + n_nonfinite >= max_steps) {
+            failure = BUDGET;
+            break;
+        }
+        a = fabs(x[0]);
+        for (i = 1; i < D; i++)
+            if (fabs(x[i]) > a)
+                a = fabs(x[i]);
+        if (a > 1e12) {
+            failure = BLOWUP;
+            break;
+        }
+
+        calls = attempt(&lp, x, h, k, z, &err);
+        if (lp.zero)
+            goto raises;
+        n_rhs += calls;
+        if (calls < 6 || !all_finite(&err, 1)) {
+            n_nonfinite++;
+            rejected = 1;
+            h *= 0.1;
+            continue;
+        }
+        fac11 = pow(err, $expo1);
+        if (err > 1.0) {
+            n_error++;
+            rejected = 1;
+            a = fac11 / $safety;
+            h = h / (a < $fac_min ? a : $fac_min);
+            continue;
+        }
+
+        /* Accepted. */
+        n_steps++;
+        if (!landing) {
+            if (h < h_min)
+                h_min = h;
+            if (h > h_max)
+                h_max = h;
+        }
+        for (j = 0; j < NEV; j++)
+            G[j] = event(j, z, c, &lp.zero);
+        if (lp.zero)
+            goto raises;
+        status = record(&lp, t, h, x, z, k, g, G);
+        if (status == RAISES)
+            goto raises;
+        if (status == NO_MEMORY)
+            goto no_memory;
+        if (lp.stop >= 0)
+            break;
+
+        /* PI controller update. */
+        fac = fac11 / pow(facold, $beta);
+        a = fac / $safety;
+        fac = a < $fac_min ? a : $fac_min;
+        fac = fac > $fac_max ? fac : $fac_max;
+        hnew = h / fac;
+        if (rejected && h < hnew)
+            hnew = h;
+        facold = err < 1e-4 ? 1e-4 : err;
+        rejected = 0;
+        t = t + h;
+        for (i = 0; i < D; i++) {
+            x[i] = z[i];
+            k[0][i] = k[6][i];
+        }
+        for (j = 0; j < NEV; j++)
+            g[j] = G[j];
+        h = hnew;
+    }
+
+    /* After a stop the last row is the stop event's, at its time. */
+    if (lp.stop < 0) {
+        double end_entry[4] = {t, lp.coeffs.n * (double)sizeof(double), INF, 1.0};
+        if (!append(&lp.rec, end_entry, 4) || !append_row(&lp.coeffs, t, 1.0, x, no_d, x))
+            goto no_memory;
+    }
+    bufs[0] = lp.rec.data;
+    bufs[1] = lp.coeffs.data;
+    bufs[2] = lp.events.data;
+    counts[0] = lp.rec.n;
+    counts[1] = lp.coeffs.n;
+    counts[2] = lp.events.n;
+    counts[3] = n_steps;
+    counts[4] = n_error;
+    counts[5] = n_nonfinite;
+    counts[6] = n_rhs;
+    counts[7] = failure;
+    counts[8] = lp.stop;
+    hs[0] = h_min;
+    hs[1] = h_max;
+    return OK;
+
+raises:
+    status = RAISES;
+    goto fail;
+no_memory:
+    status = NO_MEMORY;
+fail:
+    free(lp.rec.data);
+    free(lp.coeffs.data);
+    free(lp.events.data);
+    return status;
+}
+"""
+
+
+def _c_units(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource) -> tuple[str, ...]:
+    """The C translation units of the kernel for ``d`` state components,
+    the ``(expr, direction)`` of each event spec and the RHS source
+    ``rhs``: the loop of :func:`_loop`, with the RHS template as the one
+    function ``rhs`` and the events as the function ``event``. Raises
+    :class:`native.NotC` for a template or an event with no exact C
+    translation."""
+    def combo(weights):
+        # Stage j is k[j - 1].
+        return " + ".join(f"{w!r} * k[{j - 1}][i]" for j, w in weights)
+
+    def stage(target, weights, calls, out):
+        # A stage state or the update, its finiteness check, and the RHS there.
+        return ["for (i = 0; i < D; i++)",
+                f"    {target}[i] = x[i] + h * ({combo(weights)});",
+                f"if (!all_finite({target}, D))",
+                f"    return {calls};",
+                f"rhs({target}, k[{out}], b, zero);"]
+
+    names = {f"y{i}": f"y[{i}]" for i in range(d)}
+    names.update((f"k{i}", f"k[{i}]") for i in range(d))
+    bound = [f"const double {name} = b[{j}];" for j, name in enumerate(rhs.bound)]
+    body = native.c_lines(rhs.template.format(**names), tuple(rhs.bound), ("y", "k"))
+
+    cases, offset = [], 0
+    for j, (expr, _) in enumerate(events):
+        constants = _fields(expr, "c")
+        fields = {f"y{i}": f"y[{i}]" for i in _fields(expr, "y")}
+        fields.update((f"c{k}", f"c[{offset + n}]") for n, k in enumerate(constants))
+        offset += len(constants)
+        cases.append(f"    case {j}: return {native.c_expression(expr.format(**fields), (), ('y', 'c'))};")
+
+    stages = []
+    for j, row in enumerate(_A, start=2):
+        stages += stage("s", row, j - 2, j - 1)
+    stages += stage("z", _B, 5, 6)
+    fields = dict(
+        d=d, nev=len(events),
+        rhs="\n".join("    " + line for line in [*bound, *body]),
+        events="\n".join(cases),
+        directions=", ".join([*(str(direction) for _, direction in events), "0"]),
+        rms=_rms_expression([f"u[{i}]" for i in range(d)]),
+        stages="\n".join("    " + line for line in stages),
+        error=combo(_E), dense=combo(_D),
+        expo1=repr(_EXPO1), beta=repr(_BETA), safety=repr(_SAFETY),
+        fac_min=repr(1.0 / _FAC_MIN), fac_max=repr(1.0 / _FAC_MAX),
+    )
+    return tuple(string.Template(_C_SHARED + unit).substitute(fields)
+                 for unit in (_C_MODEL, _C_STEP, _C_RECORD, _C_RUN))
+
+
+_FAILURES = {1: "nonfinite_start", 2: "underflow", 3: "budget", 4: "blowup"}
+_RAISES, _NO_MEMORY = 1, 2
+
+
+def _doubles(values):
+    return (ctypes.c_double * len(values))(*values)
+
+
+def _copied(address, n: int) -> np.ndarray:
+    """A numpy copy of ``n`` doubles at ``address``."""
+    return np.array((ctypes.c_double * n).from_address(address)) if n else np.empty(0)
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource):
+    """``run(rhs, t0, y0, icfg, specs)``, the C kernel of :func:`_c_units`
+    with the contract of :func:`_loop`'s ``run``, or None where the kernel
+    cannot be translated, compiled, cached or loaded (see :mod:`native`).
+    ``run`` returns None for a run the Python loop must make: one whose
+    times, step settings or constants are not plain floats (the Python
+    loop's outputs then keep their types) and one that raises in Python."""
+    try:
+        lib = native.load(_c_units(d, events, rhs))
+    except native.NotC:
+        return None
+    if lib is None:
+        return None
+    kernel, release = lib.run, lib.release
+    double_p = ctypes.POINTER(ctypes.c_double)
+    kernel.restype = ctypes.c_int
+    kernel.argtypes = (double_p, double_p, ctypes.c_longlong, double_p, double_p,
+                       ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_void_p),
+                       ctypes.POINTER(ctypes.c_longlong), double_p)
+    release.restype = None
+    release.argtypes = (ctypes.POINTER(ctypes.c_void_p),)
+    counted = [len(_fields(expr, "c")) for expr, _ in events]
+
+    def run(rhs, t0, y0, icfg, specs):
+        settings = (t0, icfg.rtol, icfg.atol, icfg.max_step, icfg.sample_dt, icfg.t_max)
+        bound = list(rhs.bound.values())
+        values = [v for spec in specs for v in spec.values]
+        if (any(type(v) is not float for v in settings) or type(icfg.max_steps) is not int
+                or any(type(v) not in (float, int) for v in bound + values)
+                or [len(spec.values) for spec in specs] != counted):
+            return None
+        bufs = (ctypes.c_void_p * 3)()
+        counts = (ctypes.c_longlong * 9)()
+        hs = (ctypes.c_double * 2)()
+        status = kernel(
+            _doubles([float(a) for a in y0]), _doubles(settings), min(icfg.max_steps, 2**62),
+            _doubles(bound), _doubles(values),
+            (ctypes.c_int * (len(specs) + 1))(*(spec.stop is not None for spec in specs)),
+            bufs, counts, hs,
+        )
+        if status == _RAISES:
+            return None
+        if status == _NO_MEMORY:
+            raise MemoryError("kernel buffers")
+        try:
+            rec, coeffs = _copied(bufs[0], counts[0]), _copied(bufs[1], counts[1])
+            flat = (ctypes.c_double * counts[2]).from_address(bufs[2])[:] if counts[2] else []
+        finally:
+            release(bufs)
+        width = 3 + d
+        raw_events = [(flat[j], specs[int(flat[j + 1])], int(flat[j + 2]), flat[j + 3:j + width])
+                      for j in range(0, len(flat), width)]
+        n_steps, n_error, n_nonfinite, n_rhs, failure, stop = counts[3:9]
+        h_min, h_max = hs
+        stats = {
+            "n_steps": n_steps,
+            "n_rejected": n_error + n_nonfinite,
+            "n_rhs": n_rhs,
+            "n_rejected_error": n_error,
+            "n_rejected_nonfinite": n_nonfinite,
+            "h_min": h_min if h_max else None,
+            "h_max": h_max if h_max else None,
+        }
+        if failure:
+            stats["failure"] = _FAILURES[failure]
+        return rec, coeffs, raw_events, None if stop < 0 else specs[stop].stop, stats
+
+    return run
 
 
 def _dense_rows(rec, coeffs, d: int, t0: float, sample_dt: float):
@@ -735,8 +1392,9 @@ def _propagate(
     step cap, sample grid and step budget of ``icfg``; ``rhs`` is an
     :class:`RhsSource` or a callable that maps a state list to its
     derivative list, and an event whose spec names a ``stop`` ends the run
-    with that termination. Runs the loop :func:`_loop` compiled for the
-    state dimension, the specs' expressions and the RHS source, and returns
+    with that termination. Runs the C kernel (:func:`_kernel`) for the
+    state dimension, the specs' expressions and an :class:`RhsSource`, or
+    else the Python loop :func:`_loop` compiled for them, and returns
     (times, states, raw events, termination, stats): ``times`` is the float
     array of sample times and ``states`` the ``(n, d)`` float array that
     :func:`_dense_rows` builds after the loop. Raw events are ``(t, spec,
@@ -747,10 +1405,17 @@ def _propagate(
     ``stats["failure"]`` names the guard that stopped the run:
     "nonfinite_start", "underflow", "budget" or "blowup"."""
     d = len(y0)
-    if not isinstance(rhs, RhsSource):
+    events = tuple((spec.expr, spec.direction) for spec in specs)
+    specs = tuple(specs)
+    result = None
+    if isinstance(rhs, RhsSource):
+        kernel = _kernel(d, events, rhs)
+        result = kernel and kernel(rhs, t0, y0, icfg, specs)
+    else:
         rhs = _callable_source(rhs, d)
-    run = _loop(d, tuple((spec.expr, spec.direction) for spec in specs), rhs)
-    rec, coeffs, raw_events, stop, stats = run(rhs, t0, y0, icfg, tuple(specs))
+    if result is None:
+        result = _loop(d, events, rhs)(rhs, t0, y0, icfg, specs)
+    rec, coeffs, raw_events, stop, stats = result
     times, states = _dense_rows(rec, coeffs, d, t0, icfg.sample_dt)
     if "failure" in stats:
         termination = Termination.STEP_FAILURE
@@ -777,7 +1442,7 @@ def _event_specs(
     ]
     specs.append(
         _EventSpec(
-            "abs({y0}) - {c0}",
+            "fabs({y0}) - {c0}",
             kind="escape",
             values=(radius,),
             stop=Termination.ESCAPED,

@@ -227,7 +227,7 @@ class _Subscripts(dict):
 
 def event_function(spec):
     """``spec``'s event expression as a function of a state list."""
-    fn = eval(f"lambda y, c: {spec.expr.format_map(_Subscripts())}")
+    fn = eval(f"lambda y, c: {spec.expr.format_map(_Subscripts())}", {"fabs": math.fabs})
     return lambda y: fn(y, spec.values)
 
 

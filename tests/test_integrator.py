@@ -1,9 +1,12 @@
 import ast
+import dataclasses
 import itertools
 import json
 import linecache
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -27,12 +30,14 @@ from momentous import (
     uncertainty_residual,
 )
 import momentous
-from momentous import dynamics
+from momentous import dynamics, integrator, native
 from momentous.dynamics import make_rhs, rhs_source, state_to_vector
 from momentous.integrator import (
     _EventSpec,
+    _c_units,
     _callable_source,
     _event_specs,
+    _kernel,
     _loop,
     _propagate,
     resolve_escape_radius,
@@ -414,27 +419,56 @@ def model_run(barrier, order, q0, sigma0, convention, **overrides):
     return (lambda: f), rhs_source(model), state_to_vector(init), icfg, specs
 
 
-@pytest.mark.parametrize(
-    "order,q0,sigma0,convention,overrides,termination",
-    [
-        pytest.param(2, -1.62, 0.3, "zero", dict(atol=1e-6, t_max=2.35, sample_dt=0.1),
-                     Termination.REACHED_TMAX, id="order2-coarse-samples"),
-        pytest.param(2, -2.5, 0.5, "zero", dict(t_max=3.0, sample_dt=0.001),
-                     Termination.REACHED_TMAX, id="order2-fine-samples"),
-        pytest.param(3, -2.5, 0.5, "skewed", {},
-                     Termination.CONSTRAINT_VIOLATED, id="order3-constraint"),
-        pytest.param(3, -1.62, 0.3, "zero", dict(atol=1e-6, t_max=2.35),
-                     Termination.REACHED_TMAX, id="order3-zero"),
-        pytest.param(0, -3.0, 0.5, "zero", {},
-                     Termination.ESCAPED, id="order0-escaped"),
-        pytest.param(2, -12.0, 0.5, "zero", dict(t_max=40.0, escape_radius=10.0),
-                     Termination.ESCAPED, id="order2-inward-then-escaped"),
-    ],
-)
+MODEL_RUNS = [
+    pytest.param(2, -1.62, 0.3, "zero", dict(atol=1e-6, t_max=2.35, sample_dt=0.1),
+                 Termination.REACHED_TMAX, id="order2-coarse-samples"),
+    pytest.param(2, -2.5, 0.5, "zero", dict(t_max=3.0, sample_dt=0.001),
+                 Termination.REACHED_TMAX, id="order2-fine-samples"),
+    pytest.param(3, -2.5, 0.5, "skewed", {},
+                 Termination.CONSTRAINT_VIOLATED, id="order3-constraint"),
+    pytest.param(3, -1.62, 0.3, "zero", dict(atol=1e-6, t_max=2.35),
+                 Termination.REACHED_TMAX, id="order3-zero"),
+    pytest.param(0, -3.0, 0.5, "zero", {},
+                 Termination.ESCAPED, id="order0-escaped"),
+    pytest.param(2, -12.0, 0.5, "zero", dict(t_max=40.0, escape_radius=10.0),
+                 Termination.ESCAPED, id="order2-inward-then-escaped"),
+]
+
+
+def kernels_build() -> bool:
+    """Whether the compiler the kernels are built with is on the path and
+    the kernel cache's directory, or the nearest one above it that exists,
+    can be written."""
+    if shutil.which((os.environ.get("CC") or "cc").split()[0]) is None:
+        return False
+    directory = native.cache_dir()
+    while directory is not None and not directory.exists():
+        directory = directory.parent
+    return directory is not None and directory.is_dir() and os.access(directory, os.W_OK)
+
+
+def assert_kernel_runs(d, specs, source):
+    """Where kernels can be built, the model run of ``source`` and
+    ``specs`` goes through the C kernel, not the Python loop."""
+    if kernels_build():
+        assert _kernel(d, tuple((s.expr, s.direction) for s in specs), source) is not None
+
+
+@pytest.fixture
+def fresh_kernels():
+    """Kernels looked up afresh in the test and after it, so the compiler
+    and cache a test sets reach no other test."""
+    _kernel.cache_clear()
+    yield
+    _kernel.cache_clear()
+
+
+@pytest.mark.parametrize("order,q0,sigma0,convention,overrides,termination", MODEL_RUNS)
 def test_loop_matches_reference_on_model_runs(
     request, barrier, order, q0, sigma0, convention, overrides, termination
 ):
     make_f, source, y0, icfg, specs = model_run(barrier, order, q0, sigma0, convention, **overrides)
+    assert_kernel_runs(len(y0), specs, source)
     times, _, events, got, stats = matches_reference(make_f, 0.0, y0, icfg, specs, source)
     assert got is termination
     case = request.node.callspec.id
@@ -468,25 +502,138 @@ def test_a_model_run_counts_every_rhs_evaluation(barrier, order):
     assert stats["n_rhs"] == len(calls)
 
 
+def python_loop_run(monkeypatch, source, t0, y0, icfg, specs):
+    """``_propagate`` with the kernel loader failing, so that it runs the
+    Python loop."""
+    with monkeypatch.context() as patch:
+        patch.setattr(integrator, "_kernel", lambda *args: None)
+        return _propagate(source, t0, y0, icfg, specs)
+
+
+def assert_same_run(got, want):
+    """Two ``_propagate`` results byte for byte: the arrays by shape and
+    bytes, the raw events, termination and stats by ``repr``."""
+    for got_array, want_array in zip(got[:2], want[:2]):
+        assert got_array.shape == want_array.shape
+        assert got_array.tobytes() == want_array.tobytes()
+    assert repr(got[2:]) == repr(want[2:])
+
+
+@pytest.mark.parametrize("order,q0,sigma0,convention,overrides,termination", [
+    *MODEL_RUNS,
+    # CI's stop.json run: stopped on the constraint between two grid samples.
+    pytest.param(3, -2.5, 0.5, "skewed", dict(t_max=2.0, sample_dt=1e-4),
+                 Termination.CONSTRAINT_VIOLATED, id="ci-constraint-stop"),
+    # q0**(2n) overflows: the blowup guard stops the run before any step.
+    pytest.param(2, -1e40, 0.3, "zero", dict(t_max=0.5),
+                 Termination.STEP_FAILURE, id="far-blowup"),
+])
+def test_the_kernel_runs_the_python_loop_bit_for_bit(
+    monkeypatch, barrier, order, q0, sigma0, convention, overrides, termination
+):
+    _, source, y0, icfg, specs = model_run(barrier, order, q0, sigma0, convention, **overrides)
+    assert_kernel_runs(len(y0), specs, source)
+    got = _propagate(source, 0.0, y0, icfg, specs)
+    assert_same_run(got, python_loop_run(monkeypatch, source, 0.0, y0, icfg, specs))
+    assert got[3] is termination
+    if termination is Termination.STEP_FAILURE:
+        assert got[4]["failure"] == "blowup" and got[4]["n_steps"] == 0
+
+
+def test_the_kernel_runs_an_event_that_lands_on_zero_as_the_python_loop(monkeypatch, barrier):
+    # A marker at the final position: the marker's event function is
+    # exactly zero at the end of the last step, which is the event's time.
+    _, source, y0, icfg, specs = model_run(barrier, 2, -1.62, 0.3, "zero", atol=1e-6, t_max=2.35)
+    times, states, *_ = _propagate(source, 0.0, y0, icfg, specs)
+    end = float(states[-1, 0])
+    specs = [*specs, _EventSpec("{y0} - {c0}", kind="q_cross", values=(end,), marker=end)]
+    assert_kernel_runs(len(y0), specs, source)
+    got = _propagate(source, 0.0, y0, icfg, specs)
+    assert_same_run(got, python_loop_run(monkeypatch, source, 0.0, y0, icfg, specs))
+    assert [t for t, spec, _, _ in got[2] if spec.marker == end][-1] == times[-1]
+
+
+def test_the_kernel_runs_a_stop_just_before_a_sample_as_the_python_loop(monkeypatch, barrier):
+    # Sample grids whose 1000th point lies half, then twice, the grid's
+    # slack (1e-9 * sample_dt) past the escape: inside the slack the sample
+    # reads the stop state and is dropped as the stop row's duplicate.
+    _, source, y0, icfg, specs = model_run(barrier, 0, -3.0, 0.5, "zero")
+    stop = _propagate(source, 0.0, y0, icfg, specs)[2][-1][0]
+    assert_kernel_runs(len(y0), specs, source)
+    for share in (0.5, 2.0):
+        grid = dataclasses.replace(icfg, sample_dt=stop / (1000 - share * 1e-9))
+        got = _propagate(source, 0.0, y0, grid, specs)
+        assert_same_run(got, python_loop_run(monkeypatch, source, 0.0, y0, grid, specs))
+        times = got[0]
+        assert got[3] is Termination.ESCAPED and times[-1] == stop
+        assert times[-2] == 999 * grid.sample_dt and 1000 * grid.sample_dt > stop
+
+
+# The CI sweep: six points of the acceptance scenario.
+CI_SWEEP = {
+    "packet": {"q0": -2.5, "energy": 0.98, "sigma0": 0.3},
+    "integrator": {"t_max": 2.35},
+    "sweep": {"parameter": "q0", "start": -3.0, "stop": -1.5, "count": 6},
+}
+
+
+@pytest.mark.parametrize("setting", ["missing compiler", "failing compiler", "unwritable cache"])
+def test_a_sweep_without_a_kernel_writes_the_same_bytes(
+    tmp_path, monkeypatch, fresh_kernels, setting
+):
+    # No compiler, a compiler that fails and a cache that cannot be written
+    # each leave the Python loop, silently: the same files, no temporary
+    # file left in the cache and no child process left running.
+    from momentous.cli import build_config, run_sweep
+
+    cfg = build_config(CI_SWEEP)
+    run_sweep(cfg, str(tmp_path / "kernel"))
+    _kernel.cache_clear()
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    if setting == "missing compiler":
+        monkeypatch.setenv("CC", str(tmp_path / "no-such-cc"))
+    elif setting == "failing compiler":
+        monkeypatch.setenv("CC", "false")
+    else:
+        cache.write_text("")  # a file where the cache directory would go
+    run_sweep(cfg, str(tmp_path / "fallback"))
+    specs = _event_specs(cfg.model, cfg.integrator, cfg.model.potential.turning_points(0.98))
+    assert _kernel(5, tuple((s.expr, s.direction) for s in specs), rhs_source(cfg.model)) is None
+    for suffix in (".csv", ".summary.json"):
+        assert (tmp_path / f"fallback{suffix}").read_bytes() == (tmp_path / f"kernel{suffix}").read_bytes()
+    assert not list(tmp_path.rglob("*.tmp"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_the_loop_of_a_model_run_calls_no_rhs(barrier):
-    # integrate pastes the RHS lines into the loop: the loop it runs calls
-    # nothing but builtins and the row packer it builds, and carries the
-    # jet itself.
+    # integrate runs the C kernel, whose one rhs function is the RHS
+    # template, jet included, called at the loop's eight RHS sites; the
+    # Python loop it falls back to pastes the same lines in at each site and
+    # calls nothing but builtins and the row packer it builds.
     model = ModelConfig(potential=barrier, order=3)
     init = initial_moments(scenario_packet(barrier, -1.62, 0.3), model)
     icfg = tight_integrator(t_max=0.5)
-    _loop.cache_clear()
-    integrate(init, model, icfg)
-    hits = _loop.cache_info().hits
     specs = _event_specs(model, icfg, ())
-    run = _loop(9, tuple((spec.expr, spec.direction) for spec in specs), rhs_source(model))
-    assert _loop.cache_info().hits == hits + 1  # the loop integrate ran
+    events = tuple((spec.expr, spec.direction) for spec in specs)
+    _kernel.cache_clear()
+    integrate(init, model, icfg)
+    hits = _kernel.cache_info().hits
+    ran = _kernel(9, events, rhs_source(model))
+    assert _kernel.cache_info().hits == hits + 1  # the kernel integrate looked up
+    assert (ran is not None) == kernels_build()
+    c_text = "".join(_c_units(9, events, rhs_source(model)))
+    assert c_text.count("_w0 = quot(alpha, _u0, zero);") == 1
+    # k1, the starting-step probe, stages 2-6 and k7
+    assert len(re.findall(r"\brhs\((?!const)", c_text)) == 8
+    run = _loop(9, events, rhs_source(model))
     source = "".join(linecache.getlines(run.__code__.co_filename))
     called = {node.func.id for node in ast.walk(ast.parse(source))
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-    assert called == {"Struct", "abs", "bytearray", "float", "itemgetter", "len", "max", "pack",
-                      "range", "sqrt"}
-    assert source.count("_w0 = alpha / _u0") == 8  # k1, the probe, stages 2-6, k7
+    assert called == {"Struct", "abs", "bytearray", "fabs", "float", "itemgetter", "len", "max",
+                      "pack", "range", "sqrt"}
+    assert source.count("_w0 = alpha / _u0") == 8
 
 
 @pytest.mark.parametrize("order", [0, 2, 3])
@@ -513,19 +660,24 @@ def test_table_coefficient_reaches_integrate(barrier, order, monkeypatch):
     assert integrate(init, model, icfg).states.tobytes() == real.states.tobytes()
 
 
-def test_generated_names_follow_the_source_text(barrier, monkeypatch):
-    # A loop or kernel compiled from a substituted eom_table gets a file name
-    # of its own, so linecache keeps the real source for warnings and
-    # tracebacks from the real code.
+def test_generated_names_follow_the_source_text(barrier, monkeypatch, tmp_path, fresh_kernels):
+    # A kernel, loop or RHS kernel compiled from a substituted eom_table gets
+    # a file of its own, named by its text: the cached kernel library, and
+    # the name under which linecache keeps the real source for warnings and
+    # tracebacks from the real code. The real table's files are untouched.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     model = ModelConfig(potential=barrier, order=2)
     events = tuple((s.expr, s.direction) for s in _event_specs(model, IntegratorConfig(), ()))
 
     def compiled():
+        library = native.load(_c_units(5, events, rhs_source(model)))
         return (_loop(5, events, rhs_source(model)).__code__.co_filename,
-                make_rhs(model).__code__.co_filename)
+                make_rhs(model).__code__.co_filename,
+                library and library._name)
 
     real = compiled()
-    real_lines = [linecache.getlines(name) for name in real]
+    real_lines = [linecache.getlines(name) for name in real[:2]]
+    real_library = real[2] and (Path(real[2]).read_bytes(), os.stat(real[2]).st_mtime_ns)
     # The kernel's dp/dt line, r1 = ...
     dp_dt = next(line for line in real_lines[1] if line.strip().startswith("r1 = "))
     table = dict(dynamics.eom_table(2))
@@ -534,12 +686,17 @@ def test_generated_names_follow_the_source_text(barrier, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "eom_table", lambda o: table)
         tampered = compiled()
-    assert set(real).isdisjoint(tampered)
-    assert [linecache.getlines(name) for name in real] == real_lines
+    assert set(real[:2]).isdisjoint(tampered[:2])
+    assert [linecache.getlines(name) for name in real[:2]] == real_lines
     assert dp_dt in linecache.getlines(real[1])
     assert dp_dt not in linecache.getlines(tampered[1])
     prefixes = ("<dopri5 loop d=5 rhs: order-2 rhs n=4;", "<order-2 rhs kernel n=4 #")
     assert all(name.startswith(prefix) for name, prefix in zip(tampered, prefixes))
+    if kernels_build():
+        libraries = sorted(p.name for p in (tmp_path / "momentous").iterdir())
+        assert libraries == sorted(Path(name).name for name in (real[2], tampered[2]))
+        assert all(re.fullmatch(r"kernel-[0-9a-f]{16}\.so", name) for name in libraries)
+        assert (Path(real[2]).read_bytes(), os.stat(real[2]).st_mtime_ns) == real_library
 
 
 def test_the_escape_radius_defaults_to_a_multiple_of_the_half_width():
@@ -1140,17 +1297,19 @@ def test_order_mismatch_rejected(barrier):
         integrate(MomentState(t=0.0, q=0.0, p=0.0, moments=()), model, IntegratorConfig())
 
 
-# Builds the loop for d = 2, 5 and 9 with and without markers and the
-# constraint, each over its model's RHS source, and the RHS and series
-# kernels of orders 0, 2 and 3; prints the text of every generated source.
+# Builds the loop and the C kernel's units for d = 2, 5 and 9 with and
+# without markers and the constraint, each over its model's RHS source, and
+# the RHS and series kernels of orders 0, 2 and 3; prints the text of every
+# generated source.
 GENERATED_SOURCES = """
 import json, linecache
 from momentous import BarrierPotential, IntegratorConfig, ModelConfig
 from momentous.dynamics import _series, make_rhs, rhs_source
-from momentous.integrator import _event_specs, _loop
+from momentous.integrator import _c_units, _event_specs, _loop
 
 pot = BarrierPotential(alpha=1.0, a=1.0, n=4)
 icfg = IntegratorConfig()
+kernels = {}
 for order, d in ((0, 2), (2, 5), (3, 9)):
     model = ModelConfig(potential=pot, order=order)
     make_rhs(model)
@@ -1158,8 +1317,11 @@ for order, d in ((0, 2), (2, 5), (3, 9)):
     for marks in ((), pot.turning_points(0.98)):
         specs = _event_specs(model, icfg, marks)
         for kept in (specs, [s for s in specs if s.kind != "constraint"]):
-            _loop(d, tuple((s.expr, s.direction) for s in kept), rhs_source(model))
-print(json.dumps({k: "".join(v[2]) for k, v in linecache.cache.items() if k.startswith("<")}))
+            events = tuple((s.expr, s.direction) for s in kept)
+            _loop(d, events, rhs_source(model))
+            kernels[f"C kernel {d} {events}"] = "".join(_c_units(d, events, rhs_source(model)))
+texts = {k: "".join(v[2]) for k, v in linecache.cache.items() if k.startswith("<")}
+print(json.dumps({**texts, **kernels}))
 """
 
 
@@ -1177,4 +1339,5 @@ def test_generated_source_ignores_the_hash_seed():
     assert texts[0] == texts[1]
     loops = [name for name in texts[0] if name.startswith("<dopri5 loop")]
     assert len(loops) == 10
+    assert len([name for name in texts[0] if name.startswith("C kernel")]) == 10
     assert any(name.startswith("<order-3 rhs kernel") for name in texts[0])
