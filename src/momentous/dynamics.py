@@ -15,7 +15,8 @@ the table as a template over the state components, which the propagator
 pastes into its loop, :func:`make_rhs` is the same source compiled as a
 function (which ``check-algebra`` verifies), and ``H_Q`` and ``V_eff`` (the
 Hamiltonian without its ``p`` terms) are compiled expressions that take
-floats and arrays alike.
+floats and arrays alike, whose lines :func:`series_source` gives as a
+template too.
 
 The order-2 system is exactly the order-3 system with every third moment
 set to zero. Both conserve the effective Hamiltonian identically (the
@@ -54,6 +55,7 @@ __all__ = [
     "moment_labels",
     "rhs",
     "rhs_source",
+    "series_source",
     "state_dimension",
     "state_variables",
     "state_to_vector",
@@ -209,6 +211,15 @@ def rhs(state: MomentState, cfg: ModelConfig) -> np.ndarray:
     return np.array(make_rhs(cfg)(_state_row(state, cfg)), dtype=float)
 
 
+def series_source(cfg: ModelConfig) -> RhsSource:
+    """``H_Q`` (``{k0}``) and ``V_eff`` (``{k1}``) at the ``q`` of a state,
+    from one jet, as source: the lines :func:`effective_series` runs."""
+    pot = cfg.potential
+    return RhsSource(_series_template(cfg.order, pot.n),
+                     f"order-{cfg.order} H_Q, V_eff n={pot.n}",
+                     {"alpha": pot.alpha, "a_2n": pot._a_2n, "m": cfg.mass})
+
+
 def _series(cfg: ModelConfig):
     """``f(y) -> [H_Q, V_eff]`` at the ``q`` of ``y``, from one jet."""
     pot = cfg.potential
@@ -352,9 +363,14 @@ def _rhs_kernel(order: int, table, n: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _series_kernel(order: int, n: int):
+def _series_template(order: int, n: int) -> str:
     # V_eff is the effective Hamiltonian without its p terms.
     hamiltonian = moment_algebra.hamiltonian_terms(order)
     potential = MomentPolynomial({t: c for t, c in hamiltonian.items() if not t.p_power})
+    return _template(order, n, [hamiltonian, potential])
+
+
+@functools.lru_cache(maxsize=None)
+def _series_kernel(order: int, n: int):
     return _compile(f"order-{order} H_Q, V_eff kernel n={n}", order,
-                    _template(order, n, [hamiltonian, potential]), 2)
+                    _series_template(order, n), 2)

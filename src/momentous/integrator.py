@@ -25,33 +25,37 @@ The loop exists in two languages with the same operations in the same order.
 Where a C compiler is found (``$CC``, else ``cc``), an :class:`RhsSource`
 run goes through a C kernel (:func:`_c_units`), compiled once per machine
 and kept in the cache that :mod:`native` manages
-(``$XDG_CACHE_HOME/momentous``, else ``~/.cache/momentous``); a new
-``(d, events, rhs)`` costs one compile of about half a second. Otherwise,
-and for an opaque RHS callable, a run whose settings are not plain floats or
-one that raises in Python, the Python loop (:func:`_loop`) runs: one frame of
+(``$XDG_CACHE_HOME/momentous``, else ``~/.cache/momentous``, pruned to the
+``native.CACHE_SIZE`` most recently loaded libraries); a new ``(d, events,
+rhs, series)`` costs one compile of about half a second. Otherwise, and for
+an opaque RHS callable, a run whose settings are not plain floats or one
+that raises in Python, the Python loop (:func:`_loop`) runs: one frame of
 straight-line code with one local per component and stage and the RHS lines
 pasted in at each of its eight evaluations; an opaque RHS callable is the
 one-line source that calls it. The outputs are the same bytes either way.
 
 Recorded along the way:
 
-* samples on a fixed ``sample_dt`` grid plus event points. The loop packs
+* samples on a fixed ``sample_dt`` grid plus event points, in time order
+  (an event before a grid sample at its time), less each row within
+  ``1e-12 * max(t - t0, 1)`` of the last one kept, each on the quartic
+  interpolant in the loop's operation order. The kernel writes these rows
+  as it steps, into the arrays it hands back. The Python loop instead packs
   one row of dense-output coefficients per step that holds a sample or an
-  event, and records every step's grid samples as one range of grid indices
+  event and records every step's grid samples as one range of grid indices
   and each event, the start and the end as single rows with their times;
-  after the loop one numpy pass expands the ranges, orders the rows by time
-  and drops rows within ``1e-12`` of the last one kept, on 1-D arrays over
-  all rows, then evaluates the quartic interpolant in the loop's operation
-  order, block by block (:func:`row_blocks`), into the preallocated
-  ``(n, d)`` sample array;
+  after it one numpy pass (:func:`_dense_rows`) builds the same rows;
 * events: momentum sign changes, crossings of caller-supplied position
   markers (classical return points), outbound escape, and, at orders 2 and
   3, ``G20*G02 - G11**2`` turning negative, which no state can have (a stop);
-* per-sample series, computed block by block into preallocated arrays:
-  effective Hamiltonian, effective potential at the mean position, and the
-  uncertainty-product residual, whose minimum over the samples and its time
-  go into the step statistics. No temporary between the loop and the
-  returned arrays holds more than one block;
+* per-sample series: effective Hamiltonian, effective potential at the mean
+  position, and the uncertainty-product residual, whose minimum over the
+  samples and its time go into the step statistics. The kernel evaluates
+  them per row it keeps, from the templates of :func:`_series_source`;
+  after the Python loop, or where a kernel's value is not finite, numpy
+  computes them block by block into preallocated arrays, with its own
+  warnings. No temporary between the loop and the returned arrays holds
+  more than one block;
 * on a step failure, its cause: a non-finite start, step-size underflow,
   the ``max_steps`` budget, or a state blowup.
 
@@ -64,6 +68,7 @@ import ctypes
 import enum
 import functools
 import string
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -75,6 +80,7 @@ from .dynamics import (
     RhsSource,
     effective_series,
     rhs_source,
+    series_source,
     state_to_vector,
     vector_to_state,
 )
@@ -235,6 +241,19 @@ _residual = exec_source(
     f"    return {_RESIDUAL.format(y2='y[2]', y3='y[3]', y4='y[4]', c0='quarter')}\n",
     "uncertainty residual",
 )["residual"]
+
+
+def _series_source(model: ModelConfig) -> RhsSource:
+    """The per-sample series of :func:`integrate` as one template for the
+    kernel: ``{k0}`` = ``H_Q`` and ``{k1}`` = ``V_eff``
+    (:func:`dynamics.series_source`), and at orders >= 2 ``{k2}`` = the
+    uncertainty residual, with ``hbar**2/4`` as the constant ``quarter``."""
+    source = series_source(model)
+    if model.order < 2:
+        return source
+    residual = _RESIDUAL.format(y2="{y2}", y3="{y3}", y4="{y4}", c0="quarter")
+    return RhsSource(f"{source.template}\n{{k2}} = {residual}", f"{source.label}, residual",
+                     {**source.bound, "quarter": model.hbar * model.hbar / 4})
 
 
 def uncertainty_residual(state: MomentState, model: ModelConfig) -> float:
@@ -429,10 +448,12 @@ def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource):
     put(2, "h0 = 1e-6 if (norm0 < 1e-5 or norm1 < 1e-5) else 0.01 * norm0 / norm1",
         "span = t_end - t0",
         "if span < h0:", "    h0 = span",
-        "if max_step < h0:", "    h0 = max_step")
-    derivative(2, [f"x{i} + h0 * k1_{i}" for i in comps], "f1_")
-    rms(2, "norm2", [f"(f1_{i} - k1_{i}) / sc{i}" for i in comps], " / h0")
-    put(2, "top = norm2 if norm2 > norm1 else norm1",
+        "if max_step < h0:", "    h0 = max_step",
+        # An overflowing norm1 gives h0 = 0: no probe, whose norm divides by h0.
+        "if h0 == 0.0:", "    failure = 'nonfinite_start'", "else:")
+    derivative(3, [f"x{i} + h0 * k1_{i}" for i in comps], "f1_")
+    rms(3, "norm2", [f"(f1_{i} - k1_{i}) / sc{i}" for i in comps], " / h0")
+    put(3, "top = norm2 if norm2 > norm1 else norm1",
         "if top <= 1e-15:",
         "    h1 = h0 * 1e-3",
         "    h1 = h1 if h1 > 1e-6 else 1e-6",
@@ -618,14 +639,16 @@ def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource):
 
 
 # The loop of :func:`_loop` in C, statement for statement, over arrays of D
-# doubles, as four translation units that share _C_SHARED; :func:`_c_units`
-# fills in the $-fields. Each operation is that of the Python loop in its
-# order, so every bit is the same: quot and floordiv are Python's float
-# division and floor division, and max, abs and conditional expressions are
-# comparisons in the order the builtins make them. A division by zero,
-# where Python raises, is noted in lp->zero, and run then returns RAISES.
-# The compiler's memory grows with the largest function and unit, so the
-# loop's parts are functions in separate units, and no header is read.
+# doubles, and the sample pass of :func:`_dense_rows` and the per-sample
+# series after it, row by row, as four translation units that share
+# _C_SHARED; :func:`_c_units` fills in the $-fields. Each operation is that
+# of the Python code in its order, so every bit is the same: quot and
+# floordiv are Python's float division and floor division, and max, abs and
+# conditional expressions are comparisons in the order the builtins make
+# them. A division by zero, where Python raises, is noted in lp->zero, and
+# run then returns RAISES. The compiler's memory grows with the largest
+# function and unit, so the loop's parts are functions in separate units,
+# and no header is read.
 _C_SHARED = r"""#if !defined(__FLT_EVAL_METHOD__) || __FLT_EVAL_METHOD__ != 0
 #error "each double operation must round to double, as Python's do"
 #endif
@@ -641,7 +664,7 @@ void free(void *);
 
 #define D $d
 #define NEV $nev
-#define WIDTH (2 + 6 * D)
+#define NSERIES $nseries
 #define INF __builtin_inf()
 
 enum { OK, RAISES, NO_MEMORY };
@@ -652,21 +675,22 @@ typedef struct { double *data; long long n, cap; } buffer;
 /* A run's settings, constants, outputs so far and sample grid position. */
 typedef struct {
     double t0, rtol, atol, max_step, sample_dt, t_end, slack, sample_index;
-    const double *b, *c;  /* the RHS's and the events' constants */
+    double last;  /* the time of the last sample row kept */
+    const double *b, *c, *sb;  /* the RHS's, the events' and the series' constants */
     const int *stops;  /* per event: whether it ends the run */
-    buffer rec, coeffs, events;
+    buffer times, states, events, series[NSERIES + 1];
     int zero, stop;  /* a division by zero was met; the stopping event or -1 */
+    int series_odd;  /* a series value is not finite or divided by zero */
 } loop;
 
 void rhs(const double *y, double *k, const double *b, int *zero);
+void series(const double *y, double *k, const double *b, int *zero);
 double event(int j, const double *y, const double *c, int *zero);
-double starting_step(loop *lp, const double *x, const double *k1);
+double starting_step(loop *lp, const double *x, const double *k1, long long *n_rhs);
 int attempt(loop *lp, const double *x, double h, double k[7][D], double *z, double *err);
 double bisect(loop *lp, int j, double glo, double gend, double t, double h, double tnew,
               const double *x, const double d[4][D]);
-int append(buffer *b, const double *v, int n);
-int append_row(buffer *coeffs, double t, double h, const double *x, const double d[4][D],
-               const double *z);
+int emit(loop *lp, double t, const double *u);
 int record(loop *lp, double t, double h, const double *x, const double *z,
            const double k[7][D], const double *g, const double *G);
 
@@ -689,7 +713,8 @@ static inline void dense(double at, double t, double h, const double *x, const d
 }
 """
 
-# The model: the RHS template and the event expressions.
+# The model: the RHS template, the series template and the event
+# expressions.
 _C_MODEL = r"""
 /* x / y for a y that may be zero, where Python raises: noted in *zero. */
 static double quot(double x, double y, int *zero)
@@ -702,6 +727,12 @@ static double quot(double x, double y, int *zero)
 void rhs(const double *y, double *k, const double *b, int *zero)
 {
 $rhs
+}
+
+/* The NSERIES per-sample series at the state y into k; their constants are b. */
+void series(const double *y, double *k, const double *b, int *zero)
+{
+$series
 }
 
 /* The value of event j at the state y; the events' constants are c. */
@@ -721,8 +752,10 @@ static double rms(const double *u)
     return $rms;
 }
 
-/* Hairer's starting step from x, where k1 = f(x) is finite. */
-double starting_step(loop *lp, const double *x, const double *k1)
+/* Hairer's starting step from x, where k1 = f(x) is finite, or 0.0 where
+   h0 is 0 (norm1 overflowed), before the probe f(x + h0 * k1), whose norm
+   divides by h0. Adds the probe to *n_rhs. */
+double starting_step(loop *lp, const double *x, const double *k1, long long *n_rhs)
 {
     double sc[D], u[D], s[D], f1[D], norm0, norm1, norm2, h0, h1, h, top;
     double span = lp->t_end - lp->t0;
@@ -740,10 +773,12 @@ double starting_step(loop *lp, const double *x, const double *k1)
         h0 = span;
     if (lp->max_step < h0)
         h0 = lp->max_step;
+    if (h0 == 0.0)
+        return 0.0;
     for (i = 0; i < D; i++)
         s[i] = x[i] + h0 * k1[i];
     rhs(s, f1, lp->b, &lp->zero);
-    lp->zero |= h0 == 0.0;
+    *n_rhs += 1;
     for (i = 0; i < D; i++)
         u[i] = (f1[i] - k1[i]) / sc[i];
     norm2 = rms(u) / h0;
@@ -814,8 +849,8 @@ double bisect(loop *lp, int j, double glo, double gend, double t, double h, doub
 }
 """
 
-# The records of an accepted step: its coefficient row, its events and its
-# range of grid samples.
+# The records of an accepted step: its events and its sample rows, with
+# their series.
 _C_RECORD = r"""
 /* Per event: 1 rising, -1 falling, 0 both ways. */
 static const int DIRECTION[NEV + 1] = {$directions};
@@ -845,7 +880,7 @@ static double floordiv(double vx, double wx)
     return floored;
 }
 
-int append(buffer *b, const double *v, int n)
+static int append(buffer *b, const double *v, int n)
 {
     if (b->n + n > b->cap) {
         long long cap = b->cap ? 2 * b->cap : 4096;
@@ -864,36 +899,42 @@ int append(buffer *b, const double *v, int n)
     return 1;
 }
 
-/* A coefficient row (t, h, x, d1, d2, d3, d4, z); an exact row, read only
-   for its end state x, has h = 1 and zero d. */
-int append_row(buffer *coeffs, double t, double h, const double *x, const double d[4][D],
-               const double *z)
+/* The sample row (t, u) and its series, unless t lies within
+   1e-12 * max(t - t0, 1) of the last row kept. The rows come in time
+   order, so this is the drop rule of _dense_rows. */
+int emit(loop *lp, double t, const double *u)
 {
-    double row[WIDTH];
-    row[0] = t;
-    row[1] = h;
-    for (int i = 0; i < D; i++) {
-        row[2 + i] = x[i];
-        row[2 + D + i] = d[0][i];
-        row[2 + 2 * D + i] = d[1][i];
-        row[2 + 3 * D + i] = d[2][i];
-        row[2 + 4 * D + i] = d[3][i];
-        row[2 + 5 * D + i] = z[i];
+    double a = t - lp->t0, s[NSERIES + 1];
+    int zero = 0;
+    if (lp->times.n && t - lp->last <= 1e-12 * (a > 1.0 ? a : 1.0))
+        return OK;
+    lp->last = t;
+    if (!append(&lp->times, &t, 1) || !append(&lp->states, u, D))
+        return NO_MEMORY;
+    if (NSERIES) {
+        series(u, s, lp->sb, &zero);
+        lp->series_odd |= zero || !all_finite(s, NSERIES);
+        for (int j = 0; j < NSERIES; j++)
+            if (!append(&lp->series[j], &s[j], 1))
+                return NO_MEMORY;
     }
-    return append(coeffs, row, WIDTH);
+    return OK;
 }
 
 /* The records of the accepted step (t, h) from x to z, where the events
-   went from g to G: for a step with a crossing or a grid sample, its
-   coefficient row, its located events in time order (a stable sort) up to
-   the first that stops the run, and its range of grid indices up to the
-   stop or the step's end, plus a slack. */
+   went from g to G, for a step with a crossing or a grid sample: its
+   located events in time order (a stable sort) up to the first that stops
+   the run, and its grid samples up to the stop or the step's end, plus a
+   slack, merged by time with an event first on a tie. A grid sample at
+   ts takes the interpolant, or the end state z at the cut time where
+   ts >= cut; in a stopping step that row shares the stop's time, so the
+   drop rule drops it. */
 int record(loop *lp, double t, double h, const double *x, const double *z,
            const double k[7][D], const double *g, const double *G)
 {
-    double d[4][D], u[D], entry[4], event_row[3 + D], located_t[NEV + 1];
-    double tnew = t + h, cut = tnew, bound = tnew + lp->slack, offset, index, te;
-    int located[NEV + 1], located_direction[NEV + 1], crossing = 0, i, j, m, n = 0;
+    double d[4][D], u[D], event_row[3 + D], located_t[NEV + 1];
+    double tnew = t + h, cut = tnew, bound = tnew + lp->slack, index, next, te, ts;
+    int located[NEV + 1], located_direction[NEV + 1], crossing = 0, i, j, m, n = 0, status;
 
     for (j = 0; j < NEV; j++)
         crossing = crossing || crosses(j, g[j], G[j]);
@@ -905,9 +946,6 @@ int record(loop *lp, double t, double h, const double *x, const double *z,
         d[2][i] = d[0][i] - h * k[6][i] - d[1][i];
         d[3][i] = h * ($dense);
     }
-    offset = lp->coeffs.n * (double)sizeof(double);  /* the row's byte offset */
-    if (!append_row(&lp->coeffs, t, h, x, d, z))
-        return NO_MEMORY;
     for (j = 0; crossing && j < NEV; j++) {
         if (!crosses(j, g[j], G[j]))
             continue;
@@ -923,66 +961,82 @@ int record(loop *lp, double t, double h, const double *x, const double *z,
     }
     if (lp->zero)
         return RAISES;
-    for (m = 0; m < n; m++) {
-        entry[0] = located_t[m];
-        entry[1] = offset;
-        entry[2] = __builtin_nan("");
-        entry[3] = 1.0;
-        dense(located_t[m], t, h, x, d, u);
-        event_row[0] = located_t[m];
-        event_row[1] = located[m];
-        event_row[2] = located_direction[m];
-        for (i = 0; i < D; i++)
-            event_row[3 + i] = u[i];
-        if (!append(&lp->rec, entry, 4) || !append(&lp->events, event_row, 3 + D))
-            return NO_MEMORY;
+    for (m = 0; m < n; m++)
         if (lp->stops[located[m]]) {
+            n = m + 1;
             cut = located_t[m];
             lp->stop = located[m];
             bound = cut + lp->slack;
             break;
         }
-    }
+    /* The last grid index i with t0 + i * sample_dt <= bound, which the
+       division finds to within its rounding and the exact tests settle. */
     index = floordiv(bound - lp->t0, lp->sample_dt);
     while (lp->t0 + (index + 1.0) * lp->sample_dt <= bound)
         index += 1.0;
     while (lp->t0 + index * lp->sample_dt > bound)
         index -= 1.0;
-    entry[0] = cut;
-    entry[1] = offset;
-    entry[2] = lp->sample_index;
-    entry[3] = index + 1.0 - lp->sample_index;
+    for (m = 0, next = lp->sample_index; m < n || next <= index;) {
+        ts = lp->t0 + next * lp->sample_dt;
+        if (m < n && (next > index || located_t[m] <= (ts >= cut ? cut : ts))) {
+            dense(located_t[m], t, h, x, d, u);
+            event_row[0] = located_t[m];
+            event_row[1] = located[m];
+            event_row[2] = located_direction[m];
+            for (i = 0; i < D; i++)
+                event_row[3 + i] = u[i];
+            if (!append(&lp->events, event_row, 3 + D))
+                return NO_MEMORY;
+            status = emit(lp, located_t[m++], u);
+        } else if (ts >= cut) {
+            status = emit(lp, cut, z);
+            next += 1.0;
+        } else {
+            dense(ts, t, h, x, d, u);
+            status = emit(lp, ts, u);
+            next += 1.0;
+        }
+        if (status != OK)
+            return status;
+    }
     lp->sample_index = index + 1.0;
-    return append(&lp->rec, entry, 4) ? OK : NO_MEMORY;
+    return OK;
 }
 """
 
 # The loop itself: guards, step attempts, error control and the PI
 # controller.
 _C_RUN = r"""
-void release(double **bufs)
+void release(double *data)
 {
-    for (int i = 0; i < 3; i++) {
-        free(bufs[i]);
-        bufs[i] = 0;
-    }
+    free(data);
+}
+
+/* A buffer's data cut to its length. */
+static double *fitted(buffer *b)
+{
+    double *data = b->n ? realloc(b->data, b->n * sizeof *data) : 0;
+    return data ? data : b->data;
 }
 
 /* The loop from the state start at cfg = (t0, rtol, atol, max_step,
-   sample_dt, t_max). On OK, bufs holds rec, coeffs and the raw events
-   (t, j, direction, state) as doubles, counts their lengths, then n_steps,
-   n_error, n_nonfinite, n_rhs, the failure and the stopping event (or -1),
-   and hs h_min and h_max. */
+   sample_dt, t_max). On OK, bufs holds the sample times, the (n, D)
+   states, the raw events (t, j, direction, state) and the NSERIES series
+   as doubles, each its own allocation for release; counts holds the rows,
+   the events' doubles, n_steps, n_error, n_nonfinite, n_rhs, the failure,
+   the stopping event (or -1) and whether a series value is not finite or
+   divided by zero; hs holds h_min and h_max. */
 int run(const double *start, const double *cfg, long long max_steps, const double *b,
-        const double *c, const int *stops, double **bufs, long long *counts, double *hs)
+        const double *c, const double *sb, const int *stops, double **bufs, long long *counts,
+        double *hs)
 {
-    static const double no_d[4][D];
-    loop lp = {cfg[0], cfg[1], cfg[2], cfg[3], cfg[4], cfg[0] + cfg[5], 1e-9 * cfg[4], 1.0,
-               b, c, stops, {0}, {0}, {0}, 0, -1};
-    double x[D], z[D], k[7][D], g[NEV + 1], G[NEV + 1], start_entry[4] = {lp.t0, 0.0, INF, 1.0};
+    loop lp = {.t0 = cfg[0], .rtol = cfg[1], .atol = cfg[2], .max_step = cfg[3],
+               .sample_dt = cfg[4], .t_end = cfg[0] + cfg[5], .slack = 1e-9 * cfg[4],
+               .sample_index = 1.0, .b = b, .c = c, .sb = sb, .stops = stops, .stop = -1};
+    double x[D], z[D], k[7][D], g[NEV + 1], G[NEV + 1];
     double t = lp.t0, h = 0.0, h_min = INF, h_max = 0.0, facold = 1e-4;
     double close, a, err, fac, fac11, hnew;
-    long long n_rhs, n_steps = 0, n_error = 0, n_nonfinite = 0;
+    long long n_rhs = 1, n_steps = 0, n_error = 0, n_nonfinite = 0;
     int failure = NONE, rejected = 0, landing, calls, status, i, j;
 
     for (i = 0; i < D; i++)
@@ -990,20 +1044,18 @@ int run(const double *start, const double *cfg, long long max_steps, const doubl
     rhs(x, k[0], b, &lp.zero);
     if (lp.zero)
         goto raises;
-    n_rhs = 1;
     /* The run fails at once if k1 or the starting step is not finite. */
     if (!all_finite(k[0], D)) {
         failure = NONFINITE_START;
     } else {
-        h = starting_step(&lp, x, k[0]);
+        h = starting_step(&lp, x, k[0], &n_rhs);
         if (lp.zero)
             goto raises;
-        n_rhs = 2;
         if (!(0.0 < h && h < INF))
             failure = NONFINITE_START;
     }
 
-    if (!append_row(&lp.coeffs, t, 1.0, x, no_d, x) || !append(&lp.rec, start_entry, 4))
+    if (emit(&lp, t, x) != OK)
         goto no_memory;
     for (j = 0; j < NEV; j++)
         g[j] = event(j, x, c, &lp.zero);
@@ -1095,23 +1147,22 @@ int run(const double *start, const double *cfg, long long max_steps, const doubl
     }
 
     /* After a stop the last row is the stop event's, at its time. */
-    if (lp.stop < 0) {
-        double end_entry[4] = {t, lp.coeffs.n * (double)sizeof(double), INF, 1.0};
-        if (!append(&lp.rec, end_entry, 4) || !append_row(&lp.coeffs, t, 1.0, x, no_d, x))
-            goto no_memory;
-    }
-    bufs[0] = lp.rec.data;
-    bufs[1] = lp.coeffs.data;
+    if (lp.stop < 0 && emit(&lp, t, x) != OK)
+        goto no_memory;
+    bufs[0] = fitted(&lp.times);
+    bufs[1] = fitted(&lp.states);
     bufs[2] = lp.events.data;
-    counts[0] = lp.rec.n;
-    counts[1] = lp.coeffs.n;
-    counts[2] = lp.events.n;
-    counts[3] = n_steps;
-    counts[4] = n_error;
-    counts[5] = n_nonfinite;
-    counts[6] = n_rhs;
-    counts[7] = failure;
-    counts[8] = lp.stop;
+    for (j = 0; j < NSERIES; j++)
+        bufs[3 + j] = fitted(&lp.series[j]);
+    counts[0] = lp.times.n;
+    counts[1] = lp.events.n;
+    counts[2] = n_steps;
+    counts[3] = n_error;
+    counts[4] = n_nonfinite;
+    counts[5] = n_rhs;
+    counts[6] = failure;
+    counts[7] = lp.stop;
+    counts[8] = lp.series_odd;
     hs[0] = h_min;
     hs[1] = h_max;
     return OK;
@@ -1122,19 +1173,24 @@ raises:
 no_memory:
     status = NO_MEMORY;
 fail:
-    free(lp.rec.data);
-    free(lp.coeffs.data);
+    free(lp.times.data);
+    free(lp.states.data);
     free(lp.events.data);
+    for (j = 0; j < NSERIES; j++)
+        free(lp.series[j].data);
     return status;
 }
 """
 
 
-def _c_units(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource) -> tuple[str, ...]:
+def _c_units(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
+             series: Optional[RhsSource] = None) -> tuple[str, ...]:
     """The C translation units of the kernel for ``d`` state components,
-    the ``(expr, direction)`` of each event spec and the RHS source
-    ``rhs``: the loop of :func:`_loop`, with the RHS template as the one
-    function ``rhs`` and the events as the function ``event``. Raises
+    the ``(expr, direction)`` of each event spec, the RHS source ``rhs``
+    and the per-sample series ``series`` (``{k0}, {k1}, ...`` of its
+    template; none for None): the loop of :func:`_loop`, the rows of
+    :func:`_dense_rows`, the templates as the functions ``rhs`` and
+    ``series`` and the events as the function ``event``. Raises
     :class:`native.NotC` for a template or an event with no exact C
     translation."""
     def combo(weights):
@@ -1149,10 +1205,15 @@ def _c_units(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource) -> tup
                 f"    return {calls};",
                 f"rhs({target}, k[{out}], b, zero);"]
 
-    names = {f"y{i}": f"y[{i}]" for i in range(d)}
-    names.update((f"k{i}", f"k[{i}]") for i in range(d))
-    bound = [f"const double {name} = b[{j}];" for j, name in enumerate(rhs.bound)]
-    body = native.c_lines(rhs.template.format(**names), tuple(rhs.bound), ("y", "k"))
+    def function_body(source):
+        # A template as C over the arrays y and k, its constants read from b.
+        if source is None:
+            return ""
+        names = {f"y{i}": f"y[{i}]" for i in range(d)}
+        names.update((f"k{i}", f"k[{i}]") for i in _fields(source.template, "k"))
+        bound = [f"const double {name} = b[{j}];" for j, name in enumerate(source.bound)]
+        body = native.c_lines(source.template.format(**names), tuple(source.bound), ("y", "k"))
+        return "\n".join("    " + line for line in [*bound, *body])
 
     cases, offset = [], 0
     for j, (expr, _) in enumerate(events):
@@ -1167,8 +1228,8 @@ def _c_units(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource) -> tup
         stages += stage("s", row, j - 2, j - 1)
     stages += stage("z", _B, 5, 6)
     fields = dict(
-        d=d, nev=len(events),
-        rhs="\n".join("    " + line for line in [*bound, *body]),
+        d=d, nev=len(events), nseries=_series_count(series),
+        rhs=function_body(rhs), series=function_body(series),
         events="\n".join(cases),
         directions=", ".join([*(str(direction) for _, direction in events), "0"]),
         rms=_rms_expression([f"u[{i}]" for i in range(d)]),
@@ -1181,6 +1242,11 @@ def _c_units(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource) -> tup
                  for unit in (_C_MODEL, _C_STEP, _C_RECORD, _C_RUN))
 
 
+def _series_count(series: Optional[RhsSource]) -> int:
+    """The number of series ``{k0}, {k1}, ...`` the template of ``series`` assigns."""
+    return len(_fields(series.template, "k")) if series is not None else 0
+
+
 _FAILURES = {1: "nonfinite_start", 2: "underflow", 3: "budget", 4: "blowup"}
 _RAISES, _NO_MEMORY = 1, 2
 
@@ -1189,21 +1255,30 @@ def _doubles(values):
     return (ctypes.c_double * len(values))(*values)
 
 
-def _copied(address, n: int) -> np.ndarray:
-    """A numpy copy of ``n`` doubles at ``address``."""
-    return np.array((ctypes.c_double * n).from_address(address)) if n else np.empty(0)
+def _owned(address: int, n: int, release) -> np.ndarray:
+    """The ``n`` doubles the kernel allocated at ``address``, as a numpy
+    array over that memory; ``release`` frees it once the array and every
+    view of it are gone."""
+    block = (ctypes.c_double * n).from_address(address)
+    weakref.finalize(block, release, address).atexit = False
+    return np.frombuffer(block)
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource):
-    """``run(rhs, t0, y0, icfg, specs)``, the C kernel of :func:`_c_units`
-    with the contract of :func:`_loop`'s ``run``, or None where the kernel
-    cannot be translated, compiled, cached or loaded (see :mod:`native`).
-    ``run`` returns None for a run the Python loop must make: one whose
-    times, step settings or constants are not plain floats (the Python
-    loop's outputs then keep their types) and one that raises in Python."""
+def _kernel(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
+            series: Optional[RhsSource] = None):
+    """``run(rhs, t0, y0, icfg, specs, series)``, the C kernel of
+    :func:`_c_units`, or None where the kernel cannot be translated,
+    compiled, cached or loaded (see :mod:`native`). ``run`` returns what
+    :func:`_propagate` returns, its stop as the stopping spec's ``stop``
+    and its series as a list of arrays, one per series (None where a value
+    is not finite or divided by zero, so that numpy computes them again
+    with its warnings), or None for a run the Python loop must make: one
+    whose times, step settings or constants are not plain floats (the
+    Python loop's outputs then keep their types) and one that raises in
+    Python. Its arrays are the kernel's own memory, freed with them."""
     try:
-        lib = native.load(_c_units(d, events, rhs))
+        lib = native.load(_c_units(d, events, rhs, series))
     except native.NotC:
         return None
     if lib is None:
@@ -1211,27 +1286,29 @@ def _kernel(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource):
     kernel, release = lib.run, lib.release
     double_p = ctypes.POINTER(ctypes.c_double)
     kernel.restype = ctypes.c_int
-    kernel.argtypes = (double_p, double_p, ctypes.c_longlong, double_p, double_p,
+    kernel.argtypes = (double_p, double_p, ctypes.c_longlong, double_p, double_p, double_p,
                        ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_void_p),
                        ctypes.POINTER(ctypes.c_longlong), double_p)
     release.restype = None
-    release.argtypes = (ctypes.POINTER(ctypes.c_void_p),)
+    release.argtypes = (ctypes.c_void_p,)
     counted = [len(_fields(expr, "c")) for expr, _ in events]
+    n_series = _series_count(series)
 
-    def run(rhs, t0, y0, icfg, specs):
+    def run(rhs, t0, y0, icfg, specs, series):
         settings = (t0, icfg.rtol, icfg.atol, icfg.max_step, icfg.sample_dt, icfg.t_max)
         bound = list(rhs.bound.values())
+        series_bound = list(series.bound.values()) if n_series else []
         values = [v for spec in specs for v in spec.values]
         if (any(type(v) is not float for v in settings) or type(icfg.max_steps) is not int
-                or any(type(v) not in (float, int) for v in bound + values)
+                or any(type(v) not in (float, int) for v in bound + series_bound + values)
                 or [len(spec.values) for spec in specs] != counted):
             return None
-        bufs = (ctypes.c_void_p * 3)()
+        bufs = (ctypes.c_void_p * (3 + n_series))()
         counts = (ctypes.c_longlong * 9)()
         hs = (ctypes.c_double * 2)()
         status = kernel(
             _doubles([float(a) for a in y0]), _doubles(settings), min(icfg.max_steps, 2**62),
-            _doubles(bound), _doubles(values),
+            _doubles(bound), _doubles(values), _doubles(series_bound),
             (ctypes.c_int * (len(specs) + 1))(*(spec.stop is not None for spec in specs)),
             bufs, counts, hs,
         )
@@ -1239,15 +1316,18 @@ def _kernel(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource):
             return None
         if status == _NO_MEMORY:
             raise MemoryError("kernel buffers")
+        n, n_events = counts[0], counts[1]
         try:
-            rec, coeffs = _copied(bufs[0], counts[0]), _copied(bufs[1], counts[1])
-            flat = (ctypes.c_double * counts[2]).from_address(bufs[2])[:] if counts[2] else []
+            flat = (ctypes.c_double * n_events).from_address(bufs[2])[:] if n_events else []
         finally:
-            release(bufs)
+            release(bufs[2])
+        times = _owned(bufs[0], n, release)
+        states = _owned(bufs[1], n * d, release).reshape(n, d)
+        columns = [_owned(bufs[3 + j], n, release) for j in range(n_series)]
         width = 3 + d
         raw_events = [(flat[j], specs[int(flat[j + 1])], int(flat[j + 2]), flat[j + 3:j + width])
                       for j in range(0, len(flat), width)]
-        n_steps, n_error, n_nonfinite, n_rhs, failure, stop = counts[3:9]
+        n_steps, n_error, n_nonfinite, n_rhs, failure, stop, odd = counts[2:9]
         h_min, h_max = hs
         stats = {
             "n_steps": n_steps,
@@ -1260,13 +1340,16 @@ def _kernel(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource):
         }
         if failure:
             stats["failure"] = _FAILURES[failure]
-        return rec, coeffs, raw_events, None if stop < 0 else specs[stop].stop, stats
+        stop = None if stop < 0 else specs[stop].stop
+        return times, states, raw_events, stop, stats, None if odd or not n_series else columns
 
     return run
 
 
 def _dense_rows(rec, coeffs, d: int, t0: float, sample_dt: float):
-    """The ``(times, states)`` arrays of the rows the loop recorded in ``rec``.
+    """The ``(times, states)`` arrays of the rows the Python loop recorded
+    in ``rec``. This pass serves only the Python loop: the C kernel writes
+    the same rows as it steps (``record`` and ``emit`` of ``_C_RECORD``).
 
     ``coeffs`` holds packed float64 coefficient rows ``(t, h, x_i...,
     d1_i..., d2_i..., d3_i..., d4_i..., z_i...)``, one per recorded step.
@@ -1387,41 +1470,48 @@ def _propagate(
     y0: Sequence[float],
     icfg: IntegratorConfig,
     specs: Sequence[_EventSpec] = (),
+    series: Optional[RhsSource] = None,
 ):
     """Adaptive loop for ``icfg.t_max`` from ``t0``, under the tolerances,
     step cap, sample grid and step budget of ``icfg``; ``rhs`` is an
     :class:`RhsSource` or a callable that maps a state list to its
     derivative list, and an event whose spec names a ``stop`` ends the run
     with that termination. Runs the C kernel (:func:`_kernel`) for the
-    state dimension, the specs' expressions and an :class:`RhsSource`, or
-    else the Python loop :func:`_loop` compiled for them, and returns
-    (times, states, raw events, termination, stats): ``times`` is the float
-    array of sample times and ``states`` the ``(n, d)`` float array that
-    :func:`_dense_rows` builds after the loop. Raw events are ``(t, spec,
-    direction, y)`` tuples, ``y`` a list of floats. ``stats`` counts accepted steps, rejected
-    attempts (in all, for an error norm above 1 and for a non-finite stage,
-    update or error norm) and RHS evaluations, and gives ``h_min`` and ``h_max``
-    over the accepted steps (None when there are none). On a step failure
-    ``stats["failure"]`` names the guard that stopped the run:
-    "nonfinite_start", "underflow", "budget" or "blowup"."""
+    state dimension, the specs' expressions, an :class:`RhsSource` and the
+    per-sample series source ``series`` (or none), or else the Python loop
+    :func:`_loop` compiled for them and :func:`_dense_rows` after it, and
+    returns (times, states, raw events, termination, stats, series):
+    ``times`` is the float array of sample times and ``states`` the
+    ``(n, d)`` float array, the same bytes either way. Raw events are
+    ``(t, spec, direction, y)`` tuples, ``y`` a list of floats. ``stats``
+    counts accepted steps, rejected attempts (in all, for an error norm
+    above 1 and for a non-finite stage, update or error norm) and RHS
+    evaluations, and gives ``h_min`` and ``h_max`` over the accepted steps
+    (None when there are none). On a step failure ``stats["failure"]``
+    names the guard that stopped the run: "nonfinite_start", "underflow",
+    "budget" or "blowup". ``series`` is the list of the kernel's arrays of
+    ``{k0}, {k1}, ...`` of the template of the argument ``series`` at every
+    row, or None where the Python loop ran, ``series`` is None or a value
+    is not finite or divided by zero."""
     d = len(y0)
     events = tuple((spec.expr, spec.direction) for spec in specs)
     specs = tuple(specs)
     result = None
     if isinstance(rhs, RhsSource):
-        kernel = _kernel(d, events, rhs)
-        result = kernel and kernel(rhs, t0, y0, icfg, specs)
+        kernel = _kernel(d, events, rhs, series)
+        result = kernel and kernel(rhs, t0, y0, icfg, specs, series)
     else:
         rhs = _callable_source(rhs, d)
     if result is None:
-        result = _loop(d, events, rhs)(rhs, t0, y0, icfg, specs)
-    rec, coeffs, raw_events, stop, stats = result
-    times, states = _dense_rows(rec, coeffs, d, t0, icfg.sample_dt)
+        rec, coeffs, raw_events, stop, stats = _loop(d, events, rhs)(rhs, t0, y0, icfg, specs)
+        times, states = _dense_rows(rec, coeffs, d, t0, icfg.sample_dt)
+        result = times, states, raw_events, stop, stats, None
+    times, states, raw_events, stop, stats, values = result
     if "failure" in stats:
         termination = Termination.STEP_FAILURE
     else:
         termination = Termination.REACHED_TMAX if stop is None else stop
-    return times, states, raw_events, termination, stats
+    return times, states, raw_events, termination, stats, values
 
 
 def _event_specs(
@@ -1480,24 +1570,34 @@ def integrate(
     events, typically ``BarrierPotential.turning_points``. At
     orders >= 2, ``stats["residual_min"]`` and ``stats["t_residual_min"]``
     give the lowest sampled uncertainty residual and its time.
+
+    The C kernel hands back the sample table whole: times, states, ``H_Q``,
+    ``V_eff`` and the residual. After the Python loop, or where one of the
+    kernel's series values is not finite or divided by zero, the series are
+    computed again in numpy, block by block, so that numpy raises its own
+    warnings for them; the bytes are the same either way.
     """
     if init.order != model.order:
         raise ValueError(
             f"initial state order {init.order} does not match model order {model.order}"
         )
-    times, y_arr, raw_events, termination, stats = _propagate(
+    times, y_arr, raw_events, termination, stats, values = _propagate(
         rhs_source(model), init.t, state_to_vector(init), icfg,
-        _event_specs(model, icfg, mark_positions),
+        _event_specs(model, icfg, mark_positions), _series_source(model),
     )
 
     order = model.order
     n, d = y_arr.shape
-    h_q, v_eff = np.empty(n), np.empty(n)
-    uncertainty = np.empty(n) if order >= 2 else np.full(n, np.nan)
-    for rows in row_blocks(n, d):
-        h_q[rows], v_eff[rows] = effective_series(y_arr[rows], model)
-        if order >= 2:
-            uncertainty[rows] = _residual(y_arr[rows].T, model.hbar * model.hbar / 4)
+    if values is not None:  # the kernel's
+        h_q, v_eff, *residual = values
+        uncertainty = residual[0] if residual else np.full(n, np.nan)
+    else:
+        h_q, v_eff = np.empty(n), np.empty(n)
+        uncertainty = np.empty(n) if order >= 2 else np.full(n, np.nan)
+        for rows in row_blocks(n, d):
+            h_q[rows], v_eff[rows] = effective_series(y_arr[rows], model)
+            if order >= 2:
+                uncertainty[rows] = _residual(y_arr[rows].T, model.hbar * model.hbar / 4)
     if order >= 2:
         worst = int(np.argmin(uncertainty))
         stats["residual_min"] = float(uncertainty[worst])

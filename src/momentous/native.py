@@ -10,7 +10,9 @@ shared library and loads it with ctypes. The library is cached in
 64-bit checksum (CRC-32 and Adler-32) of the units' text, the compiler's
 path and the flags; it is built in a temporary directory and renamed into
 place, so processes that build the same text at once each load a whole
-file.
+file. A load refreshes the library's mtime, and a build deletes the least
+recently loaded libraries beyond the ``CACHE_SIZE`` newest; a library
+deleted while another process was about to load it is built again there.
 
 The flags keep IEEE double semantics: ``-ffp-contract=off`` forbids fused
 multiply-adds, and nothing like ``-ffast-math`` or ``-march`` is ever used,
@@ -29,11 +31,14 @@ import zlib
 from pathlib import Path
 from typing import Optional, Sequence
 
-__all__ = ["FLAGS", "NotC", "c_expression", "c_lines", "cache_dir", "load"]
+__all__ = ["CACHE_SIZE", "FLAGS", "NotC", "c_expression", "c_lines", "cache_dir", "load"]
 
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # A compile takes well under a second; a compiler that hangs is given up on.
 COMPILE_TIMEOUT_S = 120
+# The most libraries the cache keeps, each about 24 kB: every new kernel
+# text (a new model, event set or version of the loop) adds one.
+CACHE_SIZE = 64
 
 
 class NotC(ValueError):
@@ -137,12 +142,37 @@ def load(units: Sequence[str]) -> Optional[ctypes.CDLL]:
         key = "\0".join([*units, *command, *FLAGS]).encode()
         path = directory / f"kernel-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
         try:
-            return ctypes.CDLL(str(path))
+            library = ctypes.CDLL(str(path))
         except OSError:  # not built yet, or not loadable: build it afresh
             _build(units, command, path)
+            _prune(directory)
             return ctypes.CDLL(str(path))
     except (OSError, ValueError):
         return None
+    try:
+        os.utime(path)  # the least recently loaded libraries go first
+    except OSError:  # deleted by another process since: the library is loaded
+        pass
+    return library
+
+
+def _prune(directory: Path) -> None:
+    """Delete the ``kernel-*.so`` libraries in ``directory`` beyond the
+    ``CACHE_SIZE`` most recently loaded (newest mtime); a file that cannot
+    be read or deleted, as another process deleted it first, is passed
+    over."""
+    libraries = []
+    for path in directory.glob("kernel-*.so"):
+        try:
+            libraries.append((path.stat().st_mtime_ns, path.name, path))
+        except OSError:
+            pass
+    libraries.sort(reverse=True)
+    for _, _, path in libraries[CACHE_SIZE:]:
+        try:
+            path.unlink()
+        except OSError:
+            pass
 
 
 def _build(units: Sequence[str], command: list, path: Path) -> None:

@@ -205,12 +205,15 @@ def reference_locate_zero(fn, lo, hi, glo, dense, t0):
 
 
 def reference_initial_step(f, y0, k1, rtol, atol, span, max_step):
-    """Hairer's starting-step heuristic, with :func:`reference_rms`."""
+    """Hairer's starting-step heuristic, with :func:`reference_rms`; None,
+    with no probe, where ``h0`` is 0 (``d1`` overflowed)."""
     sc = [atol + rtol * abs(a) for a in y0]
     d0 = reference_rms([a / s for a, s in zip(y0, sc)])
     d1 = reference_rms([a / s for a, s in zip(k1, sc)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span, max_step)
+    if h0 == 0.0:
+        return None
     f1 = f([a + h0 * b for a, b in zip(y0, k1)])
     d2 = reference_rms([(a - b) / s for a, b, s in zip(f1, k1, sc)]) / h0
     if max(d1, d2) <= 1e-15:
@@ -247,9 +250,12 @@ def reference_integrate(f, t0, y0, icfg, specs=()):
         failure = "nonfinite_start"
     else:
         h = reference_initial_step(f, y, k1, rtol, atol, t_end - t0, max_step)
-        n_rhs = 2  # k1 and the starting-step probe
-        if not 0.0 < h < math.inf:
+        if h is None:
             failure = "nonfinite_start"
+        else:
+            n_rhs = 2  # k1 and the starting-step probe
+            if not 0.0 < h < math.inf:
+                failure = "nonfinite_start"
     fns = [event_function(spec) for spec in specs]
 
     times = [t]
@@ -407,7 +413,7 @@ def darboux_integrate(init, model, icfg, mark_positions=()):
         return [p / m, -v1 - 0.5 * v3 * s * s, p_s / m, casimir / (m * s ** 3) - v2 * s]
 
     s0 = math.sqrt(g20)
-    times, states, raw_events, termination, stats = _propagate(
+    times, states, raw_events, termination, stats, _ = _propagate(
         f, init.t, [init.q, init.p, s0, -g11 / s0], icfg,
         [spec for spec in _event_specs(model, icfg, mark_positions) if spec.kind != "constraint"],
     )

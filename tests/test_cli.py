@@ -329,6 +329,20 @@ def test_far_packet_is_a_step_failure_not_a_crash(tmp_path, capsys, recwarn):
     assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
+def test_an_overflowing_starting_step_is_a_step_failure(tmp_path, capsys):
+    # p0 = 1e150 overflows the norm of the first derivative, which makes
+    # Hairer's starting step 0: a step failure at the start, not a
+    # ZeroDivisionError.
+    path = tmp_path / "fast.json"
+    path.write_text('{"packet": {"q0": -2.5, "p0": 1e150, "sigma0": 0.3}, '
+                    '"integrator": {"t_max": 1.0}}')
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "fast")]) == 2
+    assert "step failure (nonfinite_start)" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "fast.summary.json").read_text())
+    assert summary["stats"]["failure"] == "nonfinite_start"
+    assert summary["stats"]["n_rhs"] == 1 and summary["n_samples"] == 1
+
+
 def test_simulate_outputs_and_reproducibility(tmp_path):
     cfg = build_config(scenario_raw())
     s1 = run_simulate(cfg, str(tmp_path / "a"))

@@ -31,7 +31,7 @@ from momentous import (
 )
 import momentous
 from momentous import dynamics, integrator, native
-from momentous.dynamics import make_rhs, rhs_source, state_to_vector
+from momentous.dynamics import RhsSource, make_rhs, rhs_source, state_to_vector
 from momentous.integrator import (
     _EventSpec,
     _c_units,
@@ -40,6 +40,7 @@ from momentous.integrator import (
     _kernel,
     _loop,
     _propagate,
+    _series_source,
     resolve_escape_radius,
 )
 
@@ -73,7 +74,7 @@ def matches_reference(make_f, t0, y0, icfg, specs=(), source=None):
     0.0 and spells every float exactly), the times array as its list of
     Python floats, in which form it is returned."""
     expected = reference_integrate(make_f(), t0, y0, icfg, specs)
-    times, *rest = _propagate(make_f() if source is None else source, t0, y0, icfg, specs)
+    times, *rest = _propagate(make_f() if source is None else source, t0, y0, icfg, specs)[:5]
     assert times.dtype == np.float64
     actual = (times.tolist(), *rest)
     parts = ("times", "states", "raw events", "termination", "stats")
@@ -406,16 +407,41 @@ def test_nonfinite_starting_step_fails_like_the_reference():
     assert same_rows(states, [[math.nan, -0.0]])
 
 
-def model_run(barrier, order, q0, sigma0, convention, **overrides):
-    """RHS factory, the RHS source that ``integrate`` splices into its loop,
-    start vector, config and event specs of an ``integrate`` call on the
-    standard scenario, marking the classical return points."""
+def test_a_zero_starting_step_fails_like_the_reference(monkeypatch):
+    # k1's norm overflows, so the starting step h0 = 0.01 * norm0 / norm1
+    # is 0: the run ends before the probe, whose norm divides by h0, in
+    # both loops, where it used to raise ZeroDivisionError.
+    icfg = IntegratorConfig()
+    times, states, events, termination, stats = matches_reference(
+        lambda: lambda y: [y[1], 0.0], 0.0, [0.0, 1e160], icfg
+    )
+    assert termination is Termination.STEP_FAILURE
+    assert stats["failure"] == "nonfinite_start" and stats["n_rhs"] == 1
+    assert (times, events) == ([0.0], [])
+    source = RhsSource("{k0} = {y1}\n{k1} = 0.0", "a free particle", {})
+    if kernels_build():  # the kernel no longer hands the run to Python
+        assert _kernel(2, (), source)(source, 0.0, [0.0, 1e160], icfg, (), None) is not None
+    got = _propagate(source, 0.0, [0.0, 1e160], icfg)
+    assert_same_run(got, python_loop_run(monkeypatch, _propagate, source, 0.0, [0.0, 1e160], icfg))
+    assert got[4]["failure"] == "nonfinite_start"
+
+
+def integrate_args(barrier, order, q0, sigma0, convention, **overrides):
+    """The arguments of an ``integrate`` call on the standard scenario,
+    marking the classical return points."""
     model = ModelConfig(potential=barrier, order=order)
     packet = scenario_packet(barrier, q0, sigma0, third_moment_convention=convention)
-    init = initial_moments(packet, model)
-    icfg = tight_integrator(**overrides)
-    specs = _event_specs(model, icfg, barrier.turning_points(0.98))
+    return (initial_moments(packet, model), model, tight_integrator(**overrides),
+            barrier.turning_points(0.98))
+
+
+def model_run(barrier, order, q0, sigma0, convention, **overrides):
+    """RHS factory, the RHS source that ``integrate`` splices into its loop,
+    start vector, config and event specs of the ``integrate`` call of
+    :func:`integrate_args`."""
+    init, model, icfg, marks = integrate_args(barrier, order, q0, sigma0, convention, **overrides)
     f = make_rhs(model)
+    specs = _event_specs(model, icfg, marks)
     return (lambda: f), rhs_source(model), state_to_vector(init), icfg, specs
 
 
@@ -502,12 +528,12 @@ def test_a_model_run_counts_every_rhs_evaluation(barrier, order):
     assert stats["n_rhs"] == len(calls)
 
 
-def python_loop_run(monkeypatch, source, t0, y0, icfg, specs):
-    """``_propagate`` with the kernel loader failing, so that it runs the
+def python_loop_run(monkeypatch, run, *args):
+    """``run(*args)`` with the kernel loader failing, so that it runs the
     Python loop."""
     with monkeypatch.context() as patch:
         patch.setattr(integrator, "_kernel", lambda *args: None)
-        return _propagate(source, t0, y0, icfg, specs)
+        return run(*args)
 
 
 def assert_same_run(got, want):
@@ -516,7 +542,35 @@ def assert_same_run(got, want):
     for got_array, want_array in zip(got[:2], want[:2]):
         assert got_array.shape == want_array.shape
         assert got_array.tobytes() == want_array.tobytes()
-    assert repr(got[2:]) == repr(want[2:])
+    assert repr(got[2:5]) == repr(want[2:5])
+
+
+def assert_same_trajectory(got, want):
+    """Two trajectories byte for byte: the sample arrays and the series by
+    shape and bytes; the events, termination, stats (the lowest residual
+    and its time included) and energy drift by ``repr``."""
+    for name in ("times", "states", "h_q", "v_eff", "uncertainty"):
+        got_array, want_array = getattr(got, name), getattr(want, name)
+        assert got_array.shape == want_array.shape, name
+        assert got_array.tobytes() == want_array.tobytes(), name
+    assert repr((got.events, got.termination, got.stats, got.energy_drift)) == repr(
+        (want.events, want.termination, want.stats, want.energy_drift))
+
+
+def assert_kernel_integrates(monkeypatch, init, model, icfg, marks=()):
+    """``integrate``, which must run as the Python loop and the numpy
+    series do, byte for byte; where kernels can be built, its run goes
+    through the C kernel, which hands back its series."""
+    specs = _event_specs(model, icfg, marks)
+    events = tuple((s.expr, s.direction) for s in specs)
+    if kernels_build():
+        kernel = _kernel(len(init.moments) + 2, events, rhs_source(model), _series_source(model))
+        ran = kernel(rhs_source(model), init.t, state_to_vector(init), icfg, tuple(specs),
+                     _series_source(model))
+        assert ran is not None and ran[5] is not None
+    got = integrate(init, model, icfg, marks)
+    assert_same_trajectory(got, python_loop_run(monkeypatch, integrate, init, model, icfg, marks))
+    return got
 
 
 @pytest.mark.parametrize("order,q0,sigma0,convention,overrides,termination", [
@@ -531,42 +585,100 @@ def assert_same_run(got, want):
 def test_the_kernel_runs_the_python_loop_bit_for_bit(
     monkeypatch, barrier, order, q0, sigma0, convention, overrides, termination
 ):
+    args = integrate_args(barrier, order, q0, sigma0, convention, **overrides)
     _, source, y0, icfg, specs = model_run(barrier, order, q0, sigma0, convention, **overrides)
     assert_kernel_runs(len(y0), specs, source)
     got = _propagate(source, 0.0, y0, icfg, specs)
-    assert_same_run(got, python_loop_run(monkeypatch, source, 0.0, y0, icfg, specs))
+    assert_same_run(got, python_loop_run(monkeypatch, _propagate, source, 0.0, y0, icfg, specs))
     assert got[3] is termination
     if termination is Termination.STEP_FAILURE:
         assert got[4]["failure"] == "blowup" and got[4]["n_steps"] == 0
+    traj = assert_kernel_integrates(monkeypatch, *args)
+    assert traj.times.tobytes() == got[0].tobytes()
 
 
 def test_the_kernel_runs_an_event_that_lands_on_zero_as_the_python_loop(monkeypatch, barrier):
     # A marker at the final position: the marker's event function is
     # exactly zero at the end of the last step, which is the event's time.
-    _, source, y0, icfg, specs = model_run(barrier, 2, -1.62, 0.3, "zero", atol=1e-6, t_max=2.35)
+    init, model, icfg, marks = integrate_args(barrier, 2, -1.62, 0.3, "zero", atol=1e-6,
+                                              t_max=2.35)
+    _, source, y0, _, specs = model_run(barrier, 2, -1.62, 0.3, "zero", atol=1e-6, t_max=2.35)
     times, states, *_ = _propagate(source, 0.0, y0, icfg, specs)
     end = float(states[-1, 0])
     specs = [*specs, _EventSpec("{y0} - {c0}", kind="q_cross", values=(end,), marker=end)]
     assert_kernel_runs(len(y0), specs, source)
     got = _propagate(source, 0.0, y0, icfg, specs)
-    assert_same_run(got, python_loop_run(monkeypatch, source, 0.0, y0, icfg, specs))
+    assert_same_run(got, python_loop_run(monkeypatch, _propagate, source, 0.0, y0, icfg, specs))
     assert [t for t, spec, _, _ in got[2] if spec.marker == end][-1] == times[-1]
+    traj = assert_kernel_integrates(monkeypatch, init, model, icfg, (*marks, end))
+    assert [e.t for e in traj.events if e.marker == end][-1] == traj.times[-1] == times[-1]
 
 
 def test_the_kernel_runs_a_stop_just_before_a_sample_as_the_python_loop(monkeypatch, barrier):
     # Sample grids whose 1000th point lies half, then twice, the grid's
     # slack (1e-9 * sample_dt) past the escape: inside the slack the sample
     # reads the stop state and is dropped as the stop row's duplicate.
-    _, source, y0, icfg, specs = model_run(barrier, 0, -3.0, 0.5, "zero")
+    init, model, icfg, marks = integrate_args(barrier, 0, -3.0, 0.5, "zero")
+    _, source, y0, _, specs = model_run(barrier, 0, -3.0, 0.5, "zero")
     stop = _propagate(source, 0.0, y0, icfg, specs)[2][-1][0]
     assert_kernel_runs(len(y0), specs, source)
     for share in (0.5, 2.0):
         grid = dataclasses.replace(icfg, sample_dt=stop / (1000 - share * 1e-9))
         got = _propagate(source, 0.0, y0, grid, specs)
-        assert_same_run(got, python_loop_run(monkeypatch, source, 0.0, y0, grid, specs))
+        assert_same_run(got, python_loop_run(monkeypatch, _propagate, source, 0.0, y0, grid, specs))
         times = got[0]
         assert got[3] is Termination.ESCAPED and times[-1] == stop
         assert times[-2] == 999 * grid.sample_dt and 1000 * grid.sample_dt > stop
+        traj = assert_kernel_integrates(monkeypatch, init, model, grid, marks)
+        assert traj.times.tobytes() == times.tobytes()
+
+
+def test_the_kernel_drops_rows_within_the_window_of_an_event_as_the_python_loop(
+    monkeypatch, barrier
+):
+    # Grids whose 1000th point lies 0.75 duplicate windows (1e-12 * max(t -
+    # t0, 1)) before, then 0.75 and 2 windows after, the momentum reversal:
+    # of two rows within a window, the later one is dropped, the event's
+    # row or the grid's.
+    init, model, icfg, marks = integrate_args(barrier, 0, -3.0, 0.5, "zero")
+    _, source, y0, _, specs = model_run(barrier, 0, -3.0, 0.5, "zero")
+    te = next(t for t, spec, _, _ in _propagate(source, 0.0, y0, icfg, specs)[2]
+              if spec.kind == "p_zero")
+    window = 1e-12 * max(te, 1.0)
+    assert_kernel_runs(len(y0), specs, source)
+    for share in (-0.75, 0.75, 2.0):
+        grid = dataclasses.replace(icfg, sample_dt=(te + share * window) / 1000)
+        got = _propagate(source, 0.0, y0, grid, specs)
+        assert_same_run(got, python_loop_run(monkeypatch, _propagate, source, 0.0, y0, grid, specs))
+        rows = got[0].tolist()
+        sample = 1000 * grid.sample_dt
+        assert abs(sample - te) > 0.5 * window
+        assert (te in rows, sample in rows) == {-0.75: (False, True), 0.75: (True, False),
+                                                2.0: (True, True)}[share]
+        traj = assert_kernel_integrates(monkeypatch, init, model, grid, marks)
+        assert traj.times.tobytes() == got[0].tobytes()
+
+
+def test_a_nan_in_the_kernel_s_series_warns_as_numpy(monkeypatch, barrier):
+    # From q0 = -1e45 both q**7 and q**8 overflow, so the jet meets
+    # inf * 0: the RHS is nan, so the run keeps only its start row, and so
+    # are the series. The kernel hands back no series, and numpy computes
+    # them again, with its own warnings, those of the Python loop's run.
+    args = integrate_args(barrier, 2, -1e45, 0.3, "zero", t_max=0.5)
+
+    def warned(run):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            traj = run()
+        return traj, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+    got, got_warnings = warned(lambda: integrate(*args))
+    want, want_warnings = warned(lambda: python_loop_run(monkeypatch, integrate, *args))
+    assert_same_trajectory(got, want)
+    assert np.isnan(got.h_q).all() and got.stats["failure"] == "nonfinite_start"
+    assert got_warnings == want_warnings
+    assert [category for category, message, *_ in got_warnings] == [RuntimeWarning]
+    assert "invalid value" in got_warnings[0][1]
 
 
 # The CI sweep: six points of the acceptance scenario.
@@ -608,10 +720,12 @@ def test_a_sweep_without_a_kernel_writes_the_same_bytes(
 
 
 def test_the_loop_of_a_model_run_calls_no_rhs(barrier):
-    # integrate runs the C kernel, whose one rhs function is the RHS
-    # template, jet included, called at the loop's eight RHS sites; the
-    # Python loop it falls back to pastes the same lines in at each site and
-    # calls nothing but builtins and the row packer it builds.
+    # integrate runs the C kernel, whose rhs function is the RHS template,
+    # jet included, called at the loop's eight RHS sites, and whose series
+    # function is the series template, with its own jet, called once per
+    # sample row; the Python loop it falls back to pastes the RHS lines in
+    # at each site and calls nothing but builtins and the row packer it
+    # builds.
     model = ModelConfig(potential=barrier, order=3)
     init = initial_moments(scenario_packet(barrier, -1.62, 0.3), model)
     icfg = tight_integrator(t_max=0.5)
@@ -620,13 +734,18 @@ def test_the_loop_of_a_model_run_calls_no_rhs(barrier):
     _kernel.cache_clear()
     integrate(init, model, icfg)
     hits = _kernel.cache_info().hits
-    ran = _kernel(9, events, rhs_source(model))
+    ran = _kernel(9, events, rhs_source(model), _series_source(model))
     assert _kernel.cache_info().hits == hits + 1  # the kernel integrate looked up
     assert (ran is not None) == kernels_build()
-    c_text = "".join(_c_units(9, events, rhs_source(model)))
-    assert c_text.count("_w0 = quot(alpha, _u0, zero);") == 1
+    c_text = "".join(_c_units(9, events, rhs_source(model), _series_source(model)))
+    bodies = dict(re.findall(r"\nvoid (rhs|series)\(const double \*y, [^)]*\)\n\{\n(.*?)\n\}",
+                             c_text, re.S))
+    jet = "_w0 = quot(alpha, _u0, zero);"
+    assert bodies["rhs"].count(jet) == bodies["series"].count(jet) == c_text.count(jet) / 2 == 1
     # k1, the starting-step probe, stages 2-6 and k7
     assert len(re.findall(r"\brhs\((?!const)", c_text)) == 8
+    # one call per sample row kept
+    assert len(re.findall(r"\bseries\((?!const)", c_text)) == 1
     run = _loop(9, events, rhs_source(model))
     source = "".join(linecache.getlines(run.__code__.co_filename))
     called = {node.func.id for node in ast.walk(ast.parse(source))
@@ -658,6 +777,29 @@ def test_table_coefficient_reaches_integrate(barrier, order, monkeypatch):
     assert same_rows(tampered.states, states.tolist()) and tampered.times.tolist() == times.tolist()
     assert tampered.states.tobytes() != real.states.tobytes()
     assert integrate(init, model, icfg).states.tobytes() == real.states.tobytes()
+
+
+def test_the_kernel_cache_keeps_the_most_recently_loaded_libraries(monkeypatch, tmp_path):
+    # A build deletes the least recently loaded libraries beyond
+    # CACHE_SIZE, oldest mtime first, and a load from the cache refreshes
+    # the loaded library's mtime.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    if not kernels_build():
+        pytest.skip("kernels cannot be built here")
+    cache = tmp_path / "momentous"
+    cache.mkdir()
+    old = [cache / f"kernel-{i:016x}.so" for i in range(native.CACHE_SIZE + 2)]
+    for i, path in enumerate(old):
+        path.write_bytes(b"")
+        os.utime(path, ns=(0, (i + 1) * 10**9))
+    one = Path(native.load(["double one(void) { return 1.0; }"])._name)
+    assert set(cache.iterdir()) == {one, *old[3:]}
+    os.utime(one, ns=(0, 0))
+    native.load(["double one(void) { return 1.0; }"])
+    assert one.stat().st_mtime_ns > len(old) * 10**9
+    two = Path(native.load(["double two(void) { return 2.0; }"])._name)
+    assert set(cache.iterdir()) == {one, two, *old[4:]}
+    assert len(list(cache.iterdir())) == native.CACHE_SIZE
 
 
 def test_generated_names_follow_the_source_text(barrier, monkeypatch, tmp_path, fresh_kernels):
