@@ -28,34 +28,30 @@ and kept in the cache that :mod:`native` manages
 (``$XDG_CACHE_HOME/momentous``, else ``~/.cache/momentous``, pruned to the
 ``native.CACHE_SIZE`` most recently loaded libraries); a new ``(d, events,
 rhs, series)`` costs one compile of about half a second. Otherwise, and for
-an opaque RHS callable, a run whose settings are not plain floats or one
-that raises in Python, the Python loop (:func:`_loop`) runs: one frame of
-straight-line code with one local per component and stage and the RHS lines
-pasted in at each of its eight evaluations; an opaque RHS callable is the
-one-line source that calls it. The outputs are the same bytes either way.
+an opaque RHS callable or a run that raises in Python, the Python loop
+(:func:`_loop`) runs: straight-line code with one local per component and
+stage and the RHS lines pasted in at each of its eight evaluations; an
+opaque RHS callable is the one-line source that calls it. Both read the
+start time, the state, the settings and the model's constants as floats,
+and the outputs are the same bytes either way.
 
 Recorded along the way:
 
 * samples on a fixed ``sample_dt`` grid plus event points, in time order
   (an event before a grid sample at its time), less each row within
   ``1e-12 * max(t - t0, 1)`` of the last one kept, each on the quartic
-  interpolant in the loop's operation order. The kernel writes these rows
-  as it steps, into the arrays it hands back. The Python loop instead packs
-  one row of dense-output coefficients per step that holds a sample or an
-  event and records every step's grid samples as one range of grid indices
-  and each event, the start and the end as single rows with their times;
-  after it one numpy pass (:func:`_dense_rows`) builds the same rows;
+  interpolant in the loop's operation order. Either loop writes these rows
+  as it steps, into buffers that become the returned arrays;
 * events: momentum sign changes, crossings of caller-supplied position
   markers (classical return points), outbound escape, and, at orders 2 and
   3, ``G20*G02 - G11**2`` turning negative, which no state can have (a stop);
 * per-sample series: effective Hamiltonian, effective potential at the mean
   position, and the uncertainty-product residual, whose minimum over the
-  samples and its time go into the step statistics. The kernel evaluates
+  samples and its time go into the step statistics. Either loop evaluates
   them per row it keeps, from the templates of :func:`_series_source`;
-  after the Python loop, or where a kernel's value is not finite, numpy
-  computes them block by block into preallocated arrays, with its own
-  warnings. No temporary between the loop and the returned arrays holds
-  more than one block;
+  where a value is not finite, numpy computes them again block by block
+  into preallocated arrays, with its own warnings. No temporary between the
+  loop and the returned arrays holds more than one block;
 * on a step failure, its cause: a non-finite start, step-size underflow,
   the ``max_steps`` budget, or a state blowup.
 
@@ -130,16 +126,22 @@ class IntegratorConfig:
     max_steps: int = 2_000_000
 
     def __post_init__(self) -> None:
+        # Numbers are stored as floats and an integral max_steps as the int
+        # it equals, so that an int or numpy setting runs as its float does.
         for name in ("rtol", "atol", "t_max", "max_step", "sample_dt"):
+            object.__setattr__(self, name, float(getattr(self, name)))
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         # The loop counts grid indices in floats, and i + 1.0 == i from 2**53.
         if not self.t_max / self.sample_dt < 2**53:
             raise ValueError("sample_dt must give fewer than 2**53 samples over t_max")
-        if self.escape_radius is not None and not self.escape_radius > 0:
-            raise ValueError("escape_radius must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
+        if self.escape_radius is not None:
+            object.__setattr__(self, "escape_radius", float(self.escape_radius))
+            if not self.escape_radius > 0:
+                raise ValueError("escape_radius must be positive")
+        if not (self.max_steps >= 1 and self.max_steps % 1 == 0):  # also rejects inf and nan
+            raise ValueError("max_steps must be a positive integer")
+        object.__setattr__(self, "max_steps", int(self.max_steps))
 
 
 @dataclass(frozen=True)
@@ -326,46 +328,56 @@ def _fields(expr: str, kind: str) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource):
-    """Compile ``run(rhs, t0, y0, icfg, specs)``, the whole adaptive loop for
-    ``d`` state components, the ``(expr, direction)`` of each event spec and
-    the text of the RHS source ``rhs``.
+def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
+          series: Optional[RhsSource] = None):
+    """Compile ``run(rhs, t0, y0, icfg, specs, series)``, the whole adaptive
+    loop for ``d`` state components, the ``(expr, direction)`` of each event
+    spec, the text of the RHS source ``rhs`` and that of the per-sample
+    series ``series`` (``{k0}, {k1}, ...`` of its template; none for None).
 
     The loop is straight-line code per step with one local per component and
     stage (component ``i`` of stage ``j`` is ``k{j}_{i}``): Hairer's starting
     step (or a failure before any attempt when k1 or that step is not
     finite), the step-size guards, the six stages with their finiteness
     checks, the error norm of :func:`_rms_expression`, the PI controller, the
-    event values and crossing tests, the choice of rows on the sample grid,
-    and the bisection of each crossing event over the components it reads.
-    A step builds the interpolant's coefficients only when an event crosses
-    or a sample falls inside it. Such a step packs its coefficients into the
-    bytearray ``coeffs`` as one row of doubles ``(t, h, x_i..., d1_i...,
-    d2_i..., d3_i..., d4_i..., z_i...)`` and appends entries of four numbers
-    to the flat list ``rec`` (see :func:`_dense_rows`): first one entry per
-    located event, in time order up to the first that stops the run, each with
-    its time, then one entry for the range of grid indices the step holds up
-    to ``cut`` (the stop event's time, or the step's end) plus a slack of
-    ``1e-9 * sample_dt``, found by one division and exact tests at its ends;
-    no per-sample code runs. The start row and a final ``t_end`` row are exact
-    rows of the same table. Event rows are not merged with grid rows and
-    nothing is dropped here: :func:`_dense_rows` sorts the rows by time and
-    applies the rule for rows within ``1e-12`` of each other after the loop.
-    The loop evaluates the interpolant only for event states;
-    :func:`_dense_rows` builds the sample times and states after it. Each of
-    its eight RHS evaluations (k1, the starting-step probe, stages 2 to 6
-    and k7) is the template of ``rhs`` pasted in over that stage's locals;
-    there is no call. It reads the template's constants from the ``rhs`` it
-    is called with, the run's tolerances, horizon, step cap, sample grid
-    and step budget from ``icfg``, and each event's constants from its
-    spec's ``values``. Every expression keeps the operation order of
-    the per-component list loop it replaces (see ``tests/conftest.py``), so
+    event values and crossing tests, and the bisection of each crossing
+    event over the components it reads. Each of its eight RHS evaluations
+    (k1, the starting-step probe, stages 2 to 6 and k7) is the template of
+    ``rhs`` pasted in over that stage's locals; there is no call.
+
+    A step with a crossing or a grid sample before its end plus a slack of
+    ``1e-9 * sample_dt`` writes its rows as the kernel's ``record`` does:
+    its located events in time order up to the first that stops the run,
+    and, in the nested function ``rows``, its grid indices up to the stop
+    or the step's end plus the slack, found by one division and exact tests
+    at its ends, merged by time with those events, an event first on a
+    tie. A grid row at ``ts`` takes the interpolant, or the end state ``z``
+    at the cut time where ``ts >= cut``; in a stopping step that row shares
+    the stop's time and is dropped. Every row, the start and end rows too,
+    goes through the nested function ``emit``, the kernel's ``emit`` and
+    the one place the template of ``series`` is pasted, over its own
+    constants: it drops a row within ``1e-12 * max(t - t0, 1)`` of the last
+    row kept, and appends the time, the state and the series values of a
+    row it keeps to ``array('d')`` buffers, flagging the run where a series
+    value is not finite. (Keeping the per-row code out of the large frame
+    of ``run`` also keeps ``tracemalloc``, which looks up the line of each
+    object made, from slowing a traced run about sevenfold.)
+
+    It reads the templates' constants from the ``rhs`` and ``series`` it is
+    called with, the run's tolerances, horizon, step cap, sample grid and
+    step budget from ``icfg``, and each event's constants from its spec's
+    ``values``. Every expression keeps the operation order of the
+    per-component list loop it replaces (see ``tests/conftest.py``), so
     every bit is that loop's.
 
-    ``run`` returns ``(rec, coeffs, raw events, stop, stats)``: ``stop`` is
-    the ``stop`` of the spec whose event ended the run, or None.
+    ``run`` returns ``(times, states, raw events, stop, stats, series)``:
+    the buffers of the row times and of the states row after row, ``stop``
+    the ``stop`` of the spec whose event ended the run or None, and
+    ``series`` one buffer per series, or None where ``series`` is None or
+    the run was flagged.
     """
     comps = range(d)
+    columns = range(_series_count(series))
     out: list[str] = []
 
     def put(level, *lines):
@@ -389,11 +401,6 @@ def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource):
 
     def dense_at(level, at):
         put(level, f"theta = ({at} - t) / h", "om = 1 - theta")
-
-    def exact_row(level):
-        # A coefficient row read only for its end state, the current x.
-        zeros = ", ".join(["0.0"] * (4 * d))
-        put(level, f"coeffs += pack(t, 1.0, {listed('x')}, {zeros}, {listed('x')})")
 
     def reject_unless_finite(level, names, calls):
         # 0.0 * v is a zero for every finite v and nan for inf or nan.
@@ -429,7 +436,7 @@ def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource):
     ev = range(len(events))
     put(1, "rtol = icfg.rtol", "atol = icfg.atol", "max_step = icfg.max_step",
         "sample_dt = icfg.sample_dt", "max_steps = icfg.max_steps",
-        "t_end = t0 + icfg.t_max", "t = t0", f"[{listed('x')}] = [float(a) for a in y0]",
+        "t_end = t0 + icfg.t_max", "t = t0", f"[{listed('x')}] = y0",
         *(f"{name} = rhs.bound[{name!r}]" for name in rhs.bound))
     for k in ev:
         constants = _fields(events[k][0], "c")
@@ -466,11 +473,60 @@ def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource):
         "n_rhs = 2  # k1 and the starting-step probe",
         "if not 0.0 < h < inf:", "    failure = 'nonfinite_start'")
 
-    put(1, "coeffs = bytearray()")
-    exact_row(1)
-    put(1, "rec = [t, 0, inf, 1]", "raw_events = []")
+    # The row writer: the drop rule, then the row and its series.
+    put(1, "times = array('d')", "states = array('d')",
+        *(f"column{j} = array('d')" for j in columns), "odd = False")
+    # Its own constants, as keyword-only defaults: the RHS's may differ.
+    defaults = "".join(f", {name}=series.bound[{name!r}]" for name in series.bound) if series else ""
+    put(1, f"def emit(tr, {listed('u')}{', *' if defaults else ''}{defaults}):")
+    if series is not None:
+        put(2, "nonlocal odd")
+    put(2, "a = tr - t0",
+        "if times and tr - times[-1] <= 1e-12 * (a if a > 1.0 else 1.0):", "    return",
+        "times.append(tr)", f"states.extend(({listed('u')}{',' if d == 1 else ''}))")
+    if series is not None:
+        names = {f"y{i}": f"u{i}" for i in comps}
+        names.update((f"k{j}", f"r{j}") for j in columns)
+        put(2, *series.template.format(**names).splitlines(),
+            f"if {' + '.join(f'0.0 * r{j}' for j in columns)} != 0.0:", "    odd = True",
+            *(f"column{j}.append(r{j})" for j in columns))
+    put(1, f"emit(t, {listed('x')})", "raw_events = []")
+
+    # The row writer of a step: the last grid index i with t0 + i *
+    # sample_dt <= bound, which the division finds to within its rounding
+    # and the exact tests settle, then the step's events and its grid rows
+    # up to i, merged by time. It returns the next grid index.
+    located = ", located, n_located" if events else ""
+    listed_all = ", ".join(listed(prefix) for prefix in ("x", "d1_", "d2_", "d3_", "d4_", "z"))
+    put(1, f"def rows(t, h, cut, bound, sample_index{located}, coefficients):",
+        f"    [{listed_all}] = coefficients",
+        "    i = (bound - t0) // sample_dt",
+        "    while t0 + (i + 1.0) * sample_dt <= bound:", "        i += 1.0",
+        "    while t0 + i * sample_dt > bound:", "        i -= 1.0")
+    if events:
+        put(2, "n_taken = 0", "while n_taken < n_located or sample_index <= i:",
+            "    ts = t0 + sample_index * sample_dt",
+            "    if n_taken < n_located and (sample_index > i",
+            "                                or located[n_taken][0] <= (cut if ts >= cut else ts)):",
+            "        te, spec, direction = located[n_taken]",
+            "        n_taken += 1")
+        # An event row takes the interpolant, as does its state.
+        dense_at(4, "te")
+        put(4, *(f"u{i} = {interpolant(i)}" for i in comps),
+            f"raw_events.append((te, spec, direction, [{listed('u')}]))",
+            f"emit(te, {listed('u')})")
+        put(3, "elif ts >= cut:")
+    else:
+        put(2, "while sample_index <= i:", "    ts = t0 + sample_index * sample_dt",
+            "    if ts >= cut:")
+    put(4, "sample_index += 1.0", f"emit(cut, {listed('z')})")
+    put(3, "else:", "    sample_index += 1.0")
+    dense_at(4, "ts")
+    put(4, *(f"u{i} = {interpolant(i)}" for i in comps), f"emit(ts, {listed('u')})")
+    put(2, "return sample_index")
+
     put(1, *(f"g{k} = {event(k, 'x')}" for k in ev))
-    put(1, "sample_index = 1", "facold = 1e-4", "rejected = False",
+    put(1, "sample_index = 1.0", "facold = 1e-4", "rejected = False",
         "n_steps = 0", "n_error = 0  # rejected for err > 1",
         "n_nonfinite = 0  # rejected for a non-finite stage, update or err",
         "h_min = inf", "h_max = 0.0", "stop = None",
@@ -525,8 +581,8 @@ def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource):
         "    if h > h_max:", "        h_max = h",
         "tnew = t + h")
     put(2, *(f"G{k} = {event(k, 'z')}" for k in ev))
-    # The interpolant's coefficients are built only for a step with an event
-    # or a sample before tnew + slack.
+    # The interpolant's coefficients and the rows, only for a step with an
+    # event or a sample before tnew + slack.
     if events:
         put(2, f"crossing = {' or '.join(f'({crossing(k)})' for k in ev)}")
     put(2, "ts = t0 + sample_index * sample_dt", "bound = tnew + slack",
@@ -534,20 +590,18 @@ def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource):
     for i in comps:
         put(3, f"d1_{i} = z{i} - x{i}", f"d2_{i} = h * k1_{i} - d1_{i}",
             f"d3_{i} = d1_{i} - h * k7_{i} - d2_{i}", f"d4_{i} = h * ({combo(_D, i)})")
-    blocks = ", ".join(listed(prefix) for prefix in ("x", "d1_", "d2_", "d3_", "d4_", "z"))
-    put(3, "row = len(coeffs)", f"coeffs += pack(t, h, {blocks})", "cut = tnew")
+    put(3, "cut = tnew")
     if events:
         # Events on (t, tnew]: locate each crossing by bisection over dense
-        # output (~1e-13 in time) and record them in time order, each as a
-        # row at its time, up to the first that stops the run; its time cuts
-        # the step's grid samples. The rows go before the step's range entry,
-        # so an event precedes a grid sample at its time (see _dense_rows).
-        put(3, "if crossing:")
+        # output (~1e-13 in time), in time order (a stable sort), and keep
+        # the n_located up to the first that stops the run; its time cuts
+        # the step's grid samples.
+        put(3, "located = []", "n_located = 0", "if crossing:")
         put(4, "crossed = []")
         for k in ev:
             direction = events[k][1] or f"1 if g{k} < 0.0 else -1"
             put(4, f"if {crossing(k)}:", f"    crossed.append(({k}, g{k}, G{k}, {direction}))")
-        put(4, "located = []", "for k, glo, gend, direction in crossed:",
+        put(4, "for k, glo, gend, direction in crossed:",
             "    if gend == 0.0:", "        te = tnew", "    else:")
         put(6, "lo = t", "hi = tnew", "for _ in range(200):")
         # The width rule scales with the elapsed time, as the step rules do;
@@ -568,28 +622,14 @@ def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource):
             "else:", "    hi = mid")
         put(6, "else:", "    te = 0.5 * (lo + hi)")
         put(5, "located.append((te, specs[k], direction))")
-        put(4, "located.sort(key=_time)", "for te, spec, direction in located:")
-        # An event row takes the interpolant, as does its state, built here.
-        put(5, "rec += (te, row, nan, 1)")
-        dense_at(5, "te")
-        state = ", ".join(interpolant(i) for i in comps)
-        put(5, f"raw_events.append((te, spec, direction, [{state}]))",
-            "if spec.stop is not None:",
-            "    cut = te",
-            "    stop = spec.stop",
-            "    bound = cut + slack",
-            "    break")
-    # The grid samples: the indices from sample_index to the last i with
-    # t0 + i * sample_dt <= bound, which the division finds to within its
-    # rounding and the exact tests settle. An event step without one
-    # records a range of n = 0. In a stopping step an index at or just
-    # past cut reads "exact" by the range rule, which is harmless: its row
-    # has the stop row's time, so the duplicate rule drops it.
-    put(3, "i = (bound - t0) // sample_dt",
-        "while t0 + (i + 1.0) * sample_dt <= bound:", "    i += 1.0",
-        "while t0 + i * sample_dt > bound:", "    i -= 1.0",
-        "rec += (cut, row, sample_index, i + 1.0 - sample_index)",
-        "sample_index = i + 1.0")
+        put(4, "located.sort(key=_time)", "for te, spec, direction in located:",
+            "    n_located += 1",
+            "    if spec.stop is not None:",
+            "        cut = te",
+            "        stop = spec.stop",
+            "        bound = cut + slack",
+            "        break")
+    put(3, f"sample_index = rows(t, h, cut, bound, sample_index{located}, ({listed_all},))")
     if events:
         put(3, "if stop is not None:", "    break")
 
@@ -608,9 +648,8 @@ def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource):
         *(f"g{k} = G{k}" for k in ev),
         "h = hnew")
 
-    # After a stop the last row considered is the stop event's, at its time.
-    put(1, "if stop is None:", "    rec += (t, len(coeffs), inf, 1)")
-    exact_row(2)
+    # After a stop the last row is the stop event's, at its time.
+    put(1, "if stop is None:", f"    emit(t, {listed('x')})")
     put(1, "stats = {",
         "    'n_steps': n_steps,",
         "    'n_rejected': n_error + n_nonfinite,",
@@ -621,34 +660,36 @@ def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource):
         "    'h_min': h_min if h_max else None,",
         "    'h_max': h_max if h_max else None,",
         "}",
-        "if failure is not None:", "    stats['failure'] = failure",
-        "return rec, coeffs, raw_events, stop, stats")
+        "if failure is not None:", "    stats['failure'] = failure")
+    values = f"None if odd else [{listed('column', columns)}]" if series is not None else "None"
+    put(1, f"return times, states, raw_events, stop, stats, {values}")
     source = (
-        "from math import fabs, inf, nan, sqrt\n"
+        "from array import array\n"
+        "from math import fabs, inf, sqrt\n"
         "from operator import itemgetter\n"
-        "from struct import Struct\n"
         "_time = itemgetter(0)\n"
-        f"pack = Struct('{2 + 6 * d}d').pack\n"
-        "def run(rhs, t0, y0, icfg, specs):\n"
+        "def run(rhs, t0, y0, icfg, specs, series):\n"
         + "".join(f"{line}\n" for line in out)
     )
     described = "; ".join(
         expr + {0: "", 1: " rising", -1: " falling"}[direction] for expr, direction in events
     )
-    return exec_source(source, f"dopri5 loop d={d} rhs: {rhs.label}; events: {described}")["run"]
+    label = f"dopri5 loop d={d} rhs: {rhs.label}; events: {described}"
+    if series is not None:
+        label += f"; series: {series.label}"
+    return exec_source(source, label)["run"]
 
 
 # The loop of :func:`_loop` in C, statement for statement, over arrays of D
-# doubles, and the sample pass of :func:`_dense_rows` and the per-sample
-# series after it, row by row, as four translation units that share
-# _C_SHARED; :func:`_c_units` fills in the $-fields. Each operation is that
-# of the Python code in its order, so every bit is the same: quot and
-# floordiv are Python's float division and floor division, and max, abs and
-# conditional expressions are comparisons in the order the builtins make
-# them. A division by zero, where Python raises, is noted in lp->zero, and
-# run then returns RAISES. The compiler's memory grows with the largest
-# function and unit, so the loop's parts are functions in separate units,
-# and no header is read.
+# doubles, its rows and their per-sample series included, as four
+# translation units that share _C_SHARED; :func:`_c_units` fills in the
+# $-fields. Each operation is that of the Python code in its order, so
+# every bit is the same: quot and floordiv are Python's float division and
+# floor division, and max, abs and conditional expressions are comparisons
+# in the order the builtins make them. A division by zero, where Python
+# raises, is noted in lp->zero, and run then returns RAISES. The compiler's
+# memory grows with the largest function and unit, so the loop's parts are
+# functions in separate units, and no header is read.
 _C_SHARED = r"""#if !defined(__FLT_EVAL_METHOD__) || __FLT_EVAL_METHOD__ != 0
 #error "each double operation must round to double, as Python's do"
 #endif
@@ -901,7 +942,7 @@ static int append(buffer *b, const double *v, int n)
 
 /* The sample row (t, u) and its series, unless t lies within
    1e-12 * max(t - t0, 1) of the last row kept. The rows come in time
-   order, so this is the drop rule of _dense_rows. */
+   order, so a row is tested against the last one kept only. */
 int emit(loop *lp, double t, const double *u)
 {
     double a = t - lp->t0, s[NSERIES + 1];
@@ -1188,9 +1229,9 @@ def _c_units(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
     """The C translation units of the kernel for ``d`` state components,
     the ``(expr, direction)`` of each event spec, the RHS source ``rhs``
     and the per-sample series ``series`` (``{k0}, {k1}, ...`` of its
-    template; none for None): the loop of :func:`_loop`, the rows of
-    :func:`_dense_rows`, the templates as the functions ``rhs`` and
-    ``series`` and the events as the function ``event``. Raises
+    template; none for None): the loop of :func:`_loop` with its rows and
+    their series, the templates as the functions ``rhs`` and ``series``
+    and the events as the function ``event``. Raises
     :class:`native.NotC` for a template or an event with no exact C
     translation."""
     def combo(weights):
@@ -1274,9 +1315,9 @@ def _kernel(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
     and its series as a list of arrays, one per series (None where a value
     is not finite or divided by zero, so that numpy computes them again
     with its warnings), or None for a run the Python loop must make: one
-    whose times, step settings or constants are not plain floats (the
-    Python loop's outputs then keep their types) and one that raises in
-    Python. Its arrays are the kernel's own memory, freed with them."""
+    that raises in Python, or whose specs do not hold the values their
+    expressions read. Its arrays are the kernel's own memory, freed with
+    them."""
     try:
         lib = native.load(_c_units(d, events, rhs, series))
     except native.NotC:
@@ -1295,20 +1336,17 @@ def _kernel(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
     n_series = _series_count(series)
 
     def run(rhs, t0, y0, icfg, specs, series):
-        settings = (t0, icfg.rtol, icfg.atol, icfg.max_step, icfg.sample_dt, icfg.t_max)
-        bound = list(rhs.bound.values())
-        series_bound = list(series.bound.values()) if n_series else []
-        values = [v for spec in specs for v in spec.values]
-        if (any(type(v) is not float for v in settings) or type(icfg.max_steps) is not int
-                or any(type(v) not in (float, int) for v in bound + series_bound + values)
-                or [len(spec.values) for spec in specs] != counted):
+        if [len(spec.values) for spec in specs] != counted:
             return None
+        settings = (t0, icfg.rtol, icfg.atol, icfg.max_step, icfg.sample_dt, icfg.t_max)
+        values = [v for spec in specs for v in spec.values]
+        series_bound = list(series.bound.values()) if n_series else []
         bufs = (ctypes.c_void_p * (3 + n_series))()
         counts = (ctypes.c_longlong * 9)()
         hs = (ctypes.c_double * 2)()
         status = kernel(
-            _doubles([float(a) for a in y0]), _doubles(settings), min(icfg.max_steps, 2**62),
-            _doubles(bound), _doubles(values), _doubles(series_bound),
+            _doubles(y0), _doubles(settings), min(icfg.max_steps, 2**62),
+            _doubles(list(rhs.bound.values())), _doubles(values), _doubles(series_bound),
             (ctypes.c_int * (len(specs) + 1))(*(spec.stop is not None for spec in specs)),
             bufs, counts, hs,
         )
@@ -1346,122 +1384,18 @@ def _kernel(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
     return run
 
 
-def _dense_rows(rec, coeffs, d: int, t0: float, sample_dt: float):
-    """The ``(times, states)`` arrays of the rows the Python loop recorded
-    in ``rec``. This pass serves only the Python loop: the C kernel writes
-    the same rows as it steps (``record`` and ``emit`` of ``_C_RECORD``).
-
-    ``coeffs`` holds packed float64 coefficient rows ``(t, h, x_i...,
-    d1_i..., d2_i..., d3_i..., d4_i..., z_i...)``, one per recorded step.
-    ``rec`` is flat, four numbers ``(t, row, i, n)`` an entry, where ``row``
-    is the byte offset of a coefficient row:
-
-    * ``n`` (possibly 0) grid samples ``i, i + 1, ...`` of a step cut at
-      ``t``: with ``ts = t0 + i * sample_dt``, each lies at ``min(ts, t)``
-      and takes the step's quartic interpolant, or its exact end state ``z``
-      when ``ts >= t``. ``t`` is the step's end, or the time of the event
-      that stops the run; a sample there reads "exact" too, which is
-      harmless, as the stop event's row precedes it at the same time and
-      the duplicate rule drops it;
-    * ``n = 1`` with ``i`` nan: one row at ``t`` on the interpolant (an
-      event); with ``i`` inf: one row at ``t`` with the end state (the start
-      and ``t_end`` rows). The same rule gives both, as ``ts`` is then nan
-      or inf and ``np.fmin`` passes over a nan.
-
-    One stable sort by time merges an event step's event rows, which come
-    first in ``rec``, with its grid rows; on a tie the event stays first. Then
-    a row within ``1e-12 * max(t - t0, 1)`` of the last row kept is dropped:
-    the window grows with the elapsed time, not with ``|t|``, so a run's rows
-    do not depend on where its clock starts. The sorted times never
-    decrease, so a row kept against the row before it is kept against the
-    last kept row too; only a chain of dropped rows needs the test in turn.
-    The rows' times, the sort and the drop rule work on 1-D arrays over all
-    rows, so no rule crosses a block boundary. Every time is the loop's
-    Python expression, and the interpolant is evaluated in the loop's
-    operation order on blocks of :func:`row_blocks` rows, in place in the
-    preallocated ``(n, d)`` states, so every bit is that of a per-row
-    evaluation and no temporary holds more than one block. numpy's float
-    warnings are off, as Python floats raise none.
-    """
-    width = 2 + 6 * d
-    table = np.frombuffer(coeffs).reshape(-1, width)
-    entries = np.array(rec, float).reshape(-1, 4)
-    count = entries[:, 3].astype(np.intp)
-    start = count.cumsum()
-    start -= count
-    entries[:, 2] -= start  # plus the row number: the sample index i
-    entries[:, 1] /= table.itemsize * width  # byte offset -> row number
-    # One value per row, repeated from its entry. Each all-row temporary is
-    # deleted once used, as the (n, d) states come on top of what is left.
-    ts = entries[:, 2].repeat(count)
-    ts += np.arange(len(ts), dtype=float)
-    ts *= sample_dt
-    ts += t0
-    ends = entries[:, 0].repeat(count)
-    exact = ts >= ends
-    times = np.fmin(ts, ends, out=ts)
-    del ends
-    k = entries[:, 1].astype(np.intp).repeat(count)
-    # Merge each event step's event rows, recorded first, with its grid rows;
-    # on a tie the event stays first.
-    order = np.argsort(times, kind="stable")
-    times, exact, k = times[order], exact[order], k[order]
-    del order
-
-    later = times[1:]
-    tol = later - t0
-    np.maximum(tol, 1.0, out=tol)
-    tol *= 1e-12
-    drop = []
-    for j in (later - times[:-1] <= tol).nonzero()[0].tolist():
-        j += 1
-        if drop and drop[-1] == j - 1:  # test against the last kept row
-            t = times[j]
-            a = t - t0
-            if t - kept > 1e-12 * (a if a > 1.0 else 1.0):
-                kept = t
-                continue
-        else:
-            kept = times[j - 1]
-        drop.append(j)
-    del later, tol
-    if drop:
-        keep = np.ones(len(times), bool)
-        keep[drop] = False
-        times, k, exact = times[keep], k[keep], exact[keep]
-
-    # The x, d1, d2, d3, d4 and z columns of the coefficient rows.
-    x, d1, d2, d3, d4, z = (table[:, 2 + j * d:2 + (j + 1) * d] for j in range(6))
-    states = np.empty((len(times), d))
-    with np.errstate(all="ignore"):
-        for rows in row_blocks(len(times), d):
-            kb, out = k[rows], states[rows]
-            theta = table[:, 0].take(kb)
-            np.subtract(times[rows], theta, out=theta)
-            theta /= table[:, 1].take(kb)
-            om = 1.0 - theta
-            theta, om = theta[:, None], om[:, None]
-            # x + theta * (d1 + om * (d2 + theta * (d3 + om * d4)))
-            d4.take(kb, axis=0, out=out, mode="clip")  # clip: unbuffered
-            out *= om
-            out += d3.take(kb, axis=0)
-            out *= theta
-            out += d2.take(kb, axis=0)
-            out *= om
-            out += d1.take(kb, axis=0)
-            out *= theta
-            out += x.take(kb, axis=0)
-            hit = exact[rows]
-            out[hit] = z.take(kb[hit], axis=0)
-    return times, states
-
-
 def _callable_source(f, d: int) -> RhsSource:
     """An opaque RHS callable ``f`` as the one-line source that calls it on
     a state list of ``d`` components."""
     outputs = ", ".join(f"{{k{i}}}" for i in range(d))
     inputs = ", ".join(f"{{y{i}}}" for i in range(d))
     return RhsSource(f"[{outputs}] = f([{inputs}])", "a callable f", {"f": f})
+
+
+def _float_constants(source: RhsSource) -> RhsSource:
+    """``source`` with its constants as floats."""
+    return RhsSource(source.template, source.label,
+                     {name: float(value) for name, value in source.bound.items()})
 
 
 def _propagate(
@@ -1476,36 +1410,42 @@ def _propagate(
     step cap, sample grid and step budget of ``icfg``; ``rhs`` is an
     :class:`RhsSource` or a callable that maps a state list to its
     derivative list, and an event whose spec names a ``stop`` ends the run
-    with that termination. Runs the C kernel (:func:`_kernel`) for the
-    state dimension, the specs' expressions, an :class:`RhsSource` and the
-    per-sample series source ``series`` (or none), or else the Python loop
-    :func:`_loop` compiled for them and :func:`_dense_rows` after it, and
-    returns (times, states, raw events, termination, stats, series):
-    ``times`` is the float array of sample times and ``states`` the
-    ``(n, d)`` float array, the same bytes either way. Raw events are
+    with that termination. ``t0``, ``y0`` and the constants of the sources
+    are read as floats here, for both loops. Runs the C kernel
+    (:func:`_kernel`) for the state dimension, the specs' expressions, an
+    :class:`RhsSource` and the per-sample series source ``series`` (or
+    none), or else the Python loop :func:`_loop` compiled for them, whose
+    buffers numpy wraps without a copy, and returns (times, states, raw
+    events, termination, stats, series): ``times`` is the float array of
+    sample times and ``states`` the ``(n, d)`` float array, the same bytes
+    either way. Raw events are
     ``(t, spec, direction, y)`` tuples, ``y`` a list of floats. ``stats``
     counts accepted steps, rejected attempts (in all, for an error norm
     above 1 and for a non-finite stage, update or error norm) and RHS
     evaluations, and gives ``h_min`` and ``h_max`` over the accepted steps
     (None when there are none). On a step failure ``stats["failure"]``
     names the guard that stopped the run: "nonfinite_start", "underflow",
-    "budget" or "blowup". ``series`` is the list of the kernel's arrays of
-    ``{k0}, {k1}, ...`` of the template of the argument ``series`` at every
-    row, or None where the Python loop ran, ``series`` is None or a value
-    is not finite or divided by zero."""
+    "budget" or "blowup". ``series`` is the list of the arrays of ``{k0},
+    {k1}, ...`` of the template of the argument ``series`` at every row, or
+    None where ``series`` is None or a value is not finite or divided by
+    zero."""
     d = len(y0)
+    t0, y0 = float(t0), [float(a) for a in y0]
     events = tuple((spec.expr, spec.direction) for spec in specs)
     specs = tuple(specs)
+    series = series and _float_constants(series)
     result = None
     if isinstance(rhs, RhsSource):
+        rhs = _float_constants(rhs)
         kernel = _kernel(d, events, rhs, series)
         result = kernel and kernel(rhs, t0, y0, icfg, specs, series)
     else:
         rhs = _callable_source(rhs, d)
     if result is None:
-        rec, coeffs, raw_events, stop, stats = _loop(d, events, rhs)(rhs, t0, y0, icfg, specs)
-        times, states = _dense_rows(rec, coeffs, d, t0, icfg.sample_dt)
-        result = times, states, raw_events, stop, stats, None
+        times, states, raw_events, stop, stats, values = _loop(d, events, rhs, series)(
+            rhs, t0, y0, icfg, specs, series)
+        result = (np.frombuffer(times), np.frombuffer(states).reshape(-1, d), raw_events, stop,
+                  stats, values and [np.frombuffer(column) for column in values])
     times, states, raw_events, stop, stats, values = result
     if "failure" in stats:
         termination = Termination.STEP_FAILURE
@@ -1571,11 +1511,11 @@ def integrate(
     orders >= 2, ``stats["residual_min"]`` and ``stats["t_residual_min"]``
     give the lowest sampled uncertainty residual and its time.
 
-    The C kernel hands back the sample table whole: times, states, ``H_Q``,
-    ``V_eff`` and the residual. After the Python loop, or where one of the
-    kernel's series values is not finite or divided by zero, the series are
-    computed again in numpy, block by block, so that numpy raises its own
-    warnings for them; the bytes are the same either way.
+    Either loop hands back the sample table whole: times, states, ``H_Q``,
+    ``V_eff`` and the residual. Where one of the series values is not
+    finite or divided by zero, the series are computed again in numpy,
+    block by block, so that numpy raises its own warnings for them; the
+    bytes are the same either way.
     """
     if init.order != model.order:
         raise ValueError(
@@ -1588,7 +1528,7 @@ def integrate(
 
     order = model.order
     n, d = y_arr.shape
-    if values is not None:  # the kernel's
+    if values is not None:  # the loop's
         h_q, v_eff, *residual = values
         uncertainty = residual[0] if residual else np.full(n, np.nan)
     else:

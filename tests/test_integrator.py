@@ -35,7 +35,6 @@ from momentous.dynamics import RhsSource, make_rhs, rhs_source, state_to_vector
 from momentous.integrator import (
     _EventSpec,
     _c_units,
-    _callable_source,
     _event_specs,
     _kernel,
     _loop,
@@ -724,8 +723,8 @@ def test_the_loop_of_a_model_run_calls_no_rhs(barrier):
     # jet included, called at the loop's eight RHS sites, and whose series
     # function is the series template, with its own jet, called once per
     # sample row; the Python loop it falls back to pastes the RHS lines in
-    # at each site and calls nothing but builtins and the row packer it
-    # builds.
+    # at each site and the series lines once, into its row writer emit, and
+    # calls nothing but builtins, array and its row writers emit and rows.
     model = ModelConfig(potential=barrier, order=3)
     init = initial_moments(scenario_packet(barrier, -1.62, 0.3), model)
     icfg = tight_integrator(t_max=0.5)
@@ -746,13 +745,16 @@ def test_the_loop_of_a_model_run_calls_no_rhs(barrier):
     assert len(re.findall(r"\brhs\((?!const)", c_text)) == 8
     # one call per sample row kept
     assert len(re.findall(r"\bseries\((?!const)", c_text)) == 1
-    run = _loop(9, events, rhs_source(model))
+    run = _loop(9, events, rhs_source(model), _series_source(model))
     source = "".join(linecache.getlines(run.__code__.co_filename))
     called = {node.func.id for node in ast.walk(ast.parse(source))
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-    assert called == {"Struct", "abs", "bytearray", "fabs", "float", "itemgetter", "len", "max",
-                      "pack", "range", "sqrt"}
-    assert source.count("_w0 = alpha / _u0") == 8
+    assert called == {"abs", "array", "emit", "fabs", "itemgetter", "max", "range", "rows",
+                      "sqrt"}
+    # eight RHS sites and one series
+    assert source.count("_w0 = alpha / _u0") == 9
+    emit = source[source.index("def emit("):source.index("    emit(t, ")]
+    assert emit.count("_w0 = alpha / _u0") == 1
 
 
 @pytest.mark.parametrize("order", [0, 2, 3])
@@ -1033,15 +1035,15 @@ _LATE = (1e6, 1e-7, 1.5e-6, 1e-7)
         pytest.param(*_LATE, "none", id="late-start"),
     ],
 )
-def test_each_grid_index_is_recorded_by_the_first_step_that_reaches_it(t0, sample_dt, t_max,
-                                                                       max_step, events):
-    # Every grid index lies in one range entry (t, row, i, n) of the record,
-    # the ranges follow each other, and each ends at the last index whose
-    # time is within the 1e-9 * sample_dt slack after t: its step's end, or
-    # the time of the event that stops the run. An event step records each
-    # event as one entry (te, row, nan, 1) before its range, which may be
-    # empty; an inf index marks only the start row and the t_end row. The
-    # rows then expand to the reference loop's, bit for bit.
+def test_each_grid_index_is_recorded_by_the_first_step_that_reaches_it(
+    monkeypatch, t0, sample_dt, t_max, max_step, events
+):
+    # A step writes each grid index up to the last whose time is within the
+    # 1e-9 * sample_dt slack after its end, or after the time of the event
+    # that stops the run, merged by time with its events, an event first on
+    # a tie. Both loops write the reference loop's rows and events bit for
+    # bit: the Python loop over an opaque callable and over the source, and
+    # the C kernel over the source.
     # On the oscillator p = w cos s - sin s: p_zero at s = atan(w) and pi
     # later, and the stop where p falls through -w / 2.
     w = 0.1 * t_max
@@ -1054,35 +1056,22 @@ def test_each_grid_index_is_recorded_by_the_first_step_that_reaches_it(t0, sampl
     }[events]
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=t_max, max_step=max_step,
                             sample_dt=sample_dt)
-    rhs = _callable_source(lambda y: [y[1], -y[0]], 2)
-    run = _loop(2, tuple((spec.expr, spec.direction) for spec in specs), rhs)
-    rec, _, raw_events, stop, _ = run(rhs, t0, [1.0, w], icfg, specs)
-    entries = list(zip(*[iter(rec)] * 4))
+    source = RhsSource("{k0} = {y1}\n{k1} = -{y0}", "an oscillator", {})
+
+    def make_f():
+        return lambda y: [y[1], -y[0]]
+
+    assert_kernel_runs(2, specs, source)
+    times, _, raw_events, termination, stats = matches_reference(make_f, t0, [1.0, w], icfg, specs)
+    matches_reference(make_f, t0, [1.0, w], icfg, specs, source)
+    python_loop_run(monkeypatch, matches_reference, make_f, t0, [1.0, w], icfg, specs, source)
     assert len(raw_events) >= {"none": 0, "p_zero": 1, "stop": 2}[events]
-    assert stop is (Termination.ESCAPED if events == "stop" else None)
-    assert [(t, n) for t, _, i, n in entries if math.isnan(i)] == [
-        (te, 1) for te, *_ in raw_events
-    ]
-    assert entries[0] == (t0, 0, math.inf, 1)
-    assert [i for _, _, i, _ in entries].count(math.inf) == (1 if stop else 2)
-    if stop:
-        assert entries[-1][0] == raw_events[-1][0] and math.isfinite(entries[-1][2])
-    slack = 1e-9 * sample_dt
-    first = 1
-    ranges = 0
-    after_event = False
-    for t, _, i, n in entries:
-        if math.isfinite(i):
-            assert i == first and (n >= 1 or after_event)
-            last = i + n - 1
-            assert t0 + last * sample_dt <= t + slack < t0 + (last + 1) * sample_dt
-            first = last + 1
-            ranges += 1
-        after_event = math.isnan(i)
-    assert ranges > (2 if stop else 5)
-    times, _, _, _, stats = matches_reference(
-        lambda: lambda y: [y[1], -y[0]], t0, [1.0, w], icfg, specs
-    )
+    if events == "stop":
+        assert termination is Termination.ESCAPED and times[-1] == raw_events[-1][0]
+        assert raw_events[-1][1].kind == "stop"
+    else:
+        assert termination is Termination.REACHED_TMAX and times[-1] == t0 + t_max
+    assert stats["n_steps"] > (2 if events == "stop" else 5)
     if (t0, sample_dt, t_max, max_step) == _LATE:
         # The horizon and the duplicate window are measured from the
         # elapsed time: all 15 steps run, each keeps its sample, and the
@@ -1179,19 +1168,24 @@ def core_stats(f, y0, t_end, max_step=0.5):
     return matches_reference(lambda: f, 0.0, y0, icfg)[4]
 
 
-def test_sample_pass_memory_is_bounded_by_its_outputs():
-    # CI's order-3 run at sample_dt 1e-4 (63,290 rows). Every temporary
-    # between the loop and the returned arrays is block-sized, so the traced
-    # peak of the run stays near the bytes of its five output arrays; a
-    # sample pass on whole arrays peaks at about 2.5 times them.
+def test_sample_pass_memory_is_bounded_by_its_outputs(monkeypatch):
+    # CI's order-3 run (at sample_dt 5e-4: 12,660 rows), through the
+    # Python loop: the kernel's table is C memory, which tracemalloc does
+    # not see. The loop appends the rows and their series to buffers that
+    # numpy wraps without a copy, so the traced peak of the run stays near
+    # the bytes of its five output arrays; a sample pass on whole arrays
+    # peaks at about 2.5 times them. Traced, each float the loop makes
+    # costs time linear in the length of its function's code, which is why
+    # the grid is coarser than CI's 1e-4 (63,290 rows, about 14 s).
     from momentous.cli import _trajectory, build_config
 
     cfg = build_config({
         "model": {"order": 3},
         "packet": {"q0": -2.5, "energy": 0.98, "sigma0": 0.5, "third_moment_convention": "zero"},
-        "integrator": {"t_max": 20.0, "sample_dt": 1e-4},
+        "integrator": {"t_max": 20.0, "sample_dt": 5e-4},
     })
-    _trajectory(cfg)  # compile the loop and the kernels outside the trace
+    monkeypatch.setattr(integrator, "_kernel", lambda *args: None)
+    _trajectory(cfg)  # compile the loop outside the trace
     tracemalloc.start()
     try:
         traj = _trajectory(cfg)
@@ -1199,7 +1193,7 @@ def test_sample_pass_memory_is_bounded_by_its_outputs():
     finally:
         tracemalloc.stop()
     outputs = (traj.times, traj.states, traj.h_q, traj.v_eff, traj.uncertainty)
-    assert len(traj.times) == 63_290
+    assert len(traj.times) == 12_660
     assert peak <= 1.25 * sum(a.nbytes for a in outputs)
 
 
@@ -1349,8 +1343,9 @@ def test_integrator_config_validation():
         IntegratorConfig(sample_dt=-0.1)
     with pytest.raises(ValueError):
         IntegratorConfig(escape_radius=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(max_steps=0)
+    for bad in (0, 2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="max_steps must be a positive integer"):
+            IntegratorConfig(max_steps=bad)
     # Grid indices are floats in the loop; i + 1.0 == i from 2**53 on.
     IntegratorConfig(t_max=1.0, sample_dt=2.0**-52)
     with pytest.raises(ValueError, match=r"fewer than 2\*\*53 samples"):
@@ -1433,6 +1428,23 @@ def test_an_event_at_a_late_start_is_located_to_the_float_spacing():
     assert abs(late - 1e6 - early) <= 3 * math.ulp(1e6)
 
 
+def test_int_and_numpy_numbers_run_the_kernel_as_their_floats(monkeypatch, barrier):
+    # An int start time, int and numpy settings and model constants are
+    # read as the floats they equal: the run finds the kernel where kernels
+    # can be built, and writes the bytes of the run in floats.
+    model = ModelConfig(potential=barrier, order=2)
+    init = initial_moments(scenario_packet(barrier, -1.62, 0.3), model)
+    want = integrate(init, model, IntegratorConfig(atol=1e-6, t_max=2.0, max_steps=1_000_000))
+    numbers = ModelConfig(potential=BarrierPotential(alpha=np.float64(1.0), a=1, n=4),
+                          mass=np.float64(1.0), hbar=1, order=2)
+    icfg = IntegratorConfig(atol=np.float64(1e-6), t_max=2, max_steps=1e6)
+    assert (type(icfg.atol), type(icfg.t_max), type(icfg.max_steps)) == (float, float, int)
+    if kernels_build():
+        monkeypatch.setattr(integrator, "_loop", None)  # the Python loop is not called
+    got = integrate(dataclasses.replace(init, t=0), numbers, icfg)
+    assert_same_trajectory(got, want)
+
+
 def test_order_mismatch_rejected(barrier):
     model = ModelConfig(potential=barrier, order=2)
     with pytest.raises(ValueError):
@@ -1440,14 +1452,14 @@ def test_order_mismatch_rejected(barrier):
 
 
 # Builds the loop and the C kernel's units for d = 2, 5 and 9 with and
-# without markers and the constraint, each over its model's RHS source, and
-# the RHS and series kernels of orders 0, 2 and 3; prints the text of every
-# generated source.
+# without markers and the constraint, each over its model's RHS and series
+# sources, and the RHS and series kernels of orders 0, 2 and 3; prints the
+# text of every generated source.
 GENERATED_SOURCES = """
 import json, linecache
 from momentous import BarrierPotential, IntegratorConfig, ModelConfig
 from momentous.dynamics import _series, make_rhs, rhs_source
-from momentous.integrator import _c_units, _event_specs, _loop
+from momentous.integrator import _c_units, _event_specs, _loop, _series_source
 
 pot = BarrierPotential(alpha=1.0, a=1.0, n=4)
 icfg = IntegratorConfig()
@@ -1460,8 +1472,10 @@ for order, d in ((0, 2), (2, 5), (3, 9)):
         specs = _event_specs(model, icfg, marks)
         for kept in (specs, [s for s in specs if s.kind != "constraint"]):
             events = tuple((s.expr, s.direction) for s in kept)
-            _loop(d, events, rhs_source(model))
-            kernels[f"C kernel {d} {events}"] = "".join(_c_units(d, events, rhs_source(model)))
+            series = _series_source(model)
+            _loop(d, events, rhs_source(model), series)
+            kernels[f"C kernel {d} {events}"] = "".join(
+                _c_units(d, events, rhs_source(model), series))
 texts = {k: "".join(v[2]) for k, v in linecache.cache.items() if k.startswith("<")}
 print(json.dumps({**texts, **kernels}))
 """
@@ -1481,5 +1495,6 @@ def test_generated_source_ignores_the_hash_seed():
     assert texts[0] == texts[1]
     loops = [name for name in texts[0] if name.startswith("<dopri5 loop")]
     assert len(loops) == 10
+    assert all("; series: order-" in name for name in loops)
     assert len([name for name in texts[0] if name.startswith("C kernel")]) == 10
     assert any(name.startswith("<order-3 rhs kernel") for name in texts[0])
