@@ -33,9 +33,7 @@ import orjson
 from . import moment_algebra
 from .classify import Tag, classify, resolve_margin
 from .dynamics import ModelConfig, effective_potential, moment_labels
-from .integrator import (
-    IntegratorConfig, Termination, integrate, resolve_escape_radius, row_blocks,
-)
+from .integrator import IntegratorConfig, Termination, integrate, resolve_escape_radius
 from .packet import GaussianPacket, initial_moments
 from .potential import BarrierPotential
 
@@ -113,6 +111,12 @@ _TYPES = {
 def _require(cond: bool, field: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"{field} {message}")
+
+
+def _require_stem(path, field: str) -> None:
+    """An output path stem (``output.path`` or ``--out``) is a non-empty
+    string: ``Path("")`` is ``.``, whose files would be hidden."""
+    _require(isinstance(path, str) and path != "", field, "must be a non-empty string")
 
 
 def _value(kind: Optional[str], value, field: str):
@@ -247,8 +251,7 @@ def build_config(raw: dict, order_override: Optional[int] = None) -> RunConfig:
         "sweep.parameter", f"must be one of {list(SWEEP_PARAMETERS)}",
     )
 
-    path = sec["output"]["path"]
-    _require(isinstance(path, str) and path != "", "output.path", "must be a non-empty string")
+    _require_stem(sec["output"]["path"], "output.path")
     return RunConfig(model=model, packet=packet, integrator=integrator, energy=energy,
                      sections=sec)
 
@@ -360,10 +363,22 @@ def _orjson_rows(block: np.ndarray) -> memoryview:
     return memoryview(text)[1:]
 
 
+# The most cells (rows times columns) one block of the float CSV writer
+# holds: its temporaries are set by this, not by the run's length.
+BLOCK_CELLS = 8192
+
+
+def row_blocks(n: int, columns: int):
+    """The slices of ``n`` rows of ``columns`` cells each in blocks of
+    ``BLOCK_CELLS // columns`` rows, at least 1 (the last may be shorter)."""
+    step = max(1, BLOCK_CELLS // max(columns, 1))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
 def _float_lines(*columns: np.ndarray):
     """Yield ``_csv_lines(np.hstack(columns).tolist())`` of 2-D float64
     arrays of equal length, encoded, byte for byte, in chunks of at most one
-    :func:`integrator.row_blocks` block each: a block's cells are copied from
+    :func:`row_blocks` block each: a block's cells are copied from
     ``columns`` when it is formatted, so no copy of the whole table is made.
 
     orjson (Ryū) writes the shortest round-trip digits, as ``repr`` does,
@@ -651,6 +666,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.out is not None:
+            _require_stem(args.out, "--out")
         if args.command == "check-algebra":
             code, text = run_check_algebra(args.out)
             if args.out is None:

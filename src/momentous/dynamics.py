@@ -173,6 +173,13 @@ class RhsSource:
     the constants ``bound``, name to value, and assign temporaries whose
     names begin with ``_`` or ``v``. ``label`` names the source in generated
     file names. Equality and hashing take the text only, not ``bound``.
+
+    The lines never divide by zero, at any state: the C kernel translates
+    ``/`` as C's (see :func:`native.c_expression`), which gives an inf or a
+    nan where Python raises. A model template divides only by nonzero
+    literals, the mass, which ``ModelConfig`` requires to be positive, and
+    ``q**(2n) + a**(2n)``, an even power plus ``a**(2n) > 0``, so at least
+    ``a**(2n)`` or nan.
     """
 
     template: str

@@ -28,12 +28,13 @@ and kept in the cache that :mod:`native` manages
 (``$XDG_CACHE_HOME/momentous``, else ``~/.cache/momentous``, pruned to the
 ``native.CACHE_SIZE`` most recently loaded libraries); a new ``(d, events,
 rhs, series)`` costs one compile of about half a second. Otherwise, and for
-an opaque RHS callable or a run that raises in Python, the Python loop
-(:func:`_loop`) runs: straight-line code with one local per component and
-stage and the RHS lines pasted in at each of its eight evaluations; an
-opaque RHS callable is the one-line source that calls it. Both read the
-start time, the state, the settings and the model's constants as floats,
-and the outputs are the same bytes either way.
+an opaque RHS callable, the Python loop (:func:`_loop`) runs: straight-line
+code with one local per component and stage and the RHS lines pasted in at
+each of its eight evaluations; an opaque RHS callable is the one-line source
+that calls it. Which loop runs depends on that key and the machine only,
+never on a run's values. Both read the start time, the state, the settings
+and the model's constants as floats, and the outputs are the same bytes
+either way.
 
 Recorded along the way:
 
@@ -48,10 +49,8 @@ Recorded along the way:
 * per-sample series: effective Hamiltonian, effective potential at the mean
   position, and the uncertainty-product residual, whose minimum over the
   samples and its time go into the step statistics. Either loop evaluates
-  them per row it keeps, from the templates of :func:`_series_source`;
-  where a value is not finite, numpy computes them again block by block
-  into preallocated arrays, with its own warnings. No temporary between the
-  loop and the returned arrays holds more than one block;
+  them per row it keeps, from the templates of :func:`_series_source`,
+  into buffers that become the returned arrays;
 * on a step failure, its cause: a non-finite start, step-size underflow,
   the ``max_steps`` budget, or a state blowup.
 
@@ -74,7 +73,6 @@ from .dynamics import (
     ModelConfig,
     MomentState,
     RhsSource,
-    effective_series,
     rhs_source,
     series_source,
     state_to_vector,
@@ -219,25 +217,11 @@ class Trajectory:
         return float(np.max(np.abs(self.h_q - h0)) / abs(h0))
 
 
-# The most cells (rows times columns) one block of the sample pass or of the
-# float CSV writer holds: their temporaries are set by this, not by the run's
-# length.
-BLOCK_CELLS = 8192
-
-
-def row_blocks(n: int, columns: int):
-    """The slices of ``n`` rows of ``columns`` cells each in blocks of
-    ``BLOCK_CELLS // columns`` rows, at least 1 (the last may be shorter)."""
-    step = max(1, BLOCK_CELLS // max(columns, 1))
-    return (slice(lo, lo + step) for lo in range(0, n, step))
-
-
 # The uncertainty product ``G20*G02 - G11**2`` as event source, and the
 # uncertainty residual, which subtracts ``{c0}`` = ``hbar**2/4`` from it.
 _PRODUCT = "{y2} * {y4} - {y3} * {y3}"
 _RESIDUAL = _PRODUCT + " - {c0}"
-# ``_residual(y, quarter)``: the residual of a state vector, or per sample of
-# the transposed ``(d, n)`` sample array.
+# ``_residual(y, quarter)``: the residual of a state vector.
 _residual = exec_source(
     "def residual(y, quarter):\n"
     f"    return {_RESIDUAL.format(y2='y[2]', y3='y[3]', y4='y[4]', c0='quarter')}\n",
@@ -358,10 +342,10 @@ def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
     the one place the template of ``series`` is pasted, over its own
     constants: it drops a row within ``1e-12 * max(t - t0, 1)`` of the last
     row kept, and appends the time, the state and the series values of a
-    row it keeps to ``array('d')`` buffers, flagging the run where a series
-    value is not finite. (Keeping the per-row code out of the large frame
-    of ``run`` also keeps ``tracemalloc``, which looks up the line of each
-    object made, from slowing a traced run about sevenfold.)
+    row it keeps to ``array('d')`` buffers. (Keeping the per-row code out
+    of the large frame of ``run`` also keeps ``tracemalloc``, which looks up
+    the line of each object made, from slowing a traced run about
+    sevenfold.)
 
     It reads the templates' constants from the ``rhs`` and ``series`` it is
     called with, the run's tolerances, horizon, step cap, sample grid and
@@ -373,8 +357,7 @@ def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
     ``run`` returns ``(times, states, raw events, stop, stats, series)``:
     the buffers of the row times and of the states row after row, ``stop``
     the ``stop`` of the spec whose event ended the run or None, and
-    ``series`` one buffer per series, or None where ``series`` is None or
-    the run was flagged.
+    ``series`` one buffer per series, or None where ``series`` is None.
     """
     comps = range(d)
     columns = range(_series_count(series))
@@ -475,12 +458,10 @@ def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
 
     # The row writer: the drop rule, then the row and its series.
     put(1, "times = array('d')", "states = array('d')",
-        *(f"column{j} = array('d')" for j in columns), "odd = False")
+        *(f"column{j} = array('d')" for j in columns))
     # Its own constants, as keyword-only defaults: the RHS's may differ.
     defaults = "".join(f", {name}=series.bound[{name!r}]" for name in series.bound) if series else ""
     put(1, f"def emit(tr, {listed('u')}{', *' if defaults else ''}{defaults}):")
-    if series is not None:
-        put(2, "nonlocal odd")
     put(2, "a = tr - t0",
         "if times and tr - times[-1] <= 1e-12 * (a if a > 1.0 else 1.0):", "    return",
         "times.append(tr)", f"states.extend(({listed('u')}{',' if d == 1 else ''}))")
@@ -488,7 +469,6 @@ def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
         names = {f"y{i}": f"u{i}" for i in comps}
         names.update((f"k{j}", f"r{j}") for j in columns)
         put(2, *series.template.format(**names).splitlines(),
-            f"if {' + '.join(f'0.0 * r{j}' for j in columns)} != 0.0:", "    odd = True",
             *(f"column{j}.append(r{j})" for j in columns))
     put(1, f"emit(t, {listed('x')})", "raw_events = []")
 
@@ -661,7 +641,7 @@ def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
         "    'h_max': h_max if h_max else None,",
         "}",
         "if failure is not None:", "    stats['failure'] = failure")
-    values = f"None if odd else [{listed('column', columns)}]" if series is not None else "None"
+    values = f"[{listed('column', columns)}]" if series is not None else "None"
     put(1, f"return times, states, raw_events, stop, stats, {values}")
     source = (
         "from array import array\n"
@@ -684,12 +664,10 @@ def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
 # doubles, its rows and their per-sample series included, as four
 # translation units that share _C_SHARED; :func:`_c_units` fills in the
 # $-fields. Each operation is that of the Python code in its order, so
-# every bit is the same: quot and floordiv are Python's float division and
-# floor division, and max, abs and conditional expressions are comparisons
-# in the order the builtins make them. A division by zero, where Python
-# raises, is noted in lp->zero, and run then returns RAISES. The compiler's
-# memory grows with the largest function and unit, so the loop's parts are
-# functions in separate units, and no header is read.
+# every bit is the same: floordiv is Python's float floor division, and max,
+# abs and conditional expressions are comparisons in the order the builtins
+# make them. The compiler's memory grows with the largest function and unit,
+# so the loop's parts are functions in separate units, and no header is read.
 _C_SHARED = r"""#if !defined(__FLT_EVAL_METHOD__) || __FLT_EVAL_METHOD__ != 0
 #error "each double operation must round to double, as Python's do"
 #endif
@@ -708,7 +686,7 @@ void free(void *);
 #define NSERIES $nseries
 #define INF __builtin_inf()
 
-enum { OK, RAISES, NO_MEMORY };
+enum { OK, NO_MEMORY };
 enum { NONE, NONFINITE_START, UNDERFLOW, BUDGET, BLOWUP };
 
 typedef struct { double *data; long long n, cap; } buffer;
@@ -720,13 +698,12 @@ typedef struct {
     const double *b, *c, *sb;  /* the RHS's, the events' and the series' constants */
     const int *stops;  /* per event: whether it ends the run */
     buffer times, states, events, series[NSERIES + 1];
-    int zero, stop;  /* a division by zero was met; the stopping event or -1 */
-    int series_odd;  /* a series value is not finite or divided by zero */
+    int stop;  /* the stopping event or -1 */
 } loop;
 
-void rhs(const double *y, double *k, const double *b, int *zero);
-void series(const double *y, double *k, const double *b, int *zero);
-double event(int j, const double *y, const double *c, int *zero);
+void rhs(const double *y, double *k, const double *b);
+void series(const double *y, double *k, const double *b);
+double event(int j, const double *y, const double *c);
 double starting_step(loop *lp, const double *x, const double *k1, long long *n_rhs);
 int attempt(loop *lp, const double *x, double h, double k[7][D], double *z, double *err);
 double bisect(loop *lp, int j, double glo, double gend, double t, double h, double tnew,
@@ -757,27 +734,20 @@ static inline void dense(double at, double t, double h, const double *x, const d
 # The model: the RHS template, the series template and the event
 # expressions.
 _C_MODEL = r"""
-/* x / y for a y that may be zero, where Python raises: noted in *zero. */
-static double quot(double x, double y, int *zero)
-{
-    *zero |= y == 0.0;
-    return x / y;
-}
-
 /* The RHS at the state y into k; its constants are b. */
-void rhs(const double *y, double *k, const double *b, int *zero)
+void rhs(const double *y, double *k, const double *b)
 {
 $rhs
 }
 
 /* The NSERIES per-sample series at the state y into k; their constants are b. */
-void series(const double *y, double *k, const double *b, int *zero)
+void series(const double *y, double *k, const double *b)
 {
 $series
 }
 
 /* The value of event j at the state y; the events' constants are c. */
-double event(int j, const double *y, const double *c, int *zero)
+double event(int j, const double *y, const double *c)
 {
     switch (j) {
 $events
@@ -818,7 +788,7 @@ double starting_step(loop *lp, const double *x, const double *k1, long long *n_r
         return 0.0;
     for (i = 0; i < D; i++)
         s[i] = x[i] + h0 * k1[i];
-    rhs(s, f1, lp->b, &lp->zero);
+    rhs(s, f1, lp->b);
     *n_rhs += 1;
     for (i = 0; i < D; i++)
         u[i] = (f1[i] - k1[i]) / sc[i];
@@ -848,7 +818,7 @@ int attempt(loop *lp, const double *x, double h, double k[7][D], double *z, doub
 {
     const double *b = lp->b;
     double s[D], e[D];
-    int *zero = &lp->zero, i;
+    int i;
 $stages
     for (i = 0; i < D; i++) {
         double mx = fabs(x[i]), mz = fabs(z[i]);
@@ -876,7 +846,7 @@ double bisect(loop *lp, int j, double glo, double gend, double t, double h, doub
         if (mid == lo || mid == hi)
             return mid;
         dense(mid, t, h, x, d, u);
-        gm = event(j, u, lp->c, &lp->zero);
+        gm = event(j, u, lp->c);
         if (gm == 0.0)
             return mid;
         if ((glo < 0.0) == (gm < 0.0)) {
@@ -946,15 +916,13 @@ static int append(buffer *b, const double *v, int n)
 int emit(loop *lp, double t, const double *u)
 {
     double a = t - lp->t0, s[NSERIES + 1];
-    int zero = 0;
     if (lp->times.n && t - lp->last <= 1e-12 * (a > 1.0 ? a : 1.0))
         return OK;
     lp->last = t;
     if (!append(&lp->times, &t, 1) || !append(&lp->states, u, D))
         return NO_MEMORY;
     if (NSERIES) {
-        series(u, s, lp->sb, &zero);
-        lp->series_odd |= zero || !all_finite(s, NSERIES);
+        series(u, s, lp->sb);
         for (int j = 0; j < NSERIES; j++)
             if (!append(&lp->series[j], &s[j], 1))
                 return NO_MEMORY;
@@ -1000,8 +968,6 @@ int record(loop *lp, double t, double h, const double *x, const double *z,
         located[m] = j;
         located_direction[m] = DIRECTION[j] ? DIRECTION[j] : g[j] < 0.0 ? 1 : -1;
     }
-    if (lp->zero)
-        return RAISES;
     for (m = 0; m < n; m++)
         if (lp->stops[located[m]]) {
             n = m + 1;
@@ -1064,9 +1030,8 @@ static double *fitted(buffer *b)
    sample_dt, t_max). On OK, bufs holds the sample times, the (n, D)
    states, the raw events (t, j, direction, state) and the NSERIES series
    as doubles, each its own allocation for release; counts holds the rows,
-   the events' doubles, n_steps, n_error, n_nonfinite, n_rhs, the failure,
-   the stopping event (or -1) and whether a series value is not finite or
-   divided by zero; hs holds h_min and h_max. */
+   the events' doubles, n_steps, n_error, n_nonfinite, n_rhs, the failure
+   and the stopping event (or -1); hs holds h_min and h_max. */
 int run(const double *start, const double *cfg, long long max_steps, const double *b,
         const double *c, const double *sb, const int *stops, double **bufs, long long *counts,
         double *hs)
@@ -1078,20 +1043,16 @@ int run(const double *start, const double *cfg, long long max_steps, const doubl
     double t = lp.t0, h = 0.0, h_min = INF, h_max = 0.0, facold = 1e-4;
     double close, a, err, fac, fac11, hnew;
     long long n_rhs = 1, n_steps = 0, n_error = 0, n_nonfinite = 0;
-    int failure = NONE, rejected = 0, landing, calls, status, i, j;
+    int failure = NONE, rejected = 0, landing, calls, i, j;
 
     for (i = 0; i < D; i++)
         x[i] = start[i];
-    rhs(x, k[0], b, &lp.zero);
-    if (lp.zero)
-        goto raises;
+    rhs(x, k[0], b);
     /* The run fails at once if k1 or the starting step is not finite. */
     if (!all_finite(k[0], D)) {
         failure = NONFINITE_START;
     } else {
         h = starting_step(&lp, x, k[0], &n_rhs);
-        if (lp.zero)
-            goto raises;
         if (!(0.0 < h && h < INF))
             failure = NONFINITE_START;
     }
@@ -1099,9 +1060,7 @@ int run(const double *start, const double *cfg, long long max_steps, const doubl
     if (emit(&lp, t, x) != OK)
         goto no_memory;
     for (j = 0; j < NEV; j++)
-        g[j] = event(j, x, c, &lp.zero);
-    if (lp.zero)
-        goto raises;
+        g[j] = event(j, x, c);
     close = 1e-12 * (1.0 > lp.t_end - lp.t0 ? 1.0 : lp.t_end - lp.t0);
 
     while (failure == NONE && lp.t_end - t > close) {
@@ -1129,8 +1088,6 @@ int run(const double *start, const double *cfg, long long max_steps, const doubl
         }
 
         calls = attempt(&lp, x, h, k, z, &err);
-        if (lp.zero)
-            goto raises;
         n_rhs += calls;
         if (calls < 6 || !all_finite(&err, 1)) {
             n_nonfinite++;
@@ -1156,13 +1113,8 @@ int run(const double *start, const double *cfg, long long max_steps, const doubl
                 h_max = h;
         }
         for (j = 0; j < NEV; j++)
-            G[j] = event(j, z, c, &lp.zero);
-        if (lp.zero)
-            goto raises;
-        status = record(&lp, t, h, x, z, k, g, G);
-        if (status == RAISES)
-            goto raises;
-        if (status == NO_MEMORY)
+            G[j] = event(j, z, c);
+        if (record(&lp, t, h, x, z, k, g, G) != OK)
             goto no_memory;
         if (lp.stop >= 0)
             break;
@@ -1203,23 +1155,17 @@ int run(const double *start, const double *cfg, long long max_steps, const doubl
     counts[5] = n_rhs;
     counts[6] = failure;
     counts[7] = lp.stop;
-    counts[8] = lp.series_odd;
     hs[0] = h_min;
     hs[1] = h_max;
     return OK;
 
-raises:
-    status = RAISES;
-    goto fail;
 no_memory:
-    status = NO_MEMORY;
-fail:
     free(lp.times.data);
     free(lp.states.data);
     free(lp.events.data);
     for (j = 0; j < NSERIES; j++)
         free(lp.series[j].data);
-    return status;
+    return NO_MEMORY;
 }
 """
 
@@ -1244,7 +1190,7 @@ def _c_units(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
                 f"    {target}[i] = x[i] + h * ({combo(weights)});",
                 f"if (!all_finite({target}, D))",
                 f"    return {calls};",
-                f"rhs({target}, k[{out}], b, zero);"]
+                f"rhs({target}, k[{out}], b);"]
 
     def function_body(source):
         # A template as C over the arrays y and k, its constants read from b.
@@ -1289,7 +1235,7 @@ def _series_count(series: Optional[RhsSource]) -> int:
 
 
 _FAILURES = {1: "nonfinite_start", 2: "underflow", 3: "budget", 4: "blowup"}
-_RAISES, _NO_MEMORY = 1, 2
+_NO_MEMORY = 1
 
 
 def _doubles(values):
@@ -1312,11 +1258,8 @@ def _kernel(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
     :func:`_c_units`, or None where the kernel cannot be translated,
     compiled, cached or loaded (see :mod:`native`). ``run`` returns what
     :func:`_propagate` returns, its stop as the stopping spec's ``stop``
-    and its series as a list of arrays, one per series (None where a value
-    is not finite or divided by zero, so that numpy computes them again
-    with its warnings), or None for a run the Python loop must make: one
-    that raises in Python, or whose specs do not hold the values their
-    expressions read. Its arrays are the kernel's own memory, freed with
+    and its series as a list of arrays, one per series (None where
+    ``series`` is None). Its arrays are the kernel's own memory, freed with
     them."""
     try:
         lib = native.load(_c_units(d, events, rhs, series))
@@ -1332,17 +1275,14 @@ def _kernel(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
                        ctypes.POINTER(ctypes.c_longlong), double_p)
     release.restype = None
     release.argtypes = (ctypes.c_void_p,)
-    counted = [len(_fields(expr, "c")) for expr, _ in events]
     n_series = _series_count(series)
 
     def run(rhs, t0, y0, icfg, specs, series):
-        if [len(spec.values) for spec in specs] != counted:
-            return None
         settings = (t0, icfg.rtol, icfg.atol, icfg.max_step, icfg.sample_dt, icfg.t_max)
         values = [v for spec in specs for v in spec.values]
         series_bound = list(series.bound.values()) if n_series else []
         bufs = (ctypes.c_void_p * (3 + n_series))()
-        counts = (ctypes.c_longlong * 9)()
+        counts = (ctypes.c_longlong * 8)()
         hs = (ctypes.c_double * 2)()
         status = kernel(
             _doubles(y0), _doubles(settings), min(icfg.max_steps, 2**62),
@@ -1350,8 +1290,6 @@ def _kernel(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
             (ctypes.c_int * (len(specs) + 1))(*(spec.stop is not None for spec in specs)),
             bufs, counts, hs,
         )
-        if status == _RAISES:
-            return None
         if status == _NO_MEMORY:
             raise MemoryError("kernel buffers")
         n, n_events = counts[0], counts[1]
@@ -1365,7 +1303,7 @@ def _kernel(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
         width = 3 + d
         raw_events = [(flat[j], specs[int(flat[j + 1])], int(flat[j + 2]), flat[j + 3:j + width])
                       for j in range(0, len(flat), width)]
-        n_steps, n_error, n_nonfinite, n_rhs, failure, stop, odd = counts[2:9]
+        n_steps, n_error, n_nonfinite, n_rhs, failure, stop = counts[2:8]
         h_min, h_max = hs
         stats = {
             "n_steps": n_steps,
@@ -1379,7 +1317,7 @@ def _kernel(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
         if failure:
             stats["failure"] = _FAILURES[failure]
         stop = None if stop < 0 else specs[stop].stop
-        return times, states, raw_events, stop, stats, None if odd or not n_series else columns
+        return times, states, raw_events, stop, stats, columns if n_series else None
 
     return run
 
@@ -1411,15 +1349,18 @@ def _propagate(
     :class:`RhsSource` or a callable that maps a state list to its
     derivative list, and an event whose spec names a ``stop`` ends the run
     with that termination. ``t0``, ``y0`` and the constants of the sources
-    are read as floats here, for both loops. Runs the C kernel
-    (:func:`_kernel`) for the state dimension, the specs' expressions, an
-    :class:`RhsSource` and the per-sample series source ``series`` (or
-    none), or else the Python loop :func:`_loop` compiled for them, whose
-    buffers numpy wraps without a copy, and returns (times, states, raw
-    events, termination, stats, series): ``times`` is the float array of
-    sample times and ``states`` the ``(n, d)`` float array, the same bytes
-    either way. Raw events are
-    ``(t, spec, direction, y)`` tuples, ``y`` a list of floats. ``stats``
+    are read as floats here, for both loops, and a spec whose ``values``
+    do not hold one entry per ``{c<j>}`` field of its expression is a
+    ValueError. Runs the C kernel (:func:`_kernel`) for the state
+    dimension, the specs' expressions, an :class:`RhsSource` and the
+    per-sample series source ``series`` (or none), or else, where that
+    kernel is None or the RHS a callable, the Python loop :func:`_loop`
+    compiled for them, whose buffers numpy wraps without a copy; which one
+    runs depends on those and the machine only, and its result is final.
+    Returns (times, states, raw events, termination, stats, series):
+    ``times`` is the float array of sample times and ``states`` the ``(n,
+    d)`` float array, the same bytes either way. Raw events are ``(t, spec,
+    direction, y)`` tuples, ``y`` a list of floats. ``stats``
     counts accepted steps, rejected attempts (in all, for an error norm
     above 1 and for a non-finite stage, update or error norm) and RHS
     evaluations, and gives ``h_min`` and ``h_max`` over the accepted steps
@@ -1427,21 +1368,26 @@ def _propagate(
     names the guard that stopped the run: "nonfinite_start", "underflow",
     "budget" or "blowup". ``series`` is the list of the arrays of ``{k0},
     {k1}, ...`` of the template of the argument ``series`` at every row, or
-    None where ``series`` is None or a value is not finite or divided by
-    zero."""
+    None where ``series`` is None."""
     d = len(y0)
     t0, y0 = float(t0), [float(a) for a in y0]
     events = tuple((spec.expr, spec.direction) for spec in specs)
     specs = tuple(specs)
+    for spec in specs:
+        fields = len(_fields(spec.expr, "c"))
+        if len(spec.values) != fields:
+            raise ValueError(f"the spec of event {spec.expr!r} holds {len(spec.values)} "
+                             f"values, not {fields}")
     series = series and _float_constants(series)
-    result = None
+    kernel = None
     if isinstance(rhs, RhsSource):
         rhs = _float_constants(rhs)
         kernel = _kernel(d, events, rhs, series)
-        result = kernel and kernel(rhs, t0, y0, icfg, specs, series)
     else:
         rhs = _callable_source(rhs, d)
-    if result is None:
+    if kernel is not None:
+        result = kernel(rhs, t0, y0, icfg, specs, series)
+    else:
         times, states, raw_events, stop, stats, values = _loop(d, events, rhs, series)(
             rhs, t0, y0, icfg, specs, series)
         result = (np.frombuffer(times), np.frombuffer(states).reshape(-1, d), raw_events, stop,
@@ -1511,11 +1457,10 @@ def integrate(
     orders >= 2, ``stats["residual_min"]`` and ``stats["t_residual_min"]``
     give the lowest sampled uncertainty residual and its time.
 
-    Either loop hands back the sample table whole: times, states, ``H_Q``,
-    ``V_eff`` and the residual. Where one of the series values is not
-    finite or divided by zero, the series are computed again in numpy,
-    block by block, so that numpy raises its own warnings for them; the
-    bytes are the same either way.
+    Either loop hands back the sample table whole and final: times,
+    states, ``H_Q``, ``V_eff`` and the residual, the same bytes either way.
+    A series value that is not finite is written as the loop computed it,
+    with no warning.
     """
     if init.order != model.order:
         raise ValueError(
@@ -1527,17 +1472,8 @@ def integrate(
     )
 
     order = model.order
-    n, d = y_arr.shape
-    if values is not None:  # the loop's
-        h_q, v_eff, *residual = values
-        uncertainty = residual[0] if residual else np.full(n, np.nan)
-    else:
-        h_q, v_eff = np.empty(n), np.empty(n)
-        uncertainty = np.empty(n) if order >= 2 else np.full(n, np.nan)
-        for rows in row_blocks(n, d):
-            h_q[rows], v_eff[rows] = effective_series(y_arr[rows], model)
-            if order >= 2:
-                uncertainty[rows] = _residual(y_arr[rows].T, model.hbar * model.hbar / 4)
+    h_q, v_eff, *residual = values
+    uncertainty = residual[0] if residual else np.full(len(times), np.nan)
     if order >= 2:
         worst = int(np.argmin(uncertainty))
         stats["residual_min"] = float(uncertainty[worst])

@@ -54,9 +54,10 @@ def c_expression(source: str, names, arrays) -> str:
 
     It may read the names in ``names``, entries ``a[i]`` (a literal ``i``)
     of the arrays in ``arrays``, float literals and ``fabs(x)``, and combine
-    them with ``+ - * /`` and unary minus. A division by anything but a
-    nonzero literal is ``quot(x, y, zero)``, which the C text must define:
-    Python raises ZeroDivisionError there, and ``quot`` records it.
+    them with ``+ - * /`` and unary minus. ``/`` is C's, which gives an inf
+    or a nan where Python raises ZeroDivisionError, so the translation is
+    exact for a source that never divides by zero: the contract of
+    :class:`dynamics.RhsSource`, which says why model templates keep it.
     """
     return _translate(_parse(source, "eval").body, names, arrays)
 
@@ -71,11 +72,7 @@ def _parse(source: str, mode: str):
 def _translate(node: ast.expr, names, arrays) -> str:
     def c(node):
         if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
-            left, right = c(node.left), c(node.right)
-            if isinstance(node.op, ast.Div) and not (
-                    isinstance(node.right, ast.Constant) and node.right.value):
-                return f"quot({left}, {right}, zero)"
-            return f"({left} {_OPERATORS[type(node.op)]} {right})"
+            return f"({c(node.left)} {_OPERATORS[type(node.op)]} {c(node.right)})"
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             return f"(-{c(node.operand)})"
         if isinstance(node, ast.Constant) and type(node.value) is float:

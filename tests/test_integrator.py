@@ -57,6 +57,10 @@ from conftest import (
 # tree), a remainder after the tree, and a second 8-lane block.
 STEP_DIMENSIONS = (1, 2, 5, 8, 9, 17)
 
+# A free particle as source for both loops; ``lambda y: [y[1], 0.0]`` is
+# its callable.
+FREE = RhsSource("{k0} = {y1}\n{k1} = 0.0", "a free particle", {})
+
 
 def same_rows(states, rows):
     """Whether the float64 array ``states`` holds the list of lists ``rows``
@@ -417,11 +421,9 @@ def test_a_zero_starting_step_fails_like_the_reference(monkeypatch):
     assert termination is Termination.STEP_FAILURE
     assert stats["failure"] == "nonfinite_start" and stats["n_rhs"] == 1
     assert (times, events) == ([0.0], [])
-    source = RhsSource("{k0} = {y1}\n{k1} = 0.0", "a free particle", {})
-    if kernels_build():  # the kernel no longer hands the run to Python
-        assert _kernel(2, (), source)(source, 0.0, [0.0, 1e160], icfg, (), None) is not None
-    got = _propagate(source, 0.0, [0.0, 1e160], icfg)
-    assert_same_run(got, python_loop_run(monkeypatch, _propagate, source, 0.0, [0.0, 1e160], icfg))
+    assert_kernel_runs(2, (), FREE)
+    got = _propagate(FREE, 0.0, [0.0, 1e160], icfg)
+    assert_same_run(got, python_loop_run(monkeypatch, _propagate, FREE, 0.0, [0.0, 1e160], icfg))
     assert got[4]["failure"] == "nonfinite_start"
 
 
@@ -557,16 +559,13 @@ def assert_same_trajectory(got, want):
 
 
 def assert_kernel_integrates(monkeypatch, init, model, icfg, marks=()):
-    """``integrate``, which must run as the Python loop and the numpy
-    series do, byte for byte; where kernels can be built, its run goes
-    through the C kernel, which hands back its series."""
+    """``integrate``, which must run as the Python loop does, byte for byte;
+    where kernels can be built, its run goes through the C kernel."""
     specs = _event_specs(model, icfg, marks)
     events = tuple((s.expr, s.direction) for s in specs)
     if kernels_build():
-        kernel = _kernel(len(init.moments) + 2, events, rhs_source(model), _series_source(model))
-        ran = kernel(rhs_source(model), init.t, state_to_vector(init), icfg, tuple(specs),
-                     _series_source(model))
-        assert ran is not None and ran[5] is not None
+        assert _kernel(len(init.moments) + 2, events, rhs_source(model),
+                       _series_source(model)) is not None
     got = integrate(init, model, icfg, marks)
     assert_same_trajectory(got, python_loop_run(monkeypatch, integrate, init, model, icfg, marks))
     return got
@@ -658,26 +657,47 @@ def test_the_kernel_drops_rows_within_the_window_of_an_event_as_the_python_loop(
         assert traj.times.tobytes() == got[0].tobytes()
 
 
-def test_a_nan_in_the_kernel_s_series_warns_as_numpy(monkeypatch, barrier):
+@pytest.mark.parametrize("sample_dt, kept", [(1e-12, False), (math.nextafter(1e-12, 1.0), True)],
+                         ids=["one_window", "one_float_beyond"])
+def test_a_row_exactly_one_window_after_the_last_kept_is_dropped(monkeypatch, sample_dt, kept):
+    # Below t - t0 = 1 the window is 1e-12, so the first grid row, one
+    # sample_dt after the start row at t0 = 0, lies exactly one window after
+    # it, and is dropped, or one float step further, and is kept: in the
+    # reference loop, the kernel and the Python loop alike.
+    icfg = IntegratorConfig(t_max=4 * sample_dt, sample_dt=sample_dt)
+    args = (lambda: lambda y: [y[1], 0.0], 0.0, [0.0, 1.0], icfg, (), FREE)
+    assert_kernel_runs(2, (), FREE)
+    times = matches_reference(*args)[0]
+    assert python_loop_run(monkeypatch, matches_reference, *args)[0] == times
+    assert times[0] == 0.0 and (sample_dt in times) is kept
+
+
+@pytest.mark.parametrize("values", [(), (1.0, 2.0)], ids=["none", "one_too_many"])
+@pytest.mark.parametrize("loop", ["kernel", "python"])
+def test_event_values_that_miss_the_expression_s_fields_are_rejected(monkeypatch, values, loop):
+    # One rule, in _propagate, for both loops: a spec holds one value per
+    # {c<j>} field of its expression.
+    spec = _EventSpec("{y0} - {c0}", kind="q_cross", values=values)
+    args = (FREE, 0.0, [0.0, 1.0], IntegratorConfig(t_max=1.0), [spec])
+    if loop == "kernel":
+        assert_kernel_runs(2, [spec], FREE)
+    with pytest.raises(ValueError, match=f"holds {len(values)} values, not 1"):
+        _propagate(*args) if loop == "kernel" else python_loop_run(monkeypatch, _propagate, *args)
+
+
+def test_the_nan_series_of_a_far_start_are_each_loop_s_own(monkeypatch, barrier):
     # From q0 = -1e45 both q**7 and q**8 overflow, so the jet meets
     # inf * 0: the RHS is nan, so the run keeps only its start row, and so
-    # are the series. The kernel hands back no series, and numpy computes
-    # them again, with its own warnings, those of the Python loop's run.
+    # are H_Q and V_eff there. The kernel and the Python loop each write
+    # those nan values as they computed them, the same bytes, and nothing
+    # warns.
     args = integrate_args(barrier, 2, -1e45, 0.3, "zero", t_max=0.5)
-
-    def warned(run):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            traj = run()
-        return traj, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
-
-    got, got_warnings = warned(lambda: integrate(*args))
-    want, want_warnings = warned(lambda: python_loop_run(monkeypatch, integrate, *args))
-    assert_same_trajectory(got, want)
-    assert np.isnan(got.h_q).all() and got.stats["failure"] == "nonfinite_start"
-    assert got_warnings == want_warnings
-    assert [category for category, message, *_ in got_warnings] == [RuntimeWarning]
-    assert "invalid value" in got_warnings[0][1]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = assert_kernel_integrates(monkeypatch, *args)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert got.stats["failure"] == "nonfinite_start" and len(got.times) == 1
+    assert np.isnan(got.h_q).all() and np.isnan(got.v_eff).all()
 
 
 # The CI sweep: six points of the acceptance scenario.
@@ -739,7 +759,7 @@ def test_the_loop_of_a_model_run_calls_no_rhs(barrier):
     c_text = "".join(_c_units(9, events, rhs_source(model), _series_source(model)))
     bodies = dict(re.findall(r"\nvoid (rhs|series)\(const double \*y, [^)]*\)\n\{\n(.*?)\n\}",
                              c_text, re.S))
-    jet = "_w0 = quot(alpha, _u0, zero);"
+    jet = "_w0 = (alpha / _u0);"
     assert bodies["rhs"].count(jet) == bodies["series"].count(jet) == c_text.count(jet) / 2 == 1
     # k1, the starting-step probe, stages 2-6 and k7
     assert len(re.findall(r"\brhs\((?!const)", c_text)) == 8
@@ -1295,8 +1315,9 @@ def test_series_lengths_and_order0_nan_residual(barrier):
 
 @pytest.mark.parametrize("order", [0, 2, 3])
 def test_series_match_scalar_functions(barrier, order):
-    # The array post-processing and the public scalar functions run one
-    # compiled expression, so they agree bit for bit at every sample.
+    # The series the loop writes per row and the public scalar functions
+    # evaluate the same expressions, so they agree bit for bit at every
+    # sample, the uncertainty residual at orders 2 and 3 included.
     model = ModelConfig(potential=barrier, order=order)
     packet = scenario_packet(barrier, -1.62, sigma0=0.3, third_moment_convention="zero")
     init = initial_moments(packet, model)
@@ -1317,6 +1338,9 @@ def test_series_match_scalar_functions(barrier, order):
     ]
     assert traj.h_q.tolist() == h_q
     assert traj.v_eff.tolist() == v_eff
+    if order >= 2:
+        residual = [uncertainty_residual(traj.state(i), model) for i in range(len(traj.times))]
+        assert traj.uncertainty.tolist() == residual
 
 
 def test_dop853_cross_check(barrier):
