@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -98,24 +98,24 @@ def classify(traj: Trajectory, energy: float, margin: Optional[float] = None) ->
     final_p = float(p[-1])
     horizon = float(t[-1])
 
-    evidence = Evidence(
-        barrier_entry_time=None,
-        barrier_exit_time=None,
-        barrier_exit_side=None,
-        sign_changes_inside=0,
-        final_q=final_q,
-        final_p=final_p,
-        time_horizon=horizon,
-    )
     marks = pot.turning_points(energy)
     if not marks:
-        reason = "energy at or above the barrier top"
-        return Outcome(Tag.UNDETERMINED, replace(evidence, reason=reason))
+        return Outcome(Tag.UNDETERMINED, Evidence(
+            barrier_entry_time=None,
+            barrier_exit_time=None,
+            barrier_exit_side=None,
+            sign_changes_inside=0,
+            final_q=final_q,
+            final_p=final_p,
+            time_horizon=horizon,
+            reason="energy at or above the barrier top",
+        ))
 
     x = marks[1]
     window = x + margin
 
-    inside = np.abs(q) < x
+    distance = np.abs(q)
+    inside = distance < x
     entry = float(t[np.argmax(inside)]) if inside.any() else None
     exit_t = None
     side = None
@@ -129,33 +129,42 @@ def classify(traj: Trajectory, energy: float, margin: Optional[float] = None) ->
         1 for e in traj.events if e.kind == "p_zero" and abs(e.state.q) < window
     )
 
-    evidence = replace(
-        evidence,
+    tag, reason = _verdict(traj, distance, final_q, final_p, x, window, flips_inside)
+    return Outcome(tag, Evidence(
         barrier_entry_time=entry,
         barrier_exit_time=exit_t,
         barrier_exit_side=side,
         sign_changes_inside=flips_inside,
-    )
+        final_q=final_q,
+        final_p=final_p,
+        time_horizon=horizon,
+        reason=reason,
+    ))
 
+
+def _verdict(traj: Trajectory, distance: np.ndarray, final_q: float, final_p: float, x: float,
+             window: float, flips_inside: int) -> tuple[Tag, str]:
+    """The tag of a below-barrier run with return points ``+-x``, whose
+    sampled ``|q|`` is ``distance``, and its reason ("" for a tag other than
+    undetermined)."""
     if traj.termination in (Termination.CONSTRAINT_VIOLATED, Termination.STEP_FAILURE):
-        reason = f"integration stopped early: {traj.termination.value}"
-        return Outcome(Tag.UNDETERMINED, replace(evidence, reason=reason))
+        return Tag.UNDETERMINED, f"integration stopped early: {traj.termination.value}"
 
-    approached = float(np.min(np.abs(q))) <= 2 * x
+    approached = float(np.min(distance)) <= 2 * x
     if final_q > window and final_p > 0 and approached:
-        return Outcome(Tag.TUNNELED, evidence)
+        return Tag.TUNNELED, ""
     if final_q < -window and final_p < 0 and approached:
-        return Outcome(Tag.REFLECTED, evidence)
+        return Tag.REFLECTED, ""
     if (
         abs(final_q) < window
         and flips_inside >= 2
         and traj.termination is Termination.REACHED_TMAX
     ):
-        return Outcome(Tag.TRAPPED, evidence)
+        return Tag.TRAPPED, ""
     if abs(final_q) < window:
         reason = "inside the window with fewer than two momentum flips"
     elif final_q * final_p <= 0:
         reason = "outside the window, not moving away"
     else:  # an approached run would have matched a tag above
         reason = "moving away without having come within 2x of the barrier centre"
-    return Outcome(Tag.UNDETERMINED, replace(evidence, reason=reason))
+    return Tag.UNDETERMINED, reason

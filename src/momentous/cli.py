@@ -21,8 +21,7 @@ import os
 import pickle
 import sys
 from collections import Counter
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
@@ -119,52 +118,68 @@ def _require_stem(path, field: str) -> None:
     _require(isinstance(path, str) and path != "", field, "must be a non-empty string")
 
 
-def _value(kind: Optional[str], value, field: str):
-    """Check a given value against its kind; a number comes back as a finite float."""
+def _value(kind: Optional[str], value, section: str, key: str):
+    """Check a given value of field ``key`` of ``section`` against its
+    kind; a number comes back as a finite float."""
     if kind is None:
         return value
     types, noun = _TYPES[kind]
     if not isinstance(value, types) or isinstance(value, bool):
-        raise ConfigError(f"{field} must be {noun}")
-    if kind == "count":
-        _require(value >= 1, field, "must be at least 1")
-    elif kind == "number":
+        raise ConfigError(f"{_field(section, key)} must be {noun}")
+    if kind == "count" and value < 1:
+        raise ConfigError(f"{_field(section, key)} must be at least 1")
+    if kind == "number":
         try:
             value = float(value)
         except OverflowError:  # an integer literal beyond the float range
             value = math.inf
-        _require(math.isfinite(value), field, "must be finite")
+        if not math.isfinite(value):
+            raise ConfigError(f"{_field(section, key)} must be finite")
     return value
+
+
+def _field(section: str, key: str) -> str:
+    """The name of field ``key`` of ``section``: dotted, or the key alone
+    at the config root."""
+    return key if section == "config" else f"{section}.{key}"
 
 
 def _section(raw, name: str, fields: dict) -> dict:
     """Check one config object against its field table; fill in the defaults."""
     _require(isinstance(raw, dict), name, "must be an object")
     for key in raw:
-        _require(key in fields, f"{name}.{key}", "is not a recognized field")
+        if key not in fields:
+            raise ConfigError(f"{name}.{key} is not a recognized field")
     resolved = {}
     for key, (kind, default) in fields.items():
-        field = key if name == "config" else f"{name}.{key}"
         value = raw.get(key)
         if isinstance(kind, dict):
             nested = value is not None or default is not None
-            resolved[key] = _section(raw.get(key, default), field, kind) if nested else None
+            resolved[key] = (_section(raw.get(key, default), _field(name, key), kind)
+                             if nested else None)
         elif value is None and (key not in raw or kind is not None):
-            _require(default is not _REQUIRED, field, "is required")
+            if default is _REQUIRED:
+                raise ConfigError(f"{_field(name, key)} is required")
             resolved[key] = default
         else:
-            resolved[key] = _value(kind, value, field)
+            resolved[key] = _value(kind, value, name, key)
     return resolved
 
 
-@contextmanager
-def _owned_by(section: str):
-    """Report a model constructor's ValueError, worded "<field> <rule>", as
-    a ConfigError on the field of ``section``."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{exc}") from exc
+class _owned_by:
+    """A context that reports a model constructor's ValueError, worded
+    "<field> <rule>", as a ConfigError on the field of ``section``."""
+
+    def __init__(self, section: str):
+        self.section = section
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if kind is not None and issubclass(kind, ValueError):
+            raise ConfigError(f"{self.section}.{exc}") from exc
+        return False
 
 
 def _resolved(section: str, key: Optional[str] = None) -> property:
@@ -229,9 +244,11 @@ def build_config(raw: dict, order_override: Optional[int] = None) -> RunConfig:
             kinetic > 0, "packet.energy",
             "must exceed the potential at q0 to place an inbound packet",
         )
-        p0 = _value("number", math.copysign(math.sqrt(2 * mass * kinetic), -q0), "packet.p0")
+        p0 = math.copysign(math.sqrt(2 * mass * kinetic), -q0)
+        _require(math.isfinite(p0), "packet.p0", "must be finite")
     else:
-        energy = _value("number", p0 * p0 / (2 * mass) + potential(q0), "packet.energy")
+        energy = p0 * p0 / (2 * mass) + potential(q0)
+        _require(math.isfinite(energy), "packet.energy", "must be finite")
     with _owned_by("packet"):
         potential.energy_ratio(energy)
         packet = GaussianPacket(q0=q0, p0=p0, sigma0=pk["sigma0"],
@@ -282,8 +299,20 @@ def _atomic_write(path: Path, chunks) -> None:
         raise
 
 
+def _finite(obj):
+    """``obj`` with every float that is not finite, nested in dicts, lists
+    and tuples, as None: JSON has no nan or infinity."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
 def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=True) + "\n").encode()
+    return (json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
 def _trajectory(cfg: RunConfig):
@@ -453,7 +482,7 @@ def run_simulate(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
         n_samples=len(traj.times),
         termination=traj.termination.value,
         energy_drift=traj.energy_drift,
-        outcome={"tag": outcome.tag.value, **asdict(outcome.evidence)},
+        outcome={"tag": outcome.tag.value, **vars(outcome.evidence)},
         stats=traj.stats,
         events=[
             {"t": e.t, "kind": e.kind, "direction": e.direction, "marker": e.marker}
@@ -505,7 +534,7 @@ def _sweep_point(args) -> dict:
         traj = _trajectory(point)
         outcome = classify(traj, point.energy, point.margin)
         cells.update(
-            asdict(outcome.evidence),
+            vars(outcome.evidence),
             outcome=outcome.tag.value,
             energy_drift=traj.energy_drift,
             termination=traj.termination.value,

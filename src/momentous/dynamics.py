@@ -127,7 +127,7 @@ class MomentState:
         for name, value in (("t", self.t), ("q", self.q), ("p", self.p)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if not all(math.isfinite(g) for g in self.moments):
+        if not all(map(math.isfinite, self.moments)):
             raise ValueError("moments must be finite")
 
     @property
@@ -159,7 +159,7 @@ def vector_to_state(t: float, y: Sequence[float], order: int) -> MomentState:
     if len(y) != expected:
         raise ValueError(f"state vector has length {len(y)}, expected {expected}")
     return MomentState(t=float(t), q=float(y[0]), p=float(y[1]),
-                       moments=tuple(float(v) for v in y[2:]))
+                       moments=tuple(map(float, y[2:])))
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,7 @@ import enum
 import functools
 import string
 import weakref
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -187,7 +188,7 @@ class Trajectory:
         for name in ("h_q", "v_eff", "uncertainty"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"series {name} and times disagree in length")
-        if n > 1 and not np.all(np.diff(self.times) > 0):
+        if n > 1 and not (self.times[1:] > self.times[:-1]).all():
             raise ValueError("sample times must be strictly increasing")
 
     @property
@@ -218,13 +219,13 @@ class Trajectory:
 
 
 # The uncertainty product ``G20*G02 - G11**2`` as event source, and the
-# uncertainty residual, which subtracts ``{c0}`` = ``hbar**2/4`` from it.
+# uncertainty residual, which subtracts ``quarter`` = ``hbar**2/4`` from it.
 _PRODUCT = "{y2} * {y4} - {y3} * {y3}"
-_RESIDUAL = _PRODUCT + " - {c0}"
+_RESIDUAL = _PRODUCT + " - quarter"
 # ``_residual(y, quarter)``: the residual of a state vector.
 _residual = exec_source(
     "def residual(y, quarter):\n"
-    f"    return {_RESIDUAL.format(y2='y[2]', y3='y[3]', y4='y[4]', c0='quarter')}\n",
+    f"    return {_RESIDUAL.format(y2='y[2]', y3='y[3]', y4='y[4]')}\n",
     "uncertainty residual",
 )["residual"]
 
@@ -237,8 +238,7 @@ def _series_source(model: ModelConfig) -> RhsSource:
     source = series_source(model)
     if model.order < 2:
         return source
-    residual = _RESIDUAL.format(y2="{y2}", y3="{y3}", y4="{y4}", c0="quarter")
-    return RhsSource(f"{source.template}\n{{k2}} = {residual}", f"{source.label}, residual",
+    return RhsSource(f"{source.template}\n{{k2}} = {_RESIDUAL}", f"{source.label}, residual",
                      {**source.bound, "quarter": model.hbar * model.hbar / 4})
 
 
@@ -304,11 +304,12 @@ def _rms_expression(names: Sequence[str]) -> str:
     return f"sqrt(({total}) / {float(len(sq))!r})"
 
 
-def _fields(expr: str, kind: str) -> list[int]:
+@functools.lru_cache(maxsize=None)
+def _fields(expr: str, kind: str) -> tuple[int, ...]:
     """The indices of the ``{y<i>}`` (kind "y") or ``{c<j>}`` (kind "c")
     fields of an event expression, ascending."""
     names = {name for _, name, _, _ in string.Formatter().parse(expr) if name}
-    return sorted(int(name[1:]) for name in names if name[0] == kind)
+    return tuple(sorted(int(name[1:]) for name in names if name[0] == kind))
 
 
 @functools.lru_cache(maxsize=None)
@@ -1351,9 +1352,9 @@ def _propagate(
     with that termination. ``t0``, ``y0`` and the constants of the sources
     are read as floats here, for both loops, and a spec whose ``values``
     do not hold one entry per ``{c<j>}`` field of its expression is a
-    ValueError. Runs the C kernel (:func:`_kernel`) for the state
-    dimension, the specs' expressions, an :class:`RhsSource` and the
-    per-sample series source ``series`` (or none), or else, where that
+    ValueError (:func:`_events`). Runs the C kernel (:func:`_kernel`) for
+    the state dimension, the specs' expressions, an :class:`RhsSource` and
+    the per-sample series source ``series`` (or none), or else, where that
     kernel is None or the RHS a callable, the Python loop :func:`_loop`
     compiled for them, whose buffers numpy wraps without a copy; which one
     runs depends on those and the machine only, and its result is final.
@@ -1369,15 +1370,15 @@ def _propagate(
     "budget" or "blowup". ``series`` is the list of the arrays of ``{k0},
     {k1}, ...`` of the template of the argument ``series`` at every row, or
     None where ``series`` is None."""
+    specs = tuple(specs)
+    return _run(rhs, t0, y0, icfg, specs, _events(specs), series)
+
+
+def _run(rhs, t0, y0, icfg, specs, events, series):
+    """:func:`_propagate` for a tuple of ``specs`` whose ``events`` are
+    already known, as :func:`_events` gives them."""
     d = len(y0)
     t0, y0 = float(t0), [float(a) for a in y0]
-    events = tuple((spec.expr, spec.direction) for spec in specs)
-    specs = tuple(specs)
-    for spec in specs:
-        fields = len(_fields(spec.expr, "c"))
-        if len(spec.values) != fields:
-            raise ValueError(f"the spec of event {spec.expr!r} holds {len(spec.values)} "
-                             f"values, not {fields}")
     series = series and _float_constants(series)
     kernel = None
     if isinstance(rhs, RhsSource):
@@ -1400,16 +1401,30 @@ def _propagate(
     return times, states, raw_events, termination, stats, values
 
 
+def _events(specs: tuple[_EventSpec, ...]) -> tuple[tuple[str, int], ...]:
+    """The ``(expr, direction)`` of each spec, the key of its loop; a spec
+    whose ``values`` do not hold one entry per ``{c<j>}`` field of its
+    expression is a ValueError."""
+    for spec in specs:
+        fields = len(_fields(spec.expr, "c"))
+        if len(spec.values) != fields:
+            raise ValueError(f"the spec of event {spec.expr!r} holds {len(spec.values)} "
+                             f"values, not {fields}")
+    return tuple((spec.expr, spec.direction) for spec in specs)
+
+
 def _event_specs(
-    model: ModelConfig, icfg: IntegratorConfig, mark_positions: Sequence[float]
+    model: ModelConfig, escape_radius: Optional[float], mark_positions: Sequence[float]
 ) -> list[_EventSpec]:
     """The events of :func:`integrate`: momentum sign changes, crossings of
-    ``mark_positions``, outbound escape (a stop) and, at orders 2 and 3,
-    ``G20*G02 - G11**2`` turning negative (a stop): no state can have that,
-    so past it the moments describe no packet. Order 2 conserves the
-    product, which then falls through zero only where the moments have
-    grown so far that ``hbar**2/4`` is lost in their rounding."""
-    radius = resolve_escape_radius(icfg.escape_radius, model.potential.a)
+    ``mark_positions``, outbound escape through the
+    :func:`resolve_escape_radius` of ``escape_radius`` (a stop) and, at
+    orders 2 and 3, ``G20*G02 - G11**2`` turning negative (a stop): no
+    state can have that, so past it the moments describe no packet. Order
+    2 conserves the product, which then falls through zero only where the
+    moments have grown so far that ``hbar**2/4`` is lost in their
+    rounding."""
+    radius = resolve_escape_radius(escape_radius, model.potential.a)
 
     specs = [_EventSpec("{y1}", kind="p_zero")]
     specs += [
@@ -1437,6 +1452,24 @@ def _event_specs(
     return specs
 
 
+# The most run families whose event plan is kept: the runs of a sweep at
+# one energy are one family; a sweep that moves the energy, and so the
+# return points it marks, has one per point below the barrier top.
+PLAN_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(model: ModelConfig, escape_radius: Optional[float],
+          marks: bytes) -> tuple[tuple[_EventSpec, ...], tuple[tuple[str, int], ...]]:
+    """The event specs of :func:`integrate` and their checked
+    :func:`_events`, the same for every run of the model, the configured
+    ``escape_radius`` and the marker positions whose doubles ``marks``
+    holds. The markers are keyed by their bytes, as ``0.0 == -0.0`` and a
+    marker is recorded with its sign."""
+    specs = tuple(_event_specs(model, escape_radius, array("d", marks)))
+    return specs, _events(specs)
+
+
 def integrate(
     init: MomentState,
     model: ModelConfig,
@@ -1461,14 +1494,20 @@ def integrate(
     states, ``H_Q``, ``V_eff`` and the residual, the same bytes either way.
     A series value that is not finite is written as the loop computed it,
     with no warning.
+
+    The event specs and the key of their loop are derived once per model,
+    configured escape radius and set of marker positions (:func:`_plan`);
+    the sources and their constants are read from the model on every run.
     """
     if init.order != model.order:
         raise ValueError(
             f"initial state order {init.order} does not match model order {model.order}"
         )
-    times, y_arr, raw_events, termination, stats, values = _propagate(
-        rhs_source(model), init.t, state_to_vector(init), icfg,
-        _event_specs(model, icfg, mark_positions), _series_source(model),
+    specs, events = _plan(model, icfg.escape_radius,
+                          array("d", map(float, mark_positions)).tobytes())
+    times, y_arr, raw_events, termination, stats, values = _run(
+        rhs_source(model), init.t, state_to_vector(init), icfg, specs, events,
+        _series_source(model),
     )
 
     order = model.order

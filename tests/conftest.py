@@ -415,7 +415,8 @@ def darboux_integrate(init, model, icfg, mark_positions=()):
     s0 = math.sqrt(g20)
     times, states, raw_events, termination, stats, _ = _propagate(
         f, init.t, [init.q, init.p, s0, -g11 / s0], icfg,
-        [spec for spec in _event_specs(model, icfg, mark_positions) if spec.kind != "constraint"],
+        [spec for spec in _event_specs(model, icfg.escape_radius, mark_positions)
+         if spec.kind != "constraint"],
     )
     moments = np.column_stack(_darboux_moments(states.T, casimir))
     h_q, v_eff = effective_series(moments, model)

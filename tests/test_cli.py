@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -343,6 +344,30 @@ def test_far_packet_is_a_step_failure_not_a_crash(tmp_path, capsys, recwarn):
     assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
+def test_a_summary_of_a_nan_run_is_strict_json(tmp_path, capsys):
+    # From q0 = -1e45 the start row's H_Q is nan, and so is the energy
+    # drift: the summary writes it as null, which a strict parser reads,
+    # while the table keeps the row's nan cells.
+    path = tmp_path / "nan.json"
+    path.write_text('{"packet": {"q0": -1e45, "p0": 1.0}, "integrator": {"t_max": 0.5}}')
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "nan")]) == 2
+    assert "step failure (nonfinite_start)" in capsys.readouterr().err
+    summary = orjson.loads((tmp_path / "nan.summary.json").read_bytes())
+    assert summary["energy_drift"] is None
+    assert summary["stats"]["failure"] == "nonfinite_start"
+    assert (tmp_path / "nan.csv").read_text().splitlines()[1].split(",")[-3:-1] == ["nan", "nan"]
+
+
+def test_summaries_write_a_float_that_is_not_finite_as_null():
+    from momentous.cli import _json_bytes
+
+    nested = {"b": [1.5, math.inf, (math.nan, -math.inf)], "a": {"c": 2, "d": True, "e": None}}
+    assert json.loads(_json_bytes(nested)) == {
+        "a": {"c": 2, "d": True, "e": None}, "b": [1.5, None, [None, None]]}
+    finite = {"x": [0.1, -0.0, 1e300], "y": "nan"}
+    assert _json_bytes(finite) == (json.dumps(finite, indent=2, sort_keys=True) + "\n").encode()
+
+
 def test_an_overflowing_starting_step_is_a_step_failure(tmp_path, capsys):
     # p0 = 1e150 overflows the norm of the first derivative, which makes
     # Hairer's starting step 0: a step failure at the start, not a
@@ -450,6 +475,25 @@ def test_help_exits_zero(capsys):
             main(args)
         assert exit_info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: momentous")
+
+
+def test_a_sweep_point_looks_up_the_traced_names_on_every_call(tmp_path, monkeypatch):
+    # perfbench times its layers by replacing these names of momentous.cli
+    # for a pass; a reference to them kept anywhere else would make those
+    # layers read 0 calls.
+    import momentous.cli as cli
+
+    calls = dict.fromkeys(("integrate", "classify", "build_config"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    raw = scenario_raw(sweep={"parameter": "q0", "start": -3.0, "stop": -2.0, "count": 3},
+                       integrator={"t_max": 1.0})
+    run_sweep(build_config(raw), str(tmp_path / "traced"))
+    assert calls == {"integrate": 3, "classify": 3, "build_config": 6}
 
 
 def test_sweep_degenerate_matches_simulate(tmp_path):

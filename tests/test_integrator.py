@@ -6,7 +6,6 @@ import linecache
 import math
 import os
 import re
-import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -33,11 +32,13 @@ import momentous
 from momentous import dynamics, integrator, native
 from momentous.dynamics import RhsSource, make_rhs, rhs_source, state_to_vector
 from momentous.integrator import (
+    PLAN_CACHE_SIZE,
     _EventSpec,
     _c_units,
     _event_specs,
     _kernel,
     _loop,
+    _plan,
     _propagate,
     _series_source,
     resolve_escape_radius,
@@ -442,7 +443,7 @@ def model_run(barrier, order, q0, sigma0, convention, **overrides):
     :func:`integrate_args`."""
     init, model, icfg, marks = integrate_args(barrier, order, q0, sigma0, convention, **overrides)
     f = make_rhs(model)
-    specs = _event_specs(model, icfg, marks)
+    specs = _event_specs(model, icfg.escape_radius, marks)
     return (lambda: f), rhs_source(model), state_to_vector(init), icfg, specs
 
 
@@ -462,22 +463,24 @@ MODEL_RUNS = [
 ]
 
 
-def kernels_build() -> bool:
-    """Whether the compiler the kernels are built with is on the path and
-    the kernel cache's directory, or the nearest one above it that exists,
-    can be written."""
-    if shutil.which((os.environ.get("CC") or "cc").split()[0]) is None:
-        return False
-    directory = native.cache_dir()
-    while directory is not None and not directory.exists():
-        directory = directory.parent
-    return directory is not None and directory.is_dir() and os.access(directory, os.W_OK)
+def _a_model_kernel_loads() -> bool:
+    """Whether ``native.load`` finds or builds, and loads, the kernel of an
+    order-2 model run. Under ``CC=false``, say, the compiler is on the path
+    but no kernel builds, and every model run takes the Python loop."""
+    model = ModelConfig(potential=BarrierPotential(), order=2)
+    events = tuple((s.expr, s.direction) for s in _event_specs(model, None, ()))
+    return native.load(_c_units(5, events, rhs_source(model), _series_source(model))) is not None
+
+
+# Asked once, with the compiler and kernel cache of the session, before any
+# test sets its own.
+KERNELS_BUILD = _a_model_kernel_loads()
 
 
 def assert_kernel_runs(d, specs, source):
     """Where kernels can be built, the model run of ``source`` and
     ``specs`` goes through the C kernel, not the Python loop."""
-    if kernels_build():
+    if KERNELS_BUILD:
         assert _kernel(d, tuple((s.expr, s.direction) for s in specs), source) is not None
 
 
@@ -561,9 +564,9 @@ def assert_same_trajectory(got, want):
 def assert_kernel_integrates(monkeypatch, init, model, icfg, marks=()):
     """``integrate``, which must run as the Python loop does, byte for byte;
     where kernels can be built, its run goes through the C kernel."""
-    specs = _event_specs(model, icfg, marks)
+    specs = _event_specs(model, icfg.escape_radius, marks)
     events = tuple((s.expr, s.direction) for s in specs)
-    if kernels_build():
+    if KERNELS_BUILD:
         assert _kernel(len(init.moments) + 2, events, rhs_source(model),
                        _series_source(model)) is not None
     got = integrate(init, model, icfg, marks)
@@ -729,7 +732,8 @@ def test_a_sweep_without_a_kernel_writes_the_same_bytes(
     else:
         cache.write_text("")  # a file where the cache directory would go
     run_sweep(cfg, str(tmp_path / "fallback"))
-    specs = _event_specs(cfg.model, cfg.integrator, cfg.model.potential.turning_points(0.98))
+    specs = _event_specs(cfg.model, cfg.integrator.escape_radius,
+                         cfg.model.potential.turning_points(0.98))
     assert _kernel(5, tuple((s.expr, s.direction) for s in specs), rhs_source(cfg.model)) is None
     for suffix in (".csv", ".summary.json"):
         assert (tmp_path / f"fallback{suffix}").read_bytes() == (tmp_path / f"kernel{suffix}").read_bytes()
@@ -748,14 +752,14 @@ def test_the_loop_of_a_model_run_calls_no_rhs(barrier):
     model = ModelConfig(potential=barrier, order=3)
     init = initial_moments(scenario_packet(barrier, -1.62, 0.3), model)
     icfg = tight_integrator(t_max=0.5)
-    specs = _event_specs(model, icfg, ())
+    specs = _event_specs(model, icfg.escape_radius, ())
     events = tuple((spec.expr, spec.direction) for spec in specs)
     _kernel.cache_clear()
     integrate(init, model, icfg)
     hits = _kernel.cache_info().hits
     ran = _kernel(9, events, rhs_source(model), _series_source(model))
     assert _kernel.cache_info().hits == hits + 1  # the kernel integrate looked up
-    assert (ran is not None) == kernels_build()
+    assert (ran is not None) == KERNELS_BUILD
     c_text = "".join(_c_units(9, events, rhs_source(model), _series_source(model)))
     bodies = dict(re.findall(r"\nvoid (rhs|series)\(const double \*y, [^)]*\)\n\{\n(.*?)\n\}",
                              c_text, re.S))
@@ -795,7 +799,7 @@ def test_table_coefficient_reaches_integrate(barrier, order, monkeypatch):
         patch.setattr(dynamics, "eom_table", lambda o: table)
         tampered = integrate(init, model, icfg)
         times, states, *_ = _propagate(make_rhs(model), 0.0, state_to_vector(init), icfg,
-                                       _event_specs(model, icfg, ()))
+                                       _event_specs(model, icfg.escape_radius, ()))
     assert same_rows(tampered.states, states.tolist()) and tampered.times.tolist() == times.tolist()
     assert tampered.states.tobytes() != real.states.tobytes()
     assert integrate(init, model, icfg).states.tobytes() == real.states.tobytes()
@@ -806,7 +810,7 @@ def test_the_kernel_cache_keeps_the_most_recently_loaded_libraries(monkeypatch, 
     # CACHE_SIZE, oldest mtime first, and a load from the cache refreshes
     # the loaded library's mtime.
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    if not kernels_build():
+    if not KERNELS_BUILD:
         pytest.skip("kernels cannot be built here")
     cache = tmp_path / "momentous"
     cache.mkdir()
@@ -831,7 +835,7 @@ def test_generated_names_follow_the_source_text(barrier, monkeypatch, tmp_path, 
     # tracebacks from the real code. The real table's files are untouched.
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     model = ModelConfig(potential=barrier, order=2)
-    events = tuple((s.expr, s.direction) for s in _event_specs(model, IntegratorConfig(), ()))
+    events = tuple((s.expr, s.direction) for s in _event_specs(model, None, ()))
 
     def compiled():
         library = native.load(_c_units(5, events, rhs_source(model)))
@@ -856,7 +860,7 @@ def test_generated_names_follow_the_source_text(barrier, monkeypatch, tmp_path, 
     assert dp_dt not in linecache.getlines(tampered[1])
     prefixes = ("<dopri5 loop d=5 rhs: order-2 rhs n=4;", "<order-2 rhs kernel n=4 #")
     assert all(name.startswith(prefix) for name, prefix in zip(tampered, prefixes))
-    if kernels_build():
+    if KERNELS_BUILD:
         libraries = sorted(p.name for p in (tmp_path / "momentous").iterdir())
         assert libraries == sorted(Path(name).name for name in (real[2], tampered[2]))
         assert all(re.fullmatch(r"kernel-[0-9a-f]{16}\.so", name) for name in libraries)
@@ -867,10 +871,70 @@ def test_the_escape_radius_defaults_to_a_multiple_of_the_half_width():
     for a in (1.0, 0.37, 2.5):
         assert resolve_escape_radius(None, a) == 10.0 * a
         model = ModelConfig(potential=BarrierPotential(a=a), order=2)
-        escape = [s for s in _event_specs(model, IntegratorConfig(), ()) if s.kind == "escape"]
+        escape = [s for s in _event_specs(model, None, ()) if s.kind == "escape"]
         assert escape[0].values == (10.0 * a,)
     for given in (0.5, 3.0, 40.0):
         assert resolve_escape_radius(given, 2.0) == given
+
+
+def test_a_marker_keeps_its_sign_through_the_plan_cache():
+    # 0.0 == -0.0, so a plan keyed on the marker values would hand a run
+    # marked at 0.0 the q_cross events of one marked at -0.0 before it.
+    from momentous.cli import build_config
+
+    cfg = build_config({"packet": {"q0": -2.5, "energy": 3.0, "sigma0": 0.3},
+                        "integrator": {"t_max": 10.0, "escape_radius": 50.0}})
+    init = initial_moments(cfg.packet, cfg.model)
+    _plan.cache_clear()
+    for marker in (-0.0, 0.0, -0.0):
+        traj = integrate(init, cfg.model, cfg.integrator, (marker,))
+        crossings = [e.marker for e in traj.events if e.kind == "q_cross"]
+        assert crossings and all(repr(m) == repr(marker) for m in crossings)
+    assert _plan.cache_info().currsize == 2
+
+
+def test_interleaved_run_families_run_as_on_fresh_plans(barrier):
+    # Two models, two escape radii and two marker sets, each family run
+    # twice in an interleaved order: every run is the bytes of the same
+    # call on an empty plan cache.
+    runs = []
+    for model in (ModelConfig(potential=barrier, order=2),
+                  ModelConfig(potential=BarrierPotential(alpha=2.0, a=0.8), order=3)):
+        packet = scenario_packet(model.potential, -2.0, 0.3, third_moment_convention="zero")
+        init = initial_moments(packet, model)
+        for radius in (None, 2.5):
+            icfg = tight_integrator(t_max=1.0, escape_radius=radius)
+            for marks in ((), model.potential.turning_points(0.98)):
+                runs.append((init, model, icfg, marks))
+    order = [*range(len(runs)), *reversed(range(len(runs)))]
+    _plan.cache_clear()
+    warm = [integrate(*runs[i]) for i in order]
+    assert _plan.cache_info().currsize == len(runs)
+    for i, got in zip(order, warm):
+        _plan.cache_clear()
+        assert_same_trajectory(got, integrate(*runs[i]))
+
+
+def test_a_p0_sweep_runs_as_without_the_plan_cache(tmp_path, monkeypatch):
+    # The energy, and so the return points the runs mark, change at every
+    # point of a p0 sweep: more families than the cache keeps, which stays
+    # within its bound, and the bytes of plans derived afresh for each run.
+    from momentous.cli import build_config, run_sweep
+
+    cfg = build_config({
+        "packet": {"q0": -2.5, "p0": 1.0, "sigma0": 0.3},
+        "integrator": {"atol": 1e-6, "t_max": 1.0},
+        "sweep": {"parameter": "p0", "start": 0.6, "stop": 1.4, "count": PLAN_CACHE_SIZE + 6},
+    })
+    _plan.cache_clear()
+    run_sweep(cfg, str(tmp_path / "cached"))
+    assert _plan.cache_info().misses == PLAN_CACHE_SIZE + 6
+    assert _plan.cache_info().currsize == _plan.cache_info().maxsize == PLAN_CACHE_SIZE
+    monkeypatch.setattr(integrator, "_plan", _plan.__wrapped__)
+    run_sweep(cfg, str(tmp_path / "fresh"))
+    for suffix in (".csv", ".summary.json"):
+        assert ((tmp_path / f"cached{suffix}").read_bytes()
+                == (tmp_path / f"fresh{suffix}").read_bytes())
 
 
 def test_loop_matches_reference_on_step_failures():
@@ -1381,7 +1445,7 @@ def test_every_order_with_moments_stops_where_the_product_turns_negative(barrier
     # G20*G02 - G11**2 >= 0 holds for every state; a run with moments stops
     # where the product falls through zero, at order 2 as at order 3.
     model = ModelConfig(potential=barrier, order=order)
-    specs = _event_specs(model, IntegratorConfig(), ())
+    specs = _event_specs(model, None, ())
     constraint = [spec for spec in specs if spec.kind == "constraint"]
     assert constraint == ([_EventSpec("{y2} * {y4} - {y3} * {y3}", kind="constraint",
                                       stop=Termination.CONSTRAINT_VIOLATED, direction=-1)]
@@ -1463,7 +1527,7 @@ def test_int_and_numpy_numbers_run_the_kernel_as_their_floats(monkeypatch, barri
                           mass=np.float64(1.0), hbar=1, order=2)
     icfg = IntegratorConfig(atol=np.float64(1e-6), t_max=2, max_steps=1e6)
     assert (type(icfg.atol), type(icfg.t_max), type(icfg.max_steps)) == (float, float, int)
-    if kernels_build():
+    if KERNELS_BUILD:
         monkeypatch.setattr(integrator, "_loop", None)  # the Python loop is not called
     got = integrate(dataclasses.replace(init, t=0), numbers, icfg)
     assert_same_trajectory(got, want)
@@ -1493,7 +1557,7 @@ for order, d in ((0, 2), (2, 5), (3, 9)):
     make_rhs(model)
     _series(model)
     for marks in ((), pot.turning_points(0.98)):
-        specs = _event_specs(model, icfg, marks)
+        specs = _event_specs(model, icfg.escape_radius, marks)
         for kept in (specs, [s for s in specs if s.kind != "constraint"]):
             events = tuple((s.expr, s.direction) for s in kept)
             series = _series_source(model)
