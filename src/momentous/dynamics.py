@@ -11,12 +11,13 @@ The physics exists once, as the effective Hamiltonian
 equations from it through the complete moment bracket, and a small compiler
 turns those tables, with the barrier's jet inlined, into straight-line
 Python source per truncation order and exponent ``n``: :func:`rhs_source` is
-the table as a template over the state components, which the propagator
-pastes into its loop, :func:`make_rhs` is the same source compiled as a
-function (which ``check-algebra`` verifies), and ``H_Q`` and ``V_eff`` (the
-Hamiltonian without its ``p`` terms) are compiled expressions that take
-floats and arrays alike, whose lines :func:`series_source` gives as a
-template too.
+the table as a template over the state components, which the C kernel of
+the propagator translates and its Python loop runs compiled,
+:func:`make_rhs` is the same source compiled as a function (which
+``check-algebra`` verifies), and ``H_Q`` and ``V_eff`` (the Hamiltonian
+without its ``p`` terms) are compiled expressions that take floats and
+arrays alike, whose lines :func:`series_source` gives as a template too.
+One compiler, :func:`_compile`, turns every such template into a function.
 
 The order-2 system is exactly the order-3 system with every third moment
 set to zero. Both conserve the effective Hamiltonian identically (the
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
@@ -194,15 +196,15 @@ def rhs_source(cfg: ModelConfig) -> RhsSource:
     # source and never the one derived from the real table.
     pot = cfg.potential
     return RhsSource(_rhs_template(cfg.order, eom_table, pot.n),
-                     f"order-{cfg.order} rhs n={pot.n}",
+                     f"order-{cfg.order} rhs kernel n={pot.n}",
                      {"alpha": pot.alpha, "a_2n": pot._a_2n, "m": cfg.mass})
 
 
 def make_rhs(cfg: ModelConfig):
     """Return ``f(y) -> list``, the time derivative of a state vector: the
     lines of :func:`rhs_source` compiled as a function."""
-    pot = cfg.potential
-    return _rhs_kernel(cfg.order, eom_table, pot.n)(pot.alpha, pot._a_2n, cfg.mass)
+    source = rhs_source(cfg)
+    return _compile(source, state_dimension(cfg.order))(**source.bound)
 
 
 def _state_row(state: MomentState, cfg: ModelConfig) -> list:
@@ -223,14 +225,14 @@ def series_source(cfg: ModelConfig) -> RhsSource:
     from one jet, as source: the lines :func:`effective_series` runs."""
     pot = cfg.potential
     return RhsSource(_series_template(cfg.order, pot.n),
-                     f"order-{cfg.order} H_Q, V_eff n={pot.n}",
+                     f"order-{cfg.order} H_Q, V_eff kernel n={pot.n}",
                      {"alpha": pot.alpha, "a_2n": pot._a_2n, "m": cfg.mass})
 
 
 def _series(cfg: ModelConfig):
     """``f(y) -> [H_Q, V_eff]`` at the ``q`` of ``y``, from one jet."""
-    pot = cfg.potential
-    return _series_kernel(cfg.order, pot.n)(pot.alpha, pot._a_2n, cfg.mass)
+    source = series_source(cfg)
+    return _compile(source, state_dimension(cfg.order))(**source.bound)
 
 
 def effective_hamiltonian(state: MomentState, cfg: ModelConfig) -> float:
@@ -335,26 +337,40 @@ def _template(order: int, n: int, polys: Sequence[MomentPolynomial]) -> str:
     return "\n".join(lines)
 
 
-def _compile(label: str, order: int, template: str, count: int):
-    """Compile ``template``, named by ``label``, into ``make(alpha, a_2n, m) -> f(y) -> list``.
+@functools.lru_cache(maxsize=None)
+def _fields(text: str, kind: str) -> tuple[int, ...]:
+    """The indices of the ``{<kind><i>}`` fields of a template or an event
+    expression, ascending: kind "y" the state components, "k" the values a
+    template assigns and "c" the constants of an event."""
+    names = {name for _, name, _, _ in string.Formatter().parse(text) if name}
+    return tuple(sorted(int(name[1:]) for name in names if name[0] == kind))
 
-    ``f`` unpacks a state ``y`` (q, p, then the moments of ``order``; floats
-    or arrays alike), runs the template's lines and returns its ``count``
-    values.
+
+@functools.lru_cache(maxsize=None)
+def _compile(source: RhsSource, d: int):
+    """Compile ``source`` over a state of ``d`` components into
+    ``make(**constants) -> f(y) -> list``, in a file named by its label.
+
+    ``f`` unpacks a state ``y`` (floats or arrays alike) into ``y0, y1,
+    ...``, runs the template's lines and returns the values of its ``{k0},
+    {k1}, ...``; ``make`` takes the constants by the names of
+    ``source.bound``. The cache is keyed on the text, so sources that differ
+    only in their constants share one compile.
     """
-    names = ("q", "p", *moment_labels(order))
-    outputs = [f"r{i}" for i in range(count)]
-    body = template.format(**{f"y{i}": name for i, name in enumerate(names)},
-                           **{f"k{i}": name for i, name in enumerate(outputs)})
-    source = (
-        "def make(alpha, a_2n, m):\n"
+    names = [f"y{i}" for i in range(d)]
+    assigned = _fields(source.template, "k")
+    outputs = [f"r{i}" for i in assigned]
+    body = source.template.format(**{name: name for name in names},
+                                  **{f"k{i}": f"r{i}" for i in assigned})
+    text = (
+        f"def make({', '.join(source.bound)}):\n"
         "    def f(y):\n"
         f"        [{', '.join(names)}] = y\n"
         + "".join(f"        {line}\n" for line in body.splitlines())
         + f"        return [{', '.join(outputs)}]\n"
         "    return f\n"
     )
-    return exec_source(source, label)["make"]
+    return exec_source(text, source.label)["make"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -364,20 +380,8 @@ def _rhs_template(order: int, table, n: int) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _rhs_kernel(order: int, table, n: int):
-    return _compile(f"order-{order} rhs kernel n={n}", order,
-                    _rhs_template(order, table, n), state_dimension(order))
-
-
-@functools.lru_cache(maxsize=None)
 def _series_template(order: int, n: int) -> str:
     # V_eff is the effective Hamiltonian without its p terms.
     hamiltonian = moment_algebra.hamiltonian_terms(order)
     potential = MomentPolynomial({t: c for t, c in hamiltonian.items() if not t.p_power})
     return _template(order, n, [hamiltonian, potential])
-
-
-@functools.lru_cache(maxsize=None)
-def _series_kernel(order: int, n: int):
-    return _compile(f"order-{order} H_Q, V_eff kernel n={n}", order,
-                    _series_template(order, n), 2)

@@ -9,32 +9,32 @@ An explicit pair is used deliberately: the moment system is not separable,
 and exact conservation of the effective Hamiltonian then serves as an
 independent accuracy diagnostic rather than a built-in property.
 
-One trajectory is one call of a loop generated per state dimension, set of
-event expressions and RHS source (each event is a source expression over the
-state components, and the model's RHS is the source ``dynamics.rhs_source``
-derives from ``eom_table``, whose constants are arguments, so every sweep
-point shares one loop). It runs the starting-step heuristic, the step-size
-guards, the six stages (checking each stage state for finiteness), the
-5th-order update, the error norm, the PI controller, the event tests, the
-choice of sample rows and the bisection of each located event. Every
-expression keeps the per-component operation order, and the error norm sums
-its squares in numpy's pairwise order, so step sizes, samples and events are
-those of an array implementation, bit for bit.
+One trajectory is one run of the adaptive loop for a state dimension, set
+of event expressions and RHS source (each event is a source expression over
+the state components, and the model's RHS is the source
+``dynamics.rhs_source`` derives from ``eom_table``, whose constants are
+arguments, so every sweep point shares one compiled kernel). It runs the
+starting-step heuristic, the step-size guards, the six stages (checking
+each stage state for finiteness), the 5th-order update, the error norm, the
+PI controller, the event tests, the choice of sample rows and the bisection
+of each located event. Every sum keeps the per-component operation order,
+and the error norm sums its squares in numpy's pairwise order, so step
+sizes, samples and events are those of an array implementation, bit for
+bit.
 
-The loop exists in two languages with the same operations in the same order.
-Where a C compiler is found (``$CC``, else ``cc``), an :class:`RhsSource`
-run goes through a C kernel (:func:`_c_units`), compiled once per machine
-and kept in the cache that :mod:`native` manages
-(``$XDG_CACHE_HOME/momentous``, else ``~/.cache/momentous``, pruned to the
-``native.CACHE_SIZE`` most recently loaded libraries); a new ``(d, events,
-rhs, series)`` costs one compile of about half a second. Otherwise, and for
-an opaque RHS callable, the Python loop (:func:`_loop`) runs: straight-line
-code with one local per component and stage and the RHS lines pasted in at
-each of its eight evaluations; an opaque RHS callable is the one-line source
-that calls it. Which loop runs depends on that key and the machine only,
-never on a run's values. Both read the start time, the state, the settings
-and the model's constants as floats, and the outputs are the same bytes
-either way.
+The loop exists twice, with the same operations in the same order. Where a
+C compiler is found (``$CC``, else ``cc``), an :class:`RhsSource` run goes
+through a C kernel (:func:`_c_units`), compiled once per machine and kept in
+the cache that :mod:`native` manages (``$XDG_CACHE_HOME/momentous``, else
+``~/.cache/momentous``, pruned to the ``native.CACHE_SIZE`` most recently
+loaded libraries); a new ``(d, events, rhs, series)`` costs one compile of
+about half a second. Otherwise, and for an opaque RHS callable, the Python
+loop (:func:`_python_loop`) runs: list code over the components, calling
+the RHS callable, or the RHS source compiled as a function, at each of its
+eight evaluations. Which loop runs depends on that key and the machine
+only, never on a run's values. Both read the start time, the state, the
+settings and the model's constants as floats, and the outputs are the same
+bytes either way.
 
 Recorded along the way:
 
@@ -62,10 +62,12 @@ from __future__ import annotations
 import ctypes
 import enum
 import functools
+import math
 import string
 import weakref
 from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -74,6 +76,8 @@ from .dynamics import (
     ModelConfig,
     MomentState,
     RhsSource,
+    _compile,
+    _fields,
     rhs_source,
     series_source,
     state_to_vector,
@@ -231,8 +235,8 @@ _residual = exec_source(
 
 
 def _series_source(model: ModelConfig) -> RhsSource:
-    """The per-sample series of :func:`integrate` as one template for the
-    kernel: ``{k0}`` = ``H_Q`` and ``{k1}`` = ``V_eff``
+    """The per-sample series of :func:`integrate` as one template for both
+    loops: ``{k0}`` = ``H_Q`` and ``{k1}`` = ``V_eff``
     (:func:`dynamics.series_source`), and at orders >= 2 ``{k2}`` = the
     uncertainty residual, with ``hbar**2/4`` as the constant ``quarter``."""
     source = series_source(model)
@@ -278,6 +282,13 @@ _D = (
     (7, 69997945 / 29380423),
 )
 
+# The weights by name, for the list code of the Python loop (:func:`_step`).
+(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), (
+    _A61, _A62, _A63, _A64, _A65) = ([w for _, w in row] for row in _A)
+_B1, _B3, _B4, _B5, _B6 = (w for _, w in _B)
+_E1, _E3, _E4, _E5, _E6, _E7 = (w for _, w in _E)
+_D1, _D3, _D4, _D5, _D6, _D7 = (w for _, w in _D)
+
 _SAFETY = 0.9
 _BETA = 0.04
 _EXPO1 = 0.2 - _BETA * 0.75
@@ -304,371 +315,305 @@ def _rms_expression(names: Sequence[str]) -> str:
     return f"sqrt(({total}) / {float(len(sq))!r})"
 
 
-@functools.lru_cache(maxsize=None)
-def _fields(expr: str, kind: str) -> tuple[int, ...]:
-    """The indices of the ``{y<i>}`` (kind "y") or ``{c<j>}`` (kind "c")
-    fields of an event expression, ascending."""
-    names = {name for _, name, _, _ in string.Formatter().parse(expr) if name}
-    return tuple(sorted(int(name[1:]) for name in names if name[0] == kind))
+def _rms(v: Sequence[float]) -> float:
+    """The root mean square of ``v``, summed as :func:`_rms_expression` sums it."""
+    n = len(v)
+    if n < 8:
+        total = 0.0
+        for x in v:
+            total = total + x * x
+    else:
+        sq = [x * x for x in v]
+        r = sq[:8]
+        end = n - n % 8
+        for i in range(8, end, 8):
+            r = [a + b for a, b in zip(r, sq[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in sq[end:]:
+            total = total + x
+    return math.sqrt(total / n)
+
+
+def _initial_step(f, y, k1, rtol, atol, span, max_step):
+    """Hairer's starting step from ``y``, where ``k1 = f(y)`` is finite, or
+    None where ``h0`` is 0 (``d1`` overflowed), before the probe ``f(y + h0
+    * k1)``, whose norm divides by ``h0``."""
+    sc = [atol + rtol * abs(a) for a in y]
+    d0 = _rms([a / s for a, s in zip(y, sc)])
+    d1 = _rms([a / s for a, s in zip(k1, sc)])
+    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    h0 = min(h0, span, max_step)
+    if h0 == 0.0:
+        return None
+    f1 = f([a + h0 * b for a, b in zip(y, k1)])
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, k1, sc)]) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, span, max_step)
+
+
+def _step(f, rtol, atol, h, y, k1):
+    """One step attempt of size ``h`` from ``y``, where ``k1 = f(y)``:
+    ``(calls, err, y1, k)``, ``k`` the seven stages, ``k7 = f(y1)``, and
+    ``calls`` the RHS evaluations made. A stage state or ``y1`` that is not
+    finite gives ``(calls, None, None, None)`` after the calls made so far."""
+    ys = [a + h * (_A21 * b) for a, b in zip(y, k1)]
+    if not all(map(math.isfinite, ys)):
+        return 0, None, None, None
+    k2 = f(ys)
+    ys = [a + h * (_A31 * b + _A32 * c) for a, b, c in zip(y, k1, k2)]
+    if not all(map(math.isfinite, ys)):
+        return 1, None, None, None
+    k3 = f(ys)
+    ys = [a + h * (_A41 * b + _A42 * c + _A43 * d) for a, b, c, d in zip(y, k1, k2, k3)]
+    if not all(map(math.isfinite, ys)):
+        return 2, None, None, None
+    k4 = f(ys)
+    ys = [a + h * (_A51 * b + _A52 * c + _A53 * d + _A54 * e)
+          for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, ys)):
+        return 3, None, None, None
+    k5 = f(ys)
+    ys = [a + h * (_A61 * b + _A62 * c + _A63 * d + _A64 * e + _A65 * g)
+          for a, b, c, d, e, g in zip(y, k1, k2, k3, k4, k5)]
+    if not all(map(math.isfinite, ys)):
+        return 4, None, None, None
+    k6 = f(ys)
+    y1 = [a + h * (_B1 * b + _B3 * d + _B4 * e + _B5 * g + _B6 * x)
+          for a, b, d, e, g, x in zip(y, k1, k3, k4, k5, k6)]
+    if not all(map(math.isfinite, y1)):
+        return 5, None, None, None
+    k7 = f(y1)
+    err = _rms([
+        h * (_E1 * b + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * x)
+        / (atol + rtol * max(abs(a0), abs(a1)))
+        for a0, a1, b, c, d, e, g, x in zip(y, y1, k1, k3, k4, k5, k6, k7)
+    ])
+    return 6, err, y1, (k1, k2, k3, k4, k5, k6, k7)
+
+
+def _dense(t, h, y, y1, k):
+    """The quartic interpolant of the step ``(t, h)`` from ``y`` to ``y1``
+    with the stages ``k``, as a function of time."""
+    k1, _, k3, k4, k5, k6, k7 = k
+    coeffs = []
+    for a, b, c1, c3, c4, c5, c6, c7 in zip(y, y1, k1, k3, k4, k5, k6, k7):
+        d1 = b - a
+        d2 = h * c1 - d1
+        coeffs.append((a, d1, d2, d1 - h * c7 - d2,
+                       h * (_D1 * c1 + _D3 * c3 + _D4 * c4 + _D5 * c5 + _D6 * c6 + _D7 * c7)))
+
+    def dense(at):
+        theta = (at - t) / h
+        om = 1 - theta
+        return [a + theta * (b + om * (c + theta * (d + om * e))) for a, b, c, d, e in coeffs]
+
+    return dense
+
+
+def _locate(fn, c, lo, hi, glo, dense, t0):
+    """The time of a sign change of the event ``fn`` with constants ``c`` on
+    ``(lo, hi]``, where it was ``glo`` at ``lo``: bisection over ``dense`` to
+    1e-13 of the time elapsed since ``t0``, or until the midpoint rounds
+    onto an end."""
+    for _ in range(200):
+        if hi - lo <= 1e-13 * max(1.0, hi - t0):
+            break
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        gm = fn(dense(mid), c)
+        if gm == 0.0:
+            return mid
+        if (glo < 0.0) == (gm < 0.0):
+            lo, glo = mid, gm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+_time = itemgetter(0)
+
+
+class _Subscripts(dict):
+    def __missing__(self, name):
+        return f"{name[0]}[{name[1:]}]"
 
 
 @functools.lru_cache(maxsize=None)
-def _loop(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
-          series: Optional[RhsSource] = None):
-    """Compile ``run(rhs, t0, y0, icfg, specs, series)``, the whole adaptive
-    loop for ``d`` state components, the ``(expr, direction)`` of each event
-    spec, the text of the RHS source ``rhs`` and that of the per-sample
-    series ``series`` (``{k0}, {k1}, ...`` of its template; none for None).
+def _event_function(expr: str):
+    """The event expression ``expr`` as ``fn(y, c)`` of a state list ``y``
+    and the spec's ``values`` ``c``."""
+    return eval(f"lambda y, c: {expr.format_map(_Subscripts())}", {"fabs": math.fabs})
 
-    The loop is straight-line code per step with one local per component and
-    stage (component ``i`` of stage ``j`` is ``k{j}_{i}``): Hairer's starting
-    step (or a failure before any attempt when k1 or that step is not
-    finite), the step-size guards, the six stages with their finiteness
-    checks, the error norm of :func:`_rms_expression`, the PI controller, the
-    event values and crossing tests, and the bisection of each crossing
-    event over the components it reads. Each of its eight RHS evaluations
-    (k1, the starting-step probe, stages 2 to 6 and k7) is the template of
-    ``rhs`` pasted in over that stage's locals; there is no call.
+
+def _python_loop(rhs, t0, y, icfg, specs, series):
+    """The loop of the C kernel (:func:`_kernel`) in Python, with the same
+    arguments and result: the same operations in the same order, so the
+    same bytes. ``rhs`` is an :class:`RhsSource`, which runs compiled
+    (``dynamics._compile``), or a callable from a state list to its
+    derivative list; ``series`` an :class:`RhsSource` or None.
 
     A step with a crossing or a grid sample before its end plus a slack of
-    ``1e-9 * sample_dt`` writes its rows as the kernel's ``record`` does:
-    its located events in time order up to the first that stops the run,
-    and, in the nested function ``rows``, its grid indices up to the stop
-    or the step's end plus the slack, found by one division and exact tests
-    at its ends, merged by time with those events, an event first on a
-    tie. A grid row at ``ts`` takes the interpolant, or the end state ``z``
-    at the cut time where ``ts >= cut``; in a stopping step that row shares
-    the stop's time and is dropped. Every row, the start and end rows too,
-    goes through the nested function ``emit``, the kernel's ``emit`` and
-    the one place the template of ``series`` is pasted, over its own
-    constants: it drops a row within ``1e-12 * max(t - t0, 1)`` of the last
-    row kept, and appends the time, the state and the series values of a
-    row it keeps to ``array('d')`` buffers. (Keeping the per-row code out
-    of the large frame of ``run`` also keeps ``tracemalloc``, which looks up
-    the line of each object made, from slowing a traced run about
-    sevenfold.)
-
-    It reads the templates' constants from the ``rhs`` and ``series`` it is
-    called with, the run's tolerances, horizon, step cap, sample grid and
-    step budget from ``icfg``, and each event's constants from its spec's
-    ``values``. Every expression keeps the operation order of the
-    per-component list loop it replaces (see ``tests/conftest.py``), so
-    every bit is that loop's.
-
-    ``run`` returns ``(times, states, raw events, stop, stats, series)``:
-    the buffers of the row times and of the states row after row, ``stop``
-    the ``stop`` of the spec whose event ended the run or None, and
-    ``series`` one buffer per series, or None where ``series`` is None.
+    ``1e-9 * sample_dt`` writes its rows: its located events in time order
+    up to the first that stops the run, and its grid samples up to the stop
+    or the step's end plus the slack, merged by time, an event first on a
+    tie. A grid sample at ``ts >= cut`` is the end state at the cut time; in
+    a stopping step that row shares the stop's time and is dropped. The
+    nested ``emit`` drops a row within ``1e-12 * max(t - t0, 1)`` of the
+    last row kept, and appends the time, the state and the series values of
+    a row it keeps to ``array('d')`` buffers, which numpy wraps without a
+    copy.
     """
-    comps = range(d)
-    columns = range(_series_count(series))
-    out: list[str] = []
+    d = len(y)
+    f = _compile(rhs, d)(**rhs.bound) if isinstance(rhs, RhsSource) else rhs
+    rtol, atol, max_step = icfg.rtol, icfg.atol, icfg.max_step
+    sample_dt, max_steps = icfg.sample_dt, icfg.max_steps
+    t_end = t0 + icfg.t_max
+    t = t0
+    k1 = f(y)
+    n_rhs, failure = 1, "nonfinite_start"
+    if all(map(math.isfinite, k1)):
+        h = _initial_step(f, y, k1, rtol, atol, t_end - t0, max_step)
+        if h is not None:
+            n_rhs = 2  # k1 and the starting-step probe
+            if 0.0 < h < math.inf:
+                failure = None
 
-    def put(level, *lines):
-        out.extend("    " * level + line for line in lines)
+    times, states = array("d"), array("d")
+    columns = [array("d") for _ in range(_series_count(series))]
+    values = series and _compile(series, d)(**series.bound)
 
-    def listed(prefix, indices=comps):
-        return ", ".join(f"{prefix}{i}" for i in indices)
+    def emit(tr, u):
+        a = tr - t0
+        if times and tr - times[-1] <= 1e-12 * (a if a > 1.0 else 1.0):
+            return
+        times.append(tr)
+        states.extend(u)
+        if values:
+            for column, value in zip(columns, values(u)):
+                column.append(value)
 
-    def combo(weights, i):
-        return " + ".join(f"{w!r} * k{j}_{i}" for j, w in weights)
+    emit(t, y)
+    events = [(_event_function(spec.expr), spec.values, spec) for spec in specs]
+    g = [fn(y, c) for fn, c, _ in events]
+    raw_events = []
+    sample_index = 1
+    facold = 1e-4
+    rejected = False
+    n_steps = n_error = n_nonfinite = 0  # n_nonfinite: a non-finite stage, update or err
+    h_min, h_max = math.inf, 0.0
+    stop = None
+    # The horizon is met within 1e-12 of the span (at least 1e-12); a longer
+    # remainder, even a few ulps of a late t, is one more step.
+    close = 1e-12 * max(1.0, t_end - t0)
+    slack = 1e-9 * sample_dt
+    while failure is None and t_end - t > close:
+        h = min(h, max_step)
+        landing = h > t_end - t  # cut short to land on t_end
+        if landing:
+            h = t_end - t
+        # The smallest step scales with the elapsed time, not with t itself.
+        if h < 1e-14 * max(1.0, t - t0) or t + h == t:
+            failure = "underflow"
+        elif n_steps + n_error + n_nonfinite >= max_steps:
+            failure = "budget"
+        elif max(map(abs, y)) > 1e12:
+            failure = "blowup"
+        if failure is not None:
+            break
 
-    def event(k, prefix):
-        # Event k over the locals prefix0, prefix1, ... and its constants.
-        expr = events[k][0]
-        names = {f"y{i}": f"{prefix}{i}" for i in _fields(expr, "y")}
-        names.update({f"c{j}": f"c{k}_{j}" for j in _fields(expr, "c")})
-        return expr.format(**names)
+        calls, err, y1, k = _step(f, rtol, atol, h, y, k1)
+        n_rhs += calls
+        if err is None or not math.isfinite(err):
+            n_nonfinite += 1
+            rejected = True
+            h *= 0.1
+            continue
+        fac11 = err ** _EXPO1
+        if err > 1.0:
+            n_error += 1
+            rejected = True
+            h = h / min(1.0 / _FAC_MIN, fac11 / _SAFETY)
+            continue
 
-    def interpolant(i):
-        return f"x{i} + theta * (d1_{i} + om * (d2_{i} + theta * (d3_{i} + om * d4_{i})))"
+        n_steps += 1
+        if not landing:
+            h_min = min(h_min, h)
+            h_max = max(h_max, h)
+        tnew = t + h
+        G = [fn(y1, c) for fn, c, _ in events]
+        crossed = []
+        for (fn, c, spec), g0, g1 in zip(events, g, G):
+            if (g0 < 0.0 < g1) or (g0 > 0.0 > g1) or (g0 != 0.0 and g1 == 0.0):
+                direction = 1 if g0 < 0.0 else -1
+                if not spec.direction or spec.direction == direction:
+                    crossed.append((fn, c, spec, direction, g0, g1))
+        if crossed or t0 + sample_index * sample_dt <= tnew + slack:
+            dense = _dense(t, h, y, y1, k)
+            located = sorted(
+                ((tnew if g1 == 0.0 else _locate(fn, c, t, tnew, g0, dense, t0), spec, direction)
+                 for fn, c, spec, direction, g0, g1 in crossed),
+                key=_time,
+            )
+            cut = tnew
+            for n, (te, spec, _) in enumerate(located, start=1):
+                if spec.stop is not None:
+                    cut, stop = te, spec.stop
+                    del located[n:]
+                    break
+            rows = [(te, dense(te), spec, direction) for te, spec, direction in located]
+            while (ts := t0 + sample_index * sample_dt) <= cut + slack:
+                rows.append((cut, y1, None, 0) if ts >= cut else (ts, dense(ts), None, 0))
+                sample_index += 1
+            rows.sort(key=_time)  # stable: an event first on a tie
+            for tr, u, spec, direction in rows:
+                if spec is not None:
+                    raw_events.append((tr, spec, direction, u))
+                emit(tr, u)
+            if stop is not None:
+                break
 
-    def dense_at(level, at):
-        put(level, f"theta = ({at} - t) / h", "om = 1 - theta")
-
-    def reject_unless_finite(level, names, calls):
-        # 0.0 * v is a zero for every finite v and nan for inf or nan.
-        put(level, f"if {' + '.join(f'0.0 * {v}' for v in names)} != 0.0:")
-        if calls:
-            put(level + 1, f"n_rhs += {calls}")
-        put(level + 1, "n_nonfinite += 1", "rejected = True", "h *= 0.1", "continue")
-
-    def derivative(level, args, out):
-        # The RHS at the state ``args`` into the locals out0, out1, ...: an
-        # expression argument is assigned to a stage local first, as the
-        # template reads each component as a plain name.
-        names = {}
-        for i, arg in zip(comps, args):
-            if not arg.isidentifier():
-                put(level, f"s{i} = {arg}")
-                arg = f"s{i}"
-            names[f"y{i}"] = arg
-        names.update((f"k{i}", f"{out}{i}") for i in comps)
-        put(level, *rhs.template.format(**names).splitlines())
-
-    def rms(level, target, values, scale=""):
-        put(level, *(f"u{i} = {v}" for i, v in zip(comps, values)))
-        put(level, f"{target} = {_rms_expression([f'u{i}' for i in comps])}{scale}")
-
-    def crossing(k):
-        # The crossing tests of the list loop, split by direction: g rose
-        # through or onto zero, or fell (a nan start counts as falling).
-        up = f"g{k} < 0.0 <= G{k}"
-        down = f"g{k} > 0.0 >= G{k} or g{k} != g{k} and G{k} == 0.0"
-        return {1: up, -1: down, 0: f"{up} or {down}"}[events[k][1]]
-
-    ev = range(len(events))
-    put(1, "rtol = icfg.rtol", "atol = icfg.atol", "max_step = icfg.max_step",
-        "sample_dt = icfg.sample_dt", "max_steps = icfg.max_steps",
-        "t_end = t0 + icfg.t_max", "t = t0", f"[{listed('x')}] = y0",
-        *(f"{name} = rhs.bound[{name!r}]" for name in rhs.bound))
-    for k in ev:
-        constants = _fields(events[k][0], "c")
-        if constants:
-            put(1, f"[{listed(f'c{k}_', constants)}] = specs[{k}].values")
-    derivative(1, [f"x{i}" for i in comps], "k1_")
-    put(1, "n_rhs = 1", "failure = None")
-
-    # Hairer's starting-step heuristic, unless k1 is not finite; the run
-    # fails at once if either gives no finite positive starting step.
-    put(1, f"if {' + '.join(f'0.0 * k1_{i}' for i in comps)} != 0.0:",
-        "    failure = 'nonfinite_start'", "else:")
-    put(2, *(f"sc{i} = atol + rtol * abs(x{i})" for i in comps))
-    rms(2, "norm0", [f"x{i} / sc{i}" for i in comps])
-    rms(2, "norm1", [f"k1_{i} / sc{i}" for i in comps])
-    put(2, "h0 = 1e-6 if (norm0 < 1e-5 or norm1 < 1e-5) else 0.01 * norm0 / norm1",
-        "span = t_end - t0",
-        "if span < h0:", "    h0 = span",
-        "if max_step < h0:", "    h0 = max_step",
-        # An overflowing norm1 gives h0 = 0: no probe, whose norm divides by h0.
-        "if h0 == 0.0:", "    failure = 'nonfinite_start'", "else:")
-    derivative(3, [f"x{i} + h0 * k1_{i}" for i in comps], "f1_")
-    rms(3, "norm2", [f"(f1_{i} - k1_{i}) / sc{i}" for i in comps], " / h0")
-    put(3, "top = norm2 if norm2 > norm1 else norm1",
-        "if top <= 1e-15:",
-        "    h1 = h0 * 1e-3",
-        "    h1 = h1 if h1 > 1e-6 else 1e-6",
-        "else:",
-        "    h1 = (0.01 / top) ** 0.2",
-        "h = 100 * h0",
-        "if h1 < h:", "    h = h1",
-        "if span < h:", "    h = span",
-        "if max_step < h:", "    h = max_step",
-        "n_rhs = 2  # k1 and the starting-step probe",
-        "if not 0.0 < h < inf:", "    failure = 'nonfinite_start'")
-
-    # The row writer: the drop rule, then the row and its series.
-    put(1, "times = array('d')", "states = array('d')",
-        *(f"column{j} = array('d')" for j in columns))
-    # Its own constants, as keyword-only defaults: the RHS's may differ.
-    defaults = "".join(f", {name}=series.bound[{name!r}]" for name in series.bound) if series else ""
-    put(1, f"def emit(tr, {listed('u')}{', *' if defaults else ''}{defaults}):")
-    put(2, "a = tr - t0",
-        "if times and tr - times[-1] <= 1e-12 * (a if a > 1.0 else 1.0):", "    return",
-        "times.append(tr)", f"states.extend(({listed('u')}{',' if d == 1 else ''}))")
-    if series is not None:
-        names = {f"y{i}": f"u{i}" for i in comps}
-        names.update((f"k{j}", f"r{j}") for j in columns)
-        put(2, *series.template.format(**names).splitlines(),
-            *(f"column{j}.append(r{j})" for j in columns))
-    put(1, f"emit(t, {listed('x')})", "raw_events = []")
-
-    # The row writer of a step: the last grid index i with t0 + i *
-    # sample_dt <= bound, which the division finds to within its rounding
-    # and the exact tests settle, then the step's events and its grid rows
-    # up to i, merged by time. It returns the next grid index.
-    located = ", located, n_located" if events else ""
-    listed_all = ", ".join(listed(prefix) for prefix in ("x", "d1_", "d2_", "d3_", "d4_", "z"))
-    put(1, f"def rows(t, h, cut, bound, sample_index{located}, coefficients):",
-        f"    [{listed_all}] = coefficients",
-        "    i = (bound - t0) // sample_dt",
-        "    while t0 + (i + 1.0) * sample_dt <= bound:", "        i += 1.0",
-        "    while t0 + i * sample_dt > bound:", "        i -= 1.0")
-    if events:
-        put(2, "n_taken = 0", "while n_taken < n_located or sample_index <= i:",
-            "    ts = t0 + sample_index * sample_dt",
-            "    if n_taken < n_located and (sample_index > i",
-            "                                or located[n_taken][0] <= (cut if ts >= cut else ts)):",
-            "        te, spec, direction = located[n_taken]",
-            "        n_taken += 1")
-        # An event row takes the interpolant, as does its state.
-        dense_at(4, "te")
-        put(4, *(f"u{i} = {interpolant(i)}" for i in comps),
-            f"raw_events.append((te, spec, direction, [{listed('u')}]))",
-            f"emit(te, {listed('u')})")
-        put(3, "elif ts >= cut:")
-    else:
-        put(2, "while sample_index <= i:", "    ts = t0 + sample_index * sample_dt",
-            "    if ts >= cut:")
-    put(4, "sample_index += 1.0", f"emit(cut, {listed('z')})")
-    put(3, "else:", "    sample_index += 1.0")
-    dense_at(4, "ts")
-    put(4, *(f"u{i} = {interpolant(i)}" for i in comps), f"emit(ts, {listed('u')})")
-    put(2, "return sample_index")
-
-    put(1, *(f"g{k} = {event(k, 'x')}" for k in ev))
-    put(1, "sample_index = 1.0", "facold = 1e-4", "rejected = False",
-        "n_steps = 0", "n_error = 0  # rejected for err > 1",
-        "n_nonfinite = 0  # rejected for a non-finite stage, update or err",
-        "h_min = inf", "h_max = 0.0", "stop = None",
-        # The horizon is met within 1e-12 of the span (at least 1e-12); a
-        # longer remainder, even a few ulps of a late t, is one more step.
-        "close = 1e-12 * max(t_end - t0, 1.0)",
-        "slack = 1e-9 * sample_dt")
-
-    put(1, "while failure is None and t_end - t > close:")
-    put(2, "if max_step < h:", "    h = max_step",
-        "landing = h > t_end - t  # cut short to land on t_end",
-        "if landing:", "    h = t_end - t")
-    # Underflow, iteration-budget and blowup guards: the truncated moment
-    # hierarchy can develop finite-time blowups, which must surface as a step
-    # failure with the partial trajectory intact.
-    biggest = f"max({', '.join(f'abs(x{i})' for i in comps)})" if d > 1 else "abs(x0)"
-    # The smallest step scales with the elapsed time, not with t itself; a
-    # step too small to move t fails as well.
-    put(2, "a = t - t0",
-        "if h < 1e-14 * (a if a > 1.0 else 1.0) or t + h == t:",
-        "    failure = 'underflow'", "    break",
-        "if n_steps + n_error + n_nonfinite >= max_steps:", "    failure = 'budget'", "    break",
-        f"if {biggest} > 1e12:", "    failure = 'blowup'", "    break")
-
-    # One step attempt (FSAL: k1 carried over from the previous step).
-    for j, row in enumerate(_A, start=2):
-        put(2, *(f"s{i} = x{i} + h * ({combo(row, i)})" for i in comps))
-        reject_unless_finite(2, [f"s{i}" for i in comps], j - 2)
-        derivative(2, [f"s{i}" for i in comps], f"k{j}_")
-    put(2, *(f"z{i} = x{i} + h * ({combo(_B, i)})" for i in comps))
-    reject_unless_finite(2, [f"z{i}" for i in comps], 5)
-    derivative(2, [f"z{i}" for i in comps], "k7_")
-    put(2, "n_rhs += 6")
-    for i in comps:
-        # The scale takes max(|x|, |z|) the way the builtin picks it, inline.
-        put(2, f"m{i} = abs(x{i})", f"n{i} = abs(z{i})",
-            f"e{i} = h * ({combo(_E, i)}) / (atol + rtol * (n{i} if n{i} > m{i} else m{i}))")
-    put(2, f"err = {_rms_expression([f'e{i}' for i in comps])}")
-    reject_unless_finite(2, ["err"], 0)
-    put(2, f"fac11 = err ** {_EXPO1!r}",
-        "if err > 1.0:",
-        "    n_error += 1",
-        "    rejected = True",
-        f"    a = fac11 / {_SAFETY!r}",
-        f"    h = h / (a if a < {1.0 / _FAC_MIN!r} else {1.0 / _FAC_MIN!r})",
-        "    continue")
-
-    # Accepted.
-    put(2, "n_steps += 1",
-        "if not landing:",
-        "    if h < h_min:", "        h_min = h",
-        "    if h > h_max:", "        h_max = h",
-        "tnew = t + h")
-    put(2, *(f"G{k} = {event(k, 'z')}" for k in ev))
-    # The interpolant's coefficients and the rows, only for a step with an
-    # event or a sample before tnew + slack.
-    if events:
-        put(2, f"crossing = {' or '.join(f'({crossing(k)})' for k in ev)}")
-    put(2, "ts = t0 + sample_index * sample_dt", "bound = tnew + slack",
-        f"if {'crossing or ' if events else ''}not ts > bound:")
-    for i in comps:
-        put(3, f"d1_{i} = z{i} - x{i}", f"d2_{i} = h * k1_{i} - d1_{i}",
-            f"d3_{i} = d1_{i} - h * k7_{i} - d2_{i}", f"d4_{i} = h * ({combo(_D, i)})")
-    put(3, "cut = tnew")
-    if events:
-        # Events on (t, tnew]: locate each crossing by bisection over dense
-        # output (~1e-13 in time), in time order (a stable sort), and keep
-        # the n_located up to the first that stops the run; its time cuts
-        # the step's grid samples.
-        put(3, "located = []", "n_located = 0", "if crossing:")
-        put(4, "crossed = []")
-        for k in ev:
-            direction = events[k][1] or f"1 if g{k} < 0.0 else -1"
-            put(4, f"if {crossing(k)}:", f"    crossed.append(({k}, g{k}, G{k}, {direction}))")
-        put(4, "for k, glo, gend, direction in crossed:",
-            "    if gend == 0.0:", "        te = tnew", "    else:")
-        put(6, "lo = t", "hi = tnew", "for _ in range(200):")
-        # The width rule scales with the elapsed time, as the step rules do;
-        # at a late start it is finer than the float spacing, where the
-        # midpoint rounds onto an end.
-        put(7, "a = hi - t0",
-            "if hi - lo <= 1e-13 * (a if a > 1.0 else 1.0):",
-            "    te = 0.5 * (lo + hi)", "    break",
-            "mid = 0.5 * (lo + hi)",
-            "if mid == lo or mid == hi:", "    te = mid", "    break")
-        dense_at(7, "mid")
-        for k in ev:  # event k's value, from the components it reads
-            put(7, f"{'if' if k == 0 else 'elif'} k == {k}:")
-            put(8, *(f"u{i} = {interpolant(i)}" for i in _fields(events[k][0], "y")),
-                f"gm = {event(k, 'u')}")
-        put(7, "if gm == 0.0:", "    te = mid", "    break",
-            "if (glo < 0.0) == (gm < 0.0):", "    lo = mid", "    glo = gm",
-            "else:", "    hi = mid")
-        put(6, "else:", "    te = 0.5 * (lo + hi)")
-        put(5, "located.append((te, specs[k], direction))")
-        put(4, "located.sort(key=_time)", "for te, spec, direction in located:",
-            "    n_located += 1",
-            "    if spec.stop is not None:",
-            "        cut = te",
-            "        stop = spec.stop",
-            "        bound = cut + slack",
-            "        break")
-    put(3, f"sample_index = rows(t, h, cut, bound, sample_index{located}, ({listed_all},))")
-    if events:
-        put(3, "if stop is not None:", "    break")
-
-    # PI controller update.
-    put(2, f"fac = fac11 / facold ** {_BETA!r}",
-        f"a = fac / {_SAFETY!r}",
-        f"fac = a if a < {1.0 / _FAC_MIN!r} else {1.0 / _FAC_MIN!r}",
-        f"fac = fac if fac > {1.0 / _FAC_MAX!r} else {1.0 / _FAC_MAX!r}",
-        "hnew = h / fac",
-        "if rejected and h < hnew:", "    hnew = h",
-        "facold = 1e-4 if err < 1e-4 else err",
-        "rejected = False",
-        "t = tnew",
-        *(f"x{i} = z{i}" for i in comps),
-        *(f"k1_{i} = k7_{i}" for i in comps),
-        *(f"g{k} = G{k}" for k in ev),
-        "h = hnew")
+        # PI controller update.
+        fac = fac11 / facold ** _BETA
+        fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFETY))
+        hnew = h / fac
+        if rejected:
+            hnew = min(hnew, h)
+        facold = max(err, 1e-4)
+        rejected = False
+        t, y, k1, g = tnew, y1, k[6], G
+        h = hnew
 
     # After a stop the last row is the stop event's, at its time.
-    put(1, "if stop is None:", f"    emit(t, {listed('x')})")
-    put(1, "stats = {",
-        "    'n_steps': n_steps,",
-        "    'n_rejected': n_error + n_nonfinite,",
-        "    'n_rhs': n_rhs,",
-        "    'n_rejected_error': n_error,",
-        "    'n_rejected_nonfinite': n_nonfinite,",
-        "    # Over accepted steps, leaving out one cut short to land on t_end.",
-        "    'h_min': h_min if h_max else None,",
-        "    'h_max': h_max if h_max else None,",
-        "}",
-        "if failure is not None:", "    stats['failure'] = failure")
-    values = f"[{listed('column', columns)}]" if series is not None else "None"
-    put(1, f"return times, states, raw_events, stop, stats, {values}")
-    source = (
-        "from array import array\n"
-        "from math import fabs, inf, sqrt\n"
-        "from operator import itemgetter\n"
-        "_time = itemgetter(0)\n"
-        "def run(rhs, t0, y0, icfg, specs, series):\n"
-        + "".join(f"{line}\n" for line in out)
-    )
-    described = "; ".join(
-        expr + {0: "", 1: " rising", -1: " falling"}[direction] for expr, direction in events
-    )
-    label = f"dopri5 loop d={d} rhs: {rhs.label}; events: {described}"
-    if series is not None:
-        label += f"; series: {series.label}"
-    return exec_source(source, label)["run"]
+    if stop is None:
+        emit(t, y)
+    stats = {
+        "n_steps": n_steps,
+        "n_rejected": n_error + n_nonfinite,
+        "n_rhs": n_rhs,
+        "n_rejected_error": n_error,
+        "n_rejected_nonfinite": n_nonfinite,
+        # Over accepted steps, leaving out one cut short to land on t_end.
+        "h_min": h_min if h_max else None,
+        "h_max": h_max if h_max else None,
+    }
+    if failure is not None:
+        stats["failure"] = failure
+    return (np.frombuffer(times), np.frombuffer(states).reshape(-1, d), raw_events, stop, stats,
+            None if series is None else [np.frombuffer(column) for column in columns])
 
 
-# The loop of :func:`_loop` in C, statement for statement, over arrays of D
-# doubles, its rows and their per-sample series included, as four
-# translation units that share _C_SHARED; :func:`_c_units` fills in the
-# $-fields. Each operation is that of the Python code in its order, so
-# every bit is the same: floordiv is Python's float floor division, and max,
-# abs and conditional expressions are comparisons in the order the builtins
-# make them. The compiler's memory grows with the largest function and unit,
-# so the loop's parts are functions in separate units, and no header is read.
+# The loop of :func:`_python_loop` in C over arrays of D doubles, its rows
+# and their per-sample series included, as four translation units that
+# share _C_SHARED; :func:`_c_units` fills in the $-fields. Each operation is
+# that of the Python loop in its order, so every bit is the same: floordiv
+# is Python's float floor division, and min, max, abs and conditional
+# expressions are comparisons in the order the builtins make them. The
+# compiler's memory grows with the largest function and unit, so the loop's
+# parts are functions in separate units, and no header is read.
 _C_SHARED = r"""#if !defined(__FLT_EVAL_METHOD__) || __FLT_EVAL_METHOD__ != 0
 #error "each double operation must round to double, as Python's do"
 #endif
@@ -1176,9 +1121,9 @@ def _c_units(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
     """The C translation units of the kernel for ``d`` state components,
     the ``(expr, direction)`` of each event spec, the RHS source ``rhs``
     and the per-sample series ``series`` (``{k0}, {k1}, ...`` of its
-    template; none for None): the loop of :func:`_loop` with its rows and
-    their series, the templates as the functions ``rhs`` and ``series``
-    and the events as the function ``event``. Raises
+    template; none for None): the loop of :func:`_python_loop` with its
+    rows and their series, the templates as the functions ``rhs`` and
+    ``series`` and the events as the function ``event``. Raises
     :class:`native.NotC` for a template or an event with no exact C
     translation."""
     def combo(weights):
@@ -1257,7 +1202,8 @@ def _kernel(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
             series: Optional[RhsSource] = None):
     """``run(rhs, t0, y0, icfg, specs, series)``, the C kernel of
     :func:`_c_units`, or None where the kernel cannot be translated,
-    compiled, cached or loaded (see :mod:`native`). ``run`` returns what
+    compiled, cached or loaded (see :mod:`native`). ``run`` takes the
+    arguments of :func:`_python_loop` and returns the same bytes: what
     :func:`_propagate` returns, its stop as the stopping spec's ``stop``
     and its series as a list of arrays, one per series (None where
     ``series`` is None). Its arrays are the kernel's own memory, freed with
@@ -1323,14 +1269,6 @@ def _kernel(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
     return run
 
 
-def _callable_source(f, d: int) -> RhsSource:
-    """An opaque RHS callable ``f`` as the one-line source that calls it on
-    a state list of ``d`` components."""
-    outputs = ", ".join(f"{{k{i}}}" for i in range(d))
-    inputs = ", ".join(f"{{y{i}}}" for i in range(d))
-    return RhsSource(f"[{outputs}] = f([{inputs}])", "a callable f", {"f": f})
-
-
 def _float_constants(source: RhsSource) -> RhsSource:
     """``source`` with its constants as floats."""
     return RhsSource(source.template, source.label,
@@ -1355,8 +1293,8 @@ def _propagate(
     ValueError (:func:`_events`). Runs the C kernel (:func:`_kernel`) for
     the state dimension, the specs' expressions, an :class:`RhsSource` and
     the per-sample series source ``series`` (or none), or else, where that
-    kernel is None or the RHS a callable, the Python loop :func:`_loop`
-    compiled for them, whose buffers numpy wraps without a copy; which one
+    kernel is None or the RHS a callable, the Python loop
+    :func:`_python_loop`, which compiles the sources it is given; which one
     runs depends on those and the machine only, and its result is final.
     Returns (times, states, raw events, termination, stats, series):
     ``times`` is the float array of sample times and ``states`` the ``(n,
@@ -1377,23 +1315,14 @@ def _propagate(
 def _run(rhs, t0, y0, icfg, specs, events, series):
     """:func:`_propagate` for a tuple of ``specs`` whose ``events`` are
     already known, as :func:`_events` gives them."""
-    d = len(y0)
     t0, y0 = float(t0), [float(a) for a in y0]
     series = series and _float_constants(series)
-    kernel = None
+    run = None
     if isinstance(rhs, RhsSource):
         rhs = _float_constants(rhs)
-        kernel = _kernel(d, events, rhs, series)
-    else:
-        rhs = _callable_source(rhs, d)
-    if kernel is not None:
-        result = kernel(rhs, t0, y0, icfg, specs, series)
-    else:
-        times, states, raw_events, stop, stats, values = _loop(d, events, rhs, series)(
-            rhs, t0, y0, icfg, specs, series)
-        result = (np.frombuffer(times), np.frombuffer(states).reshape(-1, d), raw_events, stop,
-                  stats, values and [np.frombuffer(column) for column in values])
-    times, states, raw_events, stop, stats, values = result
+        run = _kernel(len(y0), events, rhs, series)
+    times, states, raw_events, stop, stats, values = (run or _python_loop)(
+        rhs, t0, y0, icfg, specs, series)
     if "failure" in stats:
         termination = Termination.STEP_FAILURE
     else:

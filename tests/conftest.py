@@ -4,13 +4,14 @@ The finite-difference machinery here is the independent check for the jet
 derivatives: central stencils of second-order accuracy pushed through two
 Richardson extrapolation levels. :func:`reference_jet` is the independent
 check for the generated jet code: the same recurrence as a plain loop, which
-the generated code must match bit for bit. :func:`reference_integrate` plays
-the same part for the generated Dormand-Prince loop: the adaptive loop written
-with per-component list code (:func:`reference_step`), a list dense output and
-a plain bisection. :func:`darboux_integrate` is an independent realization of
-the order-2 moment system, the oracle for its tags. :func:`split_operator_moments`
-solves the Schrödinger equation itself: the exact quantum moments that the
-truncated moment system approximates.
+the generated code must match bit for bit. :data:`TABLEAU` holds the
+Dormand-Prince tableau and the step-size controller's constants, typed in
+independently of the integrator's tables: the C kernel and the Python loop
+both read those tables, so only a comparison with this copy shows a mistyped
+weight. :func:`darboux_integrate` is an independent realization of the
+order-2 moment system, the oracle for its tags. :func:`split_operator_moments` solves the Schrödinger equation
+itself: the exact quantum moments that the truncated moment system
+approximates.
 
 Property tests run derandomized and without an example database, so every
 run, in CI or locally, draws the same examples.
@@ -26,7 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from momentous import BarrierPotential, GaussianPacket, IntegratorConfig, Termination
+from momentous import BarrierPotential, GaussianPacket, IntegratorConfig
 from momentous.dynamics import effective_series, vector_to_state
 from momentous.integrator import Event, Trajectory, _event_specs, _propagate
 
@@ -57,8 +58,8 @@ def reference_jet(alpha, a, n, q, k_max):
     return [w[k] * float(math.factorial(k)) for k in range(k_max + 1)]
 
 
-# Dormand-Prince 5(4) tableau for reference_step, typed in independently of
-# the integrator's tables.
+# Dormand-Prince 5(4) tableau, typed in independently of the integrator's
+# tables.
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
 _A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
@@ -80,306 +81,25 @@ _D1, _D3, _D4, _D5, _D6, _D7 = (
 )
 
 
-def _finite(v):
-    return all(map(math.isfinite, v))
-
-
-def reference_rms(v):
-    """Root mean square, squares summed in numpy's pairwise order: left to
-    right below 8 terms, otherwise 8 interleaved partial sums combined as a
-    tree, then the remainder."""
-    n = len(v)
-    if n < 8:
-        total = 0.0
-        for x in v:
-            total = total + x * x
-    else:
-        sq = [x * x for x in v]
-        r = sq[:8]
-        end = n - n % 8
-        for i in range(8, end, 8):
-            r = [a + b for a, b in zip(r, sq[i:i + 8])]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for x in sq[end:]:
-            total = total + x
-    return math.sqrt(total / n)
-
-
-def reference_step(f, rtol, atol, h, y, k1):
-    """One Dormand-Prince step of size ``h`` from the float list ``y`` with
-    derivative ``k1``, as per-component list code.
-
-    Returns ``(rhs_calls, err, (y1, k7, coeffs))`` like the generated step:
-    ``coeffs`` holds the quartic dense-output coefficients per component. A
-    stage state or ``y1`` that is not finite gives ``(rhs_calls, None, None)``
-    after the calls made so far.
-    """
-    ys = [a + h * (_A21 * b) for a, b in zip(y, k1)]
-    if not _finite(ys):
-        return 0, None, None
-    k2 = f(ys)
-    ys = [a + h * (_A31 * b + _A32 * c) for a, b, c in zip(y, k1, k2)]
-    if not _finite(ys):
-        return 1, None, None
-    k3 = f(ys)
-    ys = [
-        a + h * (_A41 * b + _A42 * c + _A43 * d)
-        for a, b, c, d in zip(y, k1, k2, k3)
-    ]
-    if not _finite(ys):
-        return 2, None, None
-    k4 = f(ys)
-    ys = [
-        a + h * (_A51 * b + _A52 * c + _A53 * d + _A54 * e)
-        for a, b, c, d, e in zip(y, k1, k2, k3, k4)
-    ]
-    if not _finite(ys):
-        return 3, None, None
-    k5 = f(ys)
-    ys = [
-        a + h * (_A61 * b + _A62 * c + _A63 * d + _A64 * e + _A65 * g)
-        for a, b, c, d, e, g in zip(y, k1, k2, k3, k4, k5)
-    ]
-    if not _finite(ys):
-        return 4, None, None
-    k6 = f(ys)
-    y1 = [
-        a + h * (_B1 * b + _B3 * d + _B4 * e + _B5 * g + _B6 * x)
-        for a, b, d, e, g, x in zip(y, k1, k3, k4, k5, k6)
-    ]
-    if not _finite(y1):
-        return 5, None, None
-    k7 = f(y1)
-    err = reference_rms([
-        h * (_E1 * b + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * x)
-        / (atol + rtol * max(abs(a0), abs(a1)))
-        for a0, a1, b, c, d, e, g, x in zip(y, y1, k1, k3, k4, k5, k6, k7)
-    ])
-    coeffs = []
-    for a, b, c1, c3, c4, c5, c6, c7 in zip(y, y1, k1, k3, k4, k5, k6, k7):
-        ydiff = b - a
-        bspl = h * c1 - ydiff
-        coeffs.append((
-            a,
-            ydiff,
-            bspl,
-            ydiff - h * c7 - bspl,
-            h * (_D1 * c1 + _D3 * c3 + _D4 * c4 + _D5 * c5 + _D6 * c6 + _D7 * c7),
-        ))
-    return 6, err, (y1, k7, coeffs)
-
-
-def reference_dense(t0, h, coeffs):
-    """The quartic interpolant over the step ``[t0, t0 + h]``, from the
-    per-component coefficients of :func:`reference_step`."""
-
-    def dense(t):
-        theta = (t - t0) / h
-        om = 1 - theta
-        return [
-            c0 + theta * (c1 + om * (c2 + theta * (c3 + om * c4)))
-            for c0, c1, c2, c3, c4 in coeffs
-        ]
-
-    return dense
-
-
-def reference_locate_zero(fn, lo, hi, glo, dense, t0):
-    """Bisect a sign change of ``fn`` on ``(lo, hi]`` over dense output, to
-    ~1e-13 of the time elapsed since the run's start ``t0``, or until the
-    midpoint rounds onto an end."""
-    for _ in range(200):
-        if hi - lo <= 1e-13 * max(1.0, hi - t0):
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        gm = fn(dense(mid))
-        if gm == 0.0:
-            return mid
-        if (glo < 0.0) == (gm < 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def reference_initial_step(f, y0, k1, rtol, atol, span, max_step):
-    """Hairer's starting-step heuristic, with :func:`reference_rms`; None,
-    with no probe, where ``h0`` is 0 (``d1`` overflowed)."""
-    sc = [atol + rtol * abs(a) for a in y0]
-    d0 = reference_rms([a / s for a, s in zip(y0, sc)])
-    d1 = reference_rms([a / s for a, s in zip(k1, sc)])
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, span, max_step)
-    if h0 == 0.0:
-        return None
-    f1 = f([a + h0 * b for a, b in zip(y0, k1)])
-    d2 = reference_rms([(a - b) / s for a, b, s in zip(f1, k1, sc)]) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, span, max_step)
-
-
-class _Subscripts(dict):
-    def __missing__(self, name):
-        return f"{name[0]}[{name[1:]}]"
-
-
-def event_function(spec):
-    """``spec``'s event expression as a function of a state list."""
-    fn = eval(f"lambda y, c: {spec.expr.format_map(_Subscripts())}", {"fabs": math.fabs})
-    return lambda y: fn(y, spec.values)
-
-
-def reference_integrate(f, t0, y0, icfg, specs=()):
-    """The adaptive Dormand-Prince loop as list code: the same arguments and
-    the same ``(times, states, raw events, termination, stats)`` as the
-    generated loop, which must match it bit for bit."""
-    rtol, atol, max_step = icfg.rtol, icfg.atol, icfg.max_step
-    sample_dt, max_steps = icfg.sample_dt, icfg.max_steps
-    t_end = t0 + icfg.t_max
-    t = t0
-    y = [float(a) for a in y0]
-    k1 = f(y)
-    n_rhs = 1
-    failure = None
-    if not all(map(math.isfinite, k1)):
-        failure = "nonfinite_start"
-    else:
-        h = reference_initial_step(f, y, k1, rtol, atol, t_end - t0, max_step)
-        if h is None:
-            failure = "nonfinite_start"
-        else:
-            n_rhs = 2  # k1 and the starting-step probe
-            if not 0.0 < h < math.inf:
-                failure = "nonfinite_start"
-    fns = [event_function(spec) for spec in specs]
-
-    times = [t]
-    states = [y]
-    raw_events = []
-    g_prev = [fn(y) for fn in fns]
-    sample_index = 1
-    facold = 1e-4
-    rejected = False
-    n_steps = 0
-    n_error = 0
-    n_nonfinite = 0
-    h_min, h_max = math.inf, 0.0
-    termination = Termination.REACHED_TMAX if failure is None else Termination.STEP_FAILURE
-
-    def record(tr, yr):
-        if tr - times[-1] > 1e-12 * max(1.0, tr - t0):
-            times.append(tr)
-            states.append(yr)
-
-    close = 1e-12 * max(1.0, t_end - t0)
-    while failure is None and t_end - t > close:
-        h = min(h, max_step)
-        landing = h > t_end - t
-        if landing:
-            h = t_end - t
-        if h < 1e-14 * max(1.0, t - t0) or t + h == t:
-            failure = "underflow"
-        elif n_steps + n_error + n_nonfinite >= max_steps:
-            failure = "budget"
-        elif max(map(abs, y)) > 1e12:
-            failure = "blowup"
-        if failure is not None:
-            termination = Termination.STEP_FAILURE
-            break
-
-        calls, err, result = reference_step(f, rtol, atol, h, y, k1)
-        n_rhs += calls
-        if err is None or not math.isfinite(err):
-            n_nonfinite += 1
-            rejected = True
-            h *= 0.1
-            continue
-
-        fac11 = err ** (0.2 - 0.04 * 0.75)
-        if err > 1.0:
-            n_error += 1
-            rejected = True
-            h = h / min(1.0 / 0.2, fac11 / 0.9)
-            continue
-
-        n_steps += 1
-        if not landing:
-            h_min = min(h_min, h)
-            h_max = max(h_max, h)
-        tnew = t + h
-        y1, k7, coeffs = result
-        dense = reference_dense(t, h, coeffs)
-
-        located = []
-        g_new = []
-        for spec, fn, g0 in zip(specs, fns, g_prev):
-            g1 = fn(y1)
-            g_new.append(g1)
-            crossed = (g0 < 0.0 < g1) or (g0 > 0.0 > g1) or (g0 != 0.0 and g1 == 0.0)
-            if not crossed:
-                continue
-            direction = 1 if g0 < 0.0 else -1
-            if spec.direction and spec.direction != direction:
-                continue
-            te = tnew if g1 == 0.0 else reference_locate_zero(fn, t, tnew, g0, dense, t0)
-            located.append((te, spec, direction))
-        located.sort(key=lambda item: item[0])
-
-        cut = tnew
-        kept_events = []
-        for te, spec, direction in located:
-            kept_events.append((te, spec, direction))
-            if spec.stop is not None:
-                cut, termination = te, spec.stop
-                break
-
-        pending = [(te, dense(te), spec, direction) for te, spec, direction in kept_events]
-        while True:
-            ts = t0 + sample_index * sample_dt
-            if ts > cut + 1e-9 * sample_dt:
-                break
-            ts_clip = min(ts, cut)
-            pending.append((ts_clip, y1 if ts_clip >= tnew else dense(ts_clip), None, 0))
-            sample_index += 1
-        pending.sort(key=lambda item: item[0])
-        for tr, yr, spec, direction in pending:
-            record(tr, yr)
-            if spec is not None:
-                raw_events.append((tr, spec, direction, yr))
-
-        if termination is not Termination.REACHED_TMAX:
-            t, y = cut, dense(cut)
-            break
-
-        fac = fac11 / facold ** 0.04
-        fac = max(1.0 / 10.0, min(1.0 / 0.2, fac / 0.9))
-        hnew = h / fac
-        if rejected:
-            hnew = min(hnew, h)
-        facold = max(err, 1e-4)
-        rejected = False
-
-        t, y, k1, g_prev = tnew, y1, k7, g_new
-        h = hnew
-
-    record(t, y)
-    stats = {
-        "n_steps": n_steps,
-        "n_rejected": n_error + n_nonfinite,
-        "n_rhs": n_rhs,
-        "n_rejected_error": n_error,
-        "n_rejected_nonfinite": n_nonfinite,
-        "h_min": h_min if h_max else None,
-        "h_max": h_max if h_max else None,
-    }
-    if failure is not None:
-        stats["failure"] = failure
-    return times, states, raw_events, termination, stats
+# The integrator's tables and step-size controller constants, by name, built
+# from the weights above.
+TABLEAU = {
+    "_A": (
+        ((1, _A21),),
+        ((1, _A31), (2, _A32)),
+        ((1, _A41), (2, _A42), (3, _A43)),
+        ((1, _A51), (2, _A52), (3, _A53), (4, _A54)),
+        ((1, _A61), (2, _A62), (3, _A63), (4, _A64), (5, _A65)),
+    ),
+    "_B": ((1, _B1), (3, _B3), (4, _B4), (5, _B5), (6, _B6)),
+    "_E": ((1, _E1), (3, _E3), (4, _E4), (5, _E5), (6, _E6), (7, _E7)),
+    "_D": ((1, _D1), (3, _D3), (4, _D4), (5, _D5), (6, _D6), (7, _D7)),
+    "_SAFETY": 0.9,
+    "_BETA": 0.04,
+    "_EXPO1": 0.2 - 0.04 * 0.75,
+    "_FAC_MIN": 0.2,
+    "_FAC_MAX": 10.0,
+}
 
 
 def _darboux_moments(y, casimir):

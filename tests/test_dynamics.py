@@ -217,8 +217,7 @@ def test_kernels_inline_the_jet(order, monkeypatch):
 def test_kernels_are_compiled_per_exponent(first, second):
     # Kernels for two barrier exponents live side by side in one process,
     # each with its own jet, whichever was compiled first.
-    dynamics._rhs_kernel.cache_clear()
-    dynamics._series_kernel.cache_clear()
+    dynamics._compile.cache_clear()
     state = random_state(3, rng(77))
     y = [state.q, state.p, *state.moments]
     cfgs = [ModelConfig(potential=BarrierPotential(n=n), order=3) for n in (first, second)]
@@ -240,7 +239,7 @@ def test_kernel_warnings_show_the_generated_line():
     assert caught[0].category is RuntimeWarning
     # Named by its label and the CRC-32 of its text.
     assert re.fullmatch(r"<order-2 rhs kernel n=4 #[0-9a-f]{8}>", caught[0].filename)
-    assert linecache.getline(caught[0].filename, caught[0].lineno).strip() == "_p2 = _p1 * q"
+    assert linecache.getline(caught[0].filename, caught[0].lineno).strip() == "_p2 = _p1 * y0"
 
 
 def test_rhs_order0_farfield():

@@ -30,37 +30,46 @@ from momentous import (
 )
 import momentous
 from momentous import dynamics, integrator, native
-from momentous.dynamics import RhsSource, make_rhs, rhs_source, state_to_vector
+from momentous.dynamics import RhsSource, _compile, make_rhs, rhs_source, state_to_vector
 from momentous.integrator import (
     PLAN_CACHE_SIZE,
     _EventSpec,
     _c_units,
+    _dense,
     _event_specs,
+    _initial_step,
     _kernel,
-    _loop,
     _plan,
     _propagate,
     _series_source,
+    _step,
     resolve_escape_radius,
 )
 
-from conftest import (
-    reference_dense,
-    reference_initial_step,
-    reference_integrate,
-    reference_step,
-    rng,
-    scenario_packet,
-    tight_integrator,
-)
+from conftest import TABLEAU, rng, scenario_packet, tight_integrator
 
 # Both branches of the error norm's summation (below 8 terms and the 8-lane
 # tree), a remainder after the tree, and a second 8-lane block.
 STEP_DIMENSIONS = (1, 2, 5, 8, 9, 17)
 
-# A free particle as source for both loops; ``lambda y: [y[1], 0.0]`` is
-# its callable.
-FREE = RhsSource("{k0} = {y1}\n{k1} = 0.0", "a free particle", {})
+
+def source(*exprs, **bound):
+    """The RHS ``[exprs[0], exprs[1], ...]`` over the state components
+    ``{y0}, {y1}, ...`` as an :class:`RhsSource` with the constants
+    ``bound``: the C kernel's and the Python loop's RHS alike."""
+    lines = [f"{{k{i}}} = {expr}" for i, expr in enumerate(exprs)]
+    return RhsSource("\n".join(lines), f"rhs [{', '.join(exprs)}]", bound)
+
+
+def function(rhs, d):
+    """The RHS source ``rhs`` over ``d`` components as a callable, as the
+    Python loop runs it."""
+    return _compile(rhs, d)(**rhs.bound)
+
+
+# A free particle and an oscillator.
+FREE = source("{y1}", "0.0")
+OSCILLATOR = source("{y1}", "-{y0}")
 
 
 def same_rows(states, rows):
@@ -70,33 +79,17 @@ def same_rows(states, rows):
     return states.shape == want.shape and states.tobytes() == want.tobytes()
 
 
-def matches_reference(make_f, t0, y0, icfg, specs=(), source=None):
-    """The generated loop's output for the RHS ``source``, or an RHS from
-    ``make_f`` (a fresh one per run), required to equal that of the
-    reference loop, which calls ``make_f()``, bit for bit: the states
-    array by :func:`same_rows`, the rest by ``repr`` (which tells -0.0 from
-    0.0 and spells every float exactly), the times array as its list of
-    Python floats, in which form it is returned."""
-    expected = reference_integrate(make_f(), t0, y0, icfg, specs)
-    times, *rest = _propagate(make_f() if source is None else source, t0, y0, icfg, specs)[:5]
+def matches_reference(rhs, t0, y0, icfg, specs=()):
+    """The Python loop's run of the RHS source ``rhs``, which must equal its
+    reference, the C kernel's run, bit for bit (:func:`assert_same_run`);
+    where kernels can be built, the kernel must load for it. The run is
+    returned with its times array as a list of Python floats."""
+    assert_kernel_runs(len(y0), specs, rhs)
+    got = python_loop_run(_propagate, rhs, t0, y0, icfg, specs)
+    assert_same_run(got, _propagate(rhs, t0, y0, icfg, specs))
+    times, *rest = got[:5]
     assert times.dtype == np.float64
-    actual = (times.tolist(), *rest)
-    parts = ("times", "states", "raw events", "termination", "stats")
-    for name, got, want in zip(parts, actual, expected):
-        if name == "states":
-            same = same_rows(got, want)
-            got = got.tolist()
-        else:
-            same = repr(got) == repr(want)
-        if not same:
-            if isinstance(got, list):
-                i = next(
-                    (i for i, (u, v) in enumerate(zip(got, want)) if repr(u) != repr(v)),
-                    min(len(got), len(want)),
-                )
-                got, want = f"{got[i:i + 1]} of {len(got)}", f"{want[i:i + 1]} of {len(want)}"
-            pytest.fail(f"{name} differ from the reference: {got} != {want}")
-    return actual
+    return (times.tolist(), *rest)
 
 
 def classical_inbound(pot, energy, q0):
@@ -266,7 +259,7 @@ def test_step_failure_on_blowup():
     # dy/dt = y^2 from y(0) = 1 blows up at t = 1; the guards must surface a
     # step failure and return the partial trajectory.
     times, states, events, termination, stats = matches_reference(
-        lambda: lambda y: [y[0] * y[0]],
+        source("{y0} * {y0}"),
         0.0,
         np.array([1.0]),
         IntegratorConfig(rtol=1e-10, atol=1e-10, t_max=2.0, max_step=0.5, sample_dt=0.05),
@@ -279,11 +272,12 @@ def test_step_failure_on_blowup():
 
 
 def coupled_rhs(d, seed):
-    """A nonlinear map on ``d`` float components that couples neighbours."""
+    """A nonlinear map on ``d`` float components that couples neighbours,
+    as an RHS source."""
     lin, quad = rng(seed).normal(size=(2, d)).tolist()
-    return lambda y: [
-        lin[i] * y[i] + quad[i] * y[i - 1] * y[(i + 1) % d] for i in range(d)
-    ]
+    return source(*(f"l{i} * {{y{i}}} + q{i} * {{y{(i - 1) % d}}} * {{y{(i + 1) % d}}}"
+                    for i in range(d)),
+                  **{f"l{i}": lin[i] for i in range(d)}, **{f"q{i}": quad[i] for i in range(d)})
 
 
 def coupled_events(d, y0):
@@ -292,7 +286,7 @@ def coupled_events(d, y0):
     return (
         _EventSpec(f"{{y{d - 1}}}", kind="sign"),
         _EventSpec("{y0} - {c0}", kind="marker", values=(y0[0] + 0.05,)),
-        _EventSpec("abs({y0}) - {c0}", kind="stop", values=(3.0,),
+        _EventSpec("fabs({y0}) - {c0}", kind="stop", values=(3.0,),
                    stop=Termination.ESCAPED, direction=1),
     )
 
@@ -302,15 +296,13 @@ def test_generated_step_matches_reference_bit_for_bit(d):
     # The whole loop, events included, on a coupled nonlinear map; the runs
     # reach t_max, stop at an event or blow up.
     gen = rng(100 + d)
-    f = coupled_rhs(d, d)
+    rhs = coupled_rhs(d, d)
     located = []
     for _ in range(8):
         y0 = (gen.normal(size=d) * 10.0 ** gen.uniform(-3, 2, size=d)).tolist()
         rtol, atol = 10.0 ** gen.uniform(-12, -4, size=2)
         icfg = IntegratorConfig(rtol=rtol, atol=atol, t_max=1.5, sample_dt=0.1)
-        _, _, events, _, stats = matches_reference(
-            lambda: f, 0.0, y0, icfg, coupled_events(d, y0)
-        )
+        _, _, events, _, stats = matches_reference(rhs, 0.0, y0, icfg, coupled_events(d, y0))
         assert stats["n_steps"] > 2
         located += events
     assert located
@@ -319,21 +311,27 @@ def test_generated_step_matches_reference_bit_for_bit(d):
 @pytest.mark.parametrize("d", STEP_DIMENSIONS)
 def test_generated_rms_matches_reference_bit_for_bit(d):
     # The starting step's three norms: one step attempt, accepted, ends at
-    # the step size of the reference_rms-based heuristic.
+    # the step size of the Python loop's starting-step heuristic.
     gen = rng(300 + d)
     lin = gen.normal(size=d).tolist()
-
-    def f(y):
-        return [a * b for a, b in zip(lin, y)]
-
+    rhs = source(*(f"l{i} * {{y{i}}}" for i in range(d)), **{f"l{i}": lin[i] for i in range(d)})
+    f = function(rhs, d)
     for _ in range(25):
         y0 = (gen.normal(size=d) * 10.0 ** gen.uniform(-3, 3, size=d)).tolist()
         rtol, atol = 10.0 ** gen.uniform(-12, -4, size=2)
         icfg = IntegratorConfig(rtol=rtol, atol=atol, t_max=1e3, max_step=1e3, max_steps=1)
-        times, _, _, _, stats = matches_reference(lambda: f, 0.0, y0, icfg)
+        times, _, _, _, stats = matches_reference(rhs, 0.0, y0, icfg)
         assert stats["n_steps"] == 1 and stats["failure"] == "budget"
-        h = reference_initial_step(f, y0, f(y0), rtol, atol, 1e3, 1e3)
+        h = _initial_step(f, y0, f(y0), rtol, atol, 1e3, 1e3)
         assert times[-1] == h == stats["h_max"]
+
+
+def test_the_tableau_is_the_one_typed_in_the_tests():
+    # The C kernel and the Python loop both read the integrator's tables, so
+    # a mistyped weight runs the same in both: the copy typed in the tests
+    # is what shows it, bit for bit (repr spells every float exactly).
+    for name, want in TABLEAU.items():
+        assert repr(getattr(integrator, name)) == repr(want), name
 
 
 def poisoned(base, call, component, bad):
@@ -359,20 +357,15 @@ def test_generated_step_stops_at_a_nonfinite_stage(d, bad):
     # stage state (after call 5, the update) is not finite and the attempt
     # ends after c calls; a poisoned k7 (call 6) leaves only err non-finite.
     # Either way the attempt is a non-finite rejection and the run goes on.
-    base = coupled_rhs(d, d)
+    # A poisoned callable has no C translation: this runs the Python loop.
+    base = function(coupled_rhs(d, d), d)
     y0 = rng(200 + d).normal(size=d).tolist()
     icfg = IntegratorConfig(rtol=1e-10, atol=1e-6, t_max=0.05, max_step=0.01)
     for position in range(1, 7):
         for component in {0, d - 1}:
-            counts = []
-
-            def make_f():
-                f, count = poisoned(base, 2 + position, component, bad)
-                counts.append(count)
-                return f
-
-            stats = matches_reference(make_f, 0.0, y0, icfg)[4]
-            assert counts[0] == counts[1] == [stats["n_rhs"]]
+            f, count = poisoned(base, 2 + position, component, bad)
+            stats = _propagate(f, 0.0, y0, icfg)[4]
+            assert count == [stats["n_rhs"]]
             assert stats["n_rejected_nonfinite"] == 1
             # Two start-up calls, `position` in the poisoned attempt, six in
             # every other.
@@ -383,10 +376,10 @@ def test_nonfinite_first_derivative_fails_like_the_reference():
     # A non-finite k1 from the first RHS call ends the run at once, in both
     # loops: no starting-step probe, no step attempt, only the start row.
     icfg = IntegratorConfig(rtol=1e-10, atol=1e-6, t_max=1.0, max_steps=20)
-    base = coupled_rhs(2, 2)
     for bad, component in itertools.product((math.inf, -math.inf, math.nan), (0, 1)):
+        weights = {"w0": 1.0, "w1": 1.0, f"w{component}": bad}
         times, states, events, termination, stats = matches_reference(
-            lambda: poisoned(base, 1, component, bad)[0], 0.0, [0.5, -0.2], icfg
+            source("w0 * {y0}", "w1 * {y1}", **weights), 0.0, [0.5, -0.2], icfg
         )
         assert termination is Termination.STEP_FAILURE
         assert stats["failure"] == "nonfinite_start"
@@ -402,7 +395,7 @@ def test_nonfinite_starting_step_fails_like_the_reference():
     # row, its nan and -0.0 included.
     icfg = IntegratorConfig(rtol=1e-10, atol=1e-6, t_max=1.0, max_steps=20)
     times, states, events, _, stats = matches_reference(
-        lambda: lambda y: [1.0, 0.0], 0.0, [math.nan, -0.0], icfg
+        source("1.0", "0.0"), 0.0, [math.nan, -0.0], icfg
     )
     assert stats["failure"] == "nonfinite_start"
     assert stats["n_rhs"] == 2
@@ -411,21 +404,16 @@ def test_nonfinite_starting_step_fails_like_the_reference():
     assert same_rows(states, [[math.nan, -0.0]])
 
 
-def test_a_zero_starting_step_fails_like_the_reference(monkeypatch):
+def test_a_zero_starting_step_fails_like_the_reference():
     # k1's norm overflows, so the starting step h0 = 0.01 * norm0 / norm1
     # is 0: the run ends before the probe, whose norm divides by h0, in
     # both loops, where it used to raise ZeroDivisionError.
-    icfg = IntegratorConfig()
     times, states, events, termination, stats = matches_reference(
-        lambda: lambda y: [y[1], 0.0], 0.0, [0.0, 1e160], icfg
+        FREE, 0.0, [0.0, 1e160], IntegratorConfig()
     )
     assert termination is Termination.STEP_FAILURE
     assert stats["failure"] == "nonfinite_start" and stats["n_rhs"] == 1
     assert (times, events) == ([0.0], [])
-    assert_kernel_runs(2, (), FREE)
-    got = _propagate(FREE, 0.0, [0.0, 1e160], icfg)
-    assert_same_run(got, python_loop_run(monkeypatch, _propagate, FREE, 0.0, [0.0, 1e160], icfg))
-    assert got[4]["failure"] == "nonfinite_start"
 
 
 def integrate_args(barrier, order, q0, sigma0, convention, **overrides):
@@ -497,9 +485,8 @@ def fresh_kernels():
 def test_loop_matches_reference_on_model_runs(
     request, barrier, order, q0, sigma0, convention, overrides, termination
 ):
-    make_f, source, y0, icfg, specs = model_run(barrier, order, q0, sigma0, convention, **overrides)
-    assert_kernel_runs(len(y0), specs, source)
-    times, _, events, got, stats = matches_reference(make_f, 0.0, y0, icfg, specs, source)
+    _, rhs, y0, icfg, specs = model_run(barrier, order, q0, sigma0, convention, **overrides)
+    times, _, events, got, stats = matches_reference(rhs, 0.0, y0, icfg, specs)
     assert got is termination
     case = request.node.callspec.id
     if case == "order2-coarse-samples":
@@ -517,8 +504,8 @@ def test_loop_matches_reference_on_model_runs(
 def test_a_model_run_counts_every_rhs_evaluation(barrier, order):
     # The spliced RHS is no call to count: n_rhs must still be the number of
     # evaluations that a logging callable sees on the same run.
-    make_f, source, y0, icfg, specs = model_run(barrier, order, -1.62, 0.3, "zero",
-                                                atol=1e-6, t_max=2.35)
+    make_f, rhs, y0, icfg, specs = model_run(barrier, order, -1.62, 0.3, "zero",
+                                             atol=1e-6, t_max=2.35)
     f = make_f()
     calls = []
 
@@ -526,16 +513,16 @@ def test_a_model_run_counts_every_rhs_evaluation(barrier, order):
         calls.append(None)
         return f(y)
 
-    stats = _propagate(source, 0.0, y0, icfg, specs)[4]
+    stats = _propagate(rhs, 0.0, y0, icfg, specs)[4]
     assert _propagate(logged, 0.0, y0, icfg, specs)[4] == stats
     assert stats["n_rejected_nonfinite"] == 0 and stats["n_steps"] > 20
     assert stats["n_rhs"] == len(calls)
 
 
-def python_loop_run(monkeypatch, run, *args):
+def python_loop_run(run, *args):
     """``run(*args)`` with the kernel loader failing, so that it runs the
     Python loop."""
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(integrator, "_kernel", lambda *args: None)
         return run(*args)
 
@@ -561,7 +548,7 @@ def assert_same_trajectory(got, want):
         (want.events, want.termination, want.stats, want.energy_drift))
 
 
-def assert_kernel_integrates(monkeypatch, init, model, icfg, marks=()):
+def assert_kernel_integrates(init, model, icfg, marks=()):
     """``integrate``, which must run as the Python loop does, byte for byte;
     where kernels can be built, its run goes through the C kernel."""
     specs = _event_specs(model, icfg.escape_radius, marks)
@@ -570,7 +557,7 @@ def assert_kernel_integrates(monkeypatch, init, model, icfg, marks=()):
         assert _kernel(len(init.moments) + 2, events, rhs_source(model),
                        _series_source(model)) is not None
     got = integrate(init, model, icfg, marks)
-    assert_same_trajectory(got, python_loop_run(monkeypatch, integrate, init, model, icfg, marks))
+    assert_same_trajectory(got, python_loop_run(integrate, init, model, icfg, marks))
     return got
 
 
@@ -584,100 +571,85 @@ def assert_kernel_integrates(monkeypatch, init, model, icfg, marks=()):
                  Termination.STEP_FAILURE, id="far-blowup"),
 ])
 def test_the_kernel_runs_the_python_loop_bit_for_bit(
-    monkeypatch, barrier, order, q0, sigma0, convention, overrides, termination
+    barrier, order, q0, sigma0, convention, overrides, termination
 ):
     args = integrate_args(barrier, order, q0, sigma0, convention, **overrides)
-    _, source, y0, icfg, specs = model_run(barrier, order, q0, sigma0, convention, **overrides)
-    assert_kernel_runs(len(y0), specs, source)
-    got = _propagate(source, 0.0, y0, icfg, specs)
-    assert_same_run(got, python_loop_run(monkeypatch, _propagate, source, 0.0, y0, icfg, specs))
-    assert got[3] is termination
+    _, rhs, y0, icfg, specs = model_run(barrier, order, q0, sigma0, convention, **overrides)
+    times, _, _, got, stats = matches_reference(rhs, 0.0, y0, icfg, specs)
+    assert got is termination
     if termination is Termination.STEP_FAILURE:
-        assert got[4]["failure"] == "blowup" and got[4]["n_steps"] == 0
-    traj = assert_kernel_integrates(monkeypatch, *args)
-    assert traj.times.tobytes() == got[0].tobytes()
+        assert stats["failure"] == "blowup" and stats["n_steps"] == 0
+    traj = assert_kernel_integrates(*args)
+    assert traj.times.tolist() == times
 
 
-def test_the_kernel_runs_an_event_that_lands_on_zero_as_the_python_loop(monkeypatch, barrier):
+def test_the_kernel_runs_an_event_that_lands_on_zero_as_the_python_loop(barrier):
     # A marker at the final position: the marker's event function is
     # exactly zero at the end of the last step, which is the event's time.
     init, model, icfg, marks = integrate_args(barrier, 2, -1.62, 0.3, "zero", atol=1e-6,
                                               t_max=2.35)
-    _, source, y0, _, specs = model_run(barrier, 2, -1.62, 0.3, "zero", atol=1e-6, t_max=2.35)
-    times, states, *_ = _propagate(source, 0.0, y0, icfg, specs)
+    _, rhs, y0, _, specs = model_run(barrier, 2, -1.62, 0.3, "zero", atol=1e-6, t_max=2.35)
+    times, states, *_ = _propagate(rhs, 0.0, y0, icfg, specs)
     end = float(states[-1, 0])
     specs = [*specs, _EventSpec("{y0} - {c0}", kind="q_cross", values=(end,), marker=end)]
-    assert_kernel_runs(len(y0), specs, source)
-    got = _propagate(source, 0.0, y0, icfg, specs)
-    assert_same_run(got, python_loop_run(monkeypatch, _propagate, source, 0.0, y0, icfg, specs))
-    assert [t for t, spec, _, _ in got[2] if spec.marker == end][-1] == times[-1]
-    traj = assert_kernel_integrates(monkeypatch, init, model, icfg, (*marks, end))
+    events = matches_reference(rhs, 0.0, y0, icfg, specs)[2]
+    assert [t for t, spec, _, _ in events if spec.marker == end][-1] == times[-1]
+    traj = assert_kernel_integrates(init, model, icfg, (*marks, end))
     assert [e.t for e in traj.events if e.marker == end][-1] == traj.times[-1] == times[-1]
 
 
-def test_the_kernel_runs_a_stop_just_before_a_sample_as_the_python_loop(monkeypatch, barrier):
+def test_the_kernel_runs_a_stop_just_before_a_sample_as_the_python_loop(barrier):
     # Sample grids whose 1000th point lies half, then twice, the grid's
     # slack (1e-9 * sample_dt) past the escape: inside the slack the sample
     # reads the stop state and is dropped as the stop row's duplicate.
     init, model, icfg, marks = integrate_args(barrier, 0, -3.0, 0.5, "zero")
-    _, source, y0, _, specs = model_run(barrier, 0, -3.0, 0.5, "zero")
-    stop = _propagate(source, 0.0, y0, icfg, specs)[2][-1][0]
-    assert_kernel_runs(len(y0), specs, source)
+    _, rhs, y0, _, specs = model_run(barrier, 0, -3.0, 0.5, "zero")
+    stop = _propagate(rhs, 0.0, y0, icfg, specs)[2][-1][0]
     for share in (0.5, 2.0):
         grid = dataclasses.replace(icfg, sample_dt=stop / (1000 - share * 1e-9))
-        got = _propagate(source, 0.0, y0, grid, specs)
-        assert_same_run(got, python_loop_run(monkeypatch, _propagate, source, 0.0, y0, grid, specs))
-        times = got[0]
-        assert got[3] is Termination.ESCAPED and times[-1] == stop
+        times, _, _, termination, _ = matches_reference(rhs, 0.0, y0, grid, specs)
+        assert termination is Termination.ESCAPED and times[-1] == stop
         assert times[-2] == 999 * grid.sample_dt and 1000 * grid.sample_dt > stop
-        traj = assert_kernel_integrates(monkeypatch, init, model, grid, marks)
-        assert traj.times.tobytes() == times.tobytes()
+        traj = assert_kernel_integrates(init, model, grid, marks)
+        assert traj.times.tolist() == times
 
 
-def test_the_kernel_drops_rows_within_the_window_of_an_event_as_the_python_loop(
-    monkeypatch, barrier
-):
+def test_the_kernel_drops_rows_within_the_window_of_an_event_as_the_python_loop(barrier):
     # Grids whose 1000th point lies 0.75 duplicate windows (1e-12 * max(t -
     # t0, 1)) before, then 0.75 and 2 windows after, the momentum reversal:
     # of two rows within a window, the later one is dropped, the event's
     # row or the grid's.
     init, model, icfg, marks = integrate_args(barrier, 0, -3.0, 0.5, "zero")
-    _, source, y0, _, specs = model_run(barrier, 0, -3.0, 0.5, "zero")
-    te = next(t for t, spec, _, _ in _propagate(source, 0.0, y0, icfg, specs)[2]
+    _, rhs, y0, _, specs = model_run(barrier, 0, -3.0, 0.5, "zero")
+    te = next(t for t, spec, _, _ in _propagate(rhs, 0.0, y0, icfg, specs)[2]
               if spec.kind == "p_zero")
     window = 1e-12 * max(te, 1.0)
-    assert_kernel_runs(len(y0), specs, source)
     for share in (-0.75, 0.75, 2.0):
         grid = dataclasses.replace(icfg, sample_dt=(te + share * window) / 1000)
-        got = _propagate(source, 0.0, y0, grid, specs)
-        assert_same_run(got, python_loop_run(monkeypatch, _propagate, source, 0.0, y0, grid, specs))
-        rows = got[0].tolist()
+        rows = matches_reference(rhs, 0.0, y0, grid, specs)[0]
         sample = 1000 * grid.sample_dt
         assert abs(sample - te) > 0.5 * window
         assert (te in rows, sample in rows) == {-0.75: (False, True), 0.75: (True, False),
                                                 2.0: (True, True)}[share]
-        traj = assert_kernel_integrates(monkeypatch, init, model, grid, marks)
-        assert traj.times.tobytes() == got[0].tobytes()
+        traj = assert_kernel_integrates(init, model, grid, marks)
+        assert traj.times.tolist() == rows
 
 
 @pytest.mark.parametrize("sample_dt, kept", [(1e-12, False), (math.nextafter(1e-12, 1.0), True)],
                          ids=["one_window", "one_float_beyond"])
-def test_a_row_exactly_one_window_after_the_last_kept_is_dropped(monkeypatch, sample_dt, kept):
+def test_a_row_exactly_one_window_after_the_last_kept_is_dropped(sample_dt, kept):
     # Below t - t0 = 1 the window is 1e-12, so the first grid row, one
     # sample_dt after the start row at t0 = 0, lies exactly one window after
     # it, and is dropped, or one float step further, and is kept: in the
-    # reference loop, the kernel and the Python loop alike.
+    # kernel and the Python loop alike.
     icfg = IntegratorConfig(t_max=4 * sample_dt, sample_dt=sample_dt)
-    args = (lambda: lambda y: [y[1], 0.0], 0.0, [0.0, 1.0], icfg, (), FREE)
-    assert_kernel_runs(2, (), FREE)
-    times = matches_reference(*args)[0]
-    assert python_loop_run(monkeypatch, matches_reference, *args)[0] == times
+    times = matches_reference(FREE, 0.0, [0.0, 1.0], icfg)[0]
     assert times[0] == 0.0 and (sample_dt in times) is kept
 
 
 @pytest.mark.parametrize("values", [(), (1.0, 2.0)], ids=["none", "one_too_many"])
 @pytest.mark.parametrize("loop", ["kernel", "python"])
-def test_event_values_that_miss_the_expression_s_fields_are_rejected(monkeypatch, values, loop):
+def test_event_values_that_miss_the_expression_s_fields_are_rejected(values, loop):
     # One rule, in _propagate, for both loops: a spec holds one value per
     # {c<j>} field of its expression.
     spec = _EventSpec("{y0} - {c0}", kind="q_cross", values=values)
@@ -685,10 +657,10 @@ def test_event_values_that_miss_the_expression_s_fields_are_rejected(monkeypatch
     if loop == "kernel":
         assert_kernel_runs(2, [spec], FREE)
     with pytest.raises(ValueError, match=f"holds {len(values)} values, not 1"):
-        _propagate(*args) if loop == "kernel" else python_loop_run(monkeypatch, _propagate, *args)
+        _propagate(*args) if loop == "kernel" else python_loop_run(_propagate, *args)
 
 
-def test_the_nan_series_of_a_far_start_are_each_loop_s_own(monkeypatch, barrier):
+def test_the_nan_series_of_a_far_start_are_each_loop_s_own(barrier):
     # From q0 = -1e45 both q**7 and q**8 overflow, so the jet meets
     # inf * 0: the RHS is nan, so the run keeps only its start row, and so
     # are H_Q and V_eff there. The kernel and the Python loop each write
@@ -697,7 +669,7 @@ def test_the_nan_series_of_a_far_start_are_each_loop_s_own(monkeypatch, barrier)
     args = integrate_args(barrier, 2, -1e45, 0.3, "zero", t_max=0.5)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = assert_kernel_integrates(monkeypatch, *args)
+        got = assert_kernel_integrates(*args)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert got.stats["failure"] == "nonfinite_start" and len(got.times) == 1
     assert np.isnan(got.h_q).all() and np.isnan(got.v_eff).all()
@@ -746,9 +718,7 @@ def test_the_loop_of_a_model_run_calls_no_rhs(barrier):
     # integrate runs the C kernel, whose rhs function is the RHS template,
     # jet included, called at the loop's eight RHS sites, and whose series
     # function is the series template, with its own jet, called once per
-    # sample row; the Python loop it falls back to pastes the RHS lines in
-    # at each site and the series lines once, into its row writer emit, and
-    # calls nothing but builtins, array and its row writers emit and rows.
+    # sample row.
     model = ModelConfig(potential=barrier, order=3)
     init = initial_moments(scenario_packet(barrier, -1.62, 0.3), model)
     icfg = tight_integrator(t_max=0.5)
@@ -769,16 +739,6 @@ def test_the_loop_of_a_model_run_calls_no_rhs(barrier):
     assert len(re.findall(r"\brhs\((?!const)", c_text)) == 8
     # one call per sample row kept
     assert len(re.findall(r"\bseries\((?!const)", c_text)) == 1
-    run = _loop(9, events, rhs_source(model), _series_source(model))
-    source = "".join(linecache.getlines(run.__code__.co_filename))
-    called = {node.func.id for node in ast.walk(ast.parse(source))
-              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-    assert called == {"abs", "array", "emit", "fabs", "itemgetter", "max", "range", "rows",
-                      "sqrt"}
-    # eight RHS sites and one series
-    assert source.count("_w0 = alpha / _u0") == 9
-    emit = source[source.index("def emit("):source.index("    emit(t, ")]
-    assert emit.count("_w0 = alpha / _u0") == 1
 
 
 @pytest.mark.parametrize("order", [0, 2, 3])
@@ -829,9 +789,9 @@ def test_the_kernel_cache_keeps_the_most_recently_loaded_libraries(monkeypatch, 
 
 
 def test_generated_names_follow_the_source_text(barrier, monkeypatch, tmp_path, fresh_kernels):
-    # A kernel, loop or RHS kernel compiled from a substituted eom_table gets
-    # a file of its own, named by its text: the cached kernel library, and
-    # the name under which linecache keeps the real source for warnings and
+    # A kernel or RHS function compiled from a substituted eom_table gets a
+    # file of its own, named by its text: the cached kernel library, and the
+    # name under which linecache keeps the real source for warnings and
     # tracebacks from the real code. The real table's files are untouched.
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     model = ModelConfig(potential=barrier, order=2)
@@ -839,32 +799,28 @@ def test_generated_names_follow_the_source_text(barrier, monkeypatch, tmp_path, 
 
     def compiled():
         library = native.load(_c_units(5, events, rhs_source(model)))
-        return (_loop(5, events, rhs_source(model)).__code__.co_filename,
-                make_rhs(model).__code__.co_filename,
-                library and library._name)
+        return make_rhs(model).__code__.co_filename, library and library._name
 
     real = compiled()
-    real_lines = [linecache.getlines(name) for name in real[:2]]
-    real_library = real[2] and (Path(real[2]).read_bytes(), os.stat(real[2]).st_mtime_ns)
-    # The kernel's dp/dt line, r1 = ...
-    dp_dt = next(line for line in real_lines[1] if line.strip().startswith("r1 = "))
+    real_lines = linecache.getlines(real[0])
+    real_library = real[1] and (Path(real[1]).read_bytes(), os.stat(real[1]).st_mtime_ns)
+    # The function's dp/dt line, r1 = ...
+    dp_dt = next(line for line in real_lines if line.strip().startswith("r1 = "))
     table = dict(dynamics.eom_table(2))
     term, coeff = next(table["p"].items())
     table["p"] = table["p"].copy().add(2 * coeff, term)
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "eom_table", lambda o: table)
         tampered = compiled()
-    assert set(real[:2]).isdisjoint(tampered[:2])
-    assert [linecache.getlines(name) for name in real[:2]] == real_lines
-    assert dp_dt in linecache.getlines(real[1])
-    assert dp_dt not in linecache.getlines(tampered[1])
-    prefixes = ("<dopri5 loop d=5 rhs: order-2 rhs n=4;", "<order-2 rhs kernel n=4 #")
-    assert all(name.startswith(prefix) for name, prefix in zip(tampered, prefixes))
+    assert real[0] != tampered[0]
+    assert linecache.getlines(real[0]) == real_lines
+    assert dp_dt not in linecache.getlines(tampered[0])
+    assert tampered[0].startswith("<order-2 rhs kernel n=4 #")
     if KERNELS_BUILD:
         libraries = sorted(p.name for p in (tmp_path / "momentous").iterdir())
-        assert libraries == sorted(Path(name).name for name in (real[2], tampered[2]))
+        assert libraries == sorted(Path(name).name for name in (real[1], tampered[1]))
         assert all(re.fullmatch(r"kernel-[0-9a-f]{16}\.so", name) for name in libraries)
-        assert (Path(real[2]).read_bytes(), os.stat(real[2]).st_mtime_ns) == real_library
+        assert (Path(real[1]).read_bytes(), os.stat(real[1]).st_mtime_ns) == real_library
 
 
 def test_the_escape_radius_defaults_to_a_multiple_of_the_half_width():
@@ -938,17 +894,18 @@ def test_a_p0_sweep_runs_as_without_the_plan_cache(tmp_path, monkeypatch):
 
 
 def test_loop_matches_reference_on_step_failures():
-    # Underflow: an RHS that turns infinite past y = 1.5.
+    # Underflow: an RHS that turns infinite past y = 1.5, a callable with no
+    # C translation, so only the Python loop runs it.
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=2.0, max_step=0.5, sample_dt=0.05)
-    stats = matches_reference(
-        lambda: lambda y: [math.inf if y[0] > 1.5 else 1.0], 0.0, [0.0], icfg
-    )[4]
-    assert stats["failure"] == "underflow"
+    times, _, _, termination, stats = _propagate(
+        lambda y: [math.inf if y[0] > 1.5 else 1.0], 0.0, [0.0], icfg
+    )[:5]
+    assert termination is Termination.STEP_FAILURE and stats["failure"] == "underflow"
+    assert stats["n_rejected"] == stats["n_rejected_nonfinite"] > 0
+    assert 1.5 - 1e-6 < times[-1] <= 1.5
     # Budget: a stiff oscillator with five attempts.
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=2.0, max_steps=5)
-    stats = matches_reference(
-        lambda: lambda y: [y[1], -400.0 * y[0]], 0.0, [1.0, 0.0], icfg
-    )[4]
+    stats = matches_reference(source("{y1}", "-400.0 * {y0}"), 0.0, [1.0, 0.0], icfg)[4]
     assert stats["failure"] == "budget"
     assert stats["n_steps"] + stats["n_rejected"] == 5
 
@@ -957,7 +914,7 @@ def test_loop_matches_reference_on_a_landing_step():
     # The last step is cut to about 1e-9 to land on t_end.
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=10.0 + 1e-9, max_step=0.1, sample_dt=0.05)
     times, _, _, termination, stats = matches_reference(
-        lambda: lambda y: [1.0, -y[0]], 0.0, [0.0, 1.0], icfg
+        source("1.0", "-{y0}"), 0.0, [0.0, 1.0], icfg
     )
     assert termination is Termination.REACHED_TMAX
     assert times[-1] == 10.0 + 1e-9 and stats["h_min"] > 1e-3
@@ -968,7 +925,8 @@ def test_loop_matches_reference_on_an_event_landing_exactly_on_zero():
     # (one rising, one falling) are exactly 0.0 there, so the event time is
     # that step's end, unbisected. Starting at t0 = 1000, (t + h - t) / h is
     # not exactly 1, so the event state is the interpolant's, not y1's.
-    base = coupled_rhs(2, 7)
+    rhs = coupled_rhs(2, 7)
+    base = function(rhs, 2)
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=1.0, sample_dt=0.3)
     calls = []
 
@@ -982,7 +940,7 @@ def test_loop_matches_reference_on_an_event_landing_exactly_on_zero():
         _EventSpec("{y0} - {c0}", kind="above", values=(end3,)),
         _EventSpec("{c0} - {y0}", kind="below", values=(end3,)),
     )
-    events = matches_reference(lambda: base, 1000.0, [0.3, -0.4], icfg, specs)[2]
+    events = matches_reference(rhs, 1000.0, [0.3, -0.4], icfg, specs)[2]
     assert sorted(direction for _, _, direction, _ in events) == [-1, 1]
     assert events[0][0] == events[1][0]
     assert events[0][3][0] == pytest.approx(end3, abs=1e-12)
@@ -994,20 +952,18 @@ def test_loop_matches_reference_on_an_event_value_from_nan_to_zero():
     # a falling crossing.
     spec = _EventSpec("{y0} * {c0} - {y1} * {c0}", kind="nan", values=(1e300,))
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=3.0)
-    events = matches_reference(
-        lambda: lambda y: [-y[0], -y[1]], 0.0, [1e9, 1e9], icfg, (spec,)
-    )[2]
+    events = matches_reference(source("-{y0}", "-{y1}"), 0.0, [1e9, 1e9], icfg, (spec,))[2]
     assert [(direction, y[0] < 1.8e8) for _, _, direction, y in events] == [(-1, True)]
 
 
 def test_loop_matches_reference_on_a_stop_just_before_a_sample():
     # q = t stops at 0.5 - 1e-12, within 1e-9 * sample_dt of the grid time
     # 0.5: that sample is clipped to the stop and merges with its row.
-    spec = _EventSpec("abs({y0}) - {c0}", kind="stop", values=(0.5 - 1e-12,),
+    spec = _EventSpec("fabs({y0}) - {c0}", kind="stop", values=(0.5 - 1e-12,),
                       stop=Termination.ESCAPED, direction=1)
     icfg = IntegratorConfig(rtol=1e-10, atol=1e-10, t_max=1.0, sample_dt=0.25)
     times, _, events, termination, _ = matches_reference(
-        lambda: lambda y: [1.0, 0.0], 0.0, [0.0, 0.0], icfg, (spec,)
+        source("1.0", "0.0"), 0.0, [0.0, 0.0], icfg, (spec,)
     )
     assert termination is Termination.ESCAPED
     assert times == [0.0, 0.25, events[0][0]]
@@ -1022,7 +978,7 @@ def test_loop_matches_reference_on_event_rows_next_to_samples():
         _EventSpec("{y0} - {c0}", kind="marker", values=(mark,)) for mark in (0.5 + 5e-12, 0.75 + 5e-13)
     )
     icfg = IntegratorConfig(rtol=1e-10, atol=1e-10, t_max=1.0, sample_dt=0.25)
-    times, _, events, _, _ = matches_reference(lambda: lambda y: [1.0, 0.0], 0.0, [0.0, 0.0], icfg, specs)
+    times, _, events, _, _ = matches_reference(source("1.0", "0.0"), 0.0, [0.0, 0.0], icfg, specs)
     assert [te for te, _, _, _ in events] == [pytest.approx(0.5 + 5e-12, abs=1e-13),
                                               pytest.approx(0.75 + 5e-13, abs=1e-13)]
     assert times == [0.0, 0.25, 0.5, events[0][0], 0.75, 1.0]
@@ -1033,25 +989,25 @@ def test_a_sample_within_the_slack_after_a_step_end_takes_its_end_state():
     # 4e-12 after it, inside the 1e-9 * sample_dt slack: that sample becomes
     # the step's end row and takes the end state z. At t0 = 1000 the
     # interpolant there is not z (theta is not exactly 1).
-    f = coupled_rhs(2, 7)
+    rhs = coupled_rhs(2, 7)
+    f = function(rhs, 2)
     t0, y0, tol = 1000.0, [0.3, -0.4], 1e-6
-    h = reference_initial_step(f, y0, f(y0), tol, tol, 1.0, 0.1)
-    _, err, (z, _, coeffs) = reference_step(f, tol, tol, h, y0, f(y0))
+    h = _initial_step(f, y0, f(y0), tol, tol, 1.0, 0.1)
+    _, err, z, k = _step(f, tol, tol, h, y0, f(y0))
     assert err <= 1.0  # the first attempt is accepted
     icfg = IntegratorConfig(rtol=tol, atol=tol, t_max=1.0, sample_dt=h * (1 + 1e-10))
     assert t0 + h < t0 + icfg.sample_dt <= t0 + h + 1e-9 * icfg.sample_dt
-    times, states, _, _, _ = matches_reference(lambda: f, t0, y0, icfg)
+    times, states, _, _, _ = matches_reference(rhs, t0, y0, icfg)
     assert times[1] == t0 + h
     assert same_rows(states[1:2], [z])
-    assert reference_dense(t0, h, coeffs)(t0 + h) != z
+    assert _dense(t0, h, y0, z, k)(t0 + h) != z
 
 
 def test_a_sample_step_beyond_the_horizon_keeps_the_first_and_last_rows():
     # Both rows are exact states; the start's -0.0 stays -0.0.
-    f = coupled_rhs(3, 3)
     y0 = [0.2, -0.0, 0.4]
     icfg = IntegratorConfig(rtol=1e-8, atol=1e-8, t_max=1.5, sample_dt=2.0)
-    times, states, _, termination, stats = matches_reference(lambda: f, 0.0, y0, icfg)
+    times, states, _, termination, stats = matches_reference(coupled_rhs(3, 3), 0.0, y0, icfg)
     assert termination is Termination.REACHED_TMAX
     assert stats["n_steps"] > 2
     assert times == [0.0, 1.5]
@@ -1077,7 +1033,7 @@ def test_grid_samples_within_the_duplicate_window_form_chains(sample_dt, t_max, 
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=t_max, max_step=max_step,
                             sample_dt=sample_dt)
     times, _, _, termination, stats = matches_reference(
-        lambda: lambda y: [1.0, -y[0]], t0, [0.0, 1.0], icfg
+        source("1.0", "-{y0}"), t0, [0.0, 1.0], icfg
     )
     assert termination is Termination.REACHED_TMAX
     assert stats["n_steps"] == steps
@@ -1094,7 +1050,7 @@ def test_samples_near_the_duplicate_window_keep_each_row_beyond_it(sample_dt, ev
     # 1.5e-12 apart all stay, and of samples 8e-13 apart every second one
     # falls inside it and is dropped.
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=200 * sample_dt, sample_dt=sample_dt)
-    times = matches_reference(lambda: lambda y: [1.0, -y[0]], 1.0, [0.0, 1.0], icfg)[0]
+    times = matches_reference(source("1.0", "-{y0}"), 1.0, [0.0, 1.0], icfg)[0]
     assert len(times) == 200 // every + 1
     assert np.allclose(np.diff(times), every * sample_dt, rtol=1e-3)
 
@@ -1120,14 +1076,13 @@ _LATE = (1e6, 1e-7, 1.5e-6, 1e-7)
     ],
 )
 def test_each_grid_index_is_recorded_by_the_first_step_that_reaches_it(
-    monkeypatch, t0, sample_dt, t_max, max_step, events
+    t0, sample_dt, t_max, max_step, events
 ):
     # A step writes each grid index up to the last whose time is within the
     # 1e-9 * sample_dt slack after its end, or after the time of the event
     # that stops the run, merged by time with its events, an event first on
-    # a tie. Both loops write the reference loop's rows and events bit for
-    # bit: the Python loop over an opaque callable and over the source, and
-    # the C kernel over the source.
+    # a tie. The Python loop over an opaque callable and over the source
+    # writes the C kernel's rows and events bit for bit.
     # On the oscillator p = w cos s - sin s: p_zero at s = atan(w) and pi
     # later, and the stop where p falls through -w / 2.
     w = 0.1 * t_max
@@ -1140,15 +1095,10 @@ def test_each_grid_index_is_recorded_by_the_first_step_that_reaches_it(
     }[events]
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=t_max, max_step=max_step,
                             sample_dt=sample_dt)
-    source = RhsSource("{k0} = {y1}\n{k1} = -{y0}", "an oscillator", {})
-
-    def make_f():
-        return lambda y: [y[1], -y[0]]
-
-    assert_kernel_runs(2, specs, source)
-    times, _, raw_events, termination, stats = matches_reference(make_f, t0, [1.0, w], icfg, specs)
-    matches_reference(make_f, t0, [1.0, w], icfg, specs, source)
-    python_loop_run(monkeypatch, matches_reference, make_f, t0, [1.0, w], icfg, specs, source)
+    times, _, raw_events, termination, stats = matches_reference(
+        OSCILLATOR, t0, [1.0, w], icfg, specs)
+    assert_same_run(_propagate(lambda y: [y[1], -y[0]], t0, [1.0, w], icfg, specs),
+                    _propagate(OSCILLATOR, t0, [1.0, w], icfg, specs))
     assert len(raw_events) >= {"none": 0, "p_zero": 1, "stop": 2}[events]
     if events == "stop":
         assert termination is Termination.ESCAPED and times[-1] == raw_events[-1][0]
@@ -1171,7 +1121,7 @@ def test_a_horizon_on_the_sample_grid_keeps_one_last_row(sample_dt, t_max):
     # slack after it (0.1 * 7 > 0.7), so the t_end row repeats it and is
     # dropped.
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=t_max, sample_dt=sample_dt)
-    times, _, _, _, stats = matches_reference(lambda: coupled_rhs(2, 7), 0.0, [0.3, -0.4], icfg)
+    times, _, _, _, stats = matches_reference(coupled_rhs(2, 7), 0.0, [0.3, -0.4], icfg)
     assert stats["n_steps"] > 2
     assert times[-1] == t_max
     assert len(times) == round(t_max / sample_dt) + 1
@@ -1182,17 +1132,18 @@ def test_a_sample_on_a_step_end_closes_a_run_of_samples():
     # (within the 1e-9 * sample_dt slack) and takes the end state z, the
     # first two take the interpolant. At t0 = 1000 the interpolant at the
     # step's end is not z.
-    f = coupled_rhs(2, 7)
+    rhs = coupled_rhs(2, 7)
+    f = function(rhs, 2)
     t0, y0, tol = 1000.0, [0.3, -0.4], 1e-6
-    h = reference_initial_step(f, y0, f(y0), tol, tol, 1.0, 0.1)
-    _, err, (z, _, coeffs) = reference_step(f, tol, tol, h, y0, f(y0))
+    h = _initial_step(f, y0, f(y0), tol, tol, 1.0, 0.1)
+    _, err, z, k = _step(f, tol, tol, h, y0, f(y0))
     assert err <= 1.0  # the first attempt is accepted
     icfg = IntegratorConfig(rtol=tol, atol=tol, t_max=1.0, sample_dt=h / 3 * (1 + 1e-12))
     dt = icfg.sample_dt
     assert t0 + 2 * dt < t0 + h <= t0 + 3 * dt <= t0 + h + 1e-9 * dt
-    times, states, _, _, _ = matches_reference(lambda: f, t0, y0, icfg)
+    times, states, _, _, _ = matches_reference(rhs, t0, y0, icfg)
     assert times[1:4] == [t0 + dt, t0 + 2 * dt, t0 + h]
-    dense = reference_dense(t0, h, coeffs)
+    dense = _dense(t0, h, y0, z, k)
     assert same_rows(states[1:4], [dense(t0 + dt), dense(t0 + 2 * dt), z])
     assert dense(t0 + h) != z
 
@@ -1235,41 +1186,42 @@ def test_a_blowup_with_overflowing_coefficients_raises_no_numpy_warning():
     # Huge tolerances accept every step, so y' = 1e308 past y = 3 makes one
     # step with coefficients near the float limit before the 1e12 guard
     # stops the run. The interpolant then meets inf - inf: Python floats
-    # give nan silently, and the array pass must raise no numpy warning
-    # either, with warnings as errors.
+    # give nan silently, and nothing may raise a numpy warning either, with
+    # warnings as errors. The RHS has no C translation: the Python loop runs.
     icfg = IntegratorConfig(rtol=1e300, atol=1e300, t_max=10.0, max_step=2.0, sample_dt=2.0 / 13)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, states, _, termination, stats = matches_reference(
-            lambda: lambda y: [1.0 if y[0] < 3.0 else 1e308], 0.0, [0.0], icfg
+        _, states, _, termination, stats, _ = _propagate(
+            lambda y: [1.0 if y[0] < 3.0 else 1e308], 0.0, [0.0], icfg
         )
     assert termination is Termination.STEP_FAILURE and stats["failure"] == "blowup"
     assert np.isnan(states).any()
 
 
-def core_stats(f, y0, t_end, max_step=0.5):
+def core_stats(rhs, y0, t_end, max_step=0.5):
+    """The stats of a run of an RHS source in both loops, or of a callable
+    with no C translation in the Python loop."""
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=t_end, max_step=max_step, sample_dt=0.05)
-    return matches_reference(lambda: f, 0.0, y0, icfg)[4]
+    if isinstance(rhs, RhsSource):
+        return matches_reference(rhs, 0.0, y0, icfg)[4]
+    return _propagate(rhs, 0.0, y0, icfg)[4]
 
 
 def test_sample_pass_memory_is_bounded_by_its_outputs(monkeypatch):
-    # CI's order-3 run (at sample_dt 5e-4: 12,660 rows), through the
-    # Python loop: the kernel's table is C memory, which tracemalloc does
-    # not see. The loop appends the rows and their series to buffers that
-    # numpy wraps without a copy, so the traced peak of the run stays near
-    # the bytes of its five output arrays; a sample pass on whole arrays
-    # peaks at about 2.5 times them. Traced, each float the loop makes
-    # costs time linear in the length of its function's code, which is why
-    # the grid is coarser than CI's 1e-4 (63,290 rows, about 14 s).
+    # CI's order-3 run (63,290 rows), through the Python loop: the kernel's
+    # table is C memory, which tracemalloc does not see. The loop appends
+    # the rows and their series to buffers that numpy wraps without a copy,
+    # so the traced peak of the run stays near the bytes of its five output
+    # arrays; rows kept as lists of floats peak at about 4 times them.
     from momentous.cli import _trajectory, build_config
 
     cfg = build_config({
         "model": {"order": 3},
         "packet": {"q0": -2.5, "energy": 0.98, "sigma0": 0.5, "third_moment_convention": "zero"},
-        "integrator": {"t_max": 20.0, "sample_dt": 5e-4},
+        "integrator": {"t_max": 20.0, "sample_dt": 1e-4},
     })
     monkeypatch.setattr(integrator, "_kernel", lambda *args: None)
-    _trajectory(cfg)  # compile the loop outside the trace
+    _trajectory(cfg)  # compile the RHS and series functions outside the trace
     tracemalloc.start()
     try:
         traj = _trajectory(cfg)
@@ -1277,14 +1229,14 @@ def test_sample_pass_memory_is_bounded_by_its_outputs(monkeypatch):
     finally:
         tracemalloc.stop()
     outputs = (traj.times, traj.states, traj.h_q, traj.v_eff, traj.uncertainty)
-    assert len(traj.times) == 12_660
+    assert len(traj.times) == 63_290
     assert peak <= 1.25 * sum(a.nbytes for a in outputs)
 
 
 def test_step_statistics_split_rejections_by_cause():
     # A stiff oscillator: every rejection is an error rejection, and each of
     # the attempts costs six RHS calls after the two start-up calls.
-    stats = core_stats(lambda y: [y[1], -400.0 * y[0]], [1.0, 0.0], 2.0)
+    stats = core_stats(source("{y1}", "-400.0 * {y0}"), [1.0, 0.0], 2.0)
     assert stats["n_rejected"] == stats["n_rejected_error"] > 0
     assert stats["n_rejected_nonfinite"] == 0
     assert stats["n_rhs"] == 2 + 6 * (stats["n_steps"] + stats["n_rejected"])
@@ -1299,11 +1251,11 @@ def test_step_statistics_split_rejections_by_cause():
 def test_step_size_range_leaves_out_the_landing_step():
     # The last step is cut to about 1e-9 to land on t_end; the range is that
     # of the other accepted steps, which grow to max_step.
-    stats = core_stats(lambda y: [1.0, -y[0]], [0.0, 1.0], 10.0 + 1e-9, max_step=0.1)
+    stats = core_stats(source("1.0", "-{y0}"), [0.0, 1.0], 10.0 + 1e-9, max_step=0.1)
     assert stats["h_max"] == 0.1
     assert stats["h_min"] > 1e-3
     # No accepted step at all: no range.
-    stats = core_stats(lambda y: [y[0] * y[0]], [2e12], 1.0)
+    stats = core_stats(source("{y0} * {y0}"), [2e12], 1.0)
     assert stats["n_steps"] == 0 and stats["h_min"] is None and stats["h_max"] is None
 
 
@@ -1461,7 +1413,7 @@ def test_a_remainder_of_a_few_ulps_is_stepped_to_t_end():
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=1e-7 + 5 * ulp, max_step=1e-7,
                             sample_dt=1e-7)
     times, _, _, termination, stats = matches_reference(
-        lambda: lambda y: [1.0, -y[0]], t0, [0.0, 1.0], icfg
+        source("1.0", "-{y0}"), t0, [0.0, 1.0], icfg
     )
     assert termination is Termination.REACHED_TMAX
     assert stats["n_steps"] == 2
@@ -1475,7 +1427,7 @@ def test_a_late_start_steps_as_an_early_one():
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=1e-8, max_step=1e-9, sample_dt=1e-9)
     for t0 in (0.0, 1e6):
         times, _, _, termination, stats = matches_reference(
-            lambda: lambda y: [1.0, -y[0]], t0, [0.0, 1.0], icfg
+            source("1.0", "-{y0}"), t0, [0.0, 1.0], icfg
         )
         assert termination is Termination.REACHED_TMAX
         assert "failure" not in stats
@@ -1485,10 +1437,11 @@ def test_a_late_start_steps_as_an_early_one():
     # A step too small to move t is an underflow failure too. An RHS that
     # turns infinite past y = 1.5 shrinks the step tenfold per attempt: from
     # t0 = 0 down to 1e-14 * 1.5, from t0 = 1e6 only until t + h == t (about
-    # 6e-11), so the late run fails after fewer attempts.
+    # 6e-11), so the late run fails after fewer attempts. The RHS has no C
+    # translation: the Python loop runs.
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=2.0, max_step=0.5, sample_dt=0.05)
     early, late = (
-        matches_reference(lambda: lambda y: [math.inf if y[0] > 1.5 else 1.0], t0, [0.0], icfg)[4]
+        _propagate(lambda y: [math.inf if y[0] > 1.5 else 1.0], t0, [0.0], icfg)[4]
         for t0 in (0.0, 1e6)
     )
     assert early["failure"] == late["failure"] == "underflow"
@@ -1506,7 +1459,7 @@ def test_an_event_at_a_late_start_is_located_to_the_float_spacing():
     icfg = IntegratorConfig(rtol=1e-10, atol=1e-10, t_max=2.0)
     located = []
     for t0 in (0.0, 1e6):
-        events = matches_reference(lambda: lambda y: [y[1], -y[0]], t0, [0.0, 1.0], icfg, (spec,))[2]
+        events = matches_reference(OSCILLATOR, t0, [0.0, 1.0], icfg, (spec,))[2]
         [(te, _, direction, _)] = events
         assert direction == -1
         located.append(te)
@@ -1528,7 +1481,7 @@ def test_int_and_numpy_numbers_run_the_kernel_as_their_floats(monkeypatch, barri
     icfg = IntegratorConfig(atol=np.float64(1e-6), t_max=2, max_steps=1e6)
     assert (type(icfg.atol), type(icfg.t_max), type(icfg.max_steps)) == (float, float, int)
     if KERNELS_BUILD:
-        monkeypatch.setattr(integrator, "_loop", None)  # the Python loop is not called
+        monkeypatch.setattr(integrator, "_python_loop", None)  # the Python loop is not called
     got = integrate(dataclasses.replace(init, t=0), numbers, icfg)
     assert_same_trajectory(got, want)
 
@@ -1539,15 +1492,15 @@ def test_order_mismatch_rejected(barrier):
         integrate(MomentState(t=0.0, q=0.0, p=0.0, moments=()), model, IntegratorConfig())
 
 
-# Builds the loop and the C kernel's units for d = 2, 5 and 9 with and
-# without markers and the constraint, each over its model's RHS and series
-# sources, and the RHS and series kernels of orders 0, 2 and 3; prints the
-# text of every generated source.
+# Builds the C kernel's units for d = 2, 5 and 9 with and without markers
+# and the constraint, each over its model's RHS and series sources, and the
+# RHS and series functions of orders 0, 2 and 3; prints the text of every
+# generated source.
 GENERATED_SOURCES = """
 import json, linecache
 from momentous import BarrierPotential, IntegratorConfig, ModelConfig
 from momentous.dynamics import _series, make_rhs, rhs_source
-from momentous.integrator import _c_units, _event_specs, _loop, _series_source
+from momentous.integrator import _c_units, _event_specs, _series_source
 
 pot = BarrierPotential(alpha=1.0, a=1.0, n=4)
 icfg = IntegratorConfig()
@@ -1561,7 +1514,6 @@ for order, d in ((0, 2), (2, 5), (3, 9)):
         for kept in (specs, [s for s in specs if s.kind != "constraint"]):
             events = tuple((s.expr, s.direction) for s in kept)
             series = _series_source(model)
-            _loop(d, events, rhs_source(model), series)
             kernels[f"C kernel {d} {events}"] = "".join(
                 _c_units(d, events, rhs_source(model), series))
 texts = {k: "".join(v[2]) for k, v in linecache.cache.items() if k.startswith("<")}
@@ -1581,8 +1533,5 @@ def test_generated_source_ignores_the_hash_seed():
         )
         texts.append(json.loads(run.stdout))
     assert texts[0] == texts[1]
-    loops = [name for name in texts[0] if name.startswith("<dopri5 loop")]
-    assert len(loops) == 10
-    assert all("; series: order-" in name for name in loops)
     assert len([name for name in texts[0] if name.startswith("C kernel")]) == 10
     assert any(name.startswith("<order-3 rhs kernel") for name in texts[0])
