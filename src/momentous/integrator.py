@@ -41,8 +41,9 @@ Recorded along the way:
 * samples on a fixed ``sample_dt`` grid plus event points, in time order
   (an event before a grid sample at its time), less each row within
   ``1e-12 * max(t - t0, 1)`` of the last one kept, each on the quartic
-  interpolant in the loop's operation order. Either loop writes these rows
-  as it steps, into buffers that become the returned arrays;
+  interpolant in the loop's operation order. Either loop writes each row
+  it keeps as it steps, ``(t, y0 ... y{d-1}, series ...)``, into one
+  table, whose columns are the returned times, states and series;
 * events: momentum sign changes, crossings of caller-supplied position
   markers (classical return points), outbound escape, and, at orders 2 and
   3, ``G20*G02 - G11**2`` turning negative, which no state can have (a stop);
@@ -50,7 +51,7 @@ Recorded along the way:
   position, and the uncertainty-product residual, whose minimum over the
   samples and its time go into the step statistics. Either loop evaluates
   them per row it keeps, from the templates of :func:`_series_source`,
-  into buffers that become the returned arrays;
+  into the row's last columns;
 * on a step failure, its cause: a non-finite start, step-size underflow,
   the ``max_steps`` budget, or a state blowup.
 
@@ -451,8 +452,9 @@ def _event_function(expr: str):
 
 def _python_loop(rhs, t0, y, icfg, specs, series):
     """The loop of the C kernel (:func:`_kernel`) in Python, with the same
-    arguments and result: the same operations in the same order, so the
-    same bytes. ``rhs`` is an :class:`RhsSource`, which runs compiled
+    arguments and result, ``(table, raw_events, stop, counts)`` (see
+    :func:`_run`): the same operations in the same order, so the same
+    bytes. ``rhs`` is an :class:`RhsSource`, which runs compiled
     (``dynamics._compile``), or a callable from a state list to its
     derivative list; ``series`` an :class:`RhsSource` or None.
 
@@ -464,8 +466,7 @@ def _python_loop(rhs, t0, y, icfg, specs, series):
     a stopping step that row shares the stop's time and is dropped. The
     nested ``emit`` drops a row within ``1e-12 * max(t - t0, 1)`` of the
     last row kept, and appends the time, the state and the series values of
-    a row it keeps to ``array('d')`` buffers, which numpy wraps without a
-    copy.
+    a row it keeps to one ``array('d')``, which numpy wraps without a copy.
     """
     d = len(y)
     f = _compile(rhs, d)(**rhs.bound) if isinstance(rhs, RhsSource) else rhs
@@ -482,19 +483,18 @@ def _python_loop(rhs, t0, y, icfg, specs, series):
             if 0.0 < h < math.inf:
                 failure = None
 
-    times, states = array("d"), array("d")
-    columns = [array("d") for _ in range(_series_count(series))]
+    table = array("d")
+    width = 1 + d + _series_count(series)
     values = series and _compile(series, d)(**series.bound)
 
     def emit(tr, u):
         a = tr - t0
-        if times and tr - times[-1] <= 1e-12 * (a if a > 1.0 else 1.0):
+        if table and tr - table[-width] <= 1e-12 * (a if a > 1.0 else 1.0):
             return
-        times.append(tr)
-        states.extend(u)
+        table.append(tr)
+        table.extend(u)
         if values:
-            for column, value in zip(columns, values(u)):
-                column.append(value)
+            table.extend(values(u))
 
     emit(t, y)
     events = [(_event_function(spec.expr), spec.values, spec) for spec in specs]
@@ -590,38 +590,23 @@ def _python_loop(rhs, t0, y, icfg, specs, series):
     # After a stop the last row is the stop event's, at its time.
     if stop is None:
         emit(t, y)
-    stats = {
-        "n_steps": n_steps,
-        "n_rejected": n_error + n_nonfinite,
-        "n_rhs": n_rhs,
-        "n_rejected_error": n_error,
-        "n_rejected_nonfinite": n_nonfinite,
-        # Over accepted steps, leaving out one cut short to land on t_end.
-        "h_min": h_min if h_max else None,
-        "h_max": h_max if h_max else None,
-    }
-    if failure is not None:
-        stats["failure"] = failure
-    return (np.frombuffer(times), np.frombuffer(states).reshape(-1, d), raw_events, stop, stats,
-            None if series is None else [np.frombuffer(column) for column in columns])
+    return (np.frombuffer(table).reshape(-1, width), raw_events, stop,
+            (n_steps, n_error, n_nonfinite, n_rhs, failure, h_min, h_max))
 
 
 # The loop of :func:`_python_loop` in C over arrays of D doubles, its rows
 # and their per-sample series included, as four translation units that
 # share _C_SHARED; :func:`_c_units` fills in the $-fields. Each operation is
-# that of the Python loop in its order, so every bit is the same: floordiv
-# is Python's float floor division, and min, max, abs and conditional
-# expressions are comparisons in the order the builtins make them. The
-# compiler's memory grows with the largest function and unit, so the loop's
-# parts are functions in separate units, and no header is read.
+# that of the Python loop in its order, so every bit is the same: min, max,
+# abs and conditional expressions are comparisons in the order the builtins
+# make them. The compiler's memory grows with the largest function and
+# unit, so the loop's parts are functions in separate units, and no header
+# is read.
 _C_SHARED = r"""#if !defined(__FLT_EVAL_METHOD__) || __FLT_EVAL_METHOD__ != 0
 #error "each double operation must round to double, as Python's do"
 #endif
 
-double copysign(double, double);
 double fabs(double);
-double floor(double);
-double fmod(double, double);
 double pow(double, double);
 double sqrt(double);
 void *realloc(void *, __SIZE_TYPE__);
@@ -630,6 +615,7 @@ void free(void *);
 #define D $d
 #define NEV $nev
 #define NSERIES $nseries
+#define WIDTH (1 + D + NSERIES)  /* a sample row: t, the state, the series */
 #define INF __builtin_inf()
 
 enum { OK, NO_MEMORY };
@@ -640,10 +626,8 @@ typedef struct { double *data; long long n, cap; } buffer;
 /* A run's settings, constants, outputs so far and sample grid position. */
 typedef struct {
     double t0, rtol, atol, max_step, sample_dt, t_end, slack, sample_index;
-    double last;  /* the time of the last sample row kept */
     const double *b, *c, *sb;  /* the RHS's, the events' and the series' constants */
-    const int *stops;  /* per event: whether it ends the run */
-    buffer times, states, events, series[NSERIES + 1];
+    buffer rows, events;
     int stop;  /* the stopping event or -1 */
 } loop;
 
@@ -809,8 +793,9 @@ double bisect(loop *lp, int j, double glo, double gend, double t, double h, doub
 # The records of an accepted step: its events and its sample rows, with
 # their series.
 _C_RECORD = r"""
-/* Per event: 1 rising, -1 falling, 0 both ways. */
+/* Per event: 1 rising, -1 falling, 0 both ways; and whether it ends the run. */
 static const int DIRECTION[NEV + 1] = {$directions};
+static const int STOPS[NEV + 1] = {$stops};
 
 /* Whether event j crossed from g to G: rose through or onto zero, or fell
    (a nan start counts as falling). */
@@ -819,22 +804,6 @@ static int crosses(int j, double g, double G)
     int up = g < 0.0 && 0.0 <= G;
     int down = (g > 0.0 && 0.0 >= G) || (g != g && G == 0.0);
     return DIRECTION[j] > 0 ? up : DIRECTION[j] < 0 ? down : up || down;
-}
-
-/* Python's float vx // wx (CPython's _float_div_mod) for wx > 0. */
-static double floordiv(double vx, double wx)
-{
-    double mod = fmod(vx, wx), div = (vx - mod) / wx, floored;
-    if (mod && (wx < 0) != (mod < 0))
-        div -= 1.0;
-    if (div) {
-        floored = floor(div);
-        if (div - floored > 0.5)
-            floored += 1.0;
-    } else {
-        floored = copysign(0.0, vx / wx);
-    }
-    return floored;
 }
 
 static int append(buffer *b, const double *v, int n)
@@ -856,24 +825,19 @@ static int append(buffer *b, const double *v, int n)
     return 1;
 }
 
-/* The sample row (t, u) and its series, unless t lies within
+/* The sample row (t, u, its series), unless t lies within
    1e-12 * max(t - t0, 1) of the last row kept. The rows come in time
    order, so a row is tested against the last one kept only. */
 int emit(loop *lp, double t, const double *u)
 {
-    double a = t - lp->t0, s[NSERIES + 1];
-    if (lp->times.n && t - lp->last <= 1e-12 * (a > 1.0 ? a : 1.0))
+    double a = t - lp->t0, row[WIDTH];
+    if (lp->rows.n && t - lp->rows.data[lp->rows.n - WIDTH] <= 1e-12 * (a > 1.0 ? a : 1.0))
         return OK;
-    lp->last = t;
-    if (!append(&lp->times, &t, 1) || !append(&lp->states, u, D))
-        return NO_MEMORY;
-    if (NSERIES) {
-        series(u, s, lp->sb);
-        for (int j = 0; j < NSERIES; j++)
-            if (!append(&lp->series[j], &s[j], 1))
-                return NO_MEMORY;
-    }
-    return OK;
+    row[0] = t;
+    for (int i = 0; i < D; i++)
+        row[1 + i] = u[i];
+    series(u, row + 1 + D, lp->sb);
+    return append(&lp->rows, row, WIDTH) ? OK : NO_MEMORY;
 }
 
 /* The records of the accepted step (t, h) from x to z, where the events
@@ -888,7 +852,7 @@ int record(loop *lp, double t, double h, const double *x, const double *z,
            const double k[7][D], const double *g, const double *G)
 {
     double d[4][D], u[D], event_row[3 + D], located_t[NEV + 1];
-    double tnew = t + h, cut = tnew, bound = tnew + lp->slack, index, next, te, ts;
+    double tnew = t + h, cut = tnew, bound = tnew + lp->slack, te, ts;
     int located[NEV + 1], located_direction[NEV + 1], crossing = 0, i, j, m, n = 0, status;
 
     for (j = 0; j < NEV; j++)
@@ -915,23 +879,17 @@ int record(loop *lp, double t, double h, const double *x, const double *z,
         located_direction[m] = DIRECTION[j] ? DIRECTION[j] : g[j] < 0.0 ? 1 : -1;
     }
     for (m = 0; m < n; m++)
-        if (lp->stops[located[m]]) {
+        if (STOPS[located[m]]) {
             n = m + 1;
             cut = located_t[m];
             lp->stop = located[m];
             bound = cut + lp->slack;
             break;
         }
-    /* The last grid index i with t0 + i * sample_dt <= bound, which the
-       division finds to within its rounding and the exact tests settle. */
-    index = floordiv(bound - lp->t0, lp->sample_dt);
-    while (lp->t0 + (index + 1.0) * lp->sample_dt <= bound)
-        index += 1.0;
-    while (lp->t0 + index * lp->sample_dt > bound)
-        index -= 1.0;
-    for (m = 0, next = lp->sample_index; m < n || next <= index;) {
-        ts = lp->t0 + next * lp->sample_dt;
-        if (m < n && (next > index || located_t[m] <= (ts >= cut ? cut : ts))) {
+    /* The grid samples at ts <= bound, one index after another. */
+    for (m = 0;;) {
+        ts = lp->t0 + lp->sample_index * lp->sample_dt;
+        if (m < n && (ts > bound || located_t[m] <= (ts >= cut ? cut : ts))) {
             dense(located_t[m], t, h, x, d, u);
             event_row[0] = located_t[m];
             event_row[1] = located[m];
@@ -941,19 +899,19 @@ int record(loop *lp, double t, double h, const double *x, const double *z,
             if (!append(&lp->events, event_row, 3 + D))
                 return NO_MEMORY;
             status = emit(lp, located_t[m++], u);
+        } else if (ts > bound) {
+            return OK;
         } else if (ts >= cut) {
             status = emit(lp, cut, z);
-            next += 1.0;
+            lp->sample_index += 1.0;
         } else {
             dense(ts, t, h, x, d, u);
             status = emit(lp, ts, u);
-            next += 1.0;
+            lp->sample_index += 1.0;
         }
         if (status != OK)
             return status;
     }
-    lp->sample_index = index + 1.0;
-    return OK;
 }
 """
 
@@ -972,19 +930,19 @@ static double *fitted(buffer *b)
     return data ? data : b->data;
 }
 
-/* The loop from the state start at cfg = (t0, rtol, atol, max_step,
-   sample_dt, t_max). On OK, bufs holds the sample times, the (n, D)
-   states, the raw events (t, j, direction, state) and the NSERIES series
-   as doubles, each its own allocation for release; counts holds the rows,
-   the events' doubles, n_steps, n_error, n_nonfinite, n_rhs, the failure
-   and the stopping event (or -1); hs holds h_min and h_max. */
-int run(const double *start, const double *cfg, long long max_steps, const double *b,
-        const double *c, const double *sb, const int *stops, double **bufs, long long *counts,
-        double *hs)
+/* The loop over the input block in: the start state (D doubles), t0,
+   rtol, atol, max_step, sample_dt and t_max, then the RHS constants ($nb),
+   the event constants ($nc) and the series constants. On OK, bufs holds
+   the (n, WIDTH) sample rows and the raw events (t, j, direction, state)
+   as doubles, each its own allocation for release; counts holds n, the
+   events' doubles, n_steps, n_error, n_nonfinite, n_rhs, the failure and
+   the stopping event (or -1); hs holds h_min and h_max. */
+int run(const double *in, long long max_steps, void **bufs, long long *counts, double *hs)
 {
+    const double *cfg = in + D, *b = cfg + 6, *c = b + $nb;
     loop lp = {.t0 = cfg[0], .rtol = cfg[1], .atol = cfg[2], .max_step = cfg[3],
                .sample_dt = cfg[4], .t_end = cfg[0] + cfg[5], .slack = 1e-9 * cfg[4],
-               .sample_index = 1.0, .b = b, .c = c, .sb = sb, .stops = stops, .stop = -1};
+               .sample_index = 1.0, .b = b, .c = c, .sb = c + $nc, .stop = -1};
     double x[D], z[D], k[7][D], g[NEV + 1], G[NEV + 1];
     double t = lp.t0, h = 0.0, h_min = INF, h_max = 0.0, facold = 1e-4;
     double close, a, err, fac, fac11, hnew;
@@ -992,7 +950,7 @@ int run(const double *start, const double *cfg, long long max_steps, const doubl
     int failure = NONE, rejected = 0, landing, calls, i, j;
 
     for (i = 0; i < D; i++)
-        x[i] = start[i];
+        x[i] = in[i];
     rhs(x, k[0], b);
     /* The run fails at once if k1 or the starting step is not finite. */
     if (!all_finite(k[0], D)) {
@@ -1088,12 +1046,9 @@ int run(const double *start, const double *cfg, long long max_steps, const doubl
     /* After a stop the last row is the stop event's, at its time. */
     if (lp.stop < 0 && emit(&lp, t, x) != OK)
         goto no_memory;
-    bufs[0] = fitted(&lp.times);
-    bufs[1] = fitted(&lp.states);
-    bufs[2] = lp.events.data;
-    for (j = 0; j < NSERIES; j++)
-        bufs[3 + j] = fitted(&lp.series[j]);
-    counts[0] = lp.times.n;
+    bufs[0] = fitted(&lp.rows);
+    bufs[1] = lp.events.data;
+    counts[0] = lp.rows.n / WIDTH;
     counts[1] = lp.events.n;
     counts[2] = n_steps;
     counts[3] = n_error;
@@ -1106,20 +1061,17 @@ int run(const double *start, const double *cfg, long long max_steps, const doubl
     return OK;
 
 no_memory:
-    free(lp.times.data);
-    free(lp.states.data);
+    free(lp.rows.data);
     free(lp.events.data);
-    for (j = 0; j < NSERIES; j++)
-        free(lp.series[j].data);
     return NO_MEMORY;
 }
 """
 
 
-def _c_units(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
+def _c_units(d: int, events: tuple[tuple[str, int, bool], ...], rhs: RhsSource,
              series: Optional[RhsSource] = None) -> tuple[str, ...]:
     """The C translation units of the kernel for ``d`` state components,
-    the ``(expr, direction)`` of each event spec, the RHS source ``rhs``
+    the :func:`_events` of the event specs, the RHS source ``rhs``
     and the per-sample series ``series`` (``{k0}, {k1}, ...`` of its
     template; none for None): the loop of :func:`_python_loop` with its
     rows and their series, the templates as the functions ``rhs`` and
@@ -1149,7 +1101,7 @@ def _c_units(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
         return "\n".join("    " + line for line in [*bound, *body])
 
     cases, offset = [], 0
-    for j, (expr, _) in enumerate(events):
+    for j, (expr, _, _) in enumerate(events):
         constants = _fields(expr, "c")
         fields = {f"y{i}": f"y[{i}]" for i in _fields(expr, "y")}
         fields.update((f"c{k}", f"c[{offset + n}]") for n, k in enumerate(constants))
@@ -1164,7 +1116,9 @@ def _c_units(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
         d=d, nev=len(events), nseries=_series_count(series),
         rhs=function_body(rhs), series=function_body(series),
         events="\n".join(cases),
-        directions=", ".join([*(str(direction) for _, direction in events), "0"]),
+        directions=", ".join([*(str(direction) for _, direction, _ in events), "0"]),
+        stops=", ".join([*(str(int(stop)) for _, _, stop in events), "0"]),
+        nb=len(rhs.bound), nc=offset,
         rms=_rms_expression([f"u[{i}]" for i in range(d)]),
         stages="\n".join("    " + line for line in stages),
         error=combo(_E), dense=combo(_D),
@@ -1180,34 +1134,30 @@ def _series_count(series: Optional[RhsSource]) -> int:
     return len(_fields(series.template, "k")) if series is not None else 0
 
 
-_FAILURES = {1: "nonfinite_start", 2: "underflow", 3: "budget", 4: "blowup"}
+# The failures by the kernel's code; 0 is none.
+_FAILURES = (None, "nonfinite_start", "underflow", "budget", "blowup")
 _NO_MEMORY = 1
-
-
-def _doubles(values):
-    return (ctypes.c_double * len(values))(*values)
 
 
 def _owned(address: int, n: int, release) -> np.ndarray:
     """The ``n`` doubles the kernel allocated at ``address``, as a numpy
     array over that memory; ``release`` frees it once the array and every
-    view of it are gone."""
+    view of it (the table's columns) are gone."""
     block = (ctypes.c_double * n).from_address(address)
     weakref.finalize(block, release, address).atexit = False
     return np.frombuffer(block)
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
+def _kernel(d: int, events: tuple[tuple[str, int, bool], ...], rhs: RhsSource,
             series: Optional[RhsSource] = None):
     """``run(rhs, t0, y0, icfg, specs, series)``, the C kernel of
     :func:`_c_units`, or None where the kernel cannot be translated,
     compiled, cached or loaded (see :mod:`native`). ``run`` takes the
-    arguments of :func:`_python_loop` and returns the same bytes: what
-    :func:`_propagate` returns, its stop as the stopping spec's ``stop``
-    and its series as a list of arrays, one per series (None where
-    ``series`` is None). Its arrays are the kernel's own memory, freed with
-    them."""
+    arguments of :func:`_python_loop` and returns the same bytes, ``(table,
+    raw_events, stop, counts)`` (see :func:`_run`). It passes the start
+    state, the settings and the constants to the kernel as one block, and
+    its table is the kernel's own memory, freed with its last view."""
     try:
         lib = native.load(_c_units(d, events, rhs, series))
     except native.NotC:
@@ -1215,56 +1165,36 @@ def _kernel(d: int, events: tuple[tuple[str, int], ...], rhs: RhsSource,
     if lib is None:
         return None
     kernel, release = lib.run, lib.release
-    double_p = ctypes.POINTER(ctypes.c_double)
     kernel.restype = ctypes.c_int
-    kernel.argtypes = (double_p, double_p, ctypes.c_longlong, double_p, double_p, double_p,
-                       ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_void_p),
-                       ctypes.POINTER(ctypes.c_longlong), double_p)
+    kernel.argtypes = (ctypes.POINTER(ctypes.c_double), ctypes.c_longlong,
+                       ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_longlong),
+                       ctypes.POINTER(ctypes.c_double))
     release.restype = None
     release.argtypes = (ctypes.c_void_p,)
-    n_series = _series_count(series)
+    width = 1 + d + _series_count(series)
 
     def run(rhs, t0, y0, icfg, specs, series):
-        settings = (t0, icfg.rtol, icfg.atol, icfg.max_step, icfg.sample_dt, icfg.t_max)
-        values = [v for spec in specs for v in spec.values]
-        series_bound = list(series.bound.values()) if n_series else []
-        bufs = (ctypes.c_void_p * (3 + n_series))()
+        block = [*y0, t0, icfg.rtol, icfg.atol, icfg.max_step, icfg.sample_dt, icfg.t_max,
+                 *rhs.bound.values(), *(v for spec in specs for v in spec.values),
+                 *(series.bound.values() if series else ())]
+        bufs = (ctypes.c_void_p * 2)()
         counts = (ctypes.c_longlong * 8)()
         hs = (ctypes.c_double * 2)()
-        status = kernel(
-            _doubles(y0), _doubles(settings), min(icfg.max_steps, 2**62),
-            _doubles(list(rhs.bound.values())), _doubles(values), _doubles(series_bound),
-            (ctypes.c_int * (len(specs) + 1))(*(spec.stop is not None for spec in specs)),
-            bufs, counts, hs,
-        )
+        status = kernel((ctypes.c_double * len(block))(*block), min(icfg.max_steps, 2**62),
+                        bufs, counts, hs)
         if status == _NO_MEMORY:
             raise MemoryError("kernel buffers")
         n, n_events = counts[0], counts[1]
         try:
-            flat = (ctypes.c_double * n_events).from_address(bufs[2])[:] if n_events else []
+            flat = (ctypes.c_double * n_events).from_address(bufs[1])[:] if n_events else []
         finally:
-            release(bufs[2])
-        times = _owned(bufs[0], n, release)
-        states = _owned(bufs[1], n * d, release).reshape(n, d)
-        columns = [_owned(bufs[3 + j], n, release) for j in range(n_series)]
-        width = 3 + d
-        raw_events = [(flat[j], specs[int(flat[j + 1])], int(flat[j + 2]), flat[j + 3:j + width])
-                      for j in range(0, len(flat), width)]
-        n_steps, n_error, n_nonfinite, n_rhs, failure, stop = counts[2:8]
-        h_min, h_max = hs
-        stats = {
-            "n_steps": n_steps,
-            "n_rejected": n_error + n_nonfinite,
-            "n_rhs": n_rhs,
-            "n_rejected_error": n_error,
-            "n_rejected_nonfinite": n_nonfinite,
-            "h_min": h_min if h_max else None,
-            "h_max": h_max if h_max else None,
-        }
-        if failure:
-            stats["failure"] = _FAILURES[failure]
-        stop = None if stop < 0 else specs[stop].stop
-        return times, states, raw_events, stop, stats, columns if n_series else None
+            release(bufs[1])
+        table = _owned(bufs[0], n * width, release).reshape(n, width)
+        raw_events = [(flat[j], specs[int(flat[j + 1])], int(flat[j + 2]), flat[j + 3:j + 3 + d])
+                      for j in range(0, len(flat), 3 + d)]
+        stop = counts[7]
+        return (table, raw_events, None if stop < 0 else specs[stop].stop,
+                (*counts[2:6], _FAILURES[counts[6]], *hs))
 
     return run
 
@@ -1291,55 +1221,78 @@ def _propagate(
     are read as floats here, for both loops, and a spec whose ``values``
     do not hold one entry per ``{c<j>}`` field of its expression is a
     ValueError (:func:`_events`). Runs the C kernel (:func:`_kernel`) for
-    the state dimension, the specs' expressions, an :class:`RhsSource` and
-    the per-sample series source ``series`` (or none), or else, where that
-    kernel is None or the RHS a callable, the Python loop
+    the state dimension, the specs' :func:`_events`, an :class:`RhsSource`
+    and the per-sample series source ``series`` (or none), or else, where
+    that kernel is None or the RHS a callable, the Python loop
     :func:`_python_loop`, which compiles the sources it is given; which one
     runs depends on those and the machine only, and its result is final.
+    Either loop writes one table of sample rows (see :func:`_run`).
     Returns (times, states, raw events, termination, stats, series):
     ``times`` is the float array of sample times and ``states`` the ``(n,
-    d)`` float array, the same bytes either way. Raw events are ``(t, spec,
-    direction, y)`` tuples, ``y`` a list of floats. ``stats``
-    counts accepted steps, rejected attempts (in all, for an error norm
-    above 1 and for a non-finite stage, update or error norm) and RHS
-    evaluations, and gives ``h_min`` and ``h_max`` over the accepted steps
-    (None when there are none). On a step failure ``stats["failure"]``
-    names the guard that stopped the run: "nonfinite_start", "underflow",
-    "budget" or "blowup". ``series`` is the list of the arrays of ``{k0},
-    {k1}, ...`` of the template of the argument ``series`` at every row, or
-    None where ``series`` is None."""
+    d)`` float array, the same bytes either way, both column views of that
+    table. Raw events are ``(t, spec, direction, y)`` tuples, ``y`` a list
+    of floats. ``stats`` counts accepted steps, rejected attempts (in all,
+    for an error norm above 1 and for a non-finite stage, update or error
+    norm) and RHS evaluations, and gives ``h_min`` and ``h_max`` over the
+    accepted steps (None when there are none). On a step failure
+    ``stats["failure"]`` names the guard that stopped the run:
+    "nonfinite_start", "underflow", "budget" or "blowup". ``series`` is the
+    list of the column views of ``{k0}, {k1}, ...`` of the template of the
+    argument ``series`` at every row, or None where ``series`` is None."""
     specs = tuple(specs)
     return _run(rhs, t0, y0, icfg, specs, _events(specs), series)
 
 
 def _run(rhs, t0, y0, icfg, specs, events, series):
     """:func:`_propagate` for a tuple of ``specs`` whose ``events`` are
-    already known, as :func:`_events` gives them."""
+    already known, as :func:`_events` gives them.
+
+    Either loop returns ``(table, raw_events, stop, counts)``: the ``(n, 1
+    + d + n_series)`` table of the sample rows ``(t, y0 ... y{d-1}, series
+    ...)``, the raw events, the ``stop`` of the spec that ended the run (or
+    None) and ``(n_steps, n_error, n_nonfinite, n_rhs, failure, h_min,
+    h_max)``, where ``failure`` names a step failure (or is None) and
+    ``h_max`` is 0.0 where no step counts. The times, states and series
+    returned are views of the table's columns."""
     t0, y0 = float(t0), [float(a) for a in y0]
     series = series and _float_constants(series)
     run = None
     if isinstance(rhs, RhsSource):
         rhs = _float_constants(rhs)
         run = _kernel(len(y0), events, rhs, series)
-    times, states, raw_events, stop, stats, values = (run or _python_loop)(
-        rhs, t0, y0, icfg, specs, series)
-    if "failure" in stats:
+    table, raw_events, stop, counts = (run or _python_loop)(rhs, t0, y0, icfg, specs, series)
+    n_steps, n_error, n_nonfinite, n_rhs, failure, h_min, h_max = counts
+    stats = {
+        "n_steps": n_steps,
+        "n_rejected": n_error + n_nonfinite,
+        "n_rhs": n_rhs,
+        "n_rejected_error": n_error,
+        "n_rejected_nonfinite": n_nonfinite,
+        # Over accepted steps, leaving out one cut short to land on t_end.
+        "h_min": h_min if h_max else None,
+        "h_max": h_max if h_max else None,
+    }
+    if failure is not None:
+        stats["failure"] = failure
         termination = Termination.STEP_FAILURE
     else:
         termination = Termination.REACHED_TMAX if stop is None else stop
-    return times, states, raw_events, termination, stats, values
+    d = len(y0)
+    values = None if series is None else [table[:, j] for j in range(1 + d, table.shape[1])]
+    return table[:, 0], table[:, 1:1 + d], raw_events, termination, stats, values
 
 
-def _events(specs: tuple[_EventSpec, ...]) -> tuple[tuple[str, int], ...]:
-    """The ``(expr, direction)`` of each spec, the key of its loop; a spec
-    whose ``values`` do not hold one entry per ``{c<j>}`` field of its
-    expression is a ValueError."""
+def _events(specs: Sequence[_EventSpec]) -> tuple[tuple[str, int, bool], ...]:
+    """The ``(expr, direction, stops)`` of each spec, ``stops`` whether it
+    names a ``stop``: the key of its kernel. A spec whose ``values`` do not
+    hold one entry per ``{c<j>}`` field of its expression is a
+    ValueError."""
     for spec in specs:
         fields = len(_fields(spec.expr, "c"))
         if len(spec.values) != fields:
             raise ValueError(f"the spec of event {spec.expr!r} holds {len(spec.values)} "
                              f"values, not {fields}")
-    return tuple((spec.expr, spec.direction) for spec in specs)
+    return tuple((spec.expr, spec.direction, spec.stop is not None) for spec in specs)
 
 
 def _event_specs(
@@ -1389,7 +1342,7 @@ PLAN_CACHE_SIZE = 64
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(model: ModelConfig, escape_radius: Optional[float],
-          marks: bytes) -> tuple[tuple[_EventSpec, ...], tuple[tuple[str, int], ...]]:
+          marks: bytes) -> tuple[tuple[_EventSpec, ...], tuple[tuple[str, int, bool], ...]]:
     """The event specs of :func:`integrate` and their checked
     :func:`_events`, the same for every run of the model, the configured
     ``escape_radius`` and the marker positions whose doubles ``marks``

@@ -1,11 +1,13 @@
 import ast
 import dataclasses
+import gc
 import itertools
 import json
 import linecache
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -37,6 +39,7 @@ from momentous.integrator import (
     _c_units,
     _dense,
     _event_specs,
+    _events,
     _initial_step,
     _kernel,
     _plan,
@@ -456,7 +459,7 @@ def _a_model_kernel_loads() -> bool:
     order-2 model run. Under ``CC=false``, say, the compiler is on the path
     but no kernel builds, and every model run takes the Python loop."""
     model = ModelConfig(potential=BarrierPotential(), order=2)
-    events = tuple((s.expr, s.direction) for s in _event_specs(model, None, ()))
+    events = _events(_event_specs(model, None, ()))
     return native.load(_c_units(5, events, rhs_source(model), _series_source(model))) is not None
 
 
@@ -469,7 +472,7 @@ def assert_kernel_runs(d, specs, source):
     """Where kernels can be built, the model run of ``source`` and
     ``specs`` goes through the C kernel, not the Python loop."""
     if KERNELS_BUILD:
-        assert _kernel(d, tuple((s.expr, s.direction) for s in specs), source) is not None
+        assert _kernel(d, _events(specs), source) is not None
 
 
 @pytest.fixture
@@ -552,7 +555,7 @@ def assert_kernel_integrates(init, model, icfg, marks=()):
     """``integrate``, which must run as the Python loop does, byte for byte;
     where kernels can be built, its run goes through the C kernel."""
     specs = _event_specs(model, icfg.escape_radius, marks)
-    events = tuple((s.expr, s.direction) for s in specs)
+    events = _events(specs)
     if KERNELS_BUILD:
         assert _kernel(len(init.moments) + 2, events, rhs_source(model),
                        _series_source(model)) is not None
@@ -654,8 +657,8 @@ def test_event_values_that_miss_the_expression_s_fields_are_rejected(values, loo
     # {c<j>} field of its expression.
     spec = _EventSpec("{y0} - {c0}", kind="q_cross", values=values)
     args = (FREE, 0.0, [0.0, 1.0], IntegratorConfig(t_max=1.0), [spec])
-    if loop == "kernel":
-        assert_kernel_runs(2, [spec], FREE)
+    if loop == "kernel":  # the kernel of the key that a valid spec shares
+        assert_kernel_runs(2, [dataclasses.replace(spec, values=(1.0,))], FREE)
     with pytest.raises(ValueError, match=f"holds {len(values)} values, not 1"):
         _propagate(*args) if loop == "kernel" else python_loop_run(_propagate, *args)
 
@@ -706,7 +709,7 @@ def test_a_sweep_without_a_kernel_writes_the_same_bytes(
     run_sweep(cfg, str(tmp_path / "fallback"))
     specs = _event_specs(cfg.model, cfg.integrator.escape_radius,
                          cfg.model.potential.turning_points(0.98))
-    assert _kernel(5, tuple((s.expr, s.direction) for s in specs), rhs_source(cfg.model)) is None
+    assert _kernel(5, _events(specs), rhs_source(cfg.model)) is None
     for suffix in (".csv", ".summary.json"):
         assert (tmp_path / f"fallback{suffix}").read_bytes() == (tmp_path / f"kernel{suffix}").read_bytes()
     assert not list(tmp_path.rglob("*.tmp"))
@@ -723,7 +726,7 @@ def test_the_loop_of_a_model_run_calls_no_rhs(barrier):
     init = initial_moments(scenario_packet(barrier, -1.62, 0.3), model)
     icfg = tight_integrator(t_max=0.5)
     specs = _event_specs(model, icfg.escape_radius, ())
-    events = tuple((spec.expr, spec.direction) for spec in specs)
+    events = _events(specs)
     _kernel.cache_clear()
     integrate(init, model, icfg)
     hits = _kernel.cache_info().hits
@@ -795,7 +798,7 @@ def test_generated_names_follow_the_source_text(barrier, monkeypatch, tmp_path, 
     # tracebacks from the real code. The real table's files are untouched.
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     model = ModelConfig(potential=barrier, order=2)
-    events = tuple((s.expr, s.direction) for s in _event_specs(model, None, ()))
+    events = _events(_event_specs(model, None, ()))
 
     def compiled():
         library = native.load(_c_units(5, events, rhs_source(model)))
@@ -839,7 +842,7 @@ def test_a_marker_keeps_its_sign_through_the_plan_cache():
     from momentous.cli import build_config
 
     cfg = build_config({"packet": {"q0": -2.5, "energy": 3.0, "sigma0": 0.3},
-                        "integrator": {"t_max": 10.0, "escape_radius": 50.0}})
+                        "integrator": {"t_max": 2.0, "escape_radius": 50.0}})
     init = initial_moments(cfg.packet, cfg.model)
     _plan.cache_clear()
     for marker in (-0.0, 0.0, -0.0):
@@ -1057,7 +1060,7 @@ def test_samples_near_the_duplicate_window_keep_each_row_beyond_it(sample_dt, ev
 
 _REGULAR = (1000.0, 0.001, 5.0, 0.1)
 # A twelfth of an ulp of t0: t0 + i * sample_dt rounds to runs of equal
-# values, and the division misses the last index by up to 5.
+# values.
 _SUB_ULP = (1e6, 1.3e-11, 1.5e-6, 1e-7)
 # A span below 1e-12 * t0, one sample per step of max_step.
 _LATE = (1e6, 1e-7, 1.5e-6, 1e-7)
@@ -1127,6 +1130,20 @@ def test_a_horizon_on_the_sample_grid_keeps_one_last_row(sample_dt, t_max):
     assert len(times) == round(t_max / sample_dt) + 1
 
 
+def test_grid_times_that_collide_keep_one_row_per_time():
+    # At t0 = 2**30 the floats lie 2**-22 (about 2.4e-7) apart, so the 100
+    # grid indices of sample_dt = 1e-7 round onto 42 times past t0, the
+    # first index onto t0 itself. Both loops walk every index and keep one
+    # row per distinct time: the start row and 42 samples.
+    t0 = 2.0**30
+    icfg = IntegratorConfig(t_max=1e-5, sample_dt=1e-7)
+    grid = [t0 + i * icfg.sample_dt for i in range(101)]
+    assert grid[1] == t0 and len(set(grid)) == 43
+    times = matches_reference(OSCILLATOR, t0, [1.0, 0.5], icfg,
+                              (_EventSpec("{y1}", kind="p_zero"),))[0]
+    assert times == sorted(set(grid))
+
+
 def test_a_sample_on_a_step_end_closes_a_run_of_samples():
     # The first step holds three samples; the third lands on the step's end
     # (within the 1e-9 * sample_dt slack) and takes the end state z, the
@@ -1164,15 +1181,29 @@ def test_event_states_equal_their_rows_bit_for_bit(
 ):
     # Event states come from the loop's interpolant and sample rows from the
     # array pass after it; an event with a row of its own has that row's
-    # state, bit for bit. The states array is C-contiguous float64 (n, d).
+    # state, bit for bit. The times, the (n, d) states and the series are
+    # float64 columns of one (n, 1 + d + n_series) table over a shared base,
+    # in that order; at order 0 there is no residual column.
     model = ModelConfig(potential=barrier, order=order)
     packet = scenario_packet(barrier, q0, sigma0, third_moment_convention=convention)
     init = initial_moments(packet, model)
     traj = integrate(init, model, icfg, barrier.turning_points(0.98))
     assert traj.termination is termination
     states = traj.states
-    assert states.dtype == np.float64 and states.flags.c_contiguous
-    assert states.shape == (len(traj.times), len(state_to_vector(init)))
+    n, d = len(traj.times), len(state_to_vector(init))
+    assert states.shape == (n, d)
+    columns = [traj.times, states, traj.h_q, traj.v_eff]
+    if order >= 2:
+        columns.append(traj.uncertainty)
+    n_series = len(columns) - 2
+    width = 1 + d + n_series
+    table = traj.times.base
+    assert table.dtype == np.float64 and table.shape == (n * width,)
+    start = table.__array_interface__["data"][0]
+    for column, array in zip([0, 1, *range(1 + d, width)], columns):
+        assert array.dtype == np.float64 and array.base is table
+        assert array.strides[0] == 8 * width
+        assert array.__array_interface__["data"][0] == start + 8 * column
     rows = {t: i for i, t in enumerate(traj.times.tolist())}
     matched = [e for e in traj.events if e.t in rows]
     assert matched
@@ -1210,9 +1241,10 @@ def core_stats(rhs, y0, t_end, max_step=0.5):
 def test_sample_pass_memory_is_bounded_by_its_outputs(monkeypatch):
     # CI's order-3 run (63,290 rows), through the Python loop: the kernel's
     # table is C memory, which tracemalloc does not see. The loop appends
-    # the rows and their series to buffers that numpy wraps without a copy,
-    # so the traced peak of the run stays near the bytes of its five output
-    # arrays; rows kept as lists of floats peak at about 4 times them.
+    # the rows and their series to one buffer that numpy wraps without a
+    # copy, so the traced peak of the run stays near the bytes of its five
+    # output arrays, the table's columns; rows kept as lists of floats peak
+    # at about 4 times them.
     from momentous.cli import _trajectory, build_config
 
     cfg = build_config({
@@ -1486,6 +1518,25 @@ def test_int_and_numpy_numbers_run_the_kernel_as_their_floats(monkeypatch, barri
     assert_same_trajectory(got, want)
 
 
+def test_a_column_kept_alone_outlives_its_trajectory(barrier):
+    # A kernel run's arrays are columns of one table in the kernel's own
+    # memory, freed with the last of them: h_q, kept alone while the
+    # trajectory is collected and another run allocates its table, still
+    # reads its values.
+    model = ModelConfig(potential=barrier, order=2)
+    icfg = IntegratorConfig(atol=1e-6, t_max=2.0)
+    specs = _event_specs(model, icfg.escape_radius, ())
+    if KERNELS_BUILD:
+        assert _kernel(5, _events(specs), rhs_source(model), _series_source(model)) is not None
+    traj = integrate(initial_moments(scenario_packet(barrier, -1.62, 0.3), model), model, icfg)
+    h_q, want = traj.h_q, traj.h_q.copy()
+    del traj
+    gc.collect()
+    other = integrate(initial_moments(scenario_packet(barrier, -2.0, 0.4), model), model, icfg)
+    assert other.h_q.tobytes() != want.tobytes()
+    assert h_q.tobytes() == want.tobytes()
+
+
 def test_order_mismatch_rejected(barrier):
     model = ModelConfig(potential=barrier, order=2)
     with pytest.raises(ValueError):
@@ -1495,12 +1546,12 @@ def test_order_mismatch_rejected(barrier):
 # Builds the C kernel's units for d = 2, 5 and 9 with and without markers
 # and the constraint, each over its model's RHS and series sources, and the
 # RHS and series functions of orders 0, 2 and 3; prints the text of every
-# generated source.
+# generated source, a kernel's as the list of its units.
 GENERATED_SOURCES = """
 import json, linecache
 from momentous import BarrierPotential, IntegratorConfig, ModelConfig
 from momentous.dynamics import _series, make_rhs, rhs_source
-from momentous.integrator import _c_units, _event_specs, _series_source
+from momentous.integrator import _c_units, _event_specs, _events, _series_source
 
 pot = BarrierPotential(alpha=1.0, a=1.0, n=4)
 icfg = IntegratorConfig()
@@ -1512,26 +1563,50 @@ for order, d in ((0, 2), (2, 5), (3, 9)):
     for marks in ((), pot.turning_points(0.98)):
         specs = _event_specs(model, icfg.escape_radius, marks)
         for kept in (specs, [s for s in specs if s.kind != "constraint"]):
-            events = tuple((s.expr, s.direction) for s in kept)
+            events = _events(kept)
             series = _series_source(model)
-            kernels[f"C kernel {d} {events}"] = "".join(
-                _c_units(d, events, rhs_source(model), series))
+            kernels[f"C kernel {d} {events}"] = _c_units(d, events, rhs_source(model), series)
 texts = {k: "".join(v[2]) for k, v in linecache.cache.items() if k.startswith("<")}
 print(json.dumps({**texts, **kernels}))
 """
 
 
-def test_generated_source_ignores_the_hash_seed():
+def generated_sources(seed: str) -> dict:
+    """What GENERATED_SOURCES prints, run in a fresh interpreter under the
+    hash seed ``seed``."""
     src = str(Path(momentous.__file__).resolve().parents[1])
-    texts = []
-    for seed in ("0", "4242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        run = subprocess.run(
-            [sys.executable, "-c", GENERATED_SOURCES],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
-        texts.append(json.loads(run.stdout))
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", GENERATED_SOURCES],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(run.stdout)
+
+
+def test_generated_source_ignores_the_hash_seed():
+    texts = [generated_sources(seed) for seed in ("0", "4242")]
     assert texts[0] == texts[1]
     assert len([name for name in texts[0] if name.startswith("C kernel")]) == 10
     assert any(name.startswith("<order-3 rhs kernel") for name in texts[0])
+
+
+@pytest.mark.skipif(not KERNELS_BUILD, reason="kernels cannot be built here")
+def test_the_generated_c_compiles_without_warnings(tmp_path):
+    # Each distinct unit of the kernels of GENERATED_SOURCES, compiled as a
+    # translation unit of its own with every common warning an error: a
+    # leftover unused function, variable or parameter in the C text fails.
+    # The units are compiled to object files, as GCC checks for unused
+    # static functions and variables only then, not under -fsyntax-only.
+    units = sorted({unit for name, kernel in generated_sources("0").items()
+                    if name.startswith("C kernel") for unit in kernel})
+    paths = []
+    for n, unit in enumerate(units):
+        paths.append(str(tmp_path / f"unit{n}.c"))
+        Path(paths[-1]).write_text(unit)
+    command = shlex.split(os.environ.get("CC") or "cc")
+    done = subprocess.run(
+        [*command, "-Wall", "-Wextra", "-Werror", "-ffp-contract=off", "-c", *paths],
+        cwd=tmp_path, stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
