@@ -383,7 +383,8 @@ def _orjson_rows(block: np.ndarray) -> memoryview:
     """The CSV lines of a 2-D float64 array whose cells orjson writes as
     ``repr`` does: one ``dumps`` of the cells in row order, with every
     row's last comma and the closing ``]`` set to a newline (a float has no
-    comma) and the opening ``[`` left out."""
+    comma) and the opening ``[`` left out. ``ravel`` copies only a block
+    that is not contiguous, such as one of a column slice."""
     text = bytearray(orjson.dumps(block.ravel(), option=orjson.OPT_SERIALIZE_NUMPY))
     chars = np.frombuffer(text, np.uint8)
     n_cols = block.shape[1]
@@ -404,11 +405,11 @@ def row_blocks(n: int, columns: int):
     return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
-def _float_lines(*columns: np.ndarray):
-    """Yield ``_csv_lines(np.hstack(columns).tolist())`` of 2-D float64
-    arrays of equal length, encoded, byte for byte, in chunks of at most one
-    :func:`row_blocks` block each: a block's cells are copied from
-    ``columns`` when it is formatted, so no copy of the whole table is made.
+def _float_lines(table: np.ndarray):
+    """Yield ``_csv_lines(table.tolist())`` of a 2-D float64 array, encoded,
+    byte for byte, in chunks of at most one :func:`row_blocks` block each:
+    each block is a view of ``table``'s rows, so no copy of the whole table
+    is made.
 
     orjson (Ryū) writes the shortest round-trip digits, as ``repr`` does,
     and ``repr``'s notation except for a magnitude in [1e-9, 1e-4)
@@ -417,12 +418,11 @@ def _float_lines(*columns: np.ndarray):
     or above, or not finite, so within a factor 2 of those ranges, goes
     through ``_csv_lines``; each run of the other rows in a block is one
     orjson call."""
-    n_rows, width = len(columns[0]), sum(c.shape[1] for c in columns)
-    if n_rows * width == 0:
-        yield _csv_lines(np.hstack(columns).tolist()).encode()
+    if table.size == 0:
+        yield _csv_lines(table.tolist()).encode()
         return
-    for rows in row_blocks(n_rows, width):
-        block = np.hstack([c[rows] for c in columns])
+    for rows in row_blocks(*table.shape):
+        block = table[rows]
         mag = np.abs(block)
         flagged = ((mag >= 5e-10) & (mag < 2e-4) | ~(mag < 5e15)).any(axis=1)
         cuts = [0, *np.flatnonzero(flagged[1:] != flagged[:-1]) + 1, len(block)]
@@ -472,13 +472,12 @@ def run_simulate(cfg: RunConfig, out_path: Optional[str] = None) -> dict:
     traj = _trajectory(cfg)
     outcome = classify(traj, cfg.energy, cfg.margin)
     warnings = _warnings(traj)
+    # The columns are the trajectory's table as it is, less order 0's series.
     columns = ["t", "q", "p"]
-    series = [traj.times[:, None], traj.states]
     if cfg.model.order >= 2:
         columns += [*moment_labels(cfg.model.order), "h_q", "v_eff", "uncertainty_residual"]
-        series += [traj.h_q[:, None], traj.v_eff[:, None], traj.uncertainty[:, None]]
     return _write(
-        cfg, out_path, "simulate", columns, _float_lines(*series),
+        cfg, out_path, "simulate", columns, _float_lines(traj.table[:, :len(columns)]),
         n_samples=len(traj.times),
         termination=traj.termination.value,
         energy_drift=traj.energy_drift,

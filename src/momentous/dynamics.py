@@ -17,7 +17,10 @@ the propagator translates and its Python loop runs compiled,
 ``check-algebra`` verifies), and ``H_Q`` and ``V_eff`` (the Hamiltonian
 without its ``p`` terms) are compiled expressions that take floats and
 arrays alike, whose lines :func:`series_source` gives as a template too.
-One compiler, :func:`_compile`, turns every such template into a function.
+That template holds every per-sample series of a run, at orders 2 and 3
+the uncertainty residual ``G20*G02 - G11**2 - hbar**2/4`` too, and both
+loops of the integrator write its values into each sample row. One
+compiler, :func:`_compile`, turns every such template into a function.
 
 The order-2 system is exactly the order-3 system with every third moment
 set to zero. Both conserve the effective Hamiltonian identically (the
@@ -49,6 +52,7 @@ __all__ = [
     "ModelConfig",
     "MomentState",
     "RhsSource",
+    "UNCERTAINTY_PRODUCT",
     "effective_hamiltonian",
     "effective_potential",
     "effective_series",
@@ -71,6 +75,11 @@ MOMENTS_BY_ORDER: dict[int, tuple[Moment, ...]] = {
 }
 
 _ORDER_BY_COUNT = {len(v): k for k, v in MOMENTS_BY_ORDER.items()}
+
+# The uncertainty product ``G20*G02 - G11**2`` over the components of a state
+# of order 2 or 3, as template source: the integrator's constraint event and
+# the residual of :func:`series_source`.
+UNCERTAINTY_PRODUCT = "{y2} * {y4} - {y3} * {y3}"
 
 
 def moment_labels(order: int) -> tuple[str, ...]:
@@ -221,16 +230,24 @@ def rhs(state: MomentState, cfg: ModelConfig) -> np.ndarray:
 
 
 def series_source(cfg: ModelConfig) -> RhsSource:
-    """``H_Q`` (``{k0}``) and ``V_eff`` (``{k1}``) at the ``q`` of a state,
-    from one jet, as source: the lines :func:`effective_series` runs."""
+    """The per-sample series of a state as source: ``H_Q`` (``{k0}``) and
+    ``V_eff`` (``{k1}``) at its ``q``, from one jet, and at orders >= 2 the
+    uncertainty residual (``{k2}``), ``UNCERTAINTY_PRODUCT`` less the
+    constant ``quarter`` = ``hbar**2/4``. These are the lines
+    :func:`effective_series` runs and both loops of ``integrate`` evaluate
+    at every sample row."""
     pot = cfg.potential
-    return RhsSource(_series_template(cfg.order, pot.n),
-                     f"order-{cfg.order} H_Q, V_eff kernel n={pot.n}",
-                     {"alpha": pot.alpha, "a_2n": pot._a_2n, "m": cfg.mass})
+    label = f"order-{cfg.order} H_Q, V_eff kernel n={pot.n}"
+    bound = {"alpha": pot.alpha, "a_2n": pot._a_2n, "m": cfg.mass}
+    if cfg.order >= 2:
+        label += ", residual"
+        bound["quarter"] = cfg.hbar * cfg.hbar / 4
+    return RhsSource(_series_template(cfg.order, pot.n), label, bound)
 
 
 def _series(cfg: ModelConfig):
-    """``f(y) -> [H_Q, V_eff]`` at the ``q`` of ``y``, from one jet."""
+    """``f(y) -> [H_Q, V_eff]``, plus the residual at orders >= 2, at the
+    ``q`` of ``y``, from one jet."""
     source = series_source(cfg)
     return _compile(source, state_dimension(cfg.order))(**source.bound)
 
@@ -272,7 +289,7 @@ def effective_series(states: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, 
     invalid-value warnings (an ``inf * 0``) still surface.
     """
     with np.errstate(over="ignore"):
-        h_q, v_eff = _series(cfg)(states.T)
+        h_q, v_eff = _series(cfg)(states.T)[:2]
     return h_q, v_eff
 
 
@@ -384,4 +401,7 @@ def _series_template(order: int, n: int) -> str:
     # V_eff is the effective Hamiltonian without its p terms.
     hamiltonian = moment_algebra.hamiltonian_terms(order)
     potential = MomentPolynomial({t: c for t, c in hamiltonian.items() if not t.p_power})
-    return _template(order, n, [hamiltonian, potential])
+    template = _template(order, n, [hamiltonian, potential])
+    if order >= 2:
+        template += f"\n{{k2}} = {UNCERTAINTY_PRODUCT} - quarter"
+    return template

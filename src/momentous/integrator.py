@@ -43,15 +43,15 @@ Recorded along the way:
   ``1e-12 * max(t - t0, 1)`` of the last one kept, each on the quartic
   interpolant in the loop's operation order. Either loop writes each row
   it keeps as it steps, ``(t, y0 ... y{d-1}, series ...)``, into one
-  table, whose columns are the returned times, states and series;
+  table, which the :class:`Trajectory` holds as it is;
 * events: momentum sign changes, crossings of caller-supplied position
   markers (classical return points), outbound escape, and, at orders 2 and
   3, ``G20*G02 - G11**2`` turning negative, which no state can have (a stop);
 * per-sample series: effective Hamiltonian, effective potential at the mean
-  position, and the uncertainty-product residual, whose minimum over the
-  samples and its time go into the step statistics. Either loop evaluates
-  them per row it keeps, from the templates of :func:`_series_source`,
-  into the row's last columns;
+  position, and at orders 2 and 3 the uncertainty-product residual, whose
+  minimum over the samples and its time go into the step statistics.
+  Either loop evaluates them per row it keeps, from the template of
+  ``dynamics.series_source``, into the row's last columns;
 * on a step failure, its cause: a non-finite start, step-size underflow,
   the ``max_steps`` budget, or a state blowup.
 
@@ -74,14 +74,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import (
+    UNCERTAINTY_PRODUCT,
     ModelConfig,
     MomentState,
     RhsSource,
     _compile,
     _fields,
+    _series,
+    _state_row,
     rhs_source,
     series_source,
-    state_to_vector,
+    state_dimension,
     vector_to_state,
 )
 
@@ -89,7 +92,6 @@ from .dynamics import (
 # its smoke tests require every traced name to exist.
 from .dynamics import effective_hamiltonian, effective_potential, make_rhs
 from . import native
-from .potential import exec_source
 
 __all__ = [
     "Event",
@@ -174,27 +176,44 @@ class _EventSpec:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-ordered samples, derived series, events and the stop reason."""
+    """Time-ordered samples, derived series, events and the stop reason.
+
+    ``table`` holds one row per sample, ``(t, state, H_Q, V_eff)`` plus the
+    uncertainty residual at orders >= 2, as the loop of :func:`integrate`
+    writes it. ``times``, ``states``, ``h_q``, ``v_eff`` and
+    ``uncertainty`` are views of its columns; ``uncertainty`` is all nan at
+    order 0."""
 
     model: ModelConfig
-    times: np.ndarray
-    states: np.ndarray
-    h_q: np.ndarray
-    v_eff: np.ndarray
-    uncertainty: np.ndarray
+    table: np.ndarray
     termination: Termination
     events: tuple[Event, ...] = ()
     stats: dict = field(default_factory=dict)
+    times: np.ndarray = field(init=False, repr=False)
+    states: np.ndarray = field(init=False, repr=False)
+    h_q: np.ndarray = field(init=False, repr=False)
+    v_eff: np.ndarray = field(init=False, repr=False)
+    uncertainty: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = len(self.times)
-        if self.states.shape[0] != n:
-            raise ValueError("states and times disagree in length")
-        for name in ("h_q", "v_eff", "uncertainty"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"series {name} and times disagree in length")
-        if n > 1 and not (self.times[1:] > self.times[:-1]).all():
+        order, table = self.model.order, self.table
+        d = state_dimension(order)
+        width = d + 3 + (order >= 2)
+        if table.ndim != 2 or table.shape[1] != width:
+            raise ValueError(f"an order-{order} sample table has {width} columns, "
+                             f"not shape {table.shape}")
+        times = table[:, 0]
+        if not (times[1:] > times[:-1]).all():
             raise ValueError("sample times must be strictly increasing")
+        columns = {
+            "times": times,
+            "states": table[:, 1:1 + d],
+            "h_q": table[:, 1 + d],
+            "v_eff": table[:, 2 + d],
+            "uncertainty": table[:, 3 + d] if order >= 2 else np.full(len(times), np.nan),
+        }
+        for name, column in columns.items():
+            object.__setattr__(self, name, column)
 
     @property
     def order(self) -> int:
@@ -223,36 +242,14 @@ class Trajectory:
         return float(np.max(np.abs(self.h_q - h0)) / abs(h0))
 
 
-# The uncertainty product ``G20*G02 - G11**2`` as event source, and the
-# uncertainty residual, which subtracts ``quarter`` = ``hbar**2/4`` from it.
-_PRODUCT = "{y2} * {y4} - {y3} * {y3}"
-_RESIDUAL = _PRODUCT + " - quarter"
-# ``_residual(y, quarter)``: the residual of a state vector.
-_residual = exec_source(
-    "def residual(y, quarter):\n"
-    f"    return {_RESIDUAL.format(y2='y[2]', y3='y[3]', y4='y[4]')}\n",
-    "uncertainty residual",
-)["residual"]
-
-
-def _series_source(model: ModelConfig) -> RhsSource:
-    """The per-sample series of :func:`integrate` as one template for both
-    loops: ``{k0}`` = ``H_Q`` and ``{k1}`` = ``V_eff``
-    (:func:`dynamics.series_source`), and at orders >= 2 ``{k2}`` = the
-    uncertainty residual, with ``hbar**2/4`` as the constant ``quarter``."""
-    source = series_source(model)
-    if model.order < 2:
-        return source
-    return RhsSource(f"{source.template}\n{{k2}} = {_RESIDUAL}", f"{source.label}, residual",
-                     {**source.bound, "quarter": model.hbar * model.hbar / 4})
-
-
 def uncertainty_residual(state: MomentState, model: ModelConfig) -> float:
-    """``G20*G02 - G11**2 - hbar**2/4`` under the model's hbar; negative
-    values violate the uncertainty relation."""
-    if state.order < 2:
+    """``G20*G02 - G11**2 - hbar**2/4`` under the model's hbar, the series
+    that ``integrate`` writes per sample; negative values violate the
+    uncertainty relation. A state whose order is not the model's is a
+    ValueError."""
+    if model.order < 2:
         raise ValueError("uncertainty residual requires truncation order >= 2")
-    return _residual((state.q, state.p) + state.moments, model.hbar * model.hbar / 4)
+    return _series(model)(_state_row(state, model))[2]
 
 
 # Dormand-Prince 5(4) tableau as ``(stage, weight)`` pairs over the nonzero
@@ -1226,7 +1223,8 @@ def _propagate(
     that kernel is None or the RHS a callable, the Python loop
     :func:`_python_loop`, which compiles the sources it is given; which one
     runs depends on those and the machine only, and its result is final.
-    Either loop writes one table of sample rows (see :func:`_run`).
+    Either loop writes one table of sample rows (see :func:`_run`), which
+    this entry point for tests slices into columns.
     Returns (times, states, raw events, termination, stats, series):
     ``times`` is the float array of sample times and ``states`` the ``(n,
     d)`` float array, the same bytes either way, both column views of that
@@ -1240,20 +1238,23 @@ def _propagate(
     list of the column views of ``{k0}, {k1}, ...`` of the template of the
     argument ``series`` at every row, or None where ``series`` is None."""
     specs = tuple(specs)
-    return _run(rhs, t0, y0, icfg, specs, _events(specs), series)
+    table, *rest = _run(rhs, t0, y0, icfg, specs, _events(specs), series)
+    d = len(y0)
+    return table[:, 0], table[:, 1:1 + d], *rest, series and list(table[:, 1 + d:].T)
 
 
 def _run(rhs, t0, y0, icfg, specs, events, series):
-    """:func:`_propagate` for a tuple of ``specs`` whose ``events`` are
-    already known, as :func:`_events` gives them.
+    """The run of :func:`_propagate` for a tuple of ``specs`` whose
+    ``events`` are already known, as :func:`_events` gives them: ``(table,
+    raw_events, termination, stats)``.
 
     Either loop returns ``(table, raw_events, stop, counts)``: the ``(n, 1
     + d + n_series)`` table of the sample rows ``(t, y0 ... y{d-1}, series
     ...)``, the raw events, the ``stop`` of the spec that ended the run (or
     None) and ``(n_steps, n_error, n_nonfinite, n_rhs, failure, h_min,
     h_max)``, where ``failure`` names a step failure (or is None) and
-    ``h_max`` is 0.0 where no step counts. The times, states and series
-    returned are views of the table's columns."""
+    ``h_max`` is 0.0 where no step counts. The table and the raw events
+    are returned as the loop wrote them."""
     t0, y0 = float(t0), [float(a) for a in y0]
     series = series and _float_constants(series)
     run = None
@@ -1277,9 +1278,7 @@ def _run(rhs, t0, y0, icfg, specs, events, series):
         termination = Termination.STEP_FAILURE
     else:
         termination = Termination.REACHED_TMAX if stop is None else stop
-    d = len(y0)
-    values = None if series is None else [table[:, j] for j in range(1 + d, table.shape[1])]
-    return table[:, 0], table[:, 1:1 + d], raw_events, termination, stats, values
+    return table, raw_events, termination, stats
 
 
 def _events(specs: Sequence[_EventSpec]) -> tuple[tuple[str, int, bool], ...]:
@@ -1325,7 +1324,7 @@ def _event_specs(
     if model.order >= 2:
         specs.append(
             _EventSpec(
-                _PRODUCT,
+                UNCERTAINTY_PRODUCT,
                 kind="constraint",
                 stop=Termination.CONSTRAINT_VIOLATED,
                 direction=-1,
@@ -1372,33 +1371,28 @@ def integrate(
     orders >= 2, ``stats["residual_min"]`` and ``stats["t_residual_min"]``
     give the lowest sampled uncertainty residual and its time.
 
-    Either loop hands back the sample table whole and final: times,
-    states, ``H_Q``, ``V_eff`` and the residual, the same bytes either way.
-    A series value that is not finite is written as the loop computed it,
-    with no warning.
+    Either loop hands back the sample table whole and final, and the
+    :class:`Trajectory` holds it as it is: times, states, ``H_Q``,
+    ``V_eff`` and the residual (:func:`dynamics.series_source`), the same
+    bytes either way. A series value that is not finite is written as the
+    loop computed it, with no warning. An ``init`` whose order is not the
+    model's is a ValueError.
 
     The event specs and the key of their loop are derived once per model,
     configured escape radius and set of marker positions (:func:`_plan`);
     the sources and their constants are read from the model on every run.
     """
-    if init.order != model.order:
-        raise ValueError(
-            f"initial state order {init.order} does not match model order {model.order}"
-        )
+    start = _state_row(init, model)
     specs, events = _plan(model, icfg.escape_radius,
                           array("d", map(float, mark_positions)).tobytes())
-    times, y_arr, raw_events, termination, stats, values = _run(
-        rhs_source(model), init.t, state_to_vector(init), icfg, specs, events,
-        _series_source(model),
-    )
+    table, raw_events, termination, stats = _run(
+        rhs_source(model), init.t, start, icfg, specs, events, series_source(model))
 
     order = model.order
-    h_q, v_eff, *residual = values
-    uncertainty = residual[0] if residual else np.full(len(times), np.nan)
     if order >= 2:
-        worst = int(np.argmin(uncertainty))
-        stats["residual_min"] = float(uncertainty[worst])
-        stats["t_residual_min"] = float(times[worst])
+        worst = int(np.argmin(table[:, -1]))
+        stats["residual_min"] = float(table[worst, -1])
+        stats["t_residual_min"] = float(table[worst, 0])
 
     events = tuple(
         Event(
@@ -1410,14 +1404,4 @@ def integrate(
         )
         for te, spec, direction, ye in raw_events
     )
-    return Trajectory(
-        model=model,
-        times=times,
-        states=y_arr,
-        h_q=h_q,
-        v_eff=v_eff,
-        uncertainty=uncertainty,
-        termination=termination,
-        events=events,
-        stats=stats,
-    )
+    return Trajectory(model, table, termination, events, stats)

@@ -141,16 +141,14 @@ def darboux_integrate(init, model, icfg, mark_positions=()):
     moments = np.column_stack(_darboux_moments(states.T, casimir))
     h_q, v_eff = effective_series(moments, model)
     g20, g11, g02 = moments[:, 2:].T
+    residual = g20 * g02 - g11 * g11 - model.hbar ** 2 / 4
     events = tuple(
         Event(t=te, kind=spec.kind, direction=direction,
               state=vector_to_state(te, _darboux_moments(ye, casimir), 2), marker=spec.marker)
         for te, spec, direction, ye in raw_events
     )
-    return Trajectory(
-        model=model, times=times, states=moments, h_q=h_q, v_eff=v_eff,
-        uncertainty=g20 * g02 - g11 * g11 - model.hbar ** 2 / 4,
-        termination=termination, events=events, stats=stats,
-    )
+    table = np.column_stack([times, moments, h_q, v_eff, residual])
+    return Trajectory(model, table, termination, events, stats)
 
 
 def _weyl_moments(x, p, psi, dx):

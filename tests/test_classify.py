@@ -24,20 +24,10 @@ from conftest import rng, scenario_packet, tight_integrator
 
 
 def make_synthetic(barrier, times, q, p, termination=Termination.REACHED_TMAX, events=()):
-    times = np.asarray(times, dtype=float)
-    states = np.column_stack([q, p])
     n = len(times)
+    table = np.column_stack([times, q, p, np.zeros(n), np.zeros(n)]).astype(float)
     model = ModelConfig(potential=barrier, order=0)
-    return Trajectory(
-        model=model,
-        times=times,
-        states=states,
-        h_q=np.zeros(n),
-        v_eff=np.zeros(n),
-        uncertainty=np.full(n, np.nan),
-        termination=termination,
-        events=tuple(events),
-    )
+    return Trajectory(model, table, termination, tuple(events))
 
 
 def p_zero(t, q, direction):
@@ -265,16 +255,10 @@ def test_mirror_symmetry_swaps_reflected_and_tunneled(barrier):
         packet = scenario_packet(barrier, float(q0), sigma0=0.3, energy=energy)
         traj = integrate(initial_moments(packet, model), model, icfg, marks)
         outcome = classify(traj, energy)
-        mirrored = Trajectory(
-            model=model,
-            times=traj.times,
-            states=np.column_stack([-traj.q, -traj.p, traj.states[:, 2:]]),
-            h_q=traj.h_q,
-            v_eff=traj.v_eff,
-            uncertainty=traj.uncertainty,
-            termination=traj.termination,
-            events=tuple(mirror(e) for e in traj.events),
-        )
+        table = traj.table.copy()
+        table[:, 1:3] *= -1.0  # q and p
+        mirrored = Trajectory(model, table, traj.termination,
+                              tuple(mirror(e) for e in traj.events))
         swapped = classify(mirrored, energy)
         assert swapped.evidence.sign_changes_inside == outcome.evidence.sign_changes_inside
         expected = {

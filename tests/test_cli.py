@@ -1072,25 +1072,46 @@ def test_a_table_of_no_columns_has_an_empty_line_per_row(size):
 LONG_RUN = {"t_max": 20.0, "sample_dt": 0.0005}  # 12,660 samples: 14 blocks of 9 columns
 
 
-def test_simulate_formats_one_block_at_a_time(tmp_path, monkeypatch):
-    # run_simulate hands the writer the run's own arrays, no copy of the
-    # whole table, and each orjson call formats at most one block of rows.
+def traced_simulate(tmp_path, monkeypatch, raw):
+    """``run_simulate`` of ``raw``: its summary, its trajectory, the table
+    handed to ``_float_lines`` and the shape of every block handed to
+    ``_orjson_rows``."""
     import momentous.cli as cli
 
     runs, calls, shapes = [], [], []
     trajectory, float_lines, orjson_rows = cli._trajectory, cli._float_lines, cli._orjson_rows
     monkeypatch.setattr(cli, "_trajectory", lambda cfg: runs.append(trajectory(cfg)) or runs[-1])
-    monkeypatch.setattr(cli, "_float_lines", lambda *c: calls.append(c) or float_lines(*c))
+    monkeypatch.setattr(cli, "_float_lines", lambda t: calls.append(t) or float_lines(t))
     monkeypatch.setattr(cli, "_orjson_rows", lambda b: shapes.append(b.shape) or orjson_rows(b))
-    summary = run_simulate(build_config(scenario_raw(integrator=LONG_RUN)), str(tmp_path / "run"))
-    [traj], [series] = runs, calls
-    arrays = [traj.times, traj.states, traj.h_q, traj.v_eff, traj.uncertainty]
-    assert all(any(np.shares_memory(s, a) for a in arrays) for s in series)
-    table = np.hstack(series)
+    summary = run_simulate(build_config(raw), str(tmp_path / "run"))
+    [traj], [table] = runs, calls
+    return summary, traj, table, shapes
+
+
+def test_simulate_formats_one_block_at_a_time(tmp_path, monkeypatch):
+    # run_simulate hands the writer the trajectory's own table, no copy of
+    # it, and each orjson call formats at most one block of rows.
+    summary, traj, table, shapes = traced_simulate(
+        tmp_path, monkeypatch, scenario_raw(integrator=LONG_RUN))
+    assert np.shares_memory(table, traj.table) and table.shape == traj.table.shape
     block = BLOCK_CELLS // table.shape[1]
     assert summary["n_samples"] == len(table) > 3 * block
     assert len(shapes) >= 4 and max(rows for rows, _ in shapes) <= block
     assert (tmp_path / "run.csv").read_bytes() == serial_csv(summary["columns"], table.tolist())
+
+
+def test_an_order0_simulate_writes_the_first_three_columns_of_its_table(tmp_path, monkeypatch):
+    # Order 0 writes t, q and p: a column slice of the table, the only
+    # writer input whose rows are not contiguous.
+    raw = scenario_raw(model={"order": 0}, packet={"q0": -3.0, "energy": 0.6},
+                       integrator={"t_max": 20.0, "sample_dt": 0.001})
+    summary, traj, table, shapes = traced_simulate(tmp_path, monkeypatch, raw)
+    assert summary["columns"] == ["t", "q", "p"] and traj.table.shape[1] == 5
+    assert np.shares_memory(table, traj.table) and not table.flags.c_contiguous
+    assert summary["n_samples"] == len(table) > 3 * (BLOCK_CELLS // 3) and len(shapes) >= 4
+    body = serial_csv(["t", "q", "p"], traj.table[:, :3].tolist())
+    assert (tmp_path / "run.csv").read_bytes() == body
+    assert_float_csv(traj.table[:, :3])
 
 
 # CI's event-rich order-2 run (over 100 events) and its order-3 run that

@@ -32,9 +32,12 @@ from momentous import (
 )
 import momentous
 from momentous import dynamics, integrator, native
-from momentous.dynamics import RhsSource, _compile, make_rhs, rhs_source, state_to_vector
+from momentous.dynamics import (
+    RhsSource, _compile, make_rhs, rhs_source, series_source, state_to_vector,
+)
 from momentous.integrator import (
     PLAN_CACHE_SIZE,
+    Trajectory,
     _EventSpec,
     _c_units,
     _dense,
@@ -44,7 +47,6 @@ from momentous.integrator import (
     _kernel,
     _plan,
     _propagate,
-    _series_source,
     _step,
     resolve_escape_radius,
 )
@@ -460,7 +462,7 @@ def _a_model_kernel_loads() -> bool:
     but no kernel builds, and every model run takes the Python loop."""
     model = ModelConfig(potential=BarrierPotential(), order=2)
     events = _events(_event_specs(model, None, ()))
-    return native.load(_c_units(5, events, rhs_source(model), _series_source(model))) is not None
+    return native.load(_c_units(5, events, rhs_source(model), series_source(model))) is not None
 
 
 # Asked once, with the compiler and kernel cache of the session, before any
@@ -558,7 +560,7 @@ def assert_kernel_integrates(init, model, icfg, marks=()):
     events = _events(specs)
     if KERNELS_BUILD:
         assert _kernel(len(init.moments) + 2, events, rhs_source(model),
-                       _series_source(model)) is not None
+                       series_source(model)) is not None
     got = integrate(init, model, icfg, marks)
     assert_same_trajectory(got, python_loop_run(integrate, init, model, icfg, marks))
     return got
@@ -730,10 +732,10 @@ def test_the_loop_of_a_model_run_calls_no_rhs(barrier):
     _kernel.cache_clear()
     integrate(init, model, icfg)
     hits = _kernel.cache_info().hits
-    ran = _kernel(9, events, rhs_source(model), _series_source(model))
+    ran = _kernel(9, events, rhs_source(model), series_source(model))
     assert _kernel.cache_info().hits == hits + 1  # the kernel integrate looked up
     assert (ran is not None) == KERNELS_BUILD
-    c_text = "".join(_c_units(9, events, rhs_source(model), _series_source(model)))
+    c_text = "".join(_c_units(9, events, rhs_source(model), series_source(model)))
     bodies = dict(re.findall(r"\nvoid (rhs|series)\(const double \*y, [^)]*\)\n\{\n(.*?)\n\}",
                              c_text, re.S))
     jet = "_w0 = (alpha / _u0);"
@@ -1362,6 +1364,44 @@ def test_series_lengths_and_order0_nan_residual(barrier):
 
 
 @pytest.mark.parametrize("order", [0, 2, 3])
+def test_a_trajectory_is_its_table(barrier, order):
+    # The columns are views of the table, (t, state, H_Q, V_eff) plus the
+    # residual at orders >= 2; a table of another width or with times that
+    # do not strictly increase is rejected.
+    model = ModelConfig(potential=barrier, order=order)
+    d = 2 + len(dynamics.MOMENTS_BY_ORDER[order])
+    width = d + 3 + (order >= 2)
+    table = rng(order).uniform(-1.0, 1.0, size=(4, width))
+    table[:, 0] = [0.0, 0.5, 1.0, 1.5]
+    traj = Trajectory(model, table, Termination.REACHED_TMAX)
+    columns = [traj.times, traj.states, traj.h_q, traj.v_eff]
+    assert all(np.shares_memory(column, table) for column in columns)
+    assert traj.states.tolist() == table[:, 1:1 + d].tolist()
+    assert traj.h_q.tolist() == table[:, 1 + d].tolist()
+    assert traj.v_eff.tolist() == table[:, 2 + d].tolist()
+    if order >= 2:
+        assert traj.uncertainty.tolist() == table[:, -1].tolist()
+    else:
+        assert np.isnan(traj.uncertainty).all() and len(traj.uncertainty) == 4
+    for bad in (width - 1, width + 1):
+        with pytest.raises(ValueError, match=f"order-{order} sample table has {width} columns"):
+            Trajectory(model, np.zeros((4, bad)), Termination.REACHED_TMAX)
+    for times in ([0.0, 0.5, 0.5, 1.5], [0.0, 1.0, 0.5, 1.5]):
+        table[:, 0] = times
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Trajectory(model, table, Termination.REACHED_TMAX)
+
+
+def test_the_uncertainty_residual_rejects_a_state_of_another_order(barrier):
+    # As effective_hamiltonian does: an order-2 state under an order-3 model.
+    state = MomentState(t=0.0, q=0.0, p=0.0, moments=(1.0, 0.0, 0.1))
+    model = ModelConfig(potential=barrier, order=3)
+    for fn in (uncertainty_residual, effective_hamiltonian):
+        with pytest.raises(ValueError, match="state order 2 does not match model order 3"):
+            fn(state, model)
+
+
+@pytest.mark.parametrize("order", [0, 2, 3])
 def test_series_match_scalar_functions(barrier, order):
     # The series the loop writes per row and the public scalar functions
     # evaluate the same expressions, so they agree bit for bit at every
@@ -1527,7 +1567,7 @@ def test_a_column_kept_alone_outlives_its_trajectory(barrier):
     icfg = IntegratorConfig(atol=1e-6, t_max=2.0)
     specs = _event_specs(model, icfg.escape_radius, ())
     if KERNELS_BUILD:
-        assert _kernel(5, _events(specs), rhs_source(model), _series_source(model)) is not None
+        assert _kernel(5, _events(specs), rhs_source(model), series_source(model)) is not None
     traj = integrate(initial_moments(scenario_packet(barrier, -1.62, 0.3), model), model, icfg)
     h_q, want = traj.h_q, traj.h_q.copy()
     del traj
@@ -1550,8 +1590,8 @@ def test_order_mismatch_rejected(barrier):
 GENERATED_SOURCES = """
 import json, linecache
 from momentous import BarrierPotential, IntegratorConfig, ModelConfig
-from momentous.dynamics import _series, make_rhs, rhs_source
-from momentous.integrator import _c_units, _event_specs, _events, _series_source
+from momentous.dynamics import _series, make_rhs, rhs_source, series_source
+from momentous.integrator import _c_units, _event_specs, _events
 
 pot = BarrierPotential(alpha=1.0, a=1.0, n=4)
 icfg = IntegratorConfig()
@@ -1564,7 +1604,7 @@ for order, d in ((0, 2), (2, 5), (3, 9)):
         specs = _event_specs(model, icfg.escape_radius, marks)
         for kept in (specs, [s for s in specs if s.kind != "constraint"]):
             events = _events(kept)
-            series = _series_source(model)
+            series = series_source(model)
             kernels[f"C kernel {d} {events}"] = _c_units(d, events, rhs_source(model), series)
 texts = {k: "".join(v[2]) for k, v in linecache.cache.items() if k.startswith("<")}
 print(json.dumps({**texts, **kernels}))
