@@ -19,8 +19,10 @@ without its ``p`` terms) are compiled expressions that take floats and
 arrays alike, whose lines :func:`series_source` gives as a template too.
 That template holds every per-sample series of a run, at orders 2 and 3
 the uncertainty residual ``G20*G02 - G11**2 - hbar**2/4`` too, and both
-loops of the integrator write its values into each sample row. One
-compiler, :func:`_compile`, turns every such template into a function.
+loops of the integrator write its values into each sample row. The
+integrator's event values are a third such template. One compiler,
+:func:`_compile`, turns every template into a Python function, and one
+translator, ``native.c_lines``, into the body of a C function.
 
 The order-2 system is exactly the order-3 system with every third moment
 set to zero. Both conserve the effective Hamiltonian identically (the
@@ -64,7 +66,6 @@ __all__ = [
     "series_source",
     "state_dimension",
     "state_variables",
-    "state_to_vector",
     "vector_to_state",
 ]
 
@@ -161,10 +162,6 @@ class MomentState:
         return self.order == 0 or (self.moment(2, 0) >= 0 and self.moment(0, 2) >= 0)
 
 
-def state_to_vector(state: MomentState) -> np.ndarray:
-    return np.array((state.q, state.p) + state.moments, dtype=float)
-
-
 def vector_to_state(t: float, y: Sequence[float], order: int) -> MomentState:
     expected = state_dimension(order)
     if len(y) != expected:
@@ -186,8 +183,8 @@ class RhsSource:
     file names. Equality and hashing take the text only, not ``bound``.
 
     The lines never divide by zero, at any state: the C kernel translates
-    ``/`` as C's (see :func:`native.c_expression`), which gives an inf or a
-    nan where Python raises. A model template divides only by nonzero
+    ``/`` as C's (see :func:`native.c_lines`), which gives an inf or a nan
+    where Python raises. A model template divides only by nonzero
     literals, the mass, which ``ModelConfig`` requires to be positive, and
     ``q**(2n) + a**(2n)``, an even power plus ``a**(2n) > 0``, so at least
     ``a**(2n)`` or nan.

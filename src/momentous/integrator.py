@@ -10,10 +10,11 @@ and exact conservation of the effective Hamiltonian then serves as an
 independent accuracy diagnostic rather than a built-in property.
 
 One trajectory is one run of the adaptive loop for a state dimension, set
-of event expressions and RHS source (each event is a source expression over
-the state components, and the model's RHS is the source
-``dynamics.rhs_source`` derives from ``eom_table``, whose constants are
-arguments, so every sweep point shares one compiled kernel). It runs the
+of events and RHS source. The model's RHS is the template
+``dynamics.rhs_source`` derives from ``eom_table``; the event values are one
+template too (:func:`_events`), a line per event over the state components;
+the constants of both are arguments, so every sweep point shares one
+compiled kernel. It runs the
 starting-step heuristic, the step-size guards, the six stages (checking
 each stage state for finiteness), the 5th-order update, the error norm, the
 PI controller, the event tests, the choice of sample rows and the bisection
@@ -31,7 +32,9 @@ loaded libraries); a new ``(d, events, rhs, series)`` costs one compile of
 about half a second. Otherwise, and for an opaque RHS callable, the Python
 loop (:func:`_python_loop`) runs: list code over the components, calling
 the RHS callable, or the RHS source compiled as a function, at each of its
-eight evaluations. Which loop runs depends on that key and the machine
+eight evaluations. Each loop gets its templates (RHS, event values and
+series) from one translator: ``dynamics._compile`` in Python and
+``native.c_lines`` in C. Which loop runs depends on that key and the machine
 only, never on a run's values. Both read the start time, the state, the
 settings and the model's constants as floats, and the outputs are the same
 bytes either way.
@@ -92,6 +95,7 @@ from .dynamics import (
 # its smoke tests require every traced name to exist.
 from .dynamics import effective_hamiltonian, effective_potential, make_rhs
 from . import native
+from .potential import exec_source
 
 __all__ = [
     "Event",
@@ -163,8 +167,9 @@ class Event:
 
 @dataclass(frozen=True)
 class _EventSpec:
-    """An event function as Python source: ``{y0}, {y1}, ...`` stand for the
-    state components and ``{c0}, {c1}, ...`` for the entries of ``values``."""
+    """An event function as a source expression: ``{y0}, {y1}, ...`` stand
+    for the state components and ``{c0}`` to ``{c<n-1>}`` for the ``n``
+    entries of ``values``, in that order (:func:`_events`)."""
 
     expr: str
     kind: str
@@ -314,22 +319,15 @@ def _rms_expression(names: Sequence[str]) -> str:
 
 
 def _rms(v: Sequence[float]) -> float:
-    """The root mean square of ``v``, summed as :func:`_rms_expression` sums it."""
-    n = len(v)
-    if n < 8:
-        total = 0.0
-        for x in v:
-            total = total + x * x
-    else:
-        sq = [x * x for x in v]
-        r = sq[:8]
-        end = n - n % 8
-        for i in range(8, end, 8):
-            r = [a + b for a, b in zip(r, sq[i:i + 8])]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for x in sq[end:]:
-            total = total + x
-    return math.sqrt(total / n)
+    """The root mean square of the list ``v``: :func:`_rms_expression`,
+    compiled once per length."""
+    return _norm(len(v))(v)
+
+
+@functools.lru_cache(maxsize=None)
+def _norm(n: int):
+    expression = _rms_expression([f"v[{i}]" for i in range(n)])
+    return exec_source(f"def rms(v):\n    return {expression}\n", f"rms n={n}")["rms"]
 
 
 def _initial_step(f, y, k1, rtol, atol, span, max_step):
@@ -411,18 +409,18 @@ def _dense(t, h, y, y1, k):
     return dense
 
 
-def _locate(fn, c, lo, hi, glo, dense, t0):
-    """The time of a sign change of the event ``fn`` with constants ``c`` on
-    ``(lo, hi]``, where it was ``glo`` at ``lo``: bisection over ``dense`` to
-    1e-13 of the time elapsed since ``t0``, or until the midpoint rounds
-    onto an end."""
+def _locate(values_at, j, lo, hi, glo, dense, t0):
+    """The time of a sign change of event ``j`` on ``(lo, hi]``, where it was
+    ``glo`` at ``lo``: bisection over ``dense`` on entry ``j`` of the event
+    values ``values_at`` gives, to 1e-13 of the time elapsed since ``t0``,
+    or until the midpoint rounds onto an end."""
     for _ in range(200):
         if hi - lo <= 1e-13 * max(1.0, hi - t0):
             break
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
-        gm = fn(dense(mid), c)
+        gm = values_at(dense(mid))[j]
         if gm == 0.0:
             return mid
         if (glo < 0.0) == (gm < 0.0):
@@ -435,25 +433,15 @@ def _locate(fn, c, lo, hi, glo, dense, t0):
 _time = itemgetter(0)
 
 
-class _Subscripts(dict):
-    def __missing__(self, name):
-        return f"{name[0]}[{name[1:]}]"
-
-
-@functools.lru_cache(maxsize=None)
-def _event_function(expr: str):
-    """The event expression ``expr`` as ``fn(y, c)`` of a state list ``y``
-    and the spec's ``values`` ``c``."""
-    return eval(f"lambda y, c: {expr.format_map(_Subscripts())}", {"fabs": math.fabs})
-
-
-def _python_loop(rhs, t0, y, icfg, specs, series):
+def _python_loop(rhs, t0, y, icfg, specs, events, series):
     """The loop of the C kernel (:func:`_kernel`) in Python, with the same
     arguments and result, ``(table, raw_events, stop, counts)`` (see
     :func:`_run`): the same operations in the same order, so the same
     bytes. ``rhs`` is an :class:`RhsSource`, which runs compiled
     (``dynamics._compile``), or a callable from a state list to its
-    derivative list; ``series`` an :class:`RhsSource` or None.
+    derivative list; ``series`` an :class:`RhsSource` or None. The event
+    values are the source of ``events`` (:func:`_events`), compiled the
+    same way: one call gives them all at a state.
 
     A step with a crossing or a grid sample before its end plus a slack of
     ``1e-9 * sample_dt`` writes its rows: its located events in time order
@@ -494,8 +482,8 @@ def _python_loop(rhs, t0, y, icfg, specs, series):
             table.extend(values(u))
 
     emit(t, y)
-    events = [(_event_function(spec.expr), spec.values, spec) for spec in specs]
-    g = [fn(y, c) for fn, c, _ in events]
+    values_at = _compile(events[0], d)(**events[0].bound)
+    g = values_at(y)
     raw_events = []
     sample_index = 1
     facold = 1e-4
@@ -541,18 +529,19 @@ def _python_loop(rhs, t0, y, icfg, specs, series):
             h_min = min(h_min, h)
             h_max = max(h_max, h)
         tnew = t + h
-        G = [fn(y1, c) for fn, c, _ in events]
+        G = values_at(y1)
         crossed = []
-        for (fn, c, spec), g0, g1 in zip(events, g, G):
+        for j, (spec, g0, g1) in enumerate(zip(specs, g, G)):
             if (g0 < 0.0 < g1) or (g0 > 0.0 > g1) or (g0 != 0.0 and g1 == 0.0):
                 direction = 1 if g0 < 0.0 else -1
                 if not spec.direction or spec.direction == direction:
-                    crossed.append((fn, c, spec, direction, g0, g1))
+                    crossed.append((j, spec, direction, g0, g1))
         if crossed or t0 + sample_index * sample_dt <= tnew + slack:
             dense = _dense(t, h, y, y1, k)
             located = sorted(
-                ((tnew if g1 == 0.0 else _locate(fn, c, t, tnew, g0, dense, t0), spec, direction)
-                 for fn, c, spec, direction, g0, g1 in crossed),
+                ((tnew if g1 == 0.0 else _locate(values_at, j, t, tnew, g0, dense, t0), spec,
+                  direction)
+                 for j, spec, direction, g0, g1 in crossed),
                 key=_time,
             )
             cut = tnew
@@ -629,8 +618,8 @@ typedef struct {
 } loop;
 
 void rhs(const double *y, double *k, const double *b);
+void events(const double *y, double *k, const double *b);
 void series(const double *y, double *k, const double *b);
-double event(int j, const double *y, const double *c);
 double starting_step(loop *lp, const double *x, const double *k1, long long *n_rhs);
 int attempt(loop *lp, const double *x, double h, double k[7][D], double *z, double *err);
 double bisect(loop *lp, int j, double glo, double gend, double t, double h, double tnew,
@@ -658,8 +647,7 @@ static inline void dense(double at, double t, double h, const double *x, const d
 }
 """
 
-# The model: the RHS template, the series template and the event
-# expressions.
+# The model: the RHS, event-value and series templates.
 _C_MODEL = r"""
 /* The RHS at the state y into k; its constants are b. */
 void rhs(const double *y, double *k, const double *b)
@@ -667,19 +655,16 @@ void rhs(const double *y, double *k, const double *b)
 $rhs
 }
 
+/* The NEV event values at the state y into k; their constants are b. */
+void events(const double *y, double *k, const double *b)
+{
+$events
+}
+
 /* The NSERIES per-sample series at the state y into k; their constants are b. */
 void series(const double *y, double *k, const double *b)
 {
 $series
-}
-
-/* The value of event j at the state y; the events' constants are c. */
-double event(int j, const double *y, const double *c)
-{
-    switch (j) {
-$events
-    }
-    return 0.0;
 }
 """
 
@@ -757,12 +742,12 @@ $stages
 
 /* The time of event j's crossing in the step (t, h) from x to tnew, with
    the dense coefficients d, where it was glo at t and gend at tnew:
-   bisection to 1e-13 of the elapsed time, or until the midpoint rounds
-   onto an end. */
+   bisection on the event's value to 1e-13 of the elapsed time, or until
+   the midpoint rounds onto an end. */
 double bisect(loop *lp, int j, double glo, double gend, double t, double h, double tnew,
               const double *x, const double d[4][D])
 {
-    double lo = t, hi = tnew, mid, gm, a, u[D];
+    double lo = t, hi = tnew, mid, gm, a, u[D], values[NEV + 1];
     if (gend == 0.0)
         return tnew;
     for (int it = 0; it < 200; it++) {
@@ -773,7 +758,8 @@ double bisect(loop *lp, int j, double glo, double gend, double t, double h, doub
         if (mid == lo || mid == hi)
             return mid;
         dense(mid, t, h, x, d, u);
-        gm = event(j, u, lp->c);
+        events(u, values, lp->c);
+        gm = values[j];
         if (gm == 0.0)
             return mid;
         if ((glo < 0.0) == (gm < 0.0)) {
@@ -960,8 +946,7 @@ int run(const double *in, long long max_steps, void **bufs, long long *counts, d
 
     if (emit(&lp, t, x) != OK)
         goto no_memory;
-    for (j = 0; j < NEV; j++)
-        g[j] = event(j, x, c);
+    events(x, g, c);
     close = 1e-12 * (1.0 > lp.t_end - lp.t0 ? 1.0 : lp.t_end - lp.t0);
 
     while (failure == NONE && lp.t_end - t > close) {
@@ -1013,8 +998,7 @@ int run(const double *in, long long max_steps, void **bufs, long long *counts, d
             if (h > h_max)
                 h_max = h;
         }
-        for (j = 0; j < NEV; j++)
-            G[j] = event(j, z, c);
+        events(z, G, c);
         if (record(&lp, t, h, x, z, k, g, G) != OK)
             goto no_memory;
         if (lp.stop >= 0)
@@ -1065,15 +1049,15 @@ no_memory:
 """
 
 
-def _c_units(d: int, events: tuple[tuple[str, int, bool], ...], rhs: RhsSource,
+def _c_units(d: int, events: tuple[RhsSource, tuple[tuple[int, bool], ...]], rhs: RhsSource,
              series: Optional[RhsSource] = None) -> tuple[str, ...]:
     """The C translation units of the kernel for ``d`` state components,
-    the :func:`_events` of the event specs, the RHS source ``rhs``
-    and the per-sample series ``series`` (``{k0}, {k1}, ...`` of its
-    template; none for None): the loop of :func:`_python_loop` with its
-    rows and their series, the templates as the functions ``rhs`` and
-    ``series`` and the events as the function ``event``. Raises
-    :class:`native.NotC` for a template or an event with no exact C
+    the ``(source, flags)`` of the event specs (:func:`_events`), the RHS
+    source ``rhs`` and the per-sample series ``series`` (``{k0}, {k1}, ...``
+    of its template; none for None): the loop of :func:`_python_loop` with
+    its rows and their series, and the three templates as the functions
+    ``rhs``, ``events`` and ``series``, each from :func:`native.c_lines`.
+    Raises :class:`native.NotC` for a template with no exact C
     translation."""
     def combo(weights):
         # Stage j is k[j - 1].
@@ -1097,25 +1081,17 @@ def _c_units(d: int, events: tuple[tuple[str, int, bool], ...], rhs: RhsSource,
         body = native.c_lines(source.template.format(**names), tuple(source.bound), ("y", "k"))
         return "\n".join("    " + line for line in [*bound, *body])
 
-    cases, offset = [], 0
-    for j, (expr, _, _) in enumerate(events):
-        constants = _fields(expr, "c")
-        fields = {f"y{i}": f"y[{i}]" for i in _fields(expr, "y")}
-        fields.update((f"c{k}", f"c[{offset + n}]") for n, k in enumerate(constants))
-        offset += len(constants)
-        cases.append(f"    case {j}: return {native.c_expression(expr.format(**fields), (), ('y', 'c'))};")
-
+    values, flags = events
     stages = []
     for j, row in enumerate(_A, start=2):
         stages += stage("s", row, j - 2, j - 1)
     stages += stage("z", _B, 5, 6)
     fields = dict(
-        d=d, nev=len(events), nseries=_series_count(series),
-        rhs=function_body(rhs), series=function_body(series),
-        events="\n".join(cases),
-        directions=", ".join([*(str(direction) for _, direction, _ in events), "0"]),
-        stops=", ".join([*(str(int(stop)) for _, _, stop in events), "0"]),
-        nb=len(rhs.bound), nc=offset,
+        d=d, nev=len(flags), nseries=_series_count(series),
+        rhs=function_body(rhs), events=function_body(values), series=function_body(series),
+        directions=", ".join([*(str(direction) for direction, _ in flags), "0"]),
+        stops=", ".join([*(str(int(stop)) for _, stop in flags), "0"]),
+        nb=len(rhs.bound), nc=len(values.bound),
         rms=_rms_expression([f"u[{i}]" for i in range(d)]),
         stages="\n".join("    " + line for line in stages),
         error=combo(_E), dense=combo(_D),
@@ -1146,15 +1122,18 @@ def _owned(address: int, n: int, release) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel(d: int, events: tuple[tuple[str, int, bool], ...], rhs: RhsSource,
+def _kernel(d: int, events: tuple[RhsSource, tuple[tuple[int, bool], ...]], rhs: RhsSource,
             series: Optional[RhsSource] = None):
-    """``run(rhs, t0, y0, icfg, specs, series)``, the C kernel of
+    """``run(rhs, t0, y0, icfg, specs, events, series)``, the C kernel of
     :func:`_c_units`, or None where the kernel cannot be translated,
     compiled, cached or loaded (see :mod:`native`). ``run`` takes the
     arguments of :func:`_python_loop` and returns the same bytes, ``(table,
     raw_events, stop, counts)`` (see :func:`_run`). It passes the start
-    state, the settings and the constants to the kernel as one block, and
-    its table is the kernel's own memory, freed with its last view."""
+    state, the settings and the constants to the kernel as one block, the
+    events' constants from its own ``events`` argument: the key compares
+    the sources by their text, so runs whose markers differ share the
+    kernel. Its table is the kernel's own memory, freed with its last
+    view."""
     try:
         lib = native.load(_c_units(d, events, rhs, series))
     except native.NotC:
@@ -1170,9 +1149,9 @@ def _kernel(d: int, events: tuple[tuple[str, int, bool], ...], rhs: RhsSource,
     release.argtypes = (ctypes.c_void_p,)
     width = 1 + d + _series_count(series)
 
-    def run(rhs, t0, y0, icfg, specs, series):
+    def run(rhs, t0, y0, icfg, specs, events, series):
         block = [*y0, t0, icfg.rtol, icfg.atol, icfg.max_step, icfg.sample_dt, icfg.t_max,
-                 *rhs.bound.values(), *(v for spec in specs for v in spec.values),
+                 *rhs.bound.values(), *events[0].bound.values(),
                  *(series.bound.values() if series else ())]
         bufs = (ctypes.c_void_p * 2)()
         counts = (ctypes.c_longlong * 8)()
@@ -1215,8 +1194,8 @@ def _propagate(
     :class:`RhsSource` or a callable that maps a state list to its
     derivative list, and an event whose spec names a ``stop`` ends the run
     with that termination. ``t0``, ``y0`` and the constants of the sources
-    are read as floats here, for both loops, and a spec whose ``values``
-    do not hold one entry per ``{c<j>}`` field of its expression is a
+    are read as floats here, for both loops, and a spec whose ``{c<i>}``
+    fields are not ``{c0} ... {c<n-1>}`` for its ``n`` values is a
     ValueError (:func:`_events`). Runs the C kernel (:func:`_kernel`) for
     the state dimension, the specs' :func:`_events`, an :class:`RhsSource`
     and the per-sample series source ``series`` (or none), or else, where
@@ -1261,7 +1240,8 @@ def _run(rhs, t0, y0, icfg, specs, events, series):
     if isinstance(rhs, RhsSource):
         rhs = _float_constants(rhs)
         run = _kernel(len(y0), events, rhs, series)
-    table, raw_events, stop, counts = (run or _python_loop)(rhs, t0, y0, icfg, specs, series)
+    table, raw_events, stop, counts = (run or _python_loop)(rhs, t0, y0, icfg, specs, events,
+                                                            series)
     n_steps, n_error, n_nonfinite, n_rhs, failure, h_min, h_max = counts
     stats = {
         "n_steps": n_steps,
@@ -1281,17 +1261,28 @@ def _run(rhs, t0, y0, icfg, specs, events, series):
     return table, raw_events, termination, stats
 
 
-def _events(specs: Sequence[_EventSpec]) -> tuple[tuple[str, int, bool], ...]:
-    """The ``(expr, direction, stops)`` of each spec, ``stops`` whether it
-    names a ``stop``: the key of its kernel. A spec whose ``values`` do not
-    hold one entry per ``{c<j>}`` field of its expression is a
-    ValueError."""
-    for spec in specs:
-        fields = len(_fields(spec.expr, "c"))
-        if len(spec.values) != fields:
-            raise ValueError(f"the spec of event {spec.expr!r} holds {len(spec.values)} "
-                             f"values, not {fields}")
-    return tuple((spec.expr, spec.direction, spec.stop is not None) for spec in specs)
+def _events(specs: Sequence[_EventSpec]) -> tuple[RhsSource, tuple[tuple[int, bool], ...]]:
+    """``(source, flags)``, the events' part of the key of a kernel: the
+    event values of ``specs`` as one :class:`RhsSource`, whose line ``j``
+    assigns ``{k<j>}`` the expression of spec ``j`` with its ``{c<i>}`` as
+    the constant ``c<j>_<i>``, bound to ``values[i]`` as a float, and each
+    spec's ``(direction, stops)``, ``stops`` whether it names a ``stop``.
+    A source compares by its text, so specs that differ only in their
+    values share one key. A spec whose ``{c<i>}`` fields are not exactly
+    ``{c0}`` to ``{c<n-1>}`` for its ``n`` values is a ValueError."""
+    lines, bound = [], {}
+    for j, spec in enumerate(specs):
+        constants = _fields(spec.expr, "c")
+        if constants != tuple(range(len(spec.values))):
+            raise ValueError(f"the spec of event {spec.expr!r} holds {len(spec.values)} values, "
+                             "but its fields {c<i>} are not {c0} ... {c<n-1>}, one per value")
+        names = {f"y{i}": f"{{y{i}}}" for i in _fields(spec.expr, "y")}
+        for i, value in enumerate(spec.values):
+            names[f"c{i}"] = f"c{j}_{i}"
+            bound[f"c{j}_{i}"] = float(value)
+        lines.append(f"{{k{j}}} = {spec.expr.format(**names)}")
+    return (RhsSource("\n".join(lines), "event values", bound),
+            tuple((spec.direction, spec.stop is not None) for spec in specs))
 
 
 def _event_specs(
@@ -1341,7 +1332,7 @@ PLAN_CACHE_SIZE = 64
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(model: ModelConfig, escape_radius: Optional[float],
-          marks: bytes) -> tuple[tuple[_EventSpec, ...], tuple[tuple[str, int, bool], ...]]:
+          marks: bytes) -> tuple[tuple[_EventSpec, ...], tuple]:
     """The event specs of :func:`integrate` and their checked
     :func:`_events`, the same for every run of the model, the configured
     ``escape_radius`` and the marker positions whose doubles ``marks``

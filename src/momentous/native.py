@@ -1,9 +1,9 @@
 """C text from Python arithmetic, compiled once per text and cached on disk.
 
-:func:`c_lines` and :func:`c_expression` translate straight-line float
-arithmetic (the RHS templates of ``dynamics.rhs_source`` and the event
-expressions of ``integrator``) into C with the same operations in the same
-order, or raise :class:`NotC` for anything else. :func:`load` compiles C
+:func:`c_lines` translates straight-line float arithmetic (the templates
+of ``dynamics.RhsSource``: the RHS, the per-sample series and the event
+values of ``integrator``) into C with the same operations in the same
+order, or raises :class:`NotC` for anything else. :func:`load` compiles C
 translation units with the system compiler (``$CC``, else ``cc``) into one
 shared library and loads it with ctypes. The library is cached in
 ``$XDG_CACHE_HOME/momentous`` (else ``~/.cache/momentous``), named by a
@@ -31,7 +31,7 @@ import zlib
 from pathlib import Path
 from typing import Optional, Sequence
 
-__all__ = ["CACHE_SIZE", "FLAGS", "NotC", "c_expression", "c_lines", "cache_dir", "load"]
+__all__ = ["CACHE_SIZE", "FLAGS", "NotC", "c_lines", "cache_dir", "load"]
 
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # A compile takes well under a second; a compiler that hangs is given up on.
@@ -46,27 +46,6 @@ class NotC(ValueError):
 
 
 _OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
-
-
-def c_expression(source: str, names, arrays) -> str:
-    """The Python float expression ``source`` as one fully parenthesized C
-    expression.
-
-    It may read the names in ``names``, entries ``a[i]`` (a literal ``i``)
-    of the arrays in ``arrays``, float literals and ``fabs(x)``, and combine
-    them with ``+ - * /`` and unary minus. ``/`` is C's, which gives an inf
-    or a nan where Python raises ZeroDivisionError, so the translation is
-    exact for a source that never divides by zero: the contract of
-    :class:`dynamics.RhsSource`, which says why model templates keep it.
-    """
-    return _translate(_parse(source, "eval").body, names, arrays)
-
-
-def _parse(source: str, mode: str):
-    try:
-        return ast.parse(source, mode=mode)
-    except SyntaxError as exc:
-        raise NotC(str(exc)) from None
 
 
 def _translate(node: ast.expr, names, arrays) -> str:
@@ -96,11 +75,23 @@ def _translate(node: ast.expr, names, arrays) -> str:
 def c_lines(source: str, names, arrays) -> list[str]:
     """Python assignments ``target = expression``, one per line, as C
     statements: a declaration of every plain name they assign, then the
-    statements. An expression reads ``names``, the plain names assigned
-    before it and ``arrays`` (see :func:`c_expression`); a target is a new
-    plain name or an array entry."""
+    statements; a target is a new plain name or an array entry.
+
+    An expression may read the names in ``names``, the plain names assigned
+    before it, entries ``a[i]`` (a literal ``i``) of the arrays in
+    ``arrays``, float literals and ``fabs(x)``, and combine them with ``+ -
+    * /`` and unary minus, each fully parenthesized. ``/`` is C's, which
+    gives an inf or a nan where Python raises ZeroDivisionError, so the
+    translation is exact for a source that never divides by zero: the
+    contract of :class:`dynamics.RhsSource`, which says why model templates
+    keep it.
+    """
+    try:
+        statements = ast.parse(source, mode="exec").body
+    except SyntaxError as exc:
+        raise NotC(str(exc)) from None
     known, local, lines = set(names), [], []
-    for statement in _parse(source, "exec").body:
+    for statement in statements:
         if not (isinstance(statement, ast.Assign) and len(statement.targets) == 1):
             raise NotC(f"not one assignment: {ast.unparse(statement)!r}")
         value = _translate(statement.value, known, arrays)

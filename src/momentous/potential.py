@@ -70,10 +70,12 @@ def jet_lines(n: int, orders, q: str = "q") -> list[str]:
 
 def exec_source(source: str, label: str) -> dict:
     """Run generated ``source``, shown by warnings and tracebacks as the file
-    ``<label #crc>``, the CRC-32 of its text (``hash()`` varies per process)."""
+    ``<label #crc>``, the CRC-32 of its text (``hash()`` varies per process).
+    It may call ``fabs``, the one call ``native.c_lines`` translates, and
+    ``sqrt``, that of the integrator's error norm."""
     filename = f"<{label} #{zlib.crc32(source.encode()):08x}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace: dict = {}
+    namespace: dict = {"fabs": math.fabs, "sqrt": math.sqrt}
     exec(compile(source, filename, "exec"), namespace)
     return namespace
 

@@ -22,7 +22,6 @@ from momentous.dynamics import (
     effective_series,
     make_rhs,
     moment_labels,
-    state_to_vector,
     state_variables,
     vector_to_state,
 )
@@ -383,7 +382,7 @@ def test_state_helpers_and_validation():
     assert state.moment(1, 1) == 2.0
     assert state.moment(3, 0) == 0.0  # beyond truncation reads as zero
     assert state.moment_dict() == {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 3.0}
-    vec = state_to_vector(state)
+    vec = np.array([state.q, state.p, *state.moments])
     assert np.array_equal(vec, [0.5, -0.25, 1.0, 2.0, 3.0])
     back = vector_to_state(1.0, vec, 2)
     assert back == state

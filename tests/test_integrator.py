@@ -33,7 +33,7 @@ from momentous import (
 import momentous
 from momentous import dynamics, integrator, native
 from momentous.dynamics import (
-    RhsSource, _compile, make_rhs, rhs_source, series_source, state_to_vector,
+    RhsSource, _compile, _state_row, make_rhs, rhs_source, series_source,
 )
 from momentous.integrator import (
     PLAN_CACHE_SIZE,
@@ -437,7 +437,7 @@ def model_run(barrier, order, q0, sigma0, convention, **overrides):
     init, model, icfg, marks = integrate_args(barrier, order, q0, sigma0, convention, **overrides)
     f = make_rhs(model)
     specs = _event_specs(model, icfg.escape_radius, marks)
-    return (lambda: f), rhs_source(model), state_to_vector(init), icfg, specs
+    return (lambda: f), rhs_source(model), np.array(_state_row(init, model)), icfg, specs
 
 
 MODEL_RUNS = [
@@ -652,17 +652,46 @@ def test_a_row_exactly_one_window_after_the_last_kept_is_dropped(sample_dt, kept
     assert times[0] == 0.0 and (sample_dt in times) is kept
 
 
-@pytest.mark.parametrize("values", [(), (1.0, 2.0)], ids=["none", "one_too_many"])
+@pytest.mark.parametrize("expr,values", [
+    ("{y0} - {c0}", ()),
+    ("{y0} - {c0}", (1.0, 2.0)),
+    ("{y0} - {c1}", (0.5,)),
+], ids=["none", "one_too_many", "not_c0"])
 @pytest.mark.parametrize("loop", ["kernel", "python"])
-def test_event_values_that_miss_the_expression_s_fields_are_rejected(values, loop):
-    # One rule, in _propagate, for both loops: a spec holds one value per
-    # {c<j>} field of its expression.
-    spec = _EventSpec("{y0} - {c0}", kind="q_cross", values=values)
+def test_event_values_that_miss_the_expression_s_fields_are_rejected(expr, values, loop):
+    # One rule, in _propagate, for both loops: a spec's {c<i>} fields are
+    # {c0} ... {c<n-1>} for its n values, so {c<i>} reads values[i].
+    spec = _EventSpec(expr, kind="q_cross", values=values)
     args = (FREE, 0.0, [0.0, 1.0], IntegratorConfig(t_max=1.0), [spec])
-    if loop == "kernel":  # the kernel of the key that a valid spec shares
-        assert_kernel_runs(2, [dataclasses.replace(spec, values=(1.0,))], FREE)
-    with pytest.raises(ValueError, match=f"holds {len(values)} values, not 1"):
+    if loop == "kernel":  # kernels run for a valid spec of the same kind
+        assert_kernel_runs(2, [_EventSpec("{y0} - {c0}", kind="q_cross", values=(1.0,))], FREE)
+    with pytest.raises(ValueError, match=f"holds {len(values)} values, but its fields"):
         _propagate(*args) if loop == "kernel" else python_loop_run(_propagate, *args)
+
+
+def test_an_event_reads_its_constants_in_the_order_of_its_fields():
+    # 2 t - 1 on the free particle from y0 = 0 at speed 1 rises through zero
+    # at t = 0.5; with the constants swapped, t - 2 would reach no zero
+    # before t_max 1. Both loops locate it, the same bytes. 2 t - 1.5 shares
+    # the first spec's kernel, and its run reads its own constants.
+    specs = [_EventSpec("{c1} * {y0} - {c0}", kind="q_cross", values=values)
+             for values in ((1.0, 2.0), (1.5, 2.0))]
+    assert _events(specs[:1]) == _events(specs[1:])
+    for spec, want in zip(specs, (0.5, 0.75)):
+        events = matches_reference(FREE, 0.0, [0.0, 1.0], IntegratorConfig(t_max=1.0), [spec])[2]
+        [(te, got, direction, _)] = events
+        assert got is spec and direction == 1
+        assert te == pytest.approx(want, abs=1e-12)
+
+
+def test_the_python_norm_sums_in_numpy_s_pairwise_order():
+    # Bit for bit np.sqrt(np.mean(v * v)) for every length up to 128, the
+    # block beyond which numpy's pairwise sum splits in halves: model states
+    # have 2, 5 or 9 components.
+    gen = rng(400)
+    for n in range(1, 129):
+        v = gen.normal(size=n) * 10.0 ** gen.uniform(-3, 3, size=n)
+        assert integrator._rms(v.tolist()) == np.sqrt(np.mean(v * v)), n
 
 
 def test_the_nan_series_of_a_far_start_are_each_loop_s_own(barrier):
@@ -763,8 +792,8 @@ def test_table_coefficient_reaches_integrate(barrier, order, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "eom_table", lambda o: table)
         tampered = integrate(init, model, icfg)
-        times, states, *_ = _propagate(make_rhs(model), 0.0, state_to_vector(init), icfg,
-                                       _event_specs(model, icfg.escape_radius, ()))
+        times, states, *_ = _propagate(make_rhs(model), 0.0, np.array(_state_row(init, model)),
+                                       icfg, _event_specs(model, icfg.escape_radius, ()))
     assert same_rows(tampered.states, states.tolist()) and tampered.times.tolist() == times.tolist()
     assert tampered.states.tobytes() != real.states.tobytes()
     assert integrate(init, model, icfg).states.tobytes() == real.states.tobytes()
@@ -1192,7 +1221,7 @@ def test_event_states_equal_their_rows_bit_for_bit(
     traj = integrate(init, model, icfg, barrier.turning_points(0.98))
     assert traj.termination is termination
     states = traj.states
-    n, d = len(traj.times), len(state_to_vector(init))
+    n, d = len(traj.times), len(_state_row(init, model))
     assert states.shape == (n, d)
     columns = [traj.times, states, traj.h_q, traj.v_eff]
     if order >= 2:
@@ -1212,7 +1241,7 @@ def test_event_states_equal_their_rows_bit_for_bit(
     if termination is not Termination.REACHED_TMAX:
         assert matched[-1].t == traj.times[-1]  # the stop event's row ends the run
     for event in matched:
-        assert same_rows(states[rows[event.t]][None], [state_to_vector(event.state).tolist()])
+        assert same_rows(states[rows[event.t]][None], [_state_row(event.state, model)])
 
 
 def test_a_blowup_with_overflowing_coefficients_raises_no_numpy_warning():
@@ -1441,7 +1470,7 @@ def test_dop853_cross_check(barrier):
     assert traj.termination is Termination.REACHED_TMAX
     f = make_rhs(model)
     ref = integrate_ivp(
-        lambda t, y: f(list(y)), (0.0, traj.times[-1]), state_to_vector(init),
+        lambda t, y: f(list(y)), (0.0, traj.times[-1]), np.array(_state_row(init, model)),
         method="DOP853", rtol=1e-13, atol=1e-13,
     )
     assert ref.success
