@@ -126,7 +126,7 @@ def classify(traj: Trajectory, energy: float, margin: Optional[float] = None) ->
         side = 1 if q[j] > 0 else -1
 
     flips_inside = sum(
-        1 for e in traj.events if e.kind == "p_zero" and abs(e.state.q) < window
+        1 for e in traj.events if e.kind == "p_zero" and abs(e.y[0]) < window
     )
 
     tag, reason = _verdict(traj, distance, final_q, final_p, x, window, flips_inside)

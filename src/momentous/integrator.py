@@ -49,7 +49,11 @@ Recorded along the way:
   table, which the :class:`Trajectory` holds as it is;
 * events: momentum sign changes, crossings of caller-supplied position
   markers (classical return points), outbound escape, and, at orders 2 and
-  3, ``G20*G02 - G11**2`` turning negative, which no state can have (a stop);
+  3, ``G20*G02 - G11**2`` turning negative, which no state can have (a stop).
+  Either loop sees each event only as its index in the key and hands back
+  plain rows ``(t, index, direction, state)``; :func:`_run` alone names
+  them, as :class:`Event` records of the spec's kind and marker that hold
+  the located state vector;
 * per-sample series: effective Hamiltonian, effective potential at the mean
   position, and at orders 2 and 3 the uncertainty-product residual, whose
   minimum over the samples and its time go into the step statistics.
@@ -156,12 +160,14 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Event:
-    """Located zero crossing of an event function."""
+    """Located zero crossing of an event function: its time, the kind and
+    marker of its spec, and the state vector the loop located there, in the
+    layout of a sample row's state columns (``q, p``, then the moments)."""
 
     t: float
     kind: str  # "p_zero" | "q_cross" | "escape" | "constraint"
     direction: int  # +1 the event function rose through zero, -1 it fell
-    state: MomentState
+    y: tuple[float, ...]
     marker: Optional[float] = None
 
 
@@ -433,15 +439,17 @@ def _locate(values_at, j, lo, hi, glo, dense, t0):
 _time = itemgetter(0)
 
 
-def _python_loop(rhs, t0, y, icfg, specs, events, series):
+def _python_loop(rhs, t0, y, icfg, events, series):
     """The loop of the C kernel (:func:`_kernel`) in Python, with the same
-    arguments and result, ``(table, raw_events, stop, counts)`` (see
+    arguments and result, ``(table, event_rows, stop, counts)`` (see
     :func:`_run`): the same operations in the same order, so the same
     bytes. ``rhs`` is an :class:`RhsSource`, which runs compiled
     (``dynamics._compile``), or a callable from a state list to its
-    derivative list; ``series`` an :class:`RhsSource` or None. The event
-    values are the source of ``events`` (:func:`_events`), compiled the
-    same way: one call gives them all at a state.
+    derivative list; ``series`` an :class:`RhsSource` or None. ``events``
+    is the ``(source, flags)`` of :func:`_events`: the event values are its
+    source, compiled the same way (one call gives them all at a state), and
+    event ``j``'s direction filter and stop flag are ``flags[j]``, as the C
+    ``DIRECTION`` and ``STOPS`` tables hold them.
 
     A step with a crossing or a grid sample before its end plus a slack of
     ``1e-9 * sample_dt`` writes its rows: its located events in time order
@@ -482,15 +490,16 @@ def _python_loop(rhs, t0, y, icfg, specs, events, series):
             table.extend(values(u))
 
     emit(t, y)
-    values_at = _compile(events[0], d)(**events[0].bound)
+    source, flags = events
+    values_at = _compile(source, d)(**source.bound)
     g = values_at(y)
-    raw_events = []
+    event_rows = []
     sample_index = 1
     facold = 1e-4
     rejected = False
     n_steps = n_error = n_nonfinite = 0  # n_nonfinite: a non-finite stage, update or err
     h_min, h_max = math.inf, 0.0
-    stop = None
+    stop = -1
     # The horizon is met within 1e-12 of the span (at least 1e-12); a longer
     # remainder, even a few ulps of a late t, is one more step.
     close = 1e-12 * max(1.0, t_end - t0)
@@ -531,35 +540,32 @@ def _python_loop(rhs, t0, y, icfg, specs, events, series):
         tnew = t + h
         G = values_at(y1)
         crossed = []
-        for j, (spec, g0, g1) in enumerate(zip(specs, g, G)):
+        for j, ((want, _), g0, g1) in enumerate(zip(flags, g, G)):
             if (g0 < 0.0 < g1) or (g0 > 0.0 > g1) or (g0 != 0.0 and g1 == 0.0):
                 direction = 1 if g0 < 0.0 else -1
-                if not spec.direction or spec.direction == direction:
-                    crossed.append((j, spec, direction, g0, g1))
+                if not want or want == direction:
+                    crossed.append((j, direction, g0, g1))
         if crossed or t0 + sample_index * sample_dt <= tnew + slack:
             dense = _dense(t, h, y, y1, k)
-            located = sorted(
-                ((tnew if g1 == 0.0 else _locate(values_at, j, t, tnew, g0, dense, t0), spec,
-                  direction)
-                 for j, spec, direction, g0, g1 in crossed),
-                key=_time,
-            )
+            # In time order, a tie in index order as the kernel's stable sort.
+            located = sorted((tnew if g1 == 0.0 else _locate(values_at, j, t, tnew, g0, dense, t0),
+                              j, direction) for j, direction, g0, g1 in crossed)
             cut = tnew
-            for n, (te, spec, _) in enumerate(located, start=1):
-                if spec.stop is not None:
-                    cut, stop = te, spec.stop
+            for n, (te, j, _) in enumerate(located, start=1):
+                if flags[j][1]:
+                    cut, stop = te, j
                     del located[n:]
                     break
-            rows = [(te, dense(te), spec, direction) for te, spec, direction in located]
+            rows = [(te, dense(te), j, direction) for te, j, direction in located]
             while (ts := t0 + sample_index * sample_dt) <= cut + slack:
                 rows.append((cut, y1, None, 0) if ts >= cut else (ts, dense(ts), None, 0))
                 sample_index += 1
             rows.sort(key=_time)  # stable: an event first on a tie
-            for tr, u, spec, direction in rows:
-                if spec is not None:
-                    raw_events.append((tr, spec, direction, u))
+            for tr, u, j, direction in rows:
+                if j is not None:
+                    event_rows.append((tr, j, direction, u))
                 emit(tr, u)
-            if stop is not None:
+            if stop >= 0:
                 break
 
         # PI controller update.
@@ -574,9 +580,9 @@ def _python_loop(rhs, t0, y, icfg, specs, events, series):
         h = hnew
 
     # After a stop the last row is the stop event's, at its time.
-    if stop is None:
+    if stop < 0:
         emit(t, y)
-    return (np.frombuffer(table).reshape(-1, width), raw_events, stop,
+    return (np.frombuffer(table).reshape(-1, width), event_rows, stop,
             (n_steps, n_error, n_nonfinite, n_rhs, failure, h_min, h_max))
 
 
@@ -1124,11 +1130,12 @@ def _owned(address: int, n: int, release) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _kernel(d: int, events: tuple[RhsSource, tuple[tuple[int, bool], ...]], rhs: RhsSource,
             series: Optional[RhsSource] = None):
-    """``run(rhs, t0, y0, icfg, specs, events, series)``, the C kernel of
+    """``run(rhs, t0, y0, icfg, events, series)``, the C kernel of
     :func:`_c_units`, or None where the kernel cannot be translated,
     compiled, cached or loaded (see :mod:`native`). ``run`` takes the
     arguments of :func:`_python_loop` and returns the same bytes, ``(table,
-    raw_events, stop, counts)`` (see :func:`_run`). It passes the start
+    event_rows, stop, counts)`` (see :func:`_run`), reading each event row
+    and the stop index as the kernel wrote them. It passes the start
     state, the settings and the constants to the kernel as one block, the
     events' constants from its own ``events`` argument: the key compares
     the sources by their text, so runs whose markers differ share the
@@ -1149,7 +1156,7 @@ def _kernel(d: int, events: tuple[RhsSource, tuple[tuple[int, bool], ...]], rhs:
     release.argtypes = (ctypes.c_void_p,)
     width = 1 + d + _series_count(series)
 
-    def run(rhs, t0, y0, icfg, specs, events, series):
+    def run(rhs, t0, y0, icfg, events, series):
         block = [*y0, t0, icfg.rtol, icfg.atol, icfg.max_step, icfg.sample_dt, icfg.t_max,
                  *rhs.bound.values(), *events[0].bound.values(),
                  *(series.bound.values() if series else ())]
@@ -1166,11 +1173,9 @@ def _kernel(d: int, events: tuple[RhsSource, tuple[tuple[int, bool], ...]], rhs:
         finally:
             release(bufs[1])
         table = _owned(bufs[0], n * width, release).reshape(n, width)
-        raw_events = [(flat[j], specs[int(flat[j + 1])], int(flat[j + 2]), flat[j + 3:j + 3 + d])
+        event_rows = [(flat[j], int(flat[j + 1]), int(flat[j + 2]), flat[j + 3:j + 3 + d])
                       for j in range(0, len(flat), 3 + d)]
-        stop = counts[7]
-        return (table, raw_events, None if stop < 0 else specs[stop].stop,
-                (*counts[2:6], _FAILURES[counts[6]], *hs))
+        return table, event_rows, counts[7], (*counts[2:6], _FAILURES[counts[6]], *hs)
 
     return run
 
@@ -1195,23 +1200,24 @@ def _propagate(
     derivative list, and an event whose spec names a ``stop`` ends the run
     with that termination. ``t0``, ``y0`` and the constants of the sources
     are read as floats here, for both loops, and a spec whose ``{c<i>}``
-    fields are not ``{c0} ... {c<n-1>}`` for its ``n`` values is a
-    ValueError (:func:`_events`). Runs the C kernel (:func:`_kernel`) for
-    the state dimension, the specs' :func:`_events`, an :class:`RhsSource`
-    and the per-sample series source ``series`` (or none), or else, where
-    that kernel is None or the RHS a callable, the Python loop
-    :func:`_python_loop`, which compiles the sources it is given; which one
-    runs depends on those and the machine only, and its result is final.
+    fields are not ``{c0} ... {c<n-1>}`` for its ``n`` values, or whose
+    direction is not -1, 0 or 1, is a ValueError (:func:`_events`). Runs
+    the C kernel (:func:`_kernel`) for the state dimension, the specs'
+    :func:`_events`, an :class:`RhsSource` and the per-sample series source
+    ``series`` (or none), or else, where that kernel is None or the RHS a
+    callable, the Python loop :func:`_python_loop`, which compiles the
+    sources it is given; which one runs depends on those and the machine
+    only, and its result is final.
     Either loop writes one table of sample rows (see :func:`_run`), which
     this entry point for tests slices into columns.
-    Returns (times, states, raw events, termination, stats, series):
-    ``times`` is the float array of sample times and ``states`` the ``(n,
-    d)`` float array, the same bytes either way, both column views of that
-    table. Raw events are ``(t, spec, direction, y)`` tuples, ``y`` a list
-    of floats. ``stats`` counts accepted steps, rejected attempts (in all,
-    for an error norm above 1 and for a non-finite stage, update or error
-    norm) and RHS evaluations, and gives ``h_min`` and ``h_max`` over the
-    accepted steps (None when there are none). On a step failure
+    Returns (times, states, events, termination, stats, series): ``times``
+    is the float array of sample times and ``states`` the ``(n, d)`` float
+    array, the same bytes either way, both column views of that table.
+    ``events`` lists the run's :class:`Event` records, named by ``specs``
+    (:func:`_run`). ``stats`` counts accepted steps, rejected attempts (in
+    all, for an error norm above 1 and for a non-finite stage, update or
+    error norm) and RHS evaluations, and gives ``h_min`` and ``h_max`` over
+    the accepted steps (None when there are none). On a step failure
     ``stats["failure"]`` names the guard that stopped the run:
     "nonfinite_start", "underflow", "budget" or "blowup". ``series`` is the
     list of the column views of ``{k0}, {k1}, ...`` of the template of the
@@ -1225,23 +1231,26 @@ def _propagate(
 def _run(rhs, t0, y0, icfg, specs, events, series):
     """The run of :func:`_propagate` for a tuple of ``specs`` whose
     ``events`` are already known, as :func:`_events` gives them: ``(table,
-    raw_events, termination, stats)``.
+    events, termination, stats)``.
 
-    Either loop returns ``(table, raw_events, stop, counts)``: the ``(n, 1
-    + d + n_series)`` table of the sample rows ``(t, y0 ... y{d-1}, series
-    ...)``, the raw events, the ``stop`` of the spec that ended the run (or
-    None) and ``(n_steps, n_error, n_nonfinite, n_rhs, failure, h_min,
-    h_max)``, where ``failure`` names a step failure (or is None) and
-    ``h_max`` is 0.0 where no step counts. The table and the raw events
-    are returned as the loop wrote them."""
+    Either loop sees only the key ``events`` and returns numbers, ``(table,
+    event_rows, stop, counts)``: the ``(n, 1 + d + n_series)`` table of the
+    sample rows ``(t, y0 ... y{d-1}, series ...)``, the located events as
+    ``(t, j, direction, y)`` rows, ``j`` the event's index and ``y`` a list
+    of floats, the index of the event that ended the run (or -1) and
+    ``(n_steps, n_error, n_nonfinite, n_rhs, failure, h_min, h_max)``, where
+    ``failure`` names a step failure (or is None) and ``h_max`` is 0.0
+    where no step counts. Here, and only here, an index names its spec:
+    each row becomes an :class:`Event` of the spec's kind and marker, and
+    the stop the spec's termination. The table is returned as the loop
+    wrote it."""
     t0, y0 = float(t0), [float(a) for a in y0]
     series = series and _float_constants(series)
     run = None
     if isinstance(rhs, RhsSource):
         rhs = _float_constants(rhs)
         run = _kernel(len(y0), events, rhs, series)
-    table, raw_events, stop, counts = (run or _python_loop)(rhs, t0, y0, icfg, specs, events,
-                                                            series)
+    table, event_rows, stop, counts = (run or _python_loop)(rhs, t0, y0, icfg, events, series)
     n_steps, n_error, n_nonfinite, n_rhs, failure, h_min, h_max = counts
     stats = {
         "n_steps": n_steps,
@@ -1257,8 +1266,10 @@ def _run(rhs, t0, y0, icfg, specs, events, series):
         stats["failure"] = failure
         termination = Termination.STEP_FAILURE
     else:
-        termination = Termination.REACHED_TMAX if stop is None else stop
-    return table, raw_events, termination, stats
+        termination = Termination.REACHED_TMAX if stop < 0 else specs[stop].stop
+    located = [Event(t, specs[j].kind, direction, tuple(y), specs[j].marker)
+               for t, j, direction, y in event_rows]
+    return table, located, termination, stats
 
 
 def _events(specs: Sequence[_EventSpec]) -> tuple[RhsSource, tuple[tuple[int, bool], ...]]:
@@ -1269,9 +1280,13 @@ def _events(specs: Sequence[_EventSpec]) -> tuple[RhsSource, tuple[tuple[int, bo
     spec's ``(direction, stops)``, ``stops`` whether it names a ``stop``.
     A source compares by its text, so specs that differ only in their
     values share one key. A spec whose ``{c<i>}`` fields are not exactly
-    ``{c0}`` to ``{c<n-1>}`` for its ``n`` values is a ValueError."""
+    ``{c0}`` to ``{c<n-1>}`` for its ``n`` values, or whose direction is not
+    -1, 0 or 1, is a ValueError."""
     lines, bound = [], {}
     for j, spec in enumerate(specs):
+        if spec.direction not in (-1, 0, 1):
+            raise ValueError(f"the spec of event {spec.expr!r} has direction "
+                             f"{spec.direction!r}, not -1, 0 or 1")
         constants = _fields(spec.expr, "c")
         if constants != tuple(range(len(spec.values))):
             raise ValueError(f"the spec of event {spec.expr!r} holds {len(spec.values)} values, "
@@ -1366,7 +1381,9 @@ def integrate(
     :class:`Trajectory` holds it as it is: times, states, ``H_Q``,
     ``V_eff`` and the residual (:func:`dynamics.series_source`), the same
     bytes either way. A series value that is not finite is written as the
-    loop computed it, with no warning. An ``init`` whose order is not the
+    loop computed it, with no warning. The events are the :class:`Event`
+    records :func:`_run` makes from the loop's event rows, each holding the
+    state vector located at its time. An ``init`` whose order is not the
     model's is a ValueError.
 
     The event specs and the key of their loop are derived once per model,
@@ -1376,23 +1393,10 @@ def integrate(
     start = _state_row(init, model)
     specs, events = _plan(model, icfg.escape_radius,
                           array("d", map(float, mark_positions)).tobytes())
-    table, raw_events, termination, stats = _run(
+    table, located, termination, stats = _run(
         rhs_source(model), init.t, start, icfg, specs, events, series_source(model))
-
-    order = model.order
-    if order >= 2:
+    if model.order >= 2:
         worst = int(np.argmin(table[:, -1]))
         stats["residual_min"] = float(table[worst, -1])
         stats["t_residual_min"] = float(table[worst, 0])
-
-    events = tuple(
-        Event(
-            t=te,
-            kind=spec.kind,
-            direction=direction,
-            state=vector_to_state(te, ye, order),
-            marker=spec.marker,
-        )
-        for te, spec, direction, ye in raw_events
-    )
-    return Trajectory(model, table, termination, events, stats)
+    return Trajectory(model, table, termination, tuple(located), stats)

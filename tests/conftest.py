@@ -20,6 +20,7 @@ run, in CI or locally, draws the same examples.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -28,8 +29,8 @@ import pytest
 from hypothesis import settings
 
 from momentous import BarrierPotential, GaussianPacket, IntegratorConfig
-from momentous.dynamics import effective_series, vector_to_state
-from momentous.integrator import Event, Trajectory, _event_specs, _propagate
+from momentous.dynamics import effective_series
+from momentous.integrator import Trajectory, _event_specs, _propagate
 
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
@@ -120,7 +121,9 @@ def darboux_integrate(init, model, icfg, mark_positions=()):
     ``eom_table``, and the uncertainty relation holds in them by
     construction. They run through the package's adaptive loop with the
     events of :func:`momentous.integrate`, less any uncertainty-constraint
-    stop, which has nothing to monitor here.
+    stop, which has nothing to monitor here; each event's ``y`` is mapped
+    from the Darboux state the loop located to its moments
+    ``(q, p, G20, G11, G02)``.
     """
     assert model.order == 2
     g20, g11, g02 = init.moments
@@ -133,7 +136,7 @@ def darboux_integrate(init, model, icfg, mark_positions=()):
         return [p / m, -v1 - 0.5 * v3 * s * s, p_s / m, casimir / (m * s ** 3) - v2 * s]
 
     s0 = math.sqrt(g20)
-    times, states, raw_events, termination, stats, _ = _propagate(
+    times, states, events, termination, stats, _ = _propagate(
         f, init.t, [init.q, init.p, s0, -g11 / s0], icfg,
         [spec for spec in _event_specs(model, icfg.escape_radius, mark_positions)
          if spec.kind != "constraint"],
@@ -142,13 +145,9 @@ def darboux_integrate(init, model, icfg, mark_positions=()):
     h_q, v_eff = effective_series(moments, model)
     g20, g11, g02 = moments[:, 2:].T
     residual = g20 * g02 - g11 * g11 - model.hbar ** 2 / 4
-    events = tuple(
-        Event(t=te, kind=spec.kind, direction=direction,
-              state=vector_to_state(te, _darboux_moments(ye, casimir), 2), marker=spec.marker)
-        for te, spec, direction, ye in raw_events
-    )
     table = np.column_stack([times, moments, h_q, v_eff, residual])
-    return Trajectory(model, table, termination, events, stats)
+    return Trajectory(model, table, termination, tuple(
+        replace(e, y=_darboux_moments(e.y, casimir)) for e in events), stats)
 
 
 def _weyl_moments(x, p, psi, dx):

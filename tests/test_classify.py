@@ -32,8 +32,7 @@ def make_synthetic(barrier, times, q, p, termination=Termination.REACHED_TMAX, e
 
 def p_zero(t, q, direction):
     """A momentum flip as the integrator records it."""
-    return Event(t=t, kind="p_zero", direction=direction,
-                 state=MomentState(t=t, q=q, p=0.0, moments=()))
+    return Event(t=t, kind="p_zero", direction=direction, y=(q, 0.0))
 
 
 def test_classical_reflection_tagged(barrier):
@@ -94,7 +93,7 @@ def test_sampled_sign_changes_are_not_flips(barrier):
     # are no flips, and the oscillation is not trapped.
     t, q, p, flips = oscillation_inside(barrier)
     assert np.count_nonzero(p[:-1] * p[1:] < 0) == 16
-    cross = replace(flips[0], kind="q_cross", marker=float(flips[0].state.q))
+    cross = replace(flips[0], kind="q_cross", marker=float(flips[0].y[0]))
     for events in ((), (cross,)):
         outcome = classify(make_synthetic(barrier, t, q, p, events=events), 0.98)
         assert outcome.evidence.sign_changes_inside == 0
@@ -240,9 +239,9 @@ def test_classical_limit_random_inbound(barrier):
 def mirror(event):
     """The event of the mirror-image run: q -> -q, p -> -p, so each event
     function crosses zero the other way."""
-    state = replace(event.state, q=-event.state.q, p=-event.state.p)
+    q, p, *moments = event.y
     marker = None if event.marker is None else -event.marker
-    return replace(event, direction=-event.direction, state=state, marker=marker)
+    return replace(event, direction=-event.direction, y=(-q, -p, *moments), marker=marker)
 
 
 def test_mirror_symmetry_swaps_reflected_and_tunneled(barrier):

@@ -180,7 +180,7 @@ def test_determinism_bit_identical(barrier):
     assert len(a.events) == len(b.events)
     for ea, eb in zip(a.events, b.events):
         assert (ea.t, ea.kind, ea.direction, ea.marker) == (eb.t, eb.kind, eb.direction, eb.marker)
-        assert ea.state == eb.state
+        assert ea.y == eb.y
 
 
 def test_momentum_events_alternate_and_are_sharp(barrier):
@@ -197,13 +197,13 @@ def test_momentum_events_alternate_and_are_sharp(barrier):
     directions = [e.direction for e in flips]
     assert all(d1 != d2 for d1, d2 in zip(directions, directions[1:]))
     for e in flips:
-        assert abs(e.state.p) <= 1e-9  # dense-output root polish
+        assert abs(e.y[1]) <= 1e-9  # dense-output root polish
         assert traj.times[0] < e.t <= traj.times[-1]
     crossings = [e for e in traj.events if e.kind == "q_cross"]
     assert crossings
     for e in crossings:
         assert e.marker is not None
-        assert abs(e.state.q - e.marker) <= 1e-9
+        assert abs(e.y[0] - e.marker) <= 1e-9
     # Event points are merged into the sample list.
     assert np.all(np.diff(traj.times) > 0)
 
@@ -496,12 +496,12 @@ def test_loop_matches_reference_on_model_runs(
     case = request.node.callspec.id
     if case == "order2-coarse-samples":
         assert len(times) < stats["n_steps"]
-        assert {"p_zero", "q_cross"} <= {spec.kind for _, spec, _, _ in events}
+        assert {"p_zero", "q_cross"} <= {e.kind for e in events}
     if case == "order2-fine-samples":
         assert len(times) > 10 * stats["n_steps"]
     if case == "order2-inward-then-escaped":
         # The inward crossing of the escape radius is filtered out.
-        assert [d for _, spec, d, _ in events if spec.kind == "escape"] == [1]
+        assert [e.direction for e in events if e.kind == "escape"] == [1]
         assert np.abs(y0[0]) > icfg.escape_radius
 
 
@@ -534,7 +534,7 @@ def python_loop_run(run, *args):
 
 def assert_same_run(got, want):
     """Two ``_propagate`` results byte for byte: the arrays by shape and
-    bytes, the raw events, termination and stats by ``repr``."""
+    bytes, the events, termination and stats by ``repr``."""
     for got_array, want_array in zip(got[:2], want[:2]):
         assert got_array.shape == want_array.shape
         assert got_array.tobytes() == want_array.tobytes()
@@ -598,7 +598,7 @@ def test_the_kernel_runs_an_event_that_lands_on_zero_as_the_python_loop(barrier)
     end = float(states[-1, 0])
     specs = [*specs, _EventSpec("{y0} - {c0}", kind="q_cross", values=(end,), marker=end)]
     events = matches_reference(rhs, 0.0, y0, icfg, specs)[2]
-    assert [t for t, spec, _, _ in events if spec.marker == end][-1] == times[-1]
+    assert [e.t for e in events if e.marker == end][-1] == times[-1]
     traj = assert_kernel_integrates(init, model, icfg, (*marks, end))
     assert [e.t for e in traj.events if e.marker == end][-1] == traj.times[-1] == times[-1]
 
@@ -609,7 +609,7 @@ def test_the_kernel_runs_a_stop_just_before_a_sample_as_the_python_loop(barrier)
     # reads the stop state and is dropped as the stop row's duplicate.
     init, model, icfg, marks = integrate_args(barrier, 0, -3.0, 0.5, "zero")
     _, rhs, y0, _, specs = model_run(barrier, 0, -3.0, 0.5, "zero")
-    stop = _propagate(rhs, 0.0, y0, icfg, specs)[2][-1][0]
+    stop = _propagate(rhs, 0.0, y0, icfg, specs)[2][-1].t
     for share in (0.5, 2.0):
         grid = dataclasses.replace(icfg, sample_dt=stop / (1000 - share * 1e-9))
         times, _, _, termination, _ = matches_reference(rhs, 0.0, y0, grid, specs)
@@ -626,8 +626,7 @@ def test_the_kernel_drops_rows_within_the_window_of_an_event_as_the_python_loop(
     # row or the grid's.
     init, model, icfg, marks = integrate_args(barrier, 0, -3.0, 0.5, "zero")
     _, rhs, y0, _, specs = model_run(barrier, 0, -3.0, 0.5, "zero")
-    te = next(t for t, spec, _, _ in _propagate(rhs, 0.0, y0, icfg, specs)[2]
-              if spec.kind == "p_zero")
+    te = next(e.t for e in _propagate(rhs, 0.0, y0, icfg, specs)[2] if e.kind == "p_zero")
     window = 1e-12 * max(te, 1.0)
     for share in (-0.75, 0.75, 2.0):
         grid = dataclasses.replace(icfg, sample_dt=(te + share * window) / 1000)
@@ -679,9 +678,48 @@ def test_an_event_reads_its_constants_in_the_order_of_its_fields():
     assert _events(specs[:1]) == _events(specs[1:])
     for spec, want in zip(specs, (0.5, 0.75)):
         events = matches_reference(FREE, 0.0, [0.0, 1.0], IntegratorConfig(t_max=1.0), [spec])[2]
-        [(te, got, direction, _)] = events
-        assert got is spec and direction == 1
-        assert te == pytest.approx(want, abs=1e-12)
+        [event] = events
+        assert (event.kind, event.direction) == ("q_cross", 1)
+        assert event.t == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("direction", [2, -3])
+@pytest.mark.parametrize("loop", ["kernel", "python"])
+def test_an_event_direction_other_than_minus_one_zero_or_one_is_rejected(direction, loop):
+    # The C kernel reads a positive direction as "rising" and a negative one
+    # as "falling", and the Python loop compares it with the crossing's +1 or
+    # -1: on q = t the first located the crossing of 0.5 with direction 2
+    # and the second none. One rule, in _events, for both loops.
+    spec = _EventSpec("{y0} - {c0}", kind="q_cross", values=(0.5,), direction=direction)
+    with pytest.raises(ValueError, match=f"has direction {direction}, not -1, 0 or 1"):
+        _events([spec])
+    args = (FREE, 0.0, [0.0, 1.0], IntegratorConfig(t_max=1.0), [spec])
+    with pytest.raises(ValueError, match="not -1, 0 or 1"):
+        _propagate(*args) if loop == "kernel" else python_loop_run(_propagate, *args)
+
+
+def test_events_are_named_by_the_specs_of_their_own_run():
+    # Two spec lists with one kernel key, (source, flags), that differ in
+    # their kinds, markers and values: a loop hands back event indices
+    # only, so each run's events carry its own specs' kinds and markers,
+    # in both loops alike.
+    runs = {
+        "first": (_EventSpec("{y1}", kind="turn"),
+                  _EventSpec("{y0} - {c0}", kind="mark", values=(0.25,), marker=0.25)),
+        "second": (_EventSpec("{y1}", kind="p_zero"),
+                   _EventSpec("{y0} - {c0}", kind="q_cross", values=(0.5,), marker=-0.0)),
+    }
+    assert _events(runs["first"]) == _events(runs["second"])
+    icfg = IntegratorConfig(rtol=1e-10, atol=1e-10, t_max=4.0)
+    located = {}
+    for name, specs in runs.items():
+        events = matches_reference(OSCILLATOR, 0.0, [0.0, 1.0], icfg, specs)[2]
+        located[name] = [(e.kind, e.direction, repr(e.marker)) for e in events]
+    # q = sin t crosses 0.25 (or 0.5) rising, turns at pi/2, and falls back.
+    assert located == {
+        "first": [("mark", 1, "0.25"), ("turn", -1, "None"), ("mark", -1, "0.25")],
+        "second": [("q_cross", 1, "-0.0"), ("p_zero", -1, "None"), ("q_cross", -1, "-0.0")],
+    }
 
 
 def test_the_python_norm_sums_in_numpy_s_pairwise_order():
@@ -975,9 +1013,9 @@ def test_loop_matches_reference_on_an_event_landing_exactly_on_zero():
         _EventSpec("{c0} - {y0}", kind="below", values=(end3,)),
     )
     events = matches_reference(rhs, 1000.0, [0.3, -0.4], icfg, specs)[2]
-    assert sorted(direction for _, _, direction, _ in events) == [-1, 1]
-    assert events[0][0] == events[1][0]
-    assert events[0][3][0] == pytest.approx(end3, abs=1e-12)
+    assert sorted(e.direction for e in events) == [-1, 1]
+    assert events[0].t == events[1].t
+    assert events[0].y[0] == pytest.approx(end3, abs=1e-12)
 
 
 def test_loop_matches_reference_on_an_event_value_from_nan_to_zero():
@@ -987,7 +1025,7 @@ def test_loop_matches_reference_on_an_event_value_from_nan_to_zero():
     spec = _EventSpec("{y0} * {c0} - {y1} * {c0}", kind="nan", values=(1e300,))
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=3.0)
     events = matches_reference(source("-{y0}", "-{y1}"), 0.0, [1e9, 1e9], icfg, (spec,))[2]
-    assert [(direction, y[0] < 1.8e8) for _, _, direction, y in events] == [(-1, True)]
+    assert [(e.direction, e.y[0] < 1.8e8) for e in events] == [(-1, True)]
 
 
 def test_loop_matches_reference_on_a_stop_just_before_a_sample():
@@ -1000,8 +1038,8 @@ def test_loop_matches_reference_on_a_stop_just_before_a_sample():
         source("1.0", "0.0"), 0.0, [0.0, 0.0], icfg, (spec,)
     )
     assert termination is Termination.ESCAPED
-    assert times == [0.0, 0.25, events[0][0]]
-    assert events[0][0] == pytest.approx(0.5 - 1e-12, abs=1e-13)
+    assert times == [0.0, 0.25, events[0].t]
+    assert events[0].t == pytest.approx(0.5 - 1e-12, abs=1e-13)
 
 
 def test_loop_matches_reference_on_event_rows_next_to_samples():
@@ -1013,9 +1051,9 @@ def test_loop_matches_reference_on_event_rows_next_to_samples():
     )
     icfg = IntegratorConfig(rtol=1e-10, atol=1e-10, t_max=1.0, sample_dt=0.25)
     times, _, events, _, _ = matches_reference(source("1.0", "0.0"), 0.0, [0.0, 0.0], icfg, specs)
-    assert [te for te, _, _, _ in events] == [pytest.approx(0.5 + 5e-12, abs=1e-13),
-                                              pytest.approx(0.75 + 5e-13, abs=1e-13)]
-    assert times == [0.0, 0.25, 0.5, events[0][0], 0.75, 1.0]
+    assert [e.t for e in events] == [pytest.approx(0.5 + 5e-12, abs=1e-13),
+                                     pytest.approx(0.75 + 5e-13, abs=1e-13)]
+    assert times == [0.0, 0.25, 0.5, events[0].t, 0.75, 1.0]
 
 
 def test_a_sample_within_the_slack_after_a_step_end_takes_its_end_state():
@@ -1129,14 +1167,14 @@ def test_each_grid_index_is_recorded_by_the_first_step_that_reaches_it(
     }[events]
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=t_max, max_step=max_step,
                             sample_dt=sample_dt)
-    times, _, raw_events, termination, stats = matches_reference(
+    times, _, events_got, termination, stats = matches_reference(
         OSCILLATOR, t0, [1.0, w], icfg, specs)
     assert_same_run(_propagate(lambda y: [y[1], -y[0]], t0, [1.0, w], icfg, specs),
                     _propagate(OSCILLATOR, t0, [1.0, w], icfg, specs))
-    assert len(raw_events) >= {"none": 0, "p_zero": 1, "stop": 2}[events]
+    assert len(events_got) >= {"none": 0, "p_zero": 1, "stop": 2}[events]
     if events == "stop":
-        assert termination is Termination.ESCAPED and times[-1] == raw_events[-1][0]
-        assert raw_events[-1][1].kind == "stop"
+        assert termination is Termination.ESCAPED and times[-1] == events_got[-1].t
+        assert events_got[-1].kind == "stop"
     else:
         assert termination is Termination.REACHED_TMAX and times[-1] == t0 + t_max
     assert stats["n_steps"] > (2 if events == "stop" else 5)
@@ -1241,7 +1279,7 @@ def test_event_states_equal_their_rows_bit_for_bit(
     if termination is not Termination.REACHED_TMAX:
         assert matched[-1].t == traj.times[-1]  # the stop event's row ends the run
     for event in matched:
-        assert same_rows(states[rows[event.t]][None], [_state_row(event.state, model)])
+        assert same_rows(states[rows[event.t]][None], [event.y])
 
 
 def test_a_blowup_with_overflowing_coefficients_raises_no_numpy_warning():
@@ -1561,9 +1599,9 @@ def test_an_event_at_a_late_start_is_located_to_the_float_spacing():
     located = []
     for t0 in (0.0, 1e6):
         events = matches_reference(OSCILLATOR, t0, [0.0, 1.0], icfg, (spec,))[2]
-        [(te, _, direction, _)] = events
-        assert direction == -1
-        located.append(te)
+        [event] = events
+        assert event.direction == -1
+        located.append(event.t)
     early, late = located
     assert abs(early - math.pi / 2) < 1e-11
     assert abs(late - (1e6 + math.pi / 2)) <= 3 * math.ulp(1e6)
