@@ -57,7 +57,6 @@ __all__ = [
     "UNCERTAINTY_PRODUCT",
     "effective_hamiltonian",
     "effective_potential",
-    "effective_series",
     "eom_table",
     "make_rhs",
     "moment_labels",
@@ -230,9 +229,8 @@ def series_source(cfg: ModelConfig) -> RhsSource:
     """The per-sample series of a state as source: ``H_Q`` (``{k0}``) and
     ``V_eff`` (``{k1}``) at its ``q``, from one jet, and at orders >= 2 the
     uncertainty residual (``{k2}``), ``UNCERTAINTY_PRODUCT`` less the
-    constant ``quarter`` = ``hbar**2/4``. These are the lines
-    :func:`effective_series` runs and both loops of ``integrate`` evaluate
-    at every sample row."""
+    constant ``quarter`` = ``hbar**2/4``. These are the lines both loops
+    of ``integrate`` evaluate at every sample row."""
     pot = cfg.potential
     label = f"order-{cfg.order} H_Q, V_eff kernel n={pot.n}"
     bound = {"alpha": pot.alpha, "a_2n": pot._a_2n, "m": cfg.mass}
@@ -269,25 +267,10 @@ def effective_potential(q: float, state: MomentState, cfg: ModelConfig) -> float
     """
     row = _state_row(state, cfg)
     row[0] = q
-    with np.errstate(over="ignore"):  # as in effective_series
-        return _series(cfg)(row)[1]
-
-
-def effective_series(states: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``H_Q`` and ``V_eff`` at the mean position for every row of an
-    ``(n, d)`` state array, from one evaluation of the jet.
-
-    Row by row these are exactly :func:`effective_hamiltonian` and
-    :func:`effective_potential` at the row's ``q``: all three evaluate one
-    compiled expression.
-
-    Where a far ``q`` makes ``q**(2n)`` overflow to inf, ``alpha / inf`` is
-    the limit the scalar path gives, so overflow warnings are silenced here;
-    invalid-value warnings (an ``inf * 0``) still surface.
-    """
+    # Where a far q makes q**(2n) overflow to inf, alpha / inf is the limit
+    # a float q gives; invalid-value warnings (an inf * 0) still surface.
     with np.errstate(over="ignore"):
-        h_q, v_eff = _series(cfg)(states.T)[:2]
-    return h_q, v_eff
+        return _series(cfg)(row)[1]
 
 
 def eom_table(order: int) -> dict[Union[str, Moment], MomentPolynomial]:

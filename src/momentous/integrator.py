@@ -24,16 +24,16 @@ sizes, samples and events are those of an array implementation, bit for
 bit.
 
 The loop exists twice, with the same operations in the same order. Where a
-C compiler is found (``$CC``, else ``cc``), an :class:`RhsSource` run goes
-through a C kernel (:func:`_c_units`), compiled once per machine and kept in
-the cache that :mod:`native` manages (``$XDG_CACHE_HOME/momentous``, else
+C compiler is found (``$CC``, else ``cc``), a run goes through a C kernel
+(:func:`_c_units`), compiled once per machine and kept in the cache that
+:mod:`native` manages (``$XDG_CACHE_HOME/momentous``, else
 ``~/.cache/momentous``, pruned to the ``native.CACHE_SIZE`` most recently
 loaded libraries); a new ``(d, events, rhs, series)`` costs one compile of
-about half a second. Otherwise, and for an opaque RHS callable, the Python
-loop (:func:`_python_loop`) runs: list code over the components, calling
-the RHS callable, or the RHS source compiled as a function, at each of its
-eight evaluations. Each loop gets its templates (RHS, event values and
-series) from one translator: ``dynamics._compile`` in Python and
+about half a second. Otherwise, and for a template with no C translation,
+the Python loop (:func:`_python_loop`) runs: list code over the components,
+calling the RHS source compiled as a function at each of its eight
+evaluations. Each loop gets its templates (RHS, event values and series)
+from one translator: ``dynamics._compile`` in Python and
 ``native.c_lines`` in C. Which loop runs depends on that key and the machine
 only, never on a run's values. Both read the start time, the state, the
 settings and the model's constants as floats, and the outputs are the same
@@ -444,12 +444,11 @@ def _python_loop(rhs, t0, y, icfg, events, series):
     arguments and result, ``(table, event_rows, stop, counts)`` (see
     :func:`_run`): the same operations in the same order, so the same
     bytes. ``rhs`` is an :class:`RhsSource`, which runs compiled
-    (``dynamics._compile``), or a callable from a state list to its
-    derivative list; ``series`` an :class:`RhsSource` or None. ``events``
-    is the ``(source, flags)`` of :func:`_events`: the event values are its
-    source, compiled the same way (one call gives them all at a state), and
-    event ``j``'s direction filter and stop flag are ``flags[j]``, as the C
-    ``DIRECTION`` and ``STOPS`` tables hold them.
+    (``dynamics._compile``), and ``series`` an :class:`RhsSource` or None.
+    ``events`` is the ``(source, flags)`` of :func:`_events`: the event
+    values are its source, compiled the same way (one call gives them all
+    at a state), and event ``j``'s direction filter and stop flag are
+    ``flags[j]``, as the C ``DIRECTION`` and ``STOPS`` tables hold them.
 
     A step with a crossing or a grid sample before its end plus a slack of
     ``1e-9 * sample_dt`` writes its rows: its located events in time order
@@ -462,7 +461,7 @@ def _python_loop(rhs, t0, y, icfg, events, series):
     a row it keeps to one ``array('d')``, which numpy wraps without a copy.
     """
     d = len(y)
-    f = _compile(rhs, d)(**rhs.bound) if isinstance(rhs, RhsSource) else rhs
+    f = _compile(rhs, d)(**rhs.bound)
     rtol, atol, max_step = icfg.rtol, icfg.atol, icfg.max_step
     sample_dt, max_steps = icfg.sample_dt, icfg.max_steps
     t_end = t0 + icfg.t_max
@@ -1195,19 +1194,17 @@ def _propagate(
     series: Optional[RhsSource] = None,
 ):
     """Adaptive loop for ``icfg.t_max`` from ``t0``, under the tolerances,
-    step cap, sample grid and step budget of ``icfg``; ``rhs`` is an
-    :class:`RhsSource` or a callable that maps a state list to its
-    derivative list, and an event whose spec names a ``stop`` ends the run
-    with that termination. ``t0``, ``y0`` and the constants of the sources
-    are read as floats here, for both loops, and a spec whose ``{c<i>}``
-    fields are not ``{c0} ... {c<n-1>}`` for its ``n`` values, or whose
-    direction is not -1, 0 or 1, is a ValueError (:func:`_events`). Runs
-    the C kernel (:func:`_kernel`) for the state dimension, the specs'
-    :func:`_events`, an :class:`RhsSource` and the per-sample series source
-    ``series`` (or none), or else, where that kernel is None or the RHS a
-    callable, the Python loop :func:`_python_loop`, which compiles the
-    sources it is given; which one runs depends on those and the machine
-    only, and its result is final.
+    step cap, sample grid and step budget of ``icfg``, of the RHS source
+    ``rhs``; an event whose spec names a ``stop`` ends the run with that
+    termination. ``t0``, ``y0`` and the constants of the sources are read
+    as floats here, for both loops, and a spec whose ``{c<i>}`` fields are
+    not ``{c0} ... {c<n-1>}`` for its ``n`` values, or whose direction is
+    not -1, 0 or 1, is a ValueError (:func:`_events`). Runs the C kernel
+    (:func:`_kernel`) for the state dimension, the specs' :func:`_events`,
+    ``rhs`` and the per-sample series source ``series`` (or none), or else,
+    where that kernel is None, the Python loop :func:`_python_loop`, which
+    compiles the sources it is given; which one runs depends on those and
+    the machine only, and its result is final.
     Either loop writes one table of sample rows (see :func:`_run`), which
     this entry point for tests slices into columns.
     Returns (times, states, events, termination, stats, series): ``times``
@@ -1245,12 +1242,9 @@ def _run(rhs, t0, y0, icfg, specs, events, series):
     the stop the spec's termination. The table is returned as the loop
     wrote it."""
     t0, y0 = float(t0), [float(a) for a in y0]
-    series = series and _float_constants(series)
-    run = None
-    if isinstance(rhs, RhsSource):
-        rhs = _float_constants(rhs)
-        run = _kernel(len(y0), events, rhs, series)
-    table, event_rows, stop, counts = (run or _python_loop)(rhs, t0, y0, icfg, events, series)
+    rhs, series = _float_constants(rhs), series and _float_constants(series)
+    run = _kernel(len(y0), events, rhs, series) or _python_loop
+    table, event_rows, stop, counts = run(rhs, t0, y0, icfg, events, series)
     n_steps, n_error, n_nonfinite, n_rhs, failure, h_min, h_max = counts
     stats = {
         "n_steps": n_steps,

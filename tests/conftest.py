@@ -9,9 +9,11 @@ Dormand-Prince tableau and the step-size controller's constants, typed in
 independently of the integrator's tables: the C kernel and the Python loop
 both read those tables, so only a comparison with this copy shows a mistyped
 weight. :func:`darboux_integrate` is an independent realization of the
-order-2 moment system, the oracle for its tags. :func:`split_operator_moments` solves the Schrödinger equation
-itself: the exact quantum moments that the truncated moment system
-approximates.
+order-2 moment system, the oracle for its tags: its equations and its map
+to the moments are ``RhsSource`` templates (:func:`darboux_args`), so it
+runs in the C kernel or the Python loop as a model run does.
+:func:`split_operator_moments` solves the Schrödinger equation itself: the
+exact quantum moments that the truncated moment system approximates.
 
 Property tests run derandomized and without an example database, so every
 run, in CI or locally, draws the same examples.
@@ -29,8 +31,9 @@ import pytest
 from hypothesis import settings
 
 from momentous import BarrierPotential, GaussianPacket, IntegratorConfig
-from momentous.dynamics import effective_series
+from momentous.dynamics import RhsSource, series_source
 from momentous.integrator import Trajectory, _event_specs, _propagate
+from momentous.potential import jet_lines, jet_name
 
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
@@ -109,43 +112,74 @@ def _darboux_moments(y, casimir):
     return q, p, s * s, -s * p_s, p_s * p_s + casimir / (s * s)
 
 
-def darboux_integrate(init, model, icfg, mark_positions=()):
-    """Integrate an order-2 state in canonical "Darboux" coordinates and
-    return the :class:`Trajectory` of its moments.
+def darboux_args(init, model, icfg, mark_positions=()):
+    """The arguments ``(rhs, t0, y0, icfg, specs, series)`` of the
+    ``_propagate`` run of an order-2 state in canonical "Darboux"
+    coordinates ``(q, p, s, p_s)``.
 
     ``G20 = s**2``, ``G11 = -s*p_s``, ``G02 = p_s**2 + U/s**2``, with the
     Casimir ``U = G20*G02 - G11**2`` fixed by ``init``, turn the order-2
     system into a particle in two dimensions with Hamiltonian
-    ``p**2/2m + V(q) + p_s**2/2m + U/(2m s**2) + V''(q) s**2/2``. Its four
-    equations are written here from that Hamiltonian, not from
-    ``eom_table``, and the uncertainty relation holds in them by
-    construction. They run through the package's adaptive loop with the
-    events of :func:`momentous.integrate`, less any uncertainty-constraint
-    stop, which has nothing to monitor here; each event's ``y`` is mapped
-    from the Darboux state the loop located to its moments
-    ``(q, p, G20, G11, G02)``.
+    ``p**2/2m + V(q) + p_s**2/2m + U/(2m s**2) + V''(q) s**2/2``. ``rhs``
+    holds its four equations, written here from that Hamiltonian, not from
+    ``eom_table``, with the barrier's jet and ``m`` and ``casimir`` as
+    constants; the uncertainty relation holds in them by construction.
+    ``series`` is the model's ``series_source`` over the moments of the
+    state, which it writes too, as ``{k3}``, ``{k4}`` and ``{k5}``. The
+    events are those of :func:`momentous.integrate`, less any
+    uncertainty-constraint stop, which has nothing to monitor here.
+
+    No line divides by zero, as an ``RhsSource`` must not: at order 2 the
+    initial moments have ``U = hbar**2/4 > 0``, and the term ``U/(2m
+    s**2)`` of the Hamiltonian is a wall that repels ``s`` from 0, so
+    ``casimir / (m * s*s*s)`` and ``casimir / (s * s)`` see ``s != 0``.
     """
     assert model.order == 2
     g20, g11, g02 = init.moments
     casimir = g20 * g02 - g11 * g11
     pot, m = model.potential, model.mass
-
-    def f(y):
-        q, p, s, p_s = y
-        _, v1, v2, v3 = pot.derivatives(q, 3)
-        return [p / m, -v1 - 0.5 * v3 * s * s, p_s / m, casimir / (m * s ** 3) - v2 * s]
-
+    v1, v2, v3 = map(jet_name, (1, 2, 3))
+    constants = {"alpha": pot.alpha, "a_2n": pot._a_2n, "m": m, "casimir": casimir}
+    rhs = RhsSource("\n".join([
+        *jet_lines(pot.n, (1, 2, 3), "{y0}"),
+        "{k0} = {y1} / m",
+        f"{{k1}} = -{v1} - 0.5 * {v3} * {{y2}} * {{y2}}",
+        "{k2} = {y3} / m",
+        f"{{k3}} = casimir / (m * {{y2}} * {{y2}} * {{y2}}) - {v2} * {{y2}}",
+    ]), f"darboux rhs n={pot.n}", constants)
+    moments = series_source(model)
+    fields = dict(zip(("y0", "y1", "y2", "y3", "y4"), ("{y0}", "{y1}", "_g20", "_g11", "_g02")))
+    series = RhsSource("\n".join([
+        "_g20 = {y2} * {y2}",
+        "_g11 = -{y2} * {y3}",
+        "_g02 = {y3} * {y3} + casimir / ({y2} * {y2})",
+        moments.template.format(**fields, k0="{k0}", k1="{k1}", k2="{k2}"),
+        "{k3} = _g20",
+        "{k4} = _g11",
+        "{k5} = _g02",
+    ]), f"darboux moments, {moments.label}", {**moments.bound, "casimir": casimir})
     s0 = math.sqrt(g20)
-    times, states, events, termination, stats, _ = _propagate(
-        f, init.t, [init.q, init.p, s0, -g11 / s0], icfg,
-        [spec for spec in _event_specs(model, icfg.escape_radius, mark_positions)
-         if spec.kind != "constraint"],
-    )
-    moments = np.column_stack(_darboux_moments(states.T, casimir))
-    h_q, v_eff = effective_series(moments, model)
-    g20, g11, g02 = moments[:, 2:].T
-    residual = g20 * g02 - g11 * g11 - model.hbar ** 2 / 4
-    table = np.column_stack([times, moments, h_q, v_eff, residual])
+    specs = [spec for spec in _event_specs(model, icfg.escape_radius, mark_positions)
+             if spec.kind != "constraint"]
+    return rhs, init.t, [init.q, init.p, s0, -g11 / s0], icfg, specs, series
+
+
+def darboux_integrate(init, model, icfg, mark_positions=()):
+    """Integrate an order-2 state in the Darboux coordinates of
+    :func:`darboux_args` and return the :class:`Trajectory` of its moments.
+
+    The run goes through the package's adaptive loop, the C kernel where
+    one builds. Its table's series columns hold ``H_Q``, ``V_eff``, the
+    uncertainty residual and the moments, which make up the trajectory's
+    table with the times and ``(q, p)``; each event's ``y`` is mapped from
+    the Darboux state the loop located to its moments ``(q, p, G20, G11,
+    G02)``.
+    """
+    args = darboux_args(init, model, icfg, mark_positions)
+    times, states, events, termination, stats, series = _propagate(*args)
+    h_q, v_eff, residual, g20, g11, g02 = series
+    table = np.column_stack([times, states[:, :2], g20, g11, g02, h_q, v_eff, residual])
+    casimir = args[0].bound["casimir"]
     return Trajectory(model, table, termination, tuple(
         replace(e, y=_darboux_moments(e.y, casimir)) for e in events), stats)
 

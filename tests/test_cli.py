@@ -1566,7 +1566,12 @@ def test_nonfinite_start_exit_code(tmp_path, monkeypatch, capsys):
     # the message names the cause; the table holds the initial state.
     import momentous.integrator as integrator
 
-    monkeypatch.setattr(integrator, "rhs_source", lambda model: lambda y: [math.nan] * len(y))
+    def nan_source(model):
+        d = dynamics.state_dimension(model.order)
+        return dynamics.RhsSource("\n".join(f"{{k{i}}} = nan" for i in range(d)), "nan rhs",
+                                  {"nan": math.nan})
+
+    monkeypatch.setattr(integrator, "rhs_source", nan_source)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(scenario_raw(output={"path": str(tmp_path / "n")})))
     assert main(["simulate", "--config", str(path)]) == 2

@@ -19,7 +19,7 @@ from momentous import (
 )
 from momentous.dynamics import (
     MOMENTS_BY_ORDER,
-    effective_series,
+    _series,
     make_rhs,
     moment_labels,
     state_variables,
@@ -201,7 +201,7 @@ def test_kernels_inline_the_jet(order, monkeypatch):
         cfg = ModelConfig(potential=pot, mass=1.7, order=order)
         states = [random_state(order, gen) for _ in range(10)]
         rows = np.array([[s.q, s.p, *s.moments] for s in states])
-        h_q, v_eff = effective_series(rows, cfg)
+        h_q, v_eff = _series(cfg)(rows.T)[:2]
         qs = np.linspace(-2.0, 2.0, 5)
         for state, row, h, v in zip(states, rows.tolist(), h_q, v_eff):
             flow, h_ref, v_ref = reference_values(cfg, state)
@@ -224,7 +224,7 @@ def test_kernels_are_compiled_per_exponent(first, second):
     for cfg, f in zip(cfgs, kernels):
         flow, h_ref, v_ref = reference_values(cfg, state)
         assert f(y) == approx(flow)
-        h_q, v_eff = effective_series(np.array([y]), cfg)
+        h_q, v_eff = _series(cfg)(np.array([y]).T)[:2]
         assert (h_q[0], v_eff[0]) == approx((h_ref, v_ref))
 
 

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import gc
 import itertools
 import json
@@ -24,6 +25,7 @@ from momentous import (
     ModelConfig,
     MomentState,
     Termination,
+    classify,
     effective_hamiltonian,
     effective_potential,
     initial_moments,
@@ -51,7 +53,9 @@ from momentous.integrator import (
     resolve_escape_radius,
 )
 
-from conftest import TABLEAU, rng, scenario_packet, tight_integrator
+from conftest import (
+    TABLEAU, darboux_args, darboux_integrate, rng, scenario_packet, tight_integrator,
+)
 
 # Both branches of the error norm's summation (below 8 terms and the 8-lane
 # tree), a remainder after the tree, and a second 8-lane block.
@@ -75,6 +79,9 @@ def function(rhs, d):
 # A free particle and an oscillator.
 FREE = source("{y1}", "0.0")
 OSCILLATOR = source("{y1}", "-{y0}")
+# An RHS that turns infinite past y = 1.5. A conditional expression has no
+# C translation, so only the Python loop runs it.
+WALL = source("big if {y0} > 1.5 else 1.0", big=math.inf)
 
 
 def same_rows(states, rows):
@@ -339,19 +346,47 @@ def test_the_tableau_is_the_one_typed_in_the_tests():
         assert repr(getattr(integrator, name)) == repr(want), name
 
 
-def poisoned(base, call, component, bad):
-    """``base`` with ``component`` of its ``call``-th result set to ``bad``,
-    and the list holding its call count."""
+def wrapped_run(around, rhs, *args):
+    """``_propagate(rhs, *args)`` in the Python loop, which evaluates the
+    RHS source ``rhs`` at a state ``y`` as ``around(f, y)``, ``f`` the
+    function it compiles of the source: an RHS that logs or poisons its
+    evaluations. The event values and the series run as compiled."""
+    def compile_wrapped(source, d):
+        make = _compile(source, d)
+        if source != rhs:
+            return make
+        return lambda **bound: functools.partial(around, make(**bound))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrator, "_kernel", lambda *args: None)
+        patch.setattr(integrator, "_compile", compile_wrapped)
+        return _propagate(rhs, *args)
+
+
+def poisoned(call, component, bad):
+    """An ``around`` for :func:`wrapped_run` that sets ``component`` of the
+    ``call``-th result of the RHS to ``bad``, and the list holding its call
+    count."""
     count = [0]
 
-    def f(y):
+    def around(f, y):
         count[0] += 1
-        out = base(y)
+        out = f(y)
         if count[0] == call:
             out[component] = bad
         return out
 
-    return f, count
+    return around, count
+
+
+def logged(calls):
+    """An ``around`` for :func:`wrapped_run` that appends each state the
+    RHS is evaluated at to ``calls``."""
+    def around(f, y):
+        calls.append(list(y))
+        return f(y)
+
+    return around
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -362,14 +397,14 @@ def test_generated_step_stops_at_a_nonfinite_stage(d, bad):
     # stage state (after call 5, the update) is not finite and the attempt
     # ends after c calls; a poisoned k7 (call 6) leaves only err non-finite.
     # Either way the attempt is a non-finite rejection and the run goes on.
-    # A poisoned callable has no C translation: this runs the Python loop.
-    base = function(coupled_rhs(d, d), d)
+    # The poison wraps the Python loop's compiled RHS.
+    rhs = coupled_rhs(d, d)
     y0 = rng(200 + d).normal(size=d).tolist()
     icfg = IntegratorConfig(rtol=1e-10, atol=1e-6, t_max=0.05, max_step=0.01)
     for position in range(1, 7):
         for component in {0, d - 1}:
-            f, count = poisoned(base, 2 + position, component, bad)
-            stats = _propagate(f, 0.0, y0, icfg)[4]
+            around, count = poisoned(2 + position, component, bad)
+            stats = wrapped_run(around, rhs, 0.0, y0, icfg)[4]
             assert count == [stats["n_rhs"]]
             assert stats["n_rejected_nonfinite"] == 1
             # Two start-up calls, `position` in the poisoned attempt, six in
@@ -431,13 +466,12 @@ def integrate_args(barrier, order, q0, sigma0, convention, **overrides):
 
 
 def model_run(barrier, order, q0, sigma0, convention, **overrides):
-    """RHS factory, the RHS source that ``integrate`` splices into its loop,
-    start vector, config and event specs of the ``integrate`` call of
+    """The RHS source that ``integrate`` splices into its loop, start
+    vector, config and event specs of the ``integrate`` call of
     :func:`integrate_args`."""
     init, model, icfg, marks = integrate_args(barrier, order, q0, sigma0, convention, **overrides)
-    f = make_rhs(model)
     specs = _event_specs(model, icfg.escape_radius, marks)
-    return (lambda: f), rhs_source(model), np.array(_state_row(init, model)), icfg, specs
+    return rhs_source(model), np.array(_state_row(init, model)), icfg, specs
 
 
 MODEL_RUNS = [
@@ -490,7 +524,7 @@ def fresh_kernels():
 def test_loop_matches_reference_on_model_runs(
     request, barrier, order, q0, sigma0, convention, overrides, termination
 ):
-    _, rhs, y0, icfg, specs = model_run(barrier, order, q0, sigma0, convention, **overrides)
+    rhs, y0, icfg, specs = model_run(barrier, order, q0, sigma0, convention, **overrides)
     times, _, events, got, stats = matches_reference(rhs, 0.0, y0, icfg, specs)
     assert got is termination
     case = request.node.callspec.id
@@ -508,18 +542,11 @@ def test_loop_matches_reference_on_model_runs(
 @pytest.mark.parametrize("order", [0, 2, 3])
 def test_a_model_run_counts_every_rhs_evaluation(barrier, order):
     # The spliced RHS is no call to count: n_rhs must still be the number of
-    # evaluations that a logging callable sees on the same run.
-    make_f, rhs, y0, icfg, specs = model_run(barrier, order, -1.62, 0.3, "zero",
-                                             atol=1e-6, t_max=2.35)
-    f = make_f()
+    # evaluations that a logging RHS sees on the same run.
+    rhs, y0, icfg, specs = model_run(barrier, order, -1.62, 0.3, "zero", atol=1e-6, t_max=2.35)
     calls = []
-
-    def logged(y):
-        calls.append(None)
-        return f(y)
-
     stats = _propagate(rhs, 0.0, y0, icfg, specs)[4]
-    assert _propagate(logged, 0.0, y0, icfg, specs)[4] == stats
+    assert wrapped_run(logged(calls), rhs, 0.0, y0, icfg, specs)[4] == stats
     assert stats["n_rejected_nonfinite"] == 0 and stats["n_steps"] > 20
     assert stats["n_rhs"] == len(calls)
 
@@ -579,7 +606,7 @@ def test_the_kernel_runs_the_python_loop_bit_for_bit(
     barrier, order, q0, sigma0, convention, overrides, termination
 ):
     args = integrate_args(barrier, order, q0, sigma0, convention, **overrides)
-    _, rhs, y0, icfg, specs = model_run(barrier, order, q0, sigma0, convention, **overrides)
+    rhs, y0, icfg, specs = model_run(barrier, order, q0, sigma0, convention, **overrides)
     times, _, _, got, stats = matches_reference(rhs, 0.0, y0, icfg, specs)
     assert got is termination
     if termination is Termination.STEP_FAILURE:
@@ -588,12 +615,31 @@ def test_the_kernel_runs_the_python_loop_bit_for_bit(
     assert traj.times.tolist() == times
 
 
+@pytest.mark.parametrize("index,tag", [(128, "reflected"), (133, "tunneled"), (134, "trapped")])
+def test_the_darboux_templates_run_the_same_bytes_in_both_loops(barrier, index, tag):
+    # conftest.darboux_integrate's RHS and series are templates like the
+    # model's: at an acceptance-sweep point of each tag, the C kernel and
+    # the Python loop write the same table, events and stats.
+    model = ModelConfig(potential=barrier, order=2)
+    q0 = float(np.linspace(-3.72638, -1.36634, 151)[index])
+    init = initial_moments(scenario_packet(barrier, q0, 0.3), model)
+    icfg = IntegratorConfig(rtol=1e-10, atol=1e-6, t_max=2.35)
+    marks = barrier.turning_points(0.98)
+    rhs, _, y0, _, specs, series = args = darboux_args(init, model, icfg, marks)
+    if KERNELS_BUILD:
+        assert _kernel(len(y0), _events(specs), rhs, series) is not None
+    got, want = python_loop_run(_propagate, *args), _propagate(*args)
+    assert_same_run(got, want)
+    assert [column.tobytes() for column in got[5]] == [column.tobytes() for column in want[5]]
+    assert classify(darboux_integrate(init, model, icfg, marks), 0.98).tag.value == tag
+
+
 def test_the_kernel_runs_an_event_that_lands_on_zero_as_the_python_loop(barrier):
     # A marker at the final position: the marker's event function is
     # exactly zero at the end of the last step, which is the event's time.
     init, model, icfg, marks = integrate_args(barrier, 2, -1.62, 0.3, "zero", atol=1e-6,
                                               t_max=2.35)
-    _, rhs, y0, _, specs = model_run(barrier, 2, -1.62, 0.3, "zero", atol=1e-6, t_max=2.35)
+    rhs, y0, _, specs = model_run(barrier, 2, -1.62, 0.3, "zero", atol=1e-6, t_max=2.35)
     times, states, *_ = _propagate(rhs, 0.0, y0, icfg, specs)
     end = float(states[-1, 0])
     specs = [*specs, _EventSpec("{y0} - {c0}", kind="q_cross", values=(end,), marker=end)]
@@ -608,7 +654,7 @@ def test_the_kernel_runs_a_stop_just_before_a_sample_as_the_python_loop(barrier)
     # slack (1e-9 * sample_dt) past the escape: inside the slack the sample
     # reads the stop state and is dropped as the stop row's duplicate.
     init, model, icfg, marks = integrate_args(barrier, 0, -3.0, 0.5, "zero")
-    _, rhs, y0, _, specs = model_run(barrier, 0, -3.0, 0.5, "zero")
+    rhs, y0, _, specs = model_run(barrier, 0, -3.0, 0.5, "zero")
     stop = _propagate(rhs, 0.0, y0, icfg, specs)[2][-1].t
     for share in (0.5, 2.0):
         grid = dataclasses.replace(icfg, sample_dt=stop / (1000 - share * 1e-9))
@@ -625,7 +671,7 @@ def test_the_kernel_drops_rows_within_the_window_of_an_event_as_the_python_loop(
     # of two rows within a window, the later one is dropped, the event's
     # row or the grid's.
     init, model, icfg, marks = integrate_args(barrier, 0, -3.0, 0.5, "zero")
-    _, rhs, y0, _, specs = model_run(barrier, 0, -3.0, 0.5, "zero")
+    rhs, y0, _, specs = model_run(barrier, 0, -3.0, 0.5, "zero")
     te = next(e.t for e in _propagate(rhs, 0.0, y0, icfg, specs)[2] if e.kind == "p_zero")
     window = 1e-12 * max(te, 1.0)
     for share in (-0.75, 0.75, 2.0):
@@ -830,8 +876,9 @@ def test_table_coefficient_reaches_integrate(barrier, order, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "eom_table", lambda o: table)
         tampered = integrate(init, model, icfg)
-        times, states, *_ = _propagate(make_rhs(model), 0.0, np.array(_state_row(init, model)),
-                                       icfg, _event_specs(model, icfg.escape_radius, ()))
+        times, states, *_ = python_loop_run(
+            _propagate, rhs_source(model), 0.0, np.array(_state_row(init, model)), icfg,
+            _event_specs(model, icfg.escape_radius, ()))
     assert same_rows(tampered.states, states.tolist()) and tampered.times.tolist() == times.tolist()
     assert tampered.states.tobytes() != real.states.tobytes()
     assert integrate(init, model, icfg).states.tobytes() == real.states.tobytes()
@@ -966,12 +1013,11 @@ def test_a_p0_sweep_runs_as_without_the_plan_cache(tmp_path, monkeypatch):
 
 
 def test_loop_matches_reference_on_step_failures():
-    # Underflow: an RHS that turns infinite past y = 1.5, a callable with no
-    # C translation, so only the Python loop runs it.
+    # Underflow: an RHS that turns infinite past y = 1.5, with no C
+    # translation, so only the Python loop runs it.
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=2.0, max_step=0.5, sample_dt=0.05)
-    times, _, _, termination, stats = _propagate(
-        lambda y: [math.inf if y[0] > 1.5 else 1.0], 0.0, [0.0], icfg
-    )[:5]
+    assert _kernel(1, _events(()), WALL) is None
+    times, _, _, termination, stats = _propagate(WALL, 0.0, [0.0], icfg)[:5]
     assert termination is Termination.STEP_FAILURE and stats["failure"] == "underflow"
     assert stats["n_rejected"] == stats["n_rejected_nonfinite"] > 0
     assert 1.5 - 1e-6 < times[-1] <= 1.5
@@ -998,15 +1044,9 @@ def test_loop_matches_reference_on_an_event_landing_exactly_on_zero():
     # that step's end, unbisected. Starting at t0 = 1000, (t + h - t) / h is
     # not exactly 1, so the event state is the interpolant's, not y1's.
     rhs = coupled_rhs(2, 7)
-    base = function(rhs, 2)
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=1.0, sample_dt=0.3)
     calls = []
-
-    def logged(y):
-        calls.append(list(y))
-        return base(y)
-
-    assert _propagate(logged, 1000.0, [0.3, -0.4], icfg)[4]["n_rejected"] == 0
+    assert wrapped_run(logged(calls), rhs, 1000.0, [0.3, -0.4], icfg)[4]["n_rejected"] == 0
     end3 = calls[2 + 3 * 6 - 1][0]  # the third attempt's k7 is f at its end state
     specs = (
         _EventSpec("{y0} - {c0}", kind="above", values=(end3,)),
@@ -1153,8 +1193,8 @@ def test_each_grid_index_is_recorded_by_the_first_step_that_reaches_it(
     # A step writes each grid index up to the last whose time is within the
     # 1e-9 * sample_dt slack after its end, or after the time of the event
     # that stops the run, merged by time with its events, an event first on
-    # a tie. The Python loop over an opaque callable and over the source
-    # writes the C kernel's rows and events bit for bit.
+    # a tie. The Python loop writes the C kernel's rows and events bit for
+    # bit.
     # On the oscillator p = w cos s - sin s: p_zero at s = atan(w) and pi
     # later, and the stop where p falls through -w / 2.
     w = 0.1 * t_max
@@ -1169,8 +1209,6 @@ def test_each_grid_index_is_recorded_by_the_first_step_that_reaches_it(
                             sample_dt=sample_dt)
     times, _, events_got, termination, stats = matches_reference(
         OSCILLATOR, t0, [1.0, w], icfg, specs)
-    assert_same_run(_propagate(lambda y: [y[1], -y[0]], t0, [1.0, w], icfg, specs),
-                    _propagate(OSCILLATOR, t0, [1.0, w], icfg, specs))
     assert len(events_got) >= {"none": 0, "p_zero": 1, "stop": 2}[events]
     if events == "stop":
         assert termination is Termination.ESCAPED and times[-1] == events_got[-1].t
@@ -1289,22 +1327,22 @@ def test_a_blowup_with_overflowing_coefficients_raises_no_numpy_warning():
     # give nan silently, and nothing may raise a numpy warning either, with
     # warnings as errors. The RHS has no C translation: the Python loop runs.
     icfg = IntegratorConfig(rtol=1e300, atol=1e300, t_max=10.0, max_step=2.0, sample_dt=2.0 / 13)
+    rhs = source("1.0 if {y0} < 3.0 else big", big=1e308)
+    assert _kernel(1, _events(()), rhs) is None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, states, _, termination, stats, _ = _propagate(
-            lambda y: [1.0 if y[0] < 3.0 else 1e308], 0.0, [0.0], icfg
-        )
+        _, states, _, termination, stats, _ = _propagate(rhs, 0.0, [0.0], icfg)
     assert termination is Termination.STEP_FAILURE and stats["failure"] == "blowup"
     assert np.isnan(states).any()
 
 
 def core_stats(rhs, y0, t_end, max_step=0.5):
-    """The stats of a run of an RHS source in both loops, or of a callable
-    with no C translation in the Python loop."""
+    """The stats of a run of the RHS source ``rhs``: in both loops, or in
+    the Python loop where no kernel runs it."""
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=t_end, max_step=max_step, sample_dt=0.05)
-    if isinstance(rhs, RhsSource):
-        return matches_reference(rhs, 0.0, y0, icfg)[4]
-    return _propagate(rhs, 0.0, y0, icfg)[4]
+    if _kernel(len(y0), _events(()), rhs) is None:
+        return _propagate(rhs, 0.0, y0, icfg)[4]
+    return matches_reference(rhs, 0.0, y0, icfg)[4]
 
 
 def test_sample_pass_memory_is_bounded_by_its_outputs(monkeypatch):
@@ -1343,7 +1381,8 @@ def test_step_statistics_split_rejections_by_cause():
     assert stats["n_rhs"] == 2 + 6 * (stats["n_steps"] + stats["n_rejected"])
     assert 0 < stats["h_min"] < stats["h_max"] <= 0.5
     # An RHS that turns infinite past y = 1.5: every rejection is non-finite.
-    stats = core_stats(lambda y: [math.inf if y[0] > 1.5 else 1.0], [0.0], 2.0)
+    assert _kernel(1, _events(()), WALL) is None
+    stats = core_stats(WALL, [0.0], 2.0)
     assert stats["failure"] == "underflow"
     assert stats["n_rejected"] == stats["n_rejected_nonfinite"] > 0
     assert stats["n_rejected_error"] == 0
@@ -1579,10 +1618,8 @@ def test_a_late_start_steps_as_an_early_one():
     # 6e-11), so the late run fails after fewer attempts. The RHS has no C
     # translation: the Python loop runs.
     icfg = IntegratorConfig(rtol=1e-6, atol=1e-6, t_max=2.0, max_step=0.5, sample_dt=0.05)
-    early, late = (
-        _propagate(lambda y: [math.inf if y[0] > 1.5 else 1.0], t0, [0.0], icfg)[4]
-        for t0 in (0.0, 1e6)
-    )
+    assert _kernel(1, _events(()), WALL) is None
+    early, late = (_propagate(WALL, t0, [0.0], icfg)[4] for t0 in (0.0, 1e6))
     assert early["failure"] == late["failure"] == "underflow"
     assert early["n_steps"] == late["n_steps"]
     assert late["n_rejected_nonfinite"] < early["n_rejected_nonfinite"]

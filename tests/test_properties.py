@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentous import BarrierPotential, GaussianPacket, IntegratorConfig, ModelConfig
-from momentous.dynamics import effective_series, make_rhs, state_variables
+from momentous.dynamics import _series, make_rhs, state_variables
 from momentous.integrator import integrate
 from momentous.packet import initial_moments
 
@@ -43,7 +43,7 @@ def test_mirror_symmetry_is_exact(order, n, alpha, a, mass, values):
     image = mirror(y, order)
     f = make_rhs(cfg)
     assert f(image) == mirror(f(y), order)
-    h_q, v_eff = effective_series(np.array([y, image]), cfg)
+    h_q, v_eff = _series(cfg)(np.array([y, image]).T)[:2]
     assert h_q[1] == h_q[0] and v_eff[1] == v_eff[0]
 
 
